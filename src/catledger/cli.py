@@ -16,10 +16,11 @@ import argparse
 import concurrent.futures
 import csv
 import json
+import math
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, TextIO
 
 from .catcore import (
     FinSetMap,
@@ -38,7 +39,7 @@ from .evolution import (
     run,
     stability_report,
 )
-from .ledger import ACCOUNT_NAMES, LedgerError
+from .ledger import ACCOUNT_NAMES, Booking, LedgerError
 
 INVARIANCE_COLUMNS: tuple[str, ...] = (
     "I_Lab_B",
@@ -220,32 +221,57 @@ def read_trace_csv(path: str | Path) -> tuple[dict[str, str], list[dict[str, flo
     return meta, rows
 
 
-def write_trace_json(trace: Trace, path: str | Path, config: RunConfig) -> None:
-    payload = {
-        "config": {line.split(" = ")[0]: line.split(" = ")[1] for line in config_echo(config)},
-        "columns": list(TRACE_COLUMNS),
-        "rows": [[record[col] for col in TRACE_COLUMNS] for record in trace_table(trace)],
-        "bookings": [
-            [
-                {
-                    "id": booking.id,
-                    "description": booking.description,
-                    "legs": [
-                        {
-                            "account": leg.account,
-                            "direction": leg.direction.value,
-                            "amount": leg.amount,
-                            "unit": leg.unit.value,
-                        }
-                        for leg in booking.legs
-                    ],
-                }
-                for booking in period
-            ]
-            for period in trace.bookings
+# Without `indent` json uses its C encoder (an indent forces the pure-Python
+# one); allow_nan=False makes every piece strict JSON.
+_encode_json = json.JSONEncoder(allow_nan=False).encode
+
+
+def _write_json_lines(handle: TextIO, items: Iterable[object]) -> None:
+    """The elements of a JSON array, one per line."""
+    separator = "\n"
+    for item in items:
+        handle.write(separator)
+        handle.write(_encode_json(item))
+        separator = ",\n"
+    handle.write("\n")
+
+
+def _booking_record(booking: Booking) -> dict[str, object]:
+    return {
+        "id": booking.id,
+        "description": booking.description,
+        "legs": [
+            {
+                "account": leg.account,
+                "direction": leg.direction.value,
+                "amount": leg.amount,
+                "unit": leg.unit.value,
+            }
+            for leg in booking.legs
         ],
     }
-    Path(path).write_text(json.dumps(payload, indent=1), encoding="utf-8")
+
+
+def write_trace_json(trace: Trace, path: str | Path, config: RunConfig) -> None:
+    """Stream the trace as one strict JSON document.
+
+    The object holds `config`, `columns`, `rows` (one list of cells per trace
+    row) and `bookings` (one list of bookings per period, each with its
+    legs).  It is written piece by piece: the header on the first line, then
+    one row per line, then one period's bookings per line.
+    """
+    echo = dict(line.split(" = ", 1) for line in config_echo(config))
+    with open(path, "w", encoding="utf-8") as handle:
+        header = f'"config": {_encode_json(echo)}, "columns": {_encode_json(TRACE_COLUMNS)}'
+        handle.write(f'{{{header},\n"rows": [')
+        _write_json_lines(
+            handle, ([record[col] for col in TRACE_COLUMNS] for record in trace_table(trace))
+        )
+        handle.write('],\n"bookings": [')
+        _write_json_lines(
+            handle, ([_booking_record(booking) for booking in period] for period in trace.bookings)
+        )
+        handle.write("]}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -253,11 +279,30 @@ def write_trace_json(trace: Trace, path: str | Path, config: RunConfig) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _first_non_finite(trace: Trace) -> tuple[int, str] | None:
+    """(period, column) of the first cell that is inf or nan, if any."""
+    width = len(TRACE_COLUMNS)
+    for index, value in enumerate(trace.flat_values()):
+        if not math.isfinite(value):
+            row, column = divmod(index, width)
+            return trace.rows[row].period, TRACE_COLUMNS[column]
+    return None
+
+
 def cmd_run(config: RunConfig, out: str | None, json_out: str | None) -> int:
     try:
         trace = run(config.params, engine=config.engine)
     except LedgerError as exc:
-        print(f"run failed: {exc}", file=sys.stderr)
+        period = getattr(exc, "period", None)
+        where = "" if period is None else f"period {period}, "
+        print(f"run failed: {where}{exc}", file=sys.stderr)
+        for diagnostic in getattr(exc, "diagnostics", ()):
+            print(f"  {diagnostic}", file=sys.stderr)
+        return EXIT_CONFIG
+    # checked before any file is opened: a trace with inf or nan is never written
+    bad = _first_non_finite(trace)
+    if bad is not None:
+        print(f"run failed: period {bad[0]}, column {bad[1]} is not finite", file=sys.stderr)
         return EXIT_CONFIG
     if out:
         write_trace_csv(trace, out, config)
@@ -281,10 +326,14 @@ def cmd_compare(config: RunConfig) -> int:
     except LedgerError as exc:
         print(f"compare failed: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    divergence = max(
-        abs(a - b) for a, b in zip(recursive.flat_values(), categorical.flat_values())
-    )
-    print(f"max divergence: {divergence:.3e}")
+    cells = list(recursive.flat_values())
+    other = list(categorical.flat_values())
+    if len(cells) != len(other):
+        print(f"cell counts differ: {len(cells)} recursive, {len(other)} categorical")
+        divergence = math.inf
+    else:
+        divergence = max(abs(a - b) for a, b in zip(cells, other))
+        print(f"max divergence: {divergence:.3e}")
     if divergence > DIVERGENCE_TOLERANCE:
         print("engines diverge", file=sys.stderr)
         return EXIT_DIVERGENCE

@@ -560,7 +560,11 @@ def run(
     horizon: int | None = None,
     engine: EngineKind = EngineKind.RECURSIVE,
 ) -> Trace:
-    """Deterministic trace of `horizon` periods (rows 0..horizon inclusive)."""
+    """Deterministic trace of `horizon` periods (rows 0..horizon inclusive).
+
+    A rejected booking ends the run with a `ValidationFailure` whose `period`
+    names the period it was rejected in.
+    """
     params.validate()
     span = params.horizon if horizon is None else horizon
     if span < 1:
@@ -571,7 +575,11 @@ def run(
     for period in range(span + 1):
         snapshot = state.ledger.balances()
         checks = invariances(state.ledger)
-        state, metrics, executed = period_step(state, params, engine)
+        try:
+            state, metrics, executed = period_step(state, params, engine)
+        except ValidationFailure as exc:
+            exc.period = period
+            raise
         rows.append(TraceRow(period, metrics, snapshot, checks))
         logs.append(executed)
     return Trace(params, engine, tuple(rows), tuple(logs))

@@ -97,11 +97,16 @@ class UnknownAccountError(LedgerError):
 
 
 class ValidationFailure(LedgerError):
-    """A booking was rejected; `diagnostics` lists every failed check."""
+    """A booking was rejected; `diagnostics` lists every failed check.
+
+    `period` is the simulated period the rejection happened in, recorded by
+    `evolution.run`; it stays None when the failure arose outside a run.
+    """
 
     def __init__(self, message: str, diagnostics: list[str] | None = None) -> None:
         super().__init__(message)
         self.diagnostics = diagnostics or []
+        self.period: int | None = None
 
 
 @dataclass

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -16,11 +17,13 @@ from catledger.cli import (
     TRACE_COLUMNS,
     ConfigError,
     RunConfig,
+    config_echo,
     load_config,
     main,
     read_trace_csv,
     trace_table,
     write_trace_csv,
+    write_trace_json,
 )
 from catledger.decisions import Parameters
 from catledger.evolution import EngineKind, run
@@ -99,6 +102,27 @@ class TestCmdRun:
         assert main(["run", "--horizon", "3"]) == EXIT_INVARIANCE
         assert "invariance" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--out", "--json"])
+    @pytest.mark.parametrize(
+        "setting, where",
+        [("nu_l=1e308", "period 2, column AccLabLab"), ("p_0=inf", "period 0, column GoodPrice")],
+    )
+    def test_non_finite_cell_exits_1_and_writes_nothing(
+        self, tmp_path, capsys, flag, setting, where
+    ):
+        path = tmp_path / "trace.out"
+        assert main(["run", "--set", setting, "--horizon", "3", flag, str(path)]) == EXIT_CONFIG
+        assert f"run failed: {where} is not finite" in capsys.readouterr().err
+        assert not path.exists()
+
+    @pytest.mark.parametrize("engine", ["recursive", "categorical"])
+    def test_rejection_names_period_booking_and_legs(self, capsys, engine):
+        assert main(["run", "--set", "tau=1", "--engine", engine]) == EXIT_CONFIG
+        lines = [line.strip() for line in capsys.readouterr().err.splitlines()]
+        assert lines[0].startswith("run failed: period 1, booking 7 ")
+        assert "insufficient-balance:AccComBank" in lines
+        assert "insufficient-balance:AccBankComBank" in lines
+
 
 class TestCmdCompare:
     def test_engines_agree(self):
@@ -124,6 +148,19 @@ class TestCmdCompare:
 
     def test_horizon_one(self):
         assert main(["compare", "--horizon", "1"]) == EXIT_OK
+
+    def test_shorter_trace_exits_3(self, monkeypatch, capsys):
+        real_run = run
+
+        def truncated(params, horizon=None, engine=EngineKind.RECURSIVE):
+            trace = real_run(params, horizon=horizon, engine=engine)
+            if engine is EngineKind.CATEGORICAL:
+                trace = dataclasses.replace(trace, rows=trace.rows[:-1])
+            return trace
+
+        monkeypatch.setattr(cli, "run", truncated)
+        assert main(["compare", "--horizon", "3"]) == EXIT_DIVERGENCE
+        assert "diverge" in capsys.readouterr().err
 
 
 class TestCmdSweep:
@@ -246,6 +283,58 @@ class TestTraceSerialization:
         assert any(
             leg["account"] == "AccComLoan" and leg["amount"] == 260.0
             for leg in loan["legs"]
+        )
+
+    @pytest.mark.parametrize(
+        "engine, horizon", [(EngineKind.RECURSIVE, 12), (EngineKind.CATEGORICAL, 6)]
+    )
+    def test_streamed_json_parses_to_the_full_payload(self, tmp_path, engine, horizon):
+        config = RunConfig(engine=engine)
+        trace = run(config.params, horizon=horizon, engine=engine)
+        path = tmp_path / "trace.json"
+        write_trace_json(trace, path, config)
+
+        def reject(token):
+            raise AssertionError(f"non-standard JSON constant {token}")
+
+        parsed = json.loads(path.read_text(encoding="utf-8"), parse_constant=reject)
+        reference = {
+            "config": {
+                line.split(" = ")[0]: line.split(" = ")[1] for line in config_echo(config)
+            },
+            "columns": list(TRACE_COLUMNS),
+            "rows": [[record[col] for col in TRACE_COLUMNS] for record in trace_table(trace)],
+            "bookings": [
+                [
+                    {
+                        "id": booking.id,
+                        "description": booking.description,
+                        "legs": [
+                            {
+                                "account": leg.account,
+                                "direction": leg.direction.value,
+                                "amount": leg.amount,
+                                "unit": leg.unit.value,
+                            }
+                            for leg in booking.legs
+                        ],
+                    }
+                    for booking in period
+                ]
+                for period in trace.bookings
+            ],
+        }
+        assert parsed == reference
+        assert len(parsed["rows"]) == horizon + 1
+
+    def test_default_csv_bytes_are_pinned(self, tmp_path):
+        # the CSV format is fixed byte for byte: any change to cell formatting,
+        # column order or the config echo breaks this digest
+        path = tmp_path / "trace.csv"
+        assert main(["run", "--horizon", "100", "--out", str(path)]) == EXIT_OK
+        assert (
+            hashlib.sha256(path.read_bytes()).hexdigest()
+            == "e00f94fe0eb12240a4381b62a7298044c3f21f24ace2a12d8cbb60b5d9c6c670"
         )
 
     def test_config_echo_in_header(self, tmp_path):

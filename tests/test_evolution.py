@@ -107,6 +107,15 @@ class TestDegenerateStates:
         assert state.ledger.balance("AccResBank") == 0.0
         assert invariant_tuple(state) == (0.0,) * 6
 
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_run_records_the_rejecting_period(self, engine):
+        # tau=1: the whole first loan falls due in period 1, which the
+        # company's cash cannot cover
+        with pytest.raises(ValidationFailure) as err:
+            run(Parameters(tau=1, horizon=5), engine=engine)
+        assert err.value.period == 1
+        assert str(err.value) == "booking 7 (Com repays Loan to Bank) rejected"
+
 
 def invariant_tuple(state):
     from catledger.ledger import invariances
