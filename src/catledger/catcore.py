@@ -259,12 +259,15 @@ def check_functor_laws(functor: Functor) -> LawReport:
     """
     src_cat, dst_cat = functor.source, functor.target
     failures: list[str] = []
+    # read once: the `objects`/`morphisms` properties copy their lists
+    dst_objects = len(dst_cat._objects)
+    dst_morphisms = len(dst_cat._morphisms)
 
-    for obj in src_cat.objects:
+    for obj in src_cat._objects:
         image = functor.object_map.get(obj.id)
         if image is None:
             failures.append(f"object {obj.name!r} has no image")
-        elif not 1 <= image <= len(dst_cat.objects):
+        elif not 1 <= image <= dst_objects:
             failures.append(f"object {obj.name!r} maps to missing id {image}")
 
     def image_of(mor: Morphism) -> Morphism | None:
@@ -272,12 +275,12 @@ def check_functor_laws(functor: Functor) -> LawReport:
         if mapped is None:
             failures.append(f"morphism {mor.id} ({mor.label or 'unlabeled'}) has no image")
             return None
-        if not 1 <= mapped <= len(dst_cat.morphisms):
+        if not 1 <= mapped <= dst_morphisms:
             failures.append(f"morphism {mor.id} maps to missing id {mapped}")
             return None
         return dst_cat.morphism_by_id(mapped)
 
-    for mor in src_cat.morphisms:
+    for mor in src_cat._morphisms:
         img = image_of(mor)
         if img is None:
             continue

@@ -34,6 +34,7 @@ from .catcore import (
 )
 from .decisions import METRIC_COLUMNS, Parameters, metrics_as_row
 from .evolution import (
+    EngineConsistencyError,
     EngineKind,
     Trace,
     run,
@@ -279,30 +280,39 @@ def write_trace_json(trace: Trace, path: str | Path, config: RunConfig) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _first_non_finite(trace: Trace) -> tuple[int, str] | None:
-    """(period, column) of the first cell that is inf or nan, if any."""
+def _report_rejection(command: str, exc: LedgerError) -> None:
+    """Print a rejected run's message, its period if known, and every diagnostic."""
+    period = getattr(exc, "period", None)
+    where = "" if period is None else f"period {period}, "
+    print(f"{command} failed: {where}{exc}", file=sys.stderr)
+    for diagnostic in getattr(exc, "diagnostics", ()):
+        print(f"  {diagnostic}", file=sys.stderr)
+
+
+def _report_non_finite(command: str, *traces: Trace) -> bool:
+    """Print the first cell that is inf or nan in any of the traces; True if one was."""
     width = len(TRACE_COLUMNS)
-    for index, value in enumerate(trace.flat_values()):
-        if not math.isfinite(value):
-            row, column = divmod(index, width)
-            return trace.rows[row].period, TRACE_COLUMNS[column]
-    return None
+    for trace in traces:
+        for index, value in enumerate(trace.flat_values()):
+            if not math.isfinite(value):
+                row, column = divmod(index, width)
+                print(
+                    f"{command} failed: period {trace.rows[row].period}, "
+                    f"column {TRACE_COLUMNS[column]} is not finite",
+                    file=sys.stderr,
+                )
+                return True
+    return False
 
 
 def cmd_run(config: RunConfig, out: str | None, json_out: str | None) -> int:
     try:
         trace = run(config.params, engine=config.engine)
     except LedgerError as exc:
-        period = getattr(exc, "period", None)
-        where = "" if period is None else f"period {period}, "
-        print(f"run failed: {where}{exc}", file=sys.stderr)
-        for diagnostic in getattr(exc, "diagnostics", ()):
-            print(f"  {diagnostic}", file=sys.stderr)
+        _report_rejection("run", exc)
         return EXIT_CONFIG
     # checked before any file is opened: a trace with inf or nan is never written
-    bad = _first_non_finite(trace)
-    if bad is not None:
-        print(f"run failed: period {bad[0]}, column {bad[1]} is not finite", file=sys.stderr)
+    if _report_non_finite("run", trace):
         return EXIT_CONFIG
     if out:
         write_trace_csv(trace, out, config)
@@ -324,7 +334,10 @@ def cmd_compare(config: RunConfig) -> int:
         recursive = run(config.params, engine=EngineKind.RECURSIVE)
         categorical = run(config.params, engine=EngineKind.CATEGORICAL)
     except LedgerError as exc:
-        print(f"compare failed: {exc}", file=sys.stderr)
+        _report_rejection("compare", exc)
+        return EXIT_CONFIG
+    # abs(inf - inf) is nan, which max() would drop: such traces are not compared
+    if _report_non_finite("compare", recursive, categorical):
         return EXIT_CONFIG
     cells = list(recursive.flat_values())
     other = list(categorical.flat_values())
@@ -356,7 +369,8 @@ def _sweep_one(config: RunConfig, key: str, raw: str) -> dict[str, str]:
             final_good_price=repr(trace.rows[-1].metrics.good_price),
             max_invariance=repr(worst),
         )
-    except Exception as exc:  # a failing value must only mark its own row
+    # a rejected value only marks its own row; anything else is a bug and propagates
+    except (LedgerError, ValueError, EngineConsistencyError) as exc:
         summary.update(status=f"error: {exc}")
     return summary
 

@@ -467,7 +467,7 @@ def _step_categorical(
     executed: list[Booking] = []
 
     def post(booking: Booking) -> None:
-        balances = {name: cat.amount(name) for name in ACCOUNT_NAMES}
+        balances = {leg.account: cat.amount(leg.account) for leg in booking.legs}
         ok, diagnostics = validate_via_pullback(balances, booking)
         if not ok:
             raise ValidationFailure(

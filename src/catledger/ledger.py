@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 DEFAULT_CREDIT_LIMIT = math.inf
 
@@ -118,16 +118,14 @@ class Account:
     balance: float = 0.0
 
 
-@dataclass(frozen=True)
-class BookingLeg:
+class BookingLeg(NamedTuple):
     account: str
     direction: Direction
     amount: float
     unit: Unit
 
 
-@dataclass(frozen=True)
-class Channel:
+class Channel(NamedTuple):
     """One directed value transfer of a booking, for the flow graph."""
 
     src: str
@@ -137,8 +135,7 @@ class Channel:
     label: str = ""
 
 
-@dataclass(frozen=True)
-class Booking:
+class Booking(NamedTuple):
     """One of the 8 yearly macro bookings, as double-entry legs plus channels."""
 
     id: int
@@ -157,6 +154,19 @@ def is_debit(kind: AccountKind, direction: Direction) -> bool:
     return direction is Direction.OUTFLOW
 
 
+# What the leg checks read of an account: its unit, the direction that debits
+# it and the unit's string.  The string keys the per-unit sums, because an
+# Enum member hashes through Python code.
+_LEG_SPECS: dict[str, tuple[Unit, Direction, str]] = {
+    spec.name: (
+        spec.unit,
+        Direction.INFLOW if is_debit(spec.kind, Direction.INFLOW) else Direction.OUTFLOW,
+        spec.unit.value,
+    )
+    for spec in ACCOUNT_SPECS
+}
+
+
 class LedgerState:
     """Balances of the 20 accounts; value-semantic via `copy()`."""
 
@@ -167,9 +177,11 @@ class LedgerState:
         }
 
     def copy(self) -> "LedgerState":
-        clone = LedgerState()
-        for name, acct in self._accounts.items():
-            clone._accounts[name].balance = acct.balance
+        clone = LedgerState.__new__(LedgerState)
+        clone._accounts = {
+            name: Account(acct.agent, name, acct.kind, acct.unit, acct.balance)
+            for name, acct in self._accounts.items()
+        }
         return clone
 
     def account(self, name: str) -> Account:
@@ -212,12 +224,12 @@ def leg_statuses(balances: Mapping[str, float], booking: Booking) -> list[str]:
     scratch = dict(balances)
     statuses: list[str] = []
     for leg in booking.legs:
-        spec = SPEC_BY_NAME.get(leg.account)
+        spec = _LEG_SPECS.get(leg.account)
         if spec is None:
             statuses.append(f"unknown-account:{leg.account}")
             continue
-        if leg.unit is not spec.unit:
-            statuses.append(f"unit-mismatch:{leg.account}:{leg.unit.value}!={spec.unit.value}")
+        if leg.unit is not spec[0]:
+            statuses.append(f"unit-mismatch:{leg.account}:{leg.unit.value}!={spec[2]}")
             continue
         if leg.amount < 0.0:
             statuses.append(f"negative-amount:{leg.account}")
@@ -240,30 +252,37 @@ def conservation_status(booking: Booking) -> str:
     """
     debits = 0.0
     credits = 0.0
-    real_net: dict[Unit, float] = {}
+    real_net: dict[str, float] = {}
     for leg in booking.legs:
-        spec = SPEC_BY_NAME.get(leg.account)
-        if spec is None or leg.unit is not spec.unit:
+        spec = _LEG_SPECS.get(leg.account)
+        if spec is None or leg.unit is not spec[0]:
             return "untypable"
         if leg.unit is Unit.EU:
-            if is_debit(spec.kind, leg.direction):
+            if leg.direction is spec[1]:
                 debits += leg.amount
             else:
                 credits += leg.amount
         else:
             sign = 1.0 if leg.direction is Direction.INFLOW else -1.0
-            real_net[leg.unit] = real_net.get(leg.unit, 0.0) + sign * leg.amount
+            unit = spec[2]
+            real_net[unit] = real_net.get(unit, 0.0) + sign * leg.amount
     if debits != credits:
         return f"eu-imbalance:{debits}!={credits}"
     for unit, net in real_net.items():
         if net != 0.0:
-            return f"real-imbalance:{unit.value}:{net}"
+            return f"real-imbalance:{unit}:{net}"
     return "ok"
 
 
 def validate_booking(state: LedgerState, booking: Booking) -> tuple[bool, list[str]]:
     """True plus diagnostics iff every leg types, fits, and value is conserved."""
-    diagnostics = [s for s in leg_statuses(state.balances(), booking) if s != "ok"]
+    accounts = state._accounts
+    touched = {
+        leg.account: accounts[leg.account].balance
+        for leg in booking.legs
+        if leg.account in accounts
+    }
+    diagnostics = [s for s in leg_statuses(touched, booking) if s != "ok"]
     cons = conservation_status(booking)
     if cons != "ok":
         diagnostics.append(cons)
@@ -277,8 +296,9 @@ def post_booking(state: LedgerState, booking: Booking) -> LedgerState:
         raise ValidationFailure(
             f"booking {booking.id} ({booking.description}) rejected", diagnostics
         )
+    accounts = state._accounts
     for leg in booking.legs:
-        acct = state.account(leg.account)
+        acct = accounts[leg.account]
         if leg.direction is Direction.INFLOW:
             acct.balance = acct.balance + leg.amount
         else:
@@ -337,18 +357,17 @@ def investment_validation(
 # fixed; both engines rely on it for bit-identical balance arithmetic.
 # ---------------------------------------------------------------------------
 
-_CONSUMER_ACCOUNTS = {
-    Agent.LAB: ("AccLabBank", "AccLabGood", "AccBankLabBank"),
-    Agent.RES: ("AccResBank", "AccResGood", "AccBankResBank"),
-    Agent.CAP: ("AccCapBank", "AccCapGood", "AccBankCapBank"),
+# consumer -> (booking id, description, bank account, goods account, bank mirror)
+_GOODS_SALES = {
+    Agent.LAB: (2, "Lab buys Good from Com", "AccLabBank", "AccLabGood", "AccBankLabBank"),
+    Agent.RES: (4, "Res buys Good from Com", "AccResBank", "AccResGood", "AccBankResBank"),
+    Agent.CAP: (8, "Cap buys Good from Com", "AccCapBank", "AccCapGood", "AccBankCapBank"),
 }
-
-_GOODS_SALE_IDS = {Agent.LAB: 2, Agent.RES: 4, Agent.CAP: 8}
 
 
 def make_goods_sale(consumer: Agent, spend: float, quantity: float) -> Booking:
     """Bookings 2/4/8: a consumer pays `spend` EU via bank for `quantity` goods."""
-    bank_acct, good_acct, mirror = _CONSUMER_ACCOUNTS[consumer]
+    booking_id, description, bank_acct, good_acct, mirror = _GOODS_SALES[consumer]
     legs = (
         BookingLeg(bank_acct, Direction.OUTFLOW, spend, Unit.EU),
         BookingLeg("AccComBank", Direction.INFLOW, spend, Unit.EU),
@@ -362,12 +381,7 @@ def make_goods_sale(consumer: Agent, spend: float, quantity: float) -> Booking:
         Channel(mirror, "AccBankComBank", spend, Unit.EU, "deposit transfer"),
         Channel("AccComGood", good_acct, quantity, Unit.GOOD, "delivery"),
     )
-    return Booking(
-        _GOODS_SALE_IDS[consumer],
-        f"{consumer.value} buys Good from Com",
-        legs,
-        channels,
-    )
+    return Booking(booking_id, description, legs, channels)
 
 
 def make_wage_payment(wages: float, hours: float) -> Booking:

@@ -162,6 +162,20 @@ class TestCmdCompare:
         assert main(["compare", "--horizon", "3"]) == EXIT_DIVERGENCE
         assert "diverge" in capsys.readouterr().err
 
+    def test_non_finite_cell_exits_1(self, capsys):
+        # both traces hold GoodPrice = inf, and abs(inf - inf) is nan
+        assert main(["compare", "--set", "p_0=inf", "--horizon", "3"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "compare failed: period 0, column GoodPrice is not finite" in captured.err
+        assert "max divergence" not in captured.out
+
+    def test_rejection_names_period_booking_and_legs(self, capsys):
+        assert main(["compare", "--set", "tau=1"]) == EXIT_CONFIG
+        lines = [line.strip() for line in capsys.readouterr().err.splitlines()]
+        assert lines[0].startswith("compare failed: period 1, booking 7 ")
+        assert "insufficient-balance:AccComBank" in lines
+        assert "insufficient-balance:AccBankComBank" in lines
+
 
 class TestCmdSweep:
     def test_three_omega_values(self, capsys):
@@ -219,6 +233,15 @@ class TestCmdSweep:
         assert "rho_r,0.8,ok" in out
         bad_row = next(l for l in out.splitlines() if l.startswith("rho_r,7.0"))
         assert "error" in bad_row
+
+    def test_programming_error_is_not_a_row(self, monkeypatch, capsys):
+        def broken(trace):
+            raise TypeError("broken report")
+
+        monkeypatch.setattr(cli, "stability_report", broken)
+        with pytest.raises(TypeError, match="broken report"):
+            main(["sweep", "--param", "omega", "--values", "0.5", "--horizon", "25"])
+        assert capsys.readouterr().out == ""
 
 
 class TestCmdPlot:
@@ -335,6 +358,15 @@ class TestTraceSerialization:
         assert (
             hashlib.sha256(path.read_bytes()).hexdigest()
             == "e00f94fe0eb12240a4381b62a7298044c3f21f24ace2a12d8cbb60b5d9c6c670"
+        )
+
+    def test_default_json_bytes_are_pinned(self, tmp_path):
+        # the streamed JSON layout and every number in it are fixed byte for byte
+        path = tmp_path / "trace.json"
+        assert main(["run", "--horizon", "100", "--json", str(path)]) == EXIT_OK
+        assert (
+            hashlib.sha256(path.read_bytes()).hexdigest()
+            == "3d1538af9f1aa57312c969bf5838b3b0f15e08f4c9394f8af975e3dc618bb266"
         )
 
     def test_config_echo_in_header(self, tmp_path):

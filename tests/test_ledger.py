@@ -4,16 +4,21 @@ from __future__ import annotations
 
 import math
 import random
+import struct
+from typing import Mapping
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from catledger.ledger import (
     ACCOUNT_NAMES,
     ACCOUNT_SPECS,
+    SPEC_BY_NAME,
     Agent,
     AccountKind,
     Booking,
     BookingLeg,
+    Channel,
     Direction,
     LedgerState,
     Unit,
@@ -308,3 +313,195 @@ class TestCopySemantics:
         state = init_ledger()
         state.set_balance("AccComBank", 0.1)
         assert math.isclose(state.balance("AccComBank"), 0.1)
+
+
+class TestValueTypes:
+    @pytest.mark.parametrize(
+        "value, field",
+        [
+            (BookingLeg("AccComBank", Direction.INFLOW, 1.0, Unit.EU), "amount"),
+            (Channel("AccComLoan", "AccComBank", 1.0, Unit.EU), "label"),
+            (Booking(5, "loan", ()), "channels"),
+        ],
+    )
+    def test_attribute_assignment_is_refused(self, value, field):
+        with pytest.raises(AttributeError):
+            setattr(value, field, 0.0)
+
+    def test_positional_and_keyword_construction(self):
+        leg = BookingLeg("AccComBank", Direction.INFLOW, 2.0, Unit.EU)
+        assert (leg.account, leg.direction, leg.amount, leg.unit) == (
+            "AccComBank",
+            Direction.INFLOW,
+            2.0,
+            Unit.EU,
+        )
+        assert leg == BookingLeg(
+            account="AccComBank", direction=Direction.INFLOW, amount=2.0, unit=Unit.EU
+        )
+        channel = Channel("AccComLoan", "AccComBank", 2.0, Unit.EU)
+        assert channel.label == ""
+        assert channel == Channel(
+            src="AccComLoan", dst="AccComBank", amount=2.0, unit=Unit.EU, label=""
+        )
+        booking = Booking(5, "loan", (leg,))
+        assert (booking.id, booking.description, booking.legs) == (5, "loan", (leg,))
+        assert booking.channels == ()
+        assert booking == Booking(id=5, description="loan", legs=(leg,), channels=())
+        assert booking.agents() == {Agent.COM}
+
+
+# ---------------------------------------------------------------------------
+# Reference ledger: the original leg checks and posting, kept verbatim so the
+# table-driven versions can be held to exactly the same outcomes.
+# ---------------------------------------------------------------------------
+
+
+def oracle_leg_statuses(balances: Mapping[str, float], booking: Booking) -> list[str]:
+    scratch = dict(balances)
+    statuses: list[str] = []
+    for leg in booking.legs:
+        spec = SPEC_BY_NAME.get(leg.account)
+        if spec is None:
+            statuses.append(f"unknown-account:{leg.account}")
+            continue
+        if leg.unit is not spec.unit:
+            statuses.append(f"unit-mismatch:{leg.account}:{leg.unit.value}!={spec.unit.value}")
+            continue
+        if leg.amount < 0.0:
+            statuses.append(f"negative-amount:{leg.account}")
+            continue
+        delta = leg.amount if leg.direction is Direction.INFLOW else -leg.amount
+        new = scratch[leg.account] + delta
+        if new < 0.0:
+            statuses.append(f"insufficient-balance:{leg.account}")
+            continue
+        scratch[leg.account] = new
+        statuses.append("ok")
+    return statuses
+
+
+def oracle_conservation_status(booking: Booking) -> str:
+    debits = 0.0
+    credits = 0.0
+    real_net: dict[Unit, float] = {}
+    for leg in booking.legs:
+        spec = SPEC_BY_NAME.get(leg.account)
+        if spec is None or leg.unit is not spec.unit:
+            return "untypable"
+        if leg.unit is Unit.EU:
+            if is_debit(spec.kind, leg.direction):
+                debits += leg.amount
+            else:
+                credits += leg.amount
+        else:
+            sign = 1.0 if leg.direction is Direction.INFLOW else -1.0
+            real_net[leg.unit] = real_net.get(leg.unit, 0.0) + sign * leg.amount
+    if debits != credits:
+        return f"eu-imbalance:{debits}!={credits}"
+    for unit, net in real_net.items():
+        if net != 0.0:
+            return f"real-imbalance:{unit.value}:{net}"
+    return "ok"
+
+
+def oracle_validate_booking(state: LedgerState, booking: Booking) -> tuple[bool, list[str]]:
+    diagnostics = [s for s in oracle_leg_statuses(state.balances(), booking) if s != "ok"]
+    cons = oracle_conservation_status(booking)
+    if cons != "ok":
+        diagnostics.append(cons)
+    return not diagnostics, diagnostics
+
+
+def oracle_post_booking(state: LedgerState, booking: Booking) -> LedgerState:
+    ok, diagnostics = oracle_validate_booking(state, booking)
+    if not ok:
+        raise ValidationFailure(
+            f"booking {booking.id} ({booking.description}) rejected", diagnostics
+        )
+    for leg in booking.legs:
+        acct = state.account(leg.account)
+        if leg.direction is Direction.INFLOW:
+            acct.balance = acct.balance + leg.amount
+        else:
+            acct.balance = acct.balance - leg.amount
+    return state
+
+
+# amounts and balances: plausible ones, so that many bookings post, and any
+# float at all: negative, nan, inf, or so large that the booking overdraws
+plausible = st.floats(min_value=0.0, max_value=1e3)
+amounts = st.one_of(plausible, st.floats())
+balance_lists = st.one_of(
+    st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=20, max_size=20),
+    st.lists(amounts, min_size=20, max_size=20),
+)
+
+
+def canonical_bookings(amount: st.SearchStrategy[float]) -> st.SearchStrategy[Booking]:
+    return st.one_of(
+        st.builds(
+            make_goods_sale, st.sampled_from([Agent.LAB, Agent.RES, Agent.CAP]), amount, amount
+        ),
+        st.builds(make_wage_payment, amount, amount),
+        st.builds(make_resource_purchase, amount, amount),
+        st.builds(make_loan, amount),
+        st.builds(make_repayment, amount),
+        st.builds(make_dividend, amount, amount),
+    )
+
+
+# a few accounts drawn often, so legs repeat accounts; two names no table knows
+leg_accounts = st.one_of(
+    st.sampled_from(("AccComBank", "AccComGood", "AccComDiv")),
+    st.sampled_from(ACCOUNT_NAMES + ("AccNowhere", "")),
+)
+arbitrary_legs = st.builds(
+    BookingLeg, leg_accounts, st.sampled_from(Direction), amounts, st.sampled_from(Unit)
+)
+arbitrary_bookings = st.builds(
+    Booking,
+    st.integers(min_value=0, max_value=9),
+    st.text(max_size=4),
+    st.lists(arbitrary_legs, max_size=8).map(tuple),
+)
+
+bookings = st.one_of(
+    canonical_bookings(plausible), canonical_bookings(amounts), arbitrary_bookings
+)
+
+
+def state_of(balances: list[float]) -> LedgerState:
+    state = LedgerState()
+    for name, value in zip(ACCOUNT_NAMES, balances):
+        state.account(name).balance = value
+    return state
+
+
+def balance_bits(state: LedgerState) -> list[bytes]:
+    return [struct.pack("d", state.balance(name)) for name in ACCOUNT_NAMES]
+
+
+class TestReferenceEquivalence:
+    @settings(max_examples=200, deadline=None)
+    @given(balance_lists, bookings)
+    def test_validate_booking_matches_the_reference(self, balances, booking):
+        state = state_of(balances)
+        assert validate_booking(state, booking) == oracle_validate_booking(state, booking)
+
+    @settings(max_examples=200, deadline=None)
+    @given(balance_lists, bookings)
+    def test_post_booking_matches_the_reference(self, balances, booking):
+        ours, reference = state_of(balances), state_of(balances)
+        untouched = balance_bits(ours)
+        try:
+            oracle_post_booking(reference, booking)
+        except ValidationFailure as exc:
+            with pytest.raises(ValidationFailure) as err:
+                post_booking(ours, booking)
+            assert str(err.value) == str(exc)
+            assert err.value.diagnostics == exc.diagnostics
+            assert balance_bits(ours) == untouched
+        else:
+            post_booking(ours, booking)
+        assert balance_bits(ours) == balance_bits(reference)
