@@ -45,7 +45,7 @@ class FinSetError(ValueError):
     """Ill-formed finite-set map or mismatched (co)domains."""
 
 
-@dataclass
+@dataclass(slots=True)
 class Quantity:
     """Unit-tagged amount carried by an account object."""
 
@@ -53,14 +53,14 @@ class Quantity:
     amount: float
 
 
-@dataclass
+@dataclass(slots=True)
 class CatObject:
     id: int
     name: str
     payload: Quantity | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class Morphism:
     id: int
     src: int
@@ -115,10 +115,10 @@ class FiniteCategory:
             raise DuplicateObjectError(f"object {name!r} already exists in {self.name!r}")
         if isinstance(payload, tuple):
             payload = Quantity(*payload)
-        obj = CatObject(id=len(self._objects) + 1, name=name, payload=payload)
-        self._objects.append(obj)
-        self._by_name[name] = obj.id
-        return obj.id
+        obj_id = len(self._objects) + 1
+        self._objects.append(CatObject(obj_id, name, payload))
+        self._by_name[name] = obj_id
+        return obj_id
 
     def get_object(self, name: str) -> int:
         """Return the id of the object called `name`."""
@@ -135,36 +135,46 @@ class FiniteCategory:
     def has_object(self, name: str) -> bool:
         return name in self._by_name
 
+    def _payload(self, name: str) -> Quantity:
+        """The amount payload of the object called `name`, found with one lookup."""
+        try:
+            payload = self._objects[self._by_name[name] - 1].payload
+        except KeyError:
+            raise ObjectNotFoundError(f"no object {name!r} in {self.name!r}") from None
+        if payload is None:
+            raise PayloadKindError(f"object {name!r} carries no amount payload")
+        return payload
+
     def update_object(self, name: str, amount: float) -> None:
         """Replace the amount of the object's payload; everything else is untouched."""
-        obj = self.object_by_id(self.get_object(name))
-        if obj.payload is None:
-            raise PayloadKindError(f"object {name!r} carries no amount payload")
-        obj.payload.amount = amount
+        self._payload(name).amount = amount
 
     def amount(self, name: str) -> float:
-        obj = self.object_by_id(self.get_object(name))
-        if obj.payload is None:
-            raise PayloadKindError(f"object {name!r} carries no amount payload")
-        return obj.payload.amount
+        return self._payload(name).amount
 
     # -- morphisms ----------------------------------------------------
 
     def add_morphism(self, src: int, dst: int, weight: float = 0.0, label: str = "") -> int:
         """Append a generator morphism src -> dst, returning its fresh id."""
+        n_objects = len(self._objects)
         for endpoint in (src, dst):
-            if not 1 <= endpoint <= len(self._objects):
+            if not 1 <= endpoint <= n_objects:
                 raise DanglingEndpointError(
                     f"morphism endpoint {endpoint} does not exist in {self.name!r}"
                 )
-        mor = Morphism(id=len(self._morphisms) + 1, src=src, dst=dst, label=label, weight=weight)
-        self._morphisms.append(mor)
-        return mor.id
+        mor_id = len(self._morphisms) + 1
+        self._morphisms.append(Morphism(mor_id, src, dst, label, weight))
+        return mor_id
 
     def morphism_by_id(self, mor_id: int) -> Morphism:
-        if not 1 <= mor_id <= len(self._morphisms):
+        mor = self.find_morphism(mor_id)
+        if mor is None:
             raise ObjectNotFoundError(f"no morphism id {mor_id} in {self.name!r}")
-        return self._morphisms[mor_id - 1]
+        return mor
+
+    def find_morphism(self, mor_id: int) -> Morphism | None:
+        """The generator with id `mor_id`, or None when there is none."""
+        return self._morphisms[mor_id - 1] if 1 <= mor_id <= len(self._morphisms) else None
 
     def composable_pairs(self) -> Iterator[tuple[Morphism, Morphism]]:
         """All generator pairs (f, g) with f followed by g, i.e. dst(f) == src(g)."""
@@ -255,56 +265,54 @@ def check_functor_laws(functor: Functor) -> LawReport:
     categories (identities are implicit and map to identities), so the
     report concentrates on the failure modes that can actually occur:
     unmapped generators, incoherent endpoints, and composable generator
-    pairs whose images fail to compose.
+    pairs whose images fail to compose.  Each generator's image is resolved
+    once; a pair with an unresolved image is already reported and skipped.
     """
     src_cat, dst_cat = functor.source, functor.target
+    object_map, morphism_map = functor.object_map, functor.morphism_map
     failures: list[str] = []
-    # read once: the `objects`/`morphisms` properties copy their lists
+    # walk the lists: the `objects`/`morphisms` properties copy them
     dst_objects = len(dst_cat._objects)
-    dst_morphisms = len(dst_cat._morphisms)
+    resolve = dst_cat.find_morphism
 
     for obj in src_cat._objects:
-        image = functor.object_map.get(obj.id)
+        image = object_map.get(obj.id)
         if image is None:
             failures.append(f"object {obj.name!r} has no image")
         elif not 1 <= image <= dst_objects:
             failures.append(f"object {obj.name!r} maps to missing id {image}")
 
-    def image_of(mor: Morphism) -> Morphism | None:
-        mapped = functor.morphism_map.get(mor.id)
+    images: dict[int, Morphism] = {}
+    for mor in src_cat._morphisms:
+        mapped = morphism_map.get(mor.id)
         if mapped is None:
             failures.append(f"morphism {mor.id} ({mor.label or 'unlabeled'}) has no image")
-            return None
-        if not 1 <= mapped <= dst_morphisms:
-            failures.append(f"morphism {mor.id} maps to missing id {mapped}")
-            return None
-        return dst_cat.morphism_by_id(mapped)
-
-    for mor in src_cat._morphisms:
-        img = image_of(mor)
-        if img is None:
             continue
-        if img.src != functor.object_map.get(mor.src):
+        img = resolve(mapped)
+        if img is None:
+            failures.append(f"morphism {mor.id} maps to missing id {mapped}")
+            continue
+        images[mor.id] = img
+        if img.src != object_map.get(mor.src):
             failures.append(
                 f"morphism {mor.id}: image source {img.src} != F(src) "
-                f"{functor.object_map.get(mor.src)}"
+                f"{object_map.get(mor.src)}"
             )
-        if img.dst != functor.object_map.get(mor.dst):
+        if img.dst != object_map.get(mor.dst):
             failures.append(
                 f"morphism {mor.id}: image target {img.dst} != F(dst) "
-                f"{functor.object_map.get(mor.dst)}"
+                f"{object_map.get(mor.dst)}"
             )
 
     for f, g in src_cat.composable_pairs():
-        fi = functor.morphism_map.get(f.id)
-        gi = functor.morphism_map.get(g.id)
-        if fi is None or gi is None:
+        f_img = images.get(f.id)
+        g_img = images.get(g.id)
+        if f_img is None or g_img is None:
             continue  # already reported above
-        f_img = dst_cat.morphism_by_id(fi)
-        g_img = dst_cat.morphism_by_id(gi)
         if f_img.dst != g_img.src:
             failures.append(
-                f"composable pair ({f.id}, {g.id}) maps to non-composing pair ({fi}, {gi})"
+                f"composable pair ({f.id}, {g.id}) maps to non-composing pair "
+                f"({f_img.id}, {g_img.id})"
             )
 
     return LawReport(ok=not failures, failures=failures)
@@ -316,38 +324,48 @@ def check_naturality(eta: NaturalTransformation) -> LawReport:
     In a presented category the two composites around the square for a
     generator f: A -> B are the paths (eta_A ; G(f)) and (F(f) ; eta_B);
     the square commutes structurally when both paths are composable and
-    parallel.  Weights are ignored, as everywhere in the law checks.
+    parallel.  Weights are ignored, as everywhere in the law checks.  An id
+    outside the target category is reported as a failure.
     """
     F, G = eta.F, eta.G
     failures: list[str] = []
     if F.source is not G.source or F.target is not G.target:
         return LawReport(False, ["functors are not parallel"])
-    src_cat, dst_cat = F.source, F.target
+    src_cat = F.source
+    resolve = F.target.find_morphism
+    f_objects, g_objects = F.object_map, G.object_map
+    f_morphisms, g_morphisms = F.morphism_map, G.morphism_map
 
     comps: dict[int, Morphism] = {}
-    for obj in src_cat.objects:
+    for obj in src_cat._objects:
         comp_id = eta.components.get(obj.id)
         if comp_id is None:
             failures.append(f"object {obj.name!r} has no component")
             continue
-        comp = dst_cat.morphism_by_id(comp_id)
+        comp = resolve(comp_id)
+        if comp is None:
+            failures.append(f"component at {obj.name!r} is missing id {comp_id}")
+            continue
         comps[obj.id] = comp
-        if comp.src != F.object_map.get(obj.id) or comp.dst != G.object_map.get(obj.id):
+        if comp.src != f_objects.get(obj.id) or comp.dst != g_objects.get(obj.id):
             failures.append(
                 f"component at {obj.name!r} is mistyped: "
                 f"{comp.src}->{comp.dst} is not F({obj.name})->G({obj.name})"
             )
 
-    for mor in src_cat.morphisms:
+    for mor in src_cat._morphisms:
         eta_a = comps.get(mor.src)
         eta_b = comps.get(mor.dst)
-        fi = F.morphism_map.get(mor.id)
-        gi = G.morphism_map.get(mor.id)
-        if None in (eta_a, eta_b, fi, gi):
+        fi = f_morphisms.get(mor.id)
+        gi = g_morphisms.get(mor.id)
+        if eta_a is None or eta_b is None or fi is None or gi is None:
             failures.append(f"square for morphism {mor.id} is incomplete")
             continue
-        f_img = dst_cat.morphism_by_id(fi)
-        g_img = dst_cat.morphism_by_id(gi)
+        f_img = resolve(fi)
+        g_img = resolve(gi)
+        if f_img is None or g_img is None:
+            failures.append(f"square for morphism {mor.id} maps to a missing id")
+            continue
         # left path: eta_A then G(f); right path: F(f) then eta_B
         if eta_a.dst != g_img.src or f_img.dst != eta_b.src:
             failures.append(f"square for morphism {mor.id} does not compose")
@@ -363,7 +381,7 @@ def check_naturality(eta: NaturalTransformation) -> LawReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FinSetMap:
     """A total function between finite labeled sets.
 
@@ -376,17 +394,20 @@ class FinSetMap:
     mapping: Mapping[Hashable, Hashable]
 
     def __post_init__(self) -> None:
-        dom, cod = set(self.domain), set(self.codomain)
-        if len(dom) != len(self.domain):
+        domain, mapping = self.domain, self.mapping
+        dom, cod = set(domain), set(self.codomain)
+        if len(dom) != len(domain):
             raise FinSetError("domain has repeated elements")
         if len(cod) != len(self.codomain):
             raise FinSetError("codomain has repeated elements")
-        missing = dom - set(self.mapping)
+        missing = dom.difference(mapping)
         if missing:
             raise FinSetError(f"mapping is not total: missing {sorted(map(str, missing))}")
-        for x in self.domain:
-            if self.mapping[x] not in cod:
-                raise FinSetError(f"image of {x!r} lies outside the codomain")
+        if not cod.issuperset(map(mapping.__getitem__, domain)):
+            # name the first element, in domain order, whose image is outside
+            for x in domain:
+                if mapping[x] not in cod:
+                    raise FinSetError(f"image of {x!r} lies outside the codomain")
 
     def __call__(self, x: Hashable) -> Hashable:
         return self.mapping[x]
@@ -408,7 +429,9 @@ def finset_pullback(
     """
     if tuple(f.codomain) != tuple(g.codomain):
         raise FinSetError("pullback requires a shared codomain")
-    apex = tuple((a, b) for a in f.domain for b in g.domain if f(a) == g(b))
+    f_map, g_map = f.mapping, g.mapping
+    g_images = [(b, g_map[b]) for b in g.domain]
+    apex = tuple((a, b) for a in f.domain for b, image in g_images if f_map[a] == image)
     p_a = FinSetMap(apex, f.domain, {p: p[0] for p in apex})
     p_b = FinSetMap(apex, g.domain, {p: p[1] for p in apex})
     return apex, p_a, p_b
@@ -426,36 +449,40 @@ def finset_pushout(
     if tuple(f.domain) != tuple(g.domain):
         raise FinSetError("pushout requires a shared domain")
 
-    elements = [("A", a) for a in f.codomain] + [("B", b) for b in g.codomain]
-    parent: dict[tuple, tuple] = {e: e for e in elements}
+    # union-find over the positions of A ⊔ B: A's elements first, then B's
+    a_elems, b_elems = f.codomain, g.codomain
+    offset = len(a_elems)
+    a_pos = {a: i for i, a in enumerate(a_elems)}
+    b_pos = {b: offset + i for i, b in enumerate(b_elems)}
+    parent = list(range(offset + len(b_elems)))
 
-    def find(x: tuple) -> tuple:
+    def find(x: int) -> int:
         while parent[x] != x:
             parent[x] = parent[parent[x]]
             x = parent[x]
         return x
 
-    def union(x: tuple, y: tuple) -> None:
-        rx, ry = find(x), find(y)
+    f_map, g_map = f.mapping, g.mapping
+    for c in f.domain:
+        rx, ry = find(a_pos[f_map[c]]), find(b_pos[g_map[c]])
         if rx != ry:
             parent[ry] = rx
 
-    for c in f.domain:
-        union(("A", f(c)), ("B", g(c)))
+    # classes in order of first occurrence; class_index[i] is position i's class
+    tagged = [("A", a) for a in a_elems] + [("B", b) for b in b_elems]
+    class_of_root: dict[int, int] = {}
+    members: list[list[tuple]] = []
+    class_index: list[int] = []
+    for i, element in enumerate(tagged):
+        k = class_of_root.setdefault(find(i), len(members))
+        if k == len(members):
+            members.append([])
+        members[k].append(element)
+        class_index.append(k)
 
-    members: dict[tuple, list[tuple]] = {}
-    order: list[tuple] = []
-    for e in elements:
-        root = find(e)
-        if root not in members:
-            members[root] = []
-            order.append(root)
-        members[root].append(e)
-
-    classes = tuple(frozenset(members[root]) for root in order)
-    class_of = {e: cls for cls in classes for e in cls}
-    i_a = FinSetMap(f.codomain, classes, {a: class_of[("A", a)] for a in f.codomain})
-    i_b = FinSetMap(g.codomain, classes, {b: class_of[("B", b)] for b in g.codomain})
+    classes = tuple(map(frozenset, members))
+    i_a = FinSetMap(a_elems, classes, {a: classes[class_index[i]] for a, i in a_pos.items()})
+    i_b = FinSetMap(b_elems, classes, {b: classes[class_index[i]] for b, i in b_pos.items()})
     return classes, i_a, i_b
 
 

@@ -503,11 +503,12 @@ def run_law_fixtures() -> list[tuple[str, bool]]:
         ("pushout universal property", verify_pushout_universal(fc, gc, classes, i_a, i_b))
     )
 
-    # the categorical engine must accept its own period constructions
+    # the categorical engine must accept its own period constructions; any
+    # other exception is a programming error and propagates
     try:
         trace = run(Parameters(horizon=5), engine=EngineKind.CATEGORICAL)
         results.append(("engine periods law-check", len(trace.rows) == 6))
-    except Exception:
+    except (LedgerError, EngineConsistencyError):
         results.append(("engine periods law-check", False))
     return results
 

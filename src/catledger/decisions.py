@@ -65,11 +65,13 @@ class Parameters:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {value}")
+        # written as `not value > 0.0` so that NaN, which fails every
+        # comparison, is refused here rather than later as a booking rejection
         for name in ("sig_b", "sig_c", "p_r", "p_l", "p_0", "alpha"):
-            if getattr(self, name) <= 0.0:
+            if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
         for name in ("nu_l", "nu_r", "com_lab_0", "com_res_0"):
-            if getattr(self, name) < 0.0:
+            if not getattr(self, name) >= 0.0:
                 raise ValueError(f"{name} must be non-negative")
 
     def with_overrides(self, **overrides: float | int) -> "Parameters":

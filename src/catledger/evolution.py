@@ -43,6 +43,7 @@ from .catcore import (
     FinSetMap,
     Functor,
     NaturalTransformation,
+    Quantity,
     check_functor_laws,
     check_naturality,
     finset_pullback,
@@ -273,11 +274,19 @@ def _step_recursive(
 # ---------------------------------------------------------------------------
 
 
+# Per account, in ACCOUNT_SPECS order: its unit, and its object names and
+# component label in the time-step category.
+_UNITS = tuple(spec.unit.value for spec in ACCOUNT_SPECS)
+_AT_T = tuple(f"{name}@t" for name in ACCOUNT_NAMES)
+_AT_T1 = tuple(f"{name}@t+1" for name in ACCOUNT_NAMES)
+_EVOLVE = {name: f"evolve:{name}" for name in ACCOUNT_NAMES}
+
+
 def build_economy_category(ledger: LedgerState) -> FiniteCategory:
     """The account category: one payloaded object per account, no flows yet."""
     cat = FiniteCategory("economy")
-    for spec in ACCOUNT_SPECS:
-        cat.add_object(spec.name, (spec.unit.value, ledger.balance(spec.name)))
+    for name, unit in zip(ACCOUNT_NAMES, _UNITS):
+        cat.add_object(name, Quantity(unit, ledger.balance(name)))
     return cat
 
 
@@ -306,9 +315,9 @@ def validate_via_pullback(
     the apex covers every leg and the booking conserves value.
     """
     statuses = leg_statuses(balances, booking)
-    legs = tuple(range(len(booking.legs)))
-    outcomes = tuple(sorted(set(statuses) | {"ok"}))
-    leg_check = FinSetMap(legs, outcomes, dict(zip(legs, statuses)))
+    legs = tuple(range(len(statuses)))
+    outcomes = tuple(sorted({*statuses, "ok"}))
+    leg_check = FinSetMap(legs, outcomes, dict(enumerate(statuses)))
     spec_cone = FinSetMap(("all",), outcomes, {"all": "ok"})
     apex, _, _ = finset_pullback(leg_check, spec_cone)
 
@@ -329,22 +338,26 @@ def apply_via_pushout(cat: FiniteCategory, booking: Booking) -> tuple[frozenset,
     legs = booking.legs
     leg_tokens = tuple(range(len(legs)))
     accounts = tuple(dict.fromkeys(leg.account for leg in legs))
-    to_account = FinSetMap(leg_tokens, accounts, {i: legs[i].account for i in leg_tokens})
-    to_slot = FinSetMap(leg_tokens, leg_tokens, {i: i for i in leg_tokens})
+    to_account = FinSetMap(leg_tokens, accounts, {i: leg.account for i, leg in enumerate(legs)})
+    to_slot = FinSetMap(leg_tokens, leg_tokens, dict(zip(leg_tokens, leg_tokens)))
     classes, _, _ = finset_pushout(to_account, to_slot)
 
     for cls in classes:
-        names = [label for tag, label in cls if tag == "A"]
+        names: list[str] = []
+        indices: list[int] = []
+        for tag, label in cls:
+            (names if tag == "A" else indices).append(label)
         if len(names) != 1:
             raise EngineConsistencyError(f"pushout glued {len(names)} accounts into one class")
         (name,) = names
-        for index in sorted(label for tag, label in cls if tag == "B"):
+        amount = cat.amount(name)
+        for index in sorted(indices):
             leg = legs[index]
-            amount = cat.amount(name)
             if leg.direction is Direction.INFLOW:
-                cat.update_object(name, amount + leg.amount)
+                amount = amount + leg.amount
             else:
-                cat.update_object(name, amount - leg.amount)
+                amount = amount - leg.amount
+        cat.update_object(name, amount)
     return classes
 
 
@@ -359,36 +372,34 @@ def build_time_step(
     evolution edge of one account, weighted by its net flow.
     """
     step = FiniteCategory("time-step")
-    at_t: dict[str, int] = {}
-    at_t1: dict[str, int] = {}
-    for spec in ACCOUNT_SPECS:
-        at_t[spec.name] = step.add_object(f"{spec.name}@t", (spec.unit.value, old[spec.name]))
-    for spec in ACCOUNT_SPECS:
-        at_t1[spec.name] = step.add_object(
-            f"{spec.name}@t+1", (spec.unit.value, new[spec.name])
-        )
+    at_t = {
+        name: step.add_object(label, Quantity(unit, old[name]))
+        for name, unit, label in zip(ACCOUNT_NAMES, _UNITS, _AT_T)
+    }
+    at_t1 = {
+        name: step.add_object(label, Quantity(unit, new[name]))
+        for name, unit, label in zip(ACCOUNT_NAMES, _UNITS, _AT_T1)
+    }
 
     components: dict[int, int] = {}
+    object_map_t: dict[int, int] = {}
+    object_map_t1: dict[int, int] = {}
     for obj in flows.objects:
+        name = obj.name
+        src = object_map_t[obj.id] = at_t[name]
+        dst = object_map_t1[obj.id] = at_t1[name]
         components[obj.id] = step.add_morphism(
-            at_t[obj.name],
-            at_t1[obj.name],
-            weight=new[obj.name] - old[obj.name],
-            label=f"evolve:{obj.name}",
+            src, dst, weight=new[name] - old[name], label=_EVOLVE[name]
         )
 
-    object_map_t = {obj.id: at_t[obj.name] for obj in flows.objects}
-    object_map_t1 = {obj.id: at_t1[obj.name] for obj in flows.objects}
     morphism_map_t: dict[int, int] = {}
     morphism_map_t1: dict[int, int] = {}
     for mor in flows.morphisms:
-        src_name = flows.object_by_id(mor.src).name
-        dst_name = flows.object_by_id(mor.dst).name
         morphism_map_t[mor.id] = step.add_morphism(
-            at_t[src_name], at_t[dst_name], mor.weight, mor.label
+            object_map_t[mor.src], object_map_t[mor.dst], mor.weight, mor.label
         )
         morphism_map_t1[mor.id] = step.add_morphism(
-            at_t1[src_name], at_t1[dst_name], mor.weight, mor.label
+            object_map_t1[mor.src], object_map_t1[mor.dst], mor.weight, mor.label
         )
 
     f_t = Functor(flows, step, object_map_t, morphism_map_t)
@@ -419,7 +430,11 @@ def verify_time_step(
         failures.extend(f"naturality: {msg}" for msg in nat.failures)
     step = eta.F.target
     for obj in flows.objects:
-        component = step.morphism_by_id(eta.components[obj.id])
+        comp_id = eta.components.get(obj.id)
+        component = None if comp_id is None else step.find_morphism(comp_id)
+        if component is None:
+            failures.append(f"component weight for {obj.name}: no evolution component")
+            continue
         expected = new[obj.name] - old[obj.name]
         if component.weight != expected:
             failures.append(
@@ -434,7 +449,7 @@ def _step_categorical(
 ) -> tuple[SimulationState, PeriodMetrics, tuple[Booking, ...]]:
     p = params
     cat = build_economy_category(state.ledger)
-    old_balances = {name: cat.amount(name) for name in ACCOUNT_NAMES}
+    old_balances = state.ledger.balances()
     start_com_bank = old_balances["AccComBank"]
 
     # 1-2. decay and endowments, as endo-updates of the account objects

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from typing import Hashable
 
 import pytest
 
@@ -485,3 +486,156 @@ class TestEnumerateMaps:
     def test_counts(self):
         assert len(list(enumerate_maps(("a", "b"), ("x", "y", "z")))) == 9
         assert list(enumerate_maps((), ("x",))) == [{}]
+
+
+class TestLawChecksReportInsteadOfRaising:
+    def test_functor_image_outside_target_is_reported(self):
+        # morphism 1 (a: X->Y) composes with morphism 2 (b: Y->Z), so the
+        # composable-pair walk meets the unresolvable image too
+        functor = Functor.identity(triangle())
+        functor.morphism_map[1] = 99
+        report = check_functor_laws(functor)
+        assert not report.ok
+        assert "morphism 1 maps to missing id 99" in report.failures
+
+    def test_naturality_component_outside_target_is_reported(self):
+        base, _, eta = two_snapshot_transformation({"LabBank": 0.0, "ResBank": 208.0})
+        eta.components[base.get_object("ResBank")] = 99
+        report = check_naturality(eta)
+        assert not report.ok
+        assert any("'ResBank'" in failure and "99" in failure for failure in report.failures)
+
+    def test_naturality_square_image_outside_target_is_reported(self):
+        base, step, eta = two_snapshot_transformation({"LabBank": 0.0, "ResBank": 208.0})
+        flow = base.add_morphism(1, 2)
+        eta.F.morphism_map[flow] = step.add_morphism(1, 3)
+        eta.G.morphism_map[flow] = 99
+        report = check_naturality(eta)
+        assert not report.ok
+        assert any(f"morphism {flow}" in failure for failure in report.failures)
+
+
+# Verbatim copies of the FinSet constructions before their rewrite onto
+# positions and direct mapping reads; the rewrite must reproduce them exactly.
+def reference_pullback(
+    f: FinSetMap, g: FinSetMap
+) -> tuple[tuple[tuple[Hashable, Hashable], ...], FinSetMap, FinSetMap]:
+    if tuple(f.codomain) != tuple(g.codomain):
+        raise FinSetError("pullback requires a shared codomain")
+    apex = tuple((a, b) for a in f.domain for b in g.domain if f(a) == g(b))
+    p_a = FinSetMap(apex, f.domain, {p: p[0] for p in apex})
+    p_b = FinSetMap(apex, g.domain, {p: p[1] for p in apex})
+    return apex, p_a, p_b
+
+
+def reference_pushout(
+    f: FinSetMap, g: FinSetMap
+) -> tuple[tuple[frozenset, ...], FinSetMap, FinSetMap]:
+    if tuple(f.domain) != tuple(g.domain):
+        raise FinSetError("pushout requires a shared domain")
+
+    elements = [("A", a) for a in f.codomain] + [("B", b) for b in g.codomain]
+    parent: dict[tuple, tuple] = {e: e for e in elements}
+
+    def find(x: tuple) -> tuple:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(x: tuple, y: tuple) -> None:
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[ry] = rx
+
+    for c in f.domain:
+        union(("A", f(c)), ("B", g(c)))
+
+    members: dict[tuple, list[tuple]] = {}
+    order: list[tuple] = []
+    for e in elements:
+        root = find(e)
+        if root not in members:
+            members[root] = []
+            order.append(root)
+        members[root].append(e)
+
+    classes = tuple(frozenset(members[root]) for root in order)
+    class_of = {e: cls for cls in classes for e in cls}
+    i_a = FinSetMap(f.codomain, classes, {a: class_of[("A", a)] for a in f.codomain})
+    i_b = FinSetMap(g.codomain, classes, {b: class_of[("B", b)] for b in g.codomain})
+    return classes, i_a, i_b
+
+
+def random_labels(rng: random.Random, prefix: str, size: int) -> tuple:
+    """Distinct labels of mixed kinds: strings, ints and tuples."""
+    kinds = (lambda i: f"{prefix}{i}", lambda i: i, lambda i: (prefix, i))
+    kind = rng.choice(kinds)
+    labels = [kind(i) for i in range(size)]
+    rng.shuffle(labels)
+    return tuple(labels)
+
+
+def assert_same_map(new: FinSetMap, old: FinSetMap) -> None:
+    assert new.domain == old.domain
+    assert new.codomain == old.codomain
+    assert list(new.mapping.items()) == list(old.mapping.items())
+
+
+class TestFinSetDifferential:
+    def test_pullback_matches_the_reference(self):
+        rng = random.Random(4101)
+        for _ in range(400):
+            c = random_labels(rng, "c", rng.randint(1, 4))
+            f = random_map(rng, random_labels(rng, "a", rng.randint(0, 6)), c)
+            g = random_map(rng, random_labels(rng, "b", rng.randint(0, 6)), c)
+            apex, p_a, p_b = finset_pullback(f, g)
+            ref_apex, ref_a, ref_b = reference_pullback(f, g)
+            assert apex == ref_apex
+            assert_same_map(p_a, ref_a)
+            assert_same_map(p_b, ref_b)
+
+    def test_pushout_matches_the_reference(self):
+        rng = random.Random(4102)
+        for _ in range(400):
+            c = random_labels(rng, "c", rng.randint(0, 6))
+            f = random_map(rng, c, random_labels(rng, "a", rng.randint(1, 5)))
+            g = random_map(rng, c, random_labels(rng, "b", rng.randint(1, 5)))
+            classes, i_a, i_b = finset_pushout(f, g)
+            ref_classes, ref_a, ref_b = reference_pushout(f, g)
+            assert classes == ref_classes
+            assert_same_map(i_a, ref_a)
+            assert_same_map(i_b, ref_b)
+
+    def test_engine_shaped_pushout_matches_the_reference(self):
+        # legs onto the accounts they touch against the identity on legs,
+        # with an account touched twice, as in the dividend booking
+        legs = tuple(range(8))
+        accounts = ("ComBank", "CapBank", "BankComBank", "BankCapBank", "CapDiv", "ComDiv")
+        touched = dict(zip(legs, accounts + ("ComDiv", "CapDiv")))
+        to_account = FinSetMap(legs, accounts, touched)
+        to_slot = FinSetMap(legs, legs, {i: i for i in legs})
+        classes, i_a, i_b = finset_pushout(to_account, to_slot)
+        ref_classes, ref_a, ref_b = reference_pushout(to_account, to_slot)
+        assert classes == ref_classes and len(classes) == 6
+        assert_same_map(i_a, ref_a)
+        assert_same_map(i_b, ref_b)
+
+    @pytest.mark.parametrize(
+        "domain, codomain, mapping, message",
+        [
+            (("a", "a"), ("t",), {"a": "t"}, "domain has repeated elements"),
+            (("a",), ("t", "t"), {"a": "t"}, "codomain has repeated elements"),
+            (("a", "b", "c"), ("t",), {"a": "t"}, "mapping is not total: missing ['b', 'c']"),
+            (
+                ("a", "b", "c"),
+                ("t",),
+                {"a": "t", "b": "x", "c": "y"},
+                "image of 'b' lies outside the codomain",
+            ),
+        ],
+    )
+    def test_error_messages_are_unchanged(self, domain, codomain, mapping, message):
+        with pytest.raises(FinSetError) as err:
+            FinSetMap(domain, codomain, mapping)
+        assert str(err.value) == message

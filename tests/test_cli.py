@@ -383,3 +383,18 @@ class TestCheckLaws:
         out = capsys.readouterr().out
         assert "FAIL" not in out
         assert out.count("PASS") >= 7
+
+    def test_programming_error_propagates(self, monkeypatch):
+        # only a ledger rejection or a law failure of the engine reads as FAIL
+        def broken(*args, **kwargs):
+            raise TypeError("broken engine")
+
+        monkeypatch.setattr(cli, "run", broken)
+        with pytest.raises(TypeError, match="broken engine"):
+            main(["check-laws"])
+
+    def test_nan_parameter_is_named_not_booked(self, capsys):
+        assert main(["run", "--set", "com_lab_0=nan", "--horizon", "3"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "com_lab_0 must be non-negative" in err
+        assert "rejected" not in err

@@ -47,6 +47,27 @@ class TestParameters:
         with pytest.raises(ValueError):
             Parameters(**override).validate()
 
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "sig_b",
+            "sig_c",
+            "p_r",
+            "p_l",
+            "p_0",
+            "alpha",
+            "nu_l",
+            "nu_r",
+            "com_lab_0",
+            "com_res_0",
+        ],
+    )
+    def test_nan_rejected_naming_the_field(self, name):
+        # NaN fails every comparison, so a range test written as `x <= 0.0`
+        # would let it through to the first booking
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            Parameters(**{name: math.nan}).validate()
+
 
 class TestMemory:
     def test_due_single_entry(self):

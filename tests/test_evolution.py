@@ -348,3 +348,101 @@ class TestBookingLog:
         assert state.ledger.balances() == before
         assert state.period == 0
         assert state.memory.wage == (0.0,) * 10
+
+
+def real_period(monkeypatch, params: Parameters, periods: int = 3):
+    """The flows category, transformation and balances of a categorical period."""
+    from catledger import evolution
+
+    captured = {}
+    original = evolution.build_time_step
+
+    def record(flows, old, new):
+        built = original(flows, old, new)
+        captured.update(flows=flows, eta=built[3], old=old, new=new)
+        return built
+
+    monkeypatch.setattr(evolution, "build_time_step", record)
+    state = initial_state(params)
+    for _ in range(periods):
+        state, _, _ = period_step(state, engine=EngineKind.CATEGORICAL)
+    return captured["flows"], captured["eta"], captured["old"], captured["new"]
+
+
+class TestPeriodLawGuard:
+    def test_every_period_runs_each_construction_and_law_check(self, monkeypatch):
+        # no verdict, pullback or pushout may be reused across bookings or periods
+        from catledger import evolution
+
+        counts: dict[str, int] = {}
+
+        def counting(name):
+            original = getattr(evolution, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] = counts.get(name, 0) + 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        names = ("check_functor_laws", "check_naturality", "finset_pullback", "finset_pushout")
+        for name in names:
+            monkeypatch.setattr(evolution, name, counting(name))
+        state = initial_state(Parameters())
+        for _ in range(12):
+            counts.clear()
+            state, _, bookings = period_step(state, engine=EngineKind.CATEGORICAL)
+            assert len(bookings) == 8
+            assert counts == {
+                "check_functor_laws": 2,
+                "check_naturality": 1,
+                "finset_pullback": 8,
+                "finset_pushout": 8,
+            }
+
+    def test_missing_component_names_the_account(self, monkeypatch):
+        flows, eta, old, new = real_period(monkeypatch, Parameters())
+        verify_time_step(flows, eta, old, new)
+        del eta.components[flows.get_object("AccComBank")]
+        with pytest.raises(EngineConsistencyError) as err:
+            verify_time_step(flows, eta, old, new)
+        assert any(
+            "AccComBank" in failure and "component weight" in failure
+            for failure in err.value.failures
+        )
+
+    def test_every_swapped_component_pair_is_caught(self, monkeypatch):
+        flows, eta, old, new = real_period(monkeypatch, Parameters())
+        ids = sorted(eta.components)
+        original = dict(eta.components)
+        for i, a in enumerate(ids):
+            for b in ids[i + 1 :]:
+                eta.components[a], eta.components[b] = original[b], original[a]
+                with pytest.raises(EngineConsistencyError):
+                    verify_time_step(flows, eta, old, new)
+                eta.components.update(original)
+        verify_time_step(flows, eta, old, new)
+
+    def test_every_redirected_image_is_caught(self, monkeypatch):
+        # F_t(m) redirected onto any other generator of the time step.  The
+        # law checks are structural, so a redirect onto a generator parallel
+        # to the true image leaves a lawful functor; in a period the only
+        # parallel flows are the two dividend channels ComDiv -> CapDiv.
+        flows, eta, old, new = real_period(monkeypatch, Parameters())
+        step = eta.F.target
+        images = eta.F.morphism_map
+        parallel = []
+        for mor_id, image in list(images.items()):
+            true_image = step.morphism_by_id(image)
+            for other in step.morphisms:
+                if other.id == image:
+                    continue
+                images[mor_id] = other.id
+                if (other.src, other.dst) == (true_image.src, true_image.dst):
+                    parallel.append(other.label)
+                else:
+                    with pytest.raises(EngineConsistencyError):
+                        verify_time_step(flows, eta, old, new)
+            images[mor_id] = image
+        verify_time_step(flows, eta, old, new)
+        assert sorted(parallel) == ["b6:dividend declared", "b6:dividend settled"]
