@@ -371,8 +371,21 @@ def _sweep_one(config: RunConfig, key: str, raw: str) -> dict[str, str]:
         )
     # a rejected value only marks its own row; anything else is a bug and propagates
     except (LedgerError, ValueError, EngineConsistencyError) as exc:
-        summary.update(status=f"error: {exc}")
+        summary.update(status=_error_status(exc))
     return summary
+
+
+def _error_status(exc: Exception) -> str:
+    """A failed sweep row's status: the period of a rejection, the message, every diagnostic.
+
+    The period and the diagnostics are joined without a comma, so that a
+    rejection's CSV field needs no quotes.
+    """
+    period = getattr(exc, "period", None)
+    where = "" if period is None else f"period {period}: "
+    diagnostics = getattr(exc, "diagnostics", ())
+    detail = f" [{' '.join(diagnostics)}]" if diagnostics else ""
+    return f"error: {where}{exc}{detail}"
 
 
 SWEEP_COLUMNS = (

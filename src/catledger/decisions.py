@@ -73,6 +73,11 @@ class Parameters:
         for name in ("nu_l", "nu_r", "com_lab_0", "com_res_0"):
             if not getattr(self, name) >= 0.0:
                 raise ValueError(f"{name} must be non-negative")
+        # no range is fixed for these, but NaN is not a value; an infinity
+        # still passes, as every value >= -inf
+        for name in ("sig_a", "mu", "omega"):
+            if not getattr(self, name) >= -math.inf:
+                raise ValueError(f"{name} must be a number, got nan")
 
     def with_overrides(self, **overrides: float | int) -> "Parameters":
         return replace(self, **overrides)
@@ -96,7 +101,8 @@ class ContractMemory:
     def __post_init__(self) -> None:
         if len(self.wage) != len(self.repay):
             raise ValueError("wage and repay stacks must have equal length")
-        if any(x < 0.0 for x in self.wage + self.repay):
+        # `0.0 > x` is `x < 0.0` (NaN passes both) without a generator frame per entry
+        if any(map((0.0).__gt__, self.wage + self.repay)):
             raise ValueError("memory entries must be non-negative")
 
 

@@ -72,11 +72,10 @@ from .ledger import (
     Invariances,
     LedgerState,
     ValidationFailure,
-    conservation_status,
+    booking_diagnostics,
     init_ledger,
     invariances,
     investment_validation,
-    leg_statuses,
     make_dividend,
     make_goods_sale,
     make_loan,
@@ -84,6 +83,7 @@ from .ledger import (
     make_resource_purchase,
     make_wage_payment,
     post_booking,
+    scan_booking,
 )
 
 
@@ -171,24 +171,35 @@ def _step_recursive(
     state: SimulationState, params: Parameters
 ) -> tuple[SimulationState, PeriodMetrics, tuple[Booking, ...]]:
     led = state.ledger.copy()
+    accounts = led._accounts
     p = params
-    start_com_bank = led.balance("AccComBank")
+    com_bank = accounts["AccComBank"]
+    start_com_bank = com_bank.balance
 
     # 1. decay of carried consumer goods (producer inventory carries in full)
-    led.set_balance("AccLabGood", led.balance("AccLabGood") * p.beta_l)
-    led.set_balance("AccResGood", led.balance("AccResGood") * p.beta_r)
-    led.set_balance("AccCapGood", led.balance("AccCapGood") * p.beta_c)
+    lab_good = accounts["AccLabGood"]
+    lab_good.set_balance(lab_good.balance * p.beta_l)
+    res_good = accounts["AccResGood"]
+    res_good.set_balance(res_good.balance * p.beta_r)
+    cap_good = accounts["AccCapGood"]
+    cap_good.set_balance(cap_good.balance * p.beta_c)
 
     # 2. fresh endowments
-    led.set_balance("AccLabLab", led.balance("AccLabLab") + p.nu_l)
-    led.set_balance("AccResRes", led.balance("AccResRes") + p.nu_r)
+    lab_lab = accounts["AccLabLab"]
+    lab_lab.set_balance(lab_lab.balance + p.nu_l)
+    res_res = accounts["AccResRes"]
+    res_res.set_balance(res_res.balance + p.nu_r)
 
     # 3. contractual dues
     wages_due, repays_due = memory_due(state.memory)
 
     # 4. consumption budgets
     c_lab, c_res, c_cap, demand = consumption(
-        (led.balance("AccLabBank"), led.balance("AccResBank"), led.balance("AccCapBank")),
+        (
+            accounts["AccLabBank"].balance,
+            accounts["AccResBank"].balance,
+            accounts["AccCapBank"].balance,
+        ),
         p.rho_l,
         p.rho_r,
         p.rho_c,
@@ -199,46 +210,50 @@ def _step_recursive(
     surplus = demand - plan
 
     # 6. production uses up the entire input stocks
-    output = production(led.balance("AccComLab"), led.balance("AccComRes"), p.alpha, p.gamma)
-    led.set_balance("AccComLab", 0.0)
-    led.set_balance("AccComRes", 0.0)
-    led.set_balance("AccComGood", led.balance("AccComGood") + output)
+    com_lab, com_res = accounts["AccComLab"], accounts["AccComRes"]
+    output = production(com_lab.balance, com_res.balance, p.alpha, p.gamma)
+    com_lab.set_balance(0.0)
+    com_res.set_balance(0.0)
+    com_good = accounts["AccComGood"]
+    com_good.set_balance(com_good.balance + output)
 
     # 7. price formation
     price = good_price(plan, output, surplus, p.omega, state.period, p.p_0)
 
-    executed: list[Booking] = []
-
-    def post(booking: Booking) -> None:
-        post_booking(led, booking)
-        executed.append(booking)
-
     # 8. goods sales
-    post(make_goods_sale(Agent.LAB, c_lab, c_lab / price))
-    post(make_goods_sale(Agent.RES, c_res, c_res / price))
-    post(make_goods_sale(Agent.CAP, c_cap, c_cap / price))
+    lab_sale = make_goods_sale(Agent.LAB, c_lab, c_lab / price)
+    post_booking(led, lab_sale)
+    res_sale = make_goods_sale(Agent.RES, c_res, c_res / price)
+    post_booking(led, res_sale)
+    cap_sale = make_goods_sale(Agent.CAP, c_cap, c_cap / price)
+    post_booking(led, cap_sale)
 
     # 9. investment decision
     invest = investment_sigmoid(surplus, p.sig_a, p.sig_b, p.sig_c)
     invest_res, invest_lab, installment = allocate_investment(invest, p.lam, p.tau)
 
     # 10. loan creation, gated
-    if not investment_validation(invest, led.balance("AccComBank")):
+    if not investment_validation(invest, com_bank.balance):
         raise ValidationFailure(
             "investment validation rejected the loan", [f"investment={invest}"]
         )
-    post(make_loan(invest))
+    loan = make_loan(invest)
+    post_booking(led, loan)
 
     # 11-13. factor purchases and repayment
-    post(make_resource_purchase(invest_res, invest_res / p.p_r))
-    post(make_wage_payment(wages_due, wages_due / p.p_l))
-    post(make_repayment(repays_due))
+    purchase = make_resource_purchase(invest_res, invest_res / p.p_r)
+    post_booking(led, purchase)
+    wages = make_wage_payment(wages_due, wages_due / p.p_l)
+    post_booking(led, wages)
+    repayment = make_repayment(repays_due)
+    post_booking(led, repayment)
 
     # 14. dividend: pay out last period's declaration, then declare anew
     paid = state.declared_dividend
     diff = _com_bank_diff(c_lab, c_res, c_cap, invest, invest_res, wages_due, repays_due, paid)
     declared = dividend_decision(diff, start_com_bank, p.delta_c, p.delta_b)
-    post(make_dividend(paid, declared))
+    dividend = make_dividend(paid, declared)
+    post_booking(led, dividend)
 
     # 15. remember the new obligations
     memory = ContractMemory(
@@ -266,7 +281,8 @@ def _step_recursive(
         dividend_payment=paid,
     )
     new_state = SimulationState(led, memory, declared, state.period + 1, params)
-    return new_state, metrics, tuple(executed)
+    executed = (lab_sale, res_sale, cap_sale, loan, purchase, wages, repayment, dividend)
+    return new_state, metrics, executed
 
 
 # ---------------------------------------------------------------------------
@@ -314,18 +330,13 @@ def validate_via_pullback(
     collects exactly the legs whose checks pass; the booking validates when
     the apex covers every leg and the booking conserves value.
     """
-    statuses = leg_statuses(balances, booking)
+    statuses, verdict, _ = scan_booking(balances, booking)
     legs = tuple(range(len(statuses)))
     outcomes = tuple(sorted({*statuses, "ok"}))
     leg_check = FinSetMap(legs, outcomes, dict(enumerate(statuses)))
     spec_cone = FinSetMap(("all",), outcomes, {"all": "ok"})
     apex, _, _ = finset_pullback(leg_check, spec_cone)
-
-    diagnostics = [s for s in statuses if s != "ok"]
-    cons = conservation_status(booking)
-    if cons != "ok":
-        diagnostics.append(cons)
-    return len(apex) == len(legs) and cons == "ok", diagnostics
+    return len(apex) == len(legs) and verdict == "ok", booking_diagnostics(statuses, verdict)
 
 
 def apply_via_pushout(cat: FiniteCategory, booking: Booking) -> tuple[frozenset, ...]:
@@ -416,15 +427,29 @@ def verify_time_step(
 ) -> None:
     """Raise EngineConsistencyError unless the period's laws all hold.
 
-    Checks the two snapshot functors, the naturality of the evolution
-    transformation, and that every component's weight equals the account's
-    realised net flow.
+    Checks the two snapshot functors, that each of them sends every flow
+    to a morphism with the flow's label and weight, the naturality of the
+    evolution transformation, and that every component's weight equals the
+    account's realised net flow.  The functor laws compare endpoints only,
+    so without the label test an image moved onto a parallel flow (the two
+    dividend channels share their endpoints) would pass.
     """
     failures: list[str] = []
     for functor, tag in ((eta.F, "F_t"), (eta.G, "F_t+1")):
         report = check_functor_laws(functor)
         if not report.ok:
             failures.extend(f"{tag}: {msg}" for msg in report.failures)
+        morphism_map, resolve = functor.morphism_map, functor.target.find_morphism
+        for mor in flows.morphisms:
+            mapped = morphism_map.get(mor.id)
+            image = None if mapped is None else resolve(mapped)
+            if image is None:
+                continue  # reported by the law check
+            if image.label != mor.label or image.weight != mor.weight:
+                failures.append(
+                    f"{tag}: morphism {mor.id} ({mor.label}) maps to "
+                    f"{image.label!r} weighted {image.weight}, not {mor.weight}"
+                )
     nat = check_naturality(eta)
     if not nat.ok:
         failures.extend(f"naturality: {msg}" for msg in nat.failures)

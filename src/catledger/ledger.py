@@ -117,6 +117,12 @@ class Account:
     unit: Unit
     balance: float = 0.0
 
+    def set_balance(self, value: float) -> None:
+        """Write the balance, refusing a negative one (a NaN passes, as it compares false)."""
+        if value < 0.0:
+            raise ValidationFailure(f"balance of {self.name!r} would become negative ({value})")
+        self.balance = value
+
 
 class BookingLeg(NamedTuple):
     account: str
@@ -152,6 +158,12 @@ def is_debit(kind: AccountKind, direction: Direction) -> bool:
     if kind is AccountKind.ASSET:
         return direction is Direction.INFLOW
     return direction is Direction.OUTFLOW
+
+
+# Enum members bound to module names: a global read is cheaper than the
+# attribute read on the enum class, in the leg checks and the builders.
+_IN, _OUT = Direction.INFLOW, Direction.OUTFLOW
+_EU, _HOURS, _KG, _GOOD = Unit.EU, Unit.HOURS, Unit.KG, Unit.GOOD
 
 
 # What the leg checks read of an account: its unit, the direction that debits
@@ -194,9 +206,7 @@ class LedgerState:
         return self.account(name).balance
 
     def set_balance(self, name: str, value: float) -> None:
-        if value < 0.0:
-            raise ValidationFailure(f"balance of {name!r} would become negative ({value})")
-        self.account(name).balance = value
+        self.account(name).set_balance(value)
 
     def balances(self) -> dict[str, float]:
         return {name: acct.balance for name, acct in self._accounts.items()}
@@ -215,94 +225,127 @@ def init_ledger(com_lab_0: float = 110.0, com_res_0: float = 20.0) -> LedgerStat
     return state
 
 
-def leg_statuses(balances: Mapping[str, float], booking: Booking) -> list[str]:
-    """Per-leg status strings: 'ok' or the reason the leg fails.
+def scan_booking(
+    balances: Mapping[str, float], booking: Booking
+) -> tuple[list[str], str, dict[str, float]]:
+    """Check every leg of a booking and its conservation in one pass.
 
-    Feasibility is checked sequentially in leg order on a scratch copy, so
-    a later inflow cannot excuse an earlier overdraft.
+    Returns the per-leg statuses ('ok' or the reason the leg fails), the
+    conservation verdict ('ok' or the first imbalance) and the balances
+    after each leg that passes.  `balances` must hold the opening balance
+    of every account a typable leg touches; it is copied, never changed.
+    Feasibility is checked sequentially in leg order on the copy, so a later
+    inflow cannot excuse an earlier overdraft; when every status and the
+    verdict are 'ok', the copy holds the booking's closing balances.
+
+    Conservation holds when EU debits equal EU credits exactly and every
+    real unit nets out.  Amounts are copied between legs, never recomputed,
+    so the comparison is exact with no tolerance.  A leg with an unknown
+    account or the wrong unit makes the booking 'untypable'.
     """
     scratch = dict(balances)
     statuses: list[str] = []
-    for leg in booking.legs:
-        spec = _LEG_SPECS.get(leg.account)
-        if spec is None:
-            statuses.append(f"unknown-account:{leg.account}")
-            continue
-        if leg.unit is not spec[0]:
-            statuses.append(f"unit-mismatch:{leg.account}:{leg.unit.value}!={spec[2]}")
-            continue
-        if leg.amount < 0.0:
-            statuses.append(f"negative-amount:{leg.account}")
-            continue
-        delta = leg.amount if leg.direction is Direction.INFLOW else -leg.amount
-        new = scratch[leg.account] + delta
-        if new < 0.0:
-            statuses.append(f"insufficient-balance:{leg.account}")
-            continue
-        scratch[leg.account] = new
-        statuses.append("ok")
-    return statuses
-
-
-def conservation_status(booking: Booking) -> str:
-    """'ok' when EU debits equal EU credits exactly and every real unit nets out.
-
-    Amounts are copied between legs, never recomputed, so the comparison is
-    exact with no tolerance.
-    """
+    typable = True
     debits = 0.0
     credits = 0.0
     real_net: dict[str, float] = {}
-    for leg in booking.legs:
-        spec = _LEG_SPECS.get(leg.account)
-        if spec is None or leg.unit is not spec[0]:
-            return "untypable"
-        if leg.unit is Unit.EU:
-            if leg.direction is spec[1]:
-                debits += leg.amount
+    for account, direction, amount, unit in booking.legs:
+        spec = _LEG_SPECS.get(account)
+        if spec is None:
+            statuses.append(f"unknown-account:{account}")
+            typable = False
+            continue
+        if unit is not spec[0]:
+            statuses.append(f"unit-mismatch:{account}:{unit.value}!={spec[2]}")
+            typable = False
+            continue
+        inflow = direction is _IN
+        if unit is _EU:
+            if direction is spec[1]:
+                debits += amount
             else:
-                credits += leg.amount
+                credits += amount
+        elif inflow:
+            real_net[spec[2]] = real_net.get(spec[2], 0.0) + amount
         else:
-            sign = 1.0 if leg.direction is Direction.INFLOW else -1.0
-            unit = spec[2]
-            real_net[unit] = real_net.get(unit, 0.0) + sign * leg.amount
-    if debits != credits:
-        return f"eu-imbalance:{debits}!={credits}"
-    for unit, net in real_net.items():
-        if net != 0.0:
-            return f"real-imbalance:{unit}:{net}"
-    return "ok"
+            real_net[spec[2]] = real_net.get(spec[2], 0.0) - amount
+        if amount < 0.0:
+            statuses.append(f"negative-amount:{account}")
+            continue
+        new = scratch[account] + amount if inflow else scratch[account] - amount
+        if new < 0.0:
+            statuses.append(f"insufficient-balance:{account}")
+            continue
+        scratch[account] = new
+        statuses.append("ok")
+
+    verdict = "ok"
+    if not typable:
+        verdict = "untypable"
+    elif debits != credits:
+        verdict = f"eu-imbalance:{debits}!={credits}"
+    else:
+        for unit_name, net in real_net.items():
+            if net != 0.0:
+                verdict = f"real-imbalance:{unit_name}:{net}"
+                break
+    return statuses, verdict, scratch
 
 
-def validate_booking(state: LedgerState, booking: Booking) -> tuple[bool, list[str]]:
-    """True plus diagnostics iff every leg types, fits, and value is conserved."""
+# zero opening balances, for a conservation verdict that needs no state
+_NO_BALANCES: dict[str, float] = dict.fromkeys(ACCOUNT_NAMES, 0.0)
+
+
+def leg_statuses(balances: Mapping[str, float], booking: Booking) -> list[str]:
+    """Per-leg status strings: 'ok' or the reason the leg fails (see `scan_booking`)."""
+    return scan_booking(balances, booking)[0]
+
+
+def conservation_status(booking: Booking) -> str:
+    """'ok' when value is conserved, else the imbalance (see `scan_booking`)."""
+    return scan_booking(_NO_BALANCES, booking)[1]
+
+
+def booking_diagnostics(statuses: list[str], verdict: str) -> list[str]:
+    """Every failed leg status in leg order, then a failed conservation verdict."""
+    diagnostics = [s for s in statuses if s != "ok"]
+    if verdict != "ok":
+        diagnostics.append(verdict)
+    return diagnostics
+
+
+def _opening_balances(state: LedgerState, booking: Booking) -> dict[str, float]:
+    """The balance of every known account the booking touches."""
     accounts = state._accounts
-    touched = {
+    return {
         leg.account: accounts[leg.account].balance
         for leg in booking.legs
         if leg.account in accounts
     }
-    diagnostics = [s for s in leg_statuses(touched, booking) if s != "ok"]
-    cons = conservation_status(booking)
-    if cons != "ok":
-        diagnostics.append(cons)
+
+
+def validate_booking(state: LedgerState, booking: Booking) -> tuple[bool, list[str]]:
+    """True plus diagnostics iff every leg types, fits, and value is conserved."""
+    statuses, verdict, _ = scan_booking(_opening_balances(state, booking), booking)
+    diagnostics = booking_diagnostics(statuses, verdict)
     return not diagnostics, diagnostics
 
 
 def post_booking(state: LedgerState, booking: Booking) -> LedgerState:
-    """Apply a booking in place after full validation; atomic on failure."""
-    ok, diagnostics = validate_booking(state, booking)
-    if not ok:
+    """Apply a booking in place after full validation; atomic on failure.
+
+    The closing balances are the ones the validating scan computed: posting
+    a leg is the same `+` or `-` the scan already made.
+    """
+    statuses, verdict, closing = scan_booking(_opening_balances(state, booking), booking)
+    if verdict != "ok" or statuses.count("ok") != len(statuses):
         raise ValidationFailure(
-            f"booking {booking.id} ({booking.description}) rejected", diagnostics
+            f"booking {booking.id} ({booking.description}) rejected",
+            booking_diagnostics(statuses, verdict),
         )
     accounts = state._accounts
-    for leg in booking.legs:
-        acct = accounts[leg.account]
-        if leg.direction is Direction.INFLOW:
-            acct.balance = acct.balance + leg.amount
-        else:
-            acct.balance = acct.balance - leg.amount
+    for name, value in closing.items():
+        accounts[name].balance = value
     return state
 
 
@@ -337,11 +380,12 @@ def invariances(state: LedgerState) -> Invariances:
     The macro value sums the five: the Bank balances exactly when every
     deposit and the loan agree across the two systems keeping them.
     """
-    lab = state.balance("AccLabBank") - state.balance("AccBankLabBank")
-    res = state.balance("AccResBank") - state.balance("AccBankResBank")
-    cap = state.balance("AccCapBank") - state.balance("AccBankCapBank")
-    com = state.balance("AccComBank") - state.balance("AccBankComBank")
-    loan = state.balance("AccBankComLoan") - state.balance("AccComLoan")
+    accounts = state._accounts
+    lab = accounts["AccLabBank"].balance - accounts["AccBankLabBank"].balance
+    res = accounts["AccResBank"].balance - accounts["AccBankResBank"].balance
+    cap = accounts["AccCapBank"].balance - accounts["AccBankCapBank"].balance
+    com = accounts["AccComBank"].balance - accounts["AccBankComBank"].balance
+    loan = accounts["AccBankComLoan"].balance - accounts["AccComLoan"].balance
     return Invariances(lab, res, cap, com, loan, lab + res + cap + com + loan)
 
 
@@ -357,6 +401,11 @@ def investment_validation(
 # fixed; both engines rely on it for bit-identical balance arithmetic.
 # ---------------------------------------------------------------------------
 
+# The builders make their tuples with `tuple.__new__`, which is all the
+# NamedTuples' generated `__new__` does; calling it directly saves a Python
+# frame per value.
+_new = tuple.__new__
+
 # consumer -> (booking id, description, bank account, goods account, bank mirror)
 _GOODS_SALES = {
     Agent.LAB: (2, "Lab buys Good from Com", "AccLabBank", "AccLabGood", "AccBankLabBank"),
@@ -369,85 +418,85 @@ def make_goods_sale(consumer: Agent, spend: float, quantity: float) -> Booking:
     """Bookings 2/4/8: a consumer pays `spend` EU via bank for `quantity` goods."""
     booking_id, description, bank_acct, good_acct, mirror = _GOODS_SALES[consumer]
     legs = (
-        BookingLeg(bank_acct, Direction.OUTFLOW, spend, Unit.EU),
-        BookingLeg("AccComBank", Direction.INFLOW, spend, Unit.EU),
-        BookingLeg(mirror, Direction.OUTFLOW, spend, Unit.EU),
-        BookingLeg("AccBankComBank", Direction.INFLOW, spend, Unit.EU),
-        BookingLeg("AccComGood", Direction.OUTFLOW, quantity, Unit.GOOD),
-        BookingLeg(good_acct, Direction.INFLOW, quantity, Unit.GOOD),
+        _new(BookingLeg, (bank_acct, _OUT, spend, _EU)),
+        _new(BookingLeg, ("AccComBank", _IN, spend, _EU)),
+        _new(BookingLeg, (mirror, _OUT, spend, _EU)),
+        _new(BookingLeg, ("AccBankComBank", _IN, spend, _EU)),
+        _new(BookingLeg, ("AccComGood", _OUT, quantity, _GOOD)),
+        _new(BookingLeg, (good_acct, _IN, quantity, _GOOD)),
     )
     channels = (
-        Channel(bank_acct, "AccComBank", spend, Unit.EU, "payment"),
-        Channel(mirror, "AccBankComBank", spend, Unit.EU, "deposit transfer"),
-        Channel("AccComGood", good_acct, quantity, Unit.GOOD, "delivery"),
+        _new(Channel, (bank_acct, "AccComBank", spend, _EU, "payment")),
+        _new(Channel, (mirror, "AccBankComBank", spend, _EU, "deposit transfer")),
+        _new(Channel, ("AccComGood", good_acct, quantity, _GOOD, "delivery")),
     )
-    return Booking(booking_id, description, legs, channels)
+    return _new(Booking, (booking_id, description, legs, channels))
 
 
 def make_wage_payment(wages: float, hours: float) -> Booking:
     """Booking 1: Com pays due wages, Lab delivers the contracted hours."""
     legs = (
-        BookingLeg("AccComBank", Direction.OUTFLOW, wages, Unit.EU),
-        BookingLeg("AccLabBank", Direction.INFLOW, wages, Unit.EU),
-        BookingLeg("AccBankComBank", Direction.OUTFLOW, wages, Unit.EU),
-        BookingLeg("AccBankLabBank", Direction.INFLOW, wages, Unit.EU),
-        BookingLeg("AccLabLab", Direction.OUTFLOW, hours, Unit.HOURS),
-        BookingLeg("AccComLab", Direction.INFLOW, hours, Unit.HOURS),
+        _new(BookingLeg, ("AccComBank", _OUT, wages, _EU)),
+        _new(BookingLeg, ("AccLabBank", _IN, wages, _EU)),
+        _new(BookingLeg, ("AccBankComBank", _OUT, wages, _EU)),
+        _new(BookingLeg, ("AccBankLabBank", _IN, wages, _EU)),
+        _new(BookingLeg, ("AccLabLab", _OUT, hours, _HOURS)),
+        _new(BookingLeg, ("AccComLab", _IN, hours, _HOURS)),
     )
     channels = (
-        Channel("AccComBank", "AccLabBank", wages, Unit.EU, "wages"),
-        Channel("AccBankComBank", "AccBankLabBank", wages, Unit.EU, "deposit transfer"),
-        Channel("AccLabLab", "AccComLab", hours, Unit.HOURS, "labor delivery"),
+        _new(Channel, ("AccComBank", "AccLabBank", wages, _EU, "wages")),
+        _new(Channel, ("AccBankComBank", "AccBankLabBank", wages, _EU, "deposit transfer")),
+        _new(Channel, ("AccLabLab", "AccComLab", hours, _HOURS, "labor delivery")),
     )
-    return Booking(1, "Lab sells Lab to Com", legs, channels)
+    return _new(Booking, (1, "Lab sells Lab to Com", legs, channels))
 
 
 def make_resource_purchase(spend: float, kilograms: float) -> Booking:
     """Booking 3: Com pays for resources, delivered immediately."""
     legs = (
-        BookingLeg("AccComBank", Direction.OUTFLOW, spend, Unit.EU),
-        BookingLeg("AccResBank", Direction.INFLOW, spend, Unit.EU),
-        BookingLeg("AccBankComBank", Direction.OUTFLOW, spend, Unit.EU),
-        BookingLeg("AccBankResBank", Direction.INFLOW, spend, Unit.EU),
-        BookingLeg("AccResRes", Direction.OUTFLOW, kilograms, Unit.KG),
-        BookingLeg("AccComRes", Direction.INFLOW, kilograms, Unit.KG),
+        _new(BookingLeg, ("AccComBank", _OUT, spend, _EU)),
+        _new(BookingLeg, ("AccResBank", _IN, spend, _EU)),
+        _new(BookingLeg, ("AccBankComBank", _OUT, spend, _EU)),
+        _new(BookingLeg, ("AccBankResBank", _IN, spend, _EU)),
+        _new(BookingLeg, ("AccResRes", _OUT, kilograms, _KG)),
+        _new(BookingLeg, ("AccComRes", _IN, kilograms, _KG)),
     )
     channels = (
-        Channel("AccComBank", "AccResBank", spend, Unit.EU, "payment"),
-        Channel("AccBankComBank", "AccBankResBank", spend, Unit.EU, "deposit transfer"),
-        Channel("AccResRes", "AccComRes", kilograms, Unit.KG, "resource delivery"),
+        _new(Channel, ("AccComBank", "AccResBank", spend, _EU, "payment")),
+        _new(Channel, ("AccBankComBank", "AccBankResBank", spend, _EU, "deposit transfer")),
+        _new(Channel, ("AccResRes", "AccComRes", kilograms, _KG, "resource delivery")),
     )
-    return Booking(3, "Res sells Res to Com", legs, channels)
+    return _new(Booking, (3, "Res sells Res to Com", legs, channels))
 
 
 def make_loan(amount: float) -> Booking:
     """Booking 5: loan creation; every leg grows, funded by the new debt."""
     legs = (
-        BookingLeg("AccComBank", Direction.INFLOW, amount, Unit.EU),
-        BookingLeg("AccComLoan", Direction.INFLOW, amount, Unit.EU),
-        BookingLeg("AccBankComLoan", Direction.INFLOW, amount, Unit.EU),
-        BookingLeg("AccBankComBank", Direction.INFLOW, amount, Unit.EU),
+        _new(BookingLeg, ("AccComBank", _IN, amount, _EU)),
+        _new(BookingLeg, ("AccComLoan", _IN, amount, _EU)),
+        _new(BookingLeg, ("AccBankComLoan", _IN, amount, _EU)),
+        _new(BookingLeg, ("AccBankComBank", _IN, amount, _EU)),
     )
     channels = (
-        Channel("AccComLoan", "AccComBank", amount, Unit.EU, "loan draw"),
-        Channel("AccBankComBank", "AccBankComLoan", amount, Unit.EU, "loan creation"),
+        _new(Channel, ("AccComLoan", "AccComBank", amount, _EU, "loan draw")),
+        _new(Channel, ("AccBankComBank", "AccBankComLoan", amount, _EU, "loan creation")),
     )
-    return Booking(5, "Com gets Loan from Bank", legs, channels)
+    return _new(Booking, (5, "Com gets Loan from Bank", legs, channels))
 
 
 def make_repayment(amount: float) -> Booking:
     """Booking 7: loan repayment; both systems shrink by the installments."""
     legs = (
-        BookingLeg("AccComBank", Direction.OUTFLOW, amount, Unit.EU),
-        BookingLeg("AccComLoan", Direction.OUTFLOW, amount, Unit.EU),
-        BookingLeg("AccBankComLoan", Direction.OUTFLOW, amount, Unit.EU),
-        BookingLeg("AccBankComBank", Direction.OUTFLOW, amount, Unit.EU),
+        _new(BookingLeg, ("AccComBank", _OUT, amount, _EU)),
+        _new(BookingLeg, ("AccComLoan", _OUT, amount, _EU)),
+        _new(BookingLeg, ("AccBankComLoan", _OUT, amount, _EU)),
+        _new(BookingLeg, ("AccBankComBank", _OUT, amount, _EU)),
     )
     channels = (
-        Channel("AccComBank", "AccComLoan", amount, Unit.EU, "repayment"),
-        Channel("AccBankComLoan", "AccBankComBank", amount, Unit.EU, "loan deletion"),
+        _new(Channel, ("AccComBank", "AccComLoan", amount, _EU, "repayment")),
+        _new(Channel, ("AccBankComLoan", "AccBankComBank", amount, _EU, "loan deletion")),
     )
-    return Booking(7, "Com repays Loan to Bank", legs, channels)
+    return _new(Booking, (7, "Com repays Loan to Bank", legs, channels))
 
 
 def make_dividend(paid: float, declared: float) -> Booking:
@@ -458,19 +507,19 @@ def make_dividend(paid: float, declared: float) -> Booking:
     they hold exactly the declared-but-unpaid dividend.
     """
     legs = (
-        BookingLeg("AccComBank", Direction.OUTFLOW, paid, Unit.EU),
-        BookingLeg("AccCapBank", Direction.INFLOW, paid, Unit.EU),
-        BookingLeg("AccBankComBank", Direction.OUTFLOW, paid, Unit.EU),
-        BookingLeg("AccBankCapBank", Direction.INFLOW, paid, Unit.EU),
-        BookingLeg("AccCapDiv", Direction.OUTFLOW, paid, Unit.EU),
-        BookingLeg("AccComDiv", Direction.OUTFLOW, paid, Unit.EU),
-        BookingLeg("AccComDiv", Direction.INFLOW, declared, Unit.EU),
-        BookingLeg("AccCapDiv", Direction.INFLOW, declared, Unit.EU),
+        _new(BookingLeg, ("AccComBank", _OUT, paid, _EU)),
+        _new(BookingLeg, ("AccCapBank", _IN, paid, _EU)),
+        _new(BookingLeg, ("AccBankComBank", _OUT, paid, _EU)),
+        _new(BookingLeg, ("AccBankCapBank", _IN, paid, _EU)),
+        _new(BookingLeg, ("AccCapDiv", _OUT, paid, _EU)),
+        _new(BookingLeg, ("AccComDiv", _OUT, paid, _EU)),
+        _new(BookingLeg, ("AccComDiv", _IN, declared, _EU)),
+        _new(BookingLeg, ("AccCapDiv", _IN, declared, _EU)),
     )
     channels = (
-        Channel("AccComBank", "AccCapBank", paid, Unit.EU, "dividend payment"),
-        Channel("AccBankComBank", "AccBankCapBank", paid, Unit.EU, "deposit transfer"),
-        Channel("AccComDiv", "AccCapDiv", paid, Unit.EU, "dividend settled"),
-        Channel("AccComDiv", "AccCapDiv", declared, Unit.EU, "dividend declared"),
+        _new(Channel, ("AccComBank", "AccCapBank", paid, _EU, "dividend payment")),
+        _new(Channel, ("AccBankComBank", "AccBankCapBank", paid, _EU, "deposit transfer")),
+        _new(Channel, ("AccComDiv", "AccCapDiv", paid, _EU, "dividend settled")),
+        _new(Channel, ("AccComDiv", "AccCapDiv", declared, _EU, "dividend declared")),
     )
-    return Booking(6, "Com pays Div to Cap", legs, channels)
+    return _new(Booking, (6, "Com pays Div to Cap", legs, channels))

@@ -221,6 +221,14 @@ class TestCmdSweep:
         assert "tau,5,ok" in out
         assert "tau,10,ok" in out
 
+    def test_rejection_row_names_period_and_diagnostics(self, capsys):
+        assert main(["sweep", "--param", "tau", "--values", "1", "--horizon", "25"]) == EXIT_OK
+        row = capsys.readouterr().out.splitlines()[1]
+        assert row.startswith(
+            "tau,1,error: period 1: booking 7 (Com repays Loan to Bank) rejected "
+            "[insufficient-balance:AccComBank insufficient-balance:AccBankComBank],"
+        )
+
     def test_unknown_parameter(self, capsys):
         assert main(["sweep", "--param", "nope", "--values", "1"]) == EXIT_CONFIG
 
@@ -397,4 +405,11 @@ class TestCheckLaws:
         assert main(["run", "--set", "com_lab_0=nan", "--horizon", "3"]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "com_lab_0 must be non-negative" in err
+        assert "rejected" not in err
+
+    def test_nan_markup_is_named_not_booked(self, capsys):
+        # was a rejection of booking 2 with real-imbalance:G:nan
+        assert main(["run", "--set", "mu=nan", "--horizon", "3"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "mu must be a number" in err
         assert "rejected" not in err

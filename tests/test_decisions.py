@@ -60,6 +60,9 @@ class TestParameters:
             "nu_r",
             "com_lab_0",
             "com_res_0",
+            "sig_a",
+            "mu",
+            "omega",
         ],
     )
     def test_nan_rejected_naming_the_field(self, name):

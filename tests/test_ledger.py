@@ -5,11 +5,13 @@ from __future__ import annotations
 import math
 import random
 import struct
+from functools import partial
 from typing import Mapping
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from catledger.evolution import validate_via_pullback
 from catledger.ledger import (
     ACCOUNT_NAMES,
     ACCOUNT_SPECS,
@@ -23,10 +25,12 @@ from catledger.ledger import (
     LedgerState,
     Unit,
     ValidationFailure,
+    conservation_status,
     init_ledger,
     invariances,
     investment_validation,
     is_debit,
+    leg_statuses,
     make_dividend,
     make_goods_sale,
     make_loan,
@@ -428,6 +432,153 @@ def oracle_post_booking(state: LedgerState, booking: Booking) -> LedgerState:
     return state
 
 
+# The builders as they were before they called `tuple.__new__` directly,
+# kept verbatim: each value goes through the NamedTuples' own constructors.
+_ORACLE_GOODS_SALES = {
+    Agent.LAB: (2, "Lab buys Good from Com", "AccLabBank", "AccLabGood", "AccBankLabBank"),
+    Agent.RES: (4, "Res buys Good from Com", "AccResBank", "AccResGood", "AccBankResBank"),
+    Agent.CAP: (8, "Cap buys Good from Com", "AccCapBank", "AccCapGood", "AccBankCapBank"),
+}
+
+
+def oracle_make_goods_sale(consumer: Agent, spend: float, quantity: float) -> Booking:
+    booking_id, description, bank_acct, good_acct, mirror = _ORACLE_GOODS_SALES[consumer]
+    legs = (
+        BookingLeg(bank_acct, Direction.OUTFLOW, spend, Unit.EU),
+        BookingLeg("AccComBank", Direction.INFLOW, spend, Unit.EU),
+        BookingLeg(mirror, Direction.OUTFLOW, spend, Unit.EU),
+        BookingLeg("AccBankComBank", Direction.INFLOW, spend, Unit.EU),
+        BookingLeg("AccComGood", Direction.OUTFLOW, quantity, Unit.GOOD),
+        BookingLeg(good_acct, Direction.INFLOW, quantity, Unit.GOOD),
+    )
+    channels = (
+        Channel(bank_acct, "AccComBank", spend, Unit.EU, "payment"),
+        Channel(mirror, "AccBankComBank", spend, Unit.EU, "deposit transfer"),
+        Channel("AccComGood", good_acct, quantity, Unit.GOOD, "delivery"),
+    )
+    return Booking(booking_id, description, legs, channels)
+
+
+def oracle_make_wage_payment(wages: float, hours: float) -> Booking:
+    legs = (
+        BookingLeg("AccComBank", Direction.OUTFLOW, wages, Unit.EU),
+        BookingLeg("AccLabBank", Direction.INFLOW, wages, Unit.EU),
+        BookingLeg("AccBankComBank", Direction.OUTFLOW, wages, Unit.EU),
+        BookingLeg("AccBankLabBank", Direction.INFLOW, wages, Unit.EU),
+        BookingLeg("AccLabLab", Direction.OUTFLOW, hours, Unit.HOURS),
+        BookingLeg("AccComLab", Direction.INFLOW, hours, Unit.HOURS),
+    )
+    channels = (
+        Channel("AccComBank", "AccLabBank", wages, Unit.EU, "wages"),
+        Channel("AccBankComBank", "AccBankLabBank", wages, Unit.EU, "deposit transfer"),
+        Channel("AccLabLab", "AccComLab", hours, Unit.HOURS, "labor delivery"),
+    )
+    return Booking(1, "Lab sells Lab to Com", legs, channels)
+
+
+def oracle_make_resource_purchase(spend: float, kilograms: float) -> Booking:
+    legs = (
+        BookingLeg("AccComBank", Direction.OUTFLOW, spend, Unit.EU),
+        BookingLeg("AccResBank", Direction.INFLOW, spend, Unit.EU),
+        BookingLeg("AccBankComBank", Direction.OUTFLOW, spend, Unit.EU),
+        BookingLeg("AccBankResBank", Direction.INFLOW, spend, Unit.EU),
+        BookingLeg("AccResRes", Direction.OUTFLOW, kilograms, Unit.KG),
+        BookingLeg("AccComRes", Direction.INFLOW, kilograms, Unit.KG),
+    )
+    channels = (
+        Channel("AccComBank", "AccResBank", spend, Unit.EU, "payment"),
+        Channel("AccBankComBank", "AccBankResBank", spend, Unit.EU, "deposit transfer"),
+        Channel("AccResRes", "AccComRes", kilograms, Unit.KG, "resource delivery"),
+    )
+    return Booking(3, "Res sells Res to Com", legs, channels)
+
+
+def oracle_make_loan(amount: float) -> Booking:
+    legs = (
+        BookingLeg("AccComBank", Direction.INFLOW, amount, Unit.EU),
+        BookingLeg("AccComLoan", Direction.INFLOW, amount, Unit.EU),
+        BookingLeg("AccBankComLoan", Direction.INFLOW, amount, Unit.EU),
+        BookingLeg("AccBankComBank", Direction.INFLOW, amount, Unit.EU),
+    )
+    channels = (
+        Channel("AccComLoan", "AccComBank", amount, Unit.EU, "loan draw"),
+        Channel("AccBankComBank", "AccBankComLoan", amount, Unit.EU, "loan creation"),
+    )
+    return Booking(5, "Com gets Loan from Bank", legs, channels)
+
+
+def oracle_make_repayment(amount: float) -> Booking:
+    legs = (
+        BookingLeg("AccComBank", Direction.OUTFLOW, amount, Unit.EU),
+        BookingLeg("AccComLoan", Direction.OUTFLOW, amount, Unit.EU),
+        BookingLeg("AccBankComLoan", Direction.OUTFLOW, amount, Unit.EU),
+        BookingLeg("AccBankComBank", Direction.OUTFLOW, amount, Unit.EU),
+    )
+    channels = (
+        Channel("AccComBank", "AccComLoan", amount, Unit.EU, "repayment"),
+        Channel("AccBankComLoan", "AccBankComBank", amount, Unit.EU, "loan deletion"),
+    )
+    return Booking(7, "Com repays Loan to Bank", legs, channels)
+
+
+def oracle_make_dividend(paid: float, declared: float) -> Booking:
+    legs = (
+        BookingLeg("AccComBank", Direction.OUTFLOW, paid, Unit.EU),
+        BookingLeg("AccCapBank", Direction.INFLOW, paid, Unit.EU),
+        BookingLeg("AccBankComBank", Direction.OUTFLOW, paid, Unit.EU),
+        BookingLeg("AccBankCapBank", Direction.INFLOW, paid, Unit.EU),
+        BookingLeg("AccCapDiv", Direction.OUTFLOW, paid, Unit.EU),
+        BookingLeg("AccComDiv", Direction.OUTFLOW, paid, Unit.EU),
+        BookingLeg("AccComDiv", Direction.INFLOW, declared, Unit.EU),
+        BookingLeg("AccCapDiv", Direction.INFLOW, declared, Unit.EU),
+    )
+    channels = (
+        Channel("AccComBank", "AccCapBank", paid, Unit.EU, "dividend payment"),
+        Channel("AccBankComBank", "AccBankCapBank", paid, Unit.EU, "deposit transfer"),
+        Channel("AccComDiv", "AccCapDiv", paid, Unit.EU, "dividend settled"),
+        Channel("AccComDiv", "AccCapDiv", declared, Unit.EU, "dividend declared"),
+    )
+    return Booking(6, "Com pays Div to Cap", legs, channels)
+
+
+# (builder, its reference, number of amounts it takes)
+BUILDER_PAIRS = {
+    "goods_sale_lab": (
+        partial(make_goods_sale, Agent.LAB), partial(oracle_make_goods_sale, Agent.LAB), 2
+    ),
+    "goods_sale_res": (
+        partial(make_goods_sale, Agent.RES), partial(oracle_make_goods_sale, Agent.RES), 2
+    ),
+    "goods_sale_cap": (
+        partial(make_goods_sale, Agent.CAP), partial(oracle_make_goods_sale, Agent.CAP), 2
+    ),
+    "wage_payment": (make_wage_payment, oracle_make_wage_payment, 2),
+    "resource_purchase": (make_resource_purchase, oracle_make_resource_purchase, 2),
+    "loan": (make_loan, oracle_make_loan, 1),
+    "repayment": (make_repayment, oracle_make_repayment, 1),
+    "dividend": (make_dividend, oracle_make_dividend, 2),
+}
+
+
+def value_bits(value: tuple) -> tuple:
+    """A value's type and fields, each float as its IEEE 754 bits."""
+    return (type(value),) + tuple(
+        struct.pack("d", field) if isinstance(field, float) else field for field in value
+    )
+
+
+def booking_bits(booking: Booking) -> tuple:
+    return (
+        type(booking),
+        booking.id,
+        booking.description,
+        type(booking.legs),
+        [value_bits(leg) for leg in booking.legs],
+        type(booking.channels),
+        [value_bits(channel) for channel in booking.channels],
+    )
+
+
 # amounts and balances: plausible ones, so that many bookings post, and any
 # float at all: negative, nan, inf, or so large that the booking overdraws
 plausible = st.floats(min_value=0.0, max_value=1e3)
@@ -488,6 +639,29 @@ class TestReferenceEquivalence:
     def test_validate_booking_matches_the_reference(self, balances, booking):
         state = state_of(balances)
         assert validate_booking(state, booking) == oracle_validate_booking(state, booking)
+
+    @settings(max_examples=200, deadline=None)
+    @given(balance_lists, bookings)
+    def test_leg_checks_match_the_reference(self, balances, booking):
+        # also the categorical gate, which reaches them through the same scan
+        opening = dict(zip(ACCOUNT_NAMES, balances))
+        untouched = [struct.pack("d", value) for value in opening.values()]
+        assert leg_statuses(opening, booking) == oracle_leg_statuses(opening, booking)
+        assert conservation_status(booking) == oracle_conservation_status(booking)
+        assert validate_via_pullback(opening, booking) == oracle_validate_booking(
+            state_of(balances), booking
+        )
+        assert [struct.pack("d", value) for value in opening.values()] == untouched
+
+    @pytest.mark.parametrize("name", sorted(BUILDER_PAIRS))
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(), min_size=2, max_size=2))
+    def test_builder_matches_the_reference(self, name, amounts):
+        # st.floats() draws nan, both infinities, negatives and -0.0 as well
+        ours, reference, arity = BUILDER_PAIRS[name]
+        built, expected = ours(*amounts[:arity]), reference(*amounts[:arity])
+        assert booking_bits(built) == booking_bits(expected)
+        assert built == expected
 
     @settings(max_examples=200, deadline=None)
     @given(balance_lists, bookings)
