@@ -132,9 +132,6 @@ class FiniteCategory:
             raise ObjectNotFoundError(f"no object id {obj_id} in {self.name!r}")
         return self._objects[obj_id - 1]
 
-    def has_object(self, name: str) -> bool:
-        return name in self._by_name
-
     def _payload(self, name: str) -> Quantity:
         """The amount payload of the object called `name`, found with one lookup."""
         try:
@@ -218,12 +215,6 @@ class Functor:
     target: FiniteCategory
     object_map: dict[int, int] = field(default_factory=dict)
     morphism_map: dict[int, int] = field(default_factory=dict)
-
-    def map_object(self, obj_id: int) -> int:
-        return self.object_map[obj_id]
-
-    def map_morphism(self, mor_id: int) -> int:
-        return self.morphism_map[mor_id]
 
     @staticmethod
     def identity(cat: FiniteCategory) -> "Functor":

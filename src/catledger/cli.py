@@ -19,6 +19,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field, replace
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Sequence, TextIO
 
@@ -63,33 +64,9 @@ EXIT_CONFIG = 1
 EXIT_INVARIANCE = 2
 EXIT_DIVERGENCE = 3
 
-# config-file key -> Parameters field
+# config-file key -> Parameters field, in field order; `lam` is keyed `lambda`
 PARAM_KEYS: dict[str, str] = {
-    "tau": "tau",
-    "lambda": "lam",
-    "sig_a": "sig_a",
-    "sig_b": "sig_b",
-    "sig_c": "sig_c",
-    "rho_r": "rho_r",
-    "rho_l": "rho_l",
-    "rho_c": "rho_c",
-    "mu": "mu",
-    "omega": "omega",
-    "delta_c": "delta_c",
-    "delta_b": "delta_b",
-    "p_r": "p_r",
-    "p_l": "p_l",
-    "p_0": "p_0",
-    "gamma": "gamma",
-    "alpha": "alpha",
-    "beta_l": "beta_l",
-    "beta_r": "beta_r",
-    "beta_c": "beta_c",
-    "nu_l": "nu_l",
-    "nu_r": "nu_r",
-    "com_lab_0": "com_lab_0",
-    "com_res_0": "com_res_0",
-    "horizon": "horizon",
+    "lambda" if name == "lam" else name: name for name in Parameters.field_names()
 }
 
 _INT_FIELDS = {"tau", "horizon"}
@@ -179,18 +156,24 @@ def trace_table(trace: Trace) -> list[dict[str, float]]:
 
 
 def _format_cell(value: float) -> str:
-    # repr round-trips doubles exactly and always carries >= 6 significant digits
-    return repr(int(value)) if value == int(value) and abs(value) < 1e15 else repr(value)
+    # repr round-trips doubles exactly and always carries >= 6 significant
+    # digits; an integral value below 1e15 (repr "N.0") is written as N, and
+    # -0.0 as 0
+    if value.is_integer() and -1e15 < value < 1e15:
+        return "0" if value == 0.0 else repr(value)[:-2]
+    return repr(value)
 
 
 def write_trace_csv(trace: Trace, path: str | Path, config: RunConfig) -> None:
+    """The `#` config echo, the header and one line per trace row, CRLF-terminated."""
+    cells = map(_format_cell, trace.flat_values())
+    width = len(TRACE_COLUMNS)
     with open(path, "w", newline="", encoding="utf-8") as handle:
         for line in config_echo(config):
             handle.write(f"# {line}\n")
-        writer = csv.writer(handle)
-        writer.writerow(TRACE_COLUMNS)
-        for record in trace_table(trace):
-            writer.writerow(_format_cell(record[col]) for col in TRACE_COLUMNS)
+        handle.write(",".join(TRACE_COLUMNS) + "\r\n")
+        for _ in trace.rows:
+            handle.write(",".join(islice(cells, width)) + "\r\n")
 
 
 def read_trace_csv(path: str | Path) -> tuple[dict[str, str], list[dict[str, float]]]:

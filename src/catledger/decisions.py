@@ -70,12 +70,14 @@ class Parameters:
         for name in ("sig_b", "sig_c", "p_r", "p_l", "p_0", "alpha"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
-        for name in ("nu_l", "nu_r", "com_lab_0", "com_res_0"):
+        # sig_a is the investment sigmoid's infimum, so sig_a >= 0 is exactly
+        # the condition for a non-negative loan at every surplus
+        for name in ("sig_a", "nu_l", "nu_r", "com_lab_0", "com_res_0"):
             if not getattr(self, name) >= 0.0:
                 raise ValueError(f"{name} must be non-negative")
         # no range is fixed for these, but NaN is not a value; an infinity
         # still passes, as every value >= -inf
-        for name in ("sig_a", "mu", "omega"):
+        for name in ("mu", "omega"):
             if not getattr(self, name) >= -math.inf:
                 raise ValueError(f"{name} must be a number, got nan")
 

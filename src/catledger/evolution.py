@@ -1,13 +1,14 @@
-"""Period evolution: two interchangeable engines over the same yearly cycle.
+"""Period evolution: two interchangeable engines over one yearly cycle.
 
-The recursive engine executes the cycle as plain balance arithmetic on the
-typed ledger.  The categorical engine keeps the economy as a finite
-category whose objects are the accounts: every booking is gated through a
-finite-set pullback over its per-leg checks, applied through a finite-set
-pushout that groups flows onto their accounts, and each period closes with
-functor and naturality law checks on the time step just performed.  Both
-engines run the identical canonical order with identical float operations,
-so their traces agree bit for bit.
+`_period_cycle` is the only copy of the cycle; an engine supplies the book
+it reads, writes and posts through.  The recursive engine's book is plain
+balance arithmetic on the flat ledger.  The categorical engine keeps the
+economy as a finite category whose objects are the accounts: every booking
+is gated through a finite-set pullback over its per-leg checks, applied
+through a finite-set pushout that groups flows onto their accounts, and
+each period closes with functor and naturality law checks on the time step
+just performed.  Both engines run the one cycle with identical float
+operations, so their traces agree bit for bit.
 
 Canonical order inside period t:
  1. carried consumer goods decay (Lab/Res/Cap goods stocks scale by beta)
@@ -34,6 +35,7 @@ H + 1 rows.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
@@ -64,6 +66,7 @@ from .decisions import (
     production,
 )
 from .ledger import (
+    ACCOUNT_INDEX,
     ACCOUNT_NAMES,
     ACCOUNT_SPECS,
     Agent,
@@ -73,6 +76,7 @@ from .ledger import (
     LedgerState,
     ValidationFailure,
     booking_diagnostics,
+    checked_balance,
     init_ledger,
     invariances,
     investment_validation,
@@ -127,12 +131,50 @@ class TraceRow:
     invariances: Invariances
 
 
+def period_bookings(m: PeriodMetrics, p: Parameters) -> tuple[Booking, ...]:
+    """The eight bookings of a period, in posting order, built from its decisions."""
+    return (
+        make_goods_sale(Agent.LAB, m.consum_lab, m.consum_lab / m.good_price),
+        make_goods_sale(Agent.RES, m.consum_res, m.consum_res / m.good_price),
+        make_goods_sale(Agent.CAP, m.consum_cap, m.consum_cap / m.good_price),
+        make_loan(m.investment),
+        make_resource_purchase(m.investment_res, m.investment_res / p.p_r),
+        make_wage_payment(m.wages_payment, m.wages_payment / p.p_l),
+        make_repayment(m.repays_payment),
+        make_dividend(m.dividend_payment, m.dividend_decision),
+    )
+
+
+class BookingLog(Sequence):
+    """Each period's executed bookings, rebuilt from its metrics when read.
+
+    A run keeps none alive: some 90 tuples a period, walked again and again
+    by the garbage collector while the run goes on.
+    """
+
+    __slots__ = ("_rows", "_params")
+
+    def __init__(self, rows: tuple[TraceRow, ...], params: Parameters) -> None:
+        self._rows, self._params = rows, params
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(map(self.__getitem__, range(len(self._rows))[index]))
+        return period_bookings(self._rows[index].metrics, self._params)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Sequence) and tuple(self) == tuple(other)
+
+
 @dataclass(frozen=True)
 class Trace:
     params: Parameters
     engine: EngineKind
     rows: tuple[TraceRow, ...]
-    bookings: tuple[tuple[Booking, ...], ...]
+    bookings: Sequence[tuple[Booking, ...]]
 
     def flat_values(self) -> Iterator[float]:
         """Every numeric cell of the trace, in a fixed deterministic order."""
@@ -146,63 +188,41 @@ class Trace:
             yield from row.invariances.as_tuple()
 
 
-def _com_bank_diff(
-    c_lab: float,
-    c_res: float,
-    c_cap: float,
-    invest: float,
-    invest_res: float,
-    wages: float,
-    repays: float,
-    paid_dividend: float,
-) -> float:
-    """Net EU flow through the company's bank account during one period."""
-    inflows = c_lab + c_res + c_cap + invest
-    outflows = invest_res + wages + repays + paid_dividend
-    return inflows - outflows
-
-
 # ---------------------------------------------------------------------------
-# Recursive engine: the period as plain arithmetic on the typed ledger.
+# The period cycle, shared by both engines.
 # ---------------------------------------------------------------------------
 
 
-def _step_recursive(
-    state: SimulationState, params: Parameters
+def _period_cycle(
+    state: SimulationState, book: _RecursiveBook | _CategoricalBook
 ) -> tuple[SimulationState, PeriodMetrics, tuple[Booking, ...]]:
-    led = state.ledger.copy()
-    accounts = led._accounts
-    p = params
-    com_bank = accounts["AccComBank"]
-    start_com_bank = com_bank.balance
+    """One period in the canonical order of the module docstring.
+
+    Steps 9 and 14 read no balance a booking moves, so they are decided
+    first and `period_bookings` builds all eight bookings, posted in order.
+    The engine's `book` holds the balances: `get` and `put` read and write
+    an account's balance by name (`put` refuses a negative one), `post`
+    gates and applies a booking, and `close` ends the period.
+    """
+    p = state.params
+    get, put, post = book.get, book.put, book.post
+    start_com_bank = get("AccComBank")
 
     # 1. decay of carried consumer goods (producer inventory carries in full)
-    lab_good = accounts["AccLabGood"]
-    lab_good.set_balance(lab_good.balance * p.beta_l)
-    res_good = accounts["AccResGood"]
-    res_good.set_balance(res_good.balance * p.beta_r)
-    cap_good = accounts["AccCapGood"]
-    cap_good.set_balance(cap_good.balance * p.beta_c)
+    put("AccLabGood", get("AccLabGood") * p.beta_l)
+    put("AccResGood", get("AccResGood") * p.beta_r)
+    put("AccCapGood", get("AccCapGood") * p.beta_c)
 
     # 2. fresh endowments
-    lab_lab = accounts["AccLabLab"]
-    lab_lab.set_balance(lab_lab.balance + p.nu_l)
-    res_res = accounts["AccResRes"]
-    res_res.set_balance(res_res.balance + p.nu_r)
+    put("AccLabLab", get("AccLabLab") + p.nu_l)
+    put("AccResRes", get("AccResRes") + p.nu_r)
 
     # 3. contractual dues
     wages_due, repays_due = memory_due(state.memory)
 
     # 4. consumption budgets
     c_lab, c_res, c_cap, demand = consumption(
-        (
-            accounts["AccLabBank"].balance,
-            accounts["AccResBank"].balance,
-            accounts["AccCapBank"].balance,
-        ),
-        p.rho_l,
-        p.rho_r,
-        p.rho_c,
+        (get("AccLabBank"), get("AccResBank"), get("AccCapBank")), p.rho_l, p.rho_r, p.rho_c
     )
 
     # 5. plan and surplus
@@ -210,56 +230,23 @@ def _step_recursive(
     surplus = demand - plan
 
     # 6. production uses up the entire input stocks
-    com_lab, com_res = accounts["AccComLab"], accounts["AccComRes"]
-    output = production(com_lab.balance, com_res.balance, p.alpha, p.gamma)
-    com_lab.set_balance(0.0)
-    com_res.set_balance(0.0)
-    com_good = accounts["AccComGood"]
-    com_good.set_balance(com_good.balance + output)
+    output = production(get("AccComLab"), get("AccComRes"), p.alpha, p.gamma)
+    put("AccComLab", 0.0)
+    put("AccComRes", 0.0)
+    put("AccComGood", get("AccComGood") + output)
 
     # 7. price formation
     price = good_price(plan, output, surplus, p.omega, state.period, p.p_0)
-
-    # 8. goods sales
-    lab_sale = make_goods_sale(Agent.LAB, c_lab, c_lab / price)
-    post_booking(led, lab_sale)
-    res_sale = make_goods_sale(Agent.RES, c_res, c_res / price)
-    post_booking(led, res_sale)
-    cap_sale = make_goods_sale(Agent.CAP, c_cap, c_cap / price)
-    post_booking(led, cap_sale)
 
     # 9. investment decision
     invest = investment_sigmoid(surplus, p.sig_a, p.sig_b, p.sig_c)
     invest_res, invest_lab, installment = allocate_investment(invest, p.lam, p.tau)
 
-    # 10. loan creation, gated
-    if not investment_validation(invest, com_bank.balance):
-        raise ValidationFailure(
-            "investment validation rejected the loan", [f"investment={invest}"]
-        )
-    loan = make_loan(invest)
-    post_booking(led, loan)
-
-    # 11-13. factor purchases and repayment
-    purchase = make_resource_purchase(invest_res, invest_res / p.p_r)
-    post_booking(led, purchase)
-    wages = make_wage_payment(wages_due, wages_due / p.p_l)
-    post_booking(led, wages)
-    repayment = make_repayment(repays_due)
-    post_booking(led, repayment)
-
-    # 14. dividend: pay out last period's declaration, then declare anew
+    # 14. dividend: pay out last period's declaration, then declare anew,
+    # from the net EU flow through the company's bank account
     paid = state.declared_dividend
-    diff = _com_bank_diff(c_lab, c_res, c_cap, invest, invest_res, wages_due, repays_due, paid)
+    diff = (c_lab + c_res + c_cap + invest) - (invest_res + wages_due + repays_due + paid)
     declared = dividend_decision(diff, start_com_bank, p.delta_c, p.delta_b)
-    dividend = make_dividend(paid, declared)
-    post_booking(led, dividend)
-
-    # 15. remember the new obligations
-    memory = ContractMemory(
-        wage=memory_push(state.memory.wage, invest_lab),
-        repay=memory_push(state.memory.repay, installment),
-    )
 
     metrics = PeriodMetrics(
         wages_payment=wages_due,
@@ -280,9 +267,56 @@ def _step_recursive(
         dividend_decision=declared,
         dividend_payment=paid,
     )
-    new_state = SimulationState(led, memory, declared, state.period + 1, params)
-    executed = (lab_sale, res_sale, cap_sale, loan, purchase, wages, repayment, dividend)
+    executed = period_bookings(metrics, p)
+
+    # 8. goods sales
+    for booking in executed[:3]:
+        post(booking)
+
+    # 10. loan creation, gated; 11-14. factor purchases, repayment, dividend
+    if not investment_validation(invest, get("AccComBank")):
+        raise ValidationFailure(
+            "investment validation rejected the loan", [f"investment={invest}"]
+        )
+    for booking in executed[3:]:
+        post(booking)
+
+    ledger = book.close()
+
+    # 15. remember the new obligations
+    memory = ContractMemory(
+        wage=memory_push(state.memory.wage, invest_lab),
+        repay=memory_push(state.memory.repay, installment),
+    )
+    new_state = SimulationState(ledger, memory, declared, state.period + 1, p)
     return new_state, metrics, executed
+
+
+# ---------------------------------------------------------------------------
+# Recursive engine: the period as plain arithmetic on the flat ledger.
+# ---------------------------------------------------------------------------
+
+
+class _RecursiveBook:
+    """A copy of the opening ledger; each booking posts onto it directly."""
+
+    __slots__ = ("ledger", "values")
+
+    def __init__(self, ledger: LedgerState) -> None:
+        self.ledger = ledger.copy()
+        self.values = self.ledger.values
+
+    def get(self, name: str) -> float:
+        return self.values[ACCOUNT_INDEX[name]]
+
+    def put(self, name: str, value: float) -> None:
+        self.values[ACCOUNT_INDEX[name]] = checked_balance(name, value)
+
+    def post(self, booking: Booking) -> None:
+        post_booking(self.ledger, booking)
+
+    def close(self) -> LedgerState:
+        return self.ledger
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +335,8 @@ _EVOLVE = {name: f"evolve:{name}" for name in ACCOUNT_NAMES}
 def build_economy_category(ledger: LedgerState) -> FiniteCategory:
     """The account category: one payloaded object per account, no flows yet."""
     cat = FiniteCategory("economy")
-    for name, unit in zip(ACCOUNT_NAMES, _UNITS):
-        cat.add_object(name, Quantity(unit, ledger.balance(name)))
+    for name, unit, balance in zip(ACCOUNT_NAMES, _UNITS, ledger.values):
+        cat.add_object(name, Quantity(unit, balance))
     return cat
 
 
@@ -469,44 +503,27 @@ def verify_time_step(
         raise EngineConsistencyError("period law check failed", failures)
 
 
-def _step_categorical(
-    state: SimulationState, params: Parameters
-) -> tuple[SimulationState, PeriodMetrics, tuple[Booking, ...]]:
-    p = params
-    cat = build_economy_category(state.ledger)
-    old_balances = state.ledger.balances()
-    start_com_bank = old_balances["AccComBank"]
+class _CategoricalBook:
+    """The account category is the state.
 
-    # 1-2. decay and endowments, as endo-updates of the account objects
-    cat.update_object("AccLabGood", cat.amount("AccLabGood") * p.beta_l)
-    cat.update_object("AccResGood", cat.amount("AccResGood") * p.beta_r)
-    cat.update_object("AccCapGood", cat.amount("AccCapGood") * p.beta_c)
-    cat.update_object("AccLabLab", cat.amount("AccLabLab") + p.nu_l)
-    cat.update_object("AccResRes", cat.amount("AccResRes") + p.nu_r)
+    Every booking is gated through the pullback and applied through the
+    pushout; closing builds the period's time step and checks its laws.
+    """
 
-    # 3-5. dues, budgets, plan
-    wages_due, repays_due = memory_due(state.memory)
-    c_lab, c_res, c_cap, demand = consumption(
-        (cat.amount("AccLabBank"), cat.amount("AccResBank"), cat.amount("AccCapBank")),
-        p.rho_l,
-        p.rho_r,
-        p.rho_c,
-    )
-    plan = demand_plan(wages_due, repays_due, p.mu)
-    surplus = demand - plan
+    __slots__ = ("cat", "opening")
 
-    # 6. production
-    output = production(cat.amount("AccComLab"), cat.amount("AccComRes"), p.alpha, p.gamma)
-    cat.update_object("AccComLab", 0.0)
-    cat.update_object("AccComRes", 0.0)
-    cat.update_object("AccComGood", cat.amount("AccComGood") + output)
+    def __init__(self, ledger: LedgerState) -> None:
+        self.cat = build_economy_category(ledger)
+        self.opening = ledger.balances()
 
-    # 7. price
-    price = good_price(plan, output, surplus, p.omega, state.period, p.p_0)
+    def get(self, name: str) -> float:
+        return self.cat.amount(name)
 
-    executed: list[Booking] = []
+    def put(self, name: str, value: float) -> None:
+        self.cat.update_object(name, checked_balance(name, value))
 
-    def post(booking: Booking) -> None:
+    def post(self, booking: Booking) -> None:
+        cat = self.cat
         balances = {leg.account: cat.amount(leg.account) for leg in booking.legs}
         ok, diagnostics = validate_via_pullback(balances, booking)
         if not ok:
@@ -515,114 +532,71 @@ def _step_categorical(
             )
         booking_to_morphisms(cat, booking)
         apply_via_pushout(cat, booking)
-        executed.append(booking)
 
-    # 8. goods sales
-    post(make_goods_sale(Agent.LAB, c_lab, c_lab / price))
-    post(make_goods_sale(Agent.RES, c_res, c_res / price))
-    post(make_goods_sale(Agent.CAP, c_cap, c_cap / price))
-
-    # 9-10. investment and loan
-    invest = investment_sigmoid(surplus, p.sig_a, p.sig_b, p.sig_c)
-    invest_res, invest_lab, installment = allocate_investment(invest, p.lam, p.tau)
-    if not investment_validation(invest, cat.amount("AccComBank")):
-        raise ValidationFailure(
-            "investment validation rejected the loan", [f"investment={invest}"]
-        )
-    post(make_loan(invest))
-
-    # 11-13. factor purchases and repayment
-    post(make_resource_purchase(invest_res, invest_res / p.p_r))
-    post(make_wage_payment(wages_due, wages_due / p.p_l))
-    post(make_repayment(repays_due))
-
-    # 14. dividend
-    paid = state.declared_dividend
-    diff = _com_bank_diff(c_lab, c_res, c_cap, invest, invest_res, wages_due, repays_due, paid)
-    declared = dividend_decision(diff, start_com_bank, p.delta_c, p.delta_b)
-    post(make_dividend(paid, declared))
-
-    # close the period: law checks on the realised time step
-    new_balances = {name: cat.amount(name) for name in ACCOUNT_NAMES}
-    *_, eta = build_time_step(cat, old_balances, new_balances)
-    verify_time_step(cat, eta, old_balances, new_balances)
-
-    # 15. memory
-    memory = ContractMemory(
-        wage=memory_push(state.memory.wage, invest_lab),
-        repay=memory_push(state.memory.repay, installment),
-    )
-
-    led = LedgerState()
-    for name, value in new_balances.items():
-        led.account(name).balance = value
-
-    metrics = PeriodMetrics(
-        wages_payment=wages_due,
-        repays_payment=repays_due,
-        consum_lab=c_lab,
-        consum_res=c_res,
-        consum_cap=c_cap,
-        demand=demand,
-        demand_plan=plan,
-        demand_surplus=surplus,
-        good_production=output,
-        good_price=price,
-        investment=invest,
-        investment_res=invest_res,
-        investment_lab=invest_lab,
-        repayment=installment,
-        diff=diff,
-        dividend_decision=declared,
-        dividend_payment=paid,
-    )
-    new_state = SimulationState(led, memory, declared, state.period + 1, params)
-    return new_state, metrics, tuple(executed)
+    def close(self) -> LedgerState:
+        """The law checks on the realised time step, then the closing ledger."""
+        closing = [self.cat.amount(name) for name in ACCOUNT_NAMES]
+        new_balances = dict(zip(ACCOUNT_NAMES, closing))
+        *_, eta = build_time_step(self.cat, self.opening, new_balances)
+        verify_time_step(self.cat, eta, self.opening, new_balances)
+        return LedgerState(closing)
 
 
-_STEPPERS = {
-    EngineKind.RECURSIVE: _step_recursive,
-    EngineKind.CATEGORICAL: _step_categorical,
+_BOOKS = {
+    EngineKind.RECURSIVE: _RecursiveBook,
+    EngineKind.CATEGORICAL: _CategoricalBook,
 }
 
 
+def _engine_kind(engine: EngineKind | str) -> EngineKind:
+    """The engine named by an `EngineKind` or its value; ValueError for anything else."""
+    try:
+        return EngineKind(engine)
+    except ValueError:
+        raise ValueError(
+            f"unknown engine {engine!r}: expected 'recursive' or 'categorical'"
+        ) from None
+
+
 def period_step(
-    state: SimulationState,
-    params: Parameters | None = None,
-    engine: EngineKind = EngineKind.RECURSIVE,
+    state: SimulationState, engine: EngineKind | str = EngineKind.RECURSIVE
 ) -> tuple[SimulationState, PeriodMetrics, tuple[Booking, ...]]:
-    """Execute one period; atomic, the input state is never touched."""
-    return _STEPPERS[engine](state, params if params is not None else state.params)
+    """Execute one period under `state.params`; atomic, the input state is never touched."""
+    book = _BOOKS.get(engine)
+    if book is None:
+        book = _BOOKS[_engine_kind(engine)]
+    return _period_cycle(state, book(state.ledger))
 
 
 def run(
     params: Parameters,
     horizon: int | None = None,
-    engine: EngineKind = EngineKind.RECURSIVE,
+    engine: EngineKind | str = EngineKind.RECURSIVE,
 ) -> Trace:
     """Deterministic trace of `horizon` periods (rows 0..horizon inclusive).
 
+    `engine` is an `EngineKind` or its value, 'recursive' or 'categorical'.
     A rejected booking ends the run with a `ValidationFailure` whose `period`
     names the period it was rejected in.
     """
+    engine = _engine_kind(engine)
     params.validate()
     span = params.horizon if horizon is None else horizon
     if span < 1:
         raise ValueError("horizon must be >= 1")
     state = initial_state(params)
     rows: list[TraceRow] = []
-    logs: list[tuple[Booking, ...]] = []
     for period in range(span + 1):
         snapshot = state.ledger.balances()
         checks = invariances(state.ledger)
         try:
-            state, metrics, executed = period_step(state, params, engine)
+            state, metrics, _ = period_step(state, engine)
         except ValidationFailure as exc:
             exc.period = period
             raise
         rows.append(TraceRow(period, metrics, snapshot, checks))
-        logs.append(executed)
-    return Trace(params, engine, tuple(rows), tuple(logs))
+    table = tuple(rows)
+    return Trace(params, engine, table, BookingLog(table, params))
 
 
 # ---------------------------------------------------------------------------

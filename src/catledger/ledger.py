@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 DEFAULT_CREDIT_LIMIT = math.inf
 
@@ -83,6 +83,8 @@ ACCOUNT_SPECS: tuple[AccountSpec, ...] = (
 
 ACCOUNT_NAMES: tuple[str, ...] = tuple(spec.name for spec in ACCOUNT_SPECS)
 SPEC_BY_NAME: dict[str, AccountSpec] = {spec.name: spec for spec in ACCOUNT_SPECS}
+# position of each account in a ledger's list of balances
+ACCOUNT_INDEX: dict[str, int] = {name: index for index, name in enumerate(ACCOUNT_NAMES)}
 
 assert sum(1 for s in ACCOUNT_SPECS if s.kind is AccountKind.ASSET) == 14
 assert sum(1 for s in ACCOUNT_SPECS if s.kind is AccountKind.LIABILITY) == 6
@@ -109,19 +111,30 @@ class ValidationFailure(LedgerError):
         self.period: int | None = None
 
 
-@dataclass
-class Account:
-    agent: Agent
-    name: str
-    kind: AccountKind
-    unit: Unit
-    balance: float = 0.0
+def checked_balance(name: str, value: float) -> float:
+    """`value`, refused as the balance of account `name` if negative (a NaN passes)."""
+    if value < 0.0:
+        raise ValidationFailure(f"balance of {name!r} would become negative ({value})")
+    return value
 
-    def set_balance(self, value: float) -> None:
-        """Write the balance, refusing a negative one (a NaN passes, as it compares false)."""
-        if value < 0.0:
-            raise ValidationFailure(f"balance of {self.name!r} would become negative ({value})")
-        self.balance = value
+
+class Account:
+    """One account of a ledger: its spec, and a view of its balance in the ledger's list."""
+
+    __slots__ = ("_values", "_index", "agent", "name", "kind", "unit")
+
+    def __init__(self, values: list[float], index: int) -> None:
+        spec = ACCOUNT_SPECS[index]
+        self._values, self._index = values, index
+        self.agent, self.name, self.kind, self.unit = spec.agent, spec.name, spec.kind, spec.unit
+
+    @property
+    def balance(self) -> float:
+        return self._values[self._index]
+
+    @balance.setter
+    def balance(self, value: float) -> None:
+        self._values[self._index] = value
 
 
 class BookingLeg(NamedTuple):
@@ -180,39 +193,38 @@ _LEG_SPECS: dict[str, tuple[Unit, Direction, str]] = {
 
 
 class LedgerState:
-    """Balances of the 20 accounts; value-semantic via `copy()`."""
+    """Balances of the 20 accounts, one float each in ACCOUNT_SPECS order.
 
-    def __init__(self) -> None:
-        self._accounts: dict[str, Account] = {
-            spec.name: Account(spec.agent, spec.name, spec.kind, spec.unit)
-            for spec in ACCOUNT_SPECS
-        }
+    `values` is that list; it is never rebound, so an `Account` view stays
+    live.  Value-semantic via `copy()`.
+    """
+
+    __slots__ = ("values",)
+
+    def __init__(self, values: list[float] | None = None) -> None:
+        self.values = [0.0] * len(ACCOUNT_SPECS) if values is None else values
 
     def copy(self) -> "LedgerState":
-        clone = LedgerState.__new__(LedgerState)
-        clone._accounts = {
-            name: Account(acct.agent, name, acct.kind, acct.unit, acct.balance)
-            for name, acct in self._accounts.items()
-        }
-        return clone
+        return LedgerState(self.values[:])
 
     def account(self, name: str) -> Account:
-        try:
-            return self._accounts[name]
-        except KeyError:
-            raise UnknownAccountError(f"unknown account {name!r}") from None
+        return Account(self.values, _index(name))
 
     def balance(self, name: str) -> float:
-        return self.account(name).balance
+        return self.values[_index(name)]
 
     def set_balance(self, name: str, value: float) -> None:
-        self.account(name).set_balance(value)
+        self.values[_index(name)] = checked_balance(name, value)
 
     def balances(self) -> dict[str, float]:
-        return {name: acct.balance for name, acct in self._accounts.items()}
+        return dict(zip(ACCOUNT_NAMES, self.values))
 
-    def __iter__(self) -> Iterable[Account]:
-        return iter(self._accounts.values())
+
+def _index(name: str) -> int:
+    try:
+        return ACCOUNT_INDEX[name]
+    except KeyError:
+        raise UnknownAccountError(f"unknown account {name!r}") from None
 
 
 def init_ledger(com_lab_0: float = 110.0, com_res_0: float = 20.0) -> LedgerState:
@@ -316,11 +328,11 @@ def booking_diagnostics(statuses: list[str], verdict: str) -> list[str]:
 
 def _opening_balances(state: LedgerState, booking: Booking) -> dict[str, float]:
     """The balance of every known account the booking touches."""
-    accounts = state._accounts
+    values = state.values
     return {
-        leg.account: accounts[leg.account].balance
+        leg.account: values[ACCOUNT_INDEX[leg.account]]
         for leg in booking.legs
-        if leg.account in accounts
+        if leg.account in ACCOUNT_INDEX
     }
 
 
@@ -334,18 +346,45 @@ def validate_booking(state: LedgerState, booking: Booking) -> tuple[bool, list[s
 def post_booking(state: LedgerState, booking: Booking) -> LedgerState:
     """Apply a booking in place after full validation; atomic on failure.
 
-    The closing balances are the ones the validating scan computed: posting
-    a leg is the same `+` or `-` the scan already made.
+    A booking of a compiled shape (see `_compile_shape`) posts straight onto
+    the list while each leg matches the shape, carries its slot's amount `a`
+    with `0.0 <= a < inf` and leaves its balance `>= 0`: `scan_booking`
+    would pass it with the same `+` and `-`.  Any other booking, or one
+    whose leg breaks a condition (the list is then restored), goes through
+    `scan_booking`, which names every failed check.
     """
+    booking_id, _, legs, _ = booking
+    shape = _SHAPES.get(booking_id)
+    values = state.values
+    if shape is not None and len(legs) == len(shape):
+        opening = values[:]
+        for (account, direction, amount, unit), (
+            shape_account, shape_direction, shape_unit, index, inflow, slot
+        ) in zip(legs, shape):
+            if (
+                account != shape_account
+                or direction is not shape_direction
+                or unit is not shape_unit
+                or not 0.0 <= amount < _INF
+                or amount != legs[slot][2]
+            ):
+                break
+            new = values[index] + amount if inflow else values[index] - amount
+            if not new >= 0.0:
+                break
+            values[index] = new
+        else:
+            return state
+        values[:] = opening
+
     statuses, verdict, closing = scan_booking(_opening_balances(state, booking), booking)
     if verdict != "ok" or statuses.count("ok") != len(statuses):
         raise ValidationFailure(
             f"booking {booking.id} ({booking.description}) rejected",
             booking_diagnostics(statuses, verdict),
         )
-    accounts = state._accounts
     for name, value in closing.items():
-        accounts[name].balance = value
+        values[ACCOUNT_INDEX[name]] = value
     return state
 
 
@@ -380,12 +419,15 @@ def invariances(state: LedgerState) -> Invariances:
     The macro value sums the five: the Bank balances exactly when every
     deposit and the loan agree across the two systems keeping them.
     """
-    accounts = state._accounts
-    lab = accounts["AccLabBank"].balance - accounts["AccBankLabBank"].balance
-    res = accounts["AccResBank"].balance - accounts["AccBankResBank"].balance
-    cap = accounts["AccCapBank"].balance - accounts["AccBankCapBank"].balance
-    com = accounts["AccComBank"].balance - accounts["AccBankComBank"].balance
-    loan = accounts["AccBankComLoan"].balance - accounts["AccComLoan"].balance
+    (  # the 20 balances, in ACCOUNT_SPECS order
+        lab_bank, _, _, res_bank, _, _, cap_bank, _, _, com_bank, com_loan, _, _, _, _,
+        bank_com_loan, bank_com_bank, bank_lab_bank, bank_res_bank, bank_cap_bank,
+    ) = state.values
+    lab = lab_bank - bank_lab_bank
+    res = res_bank - bank_res_bank
+    cap = cap_bank - bank_cap_bank
+    com = com_bank - bank_com_bank
+    loan = bank_com_loan - com_loan
     return Invariances(lab, res, cap, com, loan, lab + res + cap + com + loan)
 
 
@@ -523,3 +565,59 @@ def make_dividend(paid: float, declared: float) -> Booking:
         _new(Channel, ("AccComDiv", "AccCapDiv", declared, _EU, "dividend declared")),
     )
     return _new(Booking, (6, "Com pays Div to Cap", legs, channels))
+
+
+# ---------------------------------------------------------------------------
+# The eight canonical shapes, compiled once from the builders above, so that
+# leg order has one source of truth.
+# ---------------------------------------------------------------------------
+
+_INF = math.inf
+_SENTINELS = (1.0, 2.0)  # distinct builder arguments: a leg's amount names its slot
+# per leg: account, direction, unit, list index, is-inflow, amount slot
+_Shape = tuple[tuple[str, Direction, Unit, int, bool, int], ...]
+
+
+def _compile_shape(booking: Booking) -> _Shape:
+    """A canonical booking's legs, each slot named by the first leg carrying it.
+
+    Conservation is proved here once per shape (Ellerman, "The Mathematics
+    of Double Entry Bookkeeping", 1985) for amounts `0.0 <= a < inf` equal
+    within each slot: the EU debit legs' slots equal the credit legs' slots
+    in leg order, so `scan_booking` adds equal values in the same order on
+    both sides; and each real unit has one inflow and one outflow leg of one
+    slot, so it nets to `q - q` or `-q + q`, exactly 0.0.
+    """
+    slots = [_SENTINELS.index(leg.amount) for leg in booking.legs]
+    first = [slots.index(slot) for slot in slots]
+    debits: list[int] = []
+    credits: list[int] = []
+    real: dict[Unit, tuple[list[int], list[int]]] = {}
+    for (account, direction, _, unit), slot in zip(booking.legs, first):
+        spec_unit, debit_direction, _ = _LEG_SPECS[account]
+        assert unit is spec_unit
+        if unit is _EU:
+            (debits if direction is debit_direction else credits).append(slot)
+        else:
+            inflows, outflows = real.setdefault(unit, ([], []))
+            (inflows if direction is _IN else outflows).append(slot)
+    assert debits == credits, booking.id
+    assert all(len(ins) == 1 and ins == outs for ins, outs in real.values()), booking.id
+    return tuple(
+        (account, direction, unit, ACCOUNT_INDEX[account], direction is _IN, slot)
+        for (account, direction, _, unit), slot in zip(booking.legs, first)
+    )
+
+
+_SHAPES: dict[int, _Shape] = {
+    booking.id: _compile_shape(booking)
+    for booking in (
+        make_wage_payment(*_SENTINELS),
+        *(make_goods_sale(agent, *_SENTINELS) for agent in _GOODS_SALES),
+        make_resource_purchase(*_SENTINELS),
+        make_loan(_SENTINELS[0]),
+        make_dividend(*_SENTINELS),
+        make_repayment(_SENTINELS[0]),
+    )
+}
+assert sorted(_SHAPES) == list(range(1, 9))

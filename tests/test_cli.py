@@ -413,3 +413,10 @@ class TestCheckLaws:
         err = capsys.readouterr().err
         assert "mu must be a number" in err
         assert "rejected" not in err
+
+    def test_negative_sigmoid_floor_is_named_not_booked(self, capsys):
+        # was a rejection of booking 5 with four negative-amount diagnostics
+        assert main(["run", "--set", "sig_a=-500", "--horizon", "3"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "sig_a must be non-negative" in err
+        assert "booking 5" not in err

@@ -47,6 +47,16 @@ class TestParameters:
         with pytest.raises(ValueError):
             Parameters(**override).validate()
 
+    @pytest.mark.parametrize("sig_a", [-500.0, -1e-300, -math.inf])
+    def test_negative_sigmoid_floor_rejected(self, sig_a):
+        # the sigmoid's infimum is sig_a: below 0 some surplus asks a negative loan
+        with pytest.raises(ValueError, match="^sig_a must be non-negative"):
+            Parameters(sig_a=sig_a).validate()
+
+    def test_zero_sigmoid_floor_accepted(self):
+        Parameters(sig_a=0.0).validate()
+        Parameters(sig_a=-0.0).validate()
+
     @pytest.mark.parametrize(
         "name",
         [

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import hashlib
 from array import array
+from enum import Enum
 
 import pytest
 
@@ -26,6 +28,9 @@ from catledger.evolution import (
 )
 from catledger.ledger import (
     ACCOUNT_NAMES,
+    Booking,
+    BookingLeg,
+    Channel,
     Invariances,
     ValidationFailure,
     init_ledger,
@@ -143,6 +148,22 @@ class TestTraceShape:
         assert first.accounts["AccComLab"] == 110.0
         assert first.accounts["AccComRes"] == 20.0
         assert first.metrics.investment == pytest.approx(260.0)
+
+
+class TestEngineArgument:
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_engine_value_string_runs_that_engine(self, engine):
+        by_value = run(Parameters(horizon=3), engine=engine.value)
+        by_kind = run(Parameters(horizon=3), engine=engine)
+        assert by_value.engine is engine
+        assert array("d", by_value.flat_values()) == array("d", by_kind.flat_values())
+        assert by_value.bookings == by_kind.bookings
+
+    def test_unknown_engine_is_named(self):
+        with pytest.raises(ValueError, match="'fast'.*'recursive' or 'categorical'"):
+            run(Parameters(horizon=3), engine="fast")
+        with pytest.raises(ValueError, match="'fast'.*'recursive' or 'categorical'"):
+            period_step(initial_state(Parameters()), engine="fast")
 
 
 class TestDeterminismAndEquivalence:
@@ -352,6 +373,36 @@ class TestBookingLog:
         for period in default_run.bookings:
             assert sorted(b.id for b in period) == [1, 2, 3, 4, 5, 6, 7, 8]
 
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_log_rebuilds_exactly_what_each_period_posted(self, engine):
+        params = Parameters(tau=7, omega=0.3, mu=0.6, horizon=30)
+        state, posted = initial_state(params), []
+        for _ in range(31):
+            state, _, executed = period_step(state, engine=engine)
+            posted.append(executed)
+        log = run(params, engine=engine).bookings
+        # repr prints every float exactly and tells -0.0 from 0.0
+        assert [repr(period) for period in log] == [repr(period) for period in posted]
+        assert log == tuple(posted) and tuple(posted) == log and log != posted[:-1]
+        assert len(log) == 31 and repr(log[-1]) == repr(posted[-1])
+        assert repr(log[2:5]) == repr(tuple(posted[2:5]))
+        with pytest.raises(IndexError):
+            log[31]
+
+    def test_a_run_keeps_no_booking_alive(self):
+        trace = run(Parameters(), horizon=100)
+        seen, stack, kinds = set(), [trace], set()
+        while stack:
+            obj = stack.pop()
+            if id(obj) in seen or isinstance(obj, (type, Enum)):
+                continue
+            seen.add(id(obj))
+            kinds.add(type(obj))
+            stack.extend(gc.get_referents(obj))
+        assert TraceRow in kinds
+        assert not kinds & {Booking, BookingLeg, Channel}
+        assert len(trace.bookings[100]) == 8
+
     def test_input_state_is_never_mutated(self):
         state = initial_state(Parameters())
         before = state.ledger.balances()
@@ -359,6 +410,39 @@ class TestBookingLog:
         assert state.ledger.balances() == before
         assert state.period == 0
         assert state.memory.wage == (0.0,) * 10
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_input_balances_are_bit_identical_and_unshared(self, engine):
+        state = initial_state(Parameters())
+        for _ in range(3):
+            state, _, _ = period_step(state, engine=engine)
+        before = array("d", state.ledger.values).tobytes()
+        new_state, _, _ = period_step(state, engine=engine)
+        assert array("d", state.ledger.values).tobytes() == before
+        assert new_state.ledger.values is not state.ledger.values
+        new_state.ledger.values[:] = [1.0] * len(ACCOUNT_NAMES)
+        assert array("d", state.ledger.values).tobytes() == before
+
+
+class TestCompiledPostings:
+    def test_default_run_posts_every_booking_without_the_scan(self, monkeypatch):
+        from catledger import ledger
+
+        calls = []
+        real_scan = ledger.scan_booking
+
+        def counting(balances, booking):
+            calls.append(booking.id)
+            return real_scan(balances, booking)
+
+        monkeypatch.setattr(ledger, "scan_booking", counting)
+        trace = run(Parameters(), horizon=100, engine=EngineKind.RECURSIVE)
+        assert len(trace.rows) == 101
+        assert calls == []
+        # the counter does see the scan: a rejection goes through it
+        with pytest.raises(ValidationFailure):
+            run(Parameters(tau=1, horizon=5), engine=EngineKind.RECURSIVE)
+        assert calls == [7]
 
 
 def real_period(monkeypatch, params: Parameters, periods: int = 3):

@@ -633,6 +633,78 @@ def balance_bits(state: LedgerState) -> list[bytes]:
     return [struct.pack("d", state.balance(name)) for name in ACCOUNT_NAMES]
 
 
+def assert_posts_like_the_reference(balances: list[float], booking: Booking) -> None:
+    """`post_booking` accepts or rejects as the reference does, with the same
+    message and diagnostics, and leaves bit-identical balances."""
+    ours, reference = state_of(balances), state_of(balances)
+    untouched = balance_bits(ours)
+    try:
+        oracle_post_booking(reference, booking)
+    except ValidationFailure as exc:
+        with pytest.raises(ValidationFailure) as err:
+            post_booking(ours, booking)
+        assert str(err.value) == str(exc)
+        assert err.value.diagnostics == exc.diagnostics
+        assert balance_bits(ours) == untouched
+    else:
+        post_booking(ours, booking)
+    assert balance_bits(ours) == balance_bits(reference)
+
+
+def single_leg_changes(legs: tuple[BookingLeg, ...]) -> list[tuple[BookingLeg, ...]]:
+    """Every leg tuple that differs from `legs` in one leg's direction, unit or
+    account, in the order of two legs, or by one leg dropped or repeated."""
+    changes = []
+    for i, leg in enumerate(legs):
+        flipped = Direction.OUTFLOW if leg.direction is Direction.INFLOW else Direction.INFLOW
+        variants = [leg._replace(direction=flipped)]
+        variants += [leg._replace(unit=unit) for unit in Unit if unit is not leg.unit]
+        variants += [
+            leg._replace(account=name) for name in ACCOUNT_NAMES if name != leg.account
+        ]
+        changes += [legs[:i] + (variant,) + legs[i + 1 :] for variant in variants]
+        changes.append(legs[:i] + legs[i + 1 :])
+        changes.append(legs[: i + 1] + legs[i:])
+        for j in range(i + 1, len(legs)):
+            swapped = list(legs)
+            swapped[i], swapped[j] = legs[j], legs[i]
+            changes.append(tuple(swapped))
+    return changes
+
+
+@st.composite
+def near_canonical_bookings(draw) -> Booking:
+    """A canonical booking with one thing changed, keeping the canonical id: a
+    leg's amount, the order of two legs, a leg's unit, account or direction,
+    or one leg dropped or repeated."""
+    booking = draw(canonical_bookings(plausible))
+    legs = list(booking.legs)
+    i = draw(st.integers(min_value=0, max_value=len(legs) - 1))
+    change = draw(
+        st.sampled_from(("amount", "order", "unit", "account", "direction", "drop", "repeat"))
+    )
+    if change == "amount":
+        amount = legs[i].amount
+        legs[i] = legs[i]._replace(
+            amount=draw(st.one_of(st.just(math.nextafter(amount, math.inf)), amounts))
+        )
+    elif change == "order":
+        j = draw(st.integers(min_value=0, max_value=len(legs) - 1))
+        legs[i], legs[j] = legs[j], legs[i]
+    elif change == "unit":
+        legs[i] = legs[i]._replace(unit=draw(st.sampled_from(Unit)))
+    elif change == "account":
+        legs[i] = legs[i]._replace(account=draw(leg_accounts))
+    elif change == "direction":
+        flipped = Direction.OUTFLOW if legs[i].direction is Direction.INFLOW else Direction.INFLOW
+        legs[i] = legs[i]._replace(direction=flipped)
+    elif change == "drop":
+        del legs[i]
+    else:
+        legs.append(legs[i])
+    return booking._replace(legs=tuple(legs))
+
+
 class TestReferenceEquivalence:
     @settings(max_examples=200, deadline=None)
     @given(balance_lists, bookings)
@@ -666,16 +738,45 @@ class TestReferenceEquivalence:
     @settings(max_examples=200, deadline=None)
     @given(balance_lists, bookings)
     def test_post_booking_matches_the_reference(self, balances, booking):
-        ours, reference = state_of(balances), state_of(balances)
-        untouched = balance_bits(ours)
-        try:
-            oracle_post_booking(reference, booking)
-        except ValidationFailure as exc:
-            with pytest.raises(ValidationFailure) as err:
-                post_booking(ours, booking)
-            assert str(err.value) == str(exc)
-            assert err.value.diagnostics == exc.diagnostics
-            assert balance_bits(ours) == untouched
-        else:
-            post_booking(ours, booking)
-        assert balance_bits(ours) == balance_bits(reference)
+        assert_posts_like_the_reference(balances, booking)
+
+    @settings(max_examples=400, deadline=None)
+    @given(balance_lists, near_canonical_bookings())
+    def test_near_canonical_bookings_post_like_the_reference(self, balances, booking):
+        # each draw breaks one condition of the compiled path, which must then
+        # fall back to the full scan with its verdict and diagnostics
+        assert_posts_like_the_reference(balances, booking)
+
+    @pytest.mark.parametrize("name", sorted(BUILDER_PAIRS))
+    @pytest.mark.parametrize(
+        "amounts",
+        [(3.0, 5.0), (4.0, 4.0), (-0.0, 5.0), (-3.0, 5.0), (3.0, -0.5), (math.inf, 5.0),
+         (3.0, math.nan)],
+    )
+    def test_every_single_leg_change_posts_like_the_reference(self, name, amounts):
+        # exhaustive over the legs of each shape, on balances every canonical
+        # booking with finite non-negative amounts fits, so that only the
+        # change or the amount can send it off the compiled path
+        builder, _, arity = BUILDER_PAIRS[name]
+        booking = builder(*amounts[:arity])
+        balances = [1e3] * len(ACCOUNT_NAMES)
+        assert_posts_like_the_reference(balances, booking)
+        for changed in single_leg_changes(booking.legs):
+            assert_posts_like_the_reference(balances, booking._replace(legs=changed))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_dividend_outflow_overdrawing_before_its_inflow(self, data):
+        # AccComDiv pays out `paid` before the fresh declaration books
+        # `declared` into it: a later inflow never excuses the overdraft
+        com_div = data.draw(plausible)
+        paid = data.draw(st.floats(min_value=com_div, max_value=2e3, exclude_min=True))
+        declared = data.draw(st.floats(min_value=paid - com_div, max_value=1e4))
+        balances = [1e6] * len(ACCOUNT_NAMES)
+        balances[ACCOUNT_NAMES.index("AccComDiv")] = com_div
+        booking = make_dividend(paid, declared)
+        assert_posts_like_the_reference(balances, booking)
+        with pytest.raises(ValidationFailure) as err:
+            post_booking(state_of(balances), booking)
+        assert err.value.diagnostics == ["insufficient-balance:AccComDiv"]
+
