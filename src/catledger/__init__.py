@@ -15,7 +15,6 @@ from .catcore import (
     Functor,
     LawReport,
     NaturalTransformation,
-    Path,
     check_functor_laws,
     check_naturality,
     finset_pullback,
@@ -62,7 +61,6 @@ from .ledger import (
     ValidationFailure,
     init_ledger,
     invariances,
-    investment_validation,
     post_booking,
     validate_booking,
 )
@@ -88,7 +86,6 @@ __all__ = [
     "LedgerState",
     "NaturalTransformation",
     "Parameters",
-    "Path",
     "PeriodMetrics",
     "SimulationState",
     "StabilityReport",
@@ -108,7 +105,6 @@ __all__ = [
     "initial_state",
     "invariances",
     "investment_sigmoid",
-    "investment_validation",
     "memory_due",
     "memory_push",
     "period_step",

@@ -69,20 +69,6 @@ class Morphism:
     weight: float = 0.0
 
 
-@dataclass(frozen=True)
-class Path:
-    """A composite morphism, recorded as its generator sequence.
-
-    The empty sequence at an object is that object's identity; composition
-    is concatenation, so the identity and associativity laws hold by
-    construction and can be checked by plain equality.
-    """
-
-    src: int
-    dst: int
-    morphism_ids: tuple[int, ...] = ()
-
-
 class FiniteCategory:
     """A finitely presented category: named objects plus generator morphisms.
 
@@ -181,24 +167,6 @@ class FiniteCategory:
         for f in self._morphisms:
             for g in by_src.get(f.dst, ()):
                 yield f, g
-
-    # -- composition (generator paths) ----------------------------------
-
-    def identity_path(self, obj_id: int) -> Path:
-        self.object_by_id(obj_id)
-        return Path(obj_id, obj_id, ())
-
-    def as_path(self, mor_id: int) -> Path:
-        mor = self.morphism_by_id(mor_id)
-        return Path(mor.src, mor.dst, (mor.id,))
-
-    def compose(self, first: Path, second: Path) -> Path:
-        """`first` followed by `second`; raises unless the endpoints meet."""
-        if first.dst != second.src:
-            raise CategoryError(
-                f"paths do not compose: {first.dst} != {second.src} in {self.name!r}"
-            )
-        return Path(first.src, second.dst, first.morphism_ids + second.morphism_ids)
 
 
 @dataclass
@@ -402,12 +370,6 @@ class FinSetMap:
 
     def __call__(self, x: Hashable) -> Hashable:
         return self.mapping[x]
-
-    def then(self, other: "FinSetMap") -> "FinSetMap":
-        """Composition self ; other (apply self first)."""
-        if tuple(self.codomain) != tuple(other.domain):
-            raise FinSetError("maps do not compose: codomain != domain")
-        return FinSetMap(self.domain, other.codomain, {x: other(self(x)) for x in self.domain})
 
 
 def finset_pullback(

@@ -18,6 +18,7 @@ import csv
 import json
 import math
 import sys
+from array import array
 from dataclasses import dataclass, field, replace
 from itertools import islice
 from pathlib import Path
@@ -33,31 +34,19 @@ from .catcore import (
     verify_pullback_universal,
     verify_pushout_universal,
 )
-from .decisions import METRIC_COLUMNS, Parameters, metrics_as_row
+from .decisions import Parameters
 from .evolution import (
+    INVARIANCE_COLUMNS,
+    TRACE_COLUMNS,
     EngineConsistencyError,
     EngineKind,
     Trace,
     run,
     stability_report,
 )
-from .ledger import ACCOUNT_NAMES, Booking, LedgerError
-
-INVARIANCE_COLUMNS: tuple[str, ...] = (
-    "I_Lab_B",
-    "I_Res_B",
-    "I_Cap_B",
-    "I_Com_B",
-    "I_Com_L",
-    "I_Mac",
-)
-
-TRACE_COLUMNS: tuple[str, ...] = (
-    ("period",) + METRIC_COLUMNS + ACCOUNT_NAMES + INVARIANCE_COLUMNS
-)
+from .ledger import ACCOUNT_NAMES, Booking, Direction, LedgerError, Unit
 
 INVARIANCE_TOLERANCE = 1e-9
-DIVERGENCE_TOLERANCE = 1e-12
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -142,17 +131,15 @@ def config_echo(config: RunConfig) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
+def _row_lists(trace: Trace) -> Iterable[list[float]]:
+    """Each row's cells as a list, the period as an int."""
+    cells, width = trace.cells.tolist(), len(TRACE_COLUMNS)
+    return ([int(cells[i]), *cells[i + 1 : i + width]] for i in range(0, len(cells), width))
+
+
 def trace_table(trace: Trace) -> list[dict[str, float]]:
-    """The trace as one flat dict per row, keyed by TRACE_COLUMNS."""
-    table = []
-    for row in trace.rows:
-        record: dict[str, float] = {"period": row.period}
-        record.update(metrics_as_row(row.metrics))
-        for name in ACCOUNT_NAMES:
-            record[name] = row.accounts[name]
-        record.update(dict(zip(INVARIANCE_COLUMNS, row.invariances.as_tuple())))
-        table.append(record)
-    return table
+    """The trace as one dict per row, keyed by TRACE_COLUMNS."""
+    return [dict(zip(TRACE_COLUMNS, row)) for row in _row_lists(trace)]
 
 
 def _format_cell(value: float) -> str:
@@ -166,23 +153,23 @@ def _format_cell(value: float) -> str:
 
 def write_trace_csv(trace: Trace, path: str | Path, config: RunConfig) -> None:
     """The `#` config echo, the header and one line per trace row, CRLF-terminated."""
-    cells = map(_format_cell, trace.flat_values())
+    cells = map(_format_cell, trace.cells)
     width = len(TRACE_COLUMNS)
     with open(path, "w", newline="", encoding="utf-8") as handle:
         for line in config_echo(config):
             handle.write(f"# {line}\n")
         handle.write(",".join(TRACE_COLUMNS) + "\r\n")
-        for _ in trace.rows:
+        for _ in range(len(trace.cells) // width):
             handle.write(",".join(islice(cells, width)) + "\r\n")
 
 
 def read_trace_csv(path: str | Path) -> tuple[dict[str, str], list[dict[str, float]]]:
-    """Parse a trace CSV back into (echoed config, rows)."""
+    """Parse a trace CSV back into (echoed config, rows); refuse a row of the wrong width."""
     meta: dict[str, str] = {}
     rows: list[dict[str, float]] = []
     with open(path, newline="", encoding="utf-8") as handle:
-        data_lines = []
-        for line in handle:
+        data_lines, line_numbers = [], []
+        for number, line in enumerate(handle, start=1):
             if line.startswith("#"):
                 body = line[1:].strip()
                 if "=" in body:
@@ -190,6 +177,7 @@ def read_trace_csv(path: str | Path) -> tuple[dict[str, str], list[dict[str, flo
                     meta[key.strip()] = raw.strip()
                 continue
             data_lines.append(line)
+            line_numbers.append(number)
     if not data_lines:
         raise ConfigError(f"trace file {path} holds no table")
     reader = csv.reader(data_lines)
@@ -199,6 +187,11 @@ def read_trace_csv(path: str | Path) -> tuple[dict[str, str], list[dict[str, flo
     for parts in reader:
         if not parts:
             continue
+        if len(parts) != len(header):
+            raise ConfigError(
+                f"trace file {path}, line {line_numbers[reader.line_num - 1]}: "
+                f"{len(parts)} cells where the header has {len(header)}"
+            )
         rows.append({col: float(cell) for col, cell in zip(header, parts)})
     if not rows:
         raise ConfigError(f"trace file {path} holds no rows")
@@ -220,18 +213,22 @@ def _write_json_lines(handle: TextIO, items: Iterable[object]) -> None:
     handle.write("\n")
 
 
+# each direction's and unit's string: a dict read, where `.value` is a Python-level descriptor
+_ENUM_VALUES = {member: member.value for member in (*Direction, *Unit)}
+
+
 def _booking_record(booking: Booking) -> dict[str, object]:
     return {
         "id": booking.id,
         "description": booking.description,
         "legs": [
             {
-                "account": leg.account,
-                "direction": leg.direction.value,
-                "amount": leg.amount,
-                "unit": leg.unit.value,
+                "account": account,
+                "direction": _ENUM_VALUES[direction],
+                "amount": amount,
+                "unit": _ENUM_VALUES[unit],
             }
-            for leg in booking.legs
+            for account, direction, amount, unit in booking.legs
         ],
     }
 
@@ -248,9 +245,7 @@ def write_trace_json(trace: Trace, path: str | Path, config: RunConfig) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         header = f'"config": {_encode_json(echo)}, "columns": {_encode_json(TRACE_COLUMNS)}'
         handle.write(f'{{{header},\n"rows": [')
-        _write_json_lines(
-            handle, ([record[col] for col in TRACE_COLUMNS] for record in trace_table(trace))
-        )
+        _write_json_lines(handle, _row_lists(trace))
         handle.write('],\n"bookings": [')
         _write_json_lines(
             handle, ([_booking_record(booking) for booking in period] for period in trace.bookings)
@@ -276,16 +271,21 @@ def _report_non_finite(command: str, *traces: Trace) -> bool:
     """Print the first cell that is inf or nan in any of the traces; True if one was."""
     width = len(TRACE_COLUMNS)
     for trace in traces:
-        for index, value in enumerate(trace.flat_values()):
+        for index, value in enumerate(trace.cells):
             if not math.isfinite(value):
-                row, column = divmod(index, width)
+                period, column = divmod(index, width)
                 print(
-                    f"{command} failed: period {trace.rows[row].period}, "
+                    f"{command} failed: period {period}, "
                     f"column {TRACE_COLUMNS[column]} is not finite",
                     file=sys.stderr,
                 )
                 return True
     return False
+
+
+def _invariance_peaks(trace: Trace) -> list[float]:
+    """The largest magnitude of each invariance column, in INVARIANCE_COLUMNS order."""
+    return [max(map(abs, trace.column(column))) for column in INVARIANCE_COLUMNS]
 
 
 def cmd_run(config: RunConfig, out: str | None, json_out: str | None) -> int:
@@ -301,12 +301,11 @@ def cmd_run(config: RunConfig, out: str | None, json_out: str | None) -> int:
         write_trace_csv(trace, out, config)
     if json_out:
         write_trace_json(trace, json_out, config)
-    print(f"rows: {len(trace.rows)}")
-    for index, column in enumerate(INVARIANCE_COLUMNS):
-        peak = max(abs(row.invariances.as_tuple()[index]) for row in trace.rows)
+    print(f"rows: {len(trace.column('period'))}")
+    peaks = _invariance_peaks(trace)
+    for column, peak in zip(INVARIANCE_COLUMNS, peaks):
         print(f"max |{column}|: {peak:.3e}")
-    worst = max(row.invariances.max_abs() for row in trace.rows)
-    if worst > INVARIANCE_TOLERANCE:
+    if max(peaks) > INVARIANCE_TOLERANCE:
         print("invariance breach", file=sys.stderr)
         return EXIT_INVARIANCE
     return EXIT_OK
@@ -319,21 +318,25 @@ def cmd_compare(config: RunConfig) -> int:
     except LedgerError as exc:
         _report_rejection("compare", exc)
         return EXIT_CONFIG
-    # abs(inf - inf) is nan, which max() would drop: such traces are not compared
     if _report_non_finite("compare", recursive, categorical):
         return EXIT_CONFIG
-    cells = list(recursive.flat_values())
-    other = list(categorical.flat_values())
+    cells, other = recursive.cells, categorical.cells
     if len(cells) != len(other):
         print(f"cell counts differ: {len(cells)} recursive, {len(other)} categorical")
-        divergence = math.inf
+    elif cells.tobytes() != other.tobytes():
+        # the engines must agree bit for bit: -0.0 against 0.0 is a divergence
+        bits, other_bits = array("q", cells.tobytes()), array("q", other.tobytes())
+        index = next(i for i, (a, b) in enumerate(zip(bits, other_bits)) if a != b)
+        period, column = divmod(index, len(TRACE_COLUMNS))
+        print(
+            f"first difference: period {period}, column {TRACE_COLUMNS[column]}: "
+            f"{cells[index]!r} recursive, {other[index]!r} categorical"
+        )
     else:
-        divergence = max(abs(a - b) for a, b in zip(cells, other))
-        print(f"max divergence: {divergence:.3e}")
-    if divergence > DIVERGENCE_TOLERANCE:
-        print("engines diverge", file=sys.stderr)
-        return EXIT_DIVERGENCE
-    return EXIT_OK
+        print("max divergence: 0.000e+00")
+        return EXIT_OK
+    print("engines diverge", file=sys.stderr)
+    return EXIT_DIVERGENCE
 
 
 def _sweep_one(config: RunConfig, key: str, raw: str) -> dict[str, str]:
@@ -344,13 +347,12 @@ def _sweep_one(config: RunConfig, key: str, raw: str) -> dict[str, str]:
         local.params.validate()
         trace = run(local.params, engine=local.engine)
         report = stability_report(trace)
-        worst = max(row.invariances.max_abs() for row in trace.rows)
         summary.update(
             status="ok",
             bounded=str(report.bounded),
             good_price_drift=repr(report.drift["GoodPrice"]),
-            final_good_price=repr(trace.rows[-1].metrics.good_price),
-            max_invariance=repr(worst),
+            final_good_price=repr(trace.column("GoodPrice")[-1]),
+            max_invariance=repr(max(_invariance_peaks(trace))),
         )
     # a rejected value only marks its own row; anything else is a bug and propagates
     except (LedgerError, ValueError, EngineConsistencyError) as exc:
@@ -503,7 +505,7 @@ def run_law_fixtures() -> list[tuple[str, bool]]:
     # other exception is a programming error and propagates
     try:
         trace = run(Parameters(horizon=5), engine=EngineKind.CATEGORICAL)
-        results.append(("engine periods law-check", len(trace.rows) == 6))
+        results.append(("engine periods law-check", len(trace.column("period")) == 6))
     except (LedgerError, EngineConsistencyError):
         results.append(("engine periods law-check", False))
     return results

@@ -8,8 +8,8 @@ tests are frozen against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
-from typing import Sequence
+from dataclasses import dataclass, fields
+from typing import NamedTuple, Sequence
 
 _FRACTION_FIELDS = (
     "lam",
@@ -81,9 +81,6 @@ class Parameters:
             if not getattr(self, name) >= -math.inf:
                 raise ValueError(f"{name} must be a number, got nan")
 
-    def with_overrides(self, **overrides: float | int) -> "Parameters":
-        return replace(self, **overrides)
-
     @staticmethod
     def field_names() -> tuple[str, ...]:
         return tuple(f.name for f in fields(Parameters))
@@ -120,8 +117,7 @@ def memory_push(history: Sequence[float], value: float) -> tuple[float, ...]:
     return (value,) + tuple(history[:-1])
 
 
-@dataclass(frozen=True)
-class PeriodMetrics:
+class PeriodMetrics(NamedTuple):
     """The derived variables of one period, in trace column order."""
 
     wages_payment: float
@@ -143,31 +139,15 @@ class PeriodMetrics:
     dividend_payment: float
 
 
-METRIC_COLUMNS: tuple[str, ...] = (
-    "WagesPayment",
-    "RepaysPayment",
-    "ConsumLab",
-    "ConsumRes",
-    "ConsumCap",
-    "Demand",
-    "DemandPlan",
-    "DemandSurplus",
-    "GoodProduction",
-    "GoodPrice",
-    "Investment",
-    "InvestmentRes",
-    "InvestmentLab",
-    "Repayment",
-    "Diff",
-    "DividendDecision",
-    "DividendPayment",
+# Each field's trace column is its name in CamelCase: `wages_payment` is
+# `WagesPayment`, ..., `dividend_payment` is `DividendPayment`.
+METRIC_COLUMNS: tuple[str, ...] = tuple(
+    name.title().replace("_", "") for name in PeriodMetrics._fields
 )
-
-_METRIC_FIELDS: tuple[str, ...] = tuple(f.name for f in fields(PeriodMetrics))
 
 
 def metrics_as_row(metrics: PeriodMetrics) -> dict[str, float]:
-    return {col: getattr(metrics, name) for col, name in zip(METRIC_COLUMNS, _METRIC_FIELDS)}
+    return dict(zip(METRIC_COLUMNS, metrics))
 
 
 def consumption(

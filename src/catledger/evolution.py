@@ -20,7 +20,7 @@ Canonical order inside period t:
  7. the good price forms (p_0 enters only at t = 0)
  8. goods sales: bookings 2, 4, 8
  9. investment decision and allocation
-10. booking 5 (loan), gated by the investment validation
+10. booking 5 (loan)
 11. booking 3 (resource purchase, immediate delivery)
 12. booking 1 (wage payment, contracted hours delivered)
 13. booking 7 (loan repayment)
@@ -29,16 +29,18 @@ Canonical order inside period t:
 
 A trace row t holds the account snapshot at the START of period t together
 with the metrics decided during period t, so a run over horizon H yields
-H + 1 rows.
+H + 1 rows.  A trace stores them as one array of doubles, row after row,
+each row's cells in `TRACE_COLUMNS` order.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .catcore import (
     FiniteCategory,
@@ -52,6 +54,7 @@ from .catcore import (
     finset_pushout,
 )
 from .decisions import (
+    METRIC_COLUMNS,
     ContractMemory,
     Parameters,
     PeriodMetrics,
@@ -79,7 +82,6 @@ from .ledger import (
     checked_balance,
     init_ledger,
     invariances,
-    investment_validation,
     make_dividend,
     make_goods_sale,
     make_loan,
@@ -123,14 +125,6 @@ def initial_state(params: Parameters) -> SimulationState:
     )
 
 
-@dataclass(frozen=True)
-class TraceRow:
-    period: int
-    metrics: PeriodMetrics
-    accounts: dict[str, float]
-    invariances: Invariances
-
-
 def period_bookings(m: PeriodMetrics, p: Parameters) -> tuple[Booking, ...]:
     """The eight bookings of a period, in posting order, built from its decisions."""
     return (
@@ -145,6 +139,65 @@ def period_bookings(m: PeriodMetrics, p: Parameters) -> tuple[Booking, ...]:
     )
 
 
+INVARIANCE_COLUMNS = ("I_Lab_B", "I_Res_B", "I_Cap_B", "I_Com_B", "I_Com_L", "I_Mac")
+
+# The cells of a trace row: the period, the metrics decided in it, the
+# opening balances and their invariances.
+TRACE_COLUMNS: tuple[str, ...] = ("period",) + METRIC_COLUMNS + ACCOUNT_NAMES + INVARIANCE_COLUMNS
+_WIDTH = len(TRACE_COLUMNS)
+_COLUMN_INDEX = {name: index for index, name in enumerate(TRACE_COLUMNS)}
+_ACCOUNTS_AT = 1 + len(METRIC_COLUMNS)
+_INVARIANCES_AT = _ACCOUNTS_AT + len(ACCOUNT_NAMES)
+
+
+class TraceRow(NamedTuple):
+    """One row of a trace, built from its cells when read."""
+
+    period: int
+    metrics: PeriodMetrics
+    accounts: dict[str, float]
+    invariances: Invariances
+
+
+@dataclass(frozen=True)
+class Trace:
+    """A run's rows as one array of doubles, `TRACE_COLUMNS` cells per row.
+
+    Nothing is stored per period: `column`, `rows`, `bookings` and
+    `flat_values` read the cells in place or build their views when read.
+    """
+
+    params: Parameters
+    engine: EngineKind
+    cells: array
+
+    def column(self, name: str) -> array:
+        """The cells of column `name`, one per row."""
+        return self.cells[_COLUMN_INDEX[name] :: _WIDTH]
+
+    @property
+    def rows(self) -> tuple[TraceRow, ...]:
+        """One `TraceRow` per row, built from the cells when read."""
+        cells = self.cells
+        return tuple(
+            TraceRow(
+                int(cells[start]),
+                PeriodMetrics._make(cells[start + 1 : start + _ACCOUNTS_AT]),
+                dict(zip(ACCOUNT_NAMES, cells[start + _ACCOUNTS_AT : start + _INVARIANCES_AT])),
+                Invariances._make(cells[start + _INVARIANCES_AT : start + _WIDTH]),
+            )
+            for start in range(0, len(cells), _WIDTH)
+        )
+
+    @property
+    def bookings(self) -> BookingLog:
+        return BookingLog(self)
+
+    def flat_values(self) -> Iterator[float]:
+        """Every cell of the trace, row after row."""
+        return iter(self.cells)
+
+
 class BookingLog(Sequence):
     """Each period's executed bookings, rebuilt from its metrics when read.
 
@@ -152,40 +205,23 @@ class BookingLog(Sequence):
     by the garbage collector while the run goes on.
     """
 
-    __slots__ = ("_rows", "_params")
+    __slots__ = ("_trace",)
 
-    def __init__(self, rows: tuple[TraceRow, ...], params: Parameters) -> None:
-        self._rows, self._params = rows, params
+    def __init__(self, trace: Trace) -> None:
+        self._trace = trace
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self._trace.cells) // _WIDTH
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return tuple(map(self.__getitem__, range(len(self._rows))[index]))
-        return period_bookings(self._rows[index].metrics, self._params)
+            return tuple(map(self.__getitem__, range(len(self))[index]))
+        start = range(0, len(self._trace.cells), _WIDTH)[index]
+        metrics = PeriodMetrics._make(self._trace.cells[start + 1 : start + _ACCOUNTS_AT])
+        return period_bookings(metrics, self._trace.params)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Sequence) and tuple(self) == tuple(other)
-
-
-@dataclass(frozen=True)
-class Trace:
-    params: Parameters
-    engine: EngineKind
-    rows: tuple[TraceRow, ...]
-    bookings: Sequence[tuple[Booking, ...]]
-
-    def flat_values(self) -> Iterator[float]:
-        """Every numeric cell of the trace, in a fixed deterministic order."""
-        for row in self.rows:
-            yield float(row.period)
-            metrics = row.metrics
-            for name in metrics.__dataclass_fields__:
-                yield getattr(metrics, name)
-            for account in ACCOUNT_NAMES:
-                yield row.accounts[account]
-            yield from row.invariances.as_tuple()
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +271,12 @@ def _period_cycle(
     put("AccComRes", 0.0)
     put("AccComGood", get("AccComGood") + output)
 
-    # 7. price formation
+    # 7. price formation; the goods sales divide by the price
     price = good_price(plan, output, surplus, p.omega, state.period, p.p_0)
+    if price == 0.0:
+        raise ValidationFailure(
+            "good price is zero: the goods sales cannot be priced", [f"GoodPrice={price!r}"]
+        )
 
     # 9. investment decision
     invest = investment_sigmoid(surplus, p.sig_a, p.sig_b, p.sig_c)
@@ -273,11 +313,7 @@ def _period_cycle(
     for booking in executed[:3]:
         post(booking)
 
-    # 10. loan creation, gated; 11-14. factor purchases, repayment, dividend
-    if not investment_validation(invest, get("AccComBank")):
-        raise ValidationFailure(
-            "investment validation rejected the loan", [f"investment={invest}"]
-        )
+    # 10. loan creation; 11-14. factor purchases, repayment, dividend
     for booking in executed[3:]:
         post(booking)
 
@@ -453,6 +489,11 @@ def build_time_step(
     return step, f_t, f_t1, eta
 
 
+def _both_nan(weight: float, expected: float) -> bool:
+    """A NaN weight matches a NaN: an account at inf has the net flow inf - inf."""
+    return weight != weight and expected != expected
+
+
 def verify_time_step(
     flows: FiniteCategory,
     eta: NaturalTransformation,
@@ -479,7 +520,9 @@ def verify_time_step(
             image = None if mapped is None else resolve(mapped)
             if image is None:
                 continue  # reported by the law check
-            if image.label != mor.label or image.weight != mor.weight:
+            if image.label != mor.label or (
+                image.weight != mor.weight and not _both_nan(image.weight, mor.weight)
+            ):
                 failures.append(
                     f"{tag}: morphism {mor.id} ({mor.label}) maps to "
                     f"{image.label!r} weighted {image.weight}, not {mor.weight}"
@@ -495,7 +538,7 @@ def verify_time_step(
             failures.append(f"component weight for {obj.name}: no evolution component")
             continue
         expected = new[obj.name] - old[obj.name]
-        if component.weight != expected:
+        if component.weight != expected and not _both_nan(component.weight, expected):
             failures.append(
                 f"component weight for {obj.name}: {component.weight} != net flow {expected}"
             )
@@ -585,18 +628,16 @@ def run(
     if span < 1:
         raise ValueError("horizon must be >= 1")
     state = initial_state(params)
-    rows: list[TraceRow] = []
+    cells = array("d")
     for period in range(span + 1):
-        snapshot = state.ledger.balances()
-        checks = invariances(state.ledger)
+        opening, checks = state.ledger.values, invariances(state.ledger)
         try:
             state, metrics, _ = period_step(state, engine)
         except ValidationFailure as exc:
             exc.period = period
             raise
-        rows.append(TraceRow(period, metrics, snapshot, checks))
-    table = tuple(rows)
-    return Trace(params, engine, table, BookingLog(table, params))
+        cells.extend((period, *metrics, *opening, *checks))
+    return Trace(params, engine, cells)
 
 
 # ---------------------------------------------------------------------------
@@ -629,14 +670,6 @@ class StabilityReport:
         return max(self.drift.values())
 
 
-def _series(trace: Trace, key: str) -> list[float]:
-    if key == "GoodPrice":
-        return [row.metrics.good_price for row in trace.rows]
-    if key == "Investment":
-        return [row.metrics.investment for row in trace.rows]
-    return [row.accounts[key] for row in trace.rows]
-
-
 def stability_report(trace: Trace) -> StabilityReport:
     """Boundedness plus last-window relative drift of the key series.
 
@@ -644,13 +677,12 @@ def stability_report(trace: Trace) -> StabilityReport:
     |x_t - x_{t-1}| / max(1, |x_t|); bounded means every trace cell is
     finite and below BOUNDED_LIMIT in magnitude.
     """
-    if len(trace.rows) < 20:
+    if len(trace.column("period")) < 20:
         raise ValueError("stability report needs a trace of at least 20 rows")
-    bounded = all(math.isfinite(v) and abs(v) <= BOUNDED_LIMIT for v in trace.flat_values())
+    bounded = all(math.isfinite(v) and abs(v) <= BOUNDED_LIMIT for v in trace.cells)
     drift: dict[str, float] = {}
     for key in STABILITY_SERIES:
-        values = _series(trace, key)
-        window = values[-(DRIFT_WINDOW + 1) :]
+        window = trace.column(key)[-(DRIFT_WINDOW + 1) :]
         drift[key] = max(
             abs(b - a) / max(1.0, abs(b)) for a, b in zip(window, window[1:])
         )

@@ -21,9 +21,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, NamedTuple
 
-DEFAULT_CREDIT_LIMIT = math.inf
-
-
 class Agent(Enum):
     LAB = "Lab"
     RES = "Res"
@@ -388,8 +385,7 @@ def post_booking(state: LedgerState, booking: Booking) -> LedgerState:
     return state
 
 
-@dataclass(frozen=True)
-class Invariances:
+class Invariances(NamedTuple):
     """The six cross-system equalities that a consistent state keeps at zero."""
 
     lab_bank: float
@@ -400,17 +396,10 @@ class Invariances:
     macro: float
 
     def as_tuple(self) -> tuple[float, float, float, float, float, float]:
-        return (
-            self.lab_bank,
-            self.res_bank,
-            self.cap_bank,
-            self.com_bank,
-            self.com_loan,
-            self.macro,
-        )
+        return tuple(self)
 
     def max_abs(self) -> float:
-        return max(abs(v) for v in self.as_tuple())
+        return max(map(abs, self))
 
 
 def invariances(state: LedgerState) -> Invariances:
@@ -429,13 +418,6 @@ def invariances(state: LedgerState) -> Invariances:
     com = com_bank - bank_com_bank
     loan = bank_com_loan - com_loan
     return Invariances(lab, res, cap, com, loan, lab + res + cap + com + loan)
-
-
-def investment_validation(
-    investment: float, capacity: float, credit_limit: float = DEFAULT_CREDIT_LIMIT
-) -> int:
-    """1 iff the requested investment fits the company's capacity plus credit."""
-    return 1 if investment <= capacity + credit_limit else 0
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+from array import array
 
 import pytest
 
@@ -93,10 +94,9 @@ class TestCmdRun:
 
         def tampered(params, horizon=None, engine=EngineKind.RECURSIVE):
             trace = real_run(params, horizon=horizon, engine=engine)
-            bad = dataclasses.replace(
-                trace.rows[-1], invariances=Invariances(1e-6, 0, 0, 0, 0, 1e-6)
-            )
-            return dataclasses.replace(trace, rows=trace.rows[:-1] + (bad,))
+            cells = array("d", trace.cells)
+            cells[-len(Invariances._fields) :] = array("d", Invariances(1e-6, 0, 0, 0, 0, 1e-6))
+            return dataclasses.replace(trace, cells=cells)
 
         monkeypatch.setattr(cli, "run", tampered)
         assert main(["run", "--horizon", "3"]) == EXIT_INVARIANCE
@@ -125,8 +125,9 @@ class TestCmdRun:
 
 
 class TestCmdCompare:
-    def test_engines_agree(self):
+    def test_engines_agree(self, capsys):
         assert main(["compare", "--horizon", "20"]) == EXIT_OK
+        assert capsys.readouterr().out == "max divergence: 0.000e+00\n"
 
     def test_injected_divergence_exits_3(self, monkeypatch, capsys):
         real_run = run
@@ -134,12 +135,9 @@ class TestCmdCompare:
         def skewed(params, horizon=None, engine=EngineKind.RECURSIVE):
             trace = real_run(params, horizon=horizon, engine=EngineKind.RECURSIVE)
             if engine is EngineKind.CATEGORICAL:
-                row = trace.rows[-1]
-                metrics = dataclasses.replace(
-                    row.metrics, investment=row.metrics.investment + 1.0
-                )
-                rows = trace.rows[:-1] + (dataclasses.replace(row, metrics=metrics),)
-                trace = dataclasses.replace(trace, rows=rows)
+                cells = array("d", trace.cells)
+                cells[TRACE_COLUMNS.index("Investment") - len(TRACE_COLUMNS)] += 1.0
+                trace = dataclasses.replace(trace, cells=cells)
             return trace
 
         monkeypatch.setattr(cli, "run", skewed)
@@ -155,12 +153,45 @@ class TestCmdCompare:
         def truncated(params, horizon=None, engine=EngineKind.RECURSIVE):
             trace = real_run(params, horizon=horizon, engine=engine)
             if engine is EngineKind.CATEGORICAL:
-                trace = dataclasses.replace(trace, rows=trace.rows[:-1])
+                trace = dataclasses.replace(trace, cells=trace.cells[: -len(TRACE_COLUMNS)])
             return trace
 
         monkeypatch.setattr(cli, "run", truncated)
         assert main(["compare", "--horizon", "3"]) == EXIT_DIVERGENCE
         assert "diverge" in capsys.readouterr().err
+
+    def test_negative_zero_cell_exits_3_naming_it(self, monkeypatch, capsys):
+        # the engines must agree bit for bit: -0.0 == 0.0, but its bits differ
+        real_run = run
+
+        def signed(params, horizon=None, engine=EngineKind.RECURSIVE):
+            trace = real_run(params, horizon=horizon, engine=EngineKind.RECURSIVE)
+            if engine is EngineKind.CATEGORICAL:
+                cells = array("d", trace.cells)
+                assert cells[-1] == 0.0
+                cells[-1] = -0.0
+                trace = dataclasses.replace(trace, cells=cells)
+            return trace
+
+        monkeypatch.setattr(cli, "run", signed)
+        assert main(["compare", "--horizon", "3"]) == EXIT_DIVERGENCE
+        captured = capsys.readouterr()
+        assert "period 3, column I_Mac: 0.0 recursive, -0.0 categorical" in captured.out
+        assert "max divergence" not in captured.out
+        assert "diverge" in captured.err
+
+    @pytest.mark.parametrize("engine", ["recursive", "categorical"])
+    def test_zero_good_price_is_a_rejection(self, capsys, engine):
+        # alpha=1e308 overflows the output to inf, so plan / output is 0.0
+        argv = ["run", "--set", "alpha=1e308", "--horizon", "5", "--engine", engine]
+        assert main(argv) == EXIT_CONFIG
+        lines = [line.strip() for line in capsys.readouterr().err.splitlines()]
+        assert lines == [
+            "run failed: period 3, good price is zero: the goods sales cannot be priced",
+            "GoodPrice=0.0",
+        ]
+        assert main(["compare", "--set", "alpha=1e308", "--horizon", "5"]) == EXIT_CONFIG
+        assert "compare failed: period 3, good price is zero" in capsys.readouterr().err
 
     def test_non_finite_cell_exits_1(self, capsys):
         # both traces hold GoodPrice = inf, and abs(inf - inf) is nan
@@ -229,6 +260,16 @@ class TestCmdSweep:
             "[insufficient-balance:AccComBank insufficient-balance:AccBankComBank],"
         )
 
+    def test_zero_good_price_marks_only_its_row(self, capsys):
+        argv = ["sweep", "--param", "alpha", "--values", "0.42,1e308", "--horizon", "25"]
+        assert main(argv) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1].startswith("alpha,0.42,ok,")
+        assert lines[2].startswith(
+            "alpha,1e308,error: period 3: good price is zero: the goods sales cannot be "
+            "priced [GoodPrice=0.0],"
+        )
+
     def test_unknown_parameter(self, capsys):
         assert main(["sweep", "--param", "nope", "--values", "1"]) == EXIT_CONFIG
 
@@ -270,6 +311,19 @@ class TestCmdPlot:
         empty.write_text("")
         assert main(["plot", str(empty)]) == EXIT_CONFIG
         assert "parse" in capsys.readouterr().err
+
+    def test_short_row_is_refused_by_its_line(self, tmp_path, capsys):
+        trace_path = tmp_path / "short.csv"
+        main(["run", "--horizon", "3", "--out", str(trace_path)])
+        lines = trace_path.read_bytes().split(b"\r\n")
+        lines[-2] = lines[-2].rsplit(b",", 1)[0]  # drop the last row's I_Mac
+        trace_path.write_bytes(b"\r\n".join(lines))
+        number = trace_path.read_bytes().count(b"\n")  # the last row's line is the file's last
+        assert main(["plot", str(trace_path), "--outdir", str(tmp_path / "panels")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("cannot parse trace: ")
+        assert f"line {number}: 43 cells where the header has 44" in err
+        assert not (tmp_path / "panels").exists()
 
     def test_two_period_trace_gives_three_points(self, tmp_path):
         trace_path = tmp_path / "short.csv"

@@ -10,11 +10,11 @@ from enum import Enum
 
 import pytest
 
-from catledger.decisions import Parameters
+from catledger.decisions import Parameters, PeriodMetrics
 from catledger.evolution import (
+    TRACE_COLUMNS,
     EngineConsistencyError,
     EngineKind,
-    Trace,
     TraceRow,
     apply_via_pushout,
     build_economy_category,
@@ -38,6 +38,7 @@ from catledger.ledger import (
 )
 
 ENGINES = [EngineKind.RECURSIVE, EngineKind.CATEGORICAL]
+WIDTH = len(TRACE_COLUMNS)
 
 
 @pytest.fixture(scope="module")
@@ -122,6 +123,19 @@ class TestDegenerateStates:
             run(Parameters(tau=1, horizon=5), engine=engine)
         assert err.value.period == 1
         assert str(err.value) == "booking 7 (Com repays Loan to Bank) rejected"
+
+
+def reachable(root) -> list:
+    """Every object reachable from `root` through gc referents, types and enum members aside."""
+    seen, stack, found = set(), [root], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, Enum)):
+            continue
+        seen.add(id(obj))
+        found.append(obj)
+        stack.extend(gc.get_referents(obj))
+    return found
 
 
 def invariant_tuple(state):
@@ -319,6 +333,19 @@ class TestCategoricalInternals:
         with pytest.raises(EngineConsistencyError) as err:
             verify_time_step(cat, eta, old, new)
         assert any("AccComBank" in f for f in err.value.failures)
+        step.morphism_by_id(victim).weight = float("nan")
+        with pytest.raises(EngineConsistencyError) as err:
+            verify_time_step(cat, eta, old, new)
+        assert any("AccComBank" in f for f in err.value.failures)
+
+    def test_nan_net_flow_passes_the_laws(self):
+        # an account at inf in both snapshots has the net flow inf - inf = nan
+        cat = build_economy_category(init_ledger())
+        old = {name: cat.amount(name) for name in ACCOUNT_NAMES}
+        old["AccComGood"] = float("inf")
+        new = dict(old)
+        _, _, _, eta = build_time_step(cat, old, new)
+        verify_time_step(cat, eta, old, new)
 
     def test_mistyped_component_is_caught(self):
         ledger = init_ledger()
@@ -344,25 +371,27 @@ class TestStability:
             stability_report(short)
 
     def test_constant_trace_has_zero_drift(self, default_run):
-        frozen_row = default_run.rows[-1]
-        rows = tuple(
-            dataclasses.replace(frozen_row, period=i) for i in range(25)
-        )
-        constant = Trace(default_run.params, default_run.engine, rows, ((),) * 25)
+        frozen_row = default_run.cells[-WIDTH:]
+        cells = array("d")
+        for i in range(25):
+            cells.append(i)
+            cells.extend(frozen_row[1:])
+        constant = dataclasses.replace(default_run, cells=cells)
         report = stability_report(constant)
         assert report.max_drift() == 0.0
 
     def test_doubling_series_is_unbounded(self, default_run):
-        rows = []
+        rows = len(default_run.cells) // WIDTH
+        cells = array("d")
         for i in range(25):
-            base = default_run.rows[min(i, len(default_run.rows) - 1)]
-            metrics = dataclasses.replace(base.metrics, good_price=float(2.0 ** (i + 10)))
-            accounts = dict(base.accounts)
-            accounts["AccComBank"] = float(2.0 ** (i + 40))
-            rows.append(
-                TraceRow(i, metrics, accounts, Invariances(0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
-            )
-        diverging = Trace(default_run.params, default_run.engine, tuple(rows), ((),) * 25)
+            start = min(i, rows - 1) * WIDTH
+            row = default_run.cells[start : start + WIDTH]
+            row[0] = i
+            row[TRACE_COLUMNS.index("GoodPrice")] = float(2.0 ** (i + 10))
+            row[TRACE_COLUMNS.index("AccComBank")] = float(2.0 ** (i + 40))
+            row[-len(Invariances._fields) :] = array("d", Invariances(0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
+            cells.extend(row)
+        diverging = dataclasses.replace(default_run, cells=cells)
         report = stability_report(diverging)
         assert not report.bounded
         assert report.drift["GoodPrice"] > 0.1
@@ -391,17 +420,14 @@ class TestBookingLog:
 
     def test_a_run_keeps_no_booking_alive(self):
         trace = run(Parameters(), horizon=100)
-        seen, stack, kinds = set(), [trace], set()
-        while stack:
-            obj = stack.pop()
-            if id(obj) in seen or isinstance(obj, (type, Enum)):
-                continue
-            seen.add(id(obj))
-            kinds.add(type(obj))
-            stack.extend(gc.get_referents(obj))
-        assert TraceRow in kinds
-        assert not kinds & {Booking, BookingLeg, Channel}
+        kinds = {type(obj) for obj in reachable(trace)}
+        assert array in kinds
+        assert not kinds & {Booking, BookingLeg, Channel, TraceRow, PeriodMetrics, Invariances}
         assert len(trace.bookings[100]) == 8
+
+    def test_a_trace_holds_no_object_per_period(self):
+        short, long = (run(Parameters(), horizon=horizon) for horizon in (10, 100))
+        assert len(reachable(short)) == len(reachable(long))
 
     def test_input_state_is_never_mutated(self):
         state = initial_state(Parameters())

@@ -28,7 +28,6 @@ from catledger.ledger import (
     conservation_status,
     init_ledger,
     invariances,
-    investment_validation,
     is_debit,
     leg_statuses,
     make_dividend,
@@ -164,17 +163,6 @@ class TestInvariances:
         assert checks.res_bank == -1.0
         assert checks.macro == -1.0
         assert checks.lab_bank == 0.0
-
-
-class TestInvestmentValidation:
-    def test_unbounded_credit(self):
-        assert investment_validation(260.0, 0.0) == 1
-
-    def test_boundary_equality(self):
-        assert investment_validation(10.0, 5.0, 5.0) == 1
-
-    def test_above_limit(self):
-        assert investment_validation(10.0, 5.0, 4.0) == 0
 
 
 class TestQuadrupleEntry:
