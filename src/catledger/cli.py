@@ -267,19 +267,24 @@ def _report_rejection(command: str, exc: LedgerError) -> None:
         print(f"  {diagnostic}", file=sys.stderr)
 
 
+def _non_finite_cell(trace: Trace) -> str | None:
+    """Where the trace's first inf or nan cell is, as 'period P, column C is not finite'."""
+    if math.isfinite(sum(trace.cells)):  # only a sum of finite cells can be finite
+        return None
+    for index, value in enumerate(trace.cells):
+        if not math.isfinite(value):
+            period, column = divmod(index, len(TRACE_COLUMNS))
+            return f"period {period}, column {TRACE_COLUMNS[column]} is not finite"
+    return None
+
+
 def _report_non_finite(command: str, *traces: Trace) -> bool:
     """Print the first cell that is inf or nan in any of the traces; True if one was."""
-    width = len(TRACE_COLUMNS)
     for trace in traces:
-        for index, value in enumerate(trace.cells):
-            if not math.isfinite(value):
-                period, column = divmod(index, width)
-                print(
-                    f"{command} failed: period {period}, "
-                    f"column {TRACE_COLUMNS[column]} is not finite",
-                    file=sys.stderr,
-                )
-                return True
+        where = _non_finite_cell(trace)
+        if where is not None:
+            print(f"{command} failed: {where}", file=sys.stderr)
+            return True
     return False
 
 
@@ -346,6 +351,10 @@ def _sweep_one(config: RunConfig, key: str, raw: str) -> dict[str, str]:
         apply_setting(local, key, raw)
         local.params.validate()
         trace = run(local.params, engine=local.engine)
+        where = _non_finite_cell(trace)
+        if where is not None:
+            summary.update(status=f"error: {where}")
+            return summary
         report = stability_report(trace)
         summary.update(
             status="ok",

@@ -72,7 +72,6 @@ from .ledger import (
     ACCOUNT_INDEX,
     ACCOUNT_NAMES,
     ACCOUNT_SPECS,
-    Agent,
     Booking,
     Direction,
     Invariances,
@@ -82,13 +81,8 @@ from .ledger import (
     checked_balance,
     init_ledger,
     invariances,
-    make_dividend,
-    make_goods_sale,
-    make_loan,
-    make_repayment,
-    make_resource_purchase,
-    make_wage_payment,
-    post_booking,
+    make_booking,
+    post_amounts,
     scan_booking,
 )
 
@@ -125,17 +119,24 @@ def initial_state(params: Parameters) -> SimulationState:
     )
 
 
+def period_amounts(m: PeriodMetrics, p: Parameters) -> tuple[tuple[int, tuple[float, ...]], ...]:
+    """The eight bookings of a period as (booking id, amounts), in posting order."""
+    return (
+        (2, (m.consum_lab, m.consum_lab / m.good_price)),
+        (4, (m.consum_res, m.consum_res / m.good_price)),
+        (8, (m.consum_cap, m.consum_cap / m.good_price)),
+        (5, (m.investment,)),
+        (3, (m.investment_res, m.investment_res / p.p_r)),
+        (1, (m.wages_payment, m.wages_payment / p.p_l)),
+        (7, (m.repays_payment,)),
+        (6, (m.dividend_payment, m.dividend_decision)),
+    )
+
+
 def period_bookings(m: PeriodMetrics, p: Parameters) -> tuple[Booking, ...]:
     """The eight bookings of a period, in posting order, built from its decisions."""
-    return (
-        make_goods_sale(Agent.LAB, m.consum_lab, m.consum_lab / m.good_price),
-        make_goods_sale(Agent.RES, m.consum_res, m.consum_res / m.good_price),
-        make_goods_sale(Agent.CAP, m.consum_cap, m.consum_cap / m.good_price),
-        make_loan(m.investment),
-        make_resource_purchase(m.investment_res, m.investment_res / p.p_r),
-        make_wage_payment(m.wages_payment, m.wages_payment / p.p_l),
-        make_repayment(m.repays_payment),
-        make_dividend(m.dividend_payment, m.dividend_decision),
+    return tuple(
+        [make_booking(booking_id, *amounts) for booking_id, amounts in period_amounts(m, p)]
     )
 
 
@@ -231,14 +232,15 @@ class BookingLog(Sequence):
 
 def _period_cycle(
     state: SimulationState, book: _RecursiveBook | _CategoricalBook
-) -> tuple[SimulationState, PeriodMetrics, tuple[Booking, ...]]:
+) -> tuple[SimulationState, PeriodMetrics]:
     """One period in the canonical order of the module docstring.
 
     Steps 9 and 14 read no balance a booking moves, so they are decided
-    first and `period_bookings` builds all eight bookings, posted in order.
+    first and `period_amounts` gives all eight bookings, posted in order.
     The engine's `book` holds the balances: `get` and `put` read and write
     an account's balance by name (`put` refuses a negative one), `post`
-    gates and applies a booking, and `close` ends the period.
+    gates and applies a booking given by its id and amounts, and `close`
+    ends the period.
     """
     p = state.params
     get, put, post = book.get, book.put, book.post
@@ -307,15 +309,10 @@ def _period_cycle(
         dividend_decision=declared,
         dividend_payment=paid,
     )
-    executed = period_bookings(metrics, p)
 
-    # 8. goods sales
-    for booking in executed[:3]:
-        post(booking)
-
-    # 10. loan creation; 11-14. factor purchases, repayment, dividend
-    for booking in executed[3:]:
-        post(booking)
+    # 8. goods sales; 10. loan creation; 11-14. factor purchases, repayment, dividend
+    for booking_id, amounts in period_amounts(metrics, p):
+        post(booking_id, amounts)
 
     ledger = book.close()
 
@@ -325,7 +322,7 @@ def _period_cycle(
         repay=memory_push(state.memory.repay, installment),
     )
     new_state = SimulationState(ledger, memory, declared, state.period + 1, p)
-    return new_state, metrics, executed
+    return new_state, metrics
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +345,8 @@ class _RecursiveBook:
     def put(self, name: str, value: float) -> None:
         self.values[ACCOUNT_INDEX[name]] = checked_balance(name, value)
 
-    def post(self, booking: Booking) -> None:
-        post_booking(self.ledger, booking)
+    def post(self, booking_id: int, amounts: tuple[float, ...]) -> None:
+        post_amounts(self.ledger, booking_id, amounts)
 
     def close(self) -> LedgerState:
         return self.ledger
@@ -565,7 +562,8 @@ class _CategoricalBook:
     def put(self, name: str, value: float) -> None:
         self.cat.update_object(name, checked_balance(name, value))
 
-    def post(self, booking: Booking) -> None:
+    def post(self, booking_id: int, amounts: tuple[float, ...]) -> None:
+        booking = make_booking(booking_id, *amounts)
         cat = self.cat
         balances = {leg.account: cat.amount(leg.account) for leg in booking.legs}
         ok, diagnostics = validate_via_pullback(balances, booking)
@@ -603,8 +601,12 @@ def _engine_kind(engine: EngineKind | str) -> EngineKind:
 
 def period_step(
     state: SimulationState, engine: EngineKind | str = EngineKind.RECURSIVE
-) -> tuple[SimulationState, PeriodMetrics, tuple[Booking, ...]]:
-    """Execute one period under `state.params`; atomic, the input state is never touched."""
+) -> tuple[SimulationState, PeriodMetrics]:
+    """Execute one period under `state.params`; atomic, the input state is never touched.
+
+    Returns the next state and the period's metrics; `period_bookings(metrics,
+    state.params)` rebuilds the bookings it posted.
+    """
     book = _BOOKS.get(engine)
     if book is None:
         book = _BOOKS[_engine_kind(engine)]
@@ -632,7 +634,7 @@ def run(
     for period in range(span + 1):
         opening, checks = state.ledger.values, invariances(state.ledger)
         try:
-            state, metrics, _ = period_step(state, engine)
+            state, metrics = period_step(state, engine)
         except ValidationFailure as exc:
             exc.period = period
             raise

@@ -171,9 +171,8 @@ def is_debit(kind: AccountKind, direction: Direction) -> bool:
 
 
 # Enum members bound to module names: a global read is cheaper than the
-# attribute read on the enum class, in the leg checks and the builders.
-_IN, _OUT = Direction.INFLOW, Direction.OUTFLOW
-_EU, _HOURS, _KG, _GOOD = Unit.EU, Unit.HOURS, Unit.KG, Unit.GOOD
+# attribute read on the enum class, in the leg checks.
+_IN, _OUT, _EU = Direction.INFLOW, Direction.OUTFLOW, Unit.EU
 
 
 # What the leg checks read of an account: its unit, the direction that debits
@@ -343,43 +342,16 @@ def validate_booking(state: LedgerState, booking: Booking) -> tuple[bool, list[s
 def post_booking(state: LedgerState, booking: Booking) -> LedgerState:
     """Apply a booking in place after full validation; atomic on failure.
 
-    A booking of a compiled shape (see `_compile_shape`) posts straight onto
-    the list while each leg matches the shape, carries its slot's amount `a`
-    with `0.0 <= a < inf` and leaves its balance `>= 0`: `scan_booking`
-    would pass it with the same `+` and `-`.  Any other booking, or one
-    whose leg breaks a condition (the list is then restored), goes through
-    `scan_booking`, which names every failed check.
+    `scan_booking` checks every leg and the conservation; a rejection
+    names every failed check and leaves the ledger untouched.
     """
-    booking_id, _, legs, _ = booking
-    shape = _SHAPES.get(booking_id)
-    values = state.values
-    if shape is not None and len(legs) == len(shape):
-        opening = values[:]
-        for (account, direction, amount, unit), (
-            shape_account, shape_direction, shape_unit, index, inflow, slot
-        ) in zip(legs, shape):
-            if (
-                account != shape_account
-                or direction is not shape_direction
-                or unit is not shape_unit
-                or not 0.0 <= amount < _INF
-                or amount != legs[slot][2]
-            ):
-                break
-            new = values[index] + amount if inflow else values[index] - amount
-            if not new >= 0.0:
-                break
-            values[index] = new
-        else:
-            return state
-        values[:] = opening
-
     statuses, verdict, closing = scan_booking(_opening_balances(state, booking), booking)
     if verdict != "ok" or statuses.count("ok") != len(statuses):
         raise ValidationFailure(
             f"booking {booking.id} ({booking.description}) rejected",
             booking_diagnostics(statuses, verdict),
         )
+    values = state.values
     for name, value in closing.items():
         values[ACCOUNT_INDEX[name]] = value
     return state
@@ -421,185 +393,175 @@ def invariances(state: LedgerState) -> Invariances:
 
 
 # ---------------------------------------------------------------------------
-# Builders for the 8 canonical bookings.  Leg order inside each booking is
-# fixed; both engines rely on it for bit-identical balance arithmetic.
+# The eight canonical bookings.  Leg order inside each booking is fixed; both
+# engines rely on it for bit-identical balance arithmetic.
 # ---------------------------------------------------------------------------
 
-# The builders make their tuples with `tuple.__new__`, which is all the
-# NamedTuples' generated `__new__` does; calling it directly saves a Python
-# frame per value.
-_new = tuple.__new__
+# A booking's description, its legs in posting order as (account, direction,
+# amount slot), and its value channels as (source leg, target leg, label).  A
+# leg's unit is its account's; a channel carries the amount and unit of the
+# legs it joins.  `make_booking(id, *amounts)` fills slot i with amounts[i].
+BookingEntry = tuple[str, tuple[tuple[str, Direction, int], ...], tuple[tuple[int, int, str], ...]]
 
-# consumer -> (booking id, description, bank account, goods account, bank mirror)
-_GOODS_SALES = {
-    Agent.LAB: (2, "Lab buys Good from Com", "AccLabBank", "AccLabGood", "AccBankLabBank"),
-    Agent.RES: (4, "Res buys Good from Com", "AccResBank", "AccResGood", "AccBankResBank"),
-    Agent.CAP: (8, "Cap buys Good from Com", "AccCapBank", "AccCapGood", "AccBankCapBank"),
+BOOKINGS: dict[int, BookingEntry] = {
+    # slots: wages, hours
+    1: ("Lab sells Lab to Com", (
+        ("AccComBank", _OUT, 0), ("AccLabBank", _IN, 0),
+        ("AccBankComBank", _OUT, 0), ("AccBankLabBank", _IN, 0),
+        ("AccLabLab", _OUT, 1), ("AccComLab", _IN, 1),
+    ), ((0, 1, "wages"), (2, 3, "deposit transfer"), (4, 5, "labor delivery"))),
+    # slots: spend, quantity of goods
+    2: ("Lab buys Good from Com", (
+        ("AccLabBank", _OUT, 0), ("AccComBank", _IN, 0),
+        ("AccBankLabBank", _OUT, 0), ("AccBankComBank", _IN, 0),
+        ("AccComGood", _OUT, 1), ("AccLabGood", _IN, 1),
+    ), ((0, 1, "payment"), (2, 3, "deposit transfer"), (4, 5, "delivery"))),
+    # slots: spend, kilograms (delivered immediately)
+    3: ("Res sells Res to Com", (
+        ("AccComBank", _OUT, 0), ("AccResBank", _IN, 0),
+        ("AccBankComBank", _OUT, 0), ("AccBankResBank", _IN, 0),
+        ("AccResRes", _OUT, 1), ("AccComRes", _IN, 1),
+    ), ((0, 1, "payment"), (2, 3, "deposit transfer"), (4, 5, "resource delivery"))),
+    # slots: spend, quantity of goods
+    4: ("Res buys Good from Com", (
+        ("AccResBank", _OUT, 0), ("AccComBank", _IN, 0),
+        ("AccBankResBank", _OUT, 0), ("AccBankComBank", _IN, 0),
+        ("AccComGood", _OUT, 1), ("AccResGood", _IN, 1),
+    ), ((0, 1, "payment"), (2, 3, "deposit transfer"), (4, 5, "delivery"))),
+    # slot: the new loan; every leg grows, funded by the new debt
+    5: ("Com gets Loan from Bank", (
+        ("AccComBank", _IN, 0), ("AccComLoan", _IN, 0),
+        ("AccBankComLoan", _IN, 0), ("AccBankComBank", _IN, 0),
+    ), ((1, 0, "loan draw"), (3, 2, "loan creation"))),
+    # slots: the dividend paid (last period's declaration) and the one declared
+    # now; after posting both dividend accounts hold the declared-but-unpaid one
+    6: ("Com pays Div to Cap", (
+        ("AccComBank", _OUT, 0), ("AccCapBank", _IN, 0),
+        ("AccBankComBank", _OUT, 0), ("AccBankCapBank", _IN, 0),
+        ("AccCapDiv", _OUT, 0), ("AccComDiv", _OUT, 0),
+        ("AccComDiv", _IN, 1), ("AccCapDiv", _IN, 1),
+    ), ((0, 1, "dividend payment"), (2, 3, "deposit transfer"),
+        (5, 4, "dividend settled"), (6, 7, "dividend declared"))),
+    # slot: the installments due; both systems shrink by them
+    7: ("Com repays Loan to Bank", (
+        ("AccComBank", _OUT, 0), ("AccComLoan", _OUT, 0),
+        ("AccBankComLoan", _OUT, 0), ("AccBankComBank", _OUT, 0),
+    ), ((0, 1, "repayment"), (2, 3, "loan deletion"))),
+    # slots: spend, quantity of goods
+    8: ("Cap buys Good from Com", (
+        ("AccCapBank", _OUT, 0), ("AccComBank", _IN, 0),
+        ("AccBankCapBank", _OUT, 0), ("AccBankComBank", _IN, 0),
+        ("AccComGood", _OUT, 1), ("AccCapGood", _IN, 1),
+    ), ((0, 1, "payment"), (2, 3, "deposit transfer"), (4, 5, "delivery"))),
 }
 
 
-def make_goods_sale(consumer: Agent, spend: float, quantity: float) -> Booking:
-    """Bookings 2/4/8: a consumer pays `spend` EU via bank for `quantity` goods."""
-    booking_id, description, bank_acct, good_acct, mirror = _GOODS_SALES[consumer]
-    legs = (
-        _new(BookingLeg, (bank_acct, _OUT, spend, _EU)),
-        _new(BookingLeg, ("AccComBank", _IN, spend, _EU)),
-        _new(BookingLeg, (mirror, _OUT, spend, _EU)),
-        _new(BookingLeg, ("AccBankComBank", _IN, spend, _EU)),
-        _new(BookingLeg, ("AccComGood", _OUT, quantity, _GOOD)),
-        _new(BookingLeg, (good_acct, _IN, quantity, _GOOD)),
-    )
-    channels = (
-        _new(Channel, (bank_acct, "AccComBank", spend, _EU, "payment")),
-        _new(Channel, (mirror, "AccBankComBank", spend, _EU, "deposit transfer")),
-        _new(Channel, ("AccComGood", good_acct, quantity, _GOOD, "delivery")),
+def _unproved(legs: tuple[tuple[str, Direction, int], ...], channels: tuple) -> str | None:
+    """Why the conservation proof does not cover a booking, or None when it does."""
+    debits: list[int] = []
+    credits: list[int] = []
+    real: dict[str, tuple[list[int], list[int]]] = {}  # unit -> inflow slots, outflow slots
+    for account, direction, slot in legs:
+        spec = SPEC_BY_NAME.get(account)
+        if spec is None:
+            return f"unknown account {account!r}"
+        if spec.unit is _EU:
+            (debits if is_debit(spec.kind, direction) else credits).append(slot)
+        else:
+            real.setdefault(spec.unit.value, ([], []))[direction is _OUT].append(slot)
+    if debits != credits:
+        return f"EU debit slots {debits} != credit slots {credits}"
+    for unit, (inflows, outflows) in real.items():
+        if len(inflows) != 1 or inflows != outflows:
+            return f"{unit} inflow slots {inflows}, outflow slots {outflows}"
+    if sorted(end for src, dst, _ in channels for end in (src, dst)) != list(range(len(legs))):
+        return "the channels do not join each leg exactly once"
+    if any(legs[src][2] != legs[dst][2] for src, dst, _ in channels):
+        return "a channel joins legs of two slots"
+    return None
+
+
+def compile_booking_table(table: Mapping[int, BookingEntry]) -> dict[int, tuple]:
+    """Each booking of `table` compiled, once the table proves it conserves value.
+
+    Raises ValueError naming the first booking the proof does not cover.
+    Conservation is proved once per booking (Ellerman, "The Mathematics of
+    Double Entry Bookkeeping", 1985) for amounts `0.0 <= a < inf`: the EU
+    debit legs' slots equal the credit legs' slots in leg order, so
+    `scan_booking` adds equal values in the same order on both sides; and
+    each real unit has one inflow and one outflow leg of one slot, so it
+    nets to `q - q` or `-q + q`, exactly 0.0.  Each channel must join two
+    legs of one slot, and the channels must join every leg exactly once.
+
+    A booking compiles to its description, its number of slots, its legs and
+    channels with their units for `make_booking`, and per leg the list
+    index, whether it is an inflow, and the slot, for `post_amounts`.
+    """
+    compiled = {}
+    for booking_id, (description, legs, channels) in table.items():
+        problem = _unproved(legs, channels)
+        if problem is not None:
+            raise ValueError(f"booking {booking_id}: {problem}")
+        units = [SPEC_BY_NAME[account].unit for account, _, _ in legs]
+        compiled[booking_id] = (
+            description,
+            1 + max((slot for _, _, slot in legs), default=-1),
+            tuple((*leg, unit) for leg, unit in zip(legs, units)),
+            tuple(
+                (legs[src][0], legs[dst][0], legs[src][2], units[src], label)
+                for src, dst, label in channels
+            ),
+            tuple((ACCOUNT_INDEX[account], way is _IN, slot) for account, way, slot in legs),
+        )
+    return compiled
+
+
+_COMPILED = compile_booking_table(BOOKINGS)
+
+# `make_booking` makes its tuples with `tuple.__new__`, which is all the
+# NamedTuples' generated `__new__` does; calling it directly saves a Python
+# frame per value.
+_new = tuple.__new__
+_INF = math.inf
+
+
+def make_booking(booking_id: int, *amounts: float) -> Booking:
+    """Booking `booking_id` of `BOOKINGS`, slot i of its legs and channels carrying amounts[i]."""
+    if booking_id not in _COMPILED:
+        raise ValueError(f"unknown booking {booking_id!r}")
+    description, arity, legs, channels, _ = _COMPILED[booking_id]
+    if len(amounts) != arity:
+        raise TypeError(f"booking {booking_id} takes {arity} amounts, got {len(amounts)}")
+    legs = tuple([_new(BookingLeg, (acct, way, amounts[s], unit)) for acct, way, s, unit in legs])
+    channels = tuple(
+        [_new(Channel, (src, dst, amounts[s], u, label)) for src, dst, s, u, label in channels]
     )
     return _new(Booking, (booking_id, description, legs, channels))
 
 
-def make_wage_payment(wages: float, hours: float) -> Booking:
-    """Booking 1: Com pays due wages, Lab delivers the contracted hours."""
-    legs = (
-        _new(BookingLeg, ("AccComBank", _OUT, wages, _EU)),
-        _new(BookingLeg, ("AccLabBank", _IN, wages, _EU)),
-        _new(BookingLeg, ("AccBankComBank", _OUT, wages, _EU)),
-        _new(BookingLeg, ("AccBankLabBank", _IN, wages, _EU)),
-        _new(BookingLeg, ("AccLabLab", _OUT, hours, _HOURS)),
-        _new(BookingLeg, ("AccComLab", _IN, hours, _HOURS)),
-    )
-    channels = (
-        _new(Channel, ("AccComBank", "AccLabBank", wages, _EU, "wages")),
-        _new(Channel, ("AccBankComBank", "AccBankLabBank", wages, _EU, "deposit transfer")),
-        _new(Channel, ("AccLabLab", "AccComLab", hours, _HOURS, "labor delivery")),
-    )
-    return _new(Booking, (1, "Lab sells Lab to Com", legs, channels))
+def post_amounts(state: LedgerState, booking_id: int, amounts: tuple[float, ...]) -> LedgerState:
+    """Post `make_booking(booking_id, *amounts)` in place; atomic on failure.
 
-
-def make_resource_purchase(spend: float, kilograms: float) -> Booking:
-    """Booking 3: Com pays for resources, delivered immediately."""
-    legs = (
-        _new(BookingLeg, ("AccComBank", _OUT, spend, _EU)),
-        _new(BookingLeg, ("AccResBank", _IN, spend, _EU)),
-        _new(BookingLeg, ("AccBankComBank", _OUT, spend, _EU)),
-        _new(BookingLeg, ("AccBankResBank", _IN, spend, _EU)),
-        _new(BookingLeg, ("AccResRes", _OUT, kilograms, _KG)),
-        _new(BookingLeg, ("AccComRes", _IN, kilograms, _KG)),
-    )
-    channels = (
-        _new(Channel, ("AccComBank", "AccResBank", spend, _EU, "payment")),
-        _new(Channel, ("AccBankComBank", "AccBankResBank", spend, _EU, "deposit transfer")),
-        _new(Channel, ("AccResRes", "AccComRes", kilograms, _KG, "resource delivery")),
-    )
-    return _new(Booking, (3, "Res sells Res to Com", legs, channels))
-
-
-def make_loan(amount: float) -> Booking:
-    """Booking 5: loan creation; every leg grows, funded by the new debt."""
-    legs = (
-        _new(BookingLeg, ("AccComBank", _IN, amount, _EU)),
-        _new(BookingLeg, ("AccComLoan", _IN, amount, _EU)),
-        _new(BookingLeg, ("AccBankComLoan", _IN, amount, _EU)),
-        _new(BookingLeg, ("AccBankComBank", _IN, amount, _EU)),
-    )
-    channels = (
-        _new(Channel, ("AccComLoan", "AccComBank", amount, _EU, "loan draw")),
-        _new(Channel, ("AccBankComBank", "AccBankComLoan", amount, _EU, "loan creation")),
-    )
-    return _new(Booking, (5, "Com gets Loan from Bank", legs, channels))
-
-
-def make_repayment(amount: float) -> Booking:
-    """Booking 7: loan repayment; both systems shrink by the installments."""
-    legs = (
-        _new(BookingLeg, ("AccComBank", _OUT, amount, _EU)),
-        _new(BookingLeg, ("AccComLoan", _OUT, amount, _EU)),
-        _new(BookingLeg, ("AccBankComLoan", _OUT, amount, _EU)),
-        _new(BookingLeg, ("AccBankComBank", _OUT, amount, _EU)),
-    )
-    channels = (
-        _new(Channel, ("AccComBank", "AccComLoan", amount, _EU, "repayment")),
-        _new(Channel, ("AccBankComLoan", "AccBankComBank", amount, _EU, "loan deletion")),
-    )
-    return _new(Booking, (7, "Com repays Loan to Bank", legs, channels))
-
-
-def make_dividend(paid: float, declared: float) -> Booking:
-    """Booking 6: pay out last period's declared dividend, then declare anew.
-
-    Settlement clears both dividend accounts by the paid amount; the fresh
-    declaration books the newly decided amount into them, so after posting
-    they hold exactly the declared-but-unpaid dividend.
+    When every amount `a` has `0.0 <= a < inf` and every running balance
+    stays `>= 0` in leg order, the legs post straight from the booking's
+    compiled legs: `compile_booking_table` proved that `scan_booking` would
+    pass the booking with the same `+` and `-`.  Otherwise the list is
+    restored and the built booking goes through `post_booking`, which names
+    every failed check.
     """
-    legs = (
-        _new(BookingLeg, ("AccComBank", _OUT, paid, _EU)),
-        _new(BookingLeg, ("AccCapBank", _IN, paid, _EU)),
-        _new(BookingLeg, ("AccBankComBank", _OUT, paid, _EU)),
-        _new(BookingLeg, ("AccBankCapBank", _IN, paid, _EU)),
-        _new(BookingLeg, ("AccCapDiv", _OUT, paid, _EU)),
-        _new(BookingLeg, ("AccComDiv", _OUT, paid, _EU)),
-        _new(BookingLeg, ("AccComDiv", _IN, declared, _EU)),
-        _new(BookingLeg, ("AccCapDiv", _IN, declared, _EU)),
-    )
-    channels = (
-        _new(Channel, ("AccComBank", "AccCapBank", paid, _EU, "dividend payment")),
-        _new(Channel, ("AccBankComBank", "AccBankCapBank", paid, _EU, "deposit transfer")),
-        _new(Channel, ("AccComDiv", "AccCapDiv", paid, _EU, "dividend settled")),
-        _new(Channel, ("AccComDiv", "AccCapDiv", declared, _EU, "dividend declared")),
-    )
-    return _new(Booking, (6, "Com pays Div to Cap", legs, channels))
-
-
-# ---------------------------------------------------------------------------
-# The eight canonical shapes, compiled once from the builders above, so that
-# leg order has one source of truth.
-# ---------------------------------------------------------------------------
-
-_INF = math.inf
-_SENTINELS = (1.0, 2.0)  # distinct builder arguments: a leg's amount names its slot
-# per leg: account, direction, unit, list index, is-inflow, amount slot
-_Shape = tuple[tuple[str, Direction, Unit, int, bool, int], ...]
-
-
-def _compile_shape(booking: Booking) -> _Shape:
-    """A canonical booking's legs, each slot named by the first leg carrying it.
-
-    Conservation is proved here once per shape (Ellerman, "The Mathematics
-    of Double Entry Bookkeeping", 1985) for amounts `0.0 <= a < inf` equal
-    within each slot: the EU debit legs' slots equal the credit legs' slots
-    in leg order, so `scan_booking` adds equal values in the same order on
-    both sides; and each real unit has one inflow and one outflow leg of one
-    slot, so it nets to `q - q` or `-q + q`, exactly 0.0.
-    """
-    slots = [_SENTINELS.index(leg.amount) for leg in booking.legs]
-    first = [slots.index(slot) for slot in slots]
-    debits: list[int] = []
-    credits: list[int] = []
-    real: dict[Unit, tuple[list[int], list[int]]] = {}
-    for (account, direction, _, unit), slot in zip(booking.legs, first):
-        spec_unit, debit_direction, _ = _LEG_SPECS[account]
-        assert unit is spec_unit
-        if unit is _EU:
-            (debits if direction is debit_direction else credits).append(slot)
+    _, arity, _, _, legs = _COMPILED[booking_id]
+    values = state.values
+    if len(amounts) == arity:
+        opening = values[:]
+        for index, inflow, slot in legs:
+            amount = amounts[slot]
+            if not 0.0 <= amount < _INF:
+                break
+            new = values[index] + amount if inflow else values[index] - amount
+            if not new >= 0.0:
+                break
+            values[index] = new
         else:
-            inflows, outflows = real.setdefault(unit, ([], []))
-            (inflows if direction is _IN else outflows).append(slot)
-    assert debits == credits, booking.id
-    assert all(len(ins) == 1 and ins == outs for ins, outs in real.values()), booking.id
-    return tuple(
-        (account, direction, unit, ACCOUNT_INDEX[account], direction is _IN, slot)
-        for (account, direction, _, unit), slot in zip(booking.legs, first)
-    )
-
-
-_SHAPES: dict[int, _Shape] = {
-    booking.id: _compile_shape(booking)
-    for booking in (
-        make_wage_payment(*_SENTINELS),
-        *(make_goods_sale(agent, *_SENTINELS) for agent in _GOODS_SALES),
-        make_resource_purchase(*_SENTINELS),
-        make_loan(_SENTINELS[0]),
-        make_dividend(*_SENTINELS),
-        make_repayment(_SENTINELS[0]),
-    )
-}
-assert sorted(_SHAPES) == list(range(1, 9))
+            return state
+        values[:] = opening
+    return post_booking(state, make_booking(booking_id, *amounts))

@@ -318,13 +318,13 @@ def test_criterion_7_conservation_property():
         ok = ok and all(state.balance(name) >= 0.0 for name in ACCOUNT_NAMES)
         posted += 1
     # the reject-don't-clamp path: overdrafts must bounce and leave no trace
-    from catledger.ledger import ValidationFailure, make_repayment
+    from catledger.ledger import ValidationFailure, make_booking
 
     for _ in range(100):
         state = random_state(rng)
         before = state.balances()
         try:
-            post_booking(state, make_repayment(5000.0))
+            post_booking(state, make_booking(7, 5000.0))
         except ValidationFailure:
             rejected += 1
         ok = ok and state.balances() == before

@@ -2,7 +2,8 @@
 
 `perfbench/spans.py` looks up every function in its `LAYERS` table when a
 tracer is created, so deleting or renaming one breaks the benchmark; these
-tests fail first.
+tests fail first.  Its law guard counts `period_step` calls and the law
+checks run in each, so a run that steps around `period_step` fails here too.
 """
 
 from __future__ import annotations
@@ -11,7 +12,12 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 import catledger
+from catledger import evolution
+from catledger.decisions import Parameters
+from catledger.evolution import EngineKind, run
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -36,3 +42,27 @@ def test_every_traced_layer_resolves():
 
 def test_every_exported_name_resolves():
     assert [name for name in catledger.__all__ if not hasattr(catledger, name)] == []
+
+
+@pytest.mark.parametrize("engine", list(EngineKind))
+def test_run_steps_each_period_through_period_step(monkeypatch, engine):
+    counts = dict.fromkeys(("period_step", "check_functor_laws", "check_naturality"), 0)
+
+    def counting(name):
+        original = getattr(evolution, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(evolution, name, counting(name))
+    rows = len(run(Parameters(horizon=12), engine=engine).column("period"))
+    assert rows == 13
+    assert counts["period_step"] == rows
+    if engine is EngineKind.CATEGORICAL:
+        # what the benchmark's law guard requires of every categorical period
+        assert counts["check_functor_laws"] == 2 * rows
+        assert counts["check_naturality"] == rows

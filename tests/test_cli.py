@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import hashlib
+import io
 import json
 from array import array
 
@@ -269,6 +271,22 @@ class TestCmdSweep:
             "alpha,1e308,error: period 3: good price is zero: the goods sales cannot be "
             "priced [GoodPrice=0.0],"
         )
+
+    @pytest.mark.parametrize(
+        "param, values, where",
+        [
+            ("p_0", "inf,30", "period 0, column GoodPrice"),
+            ("nu_l", "1e308", "period 2, column AccLabLab"),
+        ],
+    )
+    def test_non_finite_cell_marks_its_row_an_error(self, capsys, param, values, where):
+        argv = ["sweep", "--param", param, "--values", values, "--horizon", "25"]
+        assert main(argv) == EXIT_OK
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert [row["value"] for row in rows] == values.split(",")
+        assert rows[0]["status"] == f"error: {where} is not finite"
+        assert rows[0]["bounded"] == ""
+        assert [row["status"] for row in rows[1:]] == ["ok"] * (len(rows) - 1)
 
     def test_unknown_parameter(self, capsys):
         assert main(["sweep", "--param", "nope", "--values", "1"]) == EXIT_CONFIG

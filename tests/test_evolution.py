@@ -20,6 +20,7 @@ from catledger.evolution import (
     build_economy_category,
     build_time_step,
     initial_state,
+    period_bookings,
     period_step,
     run,
     stability_report,
@@ -34,7 +35,7 @@ from catledger.ledger import (
     Invariances,
     ValidationFailure,
     init_ledger,
-    make_loan,
+    make_booking,
 )
 
 ENGINES = [EngineKind.RECURSIVE, EngineKind.CATEGORICAL]
@@ -49,7 +50,8 @@ def default_run() -> Trace:
 class TestFirstPeriod:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_metrics_from_initial_state(self, engine):
-        state, metrics, bookings = period_step(initial_state(Parameters()), engine=engine)
+        state, metrics = period_step(initial_state(Parameters()), engine=engine)
+        bookings = period_bookings(metrics, state.params)
         assert metrics.investment == pytest.approx(260.0, abs=1e-9)
         assert metrics.good_production == pytest.approx(31.17, abs=0.01)
         assert metrics.good_price == pytest.approx(30.0, abs=1e-9)
@@ -59,7 +61,7 @@ class TestFirstPeriod:
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_ledger_after_first_period(self, engine):
-        state, _, _ = period_step(initial_state(Parameters()), engine=engine)
+        state, _ = period_step(initial_state(Parameters()), engine=engine)
         led = state.ledger
         assert led.balance("AccComLoan") == pytest.approx(260.0, abs=1e-9)
         assert led.balance("AccResBank") == pytest.approx(208.0, abs=1e-9)
@@ -71,8 +73,8 @@ class TestFirstPeriod:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_second_period(self, engine):
         params = Parameters()
-        state, _, _ = period_step(initial_state(params), engine=engine)
-        state, metrics, _ = period_step(state, engine=engine)
+        state, _ = period_step(initial_state(params), engine=engine)
+        state, metrics = period_step(state, engine=engine)
         assert metrics.investment == pytest.approx(289.49, abs=0.01)
         assert metrics.good_price == pytest.approx(141.7, abs=1e-6)
         assert metrics.diff == pytest.approx(138.50, abs=0.01)
@@ -103,7 +105,7 @@ class TestDegenerateStates:
         # resource purchase, and the bare state steps cleanly: only the loan
         # moves value, everything else is a zero flow
         params = Parameters(lam=1.0, nu_l=0.0, nu_r=0.0, com_lab_0=0.0, com_res_0=0.0)
-        state, metrics, bookings = period_step(initial_state(params), engine=engine)
+        state, metrics = period_step(initial_state(params), engine=engine)
         assert metrics.demand == 0.0
         assert metrics.good_production == 1.0
         assert metrics.wages_payment == 0.0
@@ -279,21 +281,19 @@ class TestCategoricalInternals:
     def test_pullback_gate_accepts_funded_loan(self):
         cat = build_economy_category(init_ledger())
         balances = {name: cat.amount(name) for name in ACCOUNT_NAMES}
-        ok, diagnostics = validate_via_pullback(balances, make_loan(260.0))
+        ok, diagnostics = validate_via_pullback(balances, make_booking(5, 260.0))
         assert ok and diagnostics == []
 
     def test_pullback_gate_rejects_overdraft(self):
-        from catledger.ledger import make_repayment
-
         cat = build_economy_category(init_ledger())
         balances = {name: cat.amount(name) for name in ACCOUNT_NAMES}
-        ok, diagnostics = validate_via_pullback(balances, make_repayment(1.0))
+        ok, diagnostics = validate_via_pullback(balances, make_booking(7, 1.0))
         assert not ok
         assert any("insufficient-balance" in d for d in diagnostics)
 
     def test_pushout_classes_one_per_touched_account(self):
         cat = build_economy_category(init_ledger())
-        classes = apply_via_pushout(cat, make_loan(100.0))
+        classes = apply_via_pushout(cat, make_booking(5, 100.0))
         assert len(classes) == 4  # the loan touches four accounts
         assert cat.amount("AccComBank") == 100.0
 
@@ -324,7 +324,7 @@ class TestCategoricalInternals:
         ledger = init_ledger()
         cat = build_economy_category(ledger)
         old = {name: cat.amount(name) for name in ACCOUNT_NAMES}
-        apply_via_pushout(cat, make_loan(100.0))
+        apply_via_pushout(cat, make_booking(5, 100.0))
         new = {name: cat.amount(name) for name in ACCOUNT_NAMES}
         step, f_t, f_t1, eta = build_time_step(cat, old, new)
         verify_time_step(cat, eta, old, new)  # sane construction passes
@@ -407,8 +407,8 @@ class TestBookingLog:
         params = Parameters(tau=7, omega=0.3, mu=0.6, horizon=30)
         state, posted = initial_state(params), []
         for _ in range(31):
-            state, _, executed = period_step(state, engine=engine)
-            posted.append(executed)
+            state, metrics = period_step(state, engine=engine)
+            posted.append(period_bookings(metrics, params))
         log = run(params, engine=engine).bookings
         # repr prints every float exactly and tells -0.0 from 0.0
         assert [repr(period) for period in log] == [repr(period) for period in posted]
@@ -441,9 +441,9 @@ class TestBookingLog:
     def test_input_balances_are_bit_identical_and_unshared(self, engine):
         state = initial_state(Parameters())
         for _ in range(3):
-            state, _, _ = period_step(state, engine=engine)
+            state, _ = period_step(state, engine=engine)
         before = array("d", state.ledger.values).tobytes()
-        new_state, _, _ = period_step(state, engine=engine)
+        new_state, _ = period_step(state, engine=engine)
         assert array("d", state.ledger.values).tobytes() == before
         assert new_state.ledger.values is not state.ledger.values
         new_state.ledger.values[:] = [1.0] * len(ACCOUNT_NAMES)
@@ -470,6 +470,30 @@ class TestCompiledPostings:
             run(Parameters(tau=1, horizon=5), engine=EngineKind.RECURSIVE)
         assert calls == [7]
 
+    def test_a_recursive_run_builds_no_booking(self, monkeypatch):
+        from catledger import evolution, ledger
+
+        built = []
+        real_make = ledger.make_booking
+
+        def counting(booking_id, *amounts):
+            built.append(booking_id)
+            return real_make(booking_id, *amounts)
+
+        monkeypatch.setattr(ledger, "make_booking", counting)
+        monkeypatch.setattr(evolution, "make_booking", counting)
+        trace = run(Parameters(), horizon=100, engine=EngineKind.RECURSIVE)
+        assert len(trace.column("period")) == 101
+        assert built == []
+        # only the rejected repayment is built, for its diagnostics
+        with pytest.raises(ValidationFailure) as err:
+            run(Parameters(tau=1, horizon=5), engine=EngineKind.RECURSIVE)
+        assert built == [7]
+        assert err.value.diagnostics == [
+            "insufficient-balance:AccComBank",
+            "insufficient-balance:AccBankComBank",
+        ]
+
 
 def real_period(monkeypatch, params: Parameters, periods: int = 3):
     """The flows category, transformation and balances of a categorical period."""
@@ -486,7 +510,7 @@ def real_period(monkeypatch, params: Parameters, periods: int = 3):
     monkeypatch.setattr(evolution, "build_time_step", record)
     state = initial_state(params)
     for _ in range(periods):
-        state, _, _ = period_step(state, engine=EngineKind.CATEGORICAL)
+        state, _ = period_step(state, engine=EngineKind.CATEGORICAL)
     return captured["flows"], captured["eta"], captured["old"], captured["new"]
 
 
@@ -512,8 +536,8 @@ class TestPeriodLawGuard:
         state = initial_state(Parameters())
         for _ in range(12):
             counts.clear()
-            state, _, bookings = period_step(state, engine=EngineKind.CATEGORICAL)
-            assert len(bookings) == 8
+            state, metrics = period_step(state, engine=EngineKind.CATEGORICAL)
+            assert len(period_bookings(metrics, state.params)) == 8
             assert counts == {
                 "check_functor_laws": 2,
                 "check_naturality": 1,
