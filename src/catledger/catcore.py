@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Hashable, Iterator, Mapping
+from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 
 class CategoryError(Exception):
@@ -83,6 +83,27 @@ class FiniteCategory:
         self._by_name: dict[str, int] = {}
 
     # -- objects ------------------------------------------------------
+
+    @classmethod
+    def from_lists(cls, name: str, objects: Iterable, morphisms: Sequence) -> "FiniteCategory":
+        """A category of (name, payload) objects and (src, dst, weight, label) generators.
+
+        Ids follow list order; the names and endpoints are checked once, and
+        the first fault raises what `add_object` or `add_morphism` would.
+        """
+        cat = cls(name)
+        names, payloads = tuple(zip(*objects)) or ((), ())
+        cat._by_name = dict(zip(names, range(1, len(names) + 1)))
+        if len(cat._by_name) != len(names):
+            again = next(obj for i, obj in enumerate(names) if obj in names[:i])
+            raise DuplicateObjectError(f"object {again!r} already exists in {name!r}")
+        srcs, dsts, weights, labels = tuple(zip(*morphisms)) or ((), (), (), ())
+        if srcs and not 1 <= min(*srcs, *dsts) <= max(*srcs, *dsts) <= len(names):
+            bad = next(end for mor in morphisms for end in mor[:2] if not 1 <= end <= len(names))
+            raise DanglingEndpointError(f"morphism endpoint {bad} does not exist in {name!r}")
+        cat._objects = list(map(CatObject, range(1, len(names) + 1), names, payloads))
+        cat._morphisms = list(map(Morphism, range(1, len(srcs) + 1), srcs, dsts, labels, weights))
+        return cat
 
     @property
     def objects(self) -> tuple[CatObject, ...]:
@@ -402,40 +423,38 @@ def finset_pushout(
     if tuple(f.domain) != tuple(g.domain):
         raise FinSetError("pushout requires a shared domain")
 
-    # union-find over the positions of A ⊔ B: A's elements first, then B's
+    # union-find with path halving over the positions of A ⊔ B, A's first
     a_elems, b_elems = f.codomain, g.codomain
     offset = len(a_elems)
-    a_pos = {a: i for i, a in enumerate(a_elems)}
-    b_pos = {b: offset + i for i, b in enumerate(b_elems)}
+    a_pos = dict(zip(a_elems, range(offset)))
+    b_pos = dict(zip(b_elems, range(offset, offset + len(b_elems))))
     parent = list(range(offset + len(b_elems)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
     f_map, g_map = f.mapping, g.mapping
     for c in f.domain:
-        rx, ry = find(a_pos[f_map[c]]), find(b_pos[g_map[c]])
-        if rx != ry:
-            parent[ry] = rx
+        x, y = a_pos[f_map[c]], b_pos[g_map[c]]
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        while parent[y] != y:
+            parent[y] = y = parent[parent[y]]
+        if x != y:
+            parent[y] = x
 
-    # classes in order of first occurrence; class_index[i] is position i's class
-    tagged = [("A", a) for a in a_elems] + [("B", b) for b in b_elems]
-    class_of_root: dict[int, int] = {}
-    members: list[list[tuple]] = []
-    class_index: list[int] = []
-    for i, element in enumerate(tagged):
-        k = class_of_root.setdefault(find(i), len(members))
-        if k == len(members):
-            members.append([])
-        members[k].append(element)
-        class_index.append(k)
+    # each position's root, and the classes in order of first occurrence
+    roots: list[int] = []
+    groups: dict[int, list[tuple]] = {}
+    tagged = [*zip(itertools.repeat("A"), a_elems), *zip(itertools.repeat("B"), b_elems)]
+    for x, element in enumerate(tagged):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        roots.append(x)
+        groups.setdefault(x, []).append(element)
 
-    classes = tuple(map(frozenset, members))
-    i_a = FinSetMap(a_elems, classes, {a: classes[class_index[i]] for a, i in a_pos.items()})
-    i_b = FinSetMap(b_elems, classes, {b: classes[class_index[i]] for b, i in b_pos.items()})
+    classes = tuple(map(frozenset, groups.values()))
+    class_of_root = dict(zip(groups, classes))
+    images = [class_of_root[root] for root in roots]
+    i_a = FinSetMap(a_elems, classes, dict(zip(a_elems, images)))
+    i_b = FinSetMap(b_elems, classes, dict(zip(b_elems, images[offset:])))
     return classes, i_a, i_b
 
 

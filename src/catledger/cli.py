@@ -17,6 +17,7 @@ import concurrent.futures
 import csv
 import json
 import math
+import os
 import sys
 from array import array
 from dataclasses import dataclass, field, replace
@@ -34,17 +35,18 @@ from .catcore import (
     verify_pullback_universal,
     verify_pushout_universal,
 )
-from .decisions import Parameters
+from .decisions import METRIC_COLUMNS, Parameters, PeriodMetrics
 from .evolution import (
     INVARIANCE_COLUMNS,
     TRACE_COLUMNS,
     EngineConsistencyError,
     EngineKind,
     Trace,
+    period_amounts,
     run,
     stability_report,
 )
-from .ledger import ACCOUNT_NAMES, Booking, Direction, LedgerError, Unit
+from .ledger import ACCOUNT_NAMES, BOOKINGS, SPEC_BY_NAME, LedgerError
 
 INVARIANCE_TOLERANCE = 1e-9
 
@@ -213,24 +215,29 @@ def _write_json_lines(handle: TextIO, items: Iterable[object]) -> None:
     handle.write("\n")
 
 
-# each direction's and unit's string: a dict read, where `.value` is a Python-level descriptor
-_ENUM_VALUES = {member: member.value for member in (*Direction, *Unit)}
+# per booking, its legs as (account, direction, amount slot, unit), plain strings but the slot
+_LEG_TEMPLATES = {
+    booking_id: [(acct, way.value, slot, SPEC_BY_NAME[acct].unit.value) for acct, way, slot in legs]
+    for booking_id, (_, legs, _) in BOOKINGS.items()
+}
 
 
-def _booking_record(booking: Booking) -> dict[str, object]:
-    return {
-        "id": booking.id,
-        "description": booking.description,
-        "legs": [
+def _period_booking_records(trace: Trace) -> Iterable[list[dict[str, object]]]:
+    """Each period's bookings as JSON records, filled in from its metrics."""
+    cells, width = trace.cells, len(TRACE_COLUMNS)
+    for start in range(0, len(cells), width):
+        metrics = PeriodMetrics._make(cells[start + 1 : start + 1 + len(METRIC_COLUMNS)])
+        yield [
             {
-                "account": account,
-                "direction": _ENUM_VALUES[direction],
-                "amount": amount,
-                "unit": _ENUM_VALUES[unit],
+                "id": booking_id,
+                "description": BOOKINGS[booking_id][0],
+                "legs": [
+                    {"account": account, "direction": way, "amount": amounts[s], "unit": unit}
+                    for account, way, s, unit in _LEG_TEMPLATES[booking_id]
+                ],
             }
-            for account, direction, amount, unit in booking.legs
-        ],
-    }
+            for booking_id, amounts in period_amounts(metrics, trace.params)
+        ]
 
 
 def write_trace_json(trace: Trace, path: str | Path, config: RunConfig) -> None:
@@ -247,9 +254,7 @@ def write_trace_json(trace: Trace, path: str | Path, config: RunConfig) -> None:
         handle.write(f'{{{header},\n"rows": [')
         _write_json_lines(handle, _row_lists(trace))
         handle.write('],\n"bookings": [')
-        _write_json_lines(
-            handle, ([_booking_record(booking) for booking in period] for period in trace.bookings)
-        )
+        _write_json_lines(handle, _period_booking_records(trace))
         handle.write("]}\n")
 
 
@@ -401,7 +406,8 @@ def cmd_sweep(config: RunConfig, key: str, values: Iterable[str], jobs: int) -> 
     summaries: list[dict[str, str]] = []
     if values:
         # one isolated run per value; a failing value only marks its own row
-        with concurrent.futures.ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
+        workers = max(1, min(jobs, len(values), os.cpu_count() or 1))
+        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_sweep_one, config, key, raw) for raw in values]
             summaries = [f.result() for f in futures]
     writer = csv.DictWriter(sys.stdout, fieldnames=SWEEP_COLUMNS, restval="")

@@ -40,6 +40,7 @@ from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
+from types import MappingProxyType
 from typing import Iterator, NamedTuple
 
 from .catcore import (
@@ -72,6 +73,7 @@ from .ledger import (
     ACCOUNT_INDEX,
     ACCOUNT_NAMES,
     ACCOUNT_SPECS,
+    BOOKINGS,
     Booking,
     Direction,
     Invariances,
@@ -83,6 +85,7 @@ from .ledger import (
     invariances,
     make_booking,
     post_amounts,
+    post_compiled,
     scan_booking,
 )
 
@@ -357,67 +360,86 @@ class _RecursiveBook:
 # ---------------------------------------------------------------------------
 
 
-# Per account, in ACCOUNT_SPECS order: its unit, and its object names and
-# component label in the time-step category.
+# Per account: its unit, its id in an economy category and at level t of the
+# time step (20 more at t+1), its component's label; the time step's names.
 _UNITS = tuple(spec.unit.value for spec in ACCOUNT_SPECS)
-_AT_T = tuple(f"{name}@t" for name in ACCOUNT_NAMES)
-_AT_T1 = tuple(f"{name}@t+1" for name in ACCOUNT_NAMES)
+_IDS = {name: index for index, name in enumerate(ACCOUNT_NAMES, 1)}
 _EVOLVE = {name: f"evolve:{name}" for name in ACCOUNT_NAMES}
+_STEP_NAMES = (*(f"{n}@t" for n in ACCOUNT_NAMES), *(f"{n}@t+1" for n in ACCOUNT_NAMES))
 
 
 def build_economy_category(ledger: LedgerState) -> FiniteCategory:
-    """The account category: one payloaded object per account, no flows yet."""
-    cat = FiniteCategory("economy")
-    for name, unit, balance in zip(ACCOUNT_NAMES, _UNITS, ledger.values):
-        cat.add_object(name, Quantity(unit, balance))
-    return cat
+    """The account category: one payloaded object per account, no flows yet.
+
+    The ids follow ACCOUNT_NAMES: the account at index i has id i + 1.
+    """
+    objects = zip(ACCOUNT_NAMES, map(Quantity, _UNITS, ledger.values))
+    return FiniteCategory.from_lists("economy", objects, [])
 
 
-def booking_to_morphisms(cat: FiniteCategory, booking: Booking) -> tuple[int, ...]:
-    """Record a booking's value channels as weighted morphisms in the category."""
-    ids = []
-    for channel in booking.channels:
-        ids.append(
-            cat.add_morphism(
-                cat.get_object(channel.src),
-                cat.get_object(channel.dst),
-                weight=channel.amount,
-                label=f"b{booking.id}:{channel.label}",
-            )
-        )
-    return tuple(ids)
+# Each booking's fixed inputs, built once: its leg tokens; the pushout's
+# maps, whose mappings refuse item assignment, of the legs onto their
+# accounts and the identity on legs; its flows as (src, dst, slot, label).
+_OK = ("ok",)
+_SPEC_CONE = FinSetMap(("all",), _OK, MappingProxyType({"all": "ok"}))
+
+
+def _fixed_inputs(booking_id: int, legs: tuple, channels: tuple) -> tuple:
+    tokens = tuple(range(len(legs)))
+    accounts = tuple(dict.fromkeys(account for account, _, _ in legs))
+    touched = MappingProxyType({i: leg[0] for i, leg in zip(tokens, legs)})
+    identity = MappingProxyType(dict(zip(tokens, tokens)))
+    flows = tuple(
+        (_IDS[legs[src][0]], _IDS[legs[dst][0]], legs[src][2], f"b{booking_id}:{label}")
+        for src, dst, label in channels
+    )
+    return tokens, FinSetMap(tokens, accounts, touched), FinSetMap(tokens, tokens, identity), flows
+
+
+_FIXED = MappingProxyType({i: _fixed_inputs(i, legs, ch) for i, (_, legs, ch) in BOOKINGS.items()})
+
+
+def booking_to_morphisms(cat: FiniteCategory, booking_id: int, amounts: tuple) -> tuple[int, ...]:
+    """Record a booking's value channels as weighted morphisms in an economy category."""
+    add, flows = cat.add_morphism, _FIXED[booking_id][3]
+    return tuple([add(src, dst, amounts[slot], label) for src, dst, slot, label in flows])
 
 
 def validate_via_pullback(
-    balances: dict[str, float], booking: Booking
+    balances: Sequence[float], booking_id: int, amounts: tuple[float, ...]
 ) -> tuple[bool, list[str]]:
     """Gate a booking by pulling its per-leg checks back against 'all ok'.
 
-    The apex of the pullback of (leg -> status) against ('ok' -> status)
-    collects exactly the legs whose checks pass; the booking validates when
-    the apex covers every leg and the booking conserves value.
+    `balances` are the 20 opening balances in ACCOUNT_NAMES order.  The apex
+    of the pullback of (leg -> status) against ('all' -> 'ok') collects the
+    legs whose checks pass; the booking validates when it covers every leg
+    and conserves value.  The statuses are all 'ok' when the compiled legs
+    post onto a copy of the balances, else `scan_booking` gives them.
     """
-    statuses, verdict, _ = scan_booking(balances, booking)
-    legs = tuple(range(len(statuses)))
+    legs = _FIXED[booking_id][0]
+    if post_compiled(list(balances), booking_id, amounts):
+        statuses, verdict = _OK * len(legs), "ok"
+    else:
+        booking = make_booking(booking_id, *amounts)
+        statuses, verdict, _ = scan_booking(dict(zip(ACCOUNT_NAMES, balances)), booking)
     outcomes = tuple(sorted({*statuses, "ok"}))
-    leg_check = FinSetMap(legs, outcomes, dict(enumerate(statuses)))
-    spec_cone = FinSetMap(("all",), outcomes, {"all": "ok"})
+    leg_check = FinSetMap(legs, outcomes, dict(zip(legs, statuses)))
+    spec_cone = _SPEC_CONE if outcomes == _OK else FinSetMap(("all",), outcomes, {"all": "ok"})
     apex, _, _ = finset_pullback(leg_check, spec_cone)
     return len(apex) == len(legs) and verdict == "ok", booking_diagnostics(statuses, verdict)
 
 
-def apply_via_pushout(cat: FiniteCategory, booking: Booking) -> tuple[frozenset, ...]:
+def apply_via_pushout(
+    cat: FiniteCategory, booking_id: int, amounts: tuple[float, ...]
+) -> tuple[frozenset, ...]:
     """Apply a validated booking by folding its flows over the pushout classes.
 
     The pushout of (leg -> account) against (leg -> leg) glues every leg
     onto the account it touches, one class per account; each class is then
     folded onto the balance in leg order.  Returns the classes.
     """
-    legs = booking.legs
-    leg_tokens = tuple(range(len(legs)))
-    accounts = tuple(dict.fromkeys(leg.account for leg in legs))
-    to_account = FinSetMap(leg_tokens, accounts, {i: leg.account for i, leg in enumerate(legs)})
-    to_slot = FinSetMap(leg_tokens, leg_tokens, dict(zip(leg_tokens, leg_tokens)))
+    _, to_account, to_slot, _ = _FIXED[booking_id]
+    legs = BOOKINGS[booking_id][1]
     classes, _, _ = finset_pushout(to_account, to_slot)
 
     for cls in classes:
@@ -427,15 +449,14 @@ def apply_via_pushout(cat: FiniteCategory, booking: Booking) -> tuple[frozenset,
             (names if tag == "A" else indices).append(label)
         if len(names) != 1:
             raise EngineConsistencyError(f"pushout glued {len(names)} accounts into one class")
-        (name,) = names
-        amount = cat.amount(name)
+        amount = cat.amount(names[0])
         for index in sorted(indices):
-            leg = legs[index]
-            if leg.direction is Direction.INFLOW:
-                amount = amount + leg.amount
+            _, direction, slot = legs[index]
+            if direction is Direction.INFLOW:
+                amount = amount + amounts[slot]
             else:
-                amount = amount - leg.amount
-        cat.update_object(name, amount)
+                amount = amount - amounts[slot]
+        cat.update_object(names[0], amount)
     return classes
 
 
@@ -447,42 +468,30 @@ def build_time_step(
     `flows` is the account category carrying the period's flow morphisms.
     The target category holds both snapshots; F_t and F_t1 embed the flows
     at the two levels, and each component of the transformation is the
-    evolution edge of one account, weighted by its net flow.
+    evolution edge of one account, weighted by its net flow.  The target is
+    built in one pass: the objects at t and at t+1, the components, then
+    each flow's images at t and t+1.
     """
-    step = FiniteCategory("time-step")
-    at_t = {
-        name: step.add_object(label, Quantity(unit, old[name]))
-        for name, unit, label in zip(ACCOUNT_NAMES, _UNITS, _AT_T)
-    }
-    at_t1 = {
-        name: step.add_object(label, Quantity(unit, new[name]))
-        for name, unit, label in zip(ACCOUNT_NAMES, _UNITS, _AT_T1)
-    }
+    values = [*map(old.__getitem__, ACCOUNT_NAMES), *map(new.__getitem__, ACCOUNT_NAMES)]
+    objects = zip(_STEP_NAMES, map(Quantity, _UNITS + _UNITS, values))
+    accounts, generators = flows.objects, flows.morphisms
+    names = [obj.name for obj in accounts]
+    at_t = [_IDS[name] for name in names]
+    at_t1 = [index + len(ACCOUNT_NAMES) for index in at_t]
+    object_map_t = dict(zip([obj.id for obj in accounts], at_t))
+    object_map_t1 = dict(zip(object_map_t, at_t1))
+    net_flows = [new[name] - old[name] for name in names]
+    morphisms = list(zip(at_t, at_t1, net_flows, map(_EVOLVE.__getitem__, names)))
+    for mor in generators:
+        for level in (object_map_t, object_map_t1):
+            morphisms.append((level[mor.src], level[mor.dst], mor.weight, mor.label))
+    step = FiniteCategory.from_lists("time-step", objects, morphisms)
 
-    components: dict[int, int] = {}
-    object_map_t: dict[int, int] = {}
-    object_map_t1: dict[int, int] = {}
-    for obj in flows.objects:
-        name = obj.name
-        src = object_map_t[obj.id] = at_t[name]
-        dst = object_map_t1[obj.id] = at_t1[name]
-        components[obj.id] = step.add_morphism(
-            src, dst, weight=new[name] - old[name], label=_EVOLVE[name]
-        )
-
-    morphism_map_t: dict[int, int] = {}
-    morphism_map_t1: dict[int, int] = {}
-    for mor in flows.morphisms:
-        morphism_map_t[mor.id] = step.add_morphism(
-            object_map_t[mor.src], object_map_t[mor.dst], mor.weight, mor.label
-        )
-        morphism_map_t1[mor.id] = step.add_morphism(
-            object_map_t1[mor.src], object_map_t1[mor.dst], mor.weight, mor.label
-        )
-
-    f_t = Functor(flows, step, object_map_t, morphism_map_t)
-    f_t1 = Functor(flows, step, object_map_t1, morphism_map_t1)
-    eta = NaturalTransformation(f_t, f_t1, components)
+    # ids: components 1..k, then the images at t and t+1 alternate
+    k, flow_ids, end = len(accounts), [mor.id for mor in generators], len(morphisms) + 1
+    f_t = Functor(flows, step, object_map_t, dict(zip(flow_ids, range(k + 1, end, 2))))
+    f_t1 = Functor(flows, step, object_map_t1, dict(zip(flow_ids, range(k + 2, end, 2))))
+    eta = NaturalTransformation(f_t, f_t1, dict(zip(object_map_t, range(1, k + 1))))
     return step, f_t, f_t1, eta
 
 
@@ -548,35 +557,34 @@ class _CategoricalBook:
 
     Every booking is gated through the pullback and applied through the
     pushout; closing builds the period's time step and checks its laws.
+    The balances are read and written through the account `payloads`.
     """
 
-    __slots__ = ("cat", "opening")
+    __slots__ = ("cat", "opening", "payloads")
 
     def __init__(self, ledger: LedgerState) -> None:
         self.cat = build_economy_category(ledger)
         self.opening = ledger.balances()
+        self.payloads = [obj.payload for obj in self.cat.objects]
 
     def get(self, name: str) -> float:
-        return self.cat.amount(name)
+        return self.payloads[ACCOUNT_INDEX[name]].amount
 
     def put(self, name: str, value: float) -> None:
-        self.cat.update_object(name, checked_balance(name, value))
+        self.payloads[ACCOUNT_INDEX[name]].amount = checked_balance(name, value)
 
     def post(self, booking_id: int, amounts: tuple[float, ...]) -> None:
-        booking = make_booking(booking_id, *amounts)
-        cat = self.cat
-        balances = {leg.account: cat.amount(leg.account) for leg in booking.legs}
-        ok, diagnostics = validate_via_pullback(balances, booking)
+        balances = [payload.amount for payload in self.payloads]
+        ok, diagnostics = validate_via_pullback(balances, booking_id, amounts)
         if not ok:
-            raise ValidationFailure(
-                f"booking {booking.id} ({booking.description}) rejected", diagnostics
-            )
-        booking_to_morphisms(cat, booking)
-        apply_via_pushout(cat, booking)
+            description = BOOKINGS[booking_id][0]
+            raise ValidationFailure(f"booking {booking_id} ({description}) rejected", diagnostics)
+        booking_to_morphisms(self.cat, booking_id, amounts)
+        apply_via_pushout(self.cat, booking_id, amounts)
 
     def close(self) -> LedgerState:
         """The law checks on the realised time step, then the closing ledger."""
-        closing = [self.cat.amount(name) for name in ACCOUNT_NAMES]
+        closing = [payload.amount for payload in self.payloads]
         new_balances = dict(zip(ACCOUNT_NAMES, closing))
         *_, eta = build_time_step(self.cat, self.opening, new_balances)
         verify_time_step(self.cat, eta, self.opening, new_balances)

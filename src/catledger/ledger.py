@@ -539,29 +539,37 @@ def make_booking(booking_id: int, *amounts: float) -> Booking:
     return _new(Booking, (booking_id, description, legs, channels))
 
 
+def post_compiled(values: list[float], booking_id: int, amounts: tuple[float, ...]) -> bool:
+    """Post the booking's compiled legs onto `values`; False at the first leg that cannot.
+
+    A leg cannot post when its amount `a` fails `0.0 <= a < inf` or it
+    leaves a running balance below 0 (`values` then holds the legs before
+    it).  True means `scan_booking` passes the built booking with the same
+    `+` and `-`, as `compile_booking_table` proved.
+    """
+    _, arity, _, _, legs = _COMPILED[booking_id]
+    if len(amounts) != arity:
+        return False
+    for index, inflow, slot in legs:
+        amount = amounts[slot]
+        if not 0.0 <= amount < _INF:
+            return False
+        new = values[index] + amount if inflow else values[index] - amount
+        if not new >= 0.0:
+            return False
+        values[index] = new
+    return True
+
+
 def post_amounts(state: LedgerState, booking_id: int, amounts: tuple[float, ...]) -> LedgerState:
     """Post `make_booking(booking_id, *amounts)` in place; atomic on failure.
 
-    When every amount `a` has `0.0 <= a < inf` and every running balance
-    stays `>= 0` in leg order, the legs post straight from the booking's
-    compiled legs: `compile_booking_table` proved that `scan_booking` would
-    pass the booking with the same `+` and `-`.  Otherwise the list is
-    restored and the built booking goes through `post_booking`, which names
-    every failed check.
+    The legs post straight from the compiled table when `post_compiled`
+    can; otherwise the list is restored and the built booking goes through
+    `post_booking`, which names every failed check.
     """
-    _, arity, _, _, legs = _COMPILED[booking_id]
-    values = state.values
-    if len(amounts) == arity:
-        opening = values[:]
-        for index, inflow, slot in legs:
-            amount = amounts[slot]
-            if not 0.0 <= amount < _INF:
-                break
-            new = values[index] + amount if inflow else values[index] - amount
-            if not new >= 0.0:
-                break
-            values[index] = new
-        else:
-            return state
-        values[:] = opening
+    values, opening = state.values, state.values[:]
+    if post_compiled(values, booking_id, amounts):
+        return state
+    values[:] = opening
     return post_booking(state, make_booking(booking_id, *amounts))

@@ -17,6 +17,7 @@ from catledger.catcore import (
     NaturalTransformation,
     ObjectNotFoundError,
     PayloadKindError,
+    Quantity,
     check_functor_laws,
     check_naturality,
     enumerate_maps,
@@ -96,6 +97,56 @@ class TestMorphisms:
         first = cat.add_morphism(a, b, weight=1.0)
         second = cat.add_morphism(a, b, weight=2.0)
         assert first != second
+
+
+def one_at_a_time(name, objects, morphisms) -> FiniteCategory:
+    """The category `from_lists` builds, built with `add_object` and `add_morphism`."""
+    cat = FiniteCategory(name)
+    for obj_name, payload in objects:
+        cat.add_object(obj_name, payload)
+    for src, dst, weight, label in morphisms:
+        cat.add_morphism(src, dst, weight, label)
+    return cat
+
+
+class TestFromLists:
+    def test_builds_what_adding_one_at_a_time_builds(self):
+        objects = [("X", Quantity("EU", 1.0)), ("Y", None), ("Z", Quantity("kg", -0.0))]
+        morphisms = [(1, 2, 2.5, "a"), (2, 3, 0.0, "b"), (1, 3, -1.0, "c"), (1, 2, 7.0, "a")]
+        built = FiniteCategory.from_lists("batch", objects, morphisms)
+        expected = one_at_a_time("batch", objects, morphisms)
+        assert built.name == "batch"
+        assert built.objects == expected.objects
+        assert built.morphisms == expected.morphisms
+        assert [built.get_object(name) for name, _ in objects] == [1, 2, 3]
+        assert list(built.composable_pairs()) == list(expected.composable_pairs())
+        assert built.amount("X") == 1.0
+        # the built category grows like any other
+        assert built.add_object("W") == 4 and built.add_morphism(4, 1) == 5
+
+    def test_empty_lists(self):
+        cat = FiniteCategory.from_lists("empty", [], [])
+        assert cat.objects == () and cat.morphisms == ()
+        assert cat.add_object("A") == 1
+
+    @pytest.mark.parametrize(
+        "names, morphisms, error",
+        [
+            ("ABA", [], DuplicateObjectError),
+            ("ABBA", [(1, 9, 0.0, "")], DuplicateObjectError),
+            ("AB", [(1, 2, 0.0, "a"), (2, 3, 0.0, "b")], DanglingEndpointError),
+            ("AB", [(1, 2, 0.0, "a"), (0, 3, 0.0, "b")], DanglingEndpointError),
+            ("A", [(1, 1, 0.0, "a"), (1, -1, 0.0, "b"), (5, 1, 0.0, "c")], DanglingEndpointError),
+            ("", [(1, 1, 0.0, "a")], DanglingEndpointError),
+        ],
+    )
+    def test_raises_the_first_error_adding_would_raise(self, names, morphisms, error):
+        objects = [(name, None) for name in names]
+        with pytest.raises(error) as expected:
+            one_at_a_time("batch", objects, morphisms)
+        with pytest.raises(error) as err:
+            FiniteCategory.from_lists("batch", objects, morphisms)
+        assert str(err.value) == str(expected.value)
 
 
 class TestUpdateObject:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import csv
 import dataclasses
 import hashlib
@@ -300,6 +301,43 @@ class TestCmdSweep:
         assert "rho_r,0.8,ok" in out
         bad_row = next(l for l in out.splitlines() if l.startswith("rho_r,7.0"))
         assert "error" in bad_row
+
+    @pytest.mark.parametrize(
+        "jobs, values, cpus, expected",
+        [
+            (10000, "0.3,0.5,0.7", 64, 3),  # no more workers than values
+            (10000, "0.3,0.5,0.7", 2, 2),  # nor than cores
+            (10000, "0.3,0.5,0.7", None, 1),  # an unknown core count is one core
+            (2, "0.2,0.4,0.6,0.8", 2, 2),  # sweep-mixed keeps its two workers
+            (0, "0.5", 2, 1),
+        ],
+    )
+    def test_workers_are_capped(self, monkeypatch, capsys, jobs, values, cpus, expected):
+        started: list[int] = []
+
+        class RecordingExecutor:
+            # runs each value at once, in the calling thread: no pool is started
+            def __init__(self, max_workers: int) -> None:
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info) -> None:
+                return None
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(cli.concurrent.futures, "ThreadPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        argv = ["sweep", "--param", "omega", "--values", values, "--horizon", "20"]
+        assert main(argv + ["--jobs", str(jobs)]) == EXIT_OK
+        assert started == [expected]
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert [row["status"] for row in rows] == ["ok"] * len(values.split(","))
 
     def test_programming_error_is_not_a_row(self, monkeypatch, capsys):
         def broken(trace):

@@ -5,10 +5,15 @@ from __future__ import annotations
 import dataclasses
 import gc
 import hashlib
+import math
+import struct
 from array import array
 from enum import Enum
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from catledger.catcore import FinSetMap
 
 from catledger.decisions import Parameters, PeriodMetrics
 from catledger.evolution import (
@@ -29,13 +34,16 @@ from catledger.evolution import (
 )
 from catledger.ledger import (
     ACCOUNT_NAMES,
+    BOOKINGS,
     Booking,
     BookingLeg,
     Channel,
     Invariances,
+    LedgerState,
     ValidationFailure,
     init_ledger,
     make_booking,
+    post_booking,
 )
 
 ENGINES = [EngineKind.RECURSIVE, EngineKind.CATEGORICAL]
@@ -280,20 +288,20 @@ class TestCategoricalInternals:
 
     def test_pullback_gate_accepts_funded_loan(self):
         cat = build_economy_category(init_ledger())
-        balances = {name: cat.amount(name) for name in ACCOUNT_NAMES}
-        ok, diagnostics = validate_via_pullback(balances, make_booking(5, 260.0))
+        balances = [cat.amount(name) for name in ACCOUNT_NAMES]
+        ok, diagnostics = validate_via_pullback(balances, 5, (260.0,))
         assert ok and diagnostics == []
 
     def test_pullback_gate_rejects_overdraft(self):
         cat = build_economy_category(init_ledger())
-        balances = {name: cat.amount(name) for name in ACCOUNT_NAMES}
-        ok, diagnostics = validate_via_pullback(balances, make_booking(7, 1.0))
+        balances = [cat.amount(name) for name in ACCOUNT_NAMES]
+        ok, diagnostics = validate_via_pullback(balances, 7, (1.0,))
         assert not ok
         assert any("insufficient-balance" in d for d in diagnostics)
 
     def test_pushout_classes_one_per_touched_account(self):
         cat = build_economy_category(init_ledger())
-        classes = apply_via_pushout(cat, make_booking(5, 100.0))
+        classes = apply_via_pushout(cat, 5, (100.0,))
         assert len(classes) == 4  # the loan touches four accounts
         assert cat.amount("AccComBank") == 100.0
 
@@ -324,7 +332,7 @@ class TestCategoricalInternals:
         ledger = init_ledger()
         cat = build_economy_category(ledger)
         old = {name: cat.amount(name) for name in ACCOUNT_NAMES}
-        apply_via_pushout(cat, make_booking(5, 100.0))
+        apply_via_pushout(cat, 5, (100.0,))
         new = {name: cat.amount(name) for name in ACCOUNT_NAMES}
         step, f_t, f_t1, eta = build_time_step(cat, old, new)
         verify_time_step(cat, eta, old, new)  # sane construction passes
@@ -530,7 +538,14 @@ class TestPeriodLawGuard:
 
             return wrapper
 
-        names = ("check_functor_laws", "check_naturality", "finset_pullback", "finset_pushout")
+        names = (
+            "check_functor_laws",
+            "check_naturality",
+            "finset_pullback",
+            "finset_pushout",
+            "validate_via_pullback",
+            "apply_via_pushout",
+        )
         for name in names:
             monkeypatch.setattr(evolution, name, counting(name))
         state = initial_state(Parameters())
@@ -543,7 +558,70 @@ class TestPeriodLawGuard:
                 "check_naturality": 1,
                 "finset_pullback": 8,
                 "finset_pushout": 8,
+                "validate_via_pullback": 8,
+                "apply_via_pushout": 8,
             }
+
+    def test_fixed_inputs_equal_maps_built_from_the_booking(self, monkeypatch):
+        # the maps built once from the table are the ones each booking's own
+        # legs give, and no caller can change them
+        from catledger import evolution
+
+        handed: dict[str, list[tuple[FinSetMap, FinSetMap]]] = {"pullback": [], "pushout": []}
+
+        def recording(kind, original):
+            def wrapper(f, g):
+                handed[kind].append((f, g))
+                return original(f, g)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            evolution, "finset_pullback", recording("pullback", evolution.finset_pullback)
+        )
+        monkeypatch.setattr(
+            evolution, "finset_pushout", recording("pushout", evolution.finset_pushout)
+        )
+        state = initial_state(Parameters())
+        for _ in range(3):
+            for kind in handed:
+                handed[kind].clear()
+            state, metrics = period_step(state, engine=EngineKind.CATEGORICAL)
+            posted = period_bookings(metrics, state.params)
+            assert len(handed["pullback"]) == len(handed["pushout"]) == len(posted)
+            for booking, (_, spec_cone), (to_account, to_slot) in zip(
+                posted, handed["pullback"], handed["pushout"]
+            ):
+                legs = booking.legs
+                tokens = tuple(range(len(legs)))
+                accounts = tuple(dict.fromkeys(leg.account for leg in legs))
+                assert to_account == FinSetMap(
+                    tokens, accounts, {i: leg.account for i, leg in enumerate(legs)}
+                )
+                assert to_slot == FinSetMap(tokens, tokens, dict(zip(tokens, tokens)))
+                assert spec_cone == FinSetMap(("all",), ("ok",), {"all": "ok"})
+                for fixed in (to_account, to_slot, spec_cone):
+                    key = next(iter(fixed.mapping))
+                    with pytest.raises(TypeError):
+                        fixed.mapping[key] = "elsewhere"
+
+    def test_pushout_gluing_two_accounts_is_caught(self, monkeypatch):
+        from catledger import evolution
+
+        real_pushout = evolution.finset_pushout
+
+        def glued(f, g):
+            classes, i_a, i_b = real_pushout(f, g)
+            return (classes[0] | classes[1],) + classes[2:], i_a, i_b
+
+        monkeypatch.setattr(evolution, "finset_pushout", glued)
+        state = initial_state(Parameters())
+        before = array("d", state.ledger.values).tobytes()
+        with pytest.raises(EngineConsistencyError) as err:
+            period_step(state, engine=EngineKind.CATEGORICAL)
+        assert str(err.value) == "pushout glued 2 accounts into one class"
+        assert array("d", state.ledger.values).tobytes() == before
+        assert state.period == 0 and state.declared_dividend == 0.0
 
     def test_missing_component_names_the_account(self, monkeypatch):
         flows, eta, old, new = real_period(monkeypatch, Parameters())
@@ -610,3 +688,75 @@ class TestPeriodLawGuard:
         with pytest.raises(EngineConsistencyError) as err:
             verify_time_step(flows, eta, old, new)
         assert any(f.startswith(f"{tag}: morphism {settled} ") for f in err.value.failures)
+
+
+# balances: plausible ones, or among them some that no run reaches
+plausible_balance = st.floats(min_value=0.0, max_value=1e3)
+balances_20 = st.one_of(
+    st.lists(plausible_balance, min_size=20, max_size=20),
+    st.lists(st.one_of(plausible_balance, st.floats()), min_size=20, max_size=20),
+)
+
+
+@st.composite
+def near_canonical_amounts(draw, booking_id: int, balances: list[float]) -> tuple[float, ...]:
+    """Amounts for each slot of a booking: small ones, that most balances
+    allow, or one that the compiled post must refuse or only just allow:
+    -0.0, negative, nan, +-inf, an outflow leg's exact balance, one ulp either
+    side of it, or an overdraft."""
+    legs = BOOKINGS[booking_id][1]
+    amounts = []
+    for slot in range(1 + max(slot for _, _, slot in legs)):
+        outflows = [
+            balances[ACCOUNT_NAMES.index(account)]
+            for account, direction, leg_slot in legs
+            if leg_slot == slot and direction.value == "out"
+        ]
+        exact = draw(st.sampled_from(outflows)) if outflows else draw(plausible_balance)
+        fitting = st.floats(min_value=0.0, max_value=50.0)
+        amounts.append(
+            draw(
+                st.one_of(
+                    fitting,
+                    fitting,
+                    fitting,
+                    st.sampled_from([-0.0, -1.0, math.nan, math.inf, -math.inf]),
+                    st.sampled_from(
+                        [exact, math.nextafter(exact, math.inf), math.nextafter(exact, 0.0)]
+                    ),
+                    st.floats(min_value=1e3, max_value=1e9).map(lambda over: exact + over),
+                    st.floats(),
+                )
+            )
+        )
+    return tuple(amounts)
+
+
+def bits(values) -> list[bytes]:
+    return [struct.pack("d", value) for value in values]
+
+
+class TestCompiledCategoricalPost:
+    @pytest.mark.parametrize("booking_id", sorted(BOOKINGS))
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_rejects_and_posts_like_post_booking(self, booking_id, data):
+        # the categorical book posts from the table and builds the booking
+        # only when a compiled condition fails; the outcome is post_booking's
+        from catledger.evolution import _CategoricalBook
+
+        balances = data.draw(balances_20)
+        amounts = data.draw(near_canonical_amounts(booking_id, balances))
+        reference = LedgerState(list(balances))
+        book = _CategoricalBook(LedgerState(list(balances)))
+        try:
+            post_booking(reference, make_booking(booking_id, *amounts))
+        except ValidationFailure as exc:
+            with pytest.raises(ValidationFailure) as err:
+                book.post(booking_id, amounts)
+            assert str(err.value) == str(exc)
+            assert err.value.diagnostics == exc.diagnostics
+            assert bits(book.get(name) for name in ACCOUNT_NAMES) == bits(balances)
+        else:
+            book.post(booking_id, amounts)
+            assert bits(book.get(name) for name in ACCOUNT_NAMES) == bits(reference.values)
