@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import Hashable, Iterator, Mapping, Sequence
 
 
 class CategoryError(Exception):
@@ -37,27 +37,14 @@ class DanglingEndpointError(CategoryError):
     pass
 
 
-class PayloadKindError(CategoryError):
-    pass
-
-
 class FinSetError(ValueError):
     """Ill-formed finite-set map or mismatched (co)domains."""
-
-
-@dataclass(slots=True)
-class Quantity:
-    """Unit-tagged amount carried by an account object."""
-
-    unit: str
-    amount: float
 
 
 @dataclass(slots=True)
 class CatObject:
     id: int
     name: str
-    payload: Quantity | None = None
 
 
 @dataclass(slots=True)
@@ -85,14 +72,13 @@ class FiniteCategory:
     # -- objects ------------------------------------------------------
 
     @classmethod
-    def from_lists(cls, name: str, objects: Iterable, morphisms: Sequence) -> "FiniteCategory":
-        """A category of (name, payload) objects and (src, dst, weight, label) generators.
+    def from_lists(cls, name: str, names: Sequence[str], morphisms: Sequence) -> "FiniteCategory":
+        """A category of named objects and (src, dst, weight, label) generators.
 
         Ids follow list order; the names and endpoints are checked once, and
         the first fault raises what `add_object` or `add_morphism` would.
         """
         cat = cls(name)
-        names, payloads = tuple(zip(*objects)) or ((), ())
         cat._by_name = dict(zip(names, range(1, len(names) + 1)))
         if len(cat._by_name) != len(names):
             again = next(obj for i, obj in enumerate(names) if obj in names[:i])
@@ -101,7 +87,7 @@ class FiniteCategory:
         if srcs and not 1 <= min(*srcs, *dsts) <= max(*srcs, *dsts) <= len(names):
             bad = next(end for mor in morphisms for end in mor[:2] if not 1 <= end <= len(names))
             raise DanglingEndpointError(f"morphism endpoint {bad} does not exist in {name!r}")
-        cat._objects = list(map(CatObject, range(1, len(names) + 1), names, payloads))
+        cat._objects = list(map(CatObject, range(1, len(names) + 1), names))
         cat._morphisms = list(map(Morphism, range(1, len(srcs) + 1), srcs, dsts, labels, weights))
         return cat
 
@@ -113,17 +99,15 @@ class FiniteCategory:
     def morphisms(self) -> tuple[Morphism, ...]:
         return tuple(self._morphisms)
 
-    def add_object(self, name: str, payload: Quantity | tuple[str, float] | None = None) -> int:
+    def add_object(self, name: str) -> int:
         """Add a named object, returning its fresh id.
 
         Raises DuplicateObjectError if the name is already present.
         """
         if name in self._by_name:
             raise DuplicateObjectError(f"object {name!r} already exists in {self.name!r}")
-        if isinstance(payload, tuple):
-            payload = Quantity(*payload)
         obj_id = len(self._objects) + 1
-        self._objects.append(CatObject(obj_id, name, payload))
+        self._objects.append(CatObject(obj_id, name))
         self._by_name[name] = obj_id
         return obj_id
 
@@ -133,28 +117,6 @@ class FiniteCategory:
             return self._by_name[name]
         except KeyError:
             raise ObjectNotFoundError(f"no object {name!r} in {self.name!r}") from None
-
-    def object_by_id(self, obj_id: int) -> CatObject:
-        if not 1 <= obj_id <= len(self._objects):
-            raise ObjectNotFoundError(f"no object id {obj_id} in {self.name!r}")
-        return self._objects[obj_id - 1]
-
-    def _payload(self, name: str) -> Quantity:
-        """The amount payload of the object called `name`, found with one lookup."""
-        try:
-            payload = self._objects[self._by_name[name] - 1].payload
-        except KeyError:
-            raise ObjectNotFoundError(f"no object {name!r} in {self.name!r}") from None
-        if payload is None:
-            raise PayloadKindError(f"object {name!r} carries no amount payload")
-        return payload
-
-    def update_object(self, name: str, amount: float) -> None:
-        """Replace the amount of the object's payload; everything else is untouched."""
-        self._payload(name).amount = amount
-
-    def amount(self, name: str) -> float:
-        return self._payload(name).amount
 
     # -- morphisms ----------------------------------------------------
 

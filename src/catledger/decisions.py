@@ -75,6 +75,12 @@ class Parameters:
         for name in ("sig_a", "nu_l", "nu_r", "com_lab_0", "com_res_0"):
             if not getattr(self, name) >= 0.0:
                 raise ValueError(f"{name} must be non-negative")
+        # sig_a + sig_b is the sigmoid's supremum and rounding is monotone, so
+        # a finite sum bounds every investment: no loan of inf is booked
+        sup = self.sig_a + self.sig_b
+        for name, value in (("sig_a", self.sig_a), ("sig_b", self.sig_b), ("sig_a + sig_b", sup)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         # no range is fixed for these, but NaN is not a value; an infinity
         # still passes, as every value >= -inf
         for name in ("mu", "omega"):

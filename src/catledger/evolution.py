@@ -1,12 +1,12 @@
 """Period evolution: two interchangeable engines over one yearly cycle.
 
 `_period_cycle` is the only copy of the cycle; an engine supplies the book
-it reads, writes and posts through.  The recursive engine's book is plain
-balance arithmetic on the flat ledger.  The categorical engine keeps the
-economy as a finite category whose objects are the accounts: every booking
-is gated through a finite-set pullback over its per-leg checks, applied
-through a finite-set pushout that groups flows onto their accounts, and
-each period closes with functor and naturality law checks on the time step
+it reads, writes and posts through; both keep one flat ledger.  The
+recursive book posts each booking onto it directly.  The categorical book
+gates every booking through a finite-set pullback over its per-leg checks,
+applies it through a finite-set pushout that groups its legs onto their
+accounts, records its flows in a finite category of the accounts, and
+closes each period with functor and naturality law checks on the time step
 just performed.  Both engines run the one cycle with identical float
 operations, so their traces agree bit for bit.
 
@@ -48,7 +48,6 @@ from .catcore import (
     FinSetMap,
     Functor,
     NaturalTransformation,
-    Quantity,
     check_functor_laws,
     check_naturality,
     finset_pullback,
@@ -72,7 +71,6 @@ from .decisions import (
 from .ledger import (
     ACCOUNT_INDEX,
     ACCOUNT_NAMES,
-    ACCOUNT_SPECS,
     BOOKINGS,
     Booking,
     Direction,
@@ -80,6 +78,7 @@ from .ledger import (
     LedgerState,
     ValidationFailure,
     booking_diagnostics,
+    booking_entry,
     checked_balance,
     init_ledger,
     invariances,
@@ -234,7 +233,7 @@ class BookingLog(Sequence):
 
 
 def _period_cycle(
-    state: SimulationState, book: _RecursiveBook | _CategoricalBook
+    state: SimulationState, book: _RecursiveBook
 ) -> tuple[SimulationState, PeriodMetrics]:
     """One period in the canonical order of the module docstring.
 
@@ -356,25 +355,23 @@ class _RecursiveBook:
 
 
 # ---------------------------------------------------------------------------
-# Categorical engine: the category of accounts is the state.
+# Categorical engine: pullback gate, pushout apply, law-checked time step.
 # ---------------------------------------------------------------------------
 
 
-# Per account: its unit, its id in an economy category and at level t of the
-# time step (20 more at t+1), its component's label; the time step's names.
-_UNITS = tuple(spec.unit.value for spec in ACCOUNT_SPECS)
+# Per account: its id in an economy category and at level t of the time step
+# (20 more at t+1), its component's label; the time step's names.
 _IDS = {name: index for index, name in enumerate(ACCOUNT_NAMES, 1)}
 _EVOLVE = {name: f"evolve:{name}" for name in ACCOUNT_NAMES}
 _STEP_NAMES = (*(f"{n}@t" for n in ACCOUNT_NAMES), *(f"{n}@t+1" for n in ACCOUNT_NAMES))
 
 
-def build_economy_category(ledger: LedgerState) -> FiniteCategory:
-    """The account category: one payloaded object per account, no flows yet.
+def build_economy_category() -> FiniteCategory:
+    """The account category: one object per account, no flows yet.
 
     The ids follow ACCOUNT_NAMES: the account at index i has id i + 1.
     """
-    objects = zip(ACCOUNT_NAMES, map(Quantity, _UNITS, ledger.values))
-    return FiniteCategory.from_lists("economy", objects, [])
+    return FiniteCategory.from_lists("economy", ACCOUNT_NAMES, [])
 
 
 # Each booking's fixed inputs, built once: its leg tokens; the pushout's
@@ -401,7 +398,7 @@ _FIXED = MappingProxyType({i: _fixed_inputs(i, legs, ch) for i, (_, legs, ch) in
 
 def booking_to_morphisms(cat: FiniteCategory, booking_id: int, amounts: tuple) -> tuple[int, ...]:
     """Record a booking's value channels as weighted morphisms in an economy category."""
-    add, flows = cat.add_morphism, _FIXED[booking_id][3]
+    add, flows = cat.add_morphism, booking_entry(_FIXED, booking_id)[3]
     return tuple([add(src, dst, amounts[slot], label) for src, dst, slot, label in flows])
 
 
@@ -416,7 +413,7 @@ def validate_via_pullback(
     and conserves value.  The statuses are all 'ok' when the compiled legs
     post onto a copy of the balances, else `scan_booking` gives them.
     """
-    legs = _FIXED[booking_id][0]
+    legs = booking_entry(_FIXED, booking_id)[0]
     if post_compiled(list(balances), booking_id, amounts):
         statuses, verdict = _OK * len(legs), "ok"
     else:
@@ -430,15 +427,16 @@ def validate_via_pullback(
 
 
 def apply_via_pushout(
-    cat: FiniteCategory, booking_id: int, amounts: tuple[float, ...]
+    values: list[float], booking_id: int, amounts: tuple[float, ...]
 ) -> tuple[frozenset, ...]:
-    """Apply a validated booking by folding its flows over the pushout classes.
+    """Apply a validated booking by folding its legs over the pushout classes.
 
-    The pushout of (leg -> account) against (leg -> leg) glues every leg
-    onto the account it touches, one class per account; each class is then
-    folded onto the balance in leg order.  Returns the classes.
+    `values` are the 20 balances in ACCOUNT_NAMES order.  The pushout of
+    (leg -> account) against (leg -> leg) glues every leg onto the account
+    it touches, one class per account; each class is then folded onto the
+    account's balance in leg order.  Returns the classes.
     """
-    _, to_account, to_slot, _ = _FIXED[booking_id]
+    _, to_account, to_slot, _ = booking_entry(_FIXED, booking_id)
     legs = BOOKINGS[booking_id][1]
     classes, _, _ = finset_pushout(to_account, to_slot)
 
@@ -449,14 +447,15 @@ def apply_via_pushout(
             (names if tag == "A" else indices).append(label)
         if len(names) != 1:
             raise EngineConsistencyError(f"pushout glued {len(names)} accounts into one class")
-        amount = cat.amount(names[0])
+        account = ACCOUNT_INDEX[names[0]]
+        amount = values[account]
         for index in sorted(indices):
             _, direction, slot = legs[index]
             if direction is Direction.INFLOW:
                 amount = amount + amounts[slot]
             else:
                 amount = amount - amounts[slot]
-        cat.update_object(names[0], amount)
+        values[account] = amount
     return classes
 
 
@@ -472,8 +471,6 @@ def build_time_step(
     built in one pass: the objects at t and at t+1, the components, then
     each flow's images at t and t+1.
     """
-    values = [*map(old.__getitem__, ACCOUNT_NAMES), *map(new.__getitem__, ACCOUNT_NAMES)]
-    objects = zip(_STEP_NAMES, map(Quantity, _UNITS + _UNITS, values))
     accounts, generators = flows.objects, flows.morphisms
     names = [obj.name for obj in accounts]
     at_t = [_IDS[name] for name in names]
@@ -485,7 +482,7 @@ def build_time_step(
     for mor in generators:
         for level in (object_map_t, object_map_t1):
             morphisms.append((level[mor.src], level[mor.dst], mor.weight, mor.label))
-    step = FiniteCategory.from_lists("time-step", objects, morphisms)
+    step = FiniteCategory.from_lists("time-step", _STEP_NAMES, morphisms)
 
     # ids: components 1..k, then the images at t and t+1 alternate
     k, flow_ids, end = len(accounts), [mor.id for mor in generators], len(morphisms) + 1
@@ -552,43 +549,35 @@ def verify_time_step(
         raise EngineConsistencyError("period law check failed", failures)
 
 
-class _CategoricalBook:
-    """The account category is the state.
+class _CategoricalBook(_RecursiveBook):
+    """The flat ledger of the recursive book, posted through the categorical constructions.
 
-    Every booking is gated through the pullback and applied through the
-    pushout; closing builds the period's time step and checks its laws.
-    The balances are read and written through the account `payloads`.
+    Every booking is gated through the pullback, recorded as flows in the
+    account category and applied through the pushout; closing builds the
+    period's time step and checks its laws.
     """
 
-    __slots__ = ("cat", "opening", "payloads")
+    __slots__ = ("cat", "opening")
 
     def __init__(self, ledger: LedgerState) -> None:
-        self.cat = build_economy_category(ledger)
+        super().__init__(ledger)
+        self.cat = build_economy_category()
         self.opening = ledger.balances()
-        self.payloads = [obj.payload for obj in self.cat.objects]
-
-    def get(self, name: str) -> float:
-        return self.payloads[ACCOUNT_INDEX[name]].amount
-
-    def put(self, name: str, value: float) -> None:
-        self.payloads[ACCOUNT_INDEX[name]].amount = checked_balance(name, value)
 
     def post(self, booking_id: int, amounts: tuple[float, ...]) -> None:
-        balances = [payload.amount for payload in self.payloads]
-        ok, diagnostics = validate_via_pullback(balances, booking_id, amounts)
+        ok, diagnostics = validate_via_pullback(self.values, booking_id, amounts)
         if not ok:
             description = BOOKINGS[booking_id][0]
             raise ValidationFailure(f"booking {booking_id} ({description}) rejected", diagnostics)
         booking_to_morphisms(self.cat, booking_id, amounts)
-        apply_via_pushout(self.cat, booking_id, amounts)
+        apply_via_pushout(self.values, booking_id, amounts)
 
     def close(self) -> LedgerState:
         """The law checks on the realised time step, then the closing ledger."""
-        closing = [payload.amount for payload in self.payloads]
-        new_balances = dict(zip(ACCOUNT_NAMES, closing))
-        *_, eta = build_time_step(self.cat, self.opening, new_balances)
-        verify_time_step(self.cat, eta, self.opening, new_balances)
-        return LedgerState(closing)
+        closing = self.ledger.balances()
+        *_, eta = build_time_step(self.cat, self.opening, closing)
+        verify_time_step(self.cat, eta, self.opening, closing)
+        return self.ledger
 
 
 _BOOKS = {

@@ -518,6 +518,15 @@ def compile_booking_table(table: Mapping[int, BookingEntry]) -> dict[int, tuple]
 
 _COMPILED = compile_booking_table(BOOKINGS)
 
+
+def booking_entry(table: Mapping[int, tuple], booking_id: int) -> tuple:
+    """`table[booking_id]`, or the ValueError naming an unknown booking."""
+    try:
+        return table[booking_id]
+    except KeyError:
+        raise ValueError(f"unknown booking {booking_id!r}") from None
+
+
 # `make_booking` makes its tuples with `tuple.__new__`, which is all the
 # NamedTuples' generated `__new__` does; calling it directly saves a Python
 # frame per value.
@@ -527,9 +536,7 @@ _INF = math.inf
 
 def make_booking(booking_id: int, *amounts: float) -> Booking:
     """Booking `booking_id` of `BOOKINGS`, slot i of its legs and channels carrying amounts[i]."""
-    if booking_id not in _COMPILED:
-        raise ValueError(f"unknown booking {booking_id!r}")
-    description, arity, legs, channels, _ = _COMPILED[booking_id]
+    description, arity, legs, channels, _ = booking_entry(_COMPILED, booking_id)
     if len(amounts) != arity:
         raise TypeError(f"booking {booking_id} takes {arity} amounts, got {len(amounts)}")
     legs = tuple([_new(BookingLeg, (acct, way, amounts[s], unit)) for acct, way, s, unit in legs])
@@ -547,7 +554,7 @@ def post_compiled(values: list[float], booking_id: int, amounts: tuple[float, ..
     it).  True means `scan_booking` passes the built booking with the same
     `+` and `-`, as `compile_booking_table` proved.
     """
-    _, arity, _, _, legs = _COMPILED[booking_id]
+    _, arity, _, _, legs = booking_entry(_COMPILED, booking_id)
     if len(amounts) != arity:
         return False
     for index, inflow, slot in legs:

@@ -22,15 +22,15 @@ from catledger.evolution import EngineKind, run
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
-def _traced_layers() -> dict[str, tuple[str, str]]:
+def _spans():
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.LAYERS
+    return module
 
 
 def test_every_traced_layer_resolves():
-    layers = _traced_layers()
+    layers = _spans().LAYERS
     assert layers
     missing = [
         f"{module}.{function}"
@@ -66,3 +66,21 @@ def test_run_steps_each_period_through_period_step(monkeypatch, engine):
         # what the benchmark's law guard requires of every categorical period
         assert counts["check_functor_laws"] == 2 * rows
         assert counts["check_naturality"] == rows
+
+
+def test_the_traced_categorical_run_passes_the_law_guard():
+    # what `perfbench/run.py` records of a categorical run, per period
+    importlib.import_module("catledger.cli")  # the tracer wraps its functions too
+    spans = _spans()
+    tracer = spans.Tracer()
+    with tracer.installed():
+        evolution.run(Parameters(horizon=3), engine="categorical")
+    assert spans.law_guard(tracer) is None
+    steps = [span for span in tracer.spans if span.name == "evolution.period_step"]
+    assert len(steps) == 4
+    for step in steps:
+        children = [span.name for span in tracer.spans if span.parent is step]
+        assert children.count("evolution.validate_via_pullback") == 8
+        assert children.count("evolution.apply_via_pushout") == 8
+    sizes = tracer.summary()["evolution.verify_time_step"]["values"]
+    assert sizes == [(66, 40)] * len(steps)

@@ -16,8 +16,6 @@ from catledger.catcore import (
     Functor,
     NaturalTransformation,
     ObjectNotFoundError,
-    PayloadKindError,
-    Quantity,
     check_functor_laws,
     check_naturality,
     enumerate_maps,
@@ -44,7 +42,7 @@ def triangle() -> FiniteCategory:
 class TestObjects:
     def test_first_object_gets_id_1(self):
         cat = FiniteCategory("accounts")
-        assert cat.add_object("AccLabBank", ("EU", 0.0)) == 1
+        assert cat.add_object("AccLabBank") == 1
         assert len(cat.objects) == 1
 
     def test_duplicate_name_rejected(self):
@@ -56,7 +54,7 @@ class TestObjects:
     def test_twenty_objects(self):
         cat = FiniteCategory()
         for name in ACCOUNT_NAMES_20:
-            cat.add_object(name, ("EU", 0.0))
+            cat.add_object(name)
         assert len(cat.objects) == 20
 
     def test_get_object_round_trip(self):
@@ -72,7 +70,7 @@ class TestObjects:
     def test_get_preserves_fresh_id(self):
         cat = FiniteCategory()
         cat.add_object("first")
-        new_id = cat.add_object("second", ("kg", 1.0))
+        new_id = cat.add_object("second")
         assert cat.get_object("second") == new_id
 
 
@@ -99,11 +97,11 @@ class TestMorphisms:
         assert first != second
 
 
-def one_at_a_time(name, objects, morphisms) -> FiniteCategory:
+def one_at_a_time(name, names, morphisms) -> FiniteCategory:
     """The category `from_lists` builds, built with `add_object` and `add_morphism`."""
     cat = FiniteCategory(name)
-    for obj_name, payload in objects:
-        cat.add_object(obj_name, payload)
+    for obj_name in names:
+        cat.add_object(obj_name)
     for src, dst, weight, label in morphisms:
         cat.add_morphism(src, dst, weight, label)
     return cat
@@ -111,16 +109,15 @@ def one_at_a_time(name, objects, morphisms) -> FiniteCategory:
 
 class TestFromLists:
     def test_builds_what_adding_one_at_a_time_builds(self):
-        objects = [("X", Quantity("EU", 1.0)), ("Y", None), ("Z", Quantity("kg", -0.0))]
+        names = ("X", "Y", "Z")
         morphisms = [(1, 2, 2.5, "a"), (2, 3, 0.0, "b"), (1, 3, -1.0, "c"), (1, 2, 7.0, "a")]
-        built = FiniteCategory.from_lists("batch", objects, morphisms)
-        expected = one_at_a_time("batch", objects, morphisms)
+        built = FiniteCategory.from_lists("batch", names, morphisms)
+        expected = one_at_a_time("batch", names, morphisms)
         assert built.name == "batch"
         assert built.objects == expected.objects
         assert built.morphisms == expected.morphisms
-        assert [built.get_object(name) for name, _ in objects] == [1, 2, 3]
+        assert [built.get_object(name) for name in names] == [1, 2, 3]
         assert list(built.composable_pairs()) == list(expected.composable_pairs())
-        assert built.amount("X") == 1.0
         # the built category grows like any other
         assert built.add_object("W") == 4 and built.add_morphism(4, 1) == 5
 
@@ -141,37 +138,12 @@ class TestFromLists:
         ],
     )
     def test_raises_the_first_error_adding_would_raise(self, names, morphisms, error):
-        objects = [(name, None) for name in names]
+        names = tuple(names)
         with pytest.raises(error) as expected:
-            one_at_a_time("batch", objects, morphisms)
+            one_at_a_time("batch", names, morphisms)
         with pytest.raises(error) as err:
-            FiniteCategory.from_lists("batch", objects, morphisms)
+            FiniteCategory.from_lists("batch", names, morphisms)
         assert str(err.value) == str(expected.value)
-
-
-class TestUpdateObject:
-    def test_update_and_read_back(self):
-        cat = FiniteCategory()
-        cat.add_object("AccResBank", ("EU", 0.0))
-        cat.update_object("AccResBank", 208.0)
-        assert cat.amount("AccResBank") == 208.0
-
-    def test_update_to_zero(self):
-        cat = FiniteCategory()
-        cat.add_object("acct", ("EU", 5.0))
-        cat.update_object("acct", 0.0)
-        assert cat.amount("acct") == 0.0
-
-    def test_update_missing(self):
-        cat = FiniteCategory()
-        with pytest.raises(ObjectNotFoundError):
-            cat.update_object("nope", 1.0)
-
-    def test_update_without_payload(self):
-        cat = FiniteCategory()
-        cat.add_object("bare")
-        with pytest.raises(PayloadKindError):
-            cat.update_object("bare", 1.0)
 
 
 class TestFunctorLaws:
@@ -189,12 +161,10 @@ class TestFunctorLaws:
     def test_price_functor_passes(self):
         nominal = FiniteCategory("nominal")
         real = FiniteCategory("real")
-        names = ["GoodPrice", "LaborPrice", "ResourcePrice"]
-        values = [30.0, 12.0, 25.0]
         object_map = {}
-        for name, value in zip(names, values):
-            src = nominal.add_object(name, ("EU", value))
-            dst = real.add_object(name, ("real", value))
+        for name in ("GoodPrice", "LaborPrice", "ResourcePrice"):
+            src = nominal.add_object(name)
+            dst = real.add_object(name)
             object_map[src] = dst
         price = Functor(nominal, real, object_map, {})
         assert check_functor_laws(price).ok

@@ -530,3 +530,10 @@ class TestCheckLaws:
         err = capsys.readouterr().err
         assert "sig_a must be non-negative" in err
         assert "booking 5" not in err
+
+    def test_infinite_sigmoid_range_is_named_not_booked(self, capsys):
+        # was a rejection of booking 3 with eu-imbalance:nan!=nan
+        assert main(["run", "--set", "sig_b=inf", "--horizon", "3"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "sig_b must be finite" in err
+        assert "rejected" not in err

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -56,6 +57,25 @@ class TestParameters:
     def test_zero_sigmoid_floor_accepted(self):
         Parameters(sig_a=0.0).validate()
         Parameters(sig_a=-0.0).validate()
+
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ({"sig_b": math.inf}, "sig_b must be finite, got inf"),
+            ({"sig_a": math.inf}, "sig_a must be finite, got inf"),
+            ({"sig_a": 1e308, "sig_b": 1e308}, "sig_a + sig_b must be finite, got inf"),
+        ],
+    )
+    def test_infinite_investment_bound_rejected_naming_the_fields(self, override, message):
+        # sig_a + sig_b is the sigmoid's supremum: an infinite one books a loan
+        # of inf, which conserves (inf == inf) and breaks the next booking
+        with pytest.raises(ValueError) as err:
+            Parameters(**override).validate()
+        assert str(err.value) == message
+
+    def test_largest_finite_investment_bound_accepted(self):
+        Parameters(sig_a=0.0, sig_b=sys.float_info.max).validate()
+        Parameters(sig_a=sys.float_info.max / 2, sig_b=sys.float_info.max / 2).validate()
 
     @pytest.mark.parametrize(
         "name",

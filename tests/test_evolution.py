@@ -11,7 +11,7 @@ from array import array
 from enum import Enum
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from catledger.catcore import FinSetMap
 
@@ -22,6 +22,7 @@ from catledger.evolution import (
     EngineKind,
     TraceRow,
     apply_via_pushout,
+    booking_to_morphisms,
     build_economy_category,
     build_time_step,
     initial_state,
@@ -43,7 +44,9 @@ from catledger.ledger import (
     ValidationFailure,
     init_ledger,
     make_booking,
+    post_amounts,
     post_booking,
+    post_compiled,
 )
 
 ENGINES = [EngineKind.RECURSIVE, EngineKind.CATEGORICAL]
@@ -280,37 +283,36 @@ class TestMetricInvariants:
 
 class TestCategoricalInternals:
     def test_economy_category_has_all_accounts(self):
-        cat = build_economy_category(init_ledger())
+        from catledger.evolution import _CategoricalBook
+
+        cat = build_economy_category()
         assert len(cat.objects) == 20
-        assert cat.amount("AccComLab") == 110.0
-        obj = cat.object_by_id(cat.get_object("AccComRes"))
-        assert obj.payload.unit == "kg"
+        assert [obj.name for obj in cat.objects] == list(ACCOUNT_NAMES)
+        assert _CategoricalBook(init_ledger()).get("AccComLab") == 110.0
 
     def test_pullback_gate_accepts_funded_loan(self):
-        cat = build_economy_category(init_ledger())
-        balances = [cat.amount(name) for name in ACCOUNT_NAMES]
+        balances = init_ledger().values
         ok, diagnostics = validate_via_pullback(balances, 5, (260.0,))
         assert ok and diagnostics == []
 
     def test_pullback_gate_rejects_overdraft(self):
-        cat = build_economy_category(init_ledger())
-        balances = [cat.amount(name) for name in ACCOUNT_NAMES]
+        balances = init_ledger().values
         ok, diagnostics = validate_via_pullback(balances, 7, (1.0,))
         assert not ok
         assert any("insufficient-balance" in d for d in diagnostics)
 
     def test_pushout_classes_one_per_touched_account(self):
-        cat = build_economy_category(init_ledger())
-        classes = apply_via_pushout(cat, 5, (100.0,))
+        ledger = init_ledger()
+        classes = apply_via_pushout(ledger.values, 5, (100.0,))
         assert len(classes) == 4  # the loan touches four accounts
-        assert cat.amount("AccComBank") == 100.0
+        assert ledger.balance("AccComBank") == 100.0
 
     def test_first_period_net_flow_components(self):
         # the evolution morphism of each account carries its realised net flow
         params = Parameters()
         trace = run(params, horizon=1, engine=EngineKind.CATEGORICAL)
         old, new = trace.rows[0].accounts, trace.rows[1].accounts
-        cat = build_economy_category(init_ledger())
+        cat = build_economy_category()
         step, _, _, eta = build_time_step(cat, old, new)
         res_edge = step.morphism_by_id(eta.components[cat.get_object("AccResBank")])
         assert res_edge.weight == pytest.approx(208.0)
@@ -319,8 +321,8 @@ class TestCategoricalInternals:
         verify_time_step(cat, eta, old, new)
 
     def test_identity_period_passes_the_laws(self):
-        cat = build_economy_category(init_ledger())
-        balances = {name: cat.amount(name) for name in ACCOUNT_NAMES}
+        cat = build_economy_category()
+        balances = init_ledger().balances()
         step, _, _, eta = build_time_step(cat, balances, dict(balances))
         verify_time_step(cat, eta, balances, dict(balances))
         assert all(
@@ -330,10 +332,10 @@ class TestCategoricalInternals:
 
     def test_corrupted_component_weight_is_caught(self):
         ledger = init_ledger()
-        cat = build_economy_category(ledger)
-        old = {name: cat.amount(name) for name in ACCOUNT_NAMES}
-        apply_via_pushout(cat, 5, (100.0,))
-        new = {name: cat.amount(name) for name in ACCOUNT_NAMES}
+        cat = build_economy_category()
+        old = ledger.balances()
+        apply_via_pushout(ledger.values, 5, (100.0,))
+        new = ledger.balances()
         step, f_t, f_t1, eta = build_time_step(cat, old, new)
         verify_time_step(cat, eta, old, new)  # sane construction passes
         victim = eta.components[cat.get_object("AccComBank")]
@@ -348,23 +350,44 @@ class TestCategoricalInternals:
 
     def test_nan_net_flow_passes_the_laws(self):
         # an account at inf in both snapshots has the net flow inf - inf = nan
-        cat = build_economy_category(init_ledger())
-        old = {name: cat.amount(name) for name in ACCOUNT_NAMES}
+        cat = build_economy_category()
+        old = init_ledger().balances()
         old["AccComGood"] = float("inf")
         new = dict(old)
         _, _, _, eta = build_time_step(cat, old, new)
         verify_time_step(cat, eta, old, new)
 
     def test_mistyped_component_is_caught(self):
-        ledger = init_ledger()
-        cat = build_economy_category(ledger)
-        old = {name: cat.amount(name) for name in ACCOUNT_NAMES}
+        cat = build_economy_category()
+        old = init_ledger().balances()
         new = dict(old)
         _, _, _, eta = build_time_step(cat, old, new)
         a, b = cat.get_object("AccLabBank"), cat.get_object("AccResBank")
         eta.components[a], eta.components[b] = eta.components[b], eta.components[a]
         with pytest.raises(EngineConsistencyError):
             verify_time_step(cat, eta, old, new)
+
+
+# each function that takes a booking id, called on a ledger
+BY_BOOKING_ID = {
+    "post_amounts": lambda ledger, i: post_amounts(ledger, i, (1.0,)),
+    "post_compiled": lambda ledger, i: post_compiled(ledger.values, i, (1.0,)),
+    "validate_via_pullback": lambda ledger, i: validate_via_pullback(ledger.values, i, (1.0,)),
+    "booking_to_morphisms": lambda _, i: booking_to_morphisms(build_economy_category(), i, (1.0,)),
+    "apply_via_pushout": lambda ledger, i: apply_via_pushout(ledger.values, i, (1.0,)),
+}
+
+
+@pytest.mark.parametrize("booking_id", [0, 9, 99])
+@pytest.mark.parametrize("function", sorted(BY_BOOKING_ID))
+def test_an_unknown_booking_is_named(function, booking_id):
+    # the ValueError make_booking raises, not a bare KeyError
+    ledger = init_ledger()
+    before = list(ledger.values)
+    with pytest.raises(ValueError) as err:
+        BY_BOOKING_ID[function](ledger, booking_id)
+    assert str(err.value) == f"unknown booking {booking_id}"
+    assert ledger.values == before
 
 
 class TestStability:
@@ -732,6 +755,27 @@ def near_canonical_amounts(draw, booking_id: int, balances: list[float]) -> tupl
     return tuple(amounts)
 
 
+@st.composite
+def fitting_amounts(draw, booking_id: int, balances: list[float]) -> tuple[float, ...]:
+    """Finite amounts for each slot, none above the balance of an outflow leg
+    of its slot (its exact balance among them), so that the compiled post
+    accepts them on any balances that are finite and non-negative."""
+    legs = BOOKINGS[booking_id][1]
+    amounts = []
+    for slot in range(1 + max(slot for _, _, slot in legs)):
+        room = min(
+            (
+                balances[ACCOUNT_NAMES.index(account)]
+                for account, direction, leg_slot in legs
+                if leg_slot == slot and direction.value == "out"
+            ),
+            default=1e3,
+        )
+        # abs: a balance of -0.0 leaves room for 0.0
+        amounts.append(draw(st.floats(0.0, abs(room) if 0.0 <= room < math.inf else 1e3)))
+    return tuple(amounts)
+
+
 def bits(values) -> list[bytes]:
     return [struct.pack("d", value) for value in values]
 
@@ -760,3 +804,18 @@ class TestCompiledCategoricalPost:
         else:
             book.post(booking_id, amounts)
             assert bits(book.get(name) for name in ACCOUNT_NAMES) == bits(reference.values)
+
+    @pytest.mark.parametrize("booking_id", sorted(BOOKINGS))
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_pushout_fold_equals_the_compiled_post(self, booking_id, data):
+        # the categorical book applies a booking through the pushout and the
+        # recursive book posts its compiled legs, onto one ledger: bit for bit
+        balances = data.draw(balances_20)
+        amounts = data.draw(fitting_amounts(booking_id, balances))
+        posted = list(balances)
+        assume(post_compiled(posted, booking_id, amounts))
+        assert all(map(math.isfinite, amounts))
+        folded = list(balances)
+        apply_via_pushout(folded, booking_id, amounts)
+        assert bits(folded) == bits(posted)

@@ -35,6 +35,7 @@ from catledger.ledger import (
     make_booking,
     post_amounts,
     post_booking,
+    post_compiled,
     validate_booking,
 )
 
@@ -199,6 +200,17 @@ class TestBookingTable:
             make_booking(9, 1.0)
         with pytest.raises(TypeError, match="booking 5 takes 1 amounts, got 2"):
             make_booking(5, 1.0, 2.0)
+
+
+class TestPostCompiled:
+    @pytest.mark.parametrize("amount", [math.inf, math.nan])
+    def test_a_non_finite_amount_is_refused_and_posts_nothing(self, amount):
+        # every leg of the loan is an inflow, so no balance can refuse an inf:
+        # only the bound `0.0 <= a < inf` on the amount does
+        values = init_ledger().values
+        before = [struct.pack("d", value) for value in values]
+        assert post_compiled(values, 5, (amount,)) is False
+        assert [struct.pack("d", value) for value in values] == before
 
 
 class TestQuadrupleEntry:
