@@ -52,8 +52,6 @@ from .ledger import (
     Account,
     Agent,
     AccountKind,
-    Booking,
-    BookingLeg,
     Direction,
     Invariances,
     LedgerState,
@@ -72,8 +70,6 @@ __all__ = [
     "Account",
     "AccountKind",
     "Agent",
-    "Booking",
-    "BookingLeg",
     "ContractMemory",
     "Direction",
     "EngineConsistencyError",

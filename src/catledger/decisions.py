@@ -86,6 +86,11 @@ class Parameters:
         for name in ("mu", "omega"):
             if not getattr(self, name) >= -math.inf:
                 raise ValueError(f"{name} must be a number, got nan")
+        # an infinity passes the range tests above: refuse it here, by name
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if field.type == "float" and not math.isfinite(value):
+                raise ValueError(f"{field.name} must be finite, got {value}")
 
     @staticmethod
     def field_names() -> tuple[str, ...]:

@@ -72,7 +72,6 @@ from .ledger import (
     ACCOUNT_INDEX,
     ACCOUNT_NAMES,
     BOOKINGS,
-    Booking,
     Direction,
     Invariances,
     LedgerState,
@@ -80,12 +79,12 @@ from .ledger import (
     booking_diagnostics,
     booking_entry,
     checked_balance,
+    conservation_status,
     init_ledger,
     invariances,
-    make_booking,
-    post_amounts,
+    leg_statuses,
+    post_booking,
     post_compiled,
-    scan_booking,
 )
 
 
@@ -135,13 +134,6 @@ def period_amounts(m: PeriodMetrics, p: Parameters) -> tuple[tuple[int, tuple[fl
     )
 
 
-def period_bookings(m: PeriodMetrics, p: Parameters) -> tuple[Booking, ...]:
-    """The eight bookings of a period, in posting order, built from its decisions."""
-    return tuple(
-        [make_booking(booking_id, *amounts) for booking_id, amounts in period_amounts(m, p)]
-    )
-
-
 INVARIANCE_COLUMNS = ("I_Lab_B", "I_Res_B", "I_Cap_B", "I_Com_B", "I_Com_L", "I_Mac")
 
 # The cells of a trace row: the period, the metrics decided in it, the
@@ -166,8 +158,8 @@ class TraceRow(NamedTuple):
 class Trace:
     """A run's rows as one array of doubles, `TRACE_COLUMNS` cells per row.
 
-    Nothing is stored per period: `column`, `rows`, `bookings` and
-    `flat_values` read the cells in place or build their views when read.
+    Nothing is stored per period: `column`, `rows` and `flat_values` read
+    the cells in place or build their views when read.
     """
 
     params: Parameters
@@ -192,39 +184,9 @@ class Trace:
             for start in range(0, len(cells), _WIDTH)
         )
 
-    @property
-    def bookings(self) -> BookingLog:
-        return BookingLog(self)
-
     def flat_values(self) -> Iterator[float]:
         """Every cell of the trace, row after row."""
         return iter(self.cells)
-
-
-class BookingLog(Sequence):
-    """Each period's executed bookings, rebuilt from its metrics when read.
-
-    A run keeps none alive: some 90 tuples a period, walked again and again
-    by the garbage collector while the run goes on.
-    """
-
-    __slots__ = ("_trace",)
-
-    def __init__(self, trace: Trace) -> None:
-        self._trace = trace
-
-    def __len__(self) -> int:
-        return len(self._trace.cells) // _WIDTH
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(map(self.__getitem__, range(len(self))[index]))
-        start = range(0, len(self._trace.cells), _WIDTH)[index]
-        metrics = PeriodMetrics._make(self._trace.cells[start + 1 : start + _ACCOUNTS_AT])
-        return period_bookings(metrics, self._trace.params)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Sequence) and tuple(self) == tuple(other)
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +310,7 @@ class _RecursiveBook:
         self.values[ACCOUNT_INDEX[name]] = checked_balance(name, value)
 
     def post(self, booking_id: int, amounts: tuple[float, ...]) -> None:
-        post_amounts(self.ledger, booking_id, amounts)
+        post_booking(self.ledger, booking_id, amounts)
 
     def close(self) -> LedgerState:
         return self.ledger
@@ -411,14 +373,15 @@ def validate_via_pullback(
     of the pullback of (leg -> status) against ('all' -> 'ok') collects the
     legs whose checks pass; the booking validates when it covers every leg
     and conserves value.  The statuses are all 'ok' when the compiled legs
-    post onto a copy of the balances, else `scan_booking` gives them.
+    post onto a copy of the balances, else `leg_statuses` and
+    `conservation_status` give them.
     """
     legs = booking_entry(_FIXED, booking_id)[0]
     if post_compiled(list(balances), booking_id, amounts):
         statuses, verdict = _OK * len(legs), "ok"
     else:
-        booking = make_booking(booking_id, *amounts)
-        statuses, verdict, _ = scan_booking(dict(zip(ACCOUNT_NAMES, balances)), booking)
+        statuses = leg_statuses(balances, booking_id, amounts)
+        verdict = conservation_status(booking_id, amounts)
     outcomes = tuple(sorted({*statuses, "ok"}))
     leg_check = FinSetMap(legs, outcomes, dict(zip(legs, statuses)))
     spec_cone = _SPEC_CONE if outcomes == _OK else FinSetMap(("all",), outcomes, {"all": "ok"})
@@ -601,8 +564,8 @@ def period_step(
 ) -> tuple[SimulationState, PeriodMetrics]:
     """Execute one period under `state.params`; atomic, the input state is never touched.
 
-    Returns the next state and the period's metrics; `period_bookings(metrics,
-    state.params)` rebuilds the bookings it posted.
+    Returns the next state and the period's metrics; `period_amounts(metrics,
+    state.params)` gives the bookings it posted.
     """
     book = _BOOKS.get(engine)
     if book is None:

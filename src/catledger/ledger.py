@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, NamedTuple
+from typing import Mapping, NamedTuple, Sequence
 
 class Agent(Enum):
     LAB = "Lab"
@@ -134,35 +134,6 @@ class Account:
         self._values[self._index] = value
 
 
-class BookingLeg(NamedTuple):
-    account: str
-    direction: Direction
-    amount: float
-    unit: Unit
-
-
-class Channel(NamedTuple):
-    """One directed value transfer of a booking, for the flow graph."""
-
-    src: str
-    dst: str
-    amount: float
-    unit: Unit
-    label: str = ""
-
-
-class Booking(NamedTuple):
-    """One of the 8 yearly macro bookings, as double-entry legs plus channels."""
-
-    id: int
-    description: str
-    legs: tuple[BookingLeg, ...]
-    channels: tuple[Channel, ...] = ()
-
-    def agents(self) -> set[Agent]:
-        return {SPEC_BY_NAME[leg.account].agent for leg in self.legs}
-
-
 def is_debit(kind: AccountKind, direction: Direction) -> bool:
     """Debit = asset inflow or liability outflow; credit is the mirror."""
     if kind is AccountKind.ASSET:
@@ -171,21 +142,8 @@ def is_debit(kind: AccountKind, direction: Direction) -> bool:
 
 
 # Enum members bound to module names: a global read is cheaper than the
-# attribute read on the enum class, in the leg checks.
+# attribute read on the enum class.
 _IN, _OUT, _EU = Direction.INFLOW, Direction.OUTFLOW, Unit.EU
-
-
-# What the leg checks read of an account: its unit, the direction that debits
-# it and the unit's string.  The string keys the per-unit sums, because an
-# Enum member hashes through Python code.
-_LEG_SPECS: dict[str, tuple[Unit, Direction, str]] = {
-    spec.name: (
-        spec.unit,
-        Direction.INFLOW if is_debit(spec.kind, Direction.INFLOW) else Direction.OUTFLOW,
-        spec.unit.value,
-    )
-    for spec in ACCOUNT_SPECS
-}
 
 
 class LedgerState:
@@ -233,130 +191,6 @@ def init_ledger(com_lab_0: float = 110.0, com_res_0: float = 20.0) -> LedgerStat
     return state
 
 
-def scan_booking(
-    balances: Mapping[str, float], booking: Booking
-) -> tuple[list[str], str, dict[str, float]]:
-    """Check every leg of a booking and its conservation in one pass.
-
-    Returns the per-leg statuses ('ok' or the reason the leg fails), the
-    conservation verdict ('ok' or the first imbalance) and the balances
-    after each leg that passes.  `balances` must hold the opening balance
-    of every account a typable leg touches; it is copied, never changed.
-    Feasibility is checked sequentially in leg order on the copy, so a later
-    inflow cannot excuse an earlier overdraft; when every status and the
-    verdict are 'ok', the copy holds the booking's closing balances.
-
-    Conservation holds when EU debits equal EU credits exactly and every
-    real unit nets out.  Amounts are copied between legs, never recomputed,
-    so the comparison is exact with no tolerance.  A leg with an unknown
-    account or the wrong unit makes the booking 'untypable'.
-    """
-    scratch = dict(balances)
-    statuses: list[str] = []
-    typable = True
-    debits = 0.0
-    credits = 0.0
-    real_net: dict[str, float] = {}
-    for account, direction, amount, unit in booking.legs:
-        spec = _LEG_SPECS.get(account)
-        if spec is None:
-            statuses.append(f"unknown-account:{account}")
-            typable = False
-            continue
-        if unit is not spec[0]:
-            statuses.append(f"unit-mismatch:{account}:{unit.value}!={spec[2]}")
-            typable = False
-            continue
-        inflow = direction is _IN
-        if unit is _EU:
-            if direction is spec[1]:
-                debits += amount
-            else:
-                credits += amount
-        elif inflow:
-            real_net[spec[2]] = real_net.get(spec[2], 0.0) + amount
-        else:
-            real_net[spec[2]] = real_net.get(spec[2], 0.0) - amount
-        if amount < 0.0:
-            statuses.append(f"negative-amount:{account}")
-            continue
-        new = scratch[account] + amount if inflow else scratch[account] - amount
-        if new < 0.0:
-            statuses.append(f"insufficient-balance:{account}")
-            continue
-        scratch[account] = new
-        statuses.append("ok")
-
-    verdict = "ok"
-    if not typable:
-        verdict = "untypable"
-    elif debits != credits:
-        verdict = f"eu-imbalance:{debits}!={credits}"
-    else:
-        for unit_name, net in real_net.items():
-            if net != 0.0:
-                verdict = f"real-imbalance:{unit_name}:{net}"
-                break
-    return statuses, verdict, scratch
-
-
-# zero opening balances, for a conservation verdict that needs no state
-_NO_BALANCES: dict[str, float] = dict.fromkeys(ACCOUNT_NAMES, 0.0)
-
-
-def leg_statuses(balances: Mapping[str, float], booking: Booking) -> list[str]:
-    """Per-leg status strings: 'ok' or the reason the leg fails (see `scan_booking`)."""
-    return scan_booking(balances, booking)[0]
-
-
-def conservation_status(booking: Booking) -> str:
-    """'ok' when value is conserved, else the imbalance (see `scan_booking`)."""
-    return scan_booking(_NO_BALANCES, booking)[1]
-
-
-def booking_diagnostics(statuses: list[str], verdict: str) -> list[str]:
-    """Every failed leg status in leg order, then a failed conservation verdict."""
-    diagnostics = [s for s in statuses if s != "ok"]
-    if verdict != "ok":
-        diagnostics.append(verdict)
-    return diagnostics
-
-
-def _opening_balances(state: LedgerState, booking: Booking) -> dict[str, float]:
-    """The balance of every known account the booking touches."""
-    values = state.values
-    return {
-        leg.account: values[ACCOUNT_INDEX[leg.account]]
-        for leg in booking.legs
-        if leg.account in ACCOUNT_INDEX
-    }
-
-
-def validate_booking(state: LedgerState, booking: Booking) -> tuple[bool, list[str]]:
-    """True plus diagnostics iff every leg types, fits, and value is conserved."""
-    statuses, verdict, _ = scan_booking(_opening_balances(state, booking), booking)
-    diagnostics = booking_diagnostics(statuses, verdict)
-    return not diagnostics, diagnostics
-
-
-def post_booking(state: LedgerState, booking: Booking) -> LedgerState:
-    """Apply a booking in place after full validation; atomic on failure.
-
-    `scan_booking` checks every leg and the conservation; a rejection
-    names every failed check and leaves the ledger untouched.
-    """
-    statuses, verdict, closing = scan_booking(_opening_balances(state, booking), booking)
-    if verdict != "ok" or statuses.count("ok") != len(statuses):
-        raise ValidationFailure(
-            f"booking {booking.id} ({booking.description}) rejected",
-            booking_diagnostics(statuses, verdict),
-        )
-    values = state.values
-    for name, value in closing.items():
-        values[ACCOUNT_INDEX[name]] = value
-    return state
-
-
 class Invariances(NamedTuple):
     """The six cross-system equalities that a consistent state keeps at zero."""
 
@@ -400,7 +234,8 @@ def invariances(state: LedgerState) -> Invariances:
 # A booking's description, its legs in posting order as (account, direction,
 # amount slot), and its value channels as (source leg, target leg, label).  A
 # leg's unit is its account's; a channel carries the amount and unit of the
-# legs it joins.  `make_booking(id, *amounts)` fills slot i with amounts[i].
+# legs it joins.  A booking is posted by its id and its amounts: slot i of
+# every leg and channel carries amounts[i].
 BookingEntry = tuple[str, tuple[tuple[str, Direction, int], ...], tuple[tuple[int, int, str], ...]]
 
 BOOKINGS: dict[int, BookingEntry] = {
@@ -481,6 +316,14 @@ def _unproved(legs: tuple[tuple[str, Direction, int], ...], channels: tuple) -> 
     return None
 
 
+def _side(account: str, direction: Direction) -> str:
+    """The side of the conservation check a leg adds to: 'debit', 'credit' or its real unit."""
+    spec = SPEC_BY_NAME[account]
+    if spec.unit is not _EU:
+        return spec.unit.value
+    return "debit" if is_debit(spec.kind, direction) else "credit"
+
+
 def compile_booking_table(table: Mapping[int, BookingEntry]) -> dict[int, tuple]:
     """Each booking of `table` compiled, once the table proves it conserves value.
 
@@ -488,35 +331,31 @@ def compile_booking_table(table: Mapping[int, BookingEntry]) -> dict[int, tuple]
     Conservation is proved once per booking (Ellerman, "The Mathematics of
     Double Entry Bookkeeping", 1985) for amounts `0.0 <= a < inf`: the EU
     debit legs' slots equal the credit legs' slots in leg order, so
-    `scan_booking` adds equal values in the same order on both sides; and
+    `_scan_legs` adds equal values in the same order on both sides; and
     each real unit has one inflow and one outflow leg of one slot, so it
     nets to `q - q` or `-q + q`, exactly 0.0.  Each channel must join two
     legs of one slot, and the channels must join every leg exactly once.
 
-    A booking compiles to its description, its number of slots, its legs and
-    channels with their units for `make_booking`, and per leg the list
-    index, whether it is an inflow, and the slot, for `post_amounts`.
+    A booking compiles to its description, its number of slots, per leg the
+    list index, whether it is an inflow, and the slot, for `post_compiled`,
+    and per leg the account and its conservation side, for `_scan_legs`.
     """
     compiled = {}
     for booking_id, (description, legs, channels) in table.items():
         problem = _unproved(legs, channels)
         if problem is not None:
             raise ValueError(f"booking {booking_id}: {problem}")
-        units = [SPEC_BY_NAME[account].unit for account, _, _ in legs]
         compiled[booking_id] = (
             description,
             1 + max((slot for _, _, slot in legs), default=-1),
-            tuple((*leg, unit) for leg, unit in zip(legs, units)),
-            tuple(
-                (legs[src][0], legs[dst][0], legs[src][2], units[src], label)
-                for src, dst, label in channels
-            ),
             tuple((ACCOUNT_INDEX[account], way is _IN, slot) for account, way, slot in legs),
+            tuple((account, _side(account, way)) for account, way, _ in legs),
         )
     return compiled
 
 
 _COMPILED = compile_booking_table(BOOKINGS)
+_INF = math.inf
 
 
 def booking_entry(table: Mapping[int, tuple], booking_id: int) -> tuple:
@@ -527,34 +366,15 @@ def booking_entry(table: Mapping[int, tuple], booking_id: int) -> tuple:
         raise ValueError(f"unknown booking {booking_id!r}") from None
 
 
-# `make_booking` makes its tuples with `tuple.__new__`, which is all the
-# NamedTuples' generated `__new__` does; calling it directly saves a Python
-# frame per value.
-_new = tuple.__new__
-_INF = math.inf
-
-
-def make_booking(booking_id: int, *amounts: float) -> Booking:
-    """Booking `booking_id` of `BOOKINGS`, slot i of its legs and channels carrying amounts[i]."""
-    description, arity, legs, channels, _ = booking_entry(_COMPILED, booking_id)
-    if len(amounts) != arity:
-        raise TypeError(f"booking {booking_id} takes {arity} amounts, got {len(amounts)}")
-    legs = tuple([_new(BookingLeg, (acct, way, amounts[s], unit)) for acct, way, s, unit in legs])
-    channels = tuple(
-        [_new(Channel, (src, dst, amounts[s], u, label)) for src, dst, s, u, label in channels]
-    )
-    return _new(Booking, (booking_id, description, legs, channels))
-
-
 def post_compiled(values: list[float], booking_id: int, amounts: tuple[float, ...]) -> bool:
     """Post the booking's compiled legs onto `values`; False at the first leg that cannot.
 
     A leg cannot post when its amount `a` fails `0.0 <= a < inf` or it
     leaves a running balance below 0 (`values` then holds the legs before
-    it).  True means `scan_booking` passes the built booking with the same
-    `+` and `-`, as `compile_booking_table` proved.
+    it).  True means `_scan_legs` passes the booking with the same `+` and
+    `-`, as `compile_booking_table` proved.
     """
-    _, arity, _, _, legs = booking_entry(_COMPILED, booking_id)
+    _, arity, legs, _ = booking_entry(_COMPILED, booking_id)
     if len(amounts) != arity:
         return False
     for index, inflow, slot in legs:
@@ -568,15 +388,106 @@ def post_compiled(values: list[float], booking_id: int, amounts: tuple[float, ..
     return True
 
 
-def post_amounts(state: LedgerState, booking_id: int, amounts: tuple[float, ...]) -> LedgerState:
-    """Post `make_booking(booking_id, *amounts)` in place; atomic on failure.
+def _scan_legs(
+    values: Sequence[float], booking_id: int, amounts: tuple[float, ...]
+) -> tuple[list[str], str, list[float]]:
+    """Check every leg of a booking and its conservation in one pass.
+
+    Returns the per-leg statuses ('ok' or the reason the leg fails), the
+    conservation verdict ('ok' or the first imbalance) and a copy of the 20
+    opening balances `values` after each leg that passes.  Legs are checked
+    in order, so a later inflow cannot excuse an earlier overdraft.  EU
+    debits must equal EU credits exactly and every real unit must net out:
+    amounts are copied between legs, never recomputed, so no tolerance is
+    needed.  Raises ValueError for an unknown booking and TypeError for the
+    wrong number of amounts.
+    """
+    _, arity, legs, sides = booking_entry(_COMPILED, booking_id)
+    if len(amounts) != arity:
+        raise TypeError(f"booking {booking_id} takes {arity} amounts, got {len(amounts)}")
+    scratch = list(values)
+    statuses: list[str] = []
+    debits = credits = 0.0
+    real_net: dict[str, float] = {}
+    for (index, inflow, slot), (account, side) in zip(legs, sides):
+        amount = amounts[slot]
+        if side == "debit":
+            debits += amount
+        elif side == "credit":
+            credits += amount
+        elif inflow:
+            real_net[side] = real_net.get(side, 0.0) + amount
+        else:
+            real_net[side] = real_net.get(side, 0.0) - amount
+        if amount < 0.0:
+            statuses.append(f"negative-amount:{account}")
+            continue
+        new = scratch[index] + amount if inflow else scratch[index] - amount
+        if new < 0.0:
+            statuses.append(f"insufficient-balance:{account}")
+            continue
+        scratch[index] = new
+        statuses.append("ok")
+
+    verdict = "ok"
+    if debits != credits:
+        verdict = f"eu-imbalance:{debits}!={credits}"
+    else:
+        for unit, net in real_net.items():
+            if net != 0.0:
+                verdict = f"real-imbalance:{unit}:{net}"
+                break
+    return statuses, verdict, scratch
+
+
+# zero opening balances, for a conservation verdict that needs no state
+_NO_BALANCES = (0.0,) * len(ACCOUNT_NAMES)
+
+
+def leg_statuses(values: Sequence[float], booking_id: int, amounts: tuple[float, ...]) -> list[str]:
+    """Per-leg status strings: 'ok' or the reason the leg fails (see `_scan_legs`)."""
+    return _scan_legs(values, booking_id, amounts)[0]
+
+
+def conservation_status(booking_id: int, amounts: tuple[float, ...]) -> str:
+    """'ok' when value is conserved, else the imbalance (see `_scan_legs`)."""
+    return _scan_legs(_NO_BALANCES, booking_id, amounts)[1]
+
+
+def booking_diagnostics(statuses: list[str], verdict: str) -> list[str]:
+    """Every failed leg status in leg order, then a failed conservation verdict."""
+    diagnostics = [s for s in statuses if s != "ok"]
+    if verdict != "ok":
+        diagnostics.append(verdict)
+    return diagnostics
+
+
+def validate_booking(
+    values: Sequence[float], booking_id: int, amounts: tuple[float, ...]
+) -> tuple[bool, list[str]]:
+    """True plus diagnostics iff every leg fits the balances `values` and value is conserved."""
+    statuses, verdict, _ = _scan_legs(values, booking_id, amounts)
+    diagnostics = booking_diagnostics(statuses, verdict)
+    return not diagnostics, diagnostics
+
+
+def post_booking(state: LedgerState, booking_id: int, amounts: tuple[float, ...]) -> LedgerState:
+    """Post booking `booking_id` with `amounts` in place; atomic on failure.
 
     The legs post straight from the compiled table when `post_compiled`
-    can; otherwise the list is restored and the built booking goes through
-    `post_booking`, which names every failed check.
+    can; otherwise the list is restored and `_scan_legs` checks every leg
+    and the conservation.  A rejection names every failed check and leaves
+    the ledger untouched; a booking the scan accepts posts its closing
+    balances.
     """
     values, opening = state.values, state.values[:]
     if post_compiled(values, booking_id, amounts):
         return state
     values[:] = opening
-    return post_booking(state, make_booking(booking_id, *amounts))
+    statuses, verdict, closing = _scan_legs(opening, booking_id, amounts)
+    diagnostics = booking_diagnostics(statuses, verdict)
+    if diagnostics:
+        description = BOOKINGS[booking_id][0]
+        raise ValidationFailure(f"booking {booking_id} ({description}) rejected", diagnostics)
+    values[:] = closing
+    return state

@@ -84,3 +84,26 @@ def test_the_traced_categorical_run_passes_the_law_guard():
         assert children.count("evolution.apply_via_pushout") == 8
     sizes = tracer.summary()["evolution.verify_time_step"]["values"]
     assert sizes == [(66, 40)] * len(steps)
+
+
+def test_the_traced_recursive_run_counts_every_posting():
+    # the recursive book posts through `post_booking`, so the benchmark's
+    # posting counts see every booking of a recursive run
+    importlib.import_module("catledger.cli")
+    spans = _spans()
+    tracer = spans.Tracer()
+    with tracer.installed():
+        evolution.run(Parameters(horizon=3))
+    steps = [span for span in tracer.spans if span.name == "evolution.period_step"]
+    assert len(steps) == 4
+    for step in steps:
+        children = [span.name for span in tracer.spans if span.parent is step]
+        assert children.count("ledger.post_booking") == 8
+    assert spans.layer_metrics(tracer, 1)["ledger.bookings.posted_over_attempted"] == 1.0
+
+    rejecting = spans.Tracer()
+    with rejecting.installed(), pytest.raises(catledger.ValidationFailure):
+        evolution.run(Parameters(tau=1, horizon=3))
+    posts = [span for span in rejecting.spans if span.name == "ledger.post_booking"]
+    assert [span.failed for span in posts].count(True) == 1
+    assert posts[-1].failed

@@ -30,8 +30,9 @@ from catledger.cli import (
     write_trace_json,
 )
 from catledger.decisions import Parameters
-from catledger.evolution import EngineKind, run
+from catledger.evolution import EngineKind, period_amounts, run
 from catledger.ledger import Invariances
+from tests.test_ledger import oracle_booking
 
 
 class TestConfig:
@@ -108,7 +109,7 @@ class TestCmdRun:
     @pytest.mark.parametrize("flag", ["--out", "--json"])
     @pytest.mark.parametrize(
         "setting, where",
-        [("nu_l=1e308", "period 2, column AccLabLab"), ("p_0=inf", "period 0, column GoodPrice")],
+        [("nu_l=1e308", "period 2, column AccLabLab"), ("nu_r=1e308", "period 2, column AccResRes")],
     )
     def test_non_finite_cell_exits_1_and_writes_nothing(
         self, tmp_path, capsys, flag, setting, where
@@ -197,10 +198,10 @@ class TestCmdCompare:
         assert "compare failed: period 3, good price is zero" in capsys.readouterr().err
 
     def test_non_finite_cell_exits_1(self, capsys):
-        # both traces hold GoodPrice = inf, and abs(inf - inf) is nan
-        assert main(["compare", "--set", "p_0=inf", "--horizon", "3"]) == EXIT_CONFIG
+        # both traces hold AccResRes = inf, and abs(inf - inf) is nan
+        assert main(["compare", "--set", "nu_r=1e308", "--horizon", "3"]) == EXIT_CONFIG
         captured = capsys.readouterr()
-        assert "compare failed: period 0, column GoodPrice is not finite" in captured.err
+        assert "compare failed: period 2, column AccResRes is not finite" in captured.err
         assert "max divergence" not in captured.out
 
     def test_rejection_names_period_booking_and_legs(self, capsys):
@@ -276,7 +277,7 @@ class TestCmdSweep:
     @pytest.mark.parametrize(
         "param, values, where",
         [
-            ("p_0", "inf,30", "period 0, column GoodPrice"),
+            ("nu_r", "1e308,100", "period 2, column AccResRes"),
             ("nu_l", "1e308", "period 2, column AccLabLab"),
         ],
     )
@@ -460,9 +461,12 @@ class TestTraceSerialization:
                             for leg in booking.legs
                         ],
                     }
-                    for booking in period
+                    for booking in (
+                        oracle_booking(booking_id, amounts)
+                        for booking_id, amounts in period_amounts(row.metrics, trace.params)
+                    )
                 ]
-                for period in trace.bookings
+                for row in trace.rows
             ],
         }
         assert parsed == reference

@@ -73,6 +73,32 @@ class TestParameters:
             Parameters(**override).validate()
         assert str(err.value) == message
 
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            *(
+                ({name: math.inf}, f"{name} must be finite, got inf")
+                for name in (
+                    "sig_c", "p_r", "p_l", "p_0", "alpha", "nu_l", "nu_r", "com_lab_0",
+                    "com_res_0", "mu", "omega",
+                )
+            ),
+            ({"mu": -math.inf}, "mu must be finite, got -inf"),
+            ({"omega": -math.inf}, "omega must be finite, got -inf"),
+            # the range tests still come first
+            ({"p_0": -math.inf}, "p_0 must be positive"),
+            ({"nu_r": -math.inf}, "nu_r must be non-negative"),
+            ({"rho_l": math.inf}, "rho_l must lie in [0, 1], got inf"),
+            ({"mu": math.nan, "p_0": math.inf}, "mu must be a number, got nan"),
+        ],
+    )
+    def test_infinite_parameter_rejected_naming_the_field(self, override, message):
+        # p_0=inf was a trace with GoodPrice = inf, omega, mu or alpha=inf a
+        # rejection with real-imbalance:G:nan; sig_c or p_r=inf ran to the end
+        with pytest.raises(ValueError) as err:
+            Parameters(**override).validate()
+        assert str(err.value) == message
+
     def test_largest_finite_investment_bound_accepted(self):
         Parameters(sig_a=0.0, sig_b=sys.float_info.max).validate()
         Parameters(sig_a=sys.float_info.max / 2, sig_b=sys.float_info.max / 2).validate()

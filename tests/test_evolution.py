@@ -26,7 +26,7 @@ from catledger.evolution import (
     build_economy_category,
     build_time_step,
     initial_state,
-    period_bookings,
+    period_amounts,
     period_step,
     run,
     stability_report,
@@ -36,17 +36,15 @@ from catledger.evolution import (
 from catledger.ledger import (
     ACCOUNT_NAMES,
     BOOKINGS,
-    Booking,
-    BookingLeg,
-    Channel,
     Invariances,
     LedgerState,
     ValidationFailure,
+    conservation_status,
     init_ledger,
-    make_booking,
-    post_amounts,
+    leg_statuses,
     post_booking,
     post_compiled,
+    validate_booking,
 )
 
 ENGINES = [EngineKind.RECURSIVE, EngineKind.CATEGORICAL]
@@ -62,7 +60,7 @@ class TestFirstPeriod:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_metrics_from_initial_state(self, engine):
         state, metrics = period_step(initial_state(Parameters()), engine=engine)
-        bookings = period_bookings(metrics, state.params)
+        bookings = period_amounts(metrics, state.params)
         assert metrics.investment == pytest.approx(260.0, abs=1e-9)
         assert metrics.good_production == pytest.approx(31.17, abs=0.01)
         assert metrics.good_price == pytest.approx(30.0, abs=1e-9)
@@ -184,7 +182,6 @@ class TestEngineArgument:
         by_kind = run(Parameters(horizon=3), engine=engine)
         assert by_value.engine is engine
         assert array("d", by_value.flat_values()) == array("d", by_kind.flat_values())
-        assert by_value.bookings == by_kind.bookings
 
     def test_unknown_engine_is_named(self):
         with pytest.raises(ValueError, match="'fast'.*'recursive' or 'categorical'"):
@@ -370,7 +367,10 @@ class TestCategoricalInternals:
 
 # each function that takes a booking id, called on a ledger
 BY_BOOKING_ID = {
-    "post_amounts": lambda ledger, i: post_amounts(ledger, i, (1.0,)),
+    "post_booking": lambda ledger, i: post_booking(ledger, i, (1.0,)),
+    "validate_booking": lambda ledger, i: validate_booking(ledger.values, i, (1.0,)),
+    "leg_statuses": lambda ledger, i: leg_statuses(ledger.values, i, (1.0,)),
+    "conservation_status": lambda _, i: conservation_status(i, (1.0,)),
     "post_compiled": lambda ledger, i: post_compiled(ledger.values, i, (1.0,)),
     "validate_via_pullback": lambda ledger, i: validate_via_pullback(ledger.values, i, (1.0,)),
     "booking_to_morphisms": lambda _, i: booking_to_morphisms(build_economy_category(), i, (1.0,)),
@@ -381,7 +381,7 @@ BY_BOOKING_ID = {
 @pytest.mark.parametrize("booking_id", [0, 9, 99])
 @pytest.mark.parametrize("function", sorted(BY_BOOKING_ID))
 def test_an_unknown_booking_is_named(function, booking_id):
-    # the ValueError make_booking raises, not a bare KeyError
+    # a ValueError that names the id, not a bare KeyError
     ledger = init_ledger()
     before = list(ledger.values)
     with pytest.raises(ValueError) as err:
@@ -430,31 +430,16 @@ class TestStability:
 
 class TestBookingLog:
     def test_eight_bookings_every_period(self, default_run):
-        for period in default_run.bookings:
-            assert sorted(b.id for b in period) == [1, 2, 3, 4, 5, 6, 7, 8]
-
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_log_rebuilds_exactly_what_each_period_posted(self, engine):
-        params = Parameters(tau=7, omega=0.3, mu=0.6, horizon=30)
-        state, posted = initial_state(params), []
-        for _ in range(31):
-            state, metrics = period_step(state, engine=engine)
-            posted.append(period_bookings(metrics, params))
-        log = run(params, engine=engine).bookings
-        # repr prints every float exactly and tells -0.0 from 0.0
-        assert [repr(period) for period in log] == [repr(period) for period in posted]
-        assert log == tuple(posted) and tuple(posted) == log and log != posted[:-1]
-        assert len(log) == 31 and repr(log[-1]) == repr(posted[-1])
-        assert repr(log[2:5]) == repr(tuple(posted[2:5]))
-        with pytest.raises(IndexError):
-            log[31]
+        for row in default_run.rows:
+            posted = period_amounts(row.metrics, default_run.params)
+            assert sorted(booking_id for booking_id, _ in posted) == [1, 2, 3, 4, 5, 6, 7, 8]
 
     def test_a_run_keeps_no_booking_alive(self):
         trace = run(Parameters(), horizon=100)
         kinds = {type(obj) for obj in reachable(trace)}
         assert array in kinds
-        assert not kinds & {Booking, BookingLeg, Channel, TraceRow, PeriodMetrics, Invariances}
-        assert len(trace.bookings[100]) == 8
+        assert not kinds & {TraceRow, PeriodMetrics, Invariances}
+        assert len(period_amounts(trace.rows[100].metrics, trace.params)) == 8
 
     def test_a_trace_holds_no_object_per_period(self):
         short, long = (run(Parameters(), horizon=horizon) for horizon in (10, 100))
@@ -481,45 +466,46 @@ class TestBookingLog:
         assert array("d", state.ledger.values).tobytes() == before
 
 
+def counting_scans(monkeypatch) -> list[int]:
+    """The booking id of every scan the ledger runs from now on."""
+    from catledger import ledger
+
+    calls = []
+    real_scan = ledger._scan_legs
+
+    def counting(values, booking_id, amounts):
+        calls.append(booking_id)
+        return real_scan(values, booking_id, amounts)
+
+    monkeypatch.setattr(ledger, "_scan_legs", counting)
+    return calls
+
+
 class TestCompiledPostings:
     def test_default_run_posts_every_booking_without_the_scan(self, monkeypatch):
-        from catledger import ledger
-
-        calls = []
-        real_scan = ledger.scan_booking
-
-        def counting(balances, booking):
-            calls.append(booking.id)
-            return real_scan(balances, booking)
-
-        monkeypatch.setattr(ledger, "scan_booking", counting)
+        calls = counting_scans(monkeypatch)
         trace = run(Parameters(), horizon=100, engine=EngineKind.RECURSIVE)
         assert len(trace.rows) == 101
         assert calls == []
-        # the counter does see the scan: a rejection goes through it
-        with pytest.raises(ValidationFailure):
-            run(Parameters(tau=1, horizon=5), engine=EngineKind.RECURSIVE)
-        assert calls == [7]
-
-    def test_a_recursive_run_builds_no_booking(self, monkeypatch):
-        from catledger import evolution, ledger
-
-        built = []
-        real_make = ledger.make_booking
-
-        def counting(booking_id, *amounts):
-            built.append(booking_id)
-            return real_make(booking_id, *amounts)
-
-        monkeypatch.setattr(ledger, "make_booking", counting)
-        monkeypatch.setattr(evolution, "make_booking", counting)
-        trace = run(Parameters(), horizon=100, engine=EngineKind.RECURSIVE)
-        assert len(trace.column("period")) == 101
-        assert built == []
-        # only the rejected repayment is built, for its diagnostics
+        # the counter does see the scan: a rejection goes through it once
         with pytest.raises(ValidationFailure) as err:
             run(Parameters(tau=1, horizon=5), engine=EngineKind.RECURSIVE)
-        assert built == [7]
+        assert calls == [7]
+        assert err.value.diagnostics == [
+            "insufficient-balance:AccComBank",
+            "insufficient-balance:AccBankComBank",
+        ]
+
+    def test_a_categorical_run_scans_only_the_rejected_booking(self, monkeypatch):
+        calls = counting_scans(monkeypatch)
+        trace = run(Parameters(), horizon=30, engine=EngineKind.CATEGORICAL)
+        assert len(trace.column("period")) == 31
+        assert calls == []
+        # the gate's fallback scans the rejected repayment for its leg
+        # statuses and again for its conservation verdict
+        with pytest.raises(ValidationFailure) as err:
+            run(Parameters(tau=1, horizon=5), engine=EngineKind.CATEGORICAL)
+        assert calls == [7, 7]
         assert err.value.diagnostics == [
             "insufficient-balance:AccComBank",
             "insufficient-balance:AccBankComBank",
@@ -575,7 +561,7 @@ class TestPeriodLawGuard:
         for _ in range(12):
             counts.clear()
             state, metrics = period_step(state, engine=EngineKind.CATEGORICAL)
-            assert len(period_bookings(metrics, state.params)) == 8
+            assert len(period_amounts(metrics, state.params)) == 8
             assert counts == {
                 "check_functor_laws": 2,
                 "check_naturality": 1,
@@ -610,16 +596,16 @@ class TestPeriodLawGuard:
             for kind in handed:
                 handed[kind].clear()
             state, metrics = period_step(state, engine=EngineKind.CATEGORICAL)
-            posted = period_bookings(metrics, state.params)
+            posted = period_amounts(metrics, state.params)
             assert len(handed["pullback"]) == len(handed["pushout"]) == len(posted)
-            for booking, (_, spec_cone), (to_account, to_slot) in zip(
+            for (booking_id, _), (_, spec_cone), (to_account, to_slot) in zip(
                 posted, handed["pullback"], handed["pushout"]
             ):
-                legs = booking.legs
+                legs = BOOKINGS[booking_id][1]
                 tokens = tuple(range(len(legs)))
-                accounts = tuple(dict.fromkeys(leg.account for leg in legs))
+                accounts = tuple(dict.fromkeys(account for account, _, _ in legs))
                 assert to_account == FinSetMap(
-                    tokens, accounts, {i: leg.account for i, leg in enumerate(legs)}
+                    tokens, accounts, {i: account for i, (account, _, _) in enumerate(legs)}
                 )
                 assert to_slot == FinSetMap(tokens, tokens, dict(zip(tokens, tokens)))
                 assert spec_cone == FinSetMap(("all",), ("ok",), {"all": "ok"})
@@ -785,7 +771,7 @@ class TestCompiledCategoricalPost:
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_rejects_and_posts_like_post_booking(self, booking_id, data):
-        # the categorical book posts from the table and builds the booking
+        # the categorical book posts from the table and scans the booking
         # only when a compiled condition fails; the outcome is post_booking's
         from catledger.evolution import _CategoricalBook
 
@@ -794,7 +780,7 @@ class TestCompiledCategoricalPost:
         reference = LedgerState(list(balances))
         book = _CategoricalBook(LedgerState(list(balances)))
         try:
-            post_booking(reference, make_booking(booking_id, *amounts))
+            post_booking(reference, booking_id, amounts)
         except ValidationFailure as exc:
             with pytest.raises(ValidationFailure) as err:
                 book.post(booking_id, amounts)
