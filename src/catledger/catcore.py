@@ -1,23 +1,19 @@
 """Finite presented categories, functors, natural transformations, FinSet limits.
 
-Categories here are *presented*: objects and generator morphisms are given
-explicitly, identities are implicit (one per object), and composites are
-generator paths.  Law checks therefore quantify over generators and
-composable generator pairs only, and they check structure (endpoints,
-composability), never the numeric weights carried by morphisms: weights
-are bookkeeping data, not part of categorical identity.
-
-The FinSet constructions (`finset_pullback`, `finset_pushout`) are ordinary
-limits/colimits of finite labeled sets, with deterministic element order so
-they can be asserted against verbatim.  Universal-property verification by
-exhaustive mediating-map search is provided for small fixtures; it is a
-test-time tool, never a runtime cost.
+Categories are *presented*: objects and generators are explicit, identities
+implicit, composites generator paths; law checks test structure (endpoints,
+composability) over generators and composable pairs, never weights.  A
+category is held as parallel columns and a FinSet map as positions into its
+codomain, after the attributed C-sets of Patterson, Lynch & Fairbanks
+("Categorical data structures for technical computing", Compositionality 4,
+2022).  The universal-property verifiers are exhaustive test-time searches.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Hashable, Iterator, Mapping, Sequence
 
 
@@ -41,13 +37,13 @@ class FinSetError(ValueError):
     """Ill-formed finite-set map or mismatched (co)domains."""
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class CatObject:
     id: int
     name: str
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class Morphism:
     id: int
     src: int
@@ -56,60 +52,61 @@ class Morphism:
     weight: float = 0.0
 
 
+# the src and dst columns whose composable pairs were found last, with them
+_last_pairs: tuple = (None, None)
+
+
 class FiniteCategory:
     """A finitely presented category: named objects plus generator morphisms.
 
-    Parallel generators are allowed (the underlying graph is a multigraph).
-    Object and morphism ids start at 1 and are never reused.
+    Parallel generators are allowed.  Ids start at 1 and are never reused:
+    object i is `names[i - 1]`, and generator j runs from `src[j - 1]` to
+    `dst[j - 1]` with `weight[j - 1]` and `label[j - 1]`.
     """
+
+    __slots__ = ("name", "names", "src", "dst", "weight", "label", "_by_name")
 
     def __init__(self, name: str = "") -> None:
         self.name = name
-        self._objects: list[CatObject] = []
-        self._morphisms: list[Morphism] = []
+        self.names: list[str] = []
+        self.src, self.dst, self.weight, self.label = [], [], [], []
         self._by_name: dict[str, int] = {}
 
-    # -- objects ------------------------------------------------------
-
     @classmethod
-    def from_lists(cls, name: str, names: Sequence[str], morphisms: Sequence) -> "FiniteCategory":
-        """A category of named objects and (src, dst, weight, label) generators.
-
-        Ids follow list order; the names and endpoints are checked once, and
-        the first fault raises what `add_object` or `add_morphism` would.
-        """
+    def from_columns(
+        cls, name: str, names: Sequence[str], src: Sequence, dst: Sequence, weight, label
+    ) -> "FiniteCategory":
+        """Objects and generators given as columns; raises what adding them in order would."""
         cat = cls(name)
+        cat.names = list(names)
         cat._by_name = dict(zip(names, range(1, len(names) + 1)))
         if len(cat._by_name) != len(names):
             again = next(obj for i, obj in enumerate(names) if obj in names[:i])
             raise DuplicateObjectError(f"object {again!r} already exists in {name!r}")
-        srcs, dsts, weights, labels = tuple(zip(*morphisms)) or ((), (), (), ())
-        if srcs and not 1 <= min(*srcs, *dsts) <= max(*srcs, *dsts) <= len(names):
-            bad = next(end for mor in morphisms for end in mor[:2] if not 1 <= end <= len(names))
-            raise DanglingEndpointError(f"morphism endpoint {bad} does not exist in {name!r}")
-        cat._objects = list(map(CatObject, range(1, len(names) + 1), names))
-        cat._morphisms = list(map(Morphism, range(1, len(srcs) + 1), srcs, dsts, labels, weights))
+        cat.extend(src, dst, weight, label)
         return cat
+
+    @classmethod
+    def from_lists(cls, name: str, names: Sequence[str], morphisms: Sequence) -> "FiniteCategory":
+        """A category of named objects and (src, dst, weight, label) generators."""
+        return cls.from_columns(name, names, *(tuple(zip(*morphisms)) or ((),) * 4))
 
     @property
     def objects(self) -> tuple[CatObject, ...]:
-        return tuple(self._objects)
+        return tuple(map(CatObject, range(1, len(self.names) + 1), self.names))
 
     @property
     def morphisms(self) -> tuple[Morphism, ...]:
-        return tuple(self._morphisms)
+        ids = range(1, len(self.src) + 1)
+        return tuple(map(Morphism, ids, self.src, self.dst, self.label, self.weight))
 
     def add_object(self, name: str) -> int:
-        """Add a named object, returning its fresh id.
-
-        Raises DuplicateObjectError if the name is already present.
-        """
+        """Add a named object, returning its fresh id; DuplicateObjectError if present."""
         if name in self._by_name:
             raise DuplicateObjectError(f"object {name!r} already exists in {self.name!r}")
-        obj_id = len(self._objects) + 1
-        self._objects.append(CatObject(obj_id, name))
-        self._by_name[name] = obj_id
-        return obj_id
+        self.names.append(name)
+        self._by_name[name] = len(self.names)
+        return len(self.names)
 
     def get_object(self, name: str) -> int:
         """Return the id of the object called `name`."""
@@ -118,38 +115,51 @@ class FiniteCategory:
         except KeyError:
             raise ObjectNotFoundError(f"no object {name!r} in {self.name!r}") from None
 
-    # -- morphisms ----------------------------------------------------
-
     def add_morphism(self, src: int, dst: int, weight: float = 0.0, label: str = "") -> int:
         """Append a generator morphism src -> dst, returning its fresh id."""
-        n_objects = len(self._objects)
-        for endpoint in (src, dst):
-            if not 1 <= endpoint <= n_objects:
-                raise DanglingEndpointError(
-                    f"morphism endpoint {endpoint} does not exist in {self.name!r}"
-                )
-        mor_id = len(self._morphisms) + 1
-        self._morphisms.append(Morphism(mor_id, src, dst, label, weight))
-        return mor_id
+        return self.extend((src,), (dst,), (weight,), (label,))[0]
+
+    def extend(self, src: Sequence[int], dst: Sequence[int], weight, label) -> range:
+        """Append generators given as columns, returning their fresh ids.
+
+        DanglingEndpointError names the first endpoint that is not an object id.
+        """
+        n_objects = len(self.names)
+        if src and not 1 <= min(*src, *dst) <= max(*src, *dst) <= n_objects:
+            bad = next(end for pair in zip(src, dst) for end in pair if not 1 <= end <= n_objects)
+            raise DanglingEndpointError(f"morphism endpoint {bad} does not exist in {self.name!r}")
+        first = len(self.src) + 1
+        self.src.extend(src)
+        self.dst.extend(dst)
+        self.weight.extend(weight)
+        self.label.extend(label)
+        return range(first, len(self.src) + 1)
 
     def morphism_by_id(self, mor_id: int) -> Morphism:
-        mor = self.find_morphism(mor_id)
-        if mor is None:
+        if not 1 <= mor_id <= len(self.src):
             raise ObjectNotFoundError(f"no morphism id {mor_id} in {self.name!r}")
-        return mor
+        j = mor_id - 1
+        return Morphism(mor_id, self.src[j], self.dst[j], self.label[j], self.weight[j])
 
-    def find_morphism(self, mor_id: int) -> Morphism | None:
-        """The generator with id `mor_id`, or None when there is none."""
-        return self._morphisms[mor_id - 1] if 1 <= mor_id <= len(self._morphisms) else None
+    def composable_positions(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Positions i, j of the generator pairs with dst[i] == src[j], by i then j.
+
+        The pairs of the last columns seen are kept while the columns are equal.
+        """
+        global _last_pairs
+        ends, last = (tuple(self.src), tuple(self.dst)), _last_pairs
+        if last[0] != ends:
+            by_src: dict[int, list[int]] = {}
+            for j, s in enumerate(self.src):
+                by_src.setdefault(s, []).append(j)
+            pairs = [(i, j) for i, d in enumerate(self.dst) for j in by_src.get(d, ())]
+            last = _last_pairs = ends, tuple(zip(*pairs)) or ((), ())
+        return last[1]
 
     def composable_pairs(self) -> Iterator[tuple[Morphism, Morphism]]:
         """All generator pairs (f, g) with f followed by g, i.e. dst(f) == src(g)."""
-        by_src: dict[int, list[Morphism]] = {}
-        for m in self._morphisms:
-            by_src.setdefault(m.src, []).append(m)
-        for f in self._morphisms:
-            for g in by_src.get(f.dst, ()):
-                yield f, g
+        mors = self.morphisms
+        return ((mors[i], mors[j]) for i, j in zip(*self.composable_positions()))
 
 
 @dataclass
@@ -169,12 +179,8 @@ class Functor:
 
     @staticmethod
     def identity(cat: FiniteCategory) -> "Functor":
-        return Functor(
-            source=cat,
-            target=cat,
-            object_map={o.id: o.id for o in cat.objects},
-            morphism_map={m.id: m.id for m in cat.morphisms},
-        )
+        objects, morphisms = range(1, len(cat.names) + 1), range(1, len(cat.src) + 1)
+        return Functor(cat, cat, dict(zip(objects, objects)), dict(zip(morphisms, morphisms)))
 
 
 @dataclass
@@ -200,121 +206,109 @@ class LawReport:
         return self.ok
 
 
+def _image_ids(mapping: Mapping[int, int], count: int, bound: int) -> list[int] | None:
+    """`mapping[i]` for the ids i = 1..count; None when one is missing or not in 1..bound."""
+    try:
+        ids = [mapping[i] for i in range(1, count + 1)]
+        if not ids or 1 <= min(ids) and max(ids) <= bound:
+            return ids
+    except (KeyError, TypeError):
+        pass
+    return None
+
+
 def check_functor_laws(functor: Functor) -> LawReport:
     """Check totality, endpoint coherence and composition preservation.
 
-    Identity preservation is implied by object totality for presented
-    categories (identities are implicit and map to identities), so the
-    report concentrates on the failure modes that can actually occur:
-    unmapped generators, incoherent endpoints, and composable generator
-    pairs whose images fail to compose.  Each generator's image is resolved
-    once; a pair with an unresolved image is already reported and skipped.
+    The images' endpoint columns are compared whole; only when one differs
+    are the generators walked to name each failure.
     """
     src_cat, dst_cat = functor.source, functor.target
     object_map, morphism_map = functor.object_map, functor.morphism_map
+    starts, ends, n_objects = dst_cat.src, dst_cat.dst, len(dst_cat.names)
+    objects = _image_ids(object_map, len(src_cat.names), n_objects)
+    images = _image_ids(morphism_map, len(src_cat.src), len(starts))
+    if objects is not None and images is not None:
+        image_src = [starts[j - 1] for j in images]
+        image_dst = [ends[j - 1] for j in images]
+        if image_src == [objects[s - 1] for s in src_cat.src] and image_dst == [
+            objects[d - 1] for d in src_cat.dst
+        ]:
+            firsts, seconds = src_cat.composable_positions()
+            if [image_dst[i] for i in firsts] == [image_src[j] for j in seconds]:
+                return LawReport(True)
+
     failures: list[str] = []
-    # walk the lists: the `objects`/`morphisms` properties copy them
-    dst_objects = len(dst_cat._objects)
-    resolve = dst_cat.find_morphism
-
-    for obj in src_cat._objects:
-        image = object_map.get(obj.id)
+    for obj_id, name in enumerate(src_cat.names, 1):
+        image = object_map.get(obj_id)
         if image is None:
-            failures.append(f"object {obj.name!r} has no image")
-        elif not 1 <= image <= dst_objects:
-            failures.append(f"object {obj.name!r} maps to missing id {image}")
-
-    images: dict[int, Morphism] = {}
-    for mor in src_cat._morphisms:
-        mapped = morphism_map.get(mor.id)
+            failures.append(f"object {name!r} has no image")
+        elif not 1 <= image <= n_objects:
+            failures.append(f"object {name!r} maps to missing id {image}")
+    resolved: dict[int, int] = {}
+    for mor_id, (s, d, label) in enumerate(zip(src_cat.src, src_cat.dst, src_cat.label), 1):
+        mapped = morphism_map.get(mor_id)
         if mapped is None:
-            failures.append(f"morphism {mor.id} ({mor.label or 'unlabeled'}) has no image")
-            continue
-        img = resolve(mapped)
-        if img is None:
-            failures.append(f"morphism {mor.id} maps to missing id {mapped}")
-            continue
-        images[mor.id] = img
-        if img.src != object_map.get(mor.src):
+            failures.append(f"morphism {mor_id} ({label or 'unlabeled'}) has no image")
+        elif not 1 <= mapped <= len(starts):
+            failures.append(f"morphism {mor_id} maps to missing id {mapped}")
+        else:
+            resolved[mor_id] = mapped
+            image_src, image_dst = starts[mapped - 1], ends[mapped - 1]
+            if image_src != object_map.get(s):
+                failures.append(
+                    f"morphism {mor_id}: image source {image_src} != F(src) {object_map.get(s)}"
+                )
+            if image_dst != object_map.get(d):
+                failures.append(
+                    f"morphism {mor_id}: image target {image_dst} != F(dst) {object_map.get(d)}"
+                )
+    for i, j in zip(*src_cat.composable_positions()):
+        f_img, g_img = resolved.get(i + 1), resolved.get(j + 1)
+        if f_img is not None and g_img is not None and ends[f_img - 1] != starts[g_img - 1]:
             failures.append(
-                f"morphism {mor.id}: image source {img.src} != F(src) "
-                f"{object_map.get(mor.src)}"
+                f"composable pair ({i + 1}, {j + 1}) maps to non-composing pair ({f_img}, {g_img})"
             )
-        if img.dst != object_map.get(mor.dst):
-            failures.append(
-                f"morphism {mor.id}: image target {img.dst} != F(dst) "
-                f"{object_map.get(mor.dst)}"
-            )
-
-    for f, g in src_cat.composable_pairs():
-        f_img = images.get(f.id)
-        g_img = images.get(g.id)
-        if f_img is None or g_img is None:
-            continue  # already reported above
-        if f_img.dst != g_img.src:
-            failures.append(
-                f"composable pair ({f.id}, {g.id}) maps to non-composing pair "
-                f"({f_img.id}, {g_img.id})"
-            )
-
     return LawReport(ok=not failures, failures=failures)
 
 
 def check_naturality(eta: NaturalTransformation) -> LawReport:
     """Check component typing and that every generator square commutes.
 
-    In a presented category the two composites around the square for a
-    generator f: A -> B are the paths (eta_A ; G(f)) and (F(f) ; eta_B);
-    the square commutes structurally when both paths are composable and
-    parallel.  Weights are ignored, as everywhere in the law checks.  An id
-    outside the target category is reported as a failure.
+    The square of f: A -> B commutes when the paths (eta_A ; G(f)) and
+    (F(f) ; eta_B) are composable and parallel; one walk over the columns.
     """
     F, G = eta.F, eta.G
-    failures: list[str] = []
     if F.source is not G.source or F.target is not G.target:
         return LawReport(False, ["functors are not parallel"])
-    src_cat = F.source
-    resolve = F.target.find_morphism
-    f_objects, g_objects = F.object_map, G.object_map
-    f_morphisms, g_morphisms = F.morphism_map, G.morphism_map
-
-    comps: dict[int, Morphism] = {}
-    for obj in src_cat._objects:
-        comp_id = eta.components.get(obj.id)
+    starts, ends = F.target.src, F.target.dst
+    f_morphisms, g_morphisms, bound = F.morphism_map, G.morphism_map, len(starts)
+    failures: list[str] = []
+    comp_ends: dict[int, tuple[int, int]] = {}
+    for obj_id, name in enumerate(F.source.names, 1):
+        comp_id = eta.components.get(obj_id)
         if comp_id is None:
-            failures.append(f"object {obj.name!r} has no component")
-            continue
-        comp = resolve(comp_id)
-        if comp is None:
-            failures.append(f"component at {obj.name!r} is missing id {comp_id}")
-            continue
-        comps[obj.id] = comp
-        if comp.src != f_objects.get(obj.id) or comp.dst != g_objects.get(obj.id):
-            failures.append(
-                f"component at {obj.name!r} is mistyped: "
-                f"{comp.src}->{comp.dst} is not F({obj.name})->G({obj.name})"
-            )
-
-    for mor in src_cat._morphisms:
-        eta_a = comps.get(mor.src)
-        eta_b = comps.get(mor.dst)
-        fi = f_morphisms.get(mor.id)
-        gi = g_morphisms.get(mor.id)
+            failures.append(f"object {name!r} has no component")
+        elif not 1 <= comp_id <= bound:
+            failures.append(f"component at {name!r} is missing id {comp_id}")
+        else:
+            a, b = comp_ends[obj_id] = starts[comp_id - 1], ends[comp_id - 1]
+            if a != F.object_map.get(obj_id) or b != G.object_map.get(obj_id):
+                failures.append(
+                    f"component at {name!r} is mistyped: {a}->{b} is not F({name})->G({name})"
+                )
+    for mor_id, (a, b) in enumerate(zip(F.source.src, F.source.dst), 1):
+        eta_a, eta_b = comp_ends.get(a), comp_ends.get(b)
+        fi, gi = f_morphisms.get(mor_id), g_morphisms.get(mor_id)
         if eta_a is None or eta_b is None or fi is None or gi is None:
-            failures.append(f"square for morphism {mor.id} is incomplete")
-            continue
-        f_img = resolve(fi)
-        g_img = resolve(gi)
-        if f_img is None or g_img is None:
-            failures.append(f"square for morphism {mor.id} maps to a missing id")
-            continue
+            failures.append(f"square for morphism {mor_id} is incomplete")
+        elif not (1 <= fi <= bound and 1 <= gi <= bound):
+            failures.append(f"square for morphism {mor_id} maps to a missing id")
         # left path: eta_A then G(f); right path: F(f) then eta_B
-        if eta_a.dst != g_img.src or f_img.dst != eta_b.src:
-            failures.append(f"square for morphism {mor.id} does not compose")
-            continue
-        if eta_a.src != f_img.src or g_img.dst != eta_b.dst:
-            failures.append(f"square for morphism {mor.id} is not parallel")
-
+        elif eta_a[1] != starts[gi - 1] or ends[fi - 1] != eta_b[0]:
+            failures.append(f"square for morphism {mor_id} does not compose")
+        elif eta_a[0] != starts[fi - 1] or ends[gi - 1] != eta_b[1]:
+            failures.append(f"square for morphism {mor_id} is not parallel")
     return LawReport(ok=not failures, failures=failures)
 
 
@@ -323,36 +317,65 @@ def check_naturality(eta: NaturalTransformation) -> LawReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
 class FinSetMap:
-    """A total function between finite labeled sets.
+    """A total function between finite labeled sets, held as positions.
 
-    Element order of `domain` and `codomain` is meaningful: it makes the
-    derived constructions deterministic.
+    `domain[i]` maps to `codomain[images[i]]`.  The constructor validates a
+    labeled map, `from_positions` the positions a construction computed;
+    `mapping` is a read-only view built when read.
     """
 
-    domain: tuple[Hashable, ...]
-    codomain: tuple[Hashable, ...]
-    mapping: Mapping[Hashable, Hashable]
+    __slots__ = ("domain", "codomain", "images", "_mapping")
 
-    def __post_init__(self) -> None:
-        domain, mapping = self.domain, self.mapping
-        dom, cod = set(domain), set(self.codomain)
+    def __init__(self, domain: tuple, codomain: tuple, mapping: Mapping) -> None:
+        dom = set(domain)
         if len(dom) != len(domain):
             raise FinSetError("domain has repeated elements")
-        if len(cod) != len(self.codomain):
+        position = dict(zip(codomain, range(len(codomain))))
+        if len(position) != len(codomain):
             raise FinSetError("codomain has repeated elements")
         missing = dom.difference(mapping)
         if missing:
             raise FinSetError(f"mapping is not total: missing {sorted(map(str, missing))}")
-        if not cod.issuperset(map(mapping.__getitem__, domain)):
-            # name the first element, in domain order, whose image is outside
-            for x in domain:
-                if mapping[x] not in cod:
-                    raise FinSetError(f"image of {x!r} lies outside the codomain")
+        images = tuple(map(position.get, map(mapping.__getitem__, domain)))
+        if None in images:
+            outside = domain[images.index(None)]
+            raise FinSetError(f"image of {outside!r} lies outside the codomain")
+        self.domain, self.codomain, self.images, self._mapping = domain, codomain, images, None
+
+    @classmethod
+    def from_positions(cls, domain: tuple, codomain: tuple, images: Sequence[int]) -> "FinSetMap":
+        """The map of these positions; FinSetError unless each domain element has one, in range."""
+        images = tuple(images)
+        if len(images) != len(domain):
+            raise FinSetError(f"{len(images)} images for a domain of {len(domain)} elements")
+        if images and not 0 <= min(images) <= max(images) < len(codomain):
+            bad = next(i for i in images if not 0 <= i < len(codomain))
+            raise FinSetError(f"image position {bad} is outside a codomain of {len(codomain)}")
+        made = object.__new__(cls)
+        made.domain, made.codomain, made.images, made._mapping = domain, codomain, images, None
+        return made
+
+    @property
+    def mapping(self) -> Mapping[Hashable, Hashable]:
+        if self._mapping is None:
+            labels = map(self.codomain.__getitem__, self.images)
+            self._mapping = MappingProxyType(dict(zip(self.domain, labels)))
+        return self._mapping
 
     def __call__(self, x: Hashable) -> Hashable:
         return self.mapping[x]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FinSetMap):
+            return NotImplemented
+        return self.images == other.images and (self.domain, self.codomain) == (
+            other.domain,
+            other.codomain,
+        )
+
+    def __repr__(self) -> str:
+        return f"FinSetMap({self.domain!r}, {self.codomain!r}, {dict(self.mapping)!r})"
 
 
 def finset_pullback(
@@ -365,12 +388,36 @@ def finset_pullback(
     """
     if tuple(f.codomain) != tuple(g.codomain):
         raise FinSetError("pullback requires a shared codomain")
-    f_map, g_map = f.mapping, g.mapping
-    g_images = [(b, g_map[b]) for b in g.domain]
-    apex = tuple((a, b) for a in f.domain for b, image in g_images if f_map[a] == image)
-    p_a = FinSetMap(apex, f.domain, {p: p[0] for p in apex})
-    p_b = FinSetMap(apex, g.domain, {p: p[1] for p in apex})
+    a_elems, b_elems = f.domain, g.domain
+    b_images = tuple(enumerate(g.images))
+    pairs = [(a, b) for a, x in enumerate(f.images) for b, y in b_images if x == y]
+    apex = tuple([(a_elems[a], b_elems[b]) for a, b in pairs])
+    a_positions, b_positions = tuple(zip(*pairs)) or ((), ())
+    p_a = FinSetMap.from_positions(apex, a_elems, a_positions)
+    p_b = FinSetMap.from_positions(apex, b_elems, b_positions)
     return apex, p_a, p_b
+
+
+def _quotient(size: int, xs: Sequence[int], ys: Sequence[int], offset: int) -> list[int]:
+    """Per position of range(size), the first position of its class under x ~ y + offset.
+
+    Union-find on a list of parents with path halving, each root the least
+    position of its tree, so one pass in position order finds every root.
+    """
+    parent = list(range(size))
+    for x, y in zip(xs, ys):
+        y += offset
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        while parent[y] != y:
+            parent[y] = y = parent[parent[y]]
+        if x < y:
+            parent[y] = x
+        elif y < x:
+            parent[x] = y
+    for x in range(size):
+        parent[x] = parent[parent[x]]
+    return parent
 
 
 def finset_pushout(
@@ -384,97 +431,66 @@ def finset_pushout(
     """
     if tuple(f.domain) != tuple(g.domain):
         raise FinSetError("pushout requires a shared domain")
-
-    # union-find with path halving over the positions of A ⊔ B, A's first
     a_elems, b_elems = f.codomain, g.codomain
     offset = len(a_elems)
-    a_pos = dict(zip(a_elems, range(offset)))
-    b_pos = dict(zip(b_elems, range(offset, offset + len(b_elems))))
-    parent = list(range(offset + len(b_elems)))
-
-    f_map, g_map = f.mapping, g.mapping
-    for c in f.domain:
-        x, y = a_pos[f_map[c]], b_pos[g_map[c]]
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        while parent[y] != y:
-            parent[y] = y = parent[parent[y]]
-        if x != y:
-            parent[y] = x
-
-    # each position's root, and the classes in order of first occurrence
-    roots: list[int] = []
-    groups: dict[int, list[tuple]] = {}
+    roots = _quotient(offset + len(b_elems), f.images, g.images, offset)
     tagged = [*zip(itertools.repeat("A"), a_elems), *zip(itertools.repeat("B"), b_elems)]
-    for x, element in enumerate(tagged):
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        roots.append(x)
-        groups.setdefault(x, []).append(element)
-
-    classes = tuple(map(frozenset, groups.values()))
-    class_of_root = dict(zip(groups, classes))
-    images = [class_of_root[root] for root in roots]
-    i_a = FinSetMap(a_elems, classes, dict(zip(a_elems, images)))
-    i_b = FinSetMap(b_elems, classes, dict(zip(b_elems, images[offset:])))
+    groups: list[list[tuple]] = []
+    numbers: list[int] = []  # each position's class
+    for x, root in enumerate(roots):
+        if root == x:
+            numbers.append(len(groups))
+            groups.append([tagged[x]])
+        else:
+            numbers.append(numbers[root])
+            groups[numbers[root]].append(tagged[x])
+    classes = tuple(map(frozenset, groups))
+    i_a = FinSetMap.from_positions(a_elems, classes, numbers[:offset])
+    i_b = FinSetMap.from_positions(b_elems, classes, numbers[offset:])
     return classes, i_a, i_b
 
 
-def enumerate_maps(
-    domain: tuple[Hashable, ...], codomain: tuple[Hashable, ...]
-) -> Iterator[dict[Hashable, Hashable]]:
+def enumerate_maps(domain: tuple, codomain: tuple) -> Iterator[dict[Hashable, Hashable]]:
     """All total maps domain -> codomain, in deterministic order."""
-    if not domain:
-        yield {}
-        return
     for images in itertools.product(codomain, repeat=len(domain)):
         yield dict(zip(domain, images))
 
 
-def _cone_domains(max_size: int) -> Iterator[tuple[str, ...]]:
+def _cones(max_size: int, a: tuple, b: tuple, into: bool) -> Iterator[tuple]:
+    """Each test set D of 1..max_size elements with every pair of maps on it.
+
+    The pairs are A -> D and B -> D when `into`, else D -> A and D -> B.
+    """
     for size in range(1, max_size + 1):
-        yield tuple(f"d{i}" for i in range(size))
+        dom = tuple(f"d{i}" for i in range(size))
+        ends = ((a, dom), (b, dom)) if into else ((dom, a), (dom, b))
+        for d_a, d_b in itertools.product(*(enumerate_maps(*end) for end in ends)):
+            yield dom, d_a, d_b
 
 
 def verify_pullback_universal(
-    f: FinSetMap,
-    g: FinSetMap,
-    apex: tuple,
-    p_a: FinSetMap,
-    p_b: FinSetMap,
-    max_cone_size: int = 2,
+    f: FinSetMap, g: FinSetMap, apex: tuple, p_a: FinSetMap, p_b: FinSetMap, max_cone_size=2
 ) -> bool:
     """Exhaustively verify the pullback universal property on small sets.
 
     Checks f∘p_A = g∘p_B pointwise, then for every test cone (D, d_A, d_B)
-    with f∘d_A = g∘d_B searches all maps u: D -> P and demands exactly one
-    mediator.  In FinSet, mediators are determined pointwise, so cones of
-    size one already decide the property; larger sizes are sheer paranoia.
+    with f∘d_A = g∘d_B demands exactly one mediator u: D -> P.  In FinSet
+    mediators are determined pointwise, so cones of size one already decide
+    the property; larger sizes are sheer paranoia.
     """
-    for p in apex:
-        if f(p_a(p)) != g(p_b(p)):
+    if any(f(p_a(p)) != g(p_b(p)) for p in apex):
+        return False
+    for dom, d_a, d_b in _cones(max_cone_size, f.domain, g.domain, into=False):
+        if all(f(d_a[d]) == g(d_b[d]) for d in dom) and 1 != sum(
+            all(p_a(u[d]) == d_a[d] and p_b(u[d]) == d_b[d] for d in dom)
+            for u in enumerate_maps(dom, apex)
+        ):
             return False
-    for dom in _cone_domains(max_cone_size):
-        for d_a_map in enumerate_maps(dom, f.domain):
-            for d_b_map in enumerate_maps(dom, g.domain):
-                if any(f(d_a_map[d]) != g(d_b_map[d]) for d in dom):
-                    continue
-                mediators = 0
-                for u in enumerate_maps(dom, apex):
-                    if all(p_a(u[d]) == d_a_map[d] and p_b(u[d]) == d_b_map[d] for d in dom):
-                        mediators += 1
-                if mediators != 1:
-                    return False
     return True
 
 
 def verify_pushout_universal(
-    f: FinSetMap,
-    g: FinSetMap,
-    apex: tuple,
-    i_a: FinSetMap,
-    i_b: FinSetMap,
-    max_cocone_size: int = 2,
+    f: FinSetMap, g: FinSetMap, apex: tuple, i_a: FinSetMap, i_b: FinSetMap, max_cocone_size=2
 ) -> bool:
     """Exhaustively verify the pushout universal property on small sets.
 
@@ -482,20 +498,13 @@ def verify_pushout_universal(
     every cocone (D, d_A, d_B) with d_A∘f = d_B∘g there must be exactly one
     u: P -> D with u∘i_A = d_A and u∘i_B = d_B.
     """
-    for c in f.domain:
-        if i_a(f(c)) != i_b(g(c)):
+    if any(i_a(f(c)) != i_b(g(c)) for c in f.domain):
+        return False
+    for dom, d_a, d_b in _cones(max_cocone_size, f.codomain, g.codomain, into=True):
+        if all(d_a[f(c)] == d_b[g(c)] for c in f.domain) and 1 != sum(
+            all(u[i_a(a)] == d_a[a] for a in f.codomain)
+            and all(u[i_b(b)] == d_b[b] for b in g.codomain)
+            for u in enumerate_maps(apex, dom)
+        ):
             return False
-    for dom in _cone_domains(max_cocone_size):
-        for d_a_map in enumerate_maps(f.codomain, dom):
-            for d_b_map in enumerate_maps(g.codomain, dom):
-                if any(d_a_map[f(c)] != d_b_map[g(c)] for c in f.domain):
-                    continue
-                mediators = 0
-                for u in enumerate_maps(apex, dom):
-                    if all(u[i_a(a)] == d_a_map[a] for a in f.codomain) and all(
-                        u[i_b(b)] == d_b_map[b] for b in g.codomain
-                    ):
-                        mediators += 1
-                if mediators != 1:
-                    return False
     return True

@@ -37,6 +37,8 @@ from .catcore import (
 )
 from .decisions import METRIC_COLUMNS, Parameters, PeriodMetrics
 from .evolution import (
+    _FIXED,
+    _SPEC_CONE,
     INVARIANCE_COLUMNS,
     TRACE_COLUMNS,
     EngineConsistencyError,
@@ -474,22 +476,12 @@ def cmd_plot(trace_path: str, outdir: str) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _triangle_category() -> FiniteCategory:
-    cat = FiniteCategory("triangle")
-    x = cat.add_object("X")
-    y = cat.add_object("Y")
-    z = cat.add_object("Z")
-    cat.add_morphism(x, y, label="a")
-    cat.add_morphism(y, z, label="b")
-    cat.add_morphism(x, z, label="c")
-    return cat
-
-
 def run_law_fixtures() -> list[tuple[str, bool]]:
     """Self-contained law suite; returns (name, passed) pairs."""
     results: list[tuple[str, bool]] = []
 
-    cat = _triangle_category()
+    triangle = [(1, 2, 0.0, "a"), (2, 3, 0.0, "b"), (1, 3, 0.0, "c")]
+    cat = FiniteCategory.from_lists("triangle", ("X", "Y", "Z"), triangle)
     identity = Functor.identity(cat)
     results.append(("identity functor passes", check_functor_laws(identity).ok))
 
@@ -515,6 +507,15 @@ def run_law_fixtures() -> list[tuple[str, bool]]:
     results.append(
         ("pushout universal property", verify_pushout_universal(fc, gc, classes, i_a, i_b))
     )
+
+    # the engine's own shapes: the dividend booking's 8 legs onto 6 accounts,
+    # two touched twice, and its gate with every leg ok
+    _, to_account, to_slot, _, _ = _FIXED[6]
+    fixed = (to_account, to_slot, *finset_pushout(to_account, to_slot))
+    results.append(("dividend pushout universal property", verify_pushout_universal(*fixed)))
+    legs_ok = FinSetMap.from_positions(to_slot.domain, _SPEC_CONE.codomain, (0,) * 8)
+    gate = (legs_ok, _SPEC_CONE, *finset_pullback(legs_ok, _SPEC_CONE))
+    results.append(("dividend gate universal property", verify_pullback_universal(*gate)))
 
     # the categorical engine must accept its own period constructions; any
     # other exception is a programming error and propagates

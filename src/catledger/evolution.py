@@ -68,6 +68,7 @@ from .decisions import (
     memory_push,
     production,
 )
+from . import ledger as ledger_module
 from .ledger import (
     ACCOUNT_INDEX,
     ACCOUNT_NAMES,
@@ -79,10 +80,8 @@ from .ledger import (
     booking_diagnostics,
     booking_entry,
     checked_balance,
-    conservation_status,
     init_ledger,
     invariances,
-    leg_statuses,
     post_booking,
     post_compiled,
 )
@@ -329,30 +328,28 @@ _STEP_NAMES = (*(f"{n}@t" for n in ACCOUNT_NAMES), *(f"{n}@t+1" for n in ACCOUNT
 
 
 def build_economy_category() -> FiniteCategory:
-    """The account category: one object per account, no flows yet.
-
-    The ids follow ACCOUNT_NAMES: the account at index i has id i + 1.
-    """
+    """The account category: object i + 1 is account ACCOUNT_NAMES[i], no flows yet."""
     return FiniteCategory.from_lists("economy", ACCOUNT_NAMES, [])
 
 
 # Each booking's fixed inputs, built once: its leg tokens; the pushout's
-# maps, whose mappings refuse item assignment, of the legs onto their
-# accounts and the identity on legs; its flows as (src, dst, slot, label).
+# read-only maps of the legs onto their accounts and onto themselves; its
+# flows as src, dst, slot and label columns; per leg (is inflow, slot).
 _OK = ("ok",)
-_SPEC_CONE = FinSetMap(("all",), _OK, MappingProxyType({"all": "ok"}))
+_SPEC_CONE = FinSetMap(("all",), _OK, {"all": "ok"})
 
 
 def _fixed_inputs(booking_id: int, legs: tuple, channels: tuple) -> tuple:
     tokens = tuple(range(len(legs)))
     accounts = tuple(dict.fromkeys(account for account, _, _ in legs))
-    touched = MappingProxyType({i: leg[0] for i, leg in zip(tokens, legs)})
-    identity = MappingProxyType(dict(zip(tokens, tokens)))
-    flows = tuple(
-        (_IDS[legs[src][0]], _IDS[legs[dst][0]], legs[src][2], f"b{booking_id}:{label}")
-        for src, dst, label in channels
-    )
-    return tokens, FinSetMap(tokens, accounts, touched), FinSetMap(tokens, tokens, identity), flows
+    touched = FinSetMap(tokens, accounts, {i: leg[0] for i, leg in zip(tokens, legs)})
+    flows = [
+        (_IDS[legs[s][0]], _IDS[legs[d][0]], legs[s][2], f"b{booking_id}:{label}")
+        for s, d, label in channels
+    ]
+    ways = tuple((way is Direction.INFLOW, slot) for _, way, slot in legs)
+    identity = FinSetMap(tokens, tokens, dict(zip(tokens, tokens)))
+    return tokens, touched, identity, tuple(zip(*flows)), ways
 
 
 _FIXED = MappingProxyType({i: _fixed_inputs(i, legs, ch) for i, (_, legs, ch) in BOOKINGS.items()})
@@ -360,8 +357,8 @@ _FIXED = MappingProxyType({i: _fixed_inputs(i, legs, ch) for i, (_, legs, ch) in
 
 def booking_to_morphisms(cat: FiniteCategory, booking_id: int, amounts: tuple) -> tuple[int, ...]:
     """Record a booking's value channels as weighted morphisms in an economy category."""
-    add, flows = cat.add_morphism, booking_entry(_FIXED, booking_id)[3]
-    return tuple([add(src, dst, amounts[slot], label) for src, dst, slot, label in flows])
+    src, dst, slots, labels = booking_entry(_FIXED, booking_id)[3]
+    return tuple(cat.extend(src, dst, [amounts[slot] for slot in slots], labels))
 
 
 def validate_via_pullback(
@@ -369,24 +366,26 @@ def validate_via_pullback(
 ) -> tuple[bool, list[str]]:
     """Gate a booking by pulling its per-leg checks back against 'all ok'.
 
-    `balances` are the 20 opening balances in ACCOUNT_NAMES order.  The apex
-    of the pullback of (leg -> status) against ('all' -> 'ok') collects the
-    legs whose checks pass; the booking validates when it covers every leg
-    and conserves value.  The statuses are all 'ok' when the compiled legs
-    post onto a copy of the balances, else `leg_statuses` and
-    `conservation_status` give them.
+    `balances` are the 20 opening balances in ACCOUNT_NAMES order.  The
+    booking validates when the apex of (leg -> status) against ('all' ->
+    'ok') covers every leg and value is conserved.  Every status is 'ok'
+    when the compiled legs post onto a copy of the balances, else one scan
+    of the legs gives the statuses and the conservation verdict.
     """
     legs = booking_entry(_FIXED, booking_id)[0]
     if post_compiled(list(balances), booking_id, amounts):
-        statuses, verdict = _OK * len(legs), "ok"
+        statuses, verdict, outcomes = _OK * len(legs), "ok", _OK
     else:
-        statuses = leg_statuses(balances, booking_id, amounts)
-        verdict = conservation_status(booking_id, amounts)
-    outcomes = tuple(sorted({*statuses, "ok"}))
-    leg_check = FinSetMap(legs, outcomes, dict(zip(legs, statuses)))
-    spec_cone = _SPEC_CONE if outcomes == _OK else FinSetMap(("all",), outcomes, {"all": "ok"})
+        statuses, verdict, _ = ledger_module._scan_legs(balances, booking_id, amounts)
+        outcomes = tuple(sorted({*statuses, "ok"}))
+    leg_check = FinSetMap.from_positions(legs, outcomes, map(outcomes.index, statuses))
+    spec_cone = _SPEC_CONE
+    if outcomes != _OK:
+        spec_cone = FinSetMap.from_positions(("all",), outcomes, (outcomes.index("ok"),))
     apex, _, _ = finset_pullback(leg_check, spec_cone)
-    return len(apex) == len(legs) and verdict == "ok", booking_diagnostics(statuses, verdict)
+    if len(apex) == len(legs) and verdict == "ok":
+        return True, []
+    return False, booking_diagnostics(statuses, verdict)
 
 
 def apply_via_pushout(
@@ -394,15 +393,12 @@ def apply_via_pushout(
 ) -> tuple[frozenset, ...]:
     """Apply a validated booking by folding its legs over the pushout classes.
 
-    `values` are the 20 balances in ACCOUNT_NAMES order.  The pushout of
-    (leg -> account) against (leg -> leg) glues every leg onto the account
-    it touches, one class per account; each class is then folded onto the
-    account's balance in leg order.  Returns the classes.
+    The pushout of (leg -> account) against (leg -> leg) glues each leg onto
+    its account, one class per account; each class folds its legs onto the
+    account's entry of `values`, in leg order.  Returns the classes.
     """
-    _, to_account, to_slot, _ = booking_entry(_FIXED, booking_id)
-    legs = BOOKINGS[booking_id][1]
+    _, to_account, to_slot, _, ways = booking_entry(_FIXED, booking_id)
     classes, _, _ = finset_pushout(to_account, to_slot)
-
     for cls in classes:
         names: list[str] = []
         indices: list[int] = []
@@ -413,11 +409,8 @@ def apply_via_pushout(
         account = ACCOUNT_INDEX[names[0]]
         amount = values[account]
         for index in sorted(indices):
-            _, direction, slot = legs[index]
-            if direction is Direction.INFLOW:
-                amount = amount + amounts[slot]
-            else:
-                amount = amount - amounts[slot]
+            inflow, slot = ways[index]
+            amount = amount + amounts[slot] if inflow else amount - amounts[slot]
         values[account] = amount
     return classes
 
@@ -427,31 +420,30 @@ def build_time_step(
 ) -> tuple[FiniteCategory, Functor, Functor, NaturalTransformation]:
     """The period as a natural transformation between two snapshot functors.
 
-    `flows` is the account category carrying the period's flow morphisms.
-    The target category holds both snapshots; F_t and F_t1 embed the flows
-    at the two levels, and each component of the transformation is the
-    evolution edge of one account, weighted by its net flow.  The target is
-    built in one pass: the objects at t and at t+1, the components, then
-    each flow's images at t and t+1.
+    F_t and F_t1 embed `flows`, the account category with the period's
+    flows, at the two levels of the target; each component is one account's
+    evolution edge, weighted by its net flow.  The target's columns hold
+    the components, then the flows' images at t, then at t+1.
     """
-    accounts, generators = flows.objects, flows.morphisms
-    names = [obj.name for obj in accounts]
+    names, shift = flows.names, len(ACCOUNT_NAMES)
     at_t = [_IDS[name] for name in names]
-    at_t1 = [index + len(ACCOUNT_NAMES) for index in at_t]
-    object_map_t = dict(zip([obj.id for obj in accounts], at_t))
-    object_map_t1 = dict(zip(object_map_t, at_t1))
-    net_flows = [new[name] - old[name] for name in names]
-    morphisms = list(zip(at_t, at_t1, net_flows, map(_EVOLVE.__getitem__, names)))
-    for mor in generators:
-        for level in (object_map_t, object_map_t1):
-            morphisms.append((level[mor.src], level[mor.dst], mor.weight, mor.label))
-    step = FiniteCategory.from_lists("time-step", _STEP_NAMES, morphisms)
+    at_t1 = [index + shift for index in at_t]
+    src_t = [at_t[s - 1] for s in flows.src]
+    dst_t = [at_t[d - 1] for d in flows.dst]
+    step = FiniteCategory.from_columns(
+        "time-step",
+        _STEP_NAMES,
+        at_t + src_t + [index + shift for index in src_t],
+        at_t1 + dst_t + [index + shift for index in dst_t],
+        [new[name] - old[name] for name in names] + flows.weight * 2,
+        [_EVOLVE[name] for name in names] + flows.label * 2,
+    )
 
-    # ids: components 1..k, then the images at t and t+1 alternate
-    k, flow_ids, end = len(accounts), [mor.id for mor in generators], len(morphisms) + 1
-    f_t = Functor(flows, step, object_map_t, dict(zip(flow_ids, range(k + 1, end, 2))))
-    f_t1 = Functor(flows, step, object_map_t1, dict(zip(flow_ids, range(k + 2, end, 2))))
-    eta = NaturalTransformation(f_t, f_t1, dict(zip(object_map_t, range(1, k + 1))))
+    k, m = len(names), len(flows.src)
+    objects, images = range(1, k + 1), range(k + 1, k + 2 * m + 1)
+    f_t = Functor(flows, step, dict(zip(objects, at_t)), dict(zip(range(1, m + 1), images[:m])))
+    f_t1 = Functor(flows, step, dict(zip(objects, at_t1)), dict(zip(range(1, m + 1), images[m:])))
+    eta = NaturalTransformation(f_t, f_t1, dict(zip(objects, objects)))
     return step, f_t, f_t1, eta
 
 
@@ -477,36 +469,30 @@ def verify_time_step(
     """
     failures: list[str] = []
     for functor, tag in ((eta.F, "F_t"), (eta.G, "F_t+1")):
-        report = check_functor_laws(functor)
-        if not report.ok:
-            failures.extend(f"{tag}: {msg}" for msg in report.failures)
-        morphism_map, resolve = functor.morphism_map, functor.target.find_morphism
-        for mor in flows.morphisms:
-            mapped = morphism_map.get(mor.id)
-            image = None if mapped is None else resolve(mapped)
-            if image is None:
+        failures.extend(f"{tag}: {msg}" for msg in check_functor_laws(functor).failures)
+        morphism_map, target = functor.morphism_map, functor.target
+        labels, weights = target.label, target.weight
+        for mor_id, (label, weight) in enumerate(zip(flows.label, flows.weight), 1):
+            mapped = morphism_map.get(mor_id)
+            if mapped is None or not 1 <= mapped <= len(labels):
                 continue  # reported by the law check
-            if image.label != mor.label or (
-                image.weight != mor.weight and not _both_nan(image.weight, mor.weight)
+            image_label, image_weight = labels[mapped - 1], weights[mapped - 1]
+            if image_label != label or (
+                image_weight != weight and not _both_nan(image_weight, weight)
             ):
                 failures.append(
-                    f"{tag}: morphism {mor.id} ({mor.label}) maps to "
-                    f"{image.label!r} weighted {image.weight}, not {mor.weight}"
+                    f"{tag}: morphism {mor_id} ({label}) maps to "
+                    f"{image_label!r} weighted {image_weight}, not {weight}"
                 )
-    nat = check_naturality(eta)
-    if not nat.ok:
-        failures.extend(f"naturality: {msg}" for msg in nat.failures)
-    step = eta.F.target
-    for obj in flows.objects:
-        comp_id = eta.components.get(obj.id)
-        component = None if comp_id is None else step.find_morphism(comp_id)
-        if component is None:
-            failures.append(f"component weight for {obj.name}: no evolution component")
-            continue
-        expected = new[obj.name] - old[obj.name]
-        if component.weight != expected and not _both_nan(component.weight, expected):
+    failures.extend(f"naturality: {msg}" for msg in check_naturality(eta).failures)
+    weights = eta.F.target.weight
+    for obj_id, name in enumerate(flows.names, 1):
+        comp_id, expected = eta.components.get(obj_id), new[name] - old[name]
+        if comp_id is None or not 1 <= comp_id <= len(weights):
+            failures.append(f"component weight for {name}: no evolution component")
+        elif weights[comp_id - 1] != expected and not _both_nan(weights[comp_id - 1], expected):
             failures.append(
-                f"component weight for {obj.name}: {component.weight} != net flow {expected}"
+                f"component weight for {name}: {weights[comp_id - 1]} != net flow {expected}"
             )
     if failures:
         raise EngineConsistencyError("period law check failed", failures)

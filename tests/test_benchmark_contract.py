@@ -15,9 +15,9 @@ from pathlib import Path
 import pytest
 
 import catledger
-from catledger import evolution
+from catledger import catcore, evolution
 from catledger.decisions import Parameters
-from catledger.evolution import EngineKind, run
+from catledger.evolution import EngineKind, initial_state, period_step, run
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -107,3 +107,32 @@ def test_the_traced_recursive_run_counts_every_posting():
     posts = [span for span in rejecting.spans if span.name == "ledger.post_booking"]
     assert [span.failed for span in posts].count(True) == 1
     assert posts[-1].failed
+
+
+def test_a_categorical_period_builds_no_record_and_validates_no_labeled_map(monkeypatch):
+    # the period runs on columns and positional maps: no `Morphism` or
+    # `CatObject` view is built and no labeled `FinSetMap` is validated
+    built: dict[str, int] = {}
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            built[name] = built.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    state = initial_state(Parameters())
+    for name in ("Morphism", "CatObject"):
+        monkeypatch.setattr(catcore, name, counting(name, getattr(catcore, name)))
+    monkeypatch.setattr(
+        catcore.FinSetMap, "__init__", counting("FinSetMap", catcore.FinSetMap.__init__)
+    )
+    for _ in range(3):
+        state, _ = period_step(state, engine=EngineKind.CATEGORICAL)
+    assert built == {}
+    # the counters do see each construction
+    flows = evolution.build_economy_category()
+    flows.add_morphism(1, 2, 1.0, "flow")
+    assert len(flows.objects) == 20 and flows.morphism_by_id(1).weight == 1.0
+    catcore.FinSetMap(("a",), ("t",), {"a": "t"})
+    assert built == {"CatObject": 20, "Morphism": 1, "FinSetMap": 1}

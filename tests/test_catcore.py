@@ -326,6 +326,35 @@ class TestFinSetMaps:
             FinSetMap(("a",), ("t",), {"a": "x"})
 
 
+class TestPositionalMaps:
+    @pytest.mark.parametrize(
+        "images, message",
+        [
+            ((0, 2), "image position 2 is outside a codomain of 2"),
+            ((-1, 0), "image position -1 is outside a codomain of 2"),
+            ((0,), "1 images for a domain of 2 elements"),
+            ((0, 1, 1), "3 images for a domain of 2 elements"),
+        ],
+    )
+    def test_a_bad_position_or_count_is_named(self, images, message):
+        with pytest.raises(FinSetError) as err:
+            FinSetMap.from_positions(("a", "b"), ("t", "f"), images)
+        assert str(err.value) == message
+
+    def test_positional_and_labeled_maps_of_one_function_agree(self):
+        positional = FinSetMap.from_positions(("a", "b", "c"), ("t", "f"), [1, 0, 1])
+        labeled = FinSetMap(("a", "b", "c"), ("t", "f"), {"c": "f", "a": "f", "b": "t"})
+        assert positional == labeled and labeled == positional
+        assert positional.images == labeled.images == (1, 0, 1)
+        assert list(positional.mapping.items()) == list(labeled.mapping.items())
+        assert dict(positional.mapping) == {"a": "f", "b": "t", "c": "f"}
+        assert [positional(x) for x in "abc"] == ["f", "t", "f"]
+        assert positional != FinSetMap.from_positions(("a", "b", "c"), ("t", "f"), [1, 1, 1])
+        assert positional != FinSetMap.from_positions(("a", "b", "c"), ("f", "t"), [1, 0, 1])
+        with pytest.raises(TypeError):
+            positional.mapping["a"] = "t"
+
+
 PULLBACK_FIXTURE = (
     FinSetMap(("a", "b"), ("t", "f"), {"a": "t", "b": "f"}),
     FinSetMap(("x", "y", "z"), ("t", "f"), {"x": "t", "y": "t", "z": "f"}),
@@ -470,6 +499,19 @@ class TestLawChecksReportInsteadOfRaising:
         report = check_naturality(eta)
         assert not report.ok
         assert any("'ResBank'" in failure and "99" in failure for failure in report.failures)
+
+    def test_a_square_that_composes_but_is_not_parallel_is_named(self):
+        # f: A -> B; eta_A starts at 5, not at F(A) = 1, yet both paths compose
+        base = FiniteCategory.from_lists("base", ("A", "B"), [(1, 2, 0.0, "f")])
+        ends = [(1, 2), (3, 4), (5, 3), (2, 4)]  # F(f), G(f), eta_A, eta_B
+        step = FiniteCategory.from_lists("step", "12345", [(s, d, 0.0, "") for s, d in ends])
+        f = Functor(base, step, {1: 1, 2: 2}, {1: 1})
+        g = Functor(base, step, {1: 3, 2: 4}, {1: 2})
+        report = check_naturality(NaturalTransformation(f, g, {1: 3, 2: 4}))
+        assert report.failures == [
+            "component at 'A' is mistyped: 5->3 is not F(A)->G(A)",
+            "square for morphism 1 is not parallel",
+        ]
 
     def test_naturality_square_image_outside_target_is_reported(self):
         base, step, eta = two_snapshot_transformation({"LabBank": 0.0, "ResBank": 208.0})

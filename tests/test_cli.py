@@ -506,6 +506,13 @@ class TestCheckLaws:
         assert "FAIL" not in out
         assert out.count("PASS") >= 7
 
+    def test_the_engine_shaped_fixtures_pass(self, capsys):
+        # booking 6's pushout inputs (8 legs onto 6 accounts) and its all-ok gate
+        assert main(["check-laws"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert "PASS  dividend pushout universal property" in lines
+        assert "PASS  dividend gate universal property" in lines
+
     def test_programming_error_propagates(self, monkeypatch):
         # only a ledger rejection or a law failure of the engine reads as FAIL
         def broken(*args, **kwargs):

@@ -336,11 +336,11 @@ class TestCategoricalInternals:
         step, f_t, f_t1, eta = build_time_step(cat, old, new)
         verify_time_step(cat, eta, old, new)  # sane construction passes
         victim = eta.components[cat.get_object("AccComBank")]
-        step.morphism_by_id(victim).weight += 1.0
+        step.weight[victim - 1] += 1.0  # the weight column, indexed by id - 1
         with pytest.raises(EngineConsistencyError) as err:
             verify_time_step(cat, eta, old, new)
         assert any("AccComBank" in f for f in err.value.failures)
-        step.morphism_by_id(victim).weight = float("nan")
+        step.weight[victim - 1] = float("nan")
         with pytest.raises(EngineConsistencyError) as err:
             verify_time_step(cat, eta, old, new)
         assert any("AccComBank" in f for f in err.value.failures)
@@ -363,6 +363,42 @@ class TestCategoricalInternals:
         eta.components[a], eta.components[b] = eta.components[b], eta.components[a]
         with pytest.raises(EngineConsistencyError):
             verify_time_step(cat, eta, old, new)
+
+
+# the weight rule's grid: each weight with an opening and a closing balance
+# whose difference it is; -0.0 equals 0.0, one ulp apart does not match
+NET_FLOWS = [
+    (0.0, 0.0, 0.0),
+    (-0.0, 0.0, -0.0),
+    (1.0, 0.0, 1.0),
+    (math.nextafter(1.0, math.inf), 0.0, math.nextafter(1.0, math.inf)),
+    (math.nan, math.inf, math.inf),
+    (math.inf, 0.0, math.inf),
+]
+
+
+@pytest.mark.parametrize("w", [weight for weight, _, _ in NET_FLOWS])
+@pytest.mark.parametrize("e, opening, closing", NET_FLOWS)
+def test_the_weight_rule_accepts_exactly_equal_or_both_nan(w, e, opening, closing):
+    assert repr(closing - opening) == repr(e)
+    flows = build_economy_category()
+    flows.add_morphism(1, 2, e, "flow")
+    old = {**init_ledger().balances(), "AccLabBank": opening}
+    new = {**old, "AccLabBank": closing}
+    step, f_t, f_t1, eta = build_time_step(flows, old, new)
+    verify_time_step(flows, eta, old, new)
+    images = (f_t.morphism_map[1], f_t1.morphism_map[1])
+    component = eta.components[flows.get_object("AccLabBank")]
+    # weight the flow's two images w, then only the account's component
+    for weighted, named in ((images, "F_t: morphism 1 "), ((component,), "component weight")):
+        for j in (*images, component):
+            step.weight[j - 1] = w if j in weighted else e
+        if w == e or (math.isnan(w) and math.isnan(e)):
+            verify_time_step(flows, eta, old, new)
+        else:
+            with pytest.raises(EngineConsistencyError) as err:
+                verify_time_step(flows, eta, old, new)
+            assert any(f.startswith(named) for f in err.value.failures)
 
 
 # each function that takes a booking id, called on a ledger
@@ -501,11 +537,11 @@ class TestCompiledPostings:
         trace = run(Parameters(), horizon=30, engine=EngineKind.CATEGORICAL)
         assert len(trace.column("period")) == 31
         assert calls == []
-        # the gate's fallback scans the rejected repayment for its leg
-        # statuses and again for its conservation verdict
+        # the gate's fallback scans the rejected repayment once, for its leg
+        # statuses and its conservation verdict
         with pytest.raises(ValidationFailure) as err:
             run(Parameters(tau=1, horizon=5), engine=EngineKind.CATEGORICAL)
-        assert calls == [7, 7]
+        assert calls == [7]
         assert err.value.diagnostics == [
             "insufficient-balance:AccComBank",
             "insufficient-balance:AccBankComBank",
@@ -675,6 +711,21 @@ class TestPeriodLawGuard:
         verify_time_step(flows, eta, old, new)
         assert redirects == 1495
 
+    def test_a_redirect_onto_an_equally_weighted_parallel_flow_is_caught(self):
+        # only the label tells the two flows apart
+        flows = build_economy_category()
+        flows.add_morphism(1, 2, 5.0, "first")
+        flows.add_morphism(1, 2, 5.0, "second")
+        balances = init_ledger().balances()
+        _, f_t, _, eta = build_time_step(flows, balances, dict(balances))
+        verify_time_step(flows, eta, balances, dict(balances))
+        f_t.morphism_map[1] = f_t.morphism_map[2]
+        with pytest.raises(EngineConsistencyError) as err:
+            verify_time_step(flows, eta, balances, dict(balances))
+        assert err.value.failures == [
+            "F_t: morphism 1 (first) maps to 'second' weighted 5.0, not 5.0"
+        ]
+
     @pytest.mark.parametrize("snapshot, tag", [("F", "F_t"), ("G", "F_t+1")])
     def test_parallel_redirect_and_changed_weight_are_caught(self, monkeypatch, snapshot, tag):
         flows, eta, old, new = real_period(monkeypatch, Parameters())
@@ -692,8 +743,7 @@ class TestPeriodLawGuard:
         assert any(f.startswith(f"{tag}: morphism {settled} ") for f in err.value.failures)
         images[settled] = true_image
 
-        image = step.morphism_by_id(true_image)
-        image.weight += 1.0
+        step.weight[true_image - 1] += 1.0
         with pytest.raises(EngineConsistencyError) as err:
             verify_time_step(flows, eta, old, new)
         assert any(f.startswith(f"{tag}: morphism {settled} ") for f in err.value.failures)
