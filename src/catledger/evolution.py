@@ -391,27 +391,26 @@ def validate_via_pullback(
 def apply_via_pushout(
     values: list[float], booking_id: int, amounts: tuple[float, ...]
 ) -> tuple[frozenset, ...]:
-    """Apply a validated booking by folding its legs over the pushout classes.
+    """Apply a validated booking by folding its legs through the pushout's injections.
 
     The pushout of (leg -> account) against (leg -> leg) glues each leg onto
-    its account, one class per account; each class folds its legs onto the
-    account's entry of `values`, in leg order.  Returns the classes.
+    its account: i_b sends a leg to its class, and the class is the i_a
+    image of exactly one account.  Each leg is added to or subtracted from
+    that account's entry of `values`, in leg order.  Returns the classes.
     """
     _, to_account, to_slot, _, ways = booking_entry(_FIXED, booking_id)
-    classes, _, _ = finset_pushout(to_account, to_slot)
-    for cls in classes:
-        names: list[str] = []
-        indices: list[int] = []
-        for tag, label in cls:
-            (names if tag == "A" else indices).append(label)
-        if len(names) != 1:
-            raise EngineConsistencyError(f"pushout glued {len(names)} accounts into one class")
-        account = ACCOUNT_INDEX[names[0]]
-        amount = values[account]
-        for index in sorted(indices):
-            inflow, slot = ways[index]
-            amount = amount + amounts[slot] if inflow else amount - amounts[slot]
-        values[account] = amount
+    classes, i_a, i_b = finset_pushout(to_account, to_slot)
+    owners = dict(zip(i_a.images, map(ACCOUNT_INDEX.__getitem__, i_a.domain)))
+    if len(owners) != len(i_a.images):
+        glued = max(map(i_a.images.count, i_a.images))
+        raise EngineConsistencyError(f"pushout glued {glued} accounts into one class")
+    if i_b.images != tuple(map(i_a.images.__getitem__, to_account.images)):
+        raise EngineConsistencyError("pushout square does not commute: a leg left its account")
+    for cls, (inflow, slot) in zip(i_b.images, ways):
+        account = owners[cls]
+        values[account] = (
+            values[account] + amounts[slot] if inflow else values[account] - amounts[slot]
+        )
     return classes
 
 

@@ -2,18 +2,21 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
-from typing import Hashable
+from typing import Hashable, Mapping
 
 import pytest
 
 from catledger.catcore import (
+    CategoryError,
     DanglingEndpointError,
     DuplicateObjectError,
     FiniteCategory,
     FinSetError,
     FinSetMap,
     Functor,
+    LawReport,
     NaturalTransformation,
     ObjectNotFoundError,
     check_functor_laws,
@@ -145,6 +148,28 @@ class TestFromLists:
             FiniteCategory.from_lists("batch", names, morphisms)
         assert str(err.value) == str(expected.value)
 
+    @pytest.mark.parametrize(
+        "columns, lengths",
+        [
+            (((1, 2), (2,), (0.0,), ("a",)), "src 2, dst 1, weight 1, label 1"),
+            (((), (5,), (), ()), "src 0, dst 1, weight 0, label 0"),
+        ],
+    )
+    def test_extend_refuses_unequal_columns(self, columns, lengths):
+        cat = FiniteCategory.from_lists("c", ("X", "Y"), [(1, 2, 0.5, "x")])
+        before = [list(column) for column in (cat.src, cat.dst, cat.weight, cat.label)]
+        with pytest.raises(CategoryError) as err:
+            cat.extend(*columns)
+        assert type(err.value) is CategoryError
+        assert str(err.value) == f"unequal columns: {lengths}"
+        assert [cat.src, cat.dst, cat.weight, cat.label] == before
+
+    def test_from_columns_refuses_unequal_columns(self):
+        with pytest.raises(CategoryError) as err:
+            FiniteCategory.from_columns("c", ("X", "Y"), (1,), (2,), (), ())
+        assert type(err.value) is CategoryError
+        assert str(err.value) == "unequal columns: src 1, dst 1, weight 0, label 0"
+
 
 class TestFunctorLaws:
     def test_identity_passes(self):
@@ -194,6 +219,120 @@ class TestFunctorLaws:
         del functor.object_map[2]
         report = check_functor_laws(functor)
         assert not report.ok
+
+
+# The two-path check_functor_laws that the one walk replaced, verbatim: the
+# endpoint and composable-pair columns compared whole, the walk run only on
+# a mismatch.  The one walk must return what it returns.
+
+
+def _image_ids(mapping: Mapping[int, int], count: int, bound: int) -> list[int] | None:
+    """`mapping[i]` for the ids i = 1..count; None when one is missing or not in 1..bound."""
+    try:
+        ids = [mapping[i] for i in range(1, count + 1)]
+        if not ids or 1 <= min(ids) and max(ids) <= bound:
+            return ids
+    except (KeyError, TypeError):
+        pass
+    return None
+
+
+def two_path_check_functor_laws(functor: Functor) -> LawReport:
+    """Check totality, endpoint coherence and composition preservation.
+
+    The images' endpoint columns are compared whole; only when one differs
+    are the generators walked to name each failure.
+    """
+    src_cat, dst_cat = functor.source, functor.target
+    object_map, morphism_map = functor.object_map, functor.morphism_map
+    starts, ends, n_objects = dst_cat.src, dst_cat.dst, len(dst_cat.names)
+    objects = _image_ids(object_map, len(src_cat.names), n_objects)
+    images = _image_ids(morphism_map, len(src_cat.src), len(starts))
+    if objects is not None and images is not None:
+        image_src = [starts[j - 1] for j in images]
+        image_dst = [ends[j - 1] for j in images]
+        if image_src == [objects[s - 1] for s in src_cat.src] and image_dst == [
+            objects[d - 1] for d in src_cat.dst
+        ]:
+            firsts, seconds = src_cat.composable_positions()
+            if [image_dst[i] for i in firsts] == [image_src[j] for j in seconds]:
+                return LawReport(True)
+
+    failures: list[str] = []
+    for obj_id, name in enumerate(src_cat.names, 1):
+        image = object_map.get(obj_id)
+        if image is None:
+            failures.append(f"object {name!r} has no image")
+        elif not 1 <= image <= n_objects:
+            failures.append(f"object {name!r} maps to missing id {image}")
+    resolved: dict[int, int] = {}
+    for mor_id, (s, d, label) in enumerate(zip(src_cat.src, src_cat.dst, src_cat.label), 1):
+        mapped = morphism_map.get(mor_id)
+        if mapped is None:
+            failures.append(f"morphism {mor_id} ({label or 'unlabeled'}) has no image")
+        elif not 1 <= mapped <= len(starts):
+            failures.append(f"morphism {mor_id} maps to missing id {mapped}")
+        else:
+            resolved[mor_id] = mapped
+            image_src, image_dst = starts[mapped - 1], ends[mapped - 1]
+            if image_src != object_map.get(s):
+                failures.append(
+                    f"morphism {mor_id}: image source {image_src} != F(src) {object_map.get(s)}"
+                )
+            if image_dst != object_map.get(d):
+                failures.append(
+                    f"morphism {mor_id}: image target {image_dst} != F(dst) {object_map.get(d)}"
+                )
+    for i, j in zip(*src_cat.composable_positions()):
+        f_img, g_img = resolved.get(i + 1), resolved.get(j + 1)
+        if f_img is not None and g_img is not None and ends[f_img - 1] != starts[g_img - 1]:
+            failures.append(
+                f"composable pair ({i + 1}, {j + 1}) maps to non-composing pair ({f_img}, {g_img})"
+            )
+    return LawReport(ok=not failures, failures=failures)
+
+
+def single_edits(functor: Functor):
+    """Each functor one edit away: an image set to every id or out of range, or deleted."""
+    objects = (*range(1, len(functor.target.names) + 1), 999, None)
+    morphisms = (*range(1, len(functor.target.src) + 1), 0, 999, None)
+    for which, values in (("object_map", objects), ("morphism_map", morphisms)):
+        for key in getattr(functor, which):
+            for new in values:
+                mapping = dict(getattr(functor, which))
+                if new is None:
+                    del mapping[key]
+                else:
+                    mapping[key] = new
+                yield dataclasses.replace(functor, **{which: mapping})
+
+
+class TestOneWalkDifferential:
+    def test_every_single_edit_of_a_real_period_reports_as_before(self, monkeypatch):
+        from catledger import evolution
+        from catledger.decisions import Parameters
+
+        captured = []
+        original = evolution.build_time_step
+
+        def record(flows, old, new):
+            built = original(flows, old, new)
+            captured.append(built)
+            return built
+
+        monkeypatch.setattr(evolution, "build_time_step", record)
+        state = evolution.initial_state(Parameters())
+        for _ in range(3):
+            state, _ = evolution.period_step(state, engine=evolution.EngineKind.CATEGORICAL)
+        _, f_t, f_t1, _ = captured[-1]
+        edited = 0
+        for functor in (f_t, f_t1):
+            assert check_functor_laws(functor) == two_path_check_functor_laws(functor)
+            assert check_functor_laws(functor).ok
+            for variant in single_edits(functor):
+                assert check_functor_laws(variant) == two_path_check_functor_laws(variant)
+                edited += 1
+        assert edited == 4854
 
 
 def two_snapshot_transformation(weights: dict[str, float]):

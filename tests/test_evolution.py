@@ -656,8 +656,10 @@ class TestPeriodLawGuard:
         real_pushout = evolution.finset_pushout
 
         def glued(f, g):
+            # the first two accounts sent to one class
             classes, i_a, i_b = real_pushout(f, g)
-            return (classes[0] | classes[1],) + classes[2:], i_a, i_b
+            images = (0, 0, *i_a.images[2:])
+            return classes, FinSetMap.from_positions(i_a.domain, classes, images), i_b
 
         monkeypatch.setattr(evolution, "finset_pushout", glued)
         state = initial_state(Parameters())
@@ -665,6 +667,27 @@ class TestPeriodLawGuard:
         with pytest.raises(EngineConsistencyError) as err:
             period_step(state, engine=EngineKind.CATEGORICAL)
         assert str(err.value) == "pushout glued 2 accounts into one class"
+        assert array("d", state.ledger.values).tobytes() == before
+        assert state.period == 0 and state.declared_dividend == 0.0
+
+    def test_pushout_leg_moved_to_another_account_is_caught(self, monkeypatch):
+        from catledger import evolution
+
+        real_pushout = evolution.finset_pushout
+
+        def moved(f, g):
+            # the first leg's class replaced by another account's class
+            classes, i_a, i_b = real_pushout(f, g)
+            other = next(c for c in i_a.images if c != i_b.images[0])
+            images = (other, *i_b.images[1:])
+            return classes, i_a, FinSetMap.from_positions(i_b.domain, classes, images)
+
+        monkeypatch.setattr(evolution, "finset_pushout", moved)
+        state = initial_state(Parameters())
+        before = array("d", state.ledger.values).tobytes()
+        with pytest.raises(EngineConsistencyError) as err:
+            period_step(state, engine=EngineKind.CATEGORICAL)
+        assert str(err.value) == "pushout square does not commute: a leg left its account"
         assert array("d", state.ledger.values).tobytes() == before
         assert state.period == 0 and state.declared_dividend == 0.0
 
