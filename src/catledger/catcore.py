@@ -37,21 +37,6 @@ class FinSetError(ValueError):
     """Ill-formed finite-set map or mismatched (co)domains."""
 
 
-@dataclass(frozen=True, slots=True)
-class CatObject:
-    id: int
-    name: str
-
-
-@dataclass(frozen=True, slots=True)
-class Morphism:
-    id: int
-    src: int
-    dst: int
-    label: str = ""
-    weight: float = 0.0
-
-
 class FiniteCategory:
     """A finitely presented category: named objects plus generator morphisms.
 
@@ -86,13 +71,9 @@ class FiniteCategory:
         return cls.from_columns(name, names, *(tuple(zip(*morphisms)) or ((),) * 4))
 
     @property
-    def objects(self) -> tuple[CatObject, ...]:
-        return tuple(map(CatObject, range(1, len(self.names) + 1), self.names))
-
-    @property
-    def morphisms(self) -> tuple[Morphism, ...]:
-        ids = range(1, len(self.src) + 1)
-        return tuple(map(Morphism, ids, self.src, self.dst, self.label, self.weight))
+    def morphisms(self) -> range:
+        """The generator ids."""
+        return range(1, len(self.src) + 1)
 
     def add_object(self, name: str) -> int:
         """Add a named object, returning its fresh id; DuplicateObjectError if present."""
@@ -132,24 +113,12 @@ class FiniteCategory:
         self.label.extend(label)
         return range(first, len(self.src) + 1)
 
-    def morphism_by_id(self, mor_id: int) -> Morphism:
-        if not 1 <= mor_id <= len(self.src):
-            raise ObjectNotFoundError(f"no morphism id {mor_id} in {self.name!r}")
-        j = mor_id - 1
-        return Morphism(mor_id, self.src[j], self.dst[j], self.label[j], self.weight[j])
-
-    def composable_positions(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Positions i, j of the generator pairs with dst[i] == src[j], by i then j."""
+    def composable_pairs(self) -> list[tuple[int, int]]:
+        """The generator id pairs (f, g) with dst(f) == src(g), by f then g."""
         by_src: dict[int, list[int]] = {}
-        for j, s in enumerate(self.src):
-            by_src.setdefault(s, []).append(j)
-        pairs = [(i, j) for i, d in enumerate(self.dst) for j in by_src.get(d, ())]
-        return tuple(zip(*pairs)) or ((), ())
-
-    def composable_pairs(self) -> Iterator[tuple[Morphism, Morphism]]:
-        """All generator pairs (f, g) with f followed by g, i.e. dst(f) == src(g)."""
-        mors = self.morphisms
-        return ((mors[i], mors[j]) for i, j in zip(*self.composable_positions()))
+        for g, s in enumerate(self.src, 1):
+            by_src.setdefault(s, []).append(g)
+        return [(f, g) for f, d in enumerate(self.dst, 1) for g in by_src.get(d, ())]
 
 
 @dataclass
@@ -230,12 +199,11 @@ def check_functor_laws(functor: Functor) -> LawReport:
     # endpoints meet at the image of the shared object, so a pair can fail
     # only when something above already has
     if failures:
-        for i, j in zip(*src_cat.composable_positions()):
-            f_img, g_img = resolved.get(i + 1), resolved.get(j + 1)
+        for f, g in src_cat.composable_pairs():
+            f_img, g_img = resolved.get(f), resolved.get(g)
             if f_img is not None and g_img is not None and ends[f_img - 1] != starts[g_img - 1]:
                 failures.append(
-                    f"composable pair ({i + 1}, {j + 1}) maps to non-composing pair "
-                    f"({f_img}, {g_img})"
+                    f"composable pair ({f}, {g}) maps to non-composing pair ({f_img}, {g_img})"
                 )
     return LawReport(ok=not failures, failures=failures)
 

@@ -356,7 +356,6 @@ def _sweep_one(config: RunConfig, key: str, raw: str) -> dict[str, str]:
     try:
         local = RunConfig(params=config.params, engine=config.engine)
         apply_setting(local, key, raw)
-        local.params.validate()
         trace = run(local.params, engine=local.engine)
         where = _non_finite_cell(trace)
         if where is not None:

@@ -84,6 +84,7 @@ from .ledger import (
     invariances,
     post_booking,
     post_compiled,
+    rejection,
 )
 
 
@@ -320,11 +321,13 @@ class _RecursiveBook:
 # ---------------------------------------------------------------------------
 
 
-# Per account: its id in an economy category and at level t of the time step
-# (20 more at t+1), its component's label; the time step's names.
-_IDS = {name: index for index, name in enumerate(ACCOUNT_NAMES, 1)}
-_EVOLVE = {name: f"evolve:{name}" for name in ACCOUNT_NAMES}
+# Account i is object i of an economy category and of level t of the time
+# step, and object i + 20 of level t+1; the time step's names, and the
+# components' labels in account order.
+_SHIFT = len(ACCOUNT_NAMES)
+_AT_T, _AT_T1 = list(range(1, _SHIFT + 1)), list(range(_SHIFT + 1, 2 * _SHIFT + 1))
 _STEP_NAMES = (*(f"{n}@t" for n in ACCOUNT_NAMES), *(f"{n}@t+1" for n in ACCOUNT_NAMES))
+_EVOLVE = [f"evolve:{name}" for name in ACCOUNT_NAMES]
 
 
 def build_economy_category() -> FiniteCategory:
@@ -343,10 +346,8 @@ def _fixed_inputs(booking_id: int, legs: tuple, channels: tuple) -> tuple:
     tokens = tuple(range(len(legs)))
     accounts = tuple(dict.fromkeys(account for account, _, _ in legs))
     touched = FinSetMap(tokens, accounts, {i: leg[0] for i, leg in zip(tokens, legs)})
-    flows = [
-        (_IDS[legs[s][0]], _IDS[legs[d][0]], legs[s][2], f"b{booking_id}:{label}")
-        for s, d, label in channels
-    ]
+    ids = [ACCOUNT_INDEX[account] + 1 for account, _, _ in legs]
+    flows = [(ids[s], ids[d], legs[s][2], f"b{booking_id}:{label}") for s, d, label in channels]
     ways = tuple((way is Direction.INFLOW, slot) for _, way, slot in legs)
     identity = FinSetMap(tokens, tokens, dict(zip(tokens, tokens)))
     return tokens, touched, identity, tuple(zip(*flows)), ways
@@ -415,34 +416,30 @@ def apply_via_pushout(
 
 
 def build_time_step(
-    flows: FiniteCategory, old: dict[str, float], new: dict[str, float]
+    flows: FiniteCategory, old: Sequence[float], new: Sequence[float]
 ) -> tuple[FiniteCategory, Functor, Functor, NaturalTransformation]:
     """The period as a natural transformation between two snapshot functors.
 
-    F_t and F_t1 embed `flows`, the account category with the period's
-    flows, at the two levels of the target; each component is one account's
-    evolution edge, weighted by its net flow.  The target's columns hold
-    the components, then the flows' images at t, then at t+1.
+    `old` and `new` are the 20 opening and closing balances in
+    ACCOUNT_NAMES order.  F_t and F_t1 embed `flows`, the account category
+    with the period's flows, at the two levels of the target: account i at
+    i and at i + 20.  Each component is one account's evolution edge,
+    weighted by its net flow.  The target's columns hold the components,
+    then the flows' images at t, then at t+1.
     """
-    names, shift = flows.names, len(ACCOUNT_NAMES)
-    at_t = [_IDS[name] for name in names]
-    at_t1 = [index + shift for index in at_t]
-    src_t = [at_t[s - 1] for s in flows.src]
-    dst_t = [at_t[d - 1] for d in flows.dst]
+    src, dst, m = flows.src, flows.dst, len(flows.src)
     step = FiniteCategory.from_columns(
         "time-step",
         _STEP_NAMES,
-        at_t + src_t + [index + shift for index in src_t],
-        at_t1 + dst_t + [index + shift for index in dst_t],
-        [new[name] - old[name] for name in names] + flows.weight * 2,
-        [_EVOLVE[name] for name in names] + flows.label * 2,
+        _AT_T + src + [i + _SHIFT for i in src],
+        _AT_T1 + dst + [i + _SHIFT for i in dst],
+        [b - a for a, b in zip(old, new)] + flows.weight * 2,
+        _EVOLVE + flows.label * 2,
     )
-
-    k, m = len(names), len(flows.src)
-    objects, images = range(1, k + 1), range(k + 1, k + 2 * m + 1)
-    f_t = Functor(flows, step, dict(zip(objects, at_t)), dict(zip(range(1, m + 1), images[:m])))
-    f_t1 = Functor(flows, step, dict(zip(objects, at_t1)), dict(zip(range(1, m + 1), images[m:])))
-    eta = NaturalTransformation(f_t, f_t1, dict(zip(objects, objects)))
+    images = range(_SHIFT + 1, _SHIFT + 2 * m + 1)
+    f_t = Functor(flows, step, dict(zip(_AT_T, _AT_T)), dict(zip(flows.morphisms, images[:m])))
+    f_t1 = Functor(flows, step, dict(zip(_AT_T, _AT_T1)), dict(zip(flows.morphisms, images[m:])))
+    eta = NaturalTransformation(f_t, f_t1, dict(zip(_AT_T, _AT_T)))
     return step, f_t, f_t1, eta
 
 
@@ -452,10 +449,7 @@ def _both_nan(weight: float, expected: float) -> bool:
 
 
 def verify_time_step(
-    flows: FiniteCategory,
-    eta: NaturalTransformation,
-    old: dict[str, float],
-    new: dict[str, float],
+    flows: FiniteCategory, eta: NaturalTransformation, old: Sequence[float], new: Sequence[float]
 ) -> None:
     """Raise EngineConsistencyError unless the period's laws all hold.
 
@@ -485,8 +479,8 @@ def verify_time_step(
                 )
     failures.extend(f"naturality: {msg}" for msg in check_naturality(eta).failures)
     weights = eta.F.target.weight
-    for obj_id, name in enumerate(flows.names, 1):
-        comp_id, expected = eta.components.get(obj_id), new[name] - old[name]
+    for obj_id, (name, a, b) in enumerate(zip(flows.names, old, new), 1):
+        comp_id, expected = eta.components.get(obj_id), b - a
         if comp_id is None or not 1 <= comp_id <= len(weights):
             failures.append(f"component weight for {name}: no evolution component")
         elif weights[comp_id - 1] != expected and not _both_nan(weights[comp_id - 1], expected):
@@ -510,21 +504,19 @@ class _CategoricalBook(_RecursiveBook):
     def __init__(self, ledger: LedgerState) -> None:
         super().__init__(ledger)
         self.cat = build_economy_category()
-        self.opening = ledger.balances()
+        self.opening = ledger.values[:]
 
     def post(self, booking_id: int, amounts: tuple[float, ...]) -> None:
         ok, diagnostics = validate_via_pullback(self.values, booking_id, amounts)
         if not ok:
-            description = BOOKINGS[booking_id][0]
-            raise ValidationFailure(f"booking {booking_id} ({description}) rejected", diagnostics)
+            raise rejection(booking_id, diagnostics)
         booking_to_morphisms(self.cat, booking_id, amounts)
         apply_via_pushout(self.values, booking_id, amounts)
 
     def close(self) -> LedgerState:
         """The law checks on the realised time step, then the closing ledger."""
-        closing = self.ledger.balances()
-        *_, eta = build_time_step(self.cat, self.opening, closing)
-        verify_time_step(self.cat, eta, self.opening, closing)
+        *_, eta = build_time_step(self.cat, self.opening, self.values)
+        verify_time_step(self.cat, eta, self.opening, self.values)
         return self.ledger
 
 

@@ -131,7 +131,7 @@ class Account:
 
     @balance.setter
     def balance(self, value: float) -> None:
-        self._values[self._index] = value
+        self._values[self._index] = checked_balance(self.name, value)
 
 
 def is_debit(kind: AccountKind, direction: Direction) -> bool:
@@ -462,6 +462,12 @@ def booking_diagnostics(statuses: list[str], verdict: str) -> list[str]:
     return diagnostics
 
 
+def rejection(booking_id: int, diagnostics: list[str]) -> ValidationFailure:
+    """The failure that rejects booking `booking_id` with these diagnostics."""
+    description = BOOKINGS[booking_id][0]
+    return ValidationFailure(f"booking {booking_id} ({description}) rejected", diagnostics)
+
+
 def validate_booking(
     values: Sequence[float], booking_id: int, amounts: tuple[float, ...]
 ) -> tuple[bool, list[str]]:
@@ -487,7 +493,6 @@ def post_booking(state: LedgerState, booking_id: int, amounts: tuple[float, ...]
     statuses, verdict, closing = _scan_legs(opening, booking_id, amounts)
     diagnostics = booking_diagnostics(statuses, verdict)
     if diagnostics:
-        description = BOOKINGS[booking_id][0]
-        raise ValidationFailure(f"booking {booking_id} ({description}) rejected", diagnostics)
+        raise rejection(booking_id, diagnostics)
     values[:] = closing
     return state

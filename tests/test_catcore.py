@@ -46,7 +46,7 @@ class TestObjects:
     def test_first_object_gets_id_1(self):
         cat = FiniteCategory("accounts")
         assert cat.add_object("AccLabBank") == 1
-        assert len(cat.objects) == 1
+        assert cat.names == ["AccLabBank"]
 
     def test_duplicate_name_rejected(self):
         cat = FiniteCategory()
@@ -58,7 +58,7 @@ class TestObjects:
         cat = FiniteCategory()
         for name in ACCOUNT_NAMES_20:
             cat.add_object(name)
-        assert len(cat.objects) == 20
+        assert cat.names == ACCOUNT_NAMES_20
 
     def test_get_object_round_trip(self):
         cat = FiniteCategory()
@@ -83,7 +83,7 @@ class TestMorphisms:
         lab = cat.add_object("Lab")
         bank = cat.add_object("Bank")
         mid = cat.add_morphism(lab, bank, weight=52.0)
-        assert cat.morphism_by_id(mid).weight == 52.0
+        assert cat.weight[mid - 1] == 52.0
 
     def test_dangling_endpoint(self):
         cat = FiniteCategory()
@@ -98,6 +98,10 @@ class TestMorphisms:
         first = cat.add_morphism(a, b, weight=1.0)
         second = cat.add_morphism(a, b, weight=2.0)
         assert first != second
+
+
+def columns(cat: FiniteCategory) -> tuple[list, ...]:
+    return cat.src, cat.dst, cat.weight, cat.label
 
 
 def one_at_a_time(name, names, morphisms) -> FiniteCategory:
@@ -117,16 +121,16 @@ class TestFromLists:
         built = FiniteCategory.from_lists("batch", names, morphisms)
         expected = one_at_a_time("batch", names, morphisms)
         assert built.name == "batch"
-        assert built.objects == expected.objects
-        assert built.morphisms == expected.morphisms
+        assert built.names == expected.names
+        assert columns(built) == columns(expected)
         assert [built.get_object(name) for name in names] == [1, 2, 3]
-        assert list(built.composable_pairs()) == list(expected.composable_pairs())
+        assert built.composable_pairs() == expected.composable_pairs()
         # the built category grows like any other
         assert built.add_object("W") == 4 and built.add_morphism(4, 1) == 5
 
     def test_empty_lists(self):
         cat = FiniteCategory.from_lists("empty", [], [])
-        assert cat.objects == () and cat.morphisms == ()
+        assert cat.names == [] and list(cat.morphisms) == []
         assert cat.add_object("A") == 1
 
     @pytest.mark.parametrize(
@@ -171,6 +175,39 @@ class TestFromLists:
         assert str(err.value) == "unequal columns: src 1, dst 1, weight 0, label 0"
 
 
+class TestComposablePairs:
+    def test_matches_brute_force_on_random_categories(self):
+        # loops and parallel generators among them
+        rng = random.Random(1414)
+        loops = parallels = 0
+        for _ in range(300):
+            n = rng.randint(1, 4)
+            morphisms = [
+                (rng.randint(1, n), rng.randint(1, n), 0.0, "") for _ in range(rng.randint(0, 7))
+            ]
+            if morphisms and rng.random() < 0.5:
+                morphisms.append(rng.choice(morphisms))
+            cat = FiniteCategory.from_lists("random", [f"O{i}" for i in range(n)], morphisms)
+            brute = [
+                (f, g)
+                for f in range(1, len(morphisms) + 1)
+                for g in range(1, len(morphisms) + 1)
+                if morphisms[f - 1][1] == morphisms[g - 1][0]
+            ]
+            assert cat.composable_pairs() == brute
+            loops += any(src == dst for src, dst, _, _ in morphisms)
+            parallels += len(set(morphisms)) < len(morphisms)
+        assert loops > 50 and parallels > 50
+
+    def test_a_loop_composes_with_itself_and_parallels_count_apart(self):
+        morphisms = [(1, 1, 0.0, "loop"), (1, 2, 0.0, "a"), (1, 2, 0.0, "b"), (2, 1, 0.0, "c")]
+        cat = FiniteCategory.from_lists("loops", ("X", "Y"), morphisms)
+        assert cat.composable_pairs() == [
+            (1, 1), (1, 2), (1, 3), (2, 4), (3, 4), (4, 1), (4, 2), (4, 3)
+        ]
+        assert list(cat.morphisms) == [1, 2, 3, 4]
+
+
 class TestFunctorLaws:
     def test_identity_passes(self):
         assert check_functor_laws(Functor.identity(triangle())).ok
@@ -197,7 +234,7 @@ class TestFunctorLaws:
     def test_every_single_edit_corruption_fails(self):
         # mutation test: any one reassignment of a passing functor must be caught
         base = triangle()
-        n_objects = len(base.objects)
+        n_objects = len(base.names)
         n_morphisms = len(base.morphisms)
         for obj_id in range(1, n_objects + 1):
             for new_target in range(1, n_objects + 1):
@@ -223,7 +260,17 @@ class TestFunctorLaws:
 
 # The two-path check_functor_laws that the one walk replaced, verbatim: the
 # endpoint and composable-pair columns compared whole, the walk run only on
-# a mismatch.  The one walk must return what it returns.
+# a mismatch.  The one walk must return what it returns.  It enumerates the
+# composable pairs itself, with the category method it called then.
+
+
+def composable_positions(cat: FiniteCategory) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Positions i, j of the generator pairs with dst[i] == src[j], by i then j."""
+    by_src: dict[int, list[int]] = {}
+    for j, s in enumerate(cat.src):
+        by_src.setdefault(s, []).append(j)
+    pairs = [(i, j) for i, d in enumerate(cat.dst) for j in by_src.get(d, ())]
+    return tuple(zip(*pairs)) or ((), ())
 
 
 def _image_ids(mapping: Mapping[int, int], count: int, bound: int) -> list[int] | None:
@@ -254,7 +301,7 @@ def two_path_check_functor_laws(functor: Functor) -> LawReport:
         if image_src == [objects[s - 1] for s in src_cat.src] and image_dst == [
             objects[d - 1] for d in src_cat.dst
         ]:
-            firsts, seconds = src_cat.composable_positions()
+            firsts, seconds = composable_positions(src_cat)
             if [image_dst[i] for i in firsts] == [image_src[j] for j in seconds]:
                 return LawReport(True)
 
@@ -283,7 +330,7 @@ def two_path_check_functor_laws(functor: Functor) -> LawReport:
                 failures.append(
                     f"morphism {mor_id}: image target {image_dst} != F(dst) {object_map.get(d)}"
                 )
-    for i, j in zip(*src_cat.composable_positions()):
+    for i, j in zip(*composable_positions(src_cat)):
         f_img, g_img = resolved.get(i + 1), resolved.get(j + 1)
         if f_img is not None and g_img is not None and ends[f_img - 1] != starts[g_img - 1]:
             failures.append(
@@ -358,19 +405,20 @@ class TestNaturality:
     def test_identity_components_pass(self):
         cat = triangle()
         target = FiniteCategory("target")
-        for obj in cat.objects:
-            target.add_object(obj.name)
-        for mor in cat.morphisms:
-            target.add_morphism(mor.src, mor.dst, label=mor.label)
+        for name in cat.names:
+            target.add_object(name)
+        for src, dst, label in zip(cat.src, cat.dst, cat.label):
+            target.add_morphism(src, dst, label=label)
+        objects = range(1, len(cat.names) + 1)
         functor = Functor(
             cat,
             target,
-            {o.id: o.id for o in cat.objects},
-            {m.id: m.id for m in cat.morphisms},
+            {obj_id: obj_id for obj_id in objects},
+            {mor_id: mor_id for mor_id in cat.morphisms},
         )
         components = {
-            obj.id: target.add_morphism(obj.id, obj.id, label=f"id_{obj.name}")
-            for obj in cat.objects
+            obj_id: target.add_morphism(obj_id, obj_id, label=f"id_{name}")
+            for obj_id, name in zip(objects, cat.names)
         }
         eta = NaturalTransformation(functor, functor, components)
         assert check_naturality(eta).ok
@@ -382,9 +430,9 @@ class TestNaturality:
             base.get_object("ResBank"), base.get_object("ComBank"), weight=1.0
         )
         for functor in (eta.F, eta.G):
-            mor = base.morphism_by_id(flow)
+            src, dst, weight = base.src[flow - 1], base.dst[flow - 1], base.weight[flow - 1]
             functor.morphism_map[flow] = step.add_morphism(
-                functor.object_map[mor.src], functor.object_map[mor.dst], mor.weight
+                functor.object_map[src], functor.object_map[dst], weight
             )
         assert check_naturality(eta).ok
         # point Res's component at Com's evolution edge
@@ -397,7 +445,7 @@ class TestNaturality:
         weights = {"LabBank": 0.0, "ResBank": 208.0, "ComBank": 52.0}
         base, step, eta = two_snapshot_transformation(weights)
         assert check_naturality(eta).ok
-        assert step.morphism_by_id(eta.components[base.get_object("ResBank")]).weight == 208.0
+        assert step.weight[eta.components[base.get_object("ResBank")] - 1] == 208.0
 
 
 def brute_force_naturality(eta: NaturalTransformation) -> bool:
@@ -406,24 +454,22 @@ def brute_force_naturality(eta: NaturalTransformation) -> bool:
     if F.source is not G.source or F.target is not G.target:
         return False
     source, target = F.source, F.target
+    # each target generator's (src, dst), by id; a missing id raises KeyError
+    endpoints = dict(enumerate(zip(target.src, target.dst), 1)).__getitem__
 
-    def endpoints(mid):
-        mor = target.morphism_by_id(mid)
-        return mor.src, mor.dst
-
-    for obj in source.objects:
-        if obj.id not in eta.components:
+    for obj_id in range(1, len(source.names) + 1):
+        if obj_id not in eta.components:
             return False
-        src, dst = endpoints(eta.components[obj.id])
-        if (src, dst) != (F.object_map.get(obj.id), G.object_map.get(obj.id)):
+        src, dst = endpoints(eta.components[obj_id])
+        if (src, dst) != (F.object_map.get(obj_id), G.object_map.get(obj_id)):
             return False
-    for mor in source.morphisms:
-        if mor.id not in F.morphism_map or mor.id not in G.morphism_map:
+    for mor_id, (mor_src, mor_dst) in enumerate(zip(source.src, source.dst), 1):
+        if mor_id not in F.morphism_map or mor_id not in G.morphism_map:
             return False
-        fa_src, fa_dst = endpoints(F.morphism_map[mor.id])
-        ga_src, ga_dst = endpoints(G.morphism_map[mor.id])
-        ea_src, ea_dst = endpoints(eta.components[mor.src])
-        eb_src, eb_dst = endpoints(eta.components[mor.dst])
+        fa_src, fa_dst = endpoints(F.morphism_map[mor_id])
+        ga_src, ga_dst = endpoints(G.morphism_map[mor_id])
+        ea_src, ea_dst = endpoints(eta.components[mor_src])
+        eb_src, eb_dst = endpoints(eta.components[mor_dst])
         left = ea_dst == ga_src and (ea_src, ga_dst)
         right = fa_dst == eb_src and (fa_src, eb_dst)
         if left is False or right is False or left != right:
@@ -443,11 +489,13 @@ class TestNaturalityEquivalence:
                 base.add_morphism(src, dst, weight=float(rng.randint(0, 9)))
                 # extend the functors' morphism maps with snapshot copies
                 for functor, level in ((eta.F, 0), (eta.G, 1)):
-                    mor = base.morphisms[-1]
+                    mor_id = base.morphisms[-1]
                     copy = step.add_morphism(
-                        functor.object_map[mor.src], functor.object_map[mor.dst], mor.weight
+                        functor.object_map[base.src[-1]],
+                        functor.object_map[base.dst[-1]],
+                        base.weight[-1],
                     )
-                    functor.morphism_map[mor.id] = copy
+                    functor.morphism_map[mor_id] = copy
             if rng.random() < 0.5 and len(names) >= 2:
                 # corrupt one component
                 victim, donor = rng.sample(range(1, len(names) + 1), 2)

@@ -303,6 +303,39 @@ class TestCmdSweep:
         bad_row = next(l for l in out.splitlines() if l.startswith("rho_r,7.0"))
         assert "error" in bad_row
 
+    @pytest.fixture
+    def validations(self, monkeypatch) -> list[Parameters]:
+        """The parameters of every `Parameters.validate` call, in call order."""
+        calls: list[Parameters] = []
+        validate = Parameters.validate
+        monkeypatch.setattr(Parameters, "validate", lambda p: calls.append(p) or validate(p))
+        return calls
+
+    @pytest.mark.parametrize(
+        "param, value, row",
+        [
+            ("rho_r", "7.0", 'rho_r,7.0,"error: rho_r must lie in [0, 1], got 7.0",,,,'),
+            ("tau", "0", "tau,0,error: tau must be an integer >= 1,,,,"),
+            ("sig_b", "0", "sig_b,0,error: sig_b must be positive,,,,"),
+            ("omega", "nan", 'omega,nan,"error: omega must be a number, got nan",,,,'),
+        ],
+    )
+    def test_a_refused_value_is_validated_once_and_its_row_pinned(
+        self, capsys, validations, param, value, row
+    ):
+        # `load_config` validates the base parameters, then `run` the swept
+        # ones, which it refuses with the error the row shows
+        argv = ["sweep", "--param", param, "--values", value, "--horizon", "25"]
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[1] == row
+        assert len(validations) == 2
+
+    def test_an_accepted_value_is_validated_once(self, capsys, validations):
+        argv = ["sweep", "--param", "rho_r", "--values", "0.7", "--horizon", "25"]
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[1].startswith("rho_r,0.7,ok,")
+        assert [p.rho_r for p in validations] == [0.8, 0.7]  # the base, then the swept value
+
     @pytest.mark.parametrize(
         "jobs, values, cpus, expected",
         [

@@ -283,8 +283,8 @@ class TestCategoricalInternals:
         from catledger.evolution import _CategoricalBook
 
         cat = build_economy_category()
-        assert len(cat.objects) == 20
-        assert [obj.name for obj in cat.objects] == list(ACCOUNT_NAMES)
+        assert len(cat.names) == 20
+        assert cat.names == list(ACCOUNT_NAMES)
         assert _CategoricalBook(init_ledger()).get("AccComLab") == 110.0
 
     def test_pullback_gate_accepts_funded_loan(self):
@@ -308,31 +308,28 @@ class TestCategoricalInternals:
         # the evolution morphism of each account carries its realised net flow
         params = Parameters()
         trace = run(params, horizon=1, engine=EngineKind.CATEGORICAL)
-        old, new = trace.rows[0].accounts, trace.rows[1].accounts
+        old, new = list(trace.rows[0].accounts.values()), list(trace.rows[1].accounts.values())
         cat = build_economy_category()
         step, _, _, eta = build_time_step(cat, old, new)
-        res_edge = step.morphism_by_id(eta.components[cat.get_object("AccResBank")])
-        assert res_edge.weight == pytest.approx(208.0)
-        lab_edge = step.morphism_by_id(eta.components[cat.get_object("AccLabBank")])
-        assert lab_edge.weight == 0.0
+        res_edge = eta.components[cat.get_object("AccResBank")]
+        assert step.weight[res_edge - 1] == pytest.approx(208.0)
+        lab_edge = eta.components[cat.get_object("AccLabBank")]
+        assert step.weight[lab_edge - 1] == 0.0
         verify_time_step(cat, eta, old, new)
 
     def test_identity_period_passes_the_laws(self):
         cat = build_economy_category()
-        balances = init_ledger().balances()
-        step, _, _, eta = build_time_step(cat, balances, dict(balances))
-        verify_time_step(cat, eta, balances, dict(balances))
-        assert all(
-            step.morphism_by_id(component).weight == 0.0
-            for component in eta.components.values()
-        )
+        balances = init_ledger().values
+        step, _, _, eta = build_time_step(cat, balances, list(balances))
+        verify_time_step(cat, eta, balances, list(balances))
+        assert all(step.weight[component - 1] == 0.0 for component in eta.components.values())
 
     def test_corrupted_component_weight_is_caught(self):
         ledger = init_ledger()
         cat = build_economy_category()
-        old = ledger.balances()
+        old = ledger.values[:]
         apply_via_pushout(ledger.values, 5, (100.0,))
-        new = ledger.balances()
+        new = ledger.values[:]
         step, f_t, f_t1, eta = build_time_step(cat, old, new)
         verify_time_step(cat, eta, old, new)  # sane construction passes
         victim = eta.components[cat.get_object("AccComBank")]
@@ -348,16 +345,16 @@ class TestCategoricalInternals:
     def test_nan_net_flow_passes_the_laws(self):
         # an account at inf in both snapshots has the net flow inf - inf = nan
         cat = build_economy_category()
-        old = init_ledger().balances()
-        old["AccComGood"] = float("inf")
-        new = dict(old)
+        old = init_ledger().values
+        old[ACCOUNT_NAMES.index("AccComGood")] = float("inf")
+        new = list(old)
         _, _, _, eta = build_time_step(cat, old, new)
         verify_time_step(cat, eta, old, new)
 
     def test_mistyped_component_is_caught(self):
         cat = build_economy_category()
-        old = init_ledger().balances()
-        new = dict(old)
+        old = init_ledger().values
+        new = list(old)
         _, _, _, eta = build_time_step(cat, old, new)
         a, b = cat.get_object("AccLabBank"), cat.get_object("AccResBank")
         eta.components[a], eta.components[b] = eta.components[b], eta.components[a]
@@ -383,8 +380,8 @@ def test_the_weight_rule_accepts_exactly_equal_or_both_nan(w, e, opening, closin
     assert repr(closing - opening) == repr(e)
     flows = build_economy_category()
     flows.add_morphism(1, 2, e, "flow")
-    old = {**init_ledger().balances(), "AccLabBank": opening}
-    new = {**old, "AccLabBank": closing}
+    old = [opening, *init_ledger().values[1:]]  # AccLabBank is account 1
+    new = [closing, *old[1:]]
     step, f_t, f_t1, eta = build_time_step(flows, old, new)
     verify_time_step(flows, eta, old, new)
     images = (f_t.morphism_map[1], f_t1.morphism_map[1])
@@ -724,9 +721,9 @@ class TestPeriodLawGuard:
         redirects = 0
         for mor_id, image in list(images.items()):
             for other in step.morphisms:
-                if other.id == image:
+                if other == image:
                     continue
-                images[mor_id] = other.id
+                images[mor_id] = other
                 with pytest.raises(EngineConsistencyError):
                     verify_time_step(flows, eta, old, new)
                 redirects += 1
@@ -739,12 +736,12 @@ class TestPeriodLawGuard:
         flows = build_economy_category()
         flows.add_morphism(1, 2, 5.0, "first")
         flows.add_morphism(1, 2, 5.0, "second")
-        balances = init_ledger().balances()
-        _, f_t, _, eta = build_time_step(flows, balances, dict(balances))
-        verify_time_step(flows, eta, balances, dict(balances))
+        balances = init_ledger().values
+        _, f_t, _, eta = build_time_step(flows, balances, list(balances))
+        verify_time_step(flows, eta, balances, list(balances))
         f_t.morphism_map[1] = f_t.morphism_map[2]
         with pytest.raises(EngineConsistencyError) as err:
-            verify_time_step(flows, eta, balances, dict(balances))
+            verify_time_step(flows, eta, balances, list(balances))
         assert err.value.failures == [
             "F_t: morphism 1 (first) maps to 'second' weighted 5.0, not 5.0"
         ]
@@ -754,7 +751,7 @@ class TestPeriodLawGuard:
         flows, eta, old, new = real_period(monkeypatch, Parameters())
         functor = getattr(eta, snapshot)
         step = functor.target
-        by_label = {mor.label: mor.id for mor in flows.morphisms}
+        by_label = dict(zip(flows.label, flows.morphisms))
         settled = by_label["b6:dividend settled"]
         declared = by_label["b6:dividend declared"]
         images = functor.morphism_map

@@ -73,6 +73,26 @@ class TestInitLedger:
             init_ledger(-1.0, 20.0)
 
 
+class TestAccountView:
+    def test_the_balance_setter_refuses_a_negative_balance_as_set_balance_does(self):
+        state = init_ledger()
+        with pytest.raises(ValidationFailure) as err:
+            state.account("AccLabBank").balance = -5.0
+        assert str(err.value) == "balance of 'AccLabBank' would become negative (-5.0)"
+        assert state.values == init_ledger().values
+        with pytest.raises(ValidationFailure) as same:
+            state.set_balance("AccLabBank", -5.0)
+        assert str(same.value) == str(err.value)
+
+    def test_the_balance_setter_writes_the_ledger_list(self):
+        state = init_ledger()
+        account = state.account("AccComGood")
+        account.balance = 7.5
+        assert state.balance("AccComGood") == 7.5 == account.balance
+        account.balance = math.nan  # a NaN passes, as in set_balance
+        assert math.isnan(state.balance("AccComGood"))
+
+
 class TestPostBooking:
     def test_loan_260(self):
         state = init_ledger()
@@ -640,10 +660,9 @@ def boundary_bookings(draw) -> tuple[list[float], int, tuple[float, ...]]:
 
 
 def state_of(balances: list[float]) -> LedgerState:
-    state = LedgerState()
-    for name, value in zip(ACCOUNT_NAMES, balances):
-        state.account(name).balance = value
-    return state
+    # the list itself, since some of the drawn balances are negative, which
+    # the `Account.balance` setter refuses
+    return LedgerState(list(balances))
 
 
 def balance_bits(state: LedgerState) -> list[bytes]:
