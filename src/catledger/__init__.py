@@ -49,7 +49,6 @@ from .evolution import (
 )
 from .ledger import (
     ACCOUNT_NAMES,
-    Account,
     Agent,
     AccountKind,
     Direction,
@@ -67,7 +66,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ACCOUNT_NAMES",
-    "Account",
     "AccountKind",
     "Agent",
     "ContractMemory",

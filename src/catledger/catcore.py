@@ -25,10 +25,6 @@ class DuplicateObjectError(CategoryError):
     pass
 
 
-class ObjectNotFoundError(CategoryError):
-    pass
-
-
 class DanglingEndpointError(CategoryError):
     pass
 
@@ -40,57 +36,32 @@ class FinSetError(ValueError):
 class FiniteCategory:
     """A finitely presented category: named objects plus generator morphisms.
 
-    Parallel generators are allowed.  Ids start at 1 and are never reused:
-    object i is `names[i - 1]`, and generator j runs from `src[j - 1]` to
-    `dst[j - 1]` with `weight[j - 1]` and `label[j - 1]`.
+    Built by `from_columns`; `extend` appends generators.  Parallel
+    generators are allowed.  Ids start at 1 and are never reused: object i
+    is `names[i - 1]`, and generator j runs from `src[j - 1]` to `dst[j - 1]`
+    with `weight[j - 1]` and `label[j - 1]`.
     """
 
     __slots__ = ("name", "names", "src", "dst", "weight", "label")
-
-    def __init__(self, name: str = "") -> None:
-        self.name = name
-        self.names: list[str] = []
-        self.src, self.dst, self.weight, self.label = [], [], [], []
 
     @classmethod
     def from_columns(
         cls, name: str, names: Sequence[str], src: Sequence, dst: Sequence, weight, label
     ) -> "FiniteCategory":
-        """Objects and generators given as columns; raises what adding them in order would."""
-        cat = cls(name)
-        cat.names = list(names)
+        """The category of these columns; DuplicateObjectError names the first repeated object."""
         if len(set(names)) != len(names):
             again = next(obj for i, obj in enumerate(names) if obj in names[:i])
             raise DuplicateObjectError(f"object {again!r} already exists in {name!r}")
+        cat = object.__new__(cls)
+        cat.name, cat.names = name, list(names)
+        cat.src, cat.dst, cat.weight, cat.label = [], [], [], []
         cat.extend(src, dst, weight, label)
         return cat
-
-    @classmethod
-    def from_lists(cls, name: str, names: Sequence[str], morphisms: Sequence) -> "FiniteCategory":
-        """A category of named objects and (src, dst, weight, label) generators."""
-        return cls.from_columns(name, names, *(tuple(zip(*morphisms)) or ((),) * 4))
 
     @property
     def morphisms(self) -> range:
         """The generator ids."""
         return range(1, len(self.src) + 1)
-
-    def add_object(self, name: str) -> int:
-        """Add a named object, returning its fresh id; DuplicateObjectError if present."""
-        if name in self.names:
-            raise DuplicateObjectError(f"object {name!r} already exists in {self.name!r}")
-        self.names.append(name)
-        return len(self.names)
-
-    def get_object(self, name: str) -> int:
-        """Return the id of the object called `name`."""
-        if name not in self.names:
-            raise ObjectNotFoundError(f"no object {name!r} in {self.name!r}")
-        return self.names.index(name) + 1
-
-    def add_morphism(self, src: int, dst: int, weight: float = 0.0, label: str = "") -> int:
-        """Append a generator morphism src -> dst, returning its fresh id."""
-        return self.extend((src,), (dst,), (weight,), (label,))[0]
 
     def extend(self, src: Sequence[int], dst: Sequence[int], weight, label) -> range:
         """Append generators given as columns, returning their fresh ids.

@@ -168,7 +168,7 @@ def write_trace_csv(trace: Trace, path: str | Path, config: RunConfig) -> None:
 
 
 def read_trace_csv(path: str | Path) -> tuple[dict[str, str], list[dict[str, float]]]:
-    """Parse a trace CSV back into (echoed config, rows); refuse a row of the wrong width."""
+    """Parse a trace CSV into (echoed config, rows); name the line of a short row or a bad cell."""
     meta: dict[str, str] = {}
     rows: list[dict[str, float]] = []
     with open(path, newline="", encoding="utf-8") as handle:
@@ -196,7 +196,15 @@ def read_trace_csv(path: str | Path) -> tuple[dict[str, str], list[dict[str, flo
                 f"trace file {path}, line {line_numbers[reader.line_num - 1]}: "
                 f"{len(parts)} cells where the header has {len(header)}"
             )
-        rows.append({col: float(cell) for col, cell in zip(header, parts)})
+        values: list[float] = []
+        try:
+            values.extend(map(float, parts))  # `values` keeps the cells before a bad one
+        except ValueError:
+            raise ConfigError(
+                f"trace file {path}, line {line_numbers[reader.line_num - 1]}, "
+                f"column {header[len(values)]}: cannot parse {parts[len(values)]!r}"
+            ) from None
+        rows.append(dict(zip(header, values)))
     if not rows:
         raise ConfigError(f"trace file {path} holds no rows")
     return meta, rows
@@ -479,8 +487,9 @@ def run_law_fixtures() -> list[tuple[str, bool]]:
     """Self-contained law suite; returns (name, passed) pairs."""
     results: list[tuple[str, bool]] = []
 
-    triangle = [(1, 2, 0.0, "a"), (2, 3, 0.0, "b"), (1, 3, 0.0, "c")]
-    cat = FiniteCategory.from_lists("triangle", ("X", "Y", "Z"), triangle)
+    cat = FiniteCategory.from_columns(
+        "triangle", ("X", "Y", "Z"), (1, 2, 1), (2, 3, 3), (0.0,) * 3, ("a", "b", "c")
+    )
     identity = Functor.identity(cat)
     results.append(("identity functor passes", check_functor_laws(identity).ok))
 
@@ -597,7 +606,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error; 2 is an invariance breach
+        return EXIT_CONFIG if exc.code else EXIT_OK
     try:
         if args.command == "run":
             return cmd_run(_config_from_args(args), args.out, args.json_out)

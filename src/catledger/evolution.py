@@ -332,7 +332,7 @@ _EVOLVE = [f"evolve:{name}" for name in ACCOUNT_NAMES]
 
 def build_economy_category() -> FiniteCategory:
     """The account category: object i + 1 is account ACCOUNT_NAMES[i], no flows yet."""
-    return FiniteCategory.from_lists("economy", ACCOUNT_NAMES, [])
+    return FiniteCategory.from_columns("economy", ACCOUNT_NAMES, (), (), (), ())
 
 
 # Each booking's fixed inputs, built once: its leg tokens; the pushout's
@@ -564,8 +564,8 @@ def run(
     engine = _engine_kind(engine)
     params.validate()
     span = params.horizon if horizon is None else horizon
-    if span < 1:
-        raise ValueError("horizon must be >= 1")
+    if not isinstance(span, int) or span < 1:
+        raise ValueError("horizon must be an integer >= 1")
     state = initial_state(params)
     cells = array("d")
     for period in range(span + 1):

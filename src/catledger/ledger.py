@@ -115,25 +115,6 @@ def checked_balance(name: str, value: float) -> float:
     return value
 
 
-class Account:
-    """One account of a ledger: its spec, and a view of its balance in the ledger's list."""
-
-    __slots__ = ("_values", "_index", "agent", "name", "kind", "unit")
-
-    def __init__(self, values: list[float], index: int) -> None:
-        spec = ACCOUNT_SPECS[index]
-        self._values, self._index = values, index
-        self.agent, self.name, self.kind, self.unit = spec.agent, spec.name, spec.kind, spec.unit
-
-    @property
-    def balance(self) -> float:
-        return self._values[self._index]
-
-    @balance.setter
-    def balance(self, value: float) -> None:
-        self._values[self._index] = checked_balance(self.name, value)
-
-
 def is_debit(kind: AccountKind, direction: Direction) -> bool:
     """Debit = asset inflow or liability outflow; credit is the mirror."""
     if kind is AccountKind.ASSET:
@@ -149,8 +130,8 @@ _IN, _OUT, _EU = Direction.INFLOW, Direction.OUTFLOW, Unit.EU
 class LedgerState:
     """Balances of the 20 accounts, one float each in ACCOUNT_SPECS order.
 
-    `values` is that list; it is never rebound, so an `Account` view stays
-    live.  Value-semantic via `copy()`.
+    `values` is that list; it is never rebound, so a reference to it sees
+    every posting.  Value-semantic via `copy()`.
     """
 
     __slots__ = ("values",)
@@ -160,9 +141,6 @@ class LedgerState:
 
     def copy(self) -> "LedgerState":
         return LedgerState(self.values[:])
-
-    def account(self, name: str) -> Account:
-        return Account(self.values, _index(name))
 
     def balance(self, name: str) -> float:
         return self.values[_index(name)]

@@ -18,7 +18,6 @@ from catledger.catcore import (
     Functor,
     LawReport,
     NaturalTransformation,
-    ObjectNotFoundError,
     check_functor_laws,
     check_naturality,
     enumerate_maps,
@@ -31,126 +30,86 @@ from catledger.catcore import (
 ACCOUNT_NAMES_20 = [f"Acct{i}" for i in range(20)]
 
 
+def transpose(morphisms) -> tuple[tuple, ...]:
+    """The src, dst, weight and label columns of (src, dst, weight, label) generators."""
+    return tuple(zip(*morphisms)) or ((),) * 4
+
+
 def triangle() -> FiniteCategory:
-    cat = FiniteCategory("triangle")
-    x = cat.add_object("X")
-    y = cat.add_object("Y")
-    z = cat.add_object("Z")
-    cat.add_morphism(x, y, label="a")
-    cat.add_morphism(y, z, label="b")
-    cat.add_morphism(x, z, label="c")
-    return cat
+    # a: X->Y, b: Y->Z, c: X->Z
+    return FiniteCategory.from_columns(
+        "triangle", ("X", "Y", "Z"), (1, 2, 1), (2, 3, 3), (0.0,) * 3, ("a", "b", "c")
+    )
+
+
+def objects_only(name: str, names) -> FiniteCategory:
+    return FiniteCategory.from_columns(name, names, (), (), (), ())
 
 
 class TestObjects:
     def test_first_object_gets_id_1(self):
-        cat = FiniteCategory("accounts")
-        assert cat.add_object("AccLabBank") == 1
+        cat = objects_only("accounts", ["AccLabBank"])
         assert cat.names == ["AccLabBank"]
+        assert cat.extend((1,), (1,), (0.0,), ("",)) == range(1, 2)
+        with pytest.raises(DanglingEndpointError):
+            cat.extend((2,), (1,), (0.0,), ("",))
 
     def test_duplicate_name_rejected(self):
-        cat = FiniteCategory()
-        cat.add_object("AccLabBank")
         with pytest.raises(DuplicateObjectError):
-            cat.add_object("AccLabBank")
+            objects_only("", ["AccLabBank", "AccLabBank"])
 
     def test_twenty_objects(self):
-        cat = FiniteCategory()
-        for name in ACCOUNT_NAMES_20:
-            cat.add_object(name)
+        cat = objects_only("", ACCOUNT_NAMES_20)
         assert cat.names == ACCOUNT_NAMES_20
 
-    def test_get_object_round_trip(self):
-        cat = FiniteCategory()
-        obj = cat.add_object("AccComLoan")
-        assert cat.get_object("AccComLoan") == obj
-
-    def test_get_object_missing(self):
-        cat = FiniteCategory()
-        with pytest.raises(ObjectNotFoundError):
-            cat.get_object("NoSuch")
-
     def test_get_preserves_fresh_id(self):
-        cat = FiniteCategory()
-        cat.add_object("first")
-        new_id = cat.add_object("second")
-        assert cat.get_object("second") == new_id
+        cat = objects_only("", ["first", "second"])
+        assert cat.names.index("second") + 1 == 2
 
 
 class TestMorphisms:
     def test_weighted_morphism(self):
-        cat = FiniteCategory()
-        lab = cat.add_object("Lab")
-        bank = cat.add_object("Bank")
-        mid = cat.add_morphism(lab, bank, weight=52.0)
+        cat = FiniteCategory.from_columns("flows", ["Lab", "Bank"], (1,), (2,), (1.0,), ("",))
+        (mid,) = cat.extend((1,), (2,), (52.0,), ("",))
+        assert cat.name == "flows" and mid == 2  # extend numbers on from the built columns
         assert cat.weight[mid - 1] == 52.0
 
     def test_dangling_endpoint(self):
-        cat = FiniteCategory()
-        lab = cat.add_object("Lab")
         with pytest.raises(DanglingEndpointError):
-            cat.add_morphism(lab, 99)
+            FiniteCategory.from_columns("", ["Lab"], (1,), (99,), (0.0,), ("",))
 
     def test_parallel_morphisms_get_distinct_ids(self):
-        cat = FiniteCategory()
-        a = cat.add_object("A")
-        b = cat.add_object("B")
-        first = cat.add_morphism(a, b, weight=1.0)
-        second = cat.add_morphism(a, b, weight=2.0)
+        cat = FiniteCategory.from_columns("", ["A", "B"], (1, 1), (2, 2), (1.0, 2.0), ("", ""))
+        first, second = cat.morphisms
         assert first != second
 
 
-def columns(cat: FiniteCategory) -> tuple[list, ...]:
-    return cat.src, cat.dst, cat.weight, cat.label
-
-
-def one_at_a_time(name, names, morphisms) -> FiniteCategory:
-    """The category `from_lists` builds, built with `add_object` and `add_morphism`."""
-    cat = FiniteCategory(name)
-    for obj_name in names:
-        cat.add_object(obj_name)
-    for src, dst, weight, label in morphisms:
-        cat.add_morphism(src, dst, weight, label)
-    return cat
-
-
-class TestFromLists:
-    def test_builds_what_adding_one_at_a_time_builds(self):
-        names = ("X", "Y", "Z")
-        morphisms = [(1, 2, 2.5, "a"), (2, 3, 0.0, "b"), (1, 3, -1.0, "c"), (1, 2, 7.0, "a")]
-        built = FiniteCategory.from_lists("batch", names, morphisms)
-        expected = one_at_a_time("batch", names, morphisms)
-        assert built.name == "batch"
-        assert built.names == expected.names
-        assert columns(built) == columns(expected)
-        assert [built.get_object(name) for name in names] == [1, 2, 3]
-        assert built.composable_pairs() == expected.composable_pairs()
-        # the built category grows like any other
-        assert built.add_object("W") == 4 and built.add_morphism(4, 1) == 5
-
-    def test_empty_lists(self):
-        cat = FiniteCategory.from_lists("empty", [], [])
+class TestFromColumns:
+    def test_empty_columns(self):
+        cat = objects_only("empty", [])
         assert cat.names == [] and list(cat.morphisms) == []
-        assert cat.add_object("A") == 1
+        assert cat.extend((), (), (), ()) == range(1, 1)
 
     @pytest.mark.parametrize(
-        "names, morphisms, error",
+        "names, morphisms, error, bad",
         [
-            ("ABA", [], DuplicateObjectError),
-            ("ABBA", [(1, 9, 0.0, "")], DuplicateObjectError),
-            ("AB", [(1, 2, 0.0, "a"), (2, 3, 0.0, "b")], DanglingEndpointError),
-            ("AB", [(1, 2, 0.0, "a"), (0, 3, 0.0, "b")], DanglingEndpointError),
-            ("A", [(1, 1, 0.0, "a"), (1, -1, 0.0, "b"), (5, 1, 0.0, "c")], DanglingEndpointError),
-            ("", [(1, 1, 0.0, "a")], DanglingEndpointError),
+            ("ABA", [], DuplicateObjectError, "'A'"),
+            ("ABBA", [(1, 9, 0.0, "")], DuplicateObjectError, "'B'"),
+            ("AB", [(1, 2, 0.0, "a"), (2, 3, 0.0, "b")], DanglingEndpointError, 3),
+            ("AB", [(1, 2, 0.0, "a"), (0, 3, 0.0, "b")], DanglingEndpointError, 0),
+            ("A", [(1, 1, 0.0, "a"), (1, -1, 0.0, "b"), (5, 1, 0.0, "c")],
+             DanglingEndpointError, -1),
+            ("", [(1, 1, 0.0, "a")], DanglingEndpointError, 1),
         ],
     )
-    def test_raises_the_first_error_adding_would_raise(self, names, morphisms, error):
-        names = tuple(names)
-        with pytest.raises(error) as expected:
-            one_at_a_time("batch", names, morphisms)
+    def test_raises_the_first_error_in_column_order(self, names, morphisms, error, bad):
+        message = {
+            DuplicateObjectError: f"object {bad} already exists in 'batch'",
+            DanglingEndpointError: f"morphism endpoint {bad} does not exist in 'batch'",
+        }[error]
         with pytest.raises(error) as err:
-            FiniteCategory.from_lists("batch", names, morphisms)
-        assert str(err.value) == str(expected.value)
+            FiniteCategory.from_columns("batch", tuple(names), *transpose(morphisms))
+        assert str(err.value) == message
 
     @pytest.mark.parametrize(
         "columns, lengths",
@@ -160,7 +119,7 @@ class TestFromLists:
         ],
     )
     def test_extend_refuses_unequal_columns(self, columns, lengths):
-        cat = FiniteCategory.from_lists("c", ("X", "Y"), [(1, 2, 0.5, "x")])
+        cat = FiniteCategory.from_columns("c", ("X", "Y"), (1,), (2,), (0.5,), ("x",))
         before = [list(column) for column in (cat.src, cat.dst, cat.weight, cat.label)]
         with pytest.raises(CategoryError) as err:
             cat.extend(*columns)
@@ -187,7 +146,8 @@ class TestComposablePairs:
             ]
             if morphisms and rng.random() < 0.5:
                 morphisms.append(rng.choice(morphisms))
-            cat = FiniteCategory.from_lists("random", [f"O{i}" for i in range(n)], morphisms)
+            names = [f"O{i}" for i in range(n)]
+            cat = FiniteCategory.from_columns("random", names, *transpose(morphisms))
             brute = [
                 (f, g)
                 for f in range(1, len(morphisms) + 1)
@@ -201,7 +161,7 @@ class TestComposablePairs:
 
     def test_a_loop_composes_with_itself_and_parallels_count_apart(self):
         morphisms = [(1, 1, 0.0, "loop"), (1, 2, 0.0, "a"), (1, 2, 0.0, "b"), (2, 1, 0.0, "c")]
-        cat = FiniteCategory.from_lists("loops", ("X", "Y"), morphisms)
+        cat = FiniteCategory.from_columns("loops", ("X", "Y"), *transpose(morphisms))
         assert cat.composable_pairs() == [
             (1, 1), (1, 2), (1, 3), (2, 4), (3, 4), (4, 1), (4, 2), (4, 3)
         ]
@@ -221,14 +181,9 @@ class TestFunctorLaws:
         assert any("pair" in failure for failure in report.failures)
 
     def test_price_functor_passes(self):
-        nominal = FiniteCategory("nominal")
-        real = FiniteCategory("real")
-        object_map = {}
-        for name in ("GoodPrice", "LaborPrice", "ResourcePrice"):
-            src = nominal.add_object(name)
-            dst = real.add_object(name)
-            object_map[src] = dst
-        price = Functor(nominal, real, object_map, {})
+        names = ("GoodPrice", "LaborPrice", "ResourcePrice")
+        nominal, real = objects_only("nominal", names), objects_only("real", names)
+        price = Functor(nominal, real, {1: 1, 2: 2, 3: 3}, {})
         assert check_functor_laws(price).ok
 
     def test_every_single_edit_corruption_fails(self):
@@ -385,30 +340,33 @@ class TestOneWalkDifferential:
 def two_snapshot_transformation(weights: dict[str, float]):
     """A base category of named accounts plus the step category holding two
     snapshots and one weighted evolution edge per account."""
-    base = FiniteCategory("accounts")
-    step = FiniteCategory("step")
-    at_t, at_t1, components = {}, {}, {}
-    for name in weights:
-        base.add_object(name)
-        at_t[name] = step.add_object(f"{name}@t")
-        at_t1[name] = step.add_object(f"{name}@t+1")
-    for name, weight in weights.items():
-        components[base.get_object(name)] = step.add_morphism(
-            at_t[name], at_t1[name], weight=weight
-        )
-    f_t = Functor(base, step, {base.get_object(n): at_t[n] for n in weights}, {})
-    f_t1 = Functor(base, step, {base.get_object(n): at_t1[n] for n in weights}, {})
-    return base, step, NaturalTransformation(f_t, f_t1, components)
+    base = objects_only("accounts", list(weights))
+    # account i's snapshots are step objects 2i - 1 and 2i, its edge generator i
+    n = len(weights)
+    objects, at_t, at_t1 = range(1, n + 1), range(1, 2 * n, 2), range(2, 2 * n + 1, 2)
+    step = FiniteCategory.from_columns(
+        "step",
+        [f"{name}{level}" for name in weights for level in ("@t", "@t+1")],
+        at_t,
+        at_t1,
+        list(weights.values()),
+        [""] * n,
+    )
+    f_t = Functor(base, step, dict(zip(objects, at_t)), {})
+    f_t1 = Functor(base, step, dict(zip(objects, at_t1)), {})
+    return base, step, NaturalTransformation(f_t, f_t1, dict(zip(objects, objects)))
+
+
+def object_id(cat: FiniteCategory, name: str) -> int:
+    return cat.names.index(name) + 1
 
 
 class TestNaturality:
     def test_identity_components_pass(self):
         cat = triangle()
-        target = FiniteCategory("target")
-        for name in cat.names:
-            target.add_object(name)
-        for src, dst, label in zip(cat.src, cat.dst, cat.label):
-            target.add_morphism(src, dst, label=label)
+        target = FiniteCategory.from_columns(
+            "target", cat.names, cat.src, cat.dst, [0.0] * len(cat.src), cat.label
+        )
         objects = range(1, len(cat.names) + 1)
         functor = Functor(
             cat,
@@ -416,27 +374,24 @@ class TestNaturality:
             {obj_id: obj_id for obj_id in objects},
             {mor_id: mor_id for mor_id in cat.morphisms},
         )
-        components = {
-            obj_id: target.add_morphism(obj_id, obj_id, label=f"id_{name}")
-            for obj_id, name in zip(objects, cat.names)
-        }
+        loops = [f"id_{name}" for name in cat.names]
+        components = dict(zip(objects, target.extend(objects, objects, [0.0] * len(loops), loops)))
         eta = NaturalTransformation(functor, functor, components)
         assert check_naturality(eta).ok
 
     def test_swapped_component_fails_naming_the_morphism(self):
         weights = {"LabBank": 0.0, "ResBank": 208.0, "ComBank": 52.0}
         base, step, eta = two_snapshot_transformation(weights)
-        flow = base.add_morphism(
-            base.get_object("ResBank"), base.get_object("ComBank"), weight=1.0
-        )
+        res, com = object_id(base, "ResBank"), object_id(base, "ComBank")
+        (flow,) = base.extend((res,), (com,), (1.0,), ("",))
         for functor in (eta.F, eta.G):
             src, dst, weight = base.src[flow - 1], base.dst[flow - 1], base.weight[flow - 1]
-            functor.morphism_map[flow] = step.add_morphism(
-                functor.object_map[src], functor.object_map[dst], weight
+            (functor.morphism_map[flow],) = step.extend(
+                (functor.object_map[src],), (functor.object_map[dst],), (weight,), ("",)
             )
         assert check_naturality(eta).ok
         # point Res's component at Com's evolution edge
-        eta.components[base.get_object("ResBank")] = eta.components[base.get_object("ComBank")]
+        eta.components[res] = eta.components[com]
         report = check_naturality(eta)
         assert not report.ok
         assert any("morphism" in failure or "component" in failure for failure in report.failures)
@@ -445,7 +400,7 @@ class TestNaturality:
         weights = {"LabBank": 0.0, "ResBank": 208.0, "ComBank": 52.0}
         base, step, eta = two_snapshot_transformation(weights)
         assert check_naturality(eta).ok
-        assert step.weight[eta.components[base.get_object("ResBank")] - 1] == 208.0
+        assert step.weight[eta.components[object_id(base, "ResBank")] - 1] == 208.0
 
 
 def brute_force_naturality(eta: NaturalTransformation) -> bool:
@@ -486,14 +441,15 @@ class TestNaturalityEquivalence:
             base, step, eta = two_snapshot_transformation(weights)
             for _ in range(rng.randint(0, 4)):
                 src, dst = rng.sample(range(1, len(names) + 1), 2)
-                base.add_morphism(src, dst, weight=float(rng.randint(0, 9)))
+                base.extend((src,), (dst,), (float(rng.randint(0, 9)),), ("",))
                 # extend the functors' morphism maps with snapshot copies
                 for functor, level in ((eta.F, 0), (eta.G, 1)):
                     mor_id = base.morphisms[-1]
-                    copy = step.add_morphism(
-                        functor.object_map[base.src[-1]],
-                        functor.object_map[base.dst[-1]],
-                        base.weight[-1],
+                    (copy,) = step.extend(
+                        (functor.object_map[base.src[-1]],),
+                        (functor.object_map[base.dst[-1]],),
+                        (base.weight[-1],),
+                        ("",),
                     )
                     functor.morphism_map[mor_id] = copy
             if rng.random() < 0.5 and len(names) >= 2:
@@ -682,16 +638,16 @@ class TestLawChecksReportInsteadOfRaising:
 
     def test_naturality_component_outside_target_is_reported(self):
         base, _, eta = two_snapshot_transformation({"LabBank": 0.0, "ResBank": 208.0})
-        eta.components[base.get_object("ResBank")] = 99
+        eta.components[object_id(base, "ResBank")] = 99
         report = check_naturality(eta)
         assert not report.ok
         assert any("'ResBank'" in failure and "99" in failure for failure in report.failures)
 
     def test_a_square_that_composes_but_is_not_parallel_is_named(self):
         # f: A -> B; eta_A starts at 5, not at F(A) = 1, yet both paths compose
-        base = FiniteCategory.from_lists("base", ("A", "B"), [(1, 2, 0.0, "f")])
+        base = FiniteCategory.from_columns("base", ("A", "B"), (1,), (2,), (0.0,), ("f",))
         ends = [(1, 2), (3, 4), (5, 3), (2, 4)]  # F(f), G(f), eta_A, eta_B
-        step = FiniteCategory.from_lists("step", "12345", [(s, d, 0.0, "") for s, d in ends])
+        step = FiniteCategory.from_columns("step", "12345", *zip(*ends), (0.0,) * 4, ("",) * 4)
         f = Functor(base, step, {1: 1, 2: 2}, {1: 1})
         g = Functor(base, step, {1: 3, 2: 4}, {1: 2})
         report = check_naturality(NaturalTransformation(f, g, {1: 3, 2: 4}))
@@ -702,8 +658,8 @@ class TestLawChecksReportInsteadOfRaising:
 
     def test_naturality_square_image_outside_target_is_reported(self):
         base, step, eta = two_snapshot_transformation({"LabBank": 0.0, "ResBank": 208.0})
-        flow = base.add_morphism(1, 2)
-        eta.F.morphism_map[flow] = step.add_morphism(1, 3)
+        (flow,) = base.extend((1,), (2,), (0.0,), ("",))
+        (eta.F.morphism_map[flow],) = step.extend((1,), (3,), (0.0,), ("",))
         eta.G.morphism_map[flow] = 99
         report = check_naturality(eta)
         assert not report.ok

@@ -83,6 +83,23 @@ class TestCmdRun:
         assert main(["run", "--set", "rho_l=1.5"]) == EXIT_CONFIG
         assert "rho_l" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["run", "--horizon", "abc"], "argument --horizon: invalid int value: 'abc'"),
+            ([], "the following arguments are required: command"),
+        ],
+    )
+    def test_a_usage_error_exits_1_with_the_parser_message(self, capsys, argv, message):
+        # 2 is kept for an invariance breach
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("usage: catledger") and f"error: {message}\n" in err
+
+    def test_help_exits_0(self, capsys):
+        assert main(["run", "--help"]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("usage: catledger run")
+
     def test_three_period_goldens_via_csv(self, tmp_path):
         out = tmp_path / "short.csv"
         assert main(["run", "--horizon", "2", "--out", str(out)]) == EXIT_OK
@@ -413,6 +430,23 @@ class TestCmdPlot:
         err = capsys.readouterr().err
         assert err.startswith("cannot parse trace: ")
         assert f"line {number}: 43 cells where the header has 44" in err
+        assert not (tmp_path / "panels").exists()
+
+    def test_a_bad_cell_is_refused_by_its_line_and_column(self, tmp_path, capsys):
+        trace_path = tmp_path / "bad.csv"
+        main(["run", "--horizon", "3", "--out", str(trace_path)])
+        lines = trace_path.read_bytes().split(b"\r\n")
+        cells = lines[-2].split(b",")
+        cells[TRACE_COLUMNS.index("GoodPrice")] = b"abc"
+        lines[-2] = b",".join(cells)
+        trace_path.write_bytes(b"\r\n".join(lines))
+        number = trace_path.read_bytes().count(b"\n")  # the last row's line is the file's last
+        where = f"trace file {trace_path}, line {number}, column GoodPrice"
+        with pytest.raises(ConfigError) as err:
+            read_trace_csv(trace_path)
+        assert str(err.value) == f"{where}: cannot parse 'abc'"
+        assert main(["plot", str(trace_path), "--outdir", str(tmp_path / "panels")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"cannot parse trace: {where}: cannot parse 'abc'\n"
         assert not (tmp_path / "panels").exists()
 
     def test_two_period_trace_gives_three_points(self, tmp_path):

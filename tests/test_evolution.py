@@ -34,6 +34,7 @@ from catledger.evolution import (
     verify_time_step,
 )
 from catledger.ledger import (
+    ACCOUNT_INDEX,
     ACCOUNT_NAMES,
     BOOKINGS,
     Invariances,
@@ -164,9 +165,11 @@ class TestTraceShape:
     def test_default_horizon(self, default_run):
         assert len(default_run.rows) == 101
 
-    def test_horizon_must_be_positive(self):
-        with pytest.raises(ValueError):
-            run(Parameters(), horizon=0)
+    @pytest.mark.parametrize("horizon", [0, -1, 2.5, "10"])
+    def test_horizon_must_be_positive(self, horizon):
+        with pytest.raises(ValueError) as err:
+            run(Parameters(), horizon=horizon)
+        assert str(err.value) == "horizon must be an integer >= 1"
 
     def test_first_row_is_the_initial_snapshot(self, default_run):
         first = default_run.rows[0]
@@ -311,9 +314,9 @@ class TestCategoricalInternals:
         old, new = list(trace.rows[0].accounts.values()), list(trace.rows[1].accounts.values())
         cat = build_economy_category()
         step, _, _, eta = build_time_step(cat, old, new)
-        res_edge = eta.components[cat.get_object("AccResBank")]
+        res_edge = eta.components[ACCOUNT_INDEX["AccResBank"] + 1]
         assert step.weight[res_edge - 1] == pytest.approx(208.0)
-        lab_edge = eta.components[cat.get_object("AccLabBank")]
+        lab_edge = eta.components[ACCOUNT_INDEX["AccLabBank"] + 1]
         assert step.weight[lab_edge - 1] == 0.0
         verify_time_step(cat, eta, old, new)
 
@@ -332,7 +335,7 @@ class TestCategoricalInternals:
         new = ledger.values[:]
         step, f_t, f_t1, eta = build_time_step(cat, old, new)
         verify_time_step(cat, eta, old, new)  # sane construction passes
-        victim = eta.components[cat.get_object("AccComBank")]
+        victim = eta.components[ACCOUNT_INDEX["AccComBank"] + 1]
         step.weight[victim - 1] += 1.0  # the weight column, indexed by id - 1
         with pytest.raises(EngineConsistencyError) as err:
             verify_time_step(cat, eta, old, new)
@@ -356,7 +359,7 @@ class TestCategoricalInternals:
         old = init_ledger().values
         new = list(old)
         _, _, _, eta = build_time_step(cat, old, new)
-        a, b = cat.get_object("AccLabBank"), cat.get_object("AccResBank")
+        a, b = ACCOUNT_INDEX["AccLabBank"] + 1, ACCOUNT_INDEX["AccResBank"] + 1
         eta.components[a], eta.components[b] = eta.components[b], eta.components[a]
         with pytest.raises(EngineConsistencyError):
             verify_time_step(cat, eta, old, new)
@@ -379,13 +382,13 @@ NET_FLOWS = [
 def test_the_weight_rule_accepts_exactly_equal_or_both_nan(w, e, opening, closing):
     assert repr(closing - opening) == repr(e)
     flows = build_economy_category()
-    flows.add_morphism(1, 2, e, "flow")
+    flows.extend((1,), (2,), (e,), ("flow",))
     old = [opening, *init_ledger().values[1:]]  # AccLabBank is account 1
     new = [closing, *old[1:]]
     step, f_t, f_t1, eta = build_time_step(flows, old, new)
     verify_time_step(flows, eta, old, new)
     images = (f_t.morphism_map[1], f_t1.morphism_map[1])
-    component = eta.components[flows.get_object("AccLabBank")]
+    component = eta.components[ACCOUNT_INDEX["AccLabBank"] + 1]
     # weight the flow's two images w, then only the account's component
     for weighted, named in ((images, "F_t: morphism 1 "), ((component,), "component weight")):
         for j in (*images, component):
@@ -691,7 +694,7 @@ class TestPeriodLawGuard:
     def test_missing_component_names_the_account(self, monkeypatch):
         flows, eta, old, new = real_period(monkeypatch, Parameters())
         verify_time_step(flows, eta, old, new)
-        del eta.components[flows.get_object("AccComBank")]
+        del eta.components[ACCOUNT_INDEX["AccComBank"] + 1]
         with pytest.raises(EngineConsistencyError) as err:
             verify_time_step(flows, eta, old, new)
         assert any(
@@ -734,8 +737,7 @@ class TestPeriodLawGuard:
     def test_a_redirect_onto_an_equally_weighted_parallel_flow_is_caught(self):
         # only the label tells the two flows apart
         flows = build_economy_category()
-        flows.add_morphism(1, 2, 5.0, "first")
-        flows.add_morphism(1, 2, 5.0, "second")
+        flows.extend((1, 1), (2, 2), (5.0, 5.0), ("first", "second"))
         balances = init_ledger().values
         _, f_t, _, eta = build_time_step(flows, balances, list(balances))
         verify_time_step(flows, eta, balances, list(balances))

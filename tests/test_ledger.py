@@ -50,11 +50,10 @@ class TestAccountTable:
         assert agents == set(Agent)
 
     def test_units(self):
-        state = init_ledger()
-        assert state.account("AccLabBank").unit is Unit.EU
-        assert state.account("AccComLab").unit is Unit.HOURS
-        assert state.account("AccComRes").unit is Unit.KG
-        assert state.account("AccCapGood").unit is Unit.GOOD
+        assert SPEC_BY_NAME["AccLabBank"].unit is Unit.EU
+        assert SPEC_BY_NAME["AccComLab"].unit is Unit.HOURS
+        assert SPEC_BY_NAME["AccComRes"].unit is Unit.KG
+        assert SPEC_BY_NAME["AccCapGood"].unit is Unit.GOOD
 
 
 class TestInitLedger:
@@ -71,26 +70,6 @@ class TestInitLedger:
     def test_negative_endowment_rejected(self):
         with pytest.raises(ValueError):
             init_ledger(-1.0, 20.0)
-
-
-class TestAccountView:
-    def test_the_balance_setter_refuses_a_negative_balance_as_set_balance_does(self):
-        state = init_ledger()
-        with pytest.raises(ValidationFailure) as err:
-            state.account("AccLabBank").balance = -5.0
-        assert str(err.value) == "balance of 'AccLabBank' would become negative (-5.0)"
-        assert state.values == init_ledger().values
-        with pytest.raises(ValidationFailure) as same:
-            state.set_balance("AccLabBank", -5.0)
-        assert str(same.value) == str(err.value)
-
-    def test_the_balance_setter_writes_the_ledger_list(self):
-        state = init_ledger()
-        account = state.account("AccComGood")
-        account.balance = 7.5
-        assert state.balance("AccComGood") == 7.5 == account.balance
-        account.balance = math.nan  # a NaN passes, as in set_balance
-        assert math.isnan(state.balance("AccComGood"))
 
 
 class TestPostBooking:
@@ -252,7 +231,7 @@ def eu_debits_and_credits(booking_id: int, amounts: tuple[float, ...]) -> tuple[
 def random_state(rng: random.Random) -> LedgerState:
     state = LedgerState()
     for name in ACCOUNT_NAMES:
-        state.account(name).balance = rng.uniform(0.0, 1000.0)
+        state.set_balance(name, rng.uniform(0.0, 1000.0))
     return state
 
 
@@ -342,8 +321,14 @@ class TestCopySemantics:
 
     def test_math_is_plain_float(self):
         state = init_ledger()
+        with pytest.raises(ValidationFailure) as err:
+            state.set_balance("AccLabBank", -5.0)
+        assert str(err.value) == "balance of 'AccLabBank' would become negative (-5.0)"
+        assert state.values == init_ledger().values
         state.set_balance("AccComBank", 0.1)
         assert math.isclose(state.balance("AccComBank"), 0.1)
+        state.set_balance("AccComGood", math.nan)  # a NaN passes
+        assert math.isnan(state.balance("AccComGood"))
 
 
 # ---------------------------------------------------------------------------
@@ -445,11 +430,11 @@ def oracle_post_booking(state: LedgerState, booking: Booking) -> LedgerState:
             f"booking {booking.id} ({booking.description}) rejected", diagnostics
         )
     for leg in booking.legs:
-        acct = state.account(leg.account)
+        balance = state.balance(leg.account)
         if leg.direction is Direction.INFLOW:
-            acct.balance = acct.balance + leg.amount
+            state.set_balance(leg.account, balance + leg.amount)
         else:
-            acct.balance = acct.balance - leg.amount
+            state.set_balance(leg.account, balance - leg.amount)
     return state
 
 
@@ -661,7 +646,7 @@ def boundary_bookings(draw) -> tuple[list[float], int, tuple[float, ...]]:
 
 def state_of(balances: list[float]) -> LedgerState:
     # the list itself, since some of the drawn balances are negative, which
-    # the `Account.balance` setter refuses
+    # `set_balance` refuses
     return LedgerState(list(balances))
 
 
