@@ -53,7 +53,6 @@ from .ledger import (
     AccountKind,
     Direction,
     Invariances,
-    LedgerState,
     Unit,
     ValidationFailure,
     init_ledger,
@@ -77,7 +76,6 @@ __all__ = [
     "Functor",
     "Invariances",
     "LawReport",
-    "LedgerState",
     "NaturalTransformation",
     "Parameters",
     "PeriodMetrics",

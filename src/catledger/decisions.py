@@ -25,6 +25,12 @@ _FRACTION_FIELDS = (
 )
 
 
+def check_count(name: str, value: object) -> None:
+    """Raise ValueError unless `value` is an int >= 1; a bool is not a count."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1")
+
+
 @dataclass(frozen=True)
 class Parameters:
     """The 22 behavioral constants plus initial endowments and the horizon."""
@@ -57,10 +63,8 @@ class Parameters:
 
     def validate(self) -> None:
         """Raise ValueError on the first out-of-range field."""
-        if not isinstance(self.tau, int) or self.tau < 1:
-            raise ValueError("tau must be an integer >= 1")
-        if not isinstance(self.horizon, int) or self.horizon < 1:
-            raise ValueError("horizon must be an integer >= 1")
+        check_count("tau", self.tau)
+        check_count("horizon", self.horizon)
         for name in _FRACTION_FIELDS:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
@@ -155,10 +159,6 @@ class PeriodMetrics(NamedTuple):
 METRIC_COLUMNS: tuple[str, ...] = tuple(
     name.title().replace("_", "") for name in PeriodMetrics._fields
 )
-
-
-def metrics_as_row(metrics: PeriodMetrics) -> dict[str, float]:
-    return dict(zip(METRIC_COLUMNS, metrics))
 
 
 def consumption(

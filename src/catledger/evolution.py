@@ -1,14 +1,16 @@
 """Period evolution: two interchangeable engines over one yearly cycle.
 
 `_period_cycle` is the only copy of the cycle; an engine supplies the book
-it reads, writes and posts through; both keep one flat ledger.  The
-recursive book posts each booking onto it directly.  The categorical book
-gates every booking through a finite-set pullback over its per-leg checks,
-applies it through a finite-set pushout that groups its legs onto their
-accounts, records its flows in a finite category of the accounts, and
-closes each period with functor and naturality law checks on the time step
-just performed.  Both engines run the one cycle with identical float
-operations, so their traces agree bit for bit.
+it reads, writes and posts through.  A ledger is the list of the 20
+balances in ACCOUNT_NAMES order, and each book works on its own copy of
+the opening one.  The recursive book posts each booking onto that copy
+directly.  The categorical book gates every booking through a finite-set
+pullback over its per-leg checks, applies it through a finite-set pushout
+that groups its legs onto their accounts, records its flows in a finite
+category of the accounts, and closes each period with functor and
+naturality law checks on the time step just performed.  Both engines run
+the one cycle with identical float operations, so their traces agree bit
+for bit.
 
 Canonical order inside period t:
  1. carried consumer goods decay (Lab/Res/Cap goods stocks scale by beta)
@@ -35,7 +37,6 @@ each row's cells in `TRACE_COLUMNS` order.
 
 from __future__ import annotations
 
-import math
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -59,6 +60,7 @@ from .decisions import (
     Parameters,
     PeriodMetrics,
     allocate_investment,
+    check_count,
     consumption,
     demand_plan,
     dividend_decision,
@@ -75,7 +77,6 @@ from .ledger import (
     BOOKINGS,
     Direction,
     Invariances,
-    LedgerState,
     ValidationFailure,
     booking_diagnostics,
     booking_entry,
@@ -103,7 +104,7 @@ class EngineConsistencyError(RuntimeError):
 
 @dataclass
 class SimulationState:
-    ledger: LedgerState
+    ledger: list[float]  # the 20 balances in ACCOUNT_NAMES order
     memory: ContractMemory
     declared_dividend: float
     period: int
@@ -297,11 +298,10 @@ def _period_cycle(
 class _RecursiveBook:
     """A copy of the opening ledger; each booking posts onto it directly."""
 
-    __slots__ = ("ledger", "values")
+    __slots__ = ("values",)
 
-    def __init__(self, ledger: LedgerState) -> None:
-        self.ledger = ledger.copy()
-        self.values = self.ledger.values
+    def __init__(self, ledger: list[float]) -> None:
+        self.values = ledger[:]
 
     def get(self, name: str) -> float:
         return self.values[ACCOUNT_INDEX[name]]
@@ -310,10 +310,10 @@ class _RecursiveBook:
         self.values[ACCOUNT_INDEX[name]] = checked_balance(name, value)
 
     def post(self, booking_id: int, amounts: tuple[float, ...]) -> None:
-        post_booking(self.ledger, booking_id, amounts)
+        post_booking(self.values, booking_id, amounts)
 
-    def close(self) -> LedgerState:
-        return self.ledger
+    def close(self) -> list[float]:
+        return self.values
 
 
 # ---------------------------------------------------------------------------
@@ -501,10 +501,10 @@ class _CategoricalBook(_RecursiveBook):
 
     __slots__ = ("cat", "opening")
 
-    def __init__(self, ledger: LedgerState) -> None:
+    def __init__(self, ledger: list[float]) -> None:
         super().__init__(ledger)
         self.cat = build_economy_category()
-        self.opening = ledger.values[:]
+        self.opening = ledger  # read only: the book writes its own copy
 
     def post(self, booking_id: int, amounts: tuple[float, ...]) -> None:
         ok, diagnostics = validate_via_pullback(self.values, booking_id, amounts)
@@ -513,11 +513,11 @@ class _CategoricalBook(_RecursiveBook):
         booking_to_morphisms(self.cat, booking_id, amounts)
         apply_via_pushout(self.values, booking_id, amounts)
 
-    def close(self) -> LedgerState:
+    def close(self) -> list[float]:
         """The law checks on the realised time step, then the closing ledger."""
         *_, eta = build_time_step(self.cat, self.opening, self.values)
         verify_time_step(self.cat, eta, self.opening, self.values)
-        return self.ledger
+        return self.values
 
 
 _BOOKS = {
@@ -564,12 +564,11 @@ def run(
     engine = _engine_kind(engine)
     params.validate()
     span = params.horizon if horizon is None else horizon
-    if not isinstance(span, int) or span < 1:
-        raise ValueError("horizon must be an integer >= 1")
+    check_count("horizon", span)
     state = initial_state(params)
     cells = array("d")
     for period in range(span + 1):
-        opening, checks = state.ledger.values, invariances(state.ledger)
+        opening, checks = state.ledger, invariances(state.ledger)
         try:
             state, metrics = period_step(state, engine)
         except ValidationFailure as exc:
@@ -605,9 +604,6 @@ class StabilityReport:
     bounded: bool
     drift: dict[str, float]
 
-    def max_drift(self) -> float:
-        return max(self.drift.values())
-
 
 def stability_report(trace: Trace) -> StabilityReport:
     """Boundedness plus last-window relative drift of the key series.
@@ -618,7 +614,7 @@ def stability_report(trace: Trace) -> StabilityReport:
     """
     if len(trace.column("period")) < 20:
         raise ValueError("stability report needs a trace of at least 20 rows")
-    bounded = all(math.isfinite(v) and abs(v) <= BOUNDED_LIMIT for v in trace.cells)
+    bounded = all(abs(v) <= BOUNDED_LIMIT for v in trace.cells)  # False for nan and inf
     drift: dict[str, float] = {}
     for key in STABILITY_SERIES:
         window = trace.column(key)[-(DRIFT_WINDOW + 1) :]

@@ -6,7 +6,8 @@ and the Bank.  Each sector keeps a double-entry system of T-accounts;
 every balance is a non-negative magnitude in one fixed unit (EU for
 nominal accounts, hours / kg / goods for the real ones).  An outflow on a
 liability account means the liability shrinks, so no account ever needs a
-signed balance.
+signed balance.  A ledger is the list of the 20 balances, one float per
+account in ACCOUNT_NAMES order.
 
 A macro booking posts the same amount into at least two sectors'
 double-entry systems at once.  Posting rejects rather than clamps: a leg
@@ -91,10 +92,6 @@ class LedgerError(Exception):
     pass
 
 
-class UnknownAccountError(LedgerError):
-    pass
-
-
 class ValidationFailure(LedgerError):
     """A booking was rejected; `diagnostics` lists every failed check.
 
@@ -127,46 +124,14 @@ def is_debit(kind: AccountKind, direction: Direction) -> bool:
 _IN, _OUT, _EU = Direction.INFLOW, Direction.OUTFLOW, Unit.EU
 
 
-class LedgerState:
-    """Balances of the 20 accounts, one float each in ACCOUNT_SPECS order.
-
-    `values` is that list; it is never rebound, so a reference to it sees
-    every posting.  Value-semantic via `copy()`.
-    """
-
-    __slots__ = ("values",)
-
-    def __init__(self, values: list[float] | None = None) -> None:
-        self.values = [0.0] * len(ACCOUNT_SPECS) if values is None else values
-
-    def copy(self) -> "LedgerState":
-        return LedgerState(self.values[:])
-
-    def balance(self, name: str) -> float:
-        return self.values[_index(name)]
-
-    def set_balance(self, name: str, value: float) -> None:
-        self.values[_index(name)] = checked_balance(name, value)
-
-    def balances(self) -> dict[str, float]:
-        return dict(zip(ACCOUNT_NAMES, self.values))
-
-
-def _index(name: str) -> int:
-    try:
-        return ACCOUNT_INDEX[name]
-    except KeyError:
-        raise UnknownAccountError(f"unknown account {name!r}") from None
-
-
-def init_ledger(com_lab_0: float = 110.0, com_res_0: float = 20.0) -> LedgerState:
+def init_ledger(com_lab_0: float = 110.0, com_res_0: float = 20.0) -> list[float]:
     """Fresh ledger: everything zero except the company's input stocks."""
     if com_lab_0 < 0.0 or com_res_0 < 0.0:
         raise ValueError("endowments must be non-negative")
-    state = LedgerState()
-    state.set_balance("AccComLab", float(com_lab_0))
-    state.set_balance("AccComRes", float(com_res_0))
-    return state
+    values = [0.0] * len(ACCOUNT_NAMES)
+    values[ACCOUNT_INDEX["AccComLab"]] = float(com_lab_0)
+    values[ACCOUNT_INDEX["AccComRes"]] = float(com_res_0)
+    return values
 
 
 class Invariances(NamedTuple):
@@ -182,11 +147,8 @@ class Invariances(NamedTuple):
     def as_tuple(self) -> tuple[float, float, float, float, float, float]:
         return tuple(self)
 
-    def max_abs(self) -> float:
-        return max(map(abs, self))
 
-
-def invariances(state: LedgerState) -> Invariances:
+def invariances(values: Sequence[float]) -> Invariances:
     """Differences between each agent-side account and its bank-side mirror.
 
     The macro value sums the five: the Bank balances exactly when every
@@ -195,7 +157,7 @@ def invariances(state: LedgerState) -> Invariances:
     (  # the 20 balances, in ACCOUNT_SPECS order
         lab_bank, _, _, res_bank, _, _, cap_bank, _, _, com_bank, com_loan, _, _, _, _,
         bank_com_loan, bank_com_bank, bank_lab_bank, bank_res_bank, bank_cap_bank,
-    ) = state.values
+    ) = values
     lab = lab_bank - bank_lab_bank
     res = res_bank - bank_res_bank
     cap = cap_bank - bank_cap_bank
@@ -455,8 +417,8 @@ def validate_booking(
     return not diagnostics, diagnostics
 
 
-def post_booking(state: LedgerState, booking_id: int, amounts: tuple[float, ...]) -> LedgerState:
-    """Post booking `booking_id` with `amounts` in place; atomic on failure.
+def post_booking(values: list[float], booking_id: int, amounts: tuple[float, ...]) -> list[float]:
+    """Post booking `booking_id` with `amounts` onto `values` in place; atomic on failure.
 
     The legs post straight from the compiled table when `post_compiled`
     can; otherwise the list is restored and `_scan_legs` checks every leg
@@ -464,13 +426,13 @@ def post_booking(state: LedgerState, booking_id: int, amounts: tuple[float, ...]
     the ledger untouched; a booking the scan accepts posts its closing
     balances.
     """
-    values, opening = state.values, state.values[:]
+    opening = values[:]
     if post_compiled(values, booking_id, amounts):
-        return state
+        return values
     values[:] = opening
     statuses, verdict, closing = _scan_legs(opening, booking_id, amounts)
     diagnostics = booking_diagnostics(statuses, verdict)
     if diagnostics:
         raise rejection(booking_id, diagnostics)
     values[:] = closing
-    return state
+    return values

@@ -110,13 +110,16 @@ class TestCmdRun:
         assert rows[2]["AccComLoan"] == pytest.approx(523.49, abs=0.01)
         assert rows[2]["GoodPrice"] == pytest.approx(89.94, abs=0.05)
 
-    def test_invariance_breach_exits_2(self, monkeypatch, capsys):
+    @pytest.mark.parametrize("breach", [1e-6, 1e-12, -5e-324])
+    def test_invariance_breach_exits_2(self, monkeypatch, capsys, breach):
+        # the guarantee is exactly 0.0: any other value is a breach
         real_run = run
 
         def tampered(params, horizon=None, engine=EngineKind.RECURSIVE):
             trace = real_run(params, horizon=horizon, engine=engine)
             cells = array("d", trace.cells)
-            cells[-len(Invariances._fields) :] = array("d", Invariances(1e-6, 0, 0, 0, 0, 1e-6))
+            checks = Invariances(breach, 0, 0, 0, 0, breach)
+            cells[-len(Invariances._fields) :] = array("d", checks)
             return dataclasses.replace(trace, cells=cells)
 
         monkeypatch.setattr(cli, "run", tampered)
@@ -432,21 +435,39 @@ class TestCmdPlot:
         assert f"line {number}: 43 cells where the header has 44" in err
         assert not (tmp_path / "panels").exists()
 
-    def test_a_bad_cell_is_refused_by_its_line_and_column(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "edits, column, problem",
+        [
+            ({"GoodPrice": b"abc"}, "GoodPrice", "cannot parse 'abc'"),
+            ({"I_Mac": b"nan"}, "I_Mac", "'nan' is not finite"),
+            ({"period": b"-inf"}, "period", "'-inf' is not finite"),
+            # the first of two non-finite cells is named
+            (
+                {"AccComBank": b"Infinity", "I_Mac": b"nan"},
+                "AccComBank",
+                "'Infinity' is not finite",
+            ),
+        ],
+        ids=["abc", "nan", "-inf", "first-of-two"],
+    )
+    def test_a_bad_cell_is_refused_by_its_line_and_column(
+        self, tmp_path, capsys, edits, column, problem
+    ):
         trace_path = tmp_path / "bad.csv"
         main(["run", "--horizon", "3", "--out", str(trace_path)])
         lines = trace_path.read_bytes().split(b"\r\n")
         cells = lines[-2].split(b",")
-        cells[TRACE_COLUMNS.index("GoodPrice")] = b"abc"
+        for name, cell in edits.items():
+            cells[TRACE_COLUMNS.index(name)] = cell
         lines[-2] = b",".join(cells)
         trace_path.write_bytes(b"\r\n".join(lines))
         number = trace_path.read_bytes().count(b"\n")  # the last row's line is the file's last
-        where = f"trace file {trace_path}, line {number}, column GoodPrice"
+        where = f"trace file {trace_path}, line {number}, column {column}"
         with pytest.raises(ConfigError) as err:
             read_trace_csv(trace_path)
-        assert str(err.value) == f"{where}: cannot parse 'abc'"
+        assert str(err.value) == f"{where}: {problem}"
         assert main(["plot", str(trace_path), "--outdir", str(tmp_path / "panels")]) == EXIT_CONFIG
-        assert capsys.readouterr().err == f"cannot parse trace: {where}: cannot parse 'abc'\n"
+        assert capsys.readouterr().err == f"cannot parse trace: {where}: {problem}\n"
         assert not (tmp_path / "panels").exists()
 
     def test_two_period_trace_gives_three_points(self, tmp_path):

@@ -42,7 +42,15 @@ class TestParameters:
 
     @pytest.mark.parametrize(
         "override",
-        [{"rho_l": 1.5}, {"tau": 0}, {"gamma": -0.1}, {"sig_c": 0.0}, {"nu_l": -1.0}],
+        [
+            {"rho_l": 1.5},
+            {"tau": 0},
+            {"gamma": -0.1},
+            {"sig_c": 0.0},
+            {"nu_l": -1.0},
+            {"tau": True},  # a bool is not a count
+            {"horizon": True},
+        ],
     )
     def test_out_of_range_rejected(self, override):
         with pytest.raises(ValueError):

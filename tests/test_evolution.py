@@ -38,10 +38,10 @@ from catledger.ledger import (
     ACCOUNT_NAMES,
     BOOKINGS,
     Invariances,
-    LedgerState,
     ValidationFailure,
     conservation_status,
     init_ledger,
+    invariances,
     leg_statuses,
     post_booking,
     post_compiled,
@@ -73,12 +73,12 @@ class TestFirstPeriod:
     def test_ledger_after_first_period(self, engine):
         state, _ = period_step(initial_state(Parameters()), engine=engine)
         led = state.ledger
-        assert led.balance("AccComLoan") == pytest.approx(260.0, abs=1e-9)
-        assert led.balance("AccResBank") == pytest.approx(208.0, abs=1e-9)
-        assert led.balance("AccComBank") == pytest.approx(52.0, abs=1e-9)
-        assert led.balance("AccComGood") == pytest.approx(31.17, abs=0.01)
-        assert led.balance("AccResRes") == pytest.approx(91.68, abs=0.01)
-        assert led.balance("AccLabLab") == pytest.approx(100.0, abs=1e-9)
+        assert led[ACCOUNT_INDEX["AccComLoan"]] == pytest.approx(260.0, abs=1e-9)
+        assert led[ACCOUNT_INDEX["AccResBank"]] == pytest.approx(208.0, abs=1e-9)
+        assert led[ACCOUNT_INDEX["AccComBank"]] == pytest.approx(52.0, abs=1e-9)
+        assert led[ACCOUNT_INDEX["AccComGood"]] == pytest.approx(31.17, abs=0.01)
+        assert led[ACCOUNT_INDEX["AccResRes"]] == pytest.approx(91.68, abs=0.01)
+        assert led[ACCOUNT_INDEX["AccLabLab"]] == pytest.approx(100.0, abs=1e-9)
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_second_period(self, engine):
@@ -89,10 +89,10 @@ class TestFirstPeriod:
         assert metrics.good_price == pytest.approx(141.7, abs=1e-6)
         assert metrics.diff == pytest.approx(138.50, abs=0.01)
         led = state.ledger
-        assert led.balance("AccComBank") == pytest.approx(190.50, abs=0.01)
-        assert led.balance("AccResBank") == pytest.approx(273.19, abs=0.01)
-        assert led.balance("AccLabBank") == pytest.approx(52.0, abs=1e-9)
-        assert led.balance("AccComLoan") == pytest.approx(523.49, abs=0.01)
+        assert led[ACCOUNT_INDEX["AccComBank"]] == pytest.approx(190.50, abs=0.01)
+        assert led[ACCOUNT_INDEX["AccResBank"]] == pytest.approx(273.19, abs=0.01)
+        assert led[ACCOUNT_INDEX["AccLabBank"]] == pytest.approx(52.0, abs=1e-9)
+        assert led[ACCOUNT_INDEX["AccComLoan"]] == pytest.approx(523.49, abs=0.01)
 
 
 class TestDegenerateStates:
@@ -102,11 +102,11 @@ class TestDegenerateStates:
         # investment pays for, so the period must reject, not clamp
         params = Parameters(nu_l=0.0, nu_r=0.0, com_lab_0=0.0, com_res_0=0.0)
         state = initial_state(params)
-        before = state.ledger.balances()
+        before = state.ledger[:]
         with pytest.raises(ValidationFailure) as err:
             period_step(state, engine=engine)
         assert any("AccResRes" in d for d in err.value.diagnostics)
-        assert state.ledger.balances() == before  # untouched
+        assert state.ledger == before  # untouched
         assert state.period == 0
 
     @pytest.mark.parametrize("engine", ENGINES)
@@ -123,8 +123,8 @@ class TestDegenerateStates:
         assert metrics.dividend_payment == 0.0
         assert metrics.investment_res == 0.0
         assert metrics.investment == pytest.approx(260.0)
-        assert state.ledger.balance("AccComBank") == pytest.approx(260.0)
-        assert state.ledger.balance("AccResBank") == 0.0
+        assert state.ledger[ACCOUNT_INDEX["AccComBank"]] == pytest.approx(260.0)
+        assert state.ledger[ACCOUNT_INDEX["AccResBank"]] == 0.0
         assert invariant_tuple(state) == (0.0,) * 6
 
     @pytest.mark.parametrize("engine", ENGINES)
@@ -151,8 +151,6 @@ def reachable(root) -> list:
 
 
 def invariant_tuple(state):
-    from catledger.ledger import invariances
-
     return invariances(state.ledger).as_tuple()
 
 
@@ -165,11 +163,18 @@ class TestTraceShape:
     def test_default_horizon(self, default_run):
         assert len(default_run.rows) == 101
 
-    @pytest.mark.parametrize("horizon", [0, -1, 2.5, "10"])
+    @pytest.mark.parametrize("horizon", [0, -1, 2.5, "10", True])
     def test_horizon_must_be_positive(self, horizon):
         with pytest.raises(ValueError) as err:
             run(Parameters(), horizon=horizon)
         assert str(err.value) == "horizon must be an integer >= 1"
+
+    @pytest.mark.parametrize("name", ["tau", "horizon"])
+    def test_a_bool_count_in_the_parameters_is_refused(self, name):
+        # True is an int to isinstance, and would run one period
+        with pytest.raises(ValueError) as err:
+            run(Parameters(**{name: True}))
+        assert str(err.value) == f"{name} must be an integer >= 1"
 
     def test_first_row_is_the_initial_snapshot(self, default_run):
         first = default_run.rows[0]
@@ -251,7 +256,7 @@ class TestDeterminismAndEquivalence:
 class TestInvariancesAndMirrors:
     def test_all_zero_each_period(self, default_run):
         for row in default_run.rows:
-            assert row.invariances.max_abs() <= 1e-9
+            assert max(map(abs, row.invariances)) <= 1e-9
 
     def test_mirror_accounts_equal_each_period(self, default_run):
         mirrors = [
@@ -291,21 +296,21 @@ class TestCategoricalInternals:
         assert _CategoricalBook(init_ledger()).get("AccComLab") == 110.0
 
     def test_pullback_gate_accepts_funded_loan(self):
-        balances = init_ledger().values
+        balances = init_ledger()
         ok, diagnostics = validate_via_pullback(balances, 5, (260.0,))
         assert ok and diagnostics == []
 
     def test_pullback_gate_rejects_overdraft(self):
-        balances = init_ledger().values
+        balances = init_ledger()
         ok, diagnostics = validate_via_pullback(balances, 7, (1.0,))
         assert not ok
         assert any("insufficient-balance" in d for d in diagnostics)
 
     def test_pushout_classes_one_per_touched_account(self):
         ledger = init_ledger()
-        classes = apply_via_pushout(ledger.values, 5, (100.0,))
+        classes = apply_via_pushout(ledger, 5, (100.0,))
         assert len(classes) == 4  # the loan touches four accounts
-        assert ledger.balance("AccComBank") == 100.0
+        assert ledger[ACCOUNT_INDEX["AccComBank"]] == 100.0
 
     def test_first_period_net_flow_components(self):
         # the evolution morphism of each account carries its realised net flow
@@ -322,7 +327,7 @@ class TestCategoricalInternals:
 
     def test_identity_period_passes_the_laws(self):
         cat = build_economy_category()
-        balances = init_ledger().values
+        balances = init_ledger()
         step, _, _, eta = build_time_step(cat, balances, list(balances))
         verify_time_step(cat, eta, balances, list(balances))
         assert all(step.weight[component - 1] == 0.0 for component in eta.components.values())
@@ -330,9 +335,9 @@ class TestCategoricalInternals:
     def test_corrupted_component_weight_is_caught(self):
         ledger = init_ledger()
         cat = build_economy_category()
-        old = ledger.values[:]
-        apply_via_pushout(ledger.values, 5, (100.0,))
-        new = ledger.values[:]
+        old = ledger[:]
+        apply_via_pushout(ledger, 5, (100.0,))
+        new = ledger[:]
         step, f_t, f_t1, eta = build_time_step(cat, old, new)
         verify_time_step(cat, eta, old, new)  # sane construction passes
         victim = eta.components[ACCOUNT_INDEX["AccComBank"] + 1]
@@ -348,7 +353,7 @@ class TestCategoricalInternals:
     def test_nan_net_flow_passes_the_laws(self):
         # an account at inf in both snapshots has the net flow inf - inf = nan
         cat = build_economy_category()
-        old = init_ledger().values
+        old = init_ledger()
         old[ACCOUNT_NAMES.index("AccComGood")] = float("inf")
         new = list(old)
         _, _, _, eta = build_time_step(cat, old, new)
@@ -356,7 +361,7 @@ class TestCategoricalInternals:
 
     def test_mistyped_component_is_caught(self):
         cat = build_economy_category()
-        old = init_ledger().values
+        old = init_ledger()
         new = list(old)
         _, _, _, eta = build_time_step(cat, old, new)
         a, b = ACCOUNT_INDEX["AccLabBank"] + 1, ACCOUNT_INDEX["AccResBank"] + 1
@@ -383,7 +388,7 @@ def test_the_weight_rule_accepts_exactly_equal_or_both_nan(w, e, opening, closin
     assert repr(closing - opening) == repr(e)
     flows = build_economy_category()
     flows.extend((1,), (2,), (e,), ("flow",))
-    old = [opening, *init_ledger().values[1:]]  # AccLabBank is account 1
+    old = [opening, *init_ledger()[1:]]  # AccLabBank is account 1
     new = [closing, *old[1:]]
     step, f_t, f_t1, eta = build_time_step(flows, old, new)
     verify_time_step(flows, eta, old, new)
@@ -404,13 +409,13 @@ def test_the_weight_rule_accepts_exactly_equal_or_both_nan(w, e, opening, closin
 # each function that takes a booking id, called on a ledger
 BY_BOOKING_ID = {
     "post_booking": lambda ledger, i: post_booking(ledger, i, (1.0,)),
-    "validate_booking": lambda ledger, i: validate_booking(ledger.values, i, (1.0,)),
-    "leg_statuses": lambda ledger, i: leg_statuses(ledger.values, i, (1.0,)),
+    "validate_booking": lambda ledger, i: validate_booking(ledger, i, (1.0,)),
+    "leg_statuses": lambda ledger, i: leg_statuses(ledger, i, (1.0,)),
     "conservation_status": lambda _, i: conservation_status(i, (1.0,)),
-    "post_compiled": lambda ledger, i: post_compiled(ledger.values, i, (1.0,)),
-    "validate_via_pullback": lambda ledger, i: validate_via_pullback(ledger.values, i, (1.0,)),
+    "post_compiled": lambda ledger, i: post_compiled(ledger, i, (1.0,)),
+    "validate_via_pullback": lambda ledger, i: validate_via_pullback(ledger, i, (1.0,)),
     "booking_to_morphisms": lambda _, i: booking_to_morphisms(build_economy_category(), i, (1.0,)),
-    "apply_via_pushout": lambda ledger, i: apply_via_pushout(ledger.values, i, (1.0,)),
+    "apply_via_pushout": lambda ledger, i: apply_via_pushout(ledger, i, (1.0,)),
 }
 
 
@@ -419,11 +424,45 @@ BY_BOOKING_ID = {
 def test_an_unknown_booking_is_named(function, booking_id):
     # a ValueError that names the id, not a bare KeyError
     ledger = init_ledger()
-    before = list(ledger.values)
+    before = list(ledger)
     with pytest.raises(ValueError) as err:
         BY_BOOKING_ID[function](ledger, booking_id)
     assert str(err.value) == f"unknown booking {booking_id}"
-    assert ledger.values == before
+    assert ledger == before
+
+
+def test_a_ledger_is_one_list_of_20_floats_everywhere():
+    import catledger
+    from catledger import ledger as ledger_module
+    from catledger.evolution import _CategoricalBook, _RecursiveBook
+
+    # the package exports no ledger type: only these names come from the ledger module
+    assert {name for name in catledger.__all__ if hasattr(ledger_module, name)} == {
+        "ACCOUNT_NAMES", "AccountKind", "Agent", "Direction", "Invariances", "Unit",
+        "ValidationFailure", "init_ledger", "invariances", "post_booking", "validate_booking",
+    }
+    ledger = init_ledger()
+    assert type(ledger) is list and len(ledger) == len(ACCOUNT_NAMES)
+    assert invariances(ledger).as_tuple() == (0.0,) * 6
+    assert validate_booking(ledger, 5, (260.0,)) == (True, [])
+    assert leg_statuses(ledger, 5, (260.0,)) == ["ok"] * 4
+    assert validate_via_pullback(ledger, 5, (260.0,)) == (True, [])
+    for book_type in (_RecursiveBook, _CategoricalBook):
+        book = book_type(ledger)
+        book.post(5, (260.0,))
+        closing = book.close()  # the categorical book checks its laws here
+        assert type(closing) is list and closing is not ledger
+        assert closing[ACCOUNT_INDEX["AccComBank"]] == 260.0
+    assert ledger == init_ledger()  # each book posted onto its own copy
+    assert post_booking(ledger, 5, (260.0,)) is ledger
+    assert ledger[ACCOUNT_INDEX["AccComBank"]] == 260.0
+    for engine in ENGINES:
+        state = initial_state(Parameters())
+        opening = state.ledger[:]
+        closing = period_step(state, engine=engine)[0].ledger
+        assert type(closing) is list and closing is not state.ledger
+        assert len(closing) == len(ACCOUNT_NAMES) and all(type(v) is float for v in closing)
+        assert state.ledger == opening
 
 
 class TestStability:
@@ -445,7 +484,7 @@ class TestStability:
             cells.extend(frozen_row[1:])
         constant = dataclasses.replace(default_run, cells=cells)
         report = stability_report(constant)
-        assert report.max_drift() == 0.0
+        assert max(report.drift.values()) == 0.0
 
     def test_doubling_series_is_unbounded(self, default_run):
         rows = len(default_run.cells) // WIDTH
@@ -483,9 +522,9 @@ class TestBookingLog:
 
     def test_input_state_is_never_mutated(self):
         state = initial_state(Parameters())
-        before = state.ledger.balances()
+        before = state.ledger[:]
         period_step(state)
-        assert state.ledger.balances() == before
+        assert state.ledger == before
         assert state.period == 0
         assert state.memory.wage == (0.0,) * 10
 
@@ -494,12 +533,12 @@ class TestBookingLog:
         state = initial_state(Parameters())
         for _ in range(3):
             state, _ = period_step(state, engine=engine)
-        before = array("d", state.ledger.values).tobytes()
+        before = array("d", state.ledger).tobytes()
         new_state, _ = period_step(state, engine=engine)
-        assert array("d", state.ledger.values).tobytes() == before
-        assert new_state.ledger.values is not state.ledger.values
-        new_state.ledger.values[:] = [1.0] * len(ACCOUNT_NAMES)
-        assert array("d", state.ledger.values).tobytes() == before
+        assert array("d", state.ledger).tobytes() == before
+        assert new_state.ledger is not state.ledger
+        new_state.ledger[:] = [1.0] * len(ACCOUNT_NAMES)
+        assert array("d", state.ledger).tobytes() == before
 
 
 def counting_scans(monkeypatch) -> list[int]:
@@ -663,11 +702,11 @@ class TestPeriodLawGuard:
 
         monkeypatch.setattr(evolution, "finset_pushout", glued)
         state = initial_state(Parameters())
-        before = array("d", state.ledger.values).tobytes()
+        before = array("d", state.ledger).tobytes()
         with pytest.raises(EngineConsistencyError) as err:
             period_step(state, engine=EngineKind.CATEGORICAL)
         assert str(err.value) == "pushout glued 2 accounts into one class"
-        assert array("d", state.ledger.values).tobytes() == before
+        assert array("d", state.ledger).tobytes() == before
         assert state.period == 0 and state.declared_dividend == 0.0
 
     def test_pushout_leg_moved_to_another_account_is_caught(self, monkeypatch):
@@ -684,11 +723,11 @@ class TestPeriodLawGuard:
 
         monkeypatch.setattr(evolution, "finset_pushout", moved)
         state = initial_state(Parameters())
-        before = array("d", state.ledger.values).tobytes()
+        before = array("d", state.ledger).tobytes()
         with pytest.raises(EngineConsistencyError) as err:
             period_step(state, engine=EngineKind.CATEGORICAL)
         assert str(err.value) == "pushout square does not commute: a leg left its account"
-        assert array("d", state.ledger.values).tobytes() == before
+        assert array("d", state.ledger).tobytes() == before
         assert state.period == 0 and state.declared_dividend == 0.0
 
     def test_missing_component_names_the_account(self, monkeypatch):
@@ -738,7 +777,7 @@ class TestPeriodLawGuard:
         # only the label tells the two flows apart
         flows = build_economy_category()
         flows.extend((1, 1), (2, 2), (5.0, 5.0), ("first", "second"))
-        balances = init_ledger().values
+        balances = init_ledger()
         _, f_t, _, eta = build_time_step(flows, balances, list(balances))
         verify_time_step(flows, eta, balances, list(balances))
         f_t.morphism_map[1] = f_t.morphism_map[2]
@@ -849,8 +888,8 @@ class TestCompiledCategoricalPost:
 
         balances = data.draw(balances_20)
         amounts = data.draw(near_canonical_amounts(booking_id, balances))
-        reference = LedgerState(list(balances))
-        book = _CategoricalBook(LedgerState(list(balances)))
+        reference = list(balances)
+        book = _CategoricalBook(list(balances))
         try:
             post_booking(reference, booking_id, amounts)
         except ValidationFailure as exc:
@@ -861,7 +900,7 @@ class TestCompiledCategoricalPost:
             assert bits(book.get(name) for name in ACCOUNT_NAMES) == bits(balances)
         else:
             book.post(booking_id, amounts)
-            assert bits(book.get(name) for name in ACCOUNT_NAMES) == bits(reference.values)
+            assert bits(book.get(name) for name in ACCOUNT_NAMES) == bits(reference)
 
     @pytest.mark.parametrize("booking_id", sorted(BOOKINGS))
     @settings(max_examples=100, deadline=None)

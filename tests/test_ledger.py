@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from catledger.evolution import _CategoricalBook, validate_via_pullback
 from catledger.ledger import (
+    ACCOUNT_INDEX,
     ACCOUNT_NAMES,
     ACCOUNT_SPECS,
     BOOKINGS,
@@ -20,9 +21,9 @@ from catledger.ledger import (
     Agent,
     AccountKind,
     Direction,
-    LedgerState,
     Unit,
     ValidationFailure,
+    checked_balance,
     compile_booking_table,
     conservation_status,
     init_ledger,
@@ -58,14 +59,13 @@ class TestAccountTable:
 
 class TestInitLedger:
     def test_default_endowments(self):
-        state = init_ledger()
-        assert state.balance("AccComLab") == 110.0
-        assert state.balance("AccComRes") == 20.0
-        assert state.balance("AccLabBank") == 0.0
+        ledger = init_ledger()
+        assert ledger[ACCOUNT_INDEX["AccComLab"]] == 110.0
+        assert ledger[ACCOUNT_INDEX["AccComRes"]] == 20.0
+        assert ledger[ACCOUNT_INDEX["AccLabBank"]] == 0.0
 
     def test_zero_endowments(self):
-        state = init_ledger(0.0, 0.0)
-        assert all(state.balance(name) == 0.0 for name in ACCOUNT_NAMES)
+        assert init_ledger(0.0, 0.0) == [0.0] * len(ACCOUNT_NAMES)
 
     def test_negative_endowment_rejected(self):
         with pytest.raises(ValueError):
@@ -74,48 +74,47 @@ class TestInitLedger:
 
 class TestPostBooking:
     def test_loan_260(self):
-        state = init_ledger()
-        post_booking(state, 5, (260.0,))
-        assert state.balance("AccComLoan") == 260.0
-        assert state.balance("AccComBank") == 260.0
-        assert state.balance("AccBankComLoan") == 260.0
-        assert state.balance("AccBankComBank") == 260.0
+        ledger = init_ledger()
+        post_booking(ledger, 5, (260.0,))
+        assert ledger[ACCOUNT_INDEX["AccComLoan"]] == 260.0
+        assert ledger[ACCOUNT_INDEX["AccComBank"]] == 260.0
+        assert ledger[ACCOUNT_INDEX["AccBankComLoan"]] == 260.0
+        assert ledger[ACCOUNT_INDEX["AccBankComBank"]] == 260.0
 
     def test_all_zero_booking_is_identity(self):
-        state = init_ledger()
-        before = state.balances()
-        post_booking(state, 1, (0.0, 0.0))
-        assert state.balances() == before
+        ledger = init_ledger()
+        before = ledger[:]
+        post_booking(ledger, 1, (0.0, 0.0))
+        assert ledger == before
 
     def test_overdraft_rejected(self):
-        state = init_ledger()
-        state.set_balance("AccComBank", 5.0)
-        state.set_balance("AccBankComBank", 5.0)
+        ledger = init_ledger()
+        ledger[ACCOUNT_INDEX["AccComBank"]] = 5.0
+        ledger[ACCOUNT_INDEX["AccBankComBank"]] = 5.0
         with pytest.raises(ValidationFailure) as err:
-            post_booking(state, 1, (10.0, 10.0 / 12.0))
+            post_booking(ledger, 1, (10.0, 10.0 / 12.0))
         assert any("insufficient-balance" in d for d in err.value.diagnostics)
 
     def test_rejection_is_atomic(self):
-        state = init_ledger()
-        state.set_balance("AccComBank", 5.0)
-        state.set_balance("AccBankComBank", 5.0)
-        before = state.balances()
+        ledger = init_ledger()
+        ledger[ACCOUNT_INDEX["AccComBank"]] = 5.0
+        ledger[ACCOUNT_INDEX["AccBankComBank"]] = 5.0
+        before = ledger[:]
         with pytest.raises(ValidationFailure):
-            post_booking(state, 1, (10.0, 1.0))
-        assert state.balances() == before
+            post_booking(ledger, 1, (10.0, 1.0))
+        assert ledger == before
 
 
 class TestValidateBooking:
     def test_wage_52_with_funds(self):
-        state = init_ledger()
-        post_booking(state, 5, (260.0,))
-        state.set_balance("AccLabLab", 10.0)
-        ok, diagnostics = validate_booking(state.values, 1, (52.0, 52.0 / 12.0))
+        ledger = init_ledger()
+        post_booking(ledger, 5, (260.0,))
+        ledger[ACCOUNT_INDEX["AccLabLab"]] = 10.0
+        ok, diagnostics = validate_booking(ledger, 1, (52.0, 52.0 / 12.0))
         assert ok and diagnostics == []
 
     def test_drain_below_zero(self):
-        state = init_ledger()
-        ok, diagnostics = validate_booking(state.values, 7, (1.0,))
+        ok, diagnostics = validate_booking(init_ledger(), 7, (1.0,))
         assert not ok
         assert any("insufficient-balance" in d for d in diagnostics)
 
@@ -125,19 +124,19 @@ class TestInvariances:
         assert invariances(init_ledger()).as_tuple() == (0.0,) * 6
 
     def test_first_period_style_state_all_zero(self):
-        state = init_ledger()
-        post_booking(state, 5, (260.0,))
-        state.set_balance("AccResRes", 100.0)
-        post_booking(state, 3, (208.0, 8.32))
-        checks = invariances(state)
+        ledger = init_ledger()
+        post_booking(ledger, 5, (260.0,))
+        ledger[ACCOUNT_INDEX["AccResRes"]] = 100.0
+        post_booking(ledger, 3, (208.0, 8.32))
+        checks = invariances(ledger)
         assert checks.as_tuple() == (0.0,) * 6
-        assert state.balance("AccResBank") == 208.0
-        assert state.balance("AccBankResBank") == 208.0
+        assert ledger[ACCOUNT_INDEX["AccResBank"]] == 208.0
+        assert ledger[ACCOUNT_INDEX["AccBankResBank"]] == 208.0
 
     def test_corrupting_a_mirror_shows_up(self):
-        state = init_ledger()
-        state.set_balance("AccBankResBank", 1.0)
-        checks = invariances(state)
+        ledger = init_ledger()
+        ledger[ACCOUNT_INDEX["AccBankResBank"]] = 1.0
+        checks = invariances(ledger)
         assert checks.res_bank == -1.0
         assert checks.macro == -1.0
         assert checks.lab_bank == 0.0
@@ -175,11 +174,11 @@ class TestBookingTable:
         assert problem in str(err.value)
 
     def test_an_unknown_id_or_the_wrong_amounts_is_refused(self):
-        state = init_ledger()
+        ledger = init_ledger()
         checks = (
-            partial(post_booking, state),
-            partial(validate_booking, state.values),
-            partial(leg_statuses, state.values),
+            partial(post_booking, ledger),
+            partial(validate_booking, ledger),
+            partial(leg_statuses, ledger),
             conservation_status,
         )
         for check in checks:
@@ -187,7 +186,7 @@ class TestBookingTable:
                 check(9, (1.0,))
             with pytest.raises(TypeError, match="booking 5 takes 1 amounts, got 2"):
                 check(5, (1.0, 2.0))
-        assert state.values == init_ledger().values
+        assert ledger == init_ledger()
 
 
 class TestPostCompiled:
@@ -195,7 +194,7 @@ class TestPostCompiled:
     def test_a_non_finite_amount_is_refused_and_posts_nothing(self, amount):
         # every leg of the loan is an inflow, so no balance can refuse an inf:
         # only the bound `0.0 <= a < inf` on the amount does
-        values = init_ledger().values
+        values = init_ledger()
         before = [struct.pack("d", value) for value in values]
         assert post_compiled(values, 5, (amount,)) is False
         assert [struct.pack("d", value) for value in values] == before
@@ -228,17 +227,16 @@ def eu_debits_and_credits(booking_id: int, amounts: tuple[float, ...]) -> tuple[
     return debits, credits
 
 
-def random_state(rng: random.Random) -> LedgerState:
-    state = LedgerState()
-    for name in ACCOUNT_NAMES:
-        state.set_balance(name, rng.uniform(0.0, 1000.0))
-    return state
+def random_ledger(rng: random.Random) -> list[float]:
+    return [rng.uniform(0.0, 1000.0) for _ in ACCOUNT_NAMES]
 
 
-def random_valid_booking(rng: random.Random, state: LedgerState) -> tuple[int, tuple[float, ...]]:
-    """A booking's id and amounts that the balances of `state` cover."""
+def random_valid_booking(rng: random.Random, ledger: list[float]) -> tuple[int, tuple[float, ...]]:
+    """A booking's id and amounts that the balances of `ledger` cover."""
     shape = rng.randint(1, 8)
-    bal = state.balance
+
+    def bal(name: str) -> float:
+        return ledger[ACCOUNT_INDEX[name]]
     if shape == 1:
         wages = rng.uniform(0, min(bal("AccComBank"), bal("AccBankComBank")))
         hours = rng.uniform(0, bal("AccLabLab"))
@@ -271,64 +269,54 @@ class TestConservationProperty:
         rng = random.Random(424242)
         posted = 0
         while posted < 1000:
-            state = random_state(rng)
-            booking_id, amounts = random_valid_booking(rng, state)
+            ledger = random_ledger(rng)
+            booking_id, amounts = random_valid_booking(rng, ledger)
             debits, credits = eu_debits_and_credits(booking_id, amounts)
             assert debits == credits, (booking_id, amounts)
-            post_booking(state, booking_id, amounts)
-            assert all(state.balance(name) >= 0.0 for name in ACCOUNT_NAMES)
+            post_booking(ledger, booking_id, amounts)
+            assert all(balance >= 0.0 for balance in ledger)
             posted += 1
 
     def test_reject_dont_clamp_path(self):
         rng = random.Random(911)
         rejected = 0
         for _ in range(300):
-            state = random_state(rng)
+            ledger = random_ledger(rng)
             # ask for more than any balance can cover
-            before = state.balances()
+            before = ledger[:]
             with pytest.raises(ValidationFailure):
-                post_booking(state, 7, (2000.0,))
-            assert state.balances() == before
+                post_booking(ledger, 7, (2000.0,))
+            assert ledger == before
             rejected += 1
         assert rejected == 300
 
     def test_imbalanced_booking_caught(self):
         # the table conserves every finite amount; a NaN loan fails nan == nan
-        state = init_ledger()
-        state.set_balance("AccComBank", 100.0)
-        ok, diagnostics = validate_booking(state.values, 5, (math.nan,))
+        ledger = init_ledger()
+        ledger[ACCOUNT_INDEX["AccComBank"]] = 100.0
+        ok, diagnostics = validate_booking(ledger, 5, (math.nan,))
         assert not ok
         assert diagnostics == ["eu-imbalance:nan!=nan"]
-        assert (ok, diagnostics) == oracle_validate_booking(state, oracle_make_loan(math.nan))
+        assert (ok, diagnostics) == oracle_validate_booking(ledger, oracle_make_loan(math.nan))
 
     def test_real_leg_imbalance_caught(self):
         # kilograms of inf delivered net to -inf + inf, which is nan
-        state = init_ledger()
-        state.set_balance("AccResRes", 5.0)
-        ok, diagnostics = validate_booking(state.values, 3, (0.0, math.inf))
+        ledger = init_ledger()
+        ledger[ACCOUNT_INDEX["AccResRes"]] = 5.0
+        ok, diagnostics = validate_booking(ledger, 3, (0.0, math.inf))
         assert not ok
         assert diagnostics == ["insufficient-balance:AccResRes", "real-imbalance:kg:nan"]
         reference = oracle_make_resource_purchase(0.0, math.inf)
-        assert (ok, diagnostics) == oracle_validate_booking(state, reference)
+        assert (ok, diagnostics) == oracle_validate_booking(ledger, reference)
 
 
-class TestCopySemantics:
-    def test_copy_is_independent(self):
-        state = init_ledger()
-        clone = state.copy()
-        clone.set_balance("AccComLab", 1.0)
-        assert state.balance("AccComLab") == 110.0
-
+class TestCheckedBalance:
     def test_math_is_plain_float(self):
-        state = init_ledger()
         with pytest.raises(ValidationFailure) as err:
-            state.set_balance("AccLabBank", -5.0)
+            checked_balance("AccLabBank", -5.0)
         assert str(err.value) == "balance of 'AccLabBank' would become negative (-5.0)"
-        assert state.values == init_ledger().values
-        state.set_balance("AccComBank", 0.1)
-        assert math.isclose(state.balance("AccComBank"), 0.1)
-        state.set_balance("AccComGood", math.nan)  # a NaN passes
-        assert math.isnan(state.balance("AccComGood"))
+        assert math.isclose(checked_balance("AccComBank", 0.1), 0.1)
+        assert math.isnan(checked_balance("AccComGood", math.nan))  # a NaN passes
 
 
 # ---------------------------------------------------------------------------
@@ -415,27 +403,28 @@ def oracle_conservation_status(booking: Booking) -> str:
     return "ok"
 
 
-def oracle_validate_booking(state: LedgerState, booking: Booking) -> tuple[bool, list[str]]:
-    diagnostics = [s for s in oracle_leg_statuses(state.balances(), booking) if s != "ok"]
+def oracle_validate_booking(ledger: list[float], booking: Booking) -> tuple[bool, list[str]]:
+    balances = dict(zip(ACCOUNT_NAMES, ledger))
+    diagnostics = [s for s in oracle_leg_statuses(balances, booking) if s != "ok"]
     cons = oracle_conservation_status(booking)
     if cons != "ok":
         diagnostics.append(cons)
     return not diagnostics, diagnostics
 
 
-def oracle_post_booking(state: LedgerState, booking: Booking) -> LedgerState:
-    ok, diagnostics = oracle_validate_booking(state, booking)
+def oracle_post_booking(ledger: list[float], booking: Booking) -> list[float]:
+    ok, diagnostics = oracle_validate_booking(ledger, booking)
     if not ok:
         raise ValidationFailure(
             f"booking {booking.id} ({booking.description}) rejected", diagnostics
         )
     for leg in booking.legs:
-        balance = state.balance(leg.account)
+        index = ACCOUNT_INDEX[leg.account]
         if leg.direction is Direction.INFLOW:
-            state.set_balance(leg.account, balance + leg.amount)
+            ledger[index] = checked_balance(leg.account, ledger[index] + leg.amount)
         else:
-            state.set_balance(leg.account, balance - leg.amount)
-    return state
+            ledger[index] = checked_balance(leg.account, ledger[index] - leg.amount)
+    return ledger
 
 
 # The builders as they were before they called `tuple.__new__` directly,
@@ -644,23 +633,17 @@ def boundary_bookings(draw) -> tuple[list[float], int, tuple[float, ...]]:
     return balances, booking_id, tuple(drawn)
 
 
-def state_of(balances: list[float]) -> LedgerState:
-    # the list itself, since some of the drawn balances are negative, which
-    # `set_balance` refuses
-    return LedgerState(list(balances))
-
-
-def balance_bits(state: LedgerState) -> list[bytes]:
-    return [struct.pack("d", state.balance(name)) for name in ACCOUNT_NAMES]
+def balance_bits(ledger: list[float]) -> list[bytes]:
+    return [struct.pack("d", balance) for balance in ledger]
 
 
 def assert_posts_like_the_reference(
     balances: list[float], booking_id: int, amounts: tuple[float, ...], post=post_booking
 ) -> None:
-    """`post(state, booking_id, amounts)` accepts or rejects as the reference
+    """`post(ledger, booking_id, amounts)` accepts or rejects as the reference
     does, with the same message and diagnostics, and leaves bit-identical
     balances."""
-    ours, reference = state_of(balances), state_of(balances)
+    ours, reference = list(balances), list(balances)
     untouched = balance_bits(ours)
     try:
         oracle_post_booking(reference, oracle_booking(booking_id, amounts))
@@ -676,13 +659,13 @@ def assert_posts_like_the_reference(
 
 
 def post_by_the_categorical_book(
-    state: LedgerState, booking_id: int, amounts: tuple[float, ...]
-) -> LedgerState:
+    ledger: list[float], booking_id: int, amounts: tuple[float, ...]
+) -> list[float]:
     """Post through the book a categorical `period_step` posts through."""
-    book = _CategoricalBook(state)
+    book = _CategoricalBook(ledger)
     book.post(booking_id, amounts)
-    state.values[:] = book.values
-    return state
+    ledger[:] = book.values
+    return ledger
 
 
 class TestReferenceEquivalence:
@@ -690,7 +673,7 @@ class TestReferenceEquivalence:
     @given(balance_lists, bookings)
     def test_validate_booking_matches_the_reference(self, balances, booking):
         booking_id, drawn = booking
-        reference = oracle_validate_booking(state_of(balances), oracle_booking(booking_id, drawn))
+        reference = oracle_validate_booking(list(balances), oracle_booking(booking_id, drawn))
         assert validate_booking(balances, booking_id, drawn) == reference
 
     @settings(max_examples=200, deadline=None)
@@ -704,7 +687,7 @@ class TestReferenceEquivalence:
         assert leg_statuses(balances, booking_id, drawn) == oracle_leg_statuses(opening, reference)
         assert conservation_status(booking_id, drawn) == oracle_conservation_status(reference)
         assert validate_via_pullback(balances, booking_id, drawn) == (
-            oracle_validate_booking(state_of(balances), reference)
+            oracle_validate_booking(list(balances), reference)
         )
         assert [struct.pack("d", value) for value in balances] == untouched
 
@@ -765,7 +748,7 @@ class TestReferenceEquivalence:
         assert_posts_like_the_reference(balances, 6, (paid, declared))
         assert_posts_like_the_reference(balances, 6, (paid, declared), post_by_the_categorical_book)
         with pytest.raises(ValidationFailure) as err:
-            post_booking(state_of(balances), 6, (paid, declared))
+            post_booking(list(balances), 6, (paid, declared))
         assert err.value.diagnostics == ["insufficient-balance:AccComDiv"]
 
 
@@ -781,7 +764,7 @@ class TestRejectionMessages:
         balances = [10.0] * len(ACCOUNT_NAMES)
         drawn = (REFUSED[kind],) * arity(booking_id)
         reference = oracle_booking(booking_id, drawn)
-        verdict = oracle_validate_booking(state_of(balances), reference)
+        verdict = oracle_validate_booking(list(balances), reference)
         # a loan only adds to accounts, and its conservation check passes
         # inf == inf: only a NaN or negative loan is refused
         assert verdict[0] is (booking_id == 5 and kind in ("overdraft", "inf"))
