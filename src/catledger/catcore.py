@@ -6,7 +6,9 @@ composability) over generators and composable pairs, never weights.  A
 category is held as parallel columns and a FinSet map as positions into its
 codomain, after the attributed C-sets of Patterson, Lynch & Fairbanks
 ("Categorical data structures for technical computing", Compositionality 4,
-2022).  The universal-property verifiers are exhaustive test-time searches.
+2022).  `pullback_positions` and `pushout_positions` compute the FinSet
+limits on positions; `finset_pullback` and `finset_pushout` label them.  The
+universal-property verifiers are exhaustive test-time searches.
 """
 
 from __future__ import annotations
@@ -285,6 +287,14 @@ class FinSetMap:
         return f"FinSetMap({self.domain!r}, {self.codomain!r}, {dict(self.mapping)!r})"
 
 
+def pullback_positions(f: FinSetMap, g: FinSetMap) -> list[tuple[int, int]]:
+    """The pullback apex of f: A -> C and g: B -> C as (A-index, B-index) pairs."""
+    if tuple(f.codomain) != tuple(g.codomain):
+        raise FinSetError("pullback requires a shared codomain")
+    b_images = tuple(enumerate(g.images))
+    return [(a, b) for a, x in enumerate(f.images) for b, y in b_images if x == y]
+
+
 def finset_pullback(
     f: FinSetMap, g: FinSetMap
 ) -> tuple[tuple[tuple[Hashable, Hashable], ...], FinSetMap, FinSetMap]:
@@ -293,26 +303,26 @@ def finset_pullback(
     Returns the apex P = {(a, b) | f(a) = g(b)} ordered lexicographically by
     (A-index, B-index), plus the two projections.
     """
-    if tuple(f.codomain) != tuple(g.codomain):
-        raise FinSetError("pullback requires a shared codomain")
-    a_elems, b_elems = f.domain, g.domain
-    b_images = tuple(enumerate(g.images))
-    pairs = [(a, b) for a, x in enumerate(f.images) for b, y in b_images if x == y]
-    apex = tuple([(a_elems[a], b_elems[b]) for a, b in pairs])
+    pairs = pullback_positions(f, g)
+    apex = tuple([(f.domain[a], g.domain[b]) for a, b in pairs])
     a_positions, b_positions = tuple(zip(*pairs)) or ((), ())
-    p_a = FinSetMap.from_positions(apex, a_elems, a_positions)
-    p_b = FinSetMap.from_positions(apex, b_elems, b_positions)
+    p_a = FinSetMap.from_positions(apex, f.domain, a_positions)
+    p_b = FinSetMap.from_positions(apex, g.domain, b_positions)
     return apex, p_a, p_b
 
 
-def _quotient(size: int, xs: Sequence[int], ys: Sequence[int], offset: int) -> list[int]:
-    """Per position of range(size), the first position of its class under x ~ y + offset.
+def pushout_positions(f: FinSetMap, g: FinSetMap) -> tuple[int, list[int]]:
+    """The pushout of f: C -> A and g: C -> B as its class count and each position's class.
 
-    Union-find on a list of parents with path halving, each root the least
-    position of its tree, so one pass in position order finds every root.
+    The positions are A's, then B's, and the classes are numbered by first
+    occurrence.  Union-find on a list of parents with path halving, each
+    root the least position of its tree, so a parent precedes its child.
     """
-    parent = list(range(size))
-    for x, y in zip(xs, ys):
+    if tuple(f.domain) != tuple(g.domain):
+        raise FinSetError("pushout requires a shared domain")
+    offset = len(f.codomain)
+    parent = list(range(offset + len(g.codomain)))
+    for x, y in zip(f.images, g.images):
         y += offset
         while parent[x] != x:
             parent[x] = x = parent[parent[x]]
@@ -322,9 +332,13 @@ def _quotient(size: int, xs: Sequence[int], ys: Sequence[int], offset: int) -> l
             parent[y] = x
         elif y < x:
             parent[x] = y
-    for x in range(size):
-        parent[x] = parent[parent[x]]
-    return parent
+    count = 0
+    for x, up in enumerate(parent):  # each parent, met first, already holds its class
+        if up == x:
+            parent[x], count = count, count + 1
+        else:
+            parent[x] = parent[up]
+    return count, parent
 
 
 def finset_pushout(
@@ -336,24 +350,15 @@ def finset_pushout(
     the relation f(c) ~ g(c), as classes of ("A", a) / ("B", b) pairs
     ordered by first occurrence (A first, then B), plus both injections.
     """
-    if tuple(f.domain) != tuple(g.domain):
-        raise FinSetError("pushout requires a shared domain")
+    count, numbers = pushout_positions(f, g)
     a_elems, b_elems = f.codomain, g.codomain
-    offset = len(a_elems)
-    roots = _quotient(offset + len(b_elems), f.images, g.images, offset)
     tagged = [*zip(itertools.repeat("A"), a_elems), *zip(itertools.repeat("B"), b_elems)]
-    groups: list[list[tuple]] = []
-    numbers: list[int] = []  # each position's class
-    for x, root in enumerate(roots):
-        if root == x:
-            numbers.append(len(groups))
-            groups.append([tagged[x]])
-        else:
-            numbers.append(numbers[root])
-            groups[numbers[root]].append(tagged[x])
+    groups: list[list[tuple]] = [[] for _ in range(count)]
+    for number, element in zip(numbers, tagged):
+        groups[number].append(element)
     classes = tuple(map(frozenset, groups))
-    i_a = FinSetMap.from_positions(a_elems, classes, numbers[:offset])
-    i_b = FinSetMap.from_positions(b_elems, classes, numbers[offset:])
+    i_a = FinSetMap.from_positions(a_elems, classes, numbers[: len(a_elems)])
+    i_b = FinSetMap.from_positions(b_elems, classes, numbers[len(a_elems) :])
     return classes, i_a, i_b
 
 

@@ -51,8 +51,8 @@ from .catcore import (
     NaturalTransformation,
     check_functor_laws,
     check_naturality,
-    finset_pullback,
-    finset_pushout,
+    pullback_positions,
+    pushout_positions,
 )
 from .decisions import (
     METRIC_COLUMNS,
@@ -383,36 +383,32 @@ def validate_via_pullback(
     spec_cone = _SPEC_CONE
     if outcomes != _OK:
         spec_cone = FinSetMap.from_positions(("all",), outcomes, (outcomes.index("ok"),))
-    apex, _, _ = finset_pullback(leg_check, spec_cone)
-    if len(apex) == len(legs) and verdict == "ok":
+    if len(pullback_positions(leg_check, spec_cone)) == len(legs) and verdict == "ok":
         return True, []
     return False, booking_diagnostics(statuses, verdict)
 
 
-def apply_via_pushout(
-    values: list[float], booking_id: int, amounts: tuple[float, ...]
-) -> tuple[frozenset, ...]:
+def apply_via_pushout(values: list[float], booking_id: int, amounts: tuple[float, ...]) -> None:
     """Apply a validated booking by folding its legs through the pushout's injections.
 
     The pushout of (leg -> account) against (leg -> leg) glues each leg onto
     its account: i_b sends a leg to its class, and the class is the i_a
     image of exactly one account.  Each leg is added to or subtracted from
-    that account's entry of `values`, in leg order.  Returns the classes.
+    that account's entry of `values`, in leg order.
     """
     _, to_account, to_slot, _, ways = booking_entry(_FIXED, booking_id)
-    classes, i_a, i_b = finset_pushout(to_account, to_slot)
-    owners = dict(zip(i_a.images, map(ACCOUNT_INDEX.__getitem__, i_a.domain)))
-    if len(owners) != len(i_a.images):
-        glued = max(map(i_a.images.count, i_a.images))
+    _, classes = pushout_positions(to_account, to_slot)
+    accounts = to_account.codomain
+    i_a, i_b = classes[: len(accounts)], classes[len(accounts) :]
+    owners = dict(zip(i_a, map(ACCOUNT_INDEX.__getitem__, accounts)))
+    if len(owners) != len(i_a):
+        glued = max(map(i_a.count, i_a))
         raise EngineConsistencyError(f"pushout glued {glued} accounts into one class")
-    if i_b.images != tuple(map(i_a.images.__getitem__, to_account.images)):
+    if i_b != list(map(i_a.__getitem__, to_account.images)):
         raise EngineConsistencyError("pushout square does not commute: a leg left its account")
-    for cls, (inflow, slot) in zip(i_b.images, ways):
-        account = owners[cls]
-        values[account] = (
-            values[account] + amounts[slot] if inflow else values[account] - amounts[slot]
-        )
-    return classes
+    for cls, (inflow, slot) in zip(i_b, ways):
+        i = owners[cls]
+        values[i] = values[i] + amounts[slot] if inflow else values[i] - amounts[slot]
 
 
 def build_time_step(

@@ -83,6 +83,8 @@ ACCOUNT_NAMES: tuple[str, ...] = tuple(spec.name for spec in ACCOUNT_SPECS)
 SPEC_BY_NAME: dict[str, AccountSpec] = {spec.name: spec for spec in ACCOUNT_SPECS}
 # position of each account in a ledger's list of balances
 ACCOUNT_INDEX: dict[str, int] = {name: index for index, name in enumerate(ACCOUNT_NAMES)}
+# the refusal of a list of the wrong length, given that length
+_WRONG_LENGTH = f"a ledger holds {len(ACCOUNT_NAMES)} balances, got %d"
 
 assert sum(1 for s in ACCOUNT_SPECS if s.kind is AccountKind.ASSET) == 14
 assert sum(1 for s in ACCOUNT_SPECS if s.kind is AccountKind.LIABILITY) == 6
@@ -154,6 +156,8 @@ def invariances(values: Sequence[float]) -> Invariances:
     The macro value sums the five: the Bank balances exactly when every
     deposit and the loan agree across the two systems keeping them.
     """
+    if len(values) != len(ACCOUNT_NAMES):
+        raise ValueError(_WRONG_LENGTH % len(values))
     (  # the 20 balances, in ACCOUNT_SPECS order
         lab_bank, _, _, res_bank, _, _, cap_bank, _, _, com_bank, com_loan, _, _, _, _,
         bank_com_loan, bank_com_bank, bank_lab_bank, bank_res_bank, bank_cap_bank,
@@ -309,22 +313,25 @@ def booking_entry(table: Mapping[int, tuple], booking_id: int) -> tuple:
 def post_compiled(values: list[float], booking_id: int, amounts: tuple[float, ...]) -> bool:
     """Post the booking's compiled legs onto `values`; False at the first leg that cannot.
 
-    A leg cannot post when its amount `a` fails `0.0 <= a < inf` or it
-    leaves a running balance below 0 (`values` then holds the legs before
-    it).  True means `_scan_legs` passes the booking with the same `+` and
-    `-`, as `compile_booking_table` proved.
+    A leg cannot post when its amount `a` fails `0.0 <= a < inf`, it leaves
+    a running balance below 0 or lies past the end of `values` (which then
+    holds the legs before it).  True means `_scan_legs` passes the booking
+    with the same `+` and `-`, as `compile_booking_table` proved.
     """
     _, arity, legs, _ = booking_entry(_COMPILED, booking_id)
     if len(amounts) != arity:
         return False
-    for index, inflow, slot in legs:
-        amount = amounts[slot]
-        if not 0.0 <= amount < _INF:
-            return False
-        new = values[index] + amount if inflow else values[index] - amount
-        if not new >= 0.0:
-            return False
-        values[index] = new
+    try:
+        for index, inflow, slot in legs:
+            amount = amounts[slot]
+            if not 0.0 <= amount < _INF:
+                return False
+            new = values[index] + amount if inflow else values[index] - amount
+            if not new >= 0.0:
+                return False
+            values[index] = new
+    except IndexError:
+        return False
     return True
 
 
@@ -339,13 +346,15 @@ def _scan_legs(
     in order, so a later inflow cannot excuse an earlier overdraft.  EU
     debits must equal EU credits exactly and every real unit must net out:
     amounts are copied between legs, never recomputed, so no tolerance is
-    needed.  Raises ValueError for an unknown booking and TypeError for the
-    wrong number of amounts.
+    needed.  Raises ValueError for an unknown booking or a list of the
+    wrong length, and TypeError for the wrong number of amounts.
     """
     _, arity, legs, sides = booking_entry(_COMPILED, booking_id)
     if len(amounts) != arity:
         raise TypeError(f"booking {booking_id} takes {arity} amounts, got {len(amounts)}")
     scratch = list(values)
+    if len(scratch) != len(ACCOUNT_NAMES):
+        raise ValueError(_WRONG_LENGTH % len(scratch))
     statuses: list[str] = []
     debits = credits = 0.0
     real_net: dict[str, float] = {}

@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,7 +22,8 @@ from catledger import catcore, evolution
 from catledger.decisions import Parameters
 from catledger.evolution import EngineKind, initial_state, period_step, run
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 def _spans():
@@ -38,6 +42,17 @@ def test_every_traced_layer_resolves():
         if not callable(getattr(importlib.import_module(module), function, None))
     ]
     assert missing == []
+
+
+def test_the_benchmark_smoke_run_holds_its_pinned_digests():
+    # `--smoke` runs every workload a few calls with every check on, among
+    # them the digests the benchmark pins; a moved digest fails here
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--smoke"],
+        cwd=ROOT, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == {"smoke": "ok"}
 
 
 def test_every_exported_name_resolves():

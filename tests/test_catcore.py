@@ -23,6 +23,8 @@ from catledger.catcore import (
     enumerate_maps,
     finset_pullback,
     finset_pushout,
+    pullback_positions,
+    pushout_positions,
     verify_pullback_universal,
     verify_pushout_universal,
 )
@@ -733,6 +735,20 @@ def assert_same_map(new: FinSetMap, old: FinSetMap) -> None:
     assert list(new.mapping.items()) == list(old.mapping.items())
 
 
+def assert_pullback_positions_match(f: FinSetMap, g: FinSetMap) -> None:
+    """The core's pairs are exactly the images of the labeled projections."""
+    _, p_a, p_b = finset_pullback(f, g)
+    assert pullback_positions(f, g) == list(zip(p_a.images, p_b.images))
+
+
+def assert_pushout_positions_match(f: FinSetMap, g: FinSetMap) -> None:
+    """The core's class count and its classes are exactly the labeled injections'."""
+    classes, i_a, i_b = finset_pushout(f, g)
+    count, numbers = pushout_positions(f, g)
+    assert count == len(classes)
+    assert numbers == [*i_a.images, *i_b.images]
+
+
 class TestFinSetDifferential:
     def test_pullback_matches_the_reference(self):
         rng = random.Random(4101)
@@ -771,6 +787,47 @@ class TestFinSetDifferential:
         assert classes == ref_classes and len(classes) == 6
         assert_same_map(i_a, ref_a)
         assert_same_map(i_b, ref_b)
+
+    def test_pullback_positions_are_the_projections(self):
+        rng = random.Random(4101)
+        for _ in range(400):
+            c = random_labels(rng, "c", rng.randint(1, 4))
+            f = random_map(rng, random_labels(rng, "a", rng.randint(0, 6)), c)
+            g = random_map(rng, random_labels(rng, "b", rng.randint(0, 6)), c)
+            assert_pullback_positions_match(f, g)
+
+    def test_pushout_positions_are_the_injections(self):
+        rng = random.Random(4102)
+        for _ in range(400):
+            c = random_labels(rng, "c", rng.randint(0, 6))
+            f = random_map(rng, c, random_labels(rng, "a", rng.randint(1, 5)))
+            g = random_map(rng, c, random_labels(rng, "b", rng.randint(1, 5)))
+            assert_pushout_positions_match(f, g)
+
+    @pytest.mark.parametrize("booking_id", range(1, 9))
+    def test_the_engine_cores_match_on_every_booking(self, booking_id):
+        # each booking's fixed pushout inputs, and its gate when every leg
+        # is ok and when its first leg overdraws
+        from catledger.evolution import _FIXED, _SPEC_CONE
+        from catledger.ledger import BOOKINGS
+
+        legs, to_account, to_slot, _, _ = _FIXED[booking_id]
+        assert_pushout_positions_match(to_account, to_slot)
+        all_ok = FinSetMap.from_positions(legs, _SPEC_CONE.codomain, (0,) * len(legs))
+        assert_pullback_positions_match(all_ok, _SPEC_CONE)
+        outcomes = (f"insufficient-balance:{BOOKINGS[booking_id][1][0][0]}", "ok")
+        first_fails = FinSetMap.from_positions(legs, outcomes, (0,) + (1,) * (len(legs) - 1))
+        cone = FinSetMap.from_positions(("all",), outcomes, (1,))
+        assert_pullback_positions_match(first_fails, cone)
+        assert len(pullback_positions(first_fails, cone)) == len(legs) - 1
+
+    def test_the_cores_keep_the_shape_errors(self):
+        f = FinSetMap(("a",), ("t",), {"a": "t"})
+        g = FinSetMap(("x",), ("u",), {"x": "u"})
+        with pytest.raises(FinSetError, match="^pullback requires a shared codomain$"):
+            pullback_positions(f, g)
+        with pytest.raises(FinSetError, match="^pushout requires a shared domain$"):
+            pushout_positions(f, g)
 
     @pytest.mark.parametrize(
         "domain, codomain, mapping, message",

@@ -13,7 +13,7 @@ from enum import Enum
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from catledger.catcore import FinSetMap
+from catledger.catcore import FinSetMap, finset_pushout
 
 from catledger.decisions import Parameters, PeriodMetrics
 from catledger.evolution import (
@@ -307,9 +307,13 @@ class TestCategoricalInternals:
         assert any("insufficient-balance" in d for d in diagnostics)
 
     def test_pushout_classes_one_per_touched_account(self):
-        ledger = init_ledger()
-        classes = apply_via_pushout(ledger, 5, (100.0,))
+        from catledger.evolution import _FIXED
+
+        _, to_account, to_slot, _, _ = _FIXED[5]
+        classes, _, _ = finset_pushout(to_account, to_slot)
         assert len(classes) == 4  # the loan touches four accounts
+        ledger = init_ledger()
+        apply_via_pushout(ledger, 5, (100.0,))
         assert ledger[ACCOUNT_INDEX["AccComBank"]] == 100.0
 
     def test_first_period_net_flow_components(self):
@@ -625,8 +629,8 @@ class TestPeriodLawGuard:
         names = (
             "check_functor_laws",
             "check_naturality",
-            "finset_pullback",
-            "finset_pushout",
+            "pullback_positions",
+            "pushout_positions",
             "validate_via_pullback",
             "apply_via_pushout",
         )
@@ -640,8 +644,8 @@ class TestPeriodLawGuard:
             assert counts == {
                 "check_functor_laws": 2,
                 "check_naturality": 1,
-                "finset_pullback": 8,
-                "finset_pushout": 8,
+                "pullback_positions": 8,
+                "pushout_positions": 8,
                 "validate_via_pullback": 8,
                 "apply_via_pushout": 8,
             }
@@ -661,10 +665,10 @@ class TestPeriodLawGuard:
             return wrapper
 
         monkeypatch.setattr(
-            evolution, "finset_pullback", recording("pullback", evolution.finset_pullback)
+            evolution, "pullback_positions", recording("pullback", evolution.pullback_positions)
         )
         monkeypatch.setattr(
-            evolution, "finset_pushout", recording("pushout", evolution.finset_pushout)
+            evolution, "pushout_positions", recording("pushout", evolution.pushout_positions)
         )
         state = initial_state(Parameters())
         for _ in range(3):
@@ -692,15 +696,14 @@ class TestPeriodLawGuard:
     def test_pushout_gluing_two_accounts_is_caught(self, monkeypatch):
         from catledger import evolution
 
-        real_pushout = evolution.finset_pushout
+        real_pushout = evolution.pushout_positions
 
         def glued(f, g):
             # the first two accounts sent to one class
-            classes, i_a, i_b = real_pushout(f, g)
-            images = (0, 0, *i_a.images[2:])
-            return classes, FinSetMap.from_positions(i_a.domain, classes, images), i_b
+            count, classes = real_pushout(f, g)
+            return count, [0, 0, *classes[2:]]
 
-        monkeypatch.setattr(evolution, "finset_pushout", glued)
+        monkeypatch.setattr(evolution, "pushout_positions", glued)
         state = initial_state(Parameters())
         before = array("d", state.ledger).tobytes()
         with pytest.raises(EngineConsistencyError) as err:
@@ -712,16 +715,16 @@ class TestPeriodLawGuard:
     def test_pushout_leg_moved_to_another_account_is_caught(self, monkeypatch):
         from catledger import evolution
 
-        real_pushout = evolution.finset_pushout
+        real_pushout = evolution.pushout_positions
 
         def moved(f, g):
             # the first leg's class replaced by another account's class
-            classes, i_a, i_b = real_pushout(f, g)
-            other = next(c for c in i_a.images if c != i_b.images[0])
-            images = (other, *i_b.images[1:])
-            return classes, i_a, FinSetMap.from_positions(i_b.domain, classes, images)
+            count, classes = real_pushout(f, g)
+            i_a, i_b = classes[: len(f.codomain)], classes[len(f.codomain) :]
+            other = next(c for c in i_a if c != i_b[0])
+            return count, [*i_a, other, *i_b[1:]]
 
-        monkeypatch.setattr(evolution, "finset_pushout", moved)
+        monkeypatch.setattr(evolution, "pushout_positions", moved)
         state = initial_state(Parameters())
         before = array("d", state.ledger).tobytes()
         with pytest.raises(EngineConsistencyError) as err:

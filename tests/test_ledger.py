@@ -105,6 +105,46 @@ class TestPostBooking:
         assert ledger == before
 
 
+# each function that reads a ledger, called on a list of the wrong length
+BY_LEDGER = {
+    "post_booking": lambda ledger: post_booking(ledger, 5, (1.0,)),
+    "validate_via_pullback": lambda ledger: validate_via_pullback(ledger, 5, (1.0,)),
+    "validate_booking": lambda ledger: validate_booking(ledger, 5, (1.0,)),
+    "invariances": invariances,
+    # a refused repayment: the scan reads the whole list
+    "post_booking refused": lambda ledger: post_booking(ledger, 7, (1e9,)),
+    "validate_via_pullback refused": lambda ledger: validate_via_pullback(ledger, 7, (1e9,)),
+}
+
+
+class TestLedgerLength:
+    @pytest.mark.parametrize("size", [0, 12])
+    @pytest.mark.parametrize("function", sorted(BY_LEDGER))
+    def test_a_short_ledger_is_refused_by_its_length_and_left_unchanged(self, function, size):
+        # the loan's legs sit at positions 9, 10, 15 and 16: a list of 12
+        # takes the first two before the third falls off its end
+        ledger = [float(i) for i in range(size)]
+        before = ledger[:]
+        with pytest.raises(ValueError) as err:
+            BY_LEDGER[function](ledger)
+        assert str(err.value) == f"a ledger holds 20 balances, got {size}"
+        assert ledger == before
+
+    @pytest.mark.parametrize("size", [19, 21])
+    @pytest.mark.parametrize(
+        "function",
+        ["invariances", "validate_booking", "post_booking refused", "validate_via_pullback refused"],
+    )
+    def test_a_ledger_read_whole_is_refused_by_its_length(self, function, size):
+        # a booking whose legs all fit posts on the compiled path unchecked;
+        # the scan and the invariances read all 20 balances
+        ledger = [0.0] * size
+        with pytest.raises(ValueError) as err:
+            BY_LEDGER[function](ledger)
+        assert str(err.value) == f"a ledger holds 20 balances, got {size}"
+        assert ledger == [0.0] * size
+
+
 class TestValidateBooking:
     def test_wage_52_with_funds(self):
         ledger = init_ledger()
