@@ -368,12 +368,16 @@ def enumerate_maps(domain: tuple, codomain: tuple) -> Iterator[dict[Hashable, Ha
         yield dict(zip(domain, images))
 
 
-def _cones(max_size: int, a: tuple, b: tuple, into: bool) -> Iterator[tuple]:
-    """Each test set D of 1..max_size elements with every pair of maps on it.
+# the largest test set D the universal-property searches try
+MAX_TEST_SET = 2
+
+
+def _cones(a: tuple, b: tuple, into: bool) -> Iterator[tuple]:
+    """Each test set D of 1..MAX_TEST_SET elements with every pair of maps on it.
 
     The pairs are A -> D and B -> D when `into`, else D -> A and D -> B.
     """
-    for size in range(1, max_size + 1):
+    for size in range(1, MAX_TEST_SET + 1):
         dom = tuple(f"d{i}" for i in range(size))
         ends = ((a, dom), (b, dom)) if into else ((dom, a), (dom, b))
         for d_a, d_b in itertools.product(*(enumerate_maps(*end) for end in ends)):
@@ -381,7 +385,7 @@ def _cones(max_size: int, a: tuple, b: tuple, into: bool) -> Iterator[tuple]:
 
 
 def verify_pullback_universal(
-    f: FinSetMap, g: FinSetMap, apex: tuple, p_a: FinSetMap, p_b: FinSetMap, max_cone_size=2
+    f: FinSetMap, g: FinSetMap, apex: tuple, p_a: FinSetMap, p_b: FinSetMap
 ) -> bool:
     """Exhaustively verify the pullback universal property on small sets.
 
@@ -392,7 +396,7 @@ def verify_pullback_universal(
     """
     if any(f(p_a(p)) != g(p_b(p)) for p in apex):
         return False
-    for dom, d_a, d_b in _cones(max_cone_size, f.domain, g.domain, into=False):
+    for dom, d_a, d_b in _cones(f.domain, g.domain, into=False):
         if all(f(d_a[d]) == g(d_b[d]) for d in dom) and 1 != sum(
             all(p_a(u[d]) == d_a[d] and p_b(u[d]) == d_b[d] for d in dom)
             for u in enumerate_maps(dom, apex)
@@ -402,7 +406,7 @@ def verify_pullback_universal(
 
 
 def verify_pushout_universal(
-    f: FinSetMap, g: FinSetMap, apex: tuple, i_a: FinSetMap, i_b: FinSetMap, max_cocone_size=2
+    f: FinSetMap, g: FinSetMap, apex: tuple, i_a: FinSetMap, i_b: FinSetMap
 ) -> bool:
     """Exhaustively verify the pushout universal property on small sets.
 
@@ -412,7 +416,7 @@ def verify_pushout_universal(
     """
     if any(i_a(f(c)) != i_b(g(c)) for c in f.domain):
         return False
-    for dom, d_a, d_b in _cones(max_cocone_size, f.codomain, g.codomain, into=True):
+    for dom, d_a, d_b in _cones(f.codomain, g.codomain, into=True):
         if all(d_a[f(c)] == d_b[g(c)] for c in f.domain) and 1 != sum(
             all(u[i_a(a)] == d_a[a] for a in f.codomain)
             and all(u[i_b(b)] == d_b[b] for b in g.codomain)

@@ -16,7 +16,6 @@ import argparse
 import concurrent.futures
 import csv
 import json
-import math
 import os
 import sys
 from array import array
@@ -44,6 +43,7 @@ from .evolution import (
     EngineConsistencyError,
     EngineKind,
     Trace,
+    _first_non_finite,
     period_amounts,
     run,
     stability_report,
@@ -87,10 +87,7 @@ def apply_setting(config: RunConfig, key: str, raw: str) -> None:
     key = key.strip()
     raw = raw.strip()
     if key == "engine":
-        try:
-            config.engine = EngineKind(raw)
-        except ValueError:
-            raise ConfigError(f"unknown engine {raw!r}") from None
+        config.engine = EngineKind(raw)
         return
     if key not in PARAM_KEYS:
         raise ConfigError(f"unknown configuration key {key!r}")
@@ -163,13 +160,6 @@ def write_trace_csv(trace: Trace, path: str | Path, config: RunConfig) -> None:
         handle.write(",".join(TRACE_COLUMNS) + "\r\n")
         for _ in range(len(trace.cells) // width):
             handle.write(",".join(islice(cells, width)) + "\r\n")
-
-
-def _first_non_finite(values: Sequence[float]) -> int | None:
-    """The position of the first inf or nan in `values`, or None if there is none."""
-    if math.isfinite(sum(values)):  # only a sum of finite cells can be finite
-        return None
-    return next((i for i, value in enumerate(values) if not math.isfinite(value)), None)
 
 
 def read_trace_csv(path: str | Path) -> tuple[dict[str, str], list[dict[str, float]]]:
@@ -290,25 +280,6 @@ def _report_rejection(command: str, exc: LedgerError) -> None:
         print(f"  {diagnostic}", file=sys.stderr)
 
 
-def _non_finite_cell(trace: Trace) -> str | None:
-    """Where the trace's first inf or nan cell is, as 'period P, column C is not finite'."""
-    index = _first_non_finite(trace.cells)
-    if index is None:
-        return None
-    period, column = divmod(index, len(TRACE_COLUMNS))
-    return f"period {period}, column {TRACE_COLUMNS[column]} is not finite"
-
-
-def _report_non_finite(command: str, *traces: Trace) -> bool:
-    """Print the first cell that is inf or nan in any of the traces; True if one was."""
-    for trace in traces:
-        where = _non_finite_cell(trace)
-        if where is not None:
-            print(f"{command} failed: {where}", file=sys.stderr)
-            return True
-    return False
-
-
 def _invariance_peaks(trace: Trace) -> list[float]:
     """The largest magnitude of each invariance column, in INVARIANCE_COLUMNS order."""
     return [max(map(abs, trace.column(column))) for column in INVARIANCE_COLUMNS]
@@ -319,9 +290,6 @@ def cmd_run(config: RunConfig, out: str | None, json_out: str | None) -> int:
         trace = run(config.params, engine=config.engine)
     except LedgerError as exc:
         _report_rejection("run", exc)
-        return EXIT_CONFIG
-    # checked before any file is opened: a trace with inf or nan is never written
-    if _report_non_finite("run", trace):
         return EXIT_CONFIG
     if out:
         write_trace_csv(trace, out, config)
@@ -343,8 +311,6 @@ def cmd_compare(config: RunConfig) -> int:
         categorical = run(config.params, engine=EngineKind.CATEGORICAL)
     except LedgerError as exc:
         _report_rejection("compare", exc)
-        return EXIT_CONFIG
-    if _report_non_finite("compare", recursive, categorical):
         return EXIT_CONFIG
     cells, other = recursive.cells, categorical.cells
     if len(cells) != len(other):
@@ -371,10 +337,6 @@ def _sweep_one(config: RunConfig, key: str, raw: str) -> dict[str, str]:
         local = RunConfig(params=config.params, engine=config.engine)
         apply_setting(local, key, raw)
         trace = run(local.params, engine=local.engine)
-        where = _non_finite_cell(trace)
-        if where is not None:
-            summary.update(status=f"error: {where}")
-            return summary
         report = stability_report(trace)
         summary.update(
             status="ok",

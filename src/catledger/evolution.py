@@ -37,12 +37,13 @@ each row's cells in `TRACE_COLUMNS` order.
 
 from __future__ import annotations
 
+import math
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, NoReturn
 
 from .catcore import (
     FiniteCategory,
@@ -92,6 +93,10 @@ from .ledger import (
 class EngineKind(Enum):
     RECURSIVE = "recursive"
     CATEGORICAL = "categorical"
+
+    @classmethod
+    def _missing_(cls, value: object) -> NoReturn:
+        raise ValueError(f"unknown engine {value!r}: expected 'recursive' or 'categorical'")
 
 
 class EngineConsistencyError(RuntimeError):
@@ -144,6 +149,13 @@ _WIDTH = len(TRACE_COLUMNS)
 _COLUMN_INDEX = {name: index for index, name in enumerate(TRACE_COLUMNS)}
 _ACCOUNTS_AT = 1 + len(METRIC_COLUMNS)
 _INVARIANCES_AT = _ACCOUNTS_AT + len(ACCOUNT_NAMES)
+
+
+def _first_non_finite(values: Sequence[float]) -> int | None:
+    """The position of the first inf or nan in `values`, or None if there is none."""
+    if math.isfinite(sum(values)):  # only a sum of finite cells can be finite
+        return None
+    return next((i for i, value in enumerate(values) if not math.isfinite(value)), None)
 
 
 class TraceRow(NamedTuple):
@@ -522,16 +534,6 @@ _BOOKS = {
 }
 
 
-def _engine_kind(engine: EngineKind | str) -> EngineKind:
-    """The engine named by an `EngineKind` or its value; ValueError for anything else."""
-    try:
-        return EngineKind(engine)
-    except ValueError:
-        raise ValueError(
-            f"unknown engine {engine!r}: expected 'recursive' or 'categorical'"
-        ) from None
-
-
 def period_step(
     state: SimulationState, engine: EngineKind | str = EngineKind.RECURSIVE
 ) -> tuple[SimulationState, PeriodMetrics]:
@@ -542,7 +544,7 @@ def period_step(
     """
     book = _BOOKS.get(engine)
     if book is None:
-        book = _BOOKS[_engine_kind(engine)]
+        book = _BOOKS[EngineKind(engine)]
     return _period_cycle(state, book(state.ledger))
 
 
@@ -555,9 +557,12 @@ def run(
 
     `engine` is an `EngineKind` or its value, 'recursive' or 'categorical'.
     A rejected booking ends the run with a `ValidationFailure` whose `period`
-    names the period it was rejected in.
+    names the period it was rejected in.  A run that completes with an inf
+    or nan cell is refused too, once its last period has run: the
+    `ValidationFailure` says `column C is not finite`, with `period` the row
+    of the first such cell and no diagnostics.
     """
-    engine = _engine_kind(engine)
+    engine = EngineKind(engine)
     params.validate()
     span = params.horizon if horizon is None else horizon
     check_count("horizon", span)
@@ -571,6 +576,12 @@ def run(
             exc.period = period
             raise
         cells.extend((period, *metrics, *opening, *checks))
+    bad = _first_non_finite(cells)
+    if bad is not None:
+        row, column = divmod(bad, _WIDTH)
+        failure = ValidationFailure(f"column {TRACE_COLUMNS[column]} is not finite")
+        failure.period = row
+        raise failure
     return Trace(params, engine, cells)
 
 

@@ -83,8 +83,9 @@ ACCOUNT_NAMES: tuple[str, ...] = tuple(spec.name for spec in ACCOUNT_SPECS)
 SPEC_BY_NAME: dict[str, AccountSpec] = {spec.name: spec for spec in ACCOUNT_SPECS}
 # position of each account in a ledger's list of balances
 ACCOUNT_INDEX: dict[str, int] = {name: index for index, name in enumerate(ACCOUNT_NAMES)}
-# the refusal of a list of the wrong length, given that length
-_WRONG_LENGTH = f"a ledger holds {len(ACCOUNT_NAMES)} balances, got %d"
+# the length of a ledger, and the refusal of a list of another length, given that length
+_LEDGER_LENGTH = len(ACCOUNT_NAMES)
+_WRONG_LENGTH = f"a ledger holds {_LEDGER_LENGTH} balances, got %d"
 
 assert sum(1 for s in ACCOUNT_SPECS if s.kind is AccountKind.ASSET) == 14
 assert sum(1 for s in ACCOUNT_SPECS if s.kind is AccountKind.LIABILITY) == 6
@@ -99,6 +100,9 @@ class ValidationFailure(LedgerError):
 
     `period` is the simulated period the rejection happened in, recorded by
     `evolution.run`; it stays None when the failure arose outside a run.
+    `evolution.run` also raises one, `column C is not finite` with no
+    diagnostics, for a finished trace whose row `period` holds the first
+    inf or nan cell.
     """
 
     def __init__(self, message: str, diagnostics: list[str] | None = None) -> None:
@@ -156,7 +160,7 @@ def invariances(values: Sequence[float]) -> Invariances:
     The macro value sums the five: the Bank balances exactly when every
     deposit and the loan agree across the two systems keeping them.
     """
-    if len(values) != len(ACCOUNT_NAMES):
+    if len(values) != _LEDGER_LENGTH:
         raise ValueError(_WRONG_LENGTH % len(values))
     (  # the 20 balances, in ACCOUNT_SPECS order
         lab_bank, _, _, res_bank, _, _, cap_bank, _, _, com_bank, com_loan, _, _, _, _,
@@ -313,25 +317,23 @@ def booking_entry(table: Mapping[int, tuple], booking_id: int) -> tuple:
 def post_compiled(values: list[float], booking_id: int, amounts: tuple[float, ...]) -> bool:
     """Post the booking's compiled legs onto `values`; False at the first leg that cannot.
 
-    A leg cannot post when its amount `a` fails `0.0 <= a < inf`, it leaves
-    a running balance below 0 or lies past the end of `values` (which then
+    Nothing posts onto a list that is not 20 balances long, or with the
+    wrong number of amounts.  A leg cannot post when its amount `a` fails
+    `0.0 <= a < inf` or it leaves a running balance below 0 (`values` then
     holds the legs before it).  True means `_scan_legs` passes the booking
     with the same `+` and `-`, as `compile_booking_table` proved.
     """
     _, arity, legs, _ = booking_entry(_COMPILED, booking_id)
-    if len(amounts) != arity:
+    if len(values) != _LEDGER_LENGTH or len(amounts) != arity:
         return False
-    try:
-        for index, inflow, slot in legs:
-            amount = amounts[slot]
-            if not 0.0 <= amount < _INF:
-                return False
-            new = values[index] + amount if inflow else values[index] - amount
-            if not new >= 0.0:
-                return False
-            values[index] = new
-    except IndexError:
-        return False
+    for index, inflow, slot in legs:
+        amount = amounts[slot]
+        if not 0.0 <= amount < _INF:
+            return False
+        new = values[index] + amount if inflow else values[index] - amount
+        if not new >= 0.0:
+            return False
+        values[index] = new
     return True
 
 
@@ -353,7 +355,7 @@ def _scan_legs(
     if len(amounts) != arity:
         raise TypeError(f"booking {booking_id} takes {arity} amounts, got {len(amounts)}")
     scratch = list(values)
-    if len(scratch) != len(ACCOUNT_NAMES):
+    if len(scratch) != _LEDGER_LENGTH:
         raise ValueError(_WRONG_LENGTH % len(scratch))
     statuses: list[str] = []
     debits = credits = 0.0

@@ -55,6 +55,17 @@ class TestConfig:
         with pytest.raises(ValueError):
             load_config(None, ["rho_l=1.5"])
 
+    def test_an_unknown_engine_gets_the_library_message(self, tmp_path, capsys):
+        path = tmp_path / "scenario.cfg"
+        path.write_text("engine = fast\n")
+        message = "unknown engine 'fast': expected 'recursive' or 'categorical'"
+        for source, overrides in ((path, ()), (None, ["engine=fast"])):
+            with pytest.raises(ValueError) as err:
+                load_config(source, overrides)
+            assert str(err.value) == message
+        assert main(["run", "--config", str(path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_config_file(self, tmp_path):
         path = tmp_path / "scenario.cfg"
         path.write_text("# comment line\nmu = 0.4\nhorizon = 7\n\nengine = categorical\n")
@@ -297,8 +308,8 @@ class TestCmdSweep:
     @pytest.mark.parametrize(
         "param, values, where",
         [
-            ("nu_r", "1e308,100", "period 2, column AccResRes"),
-            ("nu_l", "1e308", "period 2, column AccLabLab"),
+            ("nu_r", "1e308,100", "period 2: column AccResRes"),
+            ("nu_l", "1e308", "period 2: column AccLabLab"),
         ],
     )
     def test_non_finite_cell_marks_its_row_an_error(self, capsys, param, values, where):
@@ -469,6 +480,19 @@ class TestCmdPlot:
         assert main(["plot", str(trace_path), "--outdir", str(tmp_path / "panels")]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"cannot parse trace: {where}: {problem}\n"
         assert not (tmp_path / "panels").exists()
+
+    def test_finite_cells_whose_sum_overflows_parse(self, tmp_path):
+        trace_path = tmp_path / "large.csv"
+        main(["run", "--horizon", "3", "--out", str(trace_path)])
+        lines = trace_path.read_bytes().split(b"\r\n")
+        cells = lines[-2].split(b",")
+        for name in ("AccLabLab", "AccResRes"):  # each cell is finite, their sum is inf
+            cells[TRACE_COLUMNS.index(name)] = b"1e+308"
+        lines[-2] = b",".join(cells)
+        trace_path.write_bytes(b"\r\n".join(lines))
+        _, rows = read_trace_csv(trace_path)
+        assert rows[-1]["AccLabLab"] == rows[-1]["AccResRes"] == 1e308
+        assert [row["period"] for row in rows] == [0.0, 1.0, 2.0, 3.0]
 
     def test_two_period_trace_gives_three_points(self, tmp_path):
         trace_path = tmp_path / "short.csv"

@@ -198,6 +198,26 @@ class TestEngineArgument:
             period_step(initial_state(Parameters()), engine="fast")
 
 
+class TestFiniteTrace:
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("field, column", [("nu_l", "AccLabLab"), ("nu_r", "AccResRes")])
+    def test_a_non_finite_cell_is_refused_by_its_period_and_column(self, engine, field, column):
+        # period 1 adds a second 1e308 endowment: row 2 opens the stock at inf
+        with pytest.raises(ValidationFailure) as err:
+            run(Parameters(**{field: 1e308}), horizon=3, engine=engine)
+        assert str(err.value) == f"column {column} is not finite"
+        assert err.value.period == 2
+        assert err.value.diagnostics == []
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_finite_cells_whose_sum_overflows_pass(self, engine):
+        trace = run(Parameters(nu_l=1e308, nu_r=1e308), horizon=1, engine=engine)
+        row = dict(zip(TRACE_COLUMNS, trace.cells[WIDTH:]))
+        assert row["AccLabLab"] == row["AccResRes"] == 1e308
+        assert sum(trace.cells) == math.inf
+        assert all(map(math.isfinite, trace.cells))
+
+
 class TestDeterminismAndEquivalence:
     def test_bit_identical_reruns(self):
         a = run(Parameters(), horizon=40)

@@ -131,13 +131,10 @@ class TestLedgerLength:
         assert ledger == before
 
     @pytest.mark.parametrize("size", [19, 21])
-    @pytest.mark.parametrize(
-        "function",
-        ["invariances", "validate_booking", "post_booking refused", "validate_via_pullback refused"],
-    )
+    @pytest.mark.parametrize("function", sorted(BY_LEDGER))
     def test_a_ledger_read_whole_is_refused_by_its_length(self, function, size):
-        # a booking whose legs all fit posts on the compiled path unchecked;
-        # the scan and the invariances read all 20 balances
+        # every leg of the loan fits a list of 19 or 21, but a booking the
+        # compiled path would accept is refused by the length all the same
         ledger = [0.0] * size
         with pytest.raises(ValueError) as err:
             BY_LEDGER[function](ledger)
