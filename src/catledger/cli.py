@@ -20,7 +20,9 @@ import os
 import sys
 from array import array
 from dataclasses import dataclass, field, replace
+from functools import cache
 from itertools import islice
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence, TextIO
 
@@ -213,39 +215,44 @@ def read_trace_csv(path: str | Path) -> tuple[dict[str, str], list[dict[str, flo
 _encode_json = json.JSONEncoder(allow_nan=False).encode
 
 
-def _write_json_lines(handle: TextIO, items: Iterable[object]) -> None:
-    """The elements of a JSON array, one per line."""
+def _write_json_lines(handle: TextIO, texts: Iterable[str]) -> None:
+    """The elements of a JSON array, given as JSON text, one per line."""
     separator = "\n"
-    for item in items:
+    for text in texts:
         handle.write(separator)
-        handle.write(_encode_json(item))
+        handle.write(text)
         separator = ",\n"
     handle.write("\n")
 
 
-# per booking, its legs as (account, direction, amount slot, unit), plain strings but the slot
-_LEG_TEMPLATES = {
-    booking_id: [(acct, way.value, slot, SPEC_BY_NAME[acct].unit.value) for acct, way, slot in legs]
-    for booking_id, (_, legs, _) in BOOKINGS.items()
-}
+def _booking_text(booking_id: int) -> tuple[str, itemgetter]:
+    """The booking's JSON record with `%s` for each leg's amount, and the getter of their slots."""
+    description, legs, _ = BOOKINGS[booking_id]
+    legs_json = [
+        {"account": a, "direction": way.value, "amount": None, "unit": SPEC_BY_NAME[a].unit.value}
+        for a, way, _ in legs
+    ]
+    record = {"id": booking_id, "description": description, "legs": legs_json}
+    # inside a JSON string the quotes of `"amount": null` would be escaped
+    text = _encode_json(record).replace("%", "%%").replace('"amount": null', '"amount": %s')
+    return text, itemgetter(*[slot for _, _, slot in legs])
 
 
-def _period_booking_records(trace: Trace) -> Iterable[list[dict[str, object]]]:
-    """Each period's bookings as JSON records, filled in from its metrics."""
+_BOOKING_TEXT = {booking_id: _booking_text(booking_id) for booking_id in BOOKINGS}
+
+
+def _period_booking_lines(trace: Trace) -> Iterable[str]:
+    """Each period's bookings as one JSON array; an amount's repr is the encoder's text for it."""
     cells, width = trace.cells, len(TRACE_COLUMNS)
     for start in range(0, len(cells), width):
         metrics = PeriodMetrics._make(cells[start + 1 : start + 1 + len(METRIC_COLUMNS)])
-        yield [
-            {
-                "id": booking_id,
-                "description": BOOKINGS[booking_id][0],
-                "legs": [
-                    {"account": account, "direction": way, "amount": amounts[s], "unit": unit}
-                    for account, way, s, unit in _LEG_TEMPLATES[booking_id]
-                ],
-            }
-            for booking_id, amounts in period_amounts(metrics, trace.params)
-        ]
+        texts = []
+        for booking_id, amounts in period_amounts(metrics, trace.params):
+            if _first_non_finite(amounts) is not None:
+                _encode_json(amounts)  # raises the encoder's own error for an inf or nan
+            text, slots = _BOOKING_TEXT[booking_id]
+            texts.append(text % slots([*map(repr, amounts)]))
+        yield f"[{', '.join(texts)}]"
 
 
 def write_trace_json(trace: Trace, path: str | Path, config: RunConfig) -> None:
@@ -260,9 +267,9 @@ def write_trace_json(trace: Trace, path: str | Path, config: RunConfig) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         header = f'"config": {_encode_json(echo)}, "columns": {_encode_json(TRACE_COLUMNS)}'
         handle.write(f'{{{header},\n"rows": [')
-        _write_json_lines(handle, _row_lists(trace))
+        _write_json_lines(handle, map(_encode_json, _row_lists(trace)))
         handle.write('],\n"bookings": [')
-        _write_json_lines(handle, _period_booking_records(trace))
+        _write_json_lines(handle, _period_booking_lines(trace))
         handle.write("]}\n")
 
 
@@ -573,9 +580,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = cache(build_parser)  # built on the first call; `parse_args` leaves it as it was
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on a usage error; 2 is an invariance breach
         return EXIT_CONFIG if exc.code else EXIT_OK
     try:

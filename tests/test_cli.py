@@ -8,6 +8,8 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
+import random
 from array import array
 
 import pytest
@@ -29,10 +31,48 @@ from catledger.cli import (
     write_trace_csv,
     write_trace_json,
 )
-from catledger.decisions import Parameters
-from catledger.evolution import EngineKind, period_amounts, run
-from catledger.ledger import Invariances
+from catledger.decisions import METRIC_COLUMNS, Parameters, PeriodMetrics
+from catledger.evolution import EngineKind, Trace, period_amounts, run
+from catledger.ledger import BOOKINGS, SPEC_BY_NAME, Invariances
 from tests.test_ledger import oracle_booking
+
+_oracle_encode = json.JSONEncoder(allow_nan=False).encode
+
+
+def oracle_json_text(trace: Trace, config: RunConfig) -> str:
+    """The JSON document as a writer that encodes every booking's record whole would write it."""
+    cells, width = trace.cells.tolist(), len(TRACE_COLUMNS)
+    rows = [[int(cells[i]), *cells[i + 1 : i + width]] for i in range(0, len(cells), width)]
+    bookings = [
+        [
+            {
+                "id": booking_id,
+                "description": BOOKINGS[booking_id][0],
+                "legs": [
+                    {
+                        "account": account,
+                        "direction": way.value,
+                        "amount": amounts[slot],
+                        "unit": SPEC_BY_NAME[account].unit.value,
+                    }
+                    for account, way, slot in BOOKINGS[booking_id][1]
+                ],
+            }
+            for booking_id, amounts in period_amounts(
+                PeriodMetrics._make(row[1 : 1 + len(METRIC_COLUMNS)]), trace.params
+            )
+        ]
+        for row in rows
+    ]
+    echo = dict(line.split(" = ", 1) for line in config_echo(config))
+    header = f'"config": {_oracle_encode(echo)}, "columns": {_oracle_encode(TRACE_COLUMNS)}'
+    return (
+        f'{{{header},\n"rows": [\n'
+        + ",\n".join(map(_oracle_encode, rows))
+        + '\n],\n"bookings": [\n'
+        + ",\n".join(map(_oracle_encode, bookings))
+        + "\n]}\n"
+    )
 
 
 class TestConfig:
@@ -106,6 +146,15 @@ class TestCmdRun:
         assert main(argv) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("usage: catledger") and f"error: {message}\n" in err
+
+    def test_successive_calls_share_no_overrides(self, tmp_path, monkeypatch):
+        # `main` builds its parser once per process, not once per call
+        monkeypatch.setattr(cli, "build_parser", None)
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        assert main(["run", "--set", "mu=0.3", "--horizon", "1", "--out", str(first)]) == EXIT_OK
+        assert main(["run", "--horizon", "1", "--out", str(second)]) == EXIT_OK
+        assert read_trace_csv(first)[0]["mu"] == "0.3"
+        assert read_trace_csv(second)[0]["mu"] == repr(Parameters().mu) != "0.3"
 
     def test_help_exits_0(self, capsys):
         assert main(["run", "--help"]) == EXIT_OK
@@ -602,6 +651,42 @@ class TestTraceSerialization:
             hashlib.sha256(path.read_bytes()).hexdigest()
             == "3d1538af9f1aa57312c969bf5838b3b0f15e08f4c9394f8af975e3dc618bb266"
         )
+
+    def test_the_oracle_writes_the_pinned_bytes(self):
+        trace = run(Parameters(), horizon=100)
+        text = oracle_json_text(trace, RunConfig())
+        assert (
+            hashlib.sha256(text.encode("utf-8")).hexdigest()
+            == "3d1538af9f1aa57312c969bf5838b3b0f15e08f4c9394f8af975e3dc618bb266"
+        )
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("horizon", [1, 7, 100])
+    @pytest.mark.parametrize("engine", list(EngineKind))
+    def test_json_bytes_match_the_oracle(self, tmp_path, engine, horizon, seed):
+        # the benchmark's scenario region
+        rng = random.Random(seed)
+        tau, omega, mu = rng.randint(7, 15), rng.uniform(0.1, 1.0), rng.uniform(0.1, 0.9)
+        config = RunConfig(Parameters(tau=tau, omega=omega, mu=mu, horizon=horizon), engine)
+        trace = run(config.params, engine=engine)
+        path = tmp_path / "trace.json"
+        write_trace_json(trace, path, config)
+        assert path.read_bytes() == oracle_json_text(trace, config).encode("utf-8")
+
+    @pytest.mark.parametrize(
+        "column, value",
+        [
+            ("GoodPrice", 5e-324),  # finite, but a booking's goods amount is spend / price = inf
+            ("AccLabBank", math.nan),
+        ],
+    )
+    def test_json_refuses_a_non_finite_value(self, tmp_path, column, value):
+        trace = run(Parameters(), horizon=3)
+        cells = array("d", trace.cells)
+        cells[len(TRACE_COLUMNS) + TRACE_COLUMNS.index(column)] = value  # row 1
+        tampered = dataclasses.replace(trace, cells=cells)
+        with pytest.raises(ValueError, match="^Out of range float values are not JSON compliant"):
+            write_trace_json(tampered, tmp_path / "trace.json", RunConfig())
 
     def test_config_echo_in_header(self, tmp_path):
         path = tmp_path / "echo.csv"
