@@ -13,10 +13,8 @@ breach, 3 engine divergence.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import json
-import os
 import sys
 from array import array
 from dataclasses import dataclass, field, replace
@@ -118,12 +116,12 @@ def load_config(path: str | Path | None, overrides: Sequence[str] = ()) -> RunCo
     return config
 
 
-def config_echo(config: RunConfig) -> list[str]:
+def config_echo(params: Parameters, engine: EngineKind) -> list[str]:
     """The fully resolved settings, one 'key = value' line per entry."""
     lines = []
     for key, field_name in PARAM_KEYS.items():
-        lines.append(f"{key} = {getattr(config.params, field_name)!r}")
-    lines.append(f"engine = {config.engine.value}")
+        lines.append(f"{key} = {getattr(params, field_name)!r}")
+    lines.append(f"engine = {engine.value}")
     return lines
 
 
@@ -152,12 +150,12 @@ def _format_cell(value: float) -> str:
     return repr(value)
 
 
-def write_trace_csv(trace: Trace, path: str | Path, config: RunConfig) -> None:
-    """The `#` config echo, the header and one line per trace row, CRLF-terminated."""
+def write_trace_csv(trace: Trace, path: str | Path) -> None:
+    """The `#` echo of the trace's settings, the header and one line per row, CRLF-terminated."""
     cells = map(_format_cell, trace.cells)
     width = len(TRACE_COLUMNS)
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        for line in config_echo(config):
+        for line in config_echo(trace.params, trace.engine):
             handle.write(f"# {line}\n")
         handle.write(",".join(TRACE_COLUMNS) + "\r\n")
         for _ in range(len(trace.cells) // width):
@@ -255,22 +253,27 @@ def _period_booking_lines(trace: Trace) -> Iterable[str]:
         yield f"[{', '.join(texts)}]"
 
 
-def write_trace_json(trace: Trace, path: str | Path, config: RunConfig) -> None:
+def write_trace_json(trace: Trace, path: str | Path) -> None:
     """Stream the trace as one strict JSON document.
 
-    The object holds `config`, `columns`, `rows` (one list of cells per trace
-    row) and `bookings` (one list of bookings per period, each with its
-    legs).  It is written piece by piece: the header on the first line, then
-    one row per line, then one period's bookings per line.
+    The object holds `config` (the trace's settings), `columns`, `rows` (one list of
+    cells per trace row) and `bookings` (one list of bookings per period, each with its
+    legs).  It is written piece by piece: the header on the first line, then one row per
+    line, then one period's bookings per line.  A failed write removes the file.
     """
-    echo = dict(line.split(" = ", 1) for line in config_echo(config))
-    with open(path, "w", encoding="utf-8") as handle:
-        header = f'"config": {_encode_json(echo)}, "columns": {_encode_json(TRACE_COLUMNS)}'
-        handle.write(f'{{{header},\n"rows": [')
-        _write_json_lines(handle, map(_encode_json, _row_lists(trace)))
-        handle.write('],\n"bookings": [')
-        _write_json_lines(handle, _period_booking_lines(trace))
-        handle.write("]}\n")
+    echo = dict(line.split(" = ", 1) for line in config_echo(trace.params, trace.engine))
+    handle = open(path, "w", encoding="utf-8")
+    try:
+        with handle:
+            header = f'"config": {_encode_json(echo)}, "columns": {_encode_json(TRACE_COLUMNS)}'
+            handle.write(f'{{{header},\n"rows": [')
+            _write_json_lines(handle, map(_encode_json, _row_lists(trace)))
+            handle.write('],\n"bookings": [')
+            _write_json_lines(handle, _period_booking_lines(trace))
+            handle.write("]}\n")
+    except BaseException:
+        Path(path).unlink(missing_ok=True)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -299,9 +302,9 @@ def cmd_run(config: RunConfig, out: str | None, json_out: str | None) -> int:
         _report_rejection("run", exc)
         return EXIT_CONFIG
     if out:
-        write_trace_csv(trace, out, config)
+        write_trace_csv(trace, out)
     if json_out:
-        write_trace_json(trace, json_out, config)
+        write_trace_json(trace, json_out)
     print(f"rows: {len(trace.column('period'))}")
     peaks = _invariance_peaks(trace)
     for column, peak in zip(INVARIANCE_COLUMNS, peaks):
@@ -382,22 +385,15 @@ SWEEP_COLUMNS = (
 )
 
 
-def cmd_sweep(config: RunConfig, key: str, values: Iterable[str], jobs: int) -> int:
+def cmd_sweep(config: RunConfig, key: str, values: Iterable[str]) -> int:
     if key != "engine" and key not in PARAM_KEYS:
         print(f"unknown parameter {key!r}", file=sys.stderr)
         return EXIT_CONFIG
-    values = list(values)
-    summaries: list[dict[str, str]] = []
-    if values:
-        # one isolated run per value; a failing value only marks its own row
-        workers = max(1, min(jobs, len(values), os.cpu_count() or 1))
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_sweep_one, config, key, raw) for raw in values]
-            summaries = [f.result() for f in futures]
+    # one run per value, in order; a programming error propagates before any row is written
+    summaries = [_sweep_one(config, key, raw) for raw in values]
     writer = csv.DictWriter(sys.stdout, fieldnames=SWEEP_COLUMNS, restval="")
     writer.writeheader()
-    for summary in summaries:
-        writer.writerow(summary)
+    writer.writerows(summaries)
     return EXIT_OK
 
 
@@ -570,7 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--values", required=True, help="comma-separated list of values (may be empty)"
     )
-    p_sweep.add_argument("--jobs", type=int, default=4, help="concurrent runs")
+    p_sweep.add_argument("--jobs", type=int, help="ignored: the values run one after another")
 
     p_plot = sub.add_parser("plot", help="emit panel data files and a plot script")
     p_plot.add_argument("trace", help="trace CSV produced by `run`")
@@ -595,7 +591,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             return cmd_compare(_config_from_args(args))
         if args.command == "sweep":
             values = [v for v in args.values.split(",") if v != ""]
-            return cmd_sweep(_config_from_args(args), args.param, values, args.jobs)
+            return cmd_sweep(_config_from_args(args), args.param, values)
         if args.command == "plot":
             return cmd_plot(args.trace, args.outdir)
         if args.command == "check-laws":

@@ -40,7 +40,7 @@ from __future__ import annotations
 import math
 from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from types import MappingProxyType
 from typing import Iterator, NamedTuple, NoReturn
@@ -556,16 +556,19 @@ def run(
     """Deterministic trace of `horizon` periods (rows 0..horizon inclusive).
 
     `engine` is an `EngineKind` or its value, 'recursive' or 'categorical'.
-    A rejected booking ends the run with a `ValidationFailure` whose `period`
-    names the period it was rejected in.  A run that completes with an inf
-    or nan cell is refused too, once its last period has run: the
-    `ValidationFailure` says `column C is not finite`, with `period` the row
-    of the first such cell and no diagnostics.
+    The trace's `params` carry the horizon that ran.  A rejected booking ends
+    the run with a `ValidationFailure` whose `period` names the period it was
+    rejected in.  A run that completes with an inf or nan cell is refused too,
+    once its last period has run: the `ValidationFailure` says `column C is
+    not finite`, with `period` the row of the first such cell and no
+    diagnostics.
     """
     engine = EngineKind(engine)
     params.validate()
     span = params.horizon if horizon is None else horizon
     check_count("horizon", span)
+    if span != params.horizon:
+        params = replace(params, horizon=span)
     state = initial_state(params)
     cells = array("d")
     for period in range(span + 1):

@@ -602,6 +602,24 @@ class TestUniversalProperties:
         i_b = FinSetMap(g.codomain, collapsed, {b: everything for b in g.codomain})
         assert not verify_pushout_universal(f, g, collapsed, i_a, i_b)
 
+    def test_a_pullback_square_that_does_not_commute_fails(self):
+        # the true apex plus (a, z), where f(a) = t but g(z) = f: every cone
+        # still has exactly one mediator, so only the square check can fail
+        f, g = PULLBACK_FIXTURE
+        apex = (*finset_pullback(f, g)[0], ("a", "z"))
+        p_a = FinSetMap(apex, f.domain, {p: p[0] for p in apex})
+        p_b = FinSetMap(apex, g.domain, {p: p[1] for p in apex})
+        assert not verify_pullback_universal(f, g, apex, p_a, p_b)
+
+    def test_a_pushout_square_that_does_not_commute_fails(self):
+        # the disjoint union glues nothing: every cocone has exactly one
+        # mediator, so only the square check can fail
+        f, g = PUSHOUT_FIXTURE
+        apex = (*(("A", a) for a in f.codomain), *(("B", b) for b in g.codomain))
+        i_a = FinSetMap(f.codomain, apex, {a: ("A", a) for a in f.codomain})
+        i_b = FinSetMap(g.codomain, apex, {b: ("B", b) for b in g.codomain})
+        assert not verify_pushout_universal(f, g, apex, i_a, i_b)
+
     def test_random_small_fixtures(self):
         rng = random.Random(99)
         letters = "pqrst"
@@ -657,6 +675,12 @@ class TestLawChecksReportInsteadOfRaising:
             "component at 'A' is mistyped: 5->3 is not F(A)->G(A)",
             "square for morphism 1 is not parallel",
         ]
+
+    def test_functors_from_different_sources_are_not_parallel(self):
+        _, _, eta = two_snapshot_transformation({"LabBank": 0.0, "ResBank": 208.0})
+        _, _, other = two_snapshot_transformation({"LabBank": 0.0, "ResBank": 208.0})
+        report = check_naturality(NaturalTransformation(eta.F, other.G, eta.components))
+        assert report == LawReport(False, ["functors are not parallel"])
 
     def test_naturality_square_image_outside_target_is_reported(self):
         base, step, eta = two_snapshot_transformation({"LabBank": 0.0, "ResBank": 208.0})

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import dataclasses
 import hashlib
@@ -10,6 +9,7 @@ import io
 import json
 import math
 import random
+import threading
 from array import array
 
 import pytest
@@ -22,7 +22,6 @@ from catledger.cli import (
     EXIT_OK,
     TRACE_COLUMNS,
     ConfigError,
-    RunConfig,
     config_echo,
     load_config,
     main,
@@ -32,14 +31,14 @@ from catledger.cli import (
     write_trace_json,
 )
 from catledger.decisions import METRIC_COLUMNS, Parameters, PeriodMetrics
-from catledger.evolution import EngineKind, Trace, period_amounts, run
-from catledger.ledger import BOOKINGS, SPEC_BY_NAME, Invariances
+from catledger.evolution import EngineConsistencyError, EngineKind, Trace, period_amounts, run
+from catledger.ledger import BOOKINGS, SPEC_BY_NAME, Invariances, ValidationFailure
 from tests.test_ledger import oracle_booking
 
 _oracle_encode = json.JSONEncoder(allow_nan=False).encode
 
 
-def oracle_json_text(trace: Trace, config: RunConfig) -> str:
+def oracle_json_text(trace: Trace) -> str:
     """The JSON document as a writer that encodes every booking's record whole would write it."""
     cells, width = trace.cells.tolist(), len(TRACE_COLUMNS)
     rows = [[int(cells[i]), *cells[i + 1 : i + width]] for i in range(0, len(cells), width)]
@@ -64,7 +63,7 @@ def oracle_json_text(trace: Trace, config: RunConfig) -> str:
         ]
         for row in rows
     ]
-    echo = dict(line.split(" = ", 1) for line in config_echo(config))
+    echo = dict(line.split(" = ", 1) for line in config_echo(trace.params, trace.engine))
     header = f'"config": {_oracle_encode(echo)}, "columns": {_oracle_encode(TRACE_COLUMNS)}'
     return (
         f'{{{header},\n"rows": [\n'
@@ -120,6 +119,18 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(path)
 
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ("tau=abc", "cannot parse value 'abc' for key 'tau'"),
+            ("mu", "--set expects key=value, got 'mu'"),
+        ],
+    )
+    def test_a_malformed_override_is_refused_by_name(self, override, message):
+        with pytest.raises(ConfigError) as err:
+            load_config(None, [override])
+        assert str(err.value) == message
+
 
 class TestCmdRun:
     def test_default_run_writes_101_rows(self, tmp_path):
@@ -139,6 +150,10 @@ class TestCmdRun:
         [
             (["run", "--horizon", "abc"], "argument --horizon: invalid int value: 'abc'"),
             ([], "the following arguments are required: command"),
+            (
+                ["sweep", "--param", "tau", "--values", "7", "--jobs", "abc"],
+                "argument --jobs: invalid int value: 'abc'",
+            ),
         ],
     )
     def test_a_usage_error_exits_1_with_the_parser_message(self, capsys, argv, message):
@@ -416,42 +431,32 @@ class TestCmdSweep:
         assert capsys.readouterr().out.splitlines()[1].startswith("rho_r,0.7,ok,")
         assert [p.rho_r for p in validations] == [0.8, 0.7]  # the base, then the swept value
 
-    @pytest.mark.parametrize(
-        "jobs, values, cpus, expected",
-        [
-            (10000, "0.3,0.5,0.7", 64, 3),  # no more workers than values
-            (10000, "0.3,0.5,0.7", 2, 2),  # nor than cores
-            (10000, "0.3,0.5,0.7", None, 1),  # an unknown core count is one core
-            (2, "0.2,0.4,0.6,0.8", 2, 2),  # sweep-mixed keeps its two workers
-            (0, "0.5", 2, 1),
-        ],
-    )
-    def test_workers_are_capped(self, monkeypatch, capsys, jobs, values, cpus, expected):
-        started: list[int] = []
+    def test_stdout_is_pinned_and_jobs_is_ignored(self, capsys):
+        argv = ["sweep", "--param", "tau", "--values", "1,3,7,12", "--horizon", "50"]
+        argv += ["--set", "omega=0.4", "--set", "mu=0.5"]
+        outputs = []
+        for jobs in ([], ["--jobs", "0"], ["--jobs", "1"], ["--jobs", "2"], ["--jobs", "10000"]):
+            assert main(argv + jobs) == EXIT_OK
+            outputs.append(capsys.readouterr().out)
+        assert (
+            hashlib.sha256(outputs[0].encode("utf-8")).hexdigest()
+            == "3ac10b7ade758b8b7262197709ddd19fa194639b6784bcde901a963de5af7b98"
+        )
+        assert outputs == outputs[:1] * 5
 
-        class RecordingExecutor:
-            # runs each value at once, in the calling thread: no pool is started
-            def __init__(self, max_workers: int) -> None:
-                started.append(max_workers)
+    def test_no_sweep_starts_a_thread(self, monkeypatch, capsys):
+        def refuse(thread):
+            raise AssertionError(f"the sweep started thread {thread.name}")
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info) -> None:
-                return None
-
-            def submit(self, fn, *args):
-                future = concurrent.futures.Future()
-                future.set_result(fn(*args))
-                return future
-
-        monkeypatch.setattr(cli.concurrent.futures, "ThreadPoolExecutor", RecordingExecutor)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-        argv = ["sweep", "--param", "omega", "--values", values, "--horizon", "20"]
-        assert main(argv + ["--jobs", str(jobs)]) == EXIT_OK
-        assert started == [expected]
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        argv = ["sweep", "--param", "omega", "--values", "0.3,0.5,0.7", "--horizon", "20"]
+        assert main(argv + ["--jobs", "4"]) == EXIT_OK
         rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
-        assert [row["status"] for row in rows] == ["ok"] * len(values.split(","))
+        assert [(row["value"], row["status"]) for row in rows] == [
+            ("0.3", "ok"),
+            ("0.5", "ok"),
+            ("0.7", "ok"),
+        ]
 
     def test_programming_error_is_not_a_row(self, monkeypatch, capsys):
         def broken(trace):
@@ -543,6 +548,32 @@ class TestCmdPlot:
         assert rows[-1]["AccLabLab"] == rows[-1]["AccResRes"] == 1e308
         assert [row["period"] for row in rows] == [0.0, 1.0, 2.0, 3.0]
 
+    def test_an_unexpected_header_is_refused(self, tmp_path):
+        trace_path = tmp_path / "renamed.csv"
+        main(["run", "--horizon", "2", "--out", str(trace_path)])
+        trace_path.write_bytes(trace_path.read_bytes().replace(b",GoodPrice,", b",Price,"))
+        with pytest.raises(ConfigError) as err:
+            read_trace_csv(trace_path)
+        assert str(err.value) == f"trace file {trace_path} has an unexpected header"
+
+    def test_a_header_without_rows_is_refused(self, tmp_path):
+        trace_path = tmp_path / "header_only.csv"
+        main(["run", "--horizon", "2", "--out", str(trace_path)])
+        header_end = trace_path.read_bytes().index(b"\r\n") + 2
+        trace_path.write_bytes(trace_path.read_bytes()[:header_end])
+        with pytest.raises(ConfigError) as err:
+            read_trace_csv(trace_path)
+        assert str(err.value) == f"trace file {trace_path} holds no rows"
+
+    def test_a_blank_line_between_rows_is_skipped(self, tmp_path):
+        trace_path = tmp_path / "spaced.csv"
+        main(["run", "--horizon", "2", "--out", str(trace_path)])
+        expected = read_trace_csv(trace_path)
+        lines = trace_path.read_bytes().split(b"\r\n")
+        lines.insert(-2, b"")  # between the last two rows
+        trace_path.write_bytes(b"\r\n".join(lines))
+        assert read_trace_csv(trace_path) == expected
+
     def test_two_period_trace_gives_three_points(self, tmp_path):
         trace_path = tmp_path / "short.csv"
         main(["run", "--horizon", "2", "--out", str(trace_path)])
@@ -562,16 +593,27 @@ class TestTraceSerialization:
         assert len(TRACE_COLUMNS) == 1 + 17 + 20 + 6
 
     def test_round_trip_is_exact(self, tmp_path):
-        config = RunConfig()
-        trace = run(config.params, horizon=12)
+        trace = run(Parameters(), horizon=12)
         path = tmp_path / "roundtrip.csv"
-        write_trace_csv(trace, path, config)
+        write_trace_csv(trace, path)
         _, rows = read_trace_csv(path)
         original = trace_table(trace)
         assert len(rows) == len(original)
         for parsed, source in zip(rows, original):
             for column in TRACE_COLUMNS:
                 assert parsed[column] == source[column], column
+
+    def test_the_echo_reruns_the_trace_bit_for_bit(self, tmp_path):
+        # the echo is the trace's own settings, horizon and engine included
+        trace = run(Parameters(mu=0.3), horizon=12, engine=EngineKind.CATEGORICAL)
+        path = tmp_path / "echo.csv"
+        write_trace_csv(trace, path)
+        meta, _ = read_trace_csv(path)
+        assert (meta["horizon"], meta["engine"]) == ("12", "categorical")
+        config = load_config(None, [f"{k}={v}" for k, v in meta.items()])
+        rerun = run(config.params, engine=config.engine)
+        assert rerun.params == trace.params
+        assert rerun.cells.tobytes() == trace.cells.tobytes()
 
     def test_json_has_booking_log(self, tmp_path):
         path = tmp_path / "trace.json"
@@ -592,10 +634,10 @@ class TestTraceSerialization:
         "engine, horizon", [(EngineKind.RECURSIVE, 12), (EngineKind.CATEGORICAL, 6)]
     )
     def test_streamed_json_parses_to_the_full_payload(self, tmp_path, engine, horizon):
-        config = RunConfig(engine=engine)
-        trace = run(config.params, horizon=horizon, engine=engine)
+        params = Parameters(horizon=horizon)
+        trace = run(params, engine=engine)
         path = tmp_path / "trace.json"
-        write_trace_json(trace, path, config)
+        write_trace_json(trace, path)
 
         def reject(token):
             raise AssertionError(f"non-standard JSON constant {token}")
@@ -603,7 +645,8 @@ class TestTraceSerialization:
         parsed = json.loads(path.read_text(encoding="utf-8"), parse_constant=reject)
         reference = {
             "config": {
-                line.split(" = ")[0]: line.split(" = ")[1] for line in config_echo(config)
+                line.split(" = ")[0]: line.split(" = ")[1]
+                for line in config_echo(params, engine)
             },
             "columns": list(TRACE_COLUMNS),
             "rows": [[record[col] for col in TRACE_COLUMNS] for record in trace_table(trace)],
@@ -654,7 +697,7 @@ class TestTraceSerialization:
 
     def test_the_oracle_writes_the_pinned_bytes(self):
         trace = run(Parameters(), horizon=100)
-        text = oracle_json_text(trace, RunConfig())
+        text = oracle_json_text(trace)
         assert (
             hashlib.sha256(text.encode("utf-8")).hexdigest()
             == "3d1538af9f1aa57312c969bf5838b3b0f15e08f4c9394f8af975e3dc618bb266"
@@ -667,11 +710,10 @@ class TestTraceSerialization:
         # the benchmark's scenario region
         rng = random.Random(seed)
         tau, omega, mu = rng.randint(7, 15), rng.uniform(0.1, 1.0), rng.uniform(0.1, 0.9)
-        config = RunConfig(Parameters(tau=tau, omega=omega, mu=mu, horizon=horizon), engine)
-        trace = run(config.params, engine=engine)
+        trace = run(Parameters(tau=tau, omega=omega, mu=mu, horizon=horizon), engine=engine)
         path = tmp_path / "trace.json"
-        write_trace_json(trace, path, config)
-        assert path.read_bytes() == oracle_json_text(trace, config).encode("utf-8")
+        write_trace_json(trace, path)
+        assert path.read_bytes() == oracle_json_text(trace).encode("utf-8")
 
     @pytest.mark.parametrize(
         "column, value",
@@ -685,8 +727,10 @@ class TestTraceSerialization:
         cells = array("d", trace.cells)
         cells[len(TRACE_COLUMNS) + TRACE_COLUMNS.index(column)] = value  # row 1
         tampered = dataclasses.replace(trace, cells=cells)
+        path = tmp_path / "trace.json"
         with pytest.raises(ValueError, match="^Out of range float values are not JSON compliant"):
-            write_trace_json(tampered, tmp_path / "trace.json", RunConfig())
+            write_trace_json(tampered, path)
+        assert not path.exists()
 
     def test_config_echo_in_header(self, tmp_path):
         path = tmp_path / "echo.csv"
@@ -709,6 +753,21 @@ class TestCheckLaws:
         lines = capsys.readouterr().out.splitlines()
         assert "PASS  dividend pushout universal property" in lines
         assert "PASS  dividend gate universal property" in lines
+
+    @pytest.mark.parametrize(
+        "error",
+        [EngineConsistencyError("period 0: law broken"), ValidationFailure("rejected")],
+        ids=["law", "rejection"],
+    )
+    def test_a_failing_engine_run_reads_as_fail(self, monkeypatch, capsys, error):
+        def failing(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, "run", failing)
+        assert main(["check-laws"]) == EXIT_CONFIG
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == "FAIL  engine periods law-check"
+        assert [line[:4] for line in lines[:-1]] == ["PASS"] * 8
 
     def test_programming_error_propagates(self, monkeypatch):
         # only a ledger rejection or a law failure of the engine reads as FAIL

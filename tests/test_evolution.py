@@ -541,7 +541,8 @@ class TestBookingLog:
         assert len(period_amounts(trace.rows[100].metrics, trace.params)) == 8
 
     def test_a_trace_holds_no_object_per_period(self):
-        short, long = (run(Parameters(), horizon=horizon) for horizon in (10, 100))
+        # each trace's params hold its horizon; 10 would be the same int object as tau
+        short, long = (run(Parameters(), horizon=horizon) for horizon in (20, 100))
         assert len(reachable(short)) == len(reachable(long))
 
     def test_input_state_is_never_mutated(self):

@@ -1,11 +1,15 @@
-"""Source hygiene: every module-level import of the package is read, and every private name."""
+"""Source hygiene: every module-level import of the package is read, every private name,
+and every option of the command-line parser."""
 
 from __future__ import annotations
 
+import argparse
 import ast
 from pathlib import Path
 
 import pytest
+
+from catledger.cli import build_parser
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "catledger"
 # `__init__.py` imports to re-export
@@ -102,3 +106,53 @@ def test_the_check_finds_an_unread_private_name():
 def test_every_module_level_private_name_is_read():
     sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
     assert unread_private_names(sources) == []
+
+
+# option dest -> why the CLI parses it but never reads it
+UNREAD_OPTIONS = {
+    "jobs": "accepted and ignored: the benchmark's sweep-mixed workload still passes --jobs 2",
+}
+
+
+def option_dests(parser: argparse.ArgumentParser) -> set[str]:
+    """The dest of every option of `parser` and its subparsers that sets a namespace attribute."""
+    dests = set()
+    for action in parser._actions:
+        if action.default != argparse.SUPPRESS:  # `--help` sets nothing
+            dests.add(action.dest)
+        if isinstance(action, argparse._SubParsersAction):
+            for subparser in action.choices.values():
+                dests |= option_dests(subparser)
+    return dests
+
+
+def unread_options(parser: argparse.ArgumentParser, source: str) -> list[str]:
+    """The option dests that `source` reads neither as `args.<dest>` nor `getattr(args, "<dest>")`."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id == "args":
+                read.add(node.attr)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            if node.func.id == "getattr" and len(node.args) >= 2:
+                owner, name = node.args[:2]
+                if isinstance(owner, ast.Name) and owner.id == "args":
+                    if isinstance(name, ast.Constant) and isinstance(name.value, str):
+                        read.add(name.value)
+    return sorted(option_dests(parser) - read)
+
+
+def test_the_check_finds_an_unread_option():
+    parser = argparse.ArgumentParser()
+    sub = parser.add_subparsers(dest="command")
+    p_go = sub.add_parser("go")
+    p_go.add_argument("--fast", action="store_true")
+    p_go.add_argument("--out", dest="target")
+    p_go.add_argument("--level", type=int)
+    source = "def main(args):\n    return args.command, args.target, getattr(args, 'level', 0)\n"
+    assert unread_options(parser, source) == ["fast"]
+
+
+def test_every_parser_option_is_read():
+    source = (PACKAGE / "cli.py").read_text(encoding="utf-8")
+    assert unread_options(build_parser(), source) == sorted(UNREAD_OPTIONS)
