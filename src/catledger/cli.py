@@ -19,7 +19,6 @@ import sys
 from array import array
 from dataclasses import dataclass, field, replace
 from functools import cache
-from itertools import islice
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence, TextIO
@@ -74,18 +73,14 @@ class RunConfig:
 
 
 def _parse_value(key: str, raw: str) -> int | float:
-    field_name = PARAM_KEYS[key]
     try:
-        if field_name in _INT_FIELDS:
-            return int(raw)
-        return float(raw)
+        return int(raw) if PARAM_KEYS[key] in _INT_FIELDS else float(raw)
     except ValueError:
         raise ConfigError(f"cannot parse value {raw!r} for key {key!r}") from None
 
 
 def apply_setting(config: RunConfig, key: str, raw: str) -> None:
-    key = key.strip()
-    raw = raw.strip()
+    key, raw = key.strip(), raw.strip()
     if key == "engine":
         config.engine = EngineKind(raw)
         return
@@ -118,11 +113,8 @@ def load_config(path: str | Path | None, overrides: Sequence[str] = ()) -> RunCo
 
 def config_echo(params: Parameters, engine: EngineKind) -> list[str]:
     """The fully resolved settings, one 'key = value' line per entry."""
-    lines = []
-    for key, field_name in PARAM_KEYS.items():
-        lines.append(f"{key} = {getattr(params, field_name)!r}")
-    lines.append(f"engine = {engine.value}")
-    return lines
+    lines = [f"{key} = {getattr(params, name)!r}" for key, name in PARAM_KEYS.items()]
+    return lines + [f"engine = {engine.value}"]
 
 
 # ---------------------------------------------------------------------------
@@ -130,36 +122,43 @@ def config_echo(params: Parameters, engine: EngineKind) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def _row_lists(trace: Trace) -> Iterable[list[float]]:
-    """Each row's cells as a list, the period as an int."""
-    cells, width = trace.cells.tolist(), len(TRACE_COLUMNS)
-    return ([int(cells[i]), *cells[i + 1 : i + width]] for i in range(0, len(cells), width))
-
-
 def trace_table(trace: Trace) -> list[dict[str, float]]:
-    """The trace as one dict per row, keyed by TRACE_COLUMNS."""
-    return [dict(zip(TRACE_COLUMNS, row)) for row in _row_lists(trace)]
+    """The trace as one dict per row, keyed by TRACE_COLUMNS, the period as an int."""
+    cells, width = trace.cells.tolist(), len(TRACE_COLUMNS)
+    rows = ([int(cells[i]), *cells[i + 1 : i + width]] for i in range(0, len(cells), width))
+    return [dict(zip(TRACE_COLUMNS, row)) for row in rows]
 
 
-def _format_cell(value: float) -> str:
-    # repr round-trips doubles exactly and always carries >= 6 significant
-    # digits; an integral value below 1e15 (repr "N.0") is written as N, and
-    # -0.0 as 0
-    if value.is_integer() and -1e15 < value < 1e15:
-        return "0" if value == 0.0 else repr(value)[:-2]
-    return repr(value)
+def _cell_texts(trace: Trace) -> list[str]:
+    """The repr of every trace cell, in cell order: the one formatting of each double."""
+    return list(map(repr, trace.cells))
 
 
-def write_trace_csv(trace: Trace, path: str | Path) -> None:
-    """The `#` echo of the trace's settings, the header and one line per row, CRLF-terminated."""
-    cells = map(_format_cell, trace.cells)
-    width = len(TRACE_COLUMNS)
+def _csv_texts(texts: Iterable[str]) -> list[str]:
+    """Each cell repr for the CSV: "N.0" with at most 15 digits as N, and -0.0 as 0.
+
+    A repr ends in ".0" only for an integral double below 1e16, so this is every integral
+    value below 1e15; 1e15 keeps its 16 digits.
+    """
+    return [
+        text if text[-2:] != ".0" or len(text) - (text[0] == "-") > 17
+        else "0" if text == "-0.0" else text[:-2]
+        for text in texts
+    ]
+
+
+def write_trace_csv(trace: Trace, path: str | Path, texts: list[str] | None = None) -> None:
+    """The `#` echo of the trace's settings, the header and one line per row, CRLF-terminated.
+
+    `texts` are the trace's `_cell_texts`, when the caller already holds them.
+    """
+    cells, width = _csv_texts(_cell_texts(trace) if texts is None else texts), len(TRACE_COLUMNS)
     with open(path, "w", newline="", encoding="utf-8") as handle:
         for line in config_echo(trace.params, trace.engine):
             handle.write(f"# {line}\n")
         handle.write(",".join(TRACE_COLUMNS) + "\r\n")
-        for _ in range(len(trace.cells) // width):
-            handle.write(",".join(islice(cells, width)) + "\r\n")
+        for start in range(0, len(cells), width):
+            handle.write(",".join(cells[start : start + width]) + "\r\n")
 
 
 def read_trace_csv(path: str | Path) -> tuple[dict[str, str], list[dict[str, float]]]:
@@ -217,59 +216,81 @@ def _write_json_lines(handle: TextIO, texts: Iterable[str]) -> None:
     """The elements of a JSON array, given as JSON text, one per line."""
     separator = "\n"
     for text in texts:
-        handle.write(separator)
-        handle.write(text)
+        handle.write(separator + text)
         separator = ",\n"
     handle.write("\n")
 
 
-def _booking_text(booking_id: int) -> tuple[str, itemgetter]:
-    """The booking's JSON record with `%s` for each leg's amount, and the getter of their slots."""
-    description, legs, _ = BOOKINGS[booking_id]
-    legs_json = [
-        {"account": a, "direction": way.value, "amount": None, "unit": SPEC_BY_NAME[a].unit.value}
-        for a, way, _ in legs
-    ]
-    record = {"id": booking_id, "description": description, "legs": legs_json}
+def _refuse_non_finite(values: Sequence[float]) -> None:
+    """Raise the JSON encoder's own error if `values` hold an inf or nan."""
+    if _first_non_finite(values) is not None:
+        _encode_json(list(values))
+
+
+def _period_text() -> tuple[str, itemgetter, list[int | None]]:
+    """A period's bookings as one JSON array with `%s` for each leg's amount, in leg order.
+
+    Also the getter of the legs' amounts from the period's amounts, and each amount's metric
+    column.  Fed distinct float objects, `period_amounts` hands some back as they are: those
+    amounts are metric cells.  The others (None) are quotients; only they get a new repr.
+    """
+    metrics = PeriodMetrics._make(map(float, range(1, 1 + len(METRIC_COLUMNS))))
+    records, slots, amounts = [], [], []
+    for booking_id, pair in period_amounts(metrics, Parameters()):
+        description, legs, _ = BOOKINGS[booking_id]
+        slots += [len(amounts) + slot for _, _, slot in legs]
+        amounts += pair
+        legs_json = [
+            dict(account=a, direction=w.value, amount=None, unit=SPEC_BY_NAME[a].unit.value)
+            for a, w, _ in legs
+        ]
+        records.append({"id": booking_id, "description": description, "legs": legs_json})
+    cells = [next((i for i, m in enumerate(metrics) if m is amount), None) for amount in amounts]
     # inside a JSON string the quotes of `"amount": null` would be escaped
-    text = _encode_json(record).replace("%", "%%").replace('"amount": null', '"amount": %s')
-    return text, itemgetter(*[slot for _, _, slot in legs])
+    text = _encode_json(records).replace("%", "%%").replace('"amount": null', '"amount": %s')
+    return text, itemgetter(*slots), cells
 
 
-_BOOKING_TEXT = {booking_id: _booking_text(booking_id) for booking_id in BOOKINGS}
+_PERIOD_TEXT, _PERIOD_SLOTS, _AMOUNT_CELLS = _period_text()
 
 
-def _period_booking_lines(trace: Trace) -> Iterable[str]:
-    """Each period's bookings as one JSON array; an amount's repr is the encoder's text for it."""
-    cells, width = trace.cells, len(TRACE_COLUMNS)
-    for start in range(0, len(cells), width):
-        metrics = PeriodMetrics._make(cells[start + 1 : start + 1 + len(METRIC_COLUMNS)])
-        texts = []
-        for booking_id, amounts in period_amounts(metrics, trace.params):
-            if _first_non_finite(amounts) is not None:
-                _encode_json(amounts)  # raises the encoder's own error for an inf or nan
-            text, slots = _BOOKING_TEXT[booking_id]
-            texts.append(text % slots([*map(repr, amounts)]))
-        yield f"[{', '.join(texts)}]"
+def _period_booking_lines(trace: Trace, texts: list[str]) -> Iterable[str]:
+    """Each period's bookings as one JSON array; a metric amount's text is its cell's."""
+    cells, width, count = trace.cells, len(TRACE_COLUMNS), len(METRIC_COLUMNS)
+    for start in range(1, len(cells), width):
+        bookings = period_amounts(PeriodMetrics._make(cells[start : start + count]), trace.params)
+        amounts = [amount for _, pair in bookings for amount in pair]
+        _refuse_non_finite(amounts)
+        yield _PERIOD_TEXT % _PERIOD_SLOTS(
+            [repr(a) if c is None else texts[start + c] for a, c in zip(amounts, _AMOUNT_CELLS)]
+        )
 
 
-def write_trace_json(trace: Trace, path: str | Path) -> None:
+def write_trace_json(trace: Trace, path: str | Path, texts: list[str] | None = None) -> None:
     """Stream the trace as one strict JSON document.
 
     The object holds `config` (the trace's settings), `columns`, `rows` (one list of
     cells per trace row) and `bookings` (one list of bookings per period, each with its
     legs).  It is written piece by piece: the header on the first line, then one row per
     line, then one period's bookings per line.  A failed write removes the file.
+    `texts` are the trace's `_cell_texts`, when the caller already holds them.
     """
+    texts = _cell_texts(trace) if texts is None else texts
+    cells, width = trace.cells, len(TRACE_COLUMNS)
+    rows = (
+        "[%d, %s]" % (cells[i], ", ".join(texts[i + 1 : i + width]))
+        for i in range(0, len(cells), width)
+    )
     echo = dict(line.split(" = ", 1) for line in config_echo(trace.params, trace.engine))
     handle = open(path, "w", encoding="utf-8")
     try:
         with handle:
+            _refuse_non_finite(cells)
             header = f'"config": {_encode_json(echo)}, "columns": {_encode_json(TRACE_COLUMNS)}'
             handle.write(f'{{{header},\n"rows": [')
-            _write_json_lines(handle, map(_encode_json, _row_lists(trace)))
+            _write_json_lines(handle, rows)
             handle.write('],\n"bookings": [')
-            _write_json_lines(handle, _period_booking_lines(trace))
+            _write_json_lines(handle, _period_booking_lines(trace, texts))
             handle.write("]}\n")
     except BaseException:
         Path(path).unlink(missing_ok=True)
@@ -301,10 +322,11 @@ def cmd_run(config: RunConfig, out: str | None, json_out: str | None) -> int:
     except LedgerError as exc:
         _report_rejection("run", exc)
         return EXIT_CONFIG
+    texts = _cell_texts(trace) if out or json_out else None  # one repr per cell, for both files
     if out:
-        write_trace_csv(trace, out)
+        write_trace_csv(trace, out, texts)
     if json_out:
-        write_trace_json(trace, json_out)
+        write_trace_json(trace, json_out, texts)
     print(f"rows: {len(trace.column('period'))}")
     peaks = _invariance_peaks(trace)
     for column, peak in zip(INVARIANCE_COLUMNS, peaks):
@@ -375,13 +397,7 @@ def _error_status(exc: Exception) -> str:
 
 
 SWEEP_COLUMNS = (
-    "param",
-    "value",
-    "status",
-    "bounded",
-    "good_price_drift",
-    "final_good_price",
-    "max_invariance",
+    "param", "value", "status", "bounded", "good_price_drift", "final_good_price", "max_invariance"
 )
 
 
@@ -437,12 +453,11 @@ def cmd_plot(trace_path: str, outdir: str) -> int:
         return EXIT_CONFIG
     directory = Path(outdir)
     directory.mkdir(parents=True, exist_ok=True)
+    periods = _csv_texts([repr(record["period"]) for record in rows])
     for panel, columns in _PLOT_PANELS.items():
         lines = ["# period " + " ".join(columns)]
-        for record in rows:
-            lines.append(
-                " ".join([_format_cell(record["period"])] + [repr(record[c]) for c in columns])
-            )
+        for period, record in zip(periods, rows):
+            lines.append(" ".join([period] + [repr(record[c]) for c in columns]))
         (directory / f"{panel}.dat").write_text("\n".join(lines) + "\n", encoding="utf-8")
     (directory / "plot.py").write_text(_PLOT_SCRIPT, encoding="utf-8")
     print(f"wrote {len(_PLOT_PANELS)} panel files + plot.py to {directory}")
@@ -468,11 +483,8 @@ def run_law_fixtures() -> list[tuple[str, bool]]:
     corrupted.morphism_map[1] = 2  # a: X->Y now maps to b: Y->Z
     results.append(("corrupted functor fails", not check_functor_laws(corrupted).ok))
 
-    set_a = ("a", "b")
-    set_b = ("x", "y", "z")
-    set_c = ("t", "f")
-    f = FinSetMap(set_a, set_c, {"a": "t", "b": "f"})
-    g = FinSetMap(set_b, set_c, {"x": "t", "y": "t", "z": "f"})
+    f = FinSetMap(("a", "b"), ("t", "f"), {"a": "t", "b": "f"})
+    g = FinSetMap(("x", "y", "z"), ("t", "f"), {"x": "t", "y": "t", "z": "f"})
     apex, p_a, p_b = finset_pullback(f, g)
     results.append(("pullback apex", apex == (("a", "x"), ("a", "y"), ("b", "z"))))
     results.append(
@@ -508,11 +520,9 @@ def run_law_fixtures() -> list[tuple[str, bool]]:
 
 def cmd_check_laws() -> int:
     results = run_law_fixtures()
-    ok = True
     for name, passed in results:
         print(f"{'PASS' if passed else 'FAIL'}  {name}")
-        ok = ok and passed
-    return EXIT_OK if ok else EXIT_CONFIG
+    return EXIT_OK if all(passed for _, passed in results) else EXIT_CONFIG
 
 
 # ---------------------------------------------------------------------------

@@ -74,6 +74,61 @@ def oracle_json_text(trace: Trace) -> str:
     )
 
 
+def oracle_csv_cell(value: float) -> str:
+    """A cell as the CSV holds it, decided on the value: an integral value below 1e15 as N."""
+    if value.is_integer() and -1e15 < value < 1e15:
+        return "0" if value == 0.0 else repr(value)[:-2]
+    return repr(value)
+
+
+def oracle_csv_text(trace: Trace) -> str:
+    """The CSV document as a writer that formats every cell by its value would write it."""
+    cells, width = [oracle_csv_cell(value) for value in trace.cells], len(TRACE_COLUMNS)
+    echo = "".join(f"# {line}\n" for line in config_echo(trace.params, trace.engine))
+    rows = [",".join(cells[i : i + width]) + "\r\n" for i in range(0, len(cells), width)]
+    return echo + ",".join(TRACE_COLUMNS) + "\r\n" + "".join(rows)
+
+
+def hand_built_trace(values: list[float], rows: int = 2) -> Trace:
+    """A default trace of `rows` rows whose cells are `values`, repeated to fill them."""
+    trace = run(Parameters(), horizon=rows - 1)
+    cells = array("d", (values[i % len(values)] for i in range(len(trace.cells))))
+    return dataclasses.replace(trace, cells=cells)
+
+
+def count_calls(monkeypatch, name: str, function) -> list[tuple]:
+    """Make `cli.<name>` call `function` and record each call's arguments in the returned list."""
+    calls: list[tuple] = []
+
+    def counted(*args):
+        calls.append(args)
+        return function(*args)
+
+    monkeypatch.setattr(cli, name, counted, raising=False)
+    return calls
+
+
+# the edges of the CSV's integral rule, and what it writes for each (a list: -0.0 == 0.0)
+EDGE_CELLS = [
+    (0.0, "0"),
+    (-0.0, "0"),
+    (1.0, "1"),
+    (-1.0, "-1"),
+    (999999999999999.0, "999999999999999"),
+    (-999999999999999.0, "-999999999999999"),
+    (1e15, "1000000000000000.0"),
+    (-1e15, "-1000000000000000.0"),
+    (1e16, "1e+16"),
+    (-1e16, "-1e+16"),
+    (1e22, "1e+22"),
+    (5e-324, "5e-324"),
+    (0.1, "0.1"),
+    (math.inf, "inf"),
+    (-math.inf, "-inf"),
+    (math.nan, "nan"),
+]
+
+
 class TestConfig:
     def test_defaults(self):
         config = load_config(None)
@@ -481,6 +536,23 @@ class TestCmdPlot:
         assert (outdir / "plot.py").exists()
         assert (outdir / "price.dat").exists()
 
+    def test_default_panel_bytes_are_pinned(self, tmp_path):
+        # the period column's integral rule and every repr in the panels are fixed byte for byte
+        trace_path = tmp_path / "trace.csv"
+        assert main(["run", "--horizon", "100", "--out", str(trace_path)]) == EXIT_OK
+        outdir = tmp_path / "panels"
+        assert main(["plot", str(trace_path), "--outdir", str(outdir)]) == EXIT_OK
+        digests = {
+            name: hashlib.sha256((outdir / f"{name}.dat").read_bytes()).hexdigest()
+            for name in ("accounts", "invariances", "price", "investment")
+        }
+        assert digests == {
+            "accounts": "4af4ab370368b9b8af1881641a4b6ec97774266f3e632f4b7d36836d5ac9f93a",
+            "invariances": "17548f7b84624c9a51b582699850177f0e78a598fbb020834aed1a98a2c67174",
+            "price": "6e8b3f77a0fbbca621150fb6af126067374f32e49346ab6d78259b05303e0e97",
+            "investment": "5371a27e41a101e5d3be89471aa9df4758d900f90acb64bd90a28ab102547c64",
+        }
+
     def test_empty_trace_file(self, tmp_path, capsys):
         empty = tmp_path / "empty.csv"
         empty.write_text("")
@@ -714,6 +786,74 @@ class TestTraceSerialization:
         path = tmp_path / "trace.json"
         write_trace_json(trace, path)
         assert path.read_bytes() == oracle_json_text(trace).encode("utf-8")
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("horizon", [1, 7, 100])
+    @pytest.mark.parametrize("engine", list(EngineKind))
+    def test_csv_bytes_match_the_oracle(self, tmp_path, engine, horizon, seed):
+        # the benchmark's scenario region
+        rng = random.Random(seed)
+        tau, omega, mu = rng.randint(7, 15), rng.uniform(0.1, 1.0), rng.uniform(0.1, 0.9)
+        trace = run(Parameters(tau=tau, omega=omega, mu=mu, horizon=horizon), engine=engine)
+        path = tmp_path / "trace.csv"
+        write_trace_csv(trace, path)
+        assert path.read_bytes() == oracle_csv_text(trace).encode("utf-8")
+
+    def test_csv_writes_the_edges_of_the_integral_rule(self, tmp_path):
+        values = [value for value, _ in EDGE_CELLS]
+        trace = hand_built_trace(values)
+        path = tmp_path / "trace.csv"
+        write_trace_csv(trace, path)
+        text = path.read_bytes().decode("utf-8")
+        assert text == oracle_csv_text(trace)
+        first_row = text.splitlines()[-2].split(",")
+        assert first_row == [EDGE_CELLS[i % len(values)][1] for i in range(len(first_row))]
+
+    def test_csv_matches_the_oracle_on_random_doubles(self, tmp_path):
+        # random bit patterns, and integral values of every magnitude up to 1e17
+        rng = random.Random(21)
+        values = [
+            *array("d", rng.randbytes(8 * 4000)),
+            *(float(rng.randrange(-(10 ** rng.randint(1, 17)), 10**17)) for _ in range(2000)),
+        ]
+        trace = hand_built_trace(values, rows=len(values) // len(TRACE_COLUMNS))
+        path = tmp_path / "trace.csv"
+        write_trace_csv(trace, path)
+        assert path.read_bytes() == oracle_csv_text(trace).encode("utf-8")
+
+    def test_run_formats_each_cell_once_for_both_files(self, tmp_path, monkeypatch):
+        calls = count_calls(monkeypatch, "_cell_texts", cli._cell_texts)
+        reprs = count_calls(monkeypatch, "repr", repr)  # shadows the builtin inside cli
+        csv_path, json_path = tmp_path / "trace.csv", tmp_path / "trace.json"
+        argv = ["run", "--horizon", "100", "--out", str(csv_path), "--json", str(json_path)]
+        assert main(argv) == EXIT_OK
+        assert len(calls) == 1
+        # one repr per cell, then one per quotient: 5 of a period's 14 booking amounts
+        assert len(reprs) == 101 * len(TRACE_COLUMNS) + 101 * 5
+        trace = run(Parameters(), horizon=100)
+        assert csv_path.read_bytes() == oracle_csv_text(trace).encode("utf-8")
+        assert json_path.read_bytes() == oracle_json_text(trace).encode("utf-8")
+
+    @pytest.mark.parametrize("writer", [write_trace_csv, write_trace_json])
+    def test_each_writer_alone_formats_each_cell_once(self, tmp_path, monkeypatch, writer):
+        calls = count_calls(monkeypatch, "_cell_texts", cli._cell_texts)
+        writer(run(Parameters(), horizon=3), tmp_path / "trace")
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("column", ["DividendDecision", "DividendPayment", "Investment"])
+    def test_a_negative_zero_metric_keeps_its_sign_in_row_and_leg(self, tmp_path, column):
+        trace = run(Parameters(), horizon=3)
+        cells = array("d", trace.cells)
+        cells[len(TRACE_COLUMNS) + TRACE_COLUMNS.index(column)] = -0.0  # row 1
+        tampered = dataclasses.replace(trace, cells=cells)
+        path = tmp_path / "trace.json"
+        write_trace_json(tampered, path)
+        assert path.read_bytes() == oracle_json_text(tampered).encode("utf-8")
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        assert math.copysign(1.0, payload["rows"][1][TRACE_COLUMNS.index(column)]) == -1.0
+        legs = [leg for booking in payload["bookings"][1] for leg in booking["legs"]]
+        amounts = [leg["amount"] for leg in legs]
+        assert any(amount == 0.0 and math.copysign(1.0, amount) == -1.0 for amount in amounts)
 
     @pytest.mark.parametrize(
         "column, value",
