@@ -23,7 +23,6 @@ from .catcore import (
     verify_pushout_universal,
 )
 from .decisions import (
-    ContractMemory,
     Parameters,
     PeriodMetrics,
     allocate_investment,
@@ -39,7 +38,6 @@ from .decisions import (
 from .evolution import (
     EngineConsistencyError,
     EngineKind,
-    SimulationState,
     StabilityReport,
     Trace,
     initial_state,
@@ -67,7 +65,6 @@ __all__ = [
     "ACCOUNT_NAMES",
     "AccountKind",
     "Agent",
-    "ContractMemory",
     "Direction",
     "EngineConsistencyError",
     "EngineKind",
@@ -79,7 +76,6 @@ __all__ = [
     "NaturalTransformation",
     "Parameters",
     "PeriodMetrics",
-    "SimulationState",
     "StabilityReport",
     "Trace",
     "Unit",

@@ -1,4 +1,4 @@
-"""Behavioral formulas of the five-sector economy, plus the contract memory.
+"""Behavioral formulas of the five-sector economy, plus the contract memory's due and push.
 
 All functions are pure; the simulation engines call them in a fixed order
 each period.  Parameter defaults are the reference scenario the golden
@@ -101,35 +101,16 @@ class Parameters:
         return tuple(f.name for f in fields(Parameters))
 
 
-@dataclass(frozen=True)
-class ContractMemory:
-    """Two fixed-length stacks of future wage and repayment obligations."""
-
-    wage: tuple[float, ...]
-    repay: tuple[float, ...]
-
-    @staticmethod
-    def empty(tau: int) -> "ContractMemory":
-        return ContractMemory(wage=(0.0,) * tau, repay=(0.0,) * tau)
-
-    def __post_init__(self) -> None:
-        if len(self.wage) != len(self.repay):
-            raise ValueError("wage and repay stacks must have equal length")
-        # `0.0 > x` is `x < 0.0` (NaN passes both) without a generator frame per entry
-        if any(map((0.0).__gt__, self.wage + self.repay)):
-            raise ValueError("memory entries must be non-negative")
-
-
-def memory_due(memory: ContractMemory) -> tuple[float, float]:
+def memory_due(wages: Sequence[float], repays: Sequence[float]) -> tuple[float, float]:
     """Total wage and repayment obligations falling due this period."""
-    return math.fsum(memory.wage), math.fsum(memory.repay)
+    return math.fsum(wages), math.fsum(repays)
 
 
 def memory_push(history: Sequence[float], value: float) -> tuple[float, ...]:
     """Prepend `value`, forgetting the oldest entry; length is preserved."""
     if value < 0.0:
         raise ValueError("memory entries must be non-negative")
-    return (value,) + tuple(history[:-1])
+    return (value, *history[:-1])
 
 
 class PeriodMetrics(NamedTuple):

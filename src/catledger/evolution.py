@@ -1,9 +1,13 @@
 """Period evolution: two interchangeable engines over one yearly cycle.
 
+The state of a run is one list of 21 + 2 tau doubles: the 20 balances in
+ACCOUNT_NAMES order, the tau wage dues, the tau repayments, and the
+declared dividend.  `period_step` maps it to the next one.
 `_period_cycle` is the only copy of the cycle; an engine supplies the book
-it reads, writes and posts through.  A ledger is the list of the 20
-balances in ACCOUNT_NAMES order, and each book works on its own copy of
-the opening one.  The recursive book posts each booking onto that copy
+it works through: `values`, the book's own copy of the 20 opening
+balances, which the cycle reads and writes by position; `post`, which
+gates and applies one booking; and `close`, which ends the period and
+returns the balances.  The recursive book posts each booking onto its copy
 directly.  The categorical book gates every booking through a finite-set
 pullback over its per-leg checks, applies it through a finite-set pushout
 that groups its legs onto their accounts, records its flows in a finite
@@ -57,7 +61,6 @@ from .catcore import (
 )
 from .decisions import (
     METRIC_COLUMNS,
-    ContractMemory,
     Parameters,
     PeriodMetrics,
     allocate_investment,
@@ -81,11 +84,11 @@ from .ledger import (
     ValidationFailure,
     booking_diagnostics,
     booking_entry,
-    checked_balance,
     init_ledger,
     invariances,
     post_booking,
     post_compiled,
+    refuse_negative,
     rejection,
 )
 
@@ -107,23 +110,23 @@ class EngineConsistencyError(RuntimeError):
         self.failures = failures or []
 
 
-@dataclass
-class SimulationState:
-    ledger: list[float]  # the 20 balances in ACCOUNT_NAMES order
-    memory: ContractMemory
-    declared_dividend: float
-    period: int
-    params: Parameters
+# A state's wage dues start after its balances; the positions of the
+# balances the cycle reads and writes.
+_WAGES_AT = len(ACCOUNT_NAMES)
+(
+    _LAB_BANK, _LAB_LAB, _LAB_GOOD, _RES_BANK, _RES_RES, _RES_GOOD,
+    _CAP_BANK, _CAP_GOOD, _COM_BANK, _COM_RES, _COM_LAB, _COM_GOOD,
+) = map(ACCOUNT_INDEX.__getitem__, (
+    "AccLabBank", "AccLabLab", "AccLabGood", "AccResBank", "AccResRes", "AccResGood",
+    "AccCapBank", "AccCapGood", "AccComBank", "AccComRes", "AccComLab", "AccComGood",
+))
+# the balances steps 1 and 2 write, in the order they are written
+_CARRIED = (_LAB_GOOD, _RES_GOOD, _CAP_GOOD, _LAB_LAB, _RES_RES)
 
 
-def initial_state(params: Parameters) -> SimulationState:
-    return SimulationState(
-        ledger=init_ledger(params.com_lab_0, params.com_res_0),
-        memory=ContractMemory.empty(params.tau),
-        declared_dividend=0.0,
-        period=0,
-        params=params,
-    )
+def initial_state(params: Parameters) -> list[float]:
+    """The opening state: the fresh ledger, no dues, no declared dividend."""
+    return init_ledger(params.com_lab_0, params.com_res_0) + [0.0] * (2 * params.tau + 1)
 
 
 def period_amounts(m: PeriodMetrics, p: Parameters) -> tuple[tuple[int, tuple[float, ...]], ...]:
@@ -208,36 +211,39 @@ class Trace:
 
 
 def _period_cycle(
-    state: SimulationState, book: _RecursiveBook
-) -> tuple[SimulationState, PeriodMetrics]:
+    state: list[float], p: Parameters, period: int, book: _RecursiveBook
+) -> tuple[list[float], PeriodMetrics]:
     """One period in the canonical order of the module docstring.
 
     Steps 9 and 14 read no balance a booking moves, so they are decided
-    first and `period_amounts` gives all eight bookings, posted in order.
-    The engine's `book` holds the balances: `get` and `put` read and write
-    an account's balance by name (`put` refuses a negative one), `post`
-    gates and applies a booking given by its id and amounts, and `close`
-    ends the period.
+    first and `period_amounts` gives all eight bookings, posted through
+    `book.post` in order.  A balance the cycle writes in `book.values` is
+    refused if negative.  The next state is the balances `book.close`
+    returns, then the pushed memory and the new declaration.
     """
-    p = state.params
-    get, put, post = book.get, book.put, book.post
-    start_com_bank = get("AccComBank")
+    values, post = book.values, book.post
+    repays_at, length = _WAGES_AT + p.tau, _WAGES_AT + 2 * p.tau + 1
+    if len(state) != length:
+        raise ValueError(f"a state for tau={p.tau} holds {length} doubles, got {len(state)}")
+    wages, repays = state[_WAGES_AT:repays_at], state[repays_at:-1]
+    start_com_bank = values[_COM_BANK]
 
     # 1. decay of carried consumer goods (producer inventory carries in full)
-    put("AccLabGood", get("AccLabGood") * p.beta_l)
-    put("AccResGood", get("AccResGood") * p.beta_r)
-    put("AccCapGood", get("AccCapGood") * p.beta_c)
+    values[_LAB_GOOD] *= p.beta_l
+    values[_RES_GOOD] *= p.beta_r
+    values[_CAP_GOOD] *= p.beta_c
 
     # 2. fresh endowments
-    put("AccLabLab", get("AccLabLab") + p.nu_l)
-    put("AccResRes", get("AccResRes") + p.nu_r)
+    values[_LAB_LAB] += p.nu_l
+    values[_RES_RES] += p.nu_r
+    refuse_negative(values, _CARRIED)
 
     # 3. contractual dues
-    wages_due, repays_due = memory_due(state.memory)
+    wages_due, repays_due = memory_due(wages, repays)
 
     # 4. consumption budgets
     c_lab, c_res, c_cap, demand = consumption(
-        (get("AccLabBank"), get("AccResBank"), get("AccCapBank")), p.rho_l, p.rho_r, p.rho_c
+        (values[_LAB_BANK], values[_RES_BANK], values[_CAP_BANK]), p.rho_l, p.rho_r, p.rho_c
     )
 
     # 5. plan and surplus
@@ -245,13 +251,13 @@ def _period_cycle(
     surplus = demand - plan
 
     # 6. production uses up the entire input stocks
-    output = production(get("AccComLab"), get("AccComRes"), p.alpha, p.gamma)
-    put("AccComLab", 0.0)
-    put("AccComRes", 0.0)
-    put("AccComGood", get("AccComGood") + output)
+    output = production(values[_COM_LAB], values[_COM_RES], p.alpha, p.gamma)
+    values[_COM_LAB] = values[_COM_RES] = 0.0
+    values[_COM_GOOD] += output
+    refuse_negative(values, (_COM_GOOD,))
 
     # 7. price formation; the goods sales divide by the price
-    price = good_price(plan, output, surplus, p.omega, state.period, p.p_0)
+    price = good_price(plan, output, surplus, p.omega, period, p.p_0)
     if price == 0.0:
         raise ValidationFailure(
             "good price is zero: the goods sales cannot be priced", [f"GoodPrice={price!r}"]
@@ -263,42 +269,24 @@ def _period_cycle(
 
     # 14. dividend: pay out last period's declaration, then declare anew,
     # from the net EU flow through the company's bank account
-    paid = state.declared_dividend
+    paid = state[-1]
     diff = (c_lab + c_res + c_cap + invest) - (invest_res + wages_due + repays_due + paid)
     declared = dividend_decision(diff, start_com_bank, p.delta_c, p.delta_b)
 
-    metrics = PeriodMetrics(
-        wages_payment=wages_due,
-        repays_payment=repays_due,
-        consum_lab=c_lab,
-        consum_res=c_res,
-        consum_cap=c_cap,
-        demand=demand,
-        demand_plan=plan,
-        demand_surplus=surplus,
-        good_production=output,
-        good_price=price,
-        investment=invest,
-        investment_res=invest_res,
-        investment_lab=invest_lab,
-        repayment=installment,
-        diff=diff,
-        dividend_decision=declared,
-        dividend_payment=paid,
+    metrics = PeriodMetrics(  # in field order: positional arguments are the cheaper call
+        wages_due, repays_due, c_lab, c_res, c_cap, demand, plan, surplus, output, price,
+        invest, invest_res, invest_lab, installment, diff, declared, paid,
     )
 
     # 8. goods sales; 10. loan creation; 11-14. factor purchases, repayment, dividend
     for booking_id, amounts in period_amounts(metrics, p):
         post(booking_id, amounts)
 
-    ledger = book.close()
-
-    # 15. remember the new obligations
-    memory = ContractMemory(
-        wage=memory_push(state.memory.wage, invest_lab),
-        repay=memory_push(state.memory.repay, installment),
-    )
-    new_state = SimulationState(ledger, memory, declared, state.period + 1, p)
+    # 15. remember the new obligations after the closing balances
+    new_state = book.close()
+    new_state += memory_push(wages, invest_lab)
+    new_state += memory_push(repays, installment)
+    new_state.append(declared)
     return new_state, metrics
 
 
@@ -308,18 +296,12 @@ def _period_cycle(
 
 
 class _RecursiveBook:
-    """A copy of the opening ledger; each booking posts onto it directly."""
+    """A copy of the opening balances; each booking posts onto it directly."""
 
     __slots__ = ("values",)
 
-    def __init__(self, ledger: list[float]) -> None:
-        self.values = ledger[:]
-
-    def get(self, name: str) -> float:
-        return self.values[ACCOUNT_INDEX[name]]
-
-    def put(self, name: str, value: float) -> None:
-        self.values[ACCOUNT_INDEX[name]] = checked_balance(name, value)
+    def __init__(self, state: list[float]) -> None:
+        self.values = state[:_WAGES_AT]
 
     def post(self, booking_id: int, amounts: tuple[float, ...]) -> None:
         post_booking(self.values, booking_id, amounts)
@@ -509,10 +491,10 @@ class _CategoricalBook(_RecursiveBook):
 
     __slots__ = ("cat", "opening")
 
-    def __init__(self, ledger: list[float]) -> None:
-        super().__init__(ledger)
+    def __init__(self, state: list[float]) -> None:
+        super().__init__(state)
         self.cat = build_economy_category()
-        self.opening = ledger  # read only: the book writes its own copy
+        self.opening = state[:_SHIFT]
 
     def post(self, booking_id: int, amounts: tuple[float, ...]) -> None:
         ok, diagnostics = validate_via_pullback(self.values, booking_id, amounts)
@@ -535,17 +517,20 @@ _BOOKS = {
 
 
 def period_step(
-    state: SimulationState, engine: EngineKind | str = EngineKind.RECURSIVE
-) -> tuple[SimulationState, PeriodMetrics]:
-    """Execute one period under `state.params`; atomic, the input state is never touched.
+    state: list[float],
+    params: Parameters,
+    period: int,
+    engine: EngineKind | str = EngineKind.RECURSIVE,
+) -> tuple[list[float], PeriodMetrics]:
+    """Execute period `period` of `state` under `params`; the input state is never touched.
 
-    Returns the next state and the period's metrics; `period_amounts(metrics,
-    state.params)` gives the bookings it posted.
+    Returns a fresh next state and the period's metrics; `period_amounts(metrics,
+    params)` gives the bookings it posted.
     """
     book = _BOOKS.get(engine)
     if book is None:
         book = _BOOKS[EngineKind(engine)]
-    return _period_cycle(state, book(state.ledger))
+    return _period_cycle(state, params, period, book(state))
 
 
 def run(
@@ -572,9 +557,10 @@ def run(
     state = initial_state(params)
     cells = array("d")
     for period in range(span + 1):
-        opening, checks = state.ledger, invariances(state.ledger)
+        opening = state[:_WAGES_AT]
+        checks = invariances(opening)
         try:
-            state, metrics = period_step(state, engine)
+            state, metrics = period_step(state, params, period, engine)
         except ValidationFailure as exc:
             exc.period = period
             raise

@@ -111,11 +111,13 @@ class ValidationFailure(LedgerError):
         self.period: int | None = None
 
 
-def checked_balance(name: str, value: float) -> float:
-    """`value`, refused as the balance of account `name` if negative (a NaN passes)."""
-    if value < 0.0:
-        raise ValidationFailure(f"balance of {name!r} would become negative ({value})")
-    return value
+def refuse_negative(values: Sequence[float], positions: Sequence[int]) -> None:
+    """Refuse the first balance of `values` at `positions` that is negative (a NaN passes)."""
+    for i in positions:
+        if values[i] < 0.0:
+            raise ValidationFailure(
+                f"balance of {ACCOUNT_NAMES[i]!r} would become negative ({values[i]})"
+            )
 
 
 def is_debit(kind: AccountKind, direction: Direction) -> bool:

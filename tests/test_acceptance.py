@@ -21,7 +21,6 @@ from catledger.catcore import (
 )
 from catledger.decisions import (
     METRIC_COLUMNS,
-    ContractMemory,
     Parameters,
     allocate_investment,
     demand_plan,
@@ -225,11 +224,11 @@ def test_criterion_2_worked_formula_examples():
         (good_price(117.0, 1.0, 49.4, 0.5, 1, 30.0), 141.7, 1e-9),
     ]
     ok = all(abs(actual - expected) <= tol for actual, expected, tol in checks)
-    two_pushes = ContractMemory(wage=(57.90, 52.0) + (0.0,) * 8, repay=(0.0,) * 10)
+    two_pushes = (57.90, 52.0) + (0.0,) * 8, (0.0,) * 10  # the wage and repayment blocks
     stacks_ok = (
         memory_push((0.0,) * 10, 52.0) == (52.0,) + (0.0,) * 9
         and memory_push((52.0,) + (0.0,) * 9, 57.90) == (57.90, 52.0) + (0.0,) * 8
-        and memory_due(two_pushes)[0] == pytest.approx(109.90)
+        and memory_due(*two_pushes)[0] == pytest.approx(109.90)
     )
     allocation_ok = allocate_investment(260.0, 0.2, 10) == (208.0, 52.0, 26.0)
     report("2 (worked formula examples)", ok and stacks_ok and allocation_ok)

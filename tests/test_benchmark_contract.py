@@ -137,13 +137,57 @@ def test_a_categorical_period_builds_no_record_and_validates_no_labeled_map(monk
 
         return wrapper
 
-    state = initial_state(Parameters())
+    params = Parameters()
+    state = initial_state(params)
     monkeypatch.setattr(
         catcore.FinSetMap, "__init__", counting("FinSetMap", catcore.FinSetMap.__init__)
     )
-    for _ in range(3):
-        state, _ = period_step(state, engine=EngineKind.CATEGORICAL)
+    for period in range(3):
+        state, _ = period_step(state, params, period, engine=EngineKind.CATEGORICAL)
     assert built == {}
     # the counter does see a labeled map
     catcore.FinSetMap(("a",), ("t",), {"a": "t"})
     assert built == {"FinSetMap": 1}
+
+
+def test_a_period_is_one_state_vector_with_the_same_layer_calls():
+    # the state is one list of doubles: no state or memory record is left
+    # to build, and a recursive period still makes the 10 formula calls and
+    # posts its 8 bookings through `post_booking`
+    from catledger import decisions
+
+    assert not hasattr(evolution, "SimulationState") and not hasattr(decisions, "ContractMemory")
+    importlib.import_module("catledger.cli")
+    spans = _spans()
+    tracer = spans.Tracer()
+    with tracer.installed():
+        evolution.run(Parameters(horizon=2))
+    steps = [span for span in tracer.spans if span.name == "evolution.period_step"]
+    assert len(steps) == 3
+    for step in steps:
+        children = [span.name for span in tracer.spans if span.parent is step]
+        assert sum(name.startswith("decisions.") for name in children) == 10
+        assert children.count("decisions.memory_due") == 1
+        assert children.count("decisions.memory_push") == 2
+        assert children.count("ledger.post_booking") == 8
+
+
+@pytest.mark.parametrize("workload", ["sim-recursive", "sim-categorical"])
+def test_the_traced_benchmark_run_builds_its_tracer_and_passes(workload):
+    # `--trace 1` resolves every layer when it builds its tracer, and fails a
+    # categorical call whose periods skip a law check
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
+         "--trace", "1", "--seconds", "0.2"],
+        cwd=ROOT, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    line = json.loads(proc.stdout.splitlines()[-1])
+    assert line["correct"] and line["failed"] == 0
+    metrics = {name: metric["value"] for name, metric in line["metrics"].items()}
+    assert metrics["ledger.bookings.posted_over_attempted"] == 1.0
+    if workload == "sim-recursive":  # 101 periods a call
+        assert metrics["decisions.calls"] == 10 * 101
+        assert metrics["ledger.post_booking.calls"] == 8 * 101
+    else:
+        assert metrics["catcore.check_functor_laws.calls"] > 0

@@ -325,9 +325,12 @@ class TestOneWalkDifferential:
             return built
 
         monkeypatch.setattr(evolution, "build_time_step", record)
-        state = evolution.initial_state(Parameters())
-        for _ in range(3):
-            state, _ = evolution.period_step(state, engine=evolution.EngineKind.CATEGORICAL)
+        params = Parameters()
+        state = evolution.initial_state(params)
+        for period in range(3):
+            state, _ = evolution.period_step(
+                state, params, period, engine=evolution.EngineKind.CATEGORICAL
+            )
         _, f_t, f_t1, _ = captured[-1]
         edited = 0
         for functor in (f_t, f_t1):

@@ -5,12 +5,12 @@ from __future__ import annotations
 import dataclasses
 import math
 import sys
+from array import array
 
 import pytest
 from hypothesis import given, strategies as st
 
 from catledger.decisions import (
-    ContractMemory,
     Parameters,
     allocate_investment,
     consumption,
@@ -22,6 +22,9 @@ from catledger.decisions import (
     memory_push,
     production,
 )
+from catledger import evolution
+from catledger.evolution import initial_state
+from catledger.ledger import init_ledger
 
 finite = st.floats(min_value=0.0, max_value=1e9, allow_nan=False, allow_infinity=False)
 fractions = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -138,16 +141,14 @@ class TestParameters:
 
 class TestMemory:
     def test_due_single_entry(self):
-        memory = ContractMemory(wage=(52.0,) + (0.0,) * 9, repay=(0.0,) * 10)
-        assert memory_due(memory) == (52.0, 0.0)
+        assert memory_due((52.0,) + (0.0,) * 9, (0.0,) * 10) == (52.0, 0.0)
 
     def test_due_two_entries(self):
-        memory = ContractMemory(wage=(57.90, 52.0) + (0.0,) * 8, repay=(0.0,) * 10)
-        wages, _ = memory_due(memory)
+        wages, _ = memory_due((57.90, 52.0) + (0.0,) * 8, (0.0,) * 10)
         assert wages == pytest.approx(109.90, abs=1e-9)
 
     def test_due_all_zero(self):
-        assert memory_due(ContractMemory.empty(10)) == (0.0, 0.0)
+        assert memory_due((0.0,) * 10, (0.0,) * 10) == (0.0, 0.0)
 
     def test_push_onto_zeros(self):
         assert memory_push((0.0,) * 10, 52.0) == (52.0,) + (0.0,) * 9
@@ -345,14 +346,46 @@ class TestDividendDecision:
         assert above == pytest.approx(40.0, abs=1e-8)
 
 
-class TestMemoryDataclass:
-    def test_lengths_must_agree(self):
-        with pytest.raises(ValueError):
-            ContractMemory(wage=(0.0,) * 3, repay=(0.0,) * 4)
+class TestMemoryBlock:
+    """The state vector's 2 tau memory entries: wage dues, then repayments."""
 
-    def test_entries_non_negative(self):
-        with pytest.raises(ValueError):
-            ContractMemory(wage=(-1.0,), repay=(0.0,))
+    @pytest.mark.parametrize("tau", [1, 2, 10, 17])
+    def test_initial_state_holds_the_ledger_then_zeros(self, tau):
+        state = initial_state(Parameters(tau=tau))
+        assert len(state) == 21 + 2 * tau
+        assert state[:20] == init_ledger()
+        assert all(entry == 0.0 and math.copysign(1.0, entry) == 1.0 for entry in state[20:])
+
+    @pytest.mark.parametrize("tau", [1, 3, 10])
+    def test_a_negative_pushed_entry_is_refused(self, tau):
+        state = initial_state(Parameters(tau=tau))
+        with pytest.raises(ValueError, match="^memory entries must be non-negative$"):
+            memory_push(state[20 : 20 + tau], -1.0)
+        with pytest.raises(ValueError, match="^memory entries must be non-negative$"):
+            memory_push(state[20 + tau : -1], -0.5)
+
+    @pytest.mark.parametrize("engine", ["recursive", "categorical"])
+    def test_a_period_refuses_a_negative_labor_share(self, monkeypatch, engine):
+        params = Parameters(tau=4)
+        state = initial_state(params)
+        opening = array("d", state).tobytes()
+        def negative_labor(invest, lam, tau):
+            return invest, -1.0, invest / tau
+
+        monkeypatch.setattr(evolution, "allocate_investment", negative_labor)
+        with pytest.raises(ValueError, match="^memory entries must be non-negative$"):
+            evolution.period_step(state, params, 0, engine=engine)
+        assert array("d", state).tobytes() == opening
+
+    @given(st.lists(st.floats(min_value=0.0, max_value=1e12), min_size=1, max_size=20))
+    def test_due_is_the_exact_sum_of_each_slice(self, entries):
+        tau = len(entries)
+        state = [0.0] * 20 + entries + entries[::-1] + [0.0]
+        wages, repays = state[20 : 20 + tau], state[20 + tau : -1]
+        expected = array("d", (math.fsum(wages), math.fsum(repays)))
+        assert array("d", memory_due(wages, repays)).tobytes() == expected.tobytes()
+        # a push keeps the block's length: the two stacks stay equal by construction
+        assert len(memory_push(wages, 1.0)) == len(memory_push(repays, 0.0)) == tau
 
     def test_parameters_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):

@@ -60,8 +60,9 @@ def default_run() -> Trace:
 class TestFirstPeriod:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_metrics_from_initial_state(self, engine):
-        state, metrics = period_step(initial_state(Parameters()), engine=engine)
-        bookings = period_amounts(metrics, state.params)
+        params = Parameters()
+        _, metrics = period_step(initial_state(params), params, 0, engine=engine)
+        bookings = period_amounts(metrics, params)
         assert metrics.investment == pytest.approx(260.0, abs=1e-9)
         assert metrics.good_production == pytest.approx(31.17, abs=0.01)
         assert metrics.good_price == pytest.approx(30.0, abs=1e-9)
@@ -71,8 +72,8 @@ class TestFirstPeriod:
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_ledger_after_first_period(self, engine):
-        state, _ = period_step(initial_state(Parameters()), engine=engine)
-        led = state.ledger
+        params = Parameters()
+        led, _ = period_step(initial_state(params), params, 0, engine=engine)
         assert led[ACCOUNT_INDEX["AccComLoan"]] == pytest.approx(260.0, abs=1e-9)
         assert led[ACCOUNT_INDEX["AccResBank"]] == pytest.approx(208.0, abs=1e-9)
         assert led[ACCOUNT_INDEX["AccComBank"]] == pytest.approx(52.0, abs=1e-9)
@@ -83,12 +84,11 @@ class TestFirstPeriod:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_second_period(self, engine):
         params = Parameters()
-        state, _ = period_step(initial_state(params), engine=engine)
-        state, metrics = period_step(state, engine=engine)
+        state, _ = period_step(initial_state(params), params, 0, engine=engine)
+        led, metrics = period_step(state, params, 1, engine=engine)
         assert metrics.investment == pytest.approx(289.49, abs=0.01)
         assert metrics.good_price == pytest.approx(141.7, abs=1e-6)
         assert metrics.diff == pytest.approx(138.50, abs=0.01)
-        led = state.ledger
         assert led[ACCOUNT_INDEX["AccComBank"]] == pytest.approx(190.50, abs=0.01)
         assert led[ACCOUNT_INDEX["AccResBank"]] == pytest.approx(273.19, abs=0.01)
         assert led[ACCOUNT_INDEX["AccLabBank"]] == pytest.approx(52.0, abs=1e-9)
@@ -102,12 +102,12 @@ class TestDegenerateStates:
         # investment pays for, so the period must reject, not clamp
         params = Parameters(nu_l=0.0, nu_r=0.0, com_lab_0=0.0, com_res_0=0.0)
         state = initial_state(params)
-        before = state.ledger[:]
+        before = state[:]
         with pytest.raises(ValidationFailure) as err:
-            period_step(state, engine=engine)
+            period_step(state, params, 0, engine=engine)
         assert any("AccResRes" in d for d in err.value.diagnostics)
-        assert state.ledger == before  # untouched
-        assert state.period == 0
+        assert state == before  # untouched
+        assert err.value.period is None  # only `run` records the period
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_bare_state_with_full_labor_share_runs(self, engine):
@@ -115,7 +115,7 @@ class TestDegenerateStates:
         # resource purchase, and the bare state steps cleanly: only the loan
         # moves value, everything else is a zero flow
         params = Parameters(lam=1.0, nu_l=0.0, nu_r=0.0, com_lab_0=0.0, com_res_0=0.0)
-        state, metrics = period_step(initial_state(params), engine=engine)
+        state, metrics = period_step(initial_state(params), params, 0, engine=engine)
         assert metrics.demand == 0.0
         assert metrics.good_production == 1.0
         assert metrics.wages_payment == 0.0
@@ -123,8 +123,8 @@ class TestDegenerateStates:
         assert metrics.dividend_payment == 0.0
         assert metrics.investment_res == 0.0
         assert metrics.investment == pytest.approx(260.0)
-        assert state.ledger[ACCOUNT_INDEX["AccComBank"]] == pytest.approx(260.0)
-        assert state.ledger[ACCOUNT_INDEX["AccResBank"]] == 0.0
+        assert state[ACCOUNT_INDEX["AccComBank"]] == pytest.approx(260.0)
+        assert state[ACCOUNT_INDEX["AccResBank"]] == 0.0
         assert invariant_tuple(state) == (0.0,) * 6
 
     @pytest.mark.parametrize("engine", ENGINES)
@@ -151,7 +151,7 @@ def reachable(root) -> list:
 
 
 def invariant_tuple(state):
-    return invariances(state.ledger).as_tuple()
+    return invariances(state[:20]).as_tuple()
 
 
 class TestTraceShape:
@@ -195,7 +195,7 @@ class TestEngineArgument:
         with pytest.raises(ValueError, match="'fast'.*'recursive' or 'categorical'"):
             run(Parameters(horizon=3), engine="fast")
         with pytest.raises(ValueError, match="'fast'.*'recursive' or 'categorical'"):
-            period_step(initial_state(Parameters()), engine="fast")
+            period_step(initial_state(Parameters()), Parameters(), 0, engine="fast")
 
 
 class TestFiniteTrace:
@@ -313,7 +313,7 @@ class TestCategoricalInternals:
         cat = build_economy_category()
         assert len(cat.names) == 20
         assert cat.names == list(ACCOUNT_NAMES)
-        assert _CategoricalBook(init_ledger()).get("AccComLab") == 110.0
+        assert _CategoricalBook(init_ledger()).values[ACCOUNT_INDEX["AccComLab"]] == 110.0
 
     def test_pullback_gate_accepts_funded_loan(self):
         balances = init_ledger()
@@ -481,12 +481,12 @@ def test_a_ledger_is_one_list_of_20_floats_everywhere():
     assert post_booking(ledger, 5, (260.0,)) is ledger
     assert ledger[ACCOUNT_INDEX["AccComBank"]] == 260.0
     for engine in ENGINES:
-        state = initial_state(Parameters())
-        opening = state.ledger[:]
-        closing = period_step(state, engine=engine)[0].ledger
-        assert type(closing) is list and closing is not state.ledger
-        assert len(closing) == len(ACCOUNT_NAMES) and all(type(v) is float for v in closing)
-        assert state.ledger == opening
+        params = Parameters()
+        state = initial_state(params)
+        opening = state[:]
+        closing = period_step(state, params, 0, engine=engine)[0][: len(ACCOUNT_NAMES)]
+        assert type(closing) is list and all(type(v) is float for v in closing)
+        assert state == opening
 
 
 class TestStability:
@@ -546,24 +546,109 @@ class TestBookingLog:
         assert len(reachable(short)) == len(reachable(long))
 
     def test_input_state_is_never_mutated(self):
-        state = initial_state(Parameters())
-        before = state.ledger[:]
-        period_step(state)
-        assert state.ledger == before
-        assert state.period == 0
-        assert state.memory.wage == (0.0,) * 10
+        params = Parameters()
+        state = initial_state(params)
+        before = state[:]
+        period_step(state, params, 0)
+        assert state == before
+        assert state[20:30] == [0.0] * 10  # the wage dues
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_input_balances_are_bit_identical_and_unshared(self, engine):
-        state = initial_state(Parameters())
-        for _ in range(3):
-            state, _ = period_step(state, engine=engine)
-        before = array("d", state.ledger).tobytes()
-        new_state, _ = period_step(state, engine=engine)
-        assert array("d", state.ledger).tobytes() == before
-        assert new_state.ledger is not state.ledger
-        new_state.ledger[:] = [1.0] * len(ACCOUNT_NAMES)
-        assert array("d", state.ledger).tobytes() == before
+        params = Parameters()
+        state = initial_state(params)
+        for period in range(3):
+            state, _ = period_step(state, params, period, engine=engine)
+        before = array("d", state).tobytes()
+        new_state, _ = period_step(state, params, 3, engine=engine)
+        assert array("d", state).tobytes() == before
+        assert new_state is not state
+        new_state[:] = [1.0] * len(new_state)
+        assert array("d", state).tobytes() == before
+
+
+def step_by_hand(params: Parameters, engine: EngineKind) -> tuple:
+    """A run's cells, or its rejection, from `period_step` called period by period."""
+    state, cells, tau = initial_state(params), array("d"), params.tau
+    for period in range(params.horizon + 1):
+        opening = array("d", state).tobytes()
+        try:
+            new_state, metrics = period_step(state, params, period, engine=engine)
+        except ValidationFailure as exc:
+            return "rejected", str(exc), exc.diagnostics, period
+        assert array("d", state).tobytes() == opening  # the input vector is untouched
+        assert type(new_state) is list and new_state is not state
+        assert len(new_state) == 21 + 2 * tau
+        cells.extend((period, *metrics, *state[:20], *invariances(state[:20])))
+        state = new_state
+    return "ok", cells.tobytes()
+
+
+class TestStateVector:
+    """`period_step` maps one list of 21 + 2 tau doubles to the next."""
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("tau", [1, 2, 5, 17])
+    def test_stepping_by_hand_reproduces_run(self, engine, tau):
+        params = Parameters(tau=tau, horizon=60)
+        try:
+            expected = "ok", run(params, engine=engine).cells.tobytes()
+        except ValidationFailure as exc:
+            expected = "rejected", str(exc), exc.diagnostics, exc.period
+        assert step_by_hand(params, engine) == expected
+        if tau == 1:  # the first loan falls due whole in period 1
+            assert expected[0] == "rejected" and expected[3] == 1
+        if tau in (5, 17):
+            assert expected[0] == "ok"
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("late", [False, True])
+    def test_a_negative_balance_write_is_refused_by_name(self, monkeypatch, engine, late):
+        # valid parameters cannot reach this refusal: production is patched to
+        # return a negative output, in period 0 or from period 2 on
+        from catledger import evolution
+
+        real, calls = evolution.production, []
+
+        def production(*args):
+            calls.append(args)
+            return real(*args) if late and len(calls) <= 2 else -1e6
+
+        monkeypatch.setattr(evolution, "production", production)
+        with pytest.raises(ValidationFailure) as err:
+            run(Parameters(horizon=5), engine=engine)
+        value = "-999969.0059796221" if late else "-1000000.0"
+        assert str(err.value) == f"balance of 'AccComGood' would become negative ({value})"
+        assert err.value.period == (2 if late else 0)
+        assert err.value.diagnostics == []
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize(
+        "account, stock, written", [("AccCapGood", -1.0, "-0.6"), ("AccResRes", -200.5, "-100.5")]
+    )
+    def test_a_negative_carried_balance_is_refused(self, engine, account, stock, written):
+        # a state handed in with a negative stock: the decay and endowment
+        # writes refuse it by name, as they would refuse any negative balance
+        params = Parameters()
+        state = initial_state(params)
+        state[ACCOUNT_INDEX[account]] = stock
+        with pytest.raises(ValidationFailure) as err:
+            period_step(state, params, 0, engine=engine)
+        assert str(err.value) == f"balance of {account!r} would become negative ({written})"
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_a_nan_balance_write_passes(self, engine):
+        params = Parameters()
+        state = initial_state(params)
+        state[ACCOUNT_INDEX["AccLabLab"]] = math.nan
+        closing, _ = period_step(state, params, 0, engine=engine)
+        assert math.isnan(closing[ACCOUNT_INDEX["AccLabLab"]])
+
+    def test_a_state_of_another_length_is_refused(self):
+        params = Parameters(tau=3)
+        for state in (initial_state(Parameters(tau=4)), initial_state(params)[:-1]):
+            with pytest.raises(ValueError, match=r"^a state for tau=3 holds 27 doubles, got "):
+                period_step(state, params, 0)
 
 
 def counting_scans(monkeypatch) -> list[int]:
@@ -626,8 +711,8 @@ def real_period(monkeypatch, params: Parameters, periods: int = 3):
 
     monkeypatch.setattr(evolution, "build_time_step", record)
     state = initial_state(params)
-    for _ in range(periods):
-        state, _ = period_step(state, engine=EngineKind.CATEGORICAL)
+    for period in range(periods):
+        state, _ = period_step(state, params, period, engine=EngineKind.CATEGORICAL)
     return captured["flows"], captured["eta"], captured["old"], captured["new"]
 
 
@@ -657,11 +742,12 @@ class TestPeriodLawGuard:
         )
         for name in names:
             monkeypatch.setattr(evolution, name, counting(name))
-        state = initial_state(Parameters())
-        for _ in range(12):
+        params = Parameters()
+        state = initial_state(params)
+        for period in range(12):
             counts.clear()
-            state, metrics = period_step(state, engine=EngineKind.CATEGORICAL)
-            assert len(period_amounts(metrics, state.params)) == 8
+            state, metrics = period_step(state, params, period, engine=EngineKind.CATEGORICAL)
+            assert len(period_amounts(metrics, params)) == 8
             assert counts == {
                 "check_functor_laws": 2,
                 "check_naturality": 1,
@@ -691,12 +777,13 @@ class TestPeriodLawGuard:
         monkeypatch.setattr(
             evolution, "pushout_positions", recording("pushout", evolution.pushout_positions)
         )
-        state = initial_state(Parameters())
-        for _ in range(3):
+        params = Parameters()
+        state = initial_state(params)
+        for period in range(3):
             for kind in handed:
                 handed[kind].clear()
-            state, metrics = period_step(state, engine=EngineKind.CATEGORICAL)
-            posted = period_amounts(metrics, state.params)
+            state, metrics = period_step(state, params, period, engine=EngineKind.CATEGORICAL)
+            posted = period_amounts(metrics, params)
             assert len(handed["pullback"]) == len(handed["pushout"]) == len(posted)
             for (booking_id, _), (_, spec_cone), (to_account, to_slot) in zip(
                 posted, handed["pullback"], handed["pushout"]
@@ -725,13 +812,13 @@ class TestPeriodLawGuard:
             return count, [0, 0, *classes[2:]]
 
         monkeypatch.setattr(evolution, "pushout_positions", glued)
-        state = initial_state(Parameters())
-        before = array("d", state.ledger).tobytes()
+        params = Parameters()
+        state = initial_state(params)
+        before = array("d", state).tobytes()
         with pytest.raises(EngineConsistencyError) as err:
-            period_step(state, engine=EngineKind.CATEGORICAL)
+            period_step(state, params, 0, engine=EngineKind.CATEGORICAL)
         assert str(err.value) == "pushout glued 2 accounts into one class"
-        assert array("d", state.ledger).tobytes() == before
-        assert state.period == 0 and state.declared_dividend == 0.0
+        assert array("d", state).tobytes() == before
 
     def test_pushout_leg_moved_to_another_account_is_caught(self, monkeypatch):
         from catledger import evolution
@@ -746,13 +833,13 @@ class TestPeriodLawGuard:
             return count, [*i_a, other, *i_b[1:]]
 
         monkeypatch.setattr(evolution, "pushout_positions", moved)
-        state = initial_state(Parameters())
-        before = array("d", state.ledger).tobytes()
+        params = Parameters()
+        state = initial_state(params)
+        before = array("d", state).tobytes()
         with pytest.raises(EngineConsistencyError) as err:
-            period_step(state, engine=EngineKind.CATEGORICAL)
+            period_step(state, params, 0, engine=EngineKind.CATEGORICAL)
         assert str(err.value) == "pushout square does not commute: a leg left its account"
-        assert array("d", state.ledger).tobytes() == before
-        assert state.period == 0 and state.declared_dividend == 0.0
+        assert array("d", state).tobytes() == before
 
     def test_missing_component_names_the_account(self, monkeypatch):
         flows, eta, old, new = real_period(monkeypatch, Parameters())
@@ -921,10 +1008,10 @@ class TestCompiledCategoricalPost:
                 book.post(booking_id, amounts)
             assert str(err.value) == str(exc)
             assert err.value.diagnostics == exc.diagnostics
-            assert bits(book.get(name) for name in ACCOUNT_NAMES) == bits(balances)
+            assert bits(book.values) == bits(balances)
         else:
             book.post(booking_id, amounts)
-            assert bits(book.get(name) for name in ACCOUNT_NAMES) == bits(reference)
+            assert bits(book.values) == bits(reference)
 
     @pytest.mark.parametrize("booking_id", sorted(BOOKINGS))
     @settings(max_examples=100, deadline=None)

@@ -23,7 +23,6 @@ from catledger.ledger import (
     Direction,
     Unit,
     ValidationFailure,
-    checked_balance,
     compile_booking_table,
     conservation_status,
     init_ledger,
@@ -32,6 +31,7 @@ from catledger.ledger import (
     leg_statuses,
     post_booking,
     post_compiled,
+    refuse_negative,
     validate_booking,
 )
 
@@ -347,13 +347,27 @@ class TestConservationProperty:
         assert (ok, diagnostics) == oracle_validate_booking(ledger, reference)
 
 
-class TestCheckedBalance:
-    def test_math_is_plain_float(self):
+class TestRefuseNegative:
+    def test_the_first_negative_position_is_named(self):
+        values = init_ledger()
+        values[ACCOUNT_INDEX["AccLabBank"]] = -5.0
+        values[ACCOUNT_INDEX["AccComBank"]] = -1.0
+        opening = list(values)
+        positions = [ACCOUNT_INDEX[name] for name in ("AccComGood", "AccLabBank", "AccComBank")]
         with pytest.raises(ValidationFailure) as err:
-            checked_balance("AccLabBank", -5.0)
+            refuse_negative(values, positions)
         assert str(err.value) == "balance of 'AccLabBank' would become negative (-5.0)"
-        assert math.isclose(checked_balance("AccComBank", 0.1), 0.1)
-        assert math.isnan(checked_balance("AccComGood", math.nan))  # a NaN passes
+        assert err.value.diagnostics == [] and err.value.period is None
+        assert values == opening  # a check only: nothing is written
+
+    def test_zero_and_nan_pass_and_other_positions_are_not_read(self):
+        values = init_ledger()
+        values[ACCOUNT_INDEX["AccComBank"]] = 0.1
+        values[ACCOUNT_INDEX["AccComGood"]] = math.nan
+        values[ACCOUNT_INDEX["AccLabBank"]] = -5.0
+        passing = [ACCOUNT_INDEX["AccComBank"], ACCOUNT_INDEX["AccComGood"]]
+        assert refuse_negative(values, passing) is None
+        assert refuse_negative(values, ()) is None
 
 
 # ---------------------------------------------------------------------------
@@ -449,6 +463,12 @@ def oracle_validate_booking(ledger: list[float], booking: Booking) -> tuple[bool
     return not diagnostics, diagnostics
 
 
+def oracle_checked_balance(name: str, value: float) -> float:
+    if value < 0.0:
+        raise ValidationFailure(f"balance of {name!r} would become negative ({value})")
+    return value
+
+
 def oracle_post_booking(ledger: list[float], booking: Booking) -> list[float]:
     ok, diagnostics = oracle_validate_booking(ledger, booking)
     if not ok:
@@ -458,9 +478,9 @@ def oracle_post_booking(ledger: list[float], booking: Booking) -> list[float]:
     for leg in booking.legs:
         index = ACCOUNT_INDEX[leg.account]
         if leg.direction is Direction.INFLOW:
-            ledger[index] = checked_balance(leg.account, ledger[index] + leg.amount)
+            ledger[index] = oracle_checked_balance(leg.account, ledger[index] + leg.amount)
         else:
-            ledger[index] = checked_balance(leg.account, ledger[index] - leg.amount)
+            ledger[index] = oracle_checked_balance(leg.account, ledger[index] - leg.amount)
     return ledger
 
 
