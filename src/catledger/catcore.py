@@ -3,7 +3,8 @@
 Categories are *presented*: objects and generators are explicit, identities
 implicit, composites generator paths; law checks test structure (endpoints,
 composability) over generators and composable pairs, never weights.  A
-category is held as parallel columns and a FinSet map as positions into its
+category is held as parallel columns, a functor and a transformation as lists
+of target ids in source-id order, and a FinSet map as positions into its
 codomain, after the attributed C-sets of Patterson, Lynch & Fairbanks
 ("Categorical data structures for technical computing", Compositionality 4,
 2022).  `pullback_positions` and `pushout_positions` compute the FinSet
@@ -69,15 +70,16 @@ class FiniteCategory:
         """Append generators given as columns, returning their fresh ids.
 
         CategoryError names the four lengths of unequal columns, and
-        DanglingEndpointError the first endpoint that is not an object id;
-        nothing is appended then.
+        DanglingEndpointError the first endpoint that is not an object id,
+        an int in 1..len(names); nothing is appended then.
         """
-        lengths = len(src), len(dst), len(weight), len(label)
-        if lengths.count(lengths[0]) != 4:
+        if not len(src) == len(dst) == len(weight) == len(label):
+            lengths = len(src), len(dst), len(weight), len(label)
             raise CategoryError("unequal columns: src %d, dst %d, weight %d, label %d" % lengths)
-        n_objects = len(self.names)
-        if src and not 1 <= min(*src, *dst) <= max(*src, *dst) <= n_objects:
-            bad = next(end for pair in zip(src, dst) for end in pair if not 1 <= end <= n_objects)
+        n_objects, ints = len(self.names), type(sum(src) + sum(dst)) is int  # only ints sum to one
+        if src and not (ints and 1 <= min(*src, *dst) <= max(*src, *dst) <= n_objects):
+            ends = itertools.chain(*zip(src, dst))
+            bad = next(e for e in ends if not isinstance(e, int) or not 1 <= e <= n_objects)
             raise DanglingEndpointError(f"morphism endpoint {bad} does not exist in {self.name!r}")
         first = len(self.src) + 1
         self.src.extend(src)
@@ -98,33 +100,32 @@ class FiniteCategory:
 class Functor:
     """A functor between presented categories, given on generators.
 
-    `object_map` sends source object ids to target object ids and must be
-    total; `morphism_map` sends source generator ids to target generator
-    ids.  Identities are preserved automatically (they are implicit), so
-    the checkable laws are endpoint coherence and composability of images.
+    `object_images[i - 1]` is the target object id of source object i and
+    `morphism_images[j - 1]` that of generator j, None where there is none.
+    Identities are preserved automatically (they are implicit), so the
+    checkable laws are endpoint coherence and composability of images.
     """
 
     source: FiniteCategory
     target: FiniteCategory
-    object_map: dict[int, int] = field(default_factory=dict)
-    morphism_map: dict[int, int] = field(default_factory=dict)
+    object_images: list[int | None]
+    morphism_images: list[int | None]
 
     @staticmethod
     def identity(cat: FiniteCategory) -> "Functor":
-        objects, morphisms = range(1, len(cat.names) + 1), range(1, len(cat.src) + 1)
-        return Functor(cat, cat, dict(zip(objects, objects)), dict(zip(morphisms, morphisms)))
+        return Functor(cat, cat, list(range(1, len(cat.names) + 1)), list(cat.morphisms))
 
 
 @dataclass
 class NaturalTransformation:
     """A transformation between parallel functors, one component per source object.
 
-    `components[A]` is the id of a target morphism F(A) -> G(A).
+    `components[i - 1]` is the id of a target morphism F(i) -> G(i), or None.
     """
 
     F: Functor
     G: Functor
-    components: dict[int, int] = field(default_factory=dict)
+    components: list[int | None]
 
 
 @dataclass
@@ -138,47 +139,51 @@ class LawReport:
         return self.ok
 
 
+def _fit(images: list[int | None], count: int) -> list[int | None]:
+    """`images` cut or padded with None to `count` entries, since zip drops what is missing."""
+    return images if len(images) == count else [*images[:count], *[None] * (count - len(images))]
+
+
 def check_functor_laws(functor: Functor) -> LawReport:
     """Check totality, endpoint coherence and composition preservation in one walk."""
     src_cat, dst_cat = functor.source, functor.target
-    object_map, morphism_map = functor.object_map, functor.morphism_map
-    starts, ends, n_objects = dst_cat.src, dst_cat.dst, len(dst_cat.names)
+    objects = _fit(functor.object_images, len(src_cat.names))
+    images = _fit(functor.morphism_images, len(src_cat.src))
+    starts, ends, n_objects, bound = dst_cat.src, dst_cat.dst, len(dst_cat.names), len(dst_cat.src)
     failures: list[str] = []
-    for obj_id, name in enumerate(src_cat.names, 1):
-        image = object_map.get(obj_id)
+    for name, image in zip(src_cat.names, objects):
         if image is None:
             failures.append(f"object {name!r} has no image")
         elif not 1 <= image <= n_objects:
             failures.append(f"object {name!r} maps to missing id {image}")
-    resolved: dict[int, int] = {}
-    for mor_id, (s, d, label) in enumerate(zip(src_cat.src, src_cat.dst, src_cat.label), 1):
-        mapped = morphism_map.get(mor_id)
+    walk = zip(itertools.count(1), src_cat.src, src_cat.dst, src_cat.label, images)
+    for mor_id, s, d, label, mapped in walk:
         if mapped is None:
             failures.append(f"morphism {mor_id} ({label or 'unlabeled'}) has no image")
-        elif not 1 <= mapped <= len(starts):
+        elif not 1 <= mapped <= bound:
             failures.append(f"morphism {mor_id} maps to missing id {mapped}")
         else:
-            resolved[mor_id] = mapped
             image_src, image_dst = starts[mapped - 1], ends[mapped - 1]
-            if image_src != object_map.get(s):
+            if image_src != objects[s - 1]:
                 failures.append(
-                    f"morphism {mor_id}: image source {image_src} != F(src) {object_map.get(s)}"
+                    f"morphism {mor_id}: image source {image_src} != F(src) {objects[s - 1]}"
                 )
-            if image_dst != object_map.get(d):
+            if image_dst != objects[d - 1]:
                 failures.append(
-                    f"morphism {mor_id}: image target {image_dst} != F(dst) {object_map.get(d)}"
+                    f"morphism {mor_id}: image target {image_dst} != F(dst) {objects[d - 1]}"
                 )
     # the images of a composable pair whose two generators have coherent
     # endpoints meet at the image of the shared object, so a pair can fail
     # only when something above already has
     if failures:
+        resolved = [j if j is not None and 1 <= j <= bound else None for j in images]
         for f, g in src_cat.composable_pairs():
-            f_img, g_img = resolved.get(f), resolved.get(g)
+            f_img, g_img = resolved[f - 1], resolved[g - 1]
             if f_img is not None and g_img is not None and ends[f_img - 1] != starts[g_img - 1]:
                 failures.append(
                     f"composable pair ({f}, {g}) maps to non-composing pair ({f_img}, {g_img})"
                 )
-    return LawReport(ok=not failures, failures=failures)
+    return LawReport(not failures, failures)
 
 
 def check_naturality(eta: NaturalTransformation) -> LawReport:
@@ -190,35 +195,38 @@ def check_naturality(eta: NaturalTransformation) -> LawReport:
     F, G = eta.F, eta.G
     if F.source is not G.source or F.target is not G.target:
         return LawReport(False, ["functors are not parallel"])
-    starts, ends = F.target.src, F.target.dst
-    f_morphisms, g_morphisms, bound = F.morphism_map, G.morphism_map, len(starts)
+    source, names, n, m = F.source, F.source.names, len(F.source.names), len(F.source.src)
+    starts, ends, bound = F.target.src, F.target.dst, len(F.target.src)
     failures: list[str] = []
-    comp_ends: dict[int, tuple[int, int]] = {}
-    for obj_id, name in enumerate(F.source.names, 1):
-        comp_id = eta.components.get(obj_id)
+    comp_starts, comp_ends = [None], [None]  # eta_A runs comp_starts[A] -> comp_ends[A]
+    walk = zip(names, _fit(eta.components, n), _fit(F.object_images, n), _fit(G.object_images, n))
+    for name, comp_id, f_obj, g_obj in walk:
+        a = b = None
         if comp_id is None:
             failures.append(f"object {name!r} has no component")
         elif not 1 <= comp_id <= bound:
             failures.append(f"component at {name!r} is missing id {comp_id}")
         else:
-            a, b = comp_ends[obj_id] = starts[comp_id - 1], ends[comp_id - 1]
-            if a != F.object_map.get(obj_id) or b != G.object_map.get(obj_id):
+            a, b = starts[comp_id - 1], ends[comp_id - 1]
+            if a != f_obj or b != g_obj:
                 failures.append(
                     f"component at {name!r} is mistyped: {a}->{b} is not F({name})->G({name})"
                 )
-    for mor_id, (a, b) in enumerate(zip(F.source.src, F.source.dst), 1):
-        eta_a, eta_b = comp_ends.get(a), comp_ends.get(b)
-        fi, gi = f_morphisms.get(mor_id), g_morphisms.get(mor_id)
-        if eta_a is None or eta_b is None or fi is None or gi is None:
+        comp_starts.append(a)
+        comp_ends.append(b)
+    f_images, g_images = _fit(F.morphism_images, m), _fit(G.morphism_images, m)
+    for mor_id, a, b, fi, gi in zip(itertools.count(1), source.src, source.dst, f_images, g_images):
+        a0, b0 = comp_starts[a], comp_starts[b]
+        if a0 is None or b0 is None or fi is None or gi is None:
             failures.append(f"square for morphism {mor_id} is incomplete")
         elif not (1 <= fi <= bound and 1 <= gi <= bound):
             failures.append(f"square for morphism {mor_id} maps to a missing id")
         # left path: eta_A then G(f); right path: F(f) then eta_B
-        elif eta_a[1] != starts[gi - 1] or ends[fi - 1] != eta_b[0]:
+        elif comp_ends[a] != starts[gi - 1] or ends[fi - 1] != b0:
             failures.append(f"square for morphism {mor_id} does not compose")
-        elif eta_a[0] != starts[fi - 1] or ends[gi - 1] != eta_b[1]:
+        elif a0 != starts[fi - 1] or ends[gi - 1] != comp_ends[b]:
             failures.append(f"square for morphism {mor_id} is not parallel")
-    return LawReport(ok=not failures, failures=failures)
+    return LawReport(not failures, failures)
 
 
 # ---------------------------------------------------------------------------

@@ -480,7 +480,7 @@ def run_law_fixtures() -> list[tuple[str, bool]]:
     results.append(("identity functor passes", check_functor_laws(identity).ok))
 
     corrupted = Functor.identity(cat)
-    corrupted.morphism_map[1] = 2  # a: X->Y now maps to b: Y->Z
+    corrupted.morphism_images[0] = 2  # a: X->Y now maps to b: Y->Z
     results.append(("corrupted functor fails", not check_functor_laws(corrupted).ok))
 
     f = FinSetMap(("a", "b"), ("t", "f"), {"a": "t", "b": "f"})
@@ -501,7 +501,7 @@ def run_law_fixtures() -> list[tuple[str, bool]]:
 
     # the engine's own shapes: the dividend booking's 8 legs onto 6 accounts,
     # two touched twice, and its gate with every leg ok
-    _, to_account, to_slot, _, _ = _FIXED[6]
+    _, to_account, to_slot, *_ = _FIXED[6]
     fixed = (to_account, to_slot, *finset_pushout(to_account, to_slot))
     results.append(("dividend pushout universal property", verify_pushout_universal(*fixed)))
     legs_ok = FinSetMap.from_positions(to_slot.domain, _SPEC_CONE.codomain, (0,) * 8)

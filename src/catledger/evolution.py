@@ -41,11 +41,13 @@ each row's cells in `TRACE_COLUMNS` order.
 
 from __future__ import annotations
 
+import itertools
 import math
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from enum import Enum
+from operator import sub
 from types import MappingProxyType
 from typing import Iterator, NamedTuple, NoReturn
 
@@ -54,6 +56,7 @@ from .catcore import (
     FinSetMap,
     Functor,
     NaturalTransformation,
+    _fit,
     check_functor_laws,
     check_naturality,
     pullback_positions,
@@ -331,7 +334,8 @@ def build_economy_category() -> FiniteCategory:
 
 # Each booking's fixed inputs, built once: its leg tokens; the pushout's
 # read-only maps of the legs onto their accounts and onto themselves; its
-# flows as src, dst, slot and label columns; per leg (is inflow, slot).
+# flows as src, dst, slot and label columns; per leg (is inflow, slot); the
+# ledger positions of its accounts; the gate's images of legs all 'ok'.
 _OK = ("ok",)
 _SPEC_CONE = FinSetMap(("all",), _OK, {"all": "ok"})
 
@@ -344,20 +348,21 @@ def _fixed_inputs(booking_id: int, legs: tuple, channels: tuple) -> tuple:
     flows = [(ids[s], ids[d], legs[s][2], f"b{booking_id}:{label}") for s, d, label in channels]
     ways = tuple((way is Direction.INFLOW, slot) for _, way, slot in legs)
     identity = FinSetMap(tokens, tokens, dict(zip(tokens, tokens)))
-    return tokens, touched, identity, tuple(zip(*flows)), ways
+    positions = tuple(map(ACCOUNT_INDEX.__getitem__, accounts))
+    return tokens, touched, identity, tuple(zip(*flows)), ways, positions, (0,) * len(legs)
 
 
 _FIXED = MappingProxyType({i: _fixed_inputs(i, legs, ch) for i, (_, legs, ch) in BOOKINGS.items()})
 
 
-def booking_to_morphisms(cat: FiniteCategory, booking_id: int, amounts: tuple) -> tuple[int, ...]:
-    """Record a booking's value channels as weighted morphisms in an economy category."""
+def booking_to_morphisms(cat: FiniteCategory, booking_id: int, amounts: tuple) -> range:
+    """Record a booking's value channels as weighted morphisms in `cat`; returns their ids."""
     src, dst, slots, labels = booking_entry(_FIXED, booking_id)[3]
-    return tuple(cat.extend(src, dst, [amounts[slot] for slot in slots], labels))
+    return cat.extend(src, dst, [amounts[slot] for slot in slots], labels)
 
 
 def validate_via_pullback(
-    balances: Sequence[float], booking_id: int, amounts: tuple[float, ...]
+    balances: list[float], booking_id: int, amounts: tuple[float, ...]
 ) -> tuple[bool, list[str]]:
     """Gate a booking by pulling its per-leg checks back against 'all ok'.
 
@@ -367,15 +372,14 @@ def validate_via_pullback(
     when the compiled legs post onto a copy of the balances, else one scan
     of the legs gives the statuses and the conservation verdict.
     """
-    legs = booking_entry(_FIXED, booking_id)[0]
-    if post_compiled(list(balances), booking_id, amounts):
-        statuses, verdict, outcomes = _OK * len(legs), "ok", _OK
+    legs, _, _, _, _, _, all_ok = booking_entry(_FIXED, booking_id)
+    if post_compiled(balances[:], booking_id, amounts):
+        statuses, verdict, spec_cone = _OK * len(legs), "ok", _SPEC_CONE
+        leg_check = FinSetMap.from_positions(legs, _OK, all_ok)
     else:
         statuses, verdict, _ = ledger_module._scan_legs(balances, booking_id, amounts)
         outcomes = tuple(sorted({*statuses, "ok"}))
-    leg_check = FinSetMap.from_positions(legs, outcomes, map(outcomes.index, statuses))
-    spec_cone = _SPEC_CONE
-    if outcomes != _OK:
+        leg_check = FinSetMap.from_positions(legs, outcomes, map(outcomes.index, statuses))
         spec_cone = FinSetMap.from_positions(("all",), outcomes, (outcomes.index("ok"),))
     if len(pullback_positions(leg_check, spec_cone)) == len(legs) and verdict == "ok":
         return True, []
@@ -390,11 +394,10 @@ def apply_via_pushout(values: list[float], booking_id: int, amounts: tuple[float
     image of exactly one account.  Each leg is added to or subtracted from
     that account's entry of `values`, in leg order.
     """
-    _, to_account, to_slot, _, ways = booking_entry(_FIXED, booking_id)
+    _, to_account, to_slot, _, ways, positions, _ = booking_entry(_FIXED, booking_id)
     _, classes = pushout_positions(to_account, to_slot)
-    accounts = to_account.codomain
-    i_a, i_b = classes[: len(accounts)], classes[len(accounts) :]
-    owners = dict(zip(i_a, map(ACCOUNT_INDEX.__getitem__, accounts)))
+    i_a, i_b = classes[: len(positions)], classes[len(positions) :]
+    owners = dict(zip(i_a, positions))
     if len(owners) != len(i_a):
         glued = max(map(i_a.count, i_a))
         raise EngineConsistencyError(f"pushout glued {glued} accounts into one class")
@@ -423,14 +426,13 @@ def build_time_step(
         _STEP_NAMES,
         _AT_T + src + [i + _SHIFT for i in src],
         _AT_T1 + dst + [i + _SHIFT for i in dst],
-        [b - a for a, b in zip(old, new)] + flows.weight * 2,
+        [*map(sub, new, old), *flows.weight, *flows.weight],
         _EVOLVE + flows.label * 2,
     )
-    images = range(_SHIFT + 1, _SHIFT + 2 * m + 1)
-    f_t = Functor(flows, step, dict(zip(_AT_T, _AT_T)), dict(zip(flows.morphisms, images[:m])))
-    f_t1 = Functor(flows, step, dict(zip(_AT_T, _AT_T1)), dict(zip(flows.morphisms, images[m:])))
-    eta = NaturalTransformation(f_t, f_t1, dict(zip(_AT_T, _AT_T)))
-    return step, f_t, f_t1, eta
+    images = list(range(_SHIFT + 1, _SHIFT + 2 * m + 1))
+    f_t = Functor(flows, step, _AT_T[:], images[:m])
+    f_t1 = Functor(flows, step, _AT_T1[:], images[m:])
+    return step, f_t, f_t1, NaturalTransformation(f_t, f_t1, _AT_T[:])
 
 
 def _both_nan(weight: float, expected: float) -> bool:
@@ -453,12 +455,12 @@ def verify_time_step(
     failures: list[str] = []
     for functor, tag in ((eta.F, "F_t"), (eta.G, "F_t+1")):
         failures.extend(f"{tag}: {msg}" for msg in check_functor_laws(functor).failures)
-        morphism_map, target = functor.morphism_map, functor.target
-        labels, weights = target.label, target.weight
-        for mor_id, (label, weight) in enumerate(zip(flows.label, flows.weight), 1):
-            mapped = morphism_map.get(mor_id)
-            if mapped is None or not 1 <= mapped <= len(labels):
-                continue  # reported by the law check
+        target = functor.target
+        labels, weights, bound = target.label, target.weight, len(target.src)
+        walk = zip(itertools.count(1), flows.label, flows.weight, functor.morphism_images)
+        for mor_id, label, weight, mapped in walk:
+            if mapped is None or not 1 <= mapped <= bound:
+                continue  # reported by the law check, a missing image too
             image_label, image_weight = labels[mapped - 1], weights[mapped - 1]
             if image_label != label or (
                 image_weight != weight and not _both_nan(image_weight, weight)
@@ -468,14 +470,13 @@ def verify_time_step(
                     f"{image_label!r} weighted {image_weight}, not {weight}"
                 )
     failures.extend(f"naturality: {msg}" for msg in check_naturality(eta).failures)
-    weights = eta.F.target.weight
-    for obj_id, (name, a, b) in enumerate(zip(flows.names, old, new), 1):
-        comp_id, expected = eta.components.get(obj_id), b - a
-        if comp_id is None or not 1 <= comp_id <= len(weights):
+    weights, bound = eta.F.target.weight, len(eta.F.target.src)
+    for name, net, comp_id in zip(flows.names, map(sub, new, old), _fit(eta.components, len(old))):
+        if comp_id is None or not 1 <= comp_id <= bound:
             failures.append(f"component weight for {name}: no evolution component")
-        elif weights[comp_id - 1] != expected and not _both_nan(weights[comp_id - 1], expected):
+        elif weights[comp_id - 1] != net and not _both_nan(weights[comp_id - 1], net):
             failures.append(
-                f"component weight for {name}: {weights[comp_id - 1]} != net flow {expected}"
+                f"component weight for {name}: {weights[comp_id - 1]} != net flow {net}"
             )
     if failures:
         raise EngineConsistencyError("period law check failed", failures)

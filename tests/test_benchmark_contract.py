@@ -191,3 +191,30 @@ def test_the_traced_benchmark_run_builds_its_tracer_and_passes(workload):
         assert metrics["ledger.post_booking.calls"] == 8 * 101
     else:
         assert metrics["catcore.check_functor_laws.calls"] > 0
+
+
+def test_the_time_step_holds_lists_of_ids_that_the_probe_reads(monkeypatch):
+    # functors and the transformation are columns of target ids, not dicts;
+    # the benchmark's probe of `verify_time_step` still reads a real period
+    built, verified = [], []
+    build, verify = evolution.build_time_step, evolution.verify_time_step
+
+    def recording_build(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    def recording_verify(*args):
+        verified.append(args)
+        return verify(*args)
+
+    monkeypatch.setattr(evolution, "build_time_step", recording_build)
+    monkeypatch.setattr(evolution, "verify_time_step", recording_verify)
+    params = Parameters()
+    period_step(initial_state(params), params, 0, engine=EngineKind.CATEGORICAL)
+    [(_, f_t, f_t1, eta)], [args] = built, verified
+    assert eta.F is f_t and eta.G is f_t1 and args[1] is eta
+    for functor in (f_t, f_t1):
+        assert type(functor.object_images) is list and len(functor.object_images) == 20
+        assert type(functor.morphism_images) is list and len(functor.morphism_images) == 23
+    assert type(eta.components) is list and len(eta.components) == 20
+    assert _spans().PROBES["evolution.verify_time_step"](args, None) == (66, 40)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from typing import Hashable, Mapping
+from typing import Hashable, Mapping, NamedTuple
 
 import pytest
 
@@ -56,6 +56,22 @@ class TestObjects:
         with pytest.raises(DanglingEndpointError):
             cat.extend((2,), (1,), (0.0,), ("",))
 
+    @pytest.mark.parametrize("bad", [1.5, 2.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("end", ["src", "dst"])
+    def test_a_non_int_endpoint_is_refused_by_name_and_nothing_is_appended(self, bad, end):
+        # 1.5 lies between the least and the greatest id, and 2.0 equals one
+        cat = objects_only("pair", ["A", "B"])
+        cat.extend((1,), (2,), (0.0,), ("a",))
+        src, dst = [1, 1], [2, 1]
+        (src if end == "src" else dst)[1] = bad
+        with pytest.raises(DanglingEndpointError) as err:
+            cat.extend(src, dst, [0.0, 0.0], ["b", "x"])
+        assert str(err.value) == f"morphism endpoint {bad} does not exist in 'pair'"
+        with pytest.raises(DanglingEndpointError):
+            FiniteCategory.from_columns("pair", "AB", src, dst, (0.0, 0.0), ("b", "x"))
+        assert (cat.src, cat.dst, cat.weight, cat.label) == ([1], [2], [0.0], ["a"])
+        assert check_functor_laws(Functor.identity(cat)).ok
+
     def test_duplicate_name_rejected(self):
         with pytest.raises(DuplicateObjectError):
             objects_only("", ["AccLabBank", "AccLabBank"])
@@ -102,6 +118,9 @@ class TestFromColumns:
             ("A", [(1, 1, 0.0, "a"), (1, -1, 0.0, "b"), (5, 1, 0.0, "c")],
              DanglingEndpointError, -1),
             ("", [(1, 1, 0.0, "a")], DanglingEndpointError, 1),
+            ("AB", [(1.5, 2, 0.0, "x")], DanglingEndpointError, 1.5),
+            ("AB", [(1, 2, 0.0, "a"), (2, 2.0, 0.0, "b"), (1, 0, 0.0, "c")],
+             DanglingEndpointError, 2.0),
         ],
     )
     def test_raises_the_first_error_in_column_order(self, names, morphisms, error, bad):
@@ -177,7 +196,7 @@ class TestFunctorLaws:
     def test_non_composing_images_fail_with_pair(self):
         cat = triangle()
         functor = Functor.identity(cat)
-        functor.morphism_map[1] = 3  # a: X->Y now lands on c: X->Z, so (a, b) breaks
+        functor.morphism_images[0] = 3  # a: X->Y now lands on c: X->Z, so (a, b) breaks
         report = check_functor_laws(functor)
         assert not report.ok
         assert any("pair" in failure for failure in report.failures)
@@ -185,7 +204,7 @@ class TestFunctorLaws:
     def test_price_functor_passes(self):
         names = ("GoodPrice", "LaborPrice", "ResourcePrice")
         nominal, real = objects_only("nominal", names), objects_only("real", names)
-        price = Functor(nominal, real, {1: 1, 2: 2, 3: 3}, {})
+        price = Functor(nominal, real, [1, 2, 3], [])
         assert check_functor_laws(price).ok
 
     def test_every_single_edit_corruption_fails(self):
@@ -198,19 +217,19 @@ class TestFunctorLaws:
                 if new_target == obj_id:
                     continue
                 functor = Functor.identity(base)
-                functor.object_map[obj_id] = new_target
+                functor.object_images[obj_id - 1] = new_target
                 assert not check_functor_laws(functor).ok, (obj_id, new_target)
         for mor_id in range(1, n_morphisms + 1):
             for new_target in range(1, n_morphisms + 1):
                 if new_target == mor_id:
                     continue
                 functor = Functor.identity(base)
-                functor.morphism_map[mor_id] = new_target
+                functor.morphism_images[mor_id - 1] = new_target
                 assert not check_functor_laws(functor).ok, (mor_id, new_target)
 
     def test_unmapped_object_fails(self):
         functor = Functor.identity(triangle())
-        del functor.object_map[2]
+        functor.object_images[1] = None  # object 2
         report = check_functor_laws(functor)
         assert not report.ok
 
@@ -218,7 +237,31 @@ class TestFunctorLaws:
 # The two-path check_functor_laws that the one walk replaced, verbatim: the
 # endpoint and composable-pair columns compared whole, the walk run only on
 # a mismatch.  The one walk must return what it returns.  It enumerates the
-# composable pairs itself, with the category method it called then.
+# composable pairs itself, with the category method it called then, and
+# reads a functor's images as the id -> id dicts a functor held then.
+
+
+class DictFunctor(NamedTuple):
+    """A functor with its images as id -> id dicts, an id without an image left out."""
+
+    source: FiniteCategory
+    target: FiniteCategory
+    object_map: dict[int, int]
+    morphism_map: dict[int, int]
+
+
+def dict_view(images: list) -> dict[int, int]:
+    """The dict a list of images stands for: entry i - 1 is the image of id i, None none."""
+    return {i: image for i, image in enumerate(images, 1) if image is not None}
+
+
+def as_dicts(functor: Functor) -> DictFunctor:
+    return DictFunctor(
+        functor.source,
+        functor.target,
+        dict_view(functor.object_images),
+        dict_view(functor.morphism_images),
+    )
 
 
 def composable_positions(cat: FiniteCategory) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -241,7 +284,7 @@ def _image_ids(mapping: Mapping[int, int], count: int, bound: int) -> list[int] 
     return None
 
 
-def two_path_check_functor_laws(functor: Functor) -> LawReport:
+def two_path_check_functor_laws(functor: DictFunctor) -> LawReport:
     """Check totality, endpoint coherence and composition preservation.
 
     The images' endpoint columns are compared whole; only when one differs
@@ -297,22 +340,21 @@ def two_path_check_functor_laws(functor: Functor) -> LawReport:
 
 
 def single_edits(functor: Functor):
-    """Each functor one edit away: an image set to every id or out of range, or deleted."""
+    """Each functor one edit away: an image set to every id or out of range, or to None."""
     objects = (*range(1, len(functor.target.names) + 1), 999, None)
     morphisms = (*range(1, len(functor.target.src) + 1), 0, 999, None)
-    for which, values in (("object_map", objects), ("morphism_map", morphisms)):
-        for key in getattr(functor, which):
+    for which, values in (("object_images", objects), ("morphism_images", morphisms)):
+        for position in range(len(getattr(functor, which))):
             for new in values:
-                mapping = dict(getattr(functor, which))
-                if new is None:
-                    del mapping[key]
-                else:
-                    mapping[key] = new
-                yield dataclasses.replace(functor, **{which: mapping})
+                images = list(getattr(functor, which))
+                images[position] = new
+                yield dataclasses.replace(functor, **{which: images})
 
 
 class TestOneWalkDifferential:
-    def test_every_single_edit_of_a_real_period_reports_as_before(self, monkeypatch):
+    @pytest.fixture
+    def snapshots(self, monkeypatch) -> tuple[Functor, Functor]:
+        """The two snapshot functors of the third period of the default run."""
         from catledger import evolution
         from catledger.decisions import Parameters
 
@@ -332,14 +374,35 @@ class TestOneWalkDifferential:
                 state, params, period, engine=evolution.EngineKind.CATEGORICAL
             )
         _, f_t, f_t1, _ = captured[-1]
+        return f_t, f_t1
+
+    def test_every_single_edit_of_a_real_period_reports_as_before(self, snapshots):
         edited = 0
-        for functor in (f_t, f_t1):
-            assert check_functor_laws(functor) == two_path_check_functor_laws(functor)
+        for functor in snapshots:
+            assert check_functor_laws(functor) == two_path_check_functor_laws(as_dicts(functor))
             assert check_functor_laws(functor).ok
             for variant in single_edits(functor):
-                assert check_functor_laws(variant) == two_path_check_functor_laws(variant)
+                assert check_functor_laws(variant) == two_path_check_functor_laws(as_dicts(variant))
                 edited += 1
         assert edited == 4854
+
+    @pytest.mark.parametrize("which", ["object_images", "morphism_images"])
+    def test_an_image_list_one_short_or_one_long_reports_as_before(self, snapshots, which):
+        # zip stops at the shorter list: the last id of a short list must
+        # still be reported, and the surplus image of a long one is ignored
+        for functor in snapshots:
+            images = getattr(functor, which)
+            short = dataclasses.replace(functor, **{which: images[:-1]})
+            long = dataclasses.replace(functor, **{which: [*images, images[-1]]})
+            for variant in (short, long):
+                assert check_functor_laws(variant) == two_path_check_functor_laws(as_dicts(variant))
+            last = (
+                f"object {functor.source.names[-1]!r} has no image"
+                if which == "object_images"
+                else f"morphism {len(images)} ({functor.source.label[-1]}) has no image"
+            )
+            assert last in check_functor_laws(short).failures
+            assert check_functor_laws(long) == LawReport(True)
 
 
 def two_snapshot_transformation(weights: dict[str, float]):
@@ -357,9 +420,9 @@ def two_snapshot_transformation(weights: dict[str, float]):
         list(weights.values()),
         [""] * n,
     )
-    f_t = Functor(base, step, dict(zip(objects, at_t)), {})
-    f_t1 = Functor(base, step, dict(zip(objects, at_t1)), {})
-    return base, step, NaturalTransformation(f_t, f_t1, dict(zip(objects, objects)))
+    f_t = Functor(base, step, list(at_t), [])
+    f_t1 = Functor(base, step, list(at_t1), [])
+    return base, step, NaturalTransformation(f_t, f_t1, list(objects))
 
 
 def object_id(cat: FiniteCategory, name: str) -> int:
@@ -373,14 +436,9 @@ class TestNaturality:
             "target", cat.names, cat.src, cat.dst, [0.0] * len(cat.src), cat.label
         )
         objects = range(1, len(cat.names) + 1)
-        functor = Functor(
-            cat,
-            target,
-            {obj_id: obj_id for obj_id in objects},
-            {mor_id: mor_id for mor_id in cat.morphisms},
-        )
+        functor = Functor(cat, target, list(objects), list(cat.morphisms))
         loops = [f"id_{name}" for name in cat.names]
-        components = dict(zip(objects, target.extend(objects, objects, [0.0] * len(loops), loops)))
+        components = list(target.extend(objects, objects, [0.0] * len(loops), loops))
         eta = NaturalTransformation(functor, functor, components)
         assert check_naturality(eta).ok
 
@@ -391,12 +449,12 @@ class TestNaturality:
         (flow,) = base.extend((res,), (com,), (1.0,), ("",))
         for functor in (eta.F, eta.G):
             src, dst, weight = base.src[flow - 1], base.dst[flow - 1], base.weight[flow - 1]
-            (functor.morphism_map[flow],) = step.extend(
-                (functor.object_map[src],), (functor.object_map[dst],), (weight,), ("",)
-            )
+            # the flow is the last generator, so its image goes last
+            src_image, dst_image = functor.object_images[src - 1], functor.object_images[dst - 1]
+            functor.morphism_images += step.extend((src_image,), (dst_image,), (weight,), ("",))
         assert check_naturality(eta).ok
         # point Res's component at Com's evolution edge
-        eta.components[res] = eta.components[com]
+        eta.components[res - 1] = eta.components[com - 1]
         report = check_naturality(eta)
         assert not report.ok
         assert any("morphism" in failure or "component" in failure for failure in report.failures)
@@ -405,12 +463,16 @@ class TestNaturality:
         weights = {"LabBank": 0.0, "ResBank": 208.0, "ComBank": 52.0}
         base, step, eta = two_snapshot_transformation(weights)
         assert check_naturality(eta).ok
-        assert step.weight[eta.components[object_id(base, "ResBank")] - 1] == 208.0
+        assert step.weight[eta.components[object_id(base, "ResBank") - 1] - 1] == 208.0
 
 
 def brute_force_naturality(eta: NaturalTransformation) -> bool:
-    """Independent re-derivation: enumerate every generator square from raw tuples."""
-    F, G = eta.F, eta.G
+    """Independent re-derivation: enumerate every generator square from raw tuples.
+
+    It reads the functors and components as id -> id dicts (`dict_view`).
+    """
+    F, G = as_dicts(eta.F), as_dicts(eta.G)
+    components = dict_view(eta.components)
     if F.source is not G.source or F.target is not G.target:
         return False
     source, target = F.source, F.target
@@ -418,9 +480,9 @@ def brute_force_naturality(eta: NaturalTransformation) -> bool:
     endpoints = dict(enumerate(zip(target.src, target.dst), 1)).__getitem__
 
     for obj_id in range(1, len(source.names) + 1):
-        if obj_id not in eta.components:
+        if obj_id not in components:
             return False
-        src, dst = endpoints(eta.components[obj_id])
+        src, dst = endpoints(components[obj_id])
         if (src, dst) != (F.object_map.get(obj_id), G.object_map.get(obj_id)):
             return False
     for mor_id, (mor_src, mor_dst) in enumerate(zip(source.src, source.dst), 1):
@@ -428,8 +490,8 @@ def brute_force_naturality(eta: NaturalTransformation) -> bool:
             return False
         fa_src, fa_dst = endpoints(F.morphism_map[mor_id])
         ga_src, ga_dst = endpoints(G.morphism_map[mor_id])
-        ea_src, ea_dst = endpoints(eta.components[mor_src])
-        eb_src, eb_dst = endpoints(eta.components[mor_dst])
+        ea_src, ea_dst = endpoints(components[mor_src])
+        eb_src, eb_dst = endpoints(components[mor_dst])
         left = ea_dst == ga_src and (ea_src, ga_dst)
         right = fa_dst == eb_src and (fa_src, eb_dst)
         if left is False or right is False or left != right:
@@ -447,20 +509,19 @@ class TestNaturalityEquivalence:
             for _ in range(rng.randint(0, 4)):
                 src, dst = rng.sample(range(1, len(names) + 1), 2)
                 base.extend((src,), (dst,), (float(rng.randint(0, 9)),), ("",))
-                # extend the functors' morphism maps with snapshot copies
+                # extend the functors' morphism images with snapshot copies
                 for functor, level in ((eta.F, 0), (eta.G, 1)):
-                    mor_id = base.morphisms[-1]
                     (copy,) = step.extend(
-                        (functor.object_map[base.src[-1]],),
-                        (functor.object_map[base.dst[-1]],),
+                        (functor.object_images[base.src[-1] - 1],),
+                        (functor.object_images[base.dst[-1] - 1],),
                         (base.weight[-1],),
                         ("",),
                     )
-                    functor.morphism_map[mor_id] = copy
+                    functor.morphism_images.append(copy)  # the image of the last generator
             if rng.random() < 0.5 and len(names) >= 2:
                 # corrupt one component
                 victim, donor = rng.sample(range(1, len(names) + 1), 2)
-                eta.components[victim] = eta.components[donor]
+                eta.components[victim - 1] = eta.components[donor - 1]
             assert check_naturality(eta).ok == brute_force_naturality(eta)
 
 
@@ -654,14 +715,14 @@ class TestLawChecksReportInsteadOfRaising:
         # morphism 1 (a: X->Y) composes with morphism 2 (b: Y->Z), so the
         # composable-pair walk meets the unresolvable image too
         functor = Functor.identity(triangle())
-        functor.morphism_map[1] = 99
+        functor.morphism_images[0] = 99
         report = check_functor_laws(functor)
         assert not report.ok
         assert "morphism 1 maps to missing id 99" in report.failures
 
     def test_naturality_component_outside_target_is_reported(self):
         base, _, eta = two_snapshot_transformation({"LabBank": 0.0, "ResBank": 208.0})
-        eta.components[object_id(base, "ResBank")] = 99
+        eta.components[object_id(base, "ResBank") - 1] = 99
         report = check_naturality(eta)
         assert not report.ok
         assert any("'ResBank'" in failure and "99" in failure for failure in report.failures)
@@ -671,9 +732,9 @@ class TestLawChecksReportInsteadOfRaising:
         base = FiniteCategory.from_columns("base", ("A", "B"), (1,), (2,), (0.0,), ("f",))
         ends = [(1, 2), (3, 4), (5, 3), (2, 4)]  # F(f), G(f), eta_A, eta_B
         step = FiniteCategory.from_columns("step", "12345", *zip(*ends), (0.0,) * 4, ("",) * 4)
-        f = Functor(base, step, {1: 1, 2: 2}, {1: 1})
-        g = Functor(base, step, {1: 3, 2: 4}, {1: 2})
-        report = check_naturality(NaturalTransformation(f, g, {1: 3, 2: 4}))
+        f = Functor(base, step, [1, 2], [1])
+        g = Functor(base, step, [3, 4], [2])
+        report = check_naturality(NaturalTransformation(f, g, [3, 4]))
         assert report.failures == [
             "component at 'A' is mistyped: 5->3 is not F(A)->G(A)",
             "square for morphism 1 is not parallel",
@@ -688,8 +749,8 @@ class TestLawChecksReportInsteadOfRaising:
     def test_naturality_square_image_outside_target_is_reported(self):
         base, step, eta = two_snapshot_transformation({"LabBank": 0.0, "ResBank": 208.0})
         (flow,) = base.extend((1,), (2,), (0.0,), ("",))
-        (eta.F.morphism_map[flow],) = step.extend((1,), (3,), (0.0,), ("",))
-        eta.G.morphism_map[flow] = 99
+        eta.F.morphism_images += step.extend((1,), (3,), (0.0,), ("",))
+        eta.G.morphism_images.append(99)  # the image of the new flow
         report = check_naturality(eta)
         assert not report.ok
         assert any(f"morphism {flow}" in failure for failure in report.failures)
@@ -838,7 +899,7 @@ class TestFinSetDifferential:
         from catledger.evolution import _FIXED, _SPEC_CONE
         from catledger.ledger import BOOKINGS
 
-        legs, to_account, to_slot, _, _ = _FIXED[booking_id]
+        legs, to_account, to_slot, *_ = _FIXED[booking_id]
         assert_pushout_positions_match(to_account, to_slot)
         all_ok = FinSetMap.from_positions(legs, _SPEC_CONE.codomain, (0,) * len(legs))
         assert_pullback_positions_match(all_ok, _SPEC_CONE)

@@ -272,6 +272,15 @@ class TestDeterminismAndEquivalence:
             == "07c2c4c705568f89ad9d44e44cc10089396cb6f97dbf6dc59310c54cf1342859"
         )
 
+    def test_thousand_period_categorical_trace_hashes_to_the_recursive_pin(self):
+        # the categorical engine on its own, with no recursive run to compare against
+        trace = run(Parameters(horizon=1000), engine=EngineKind.CATEGORICAL)
+        assert trace.engine is EngineKind.CATEGORICAL
+        assert (
+            hashlib.sha256(trace.cells.tobytes()).hexdigest()
+            == "07c2c4c705568f89ad9d44e44cc10089396cb6f97dbf6dc59310c54cf1342859"
+        )
+
 
 class TestInvariancesAndMirrors:
     def test_all_zero_each_period(self, default_run):
@@ -329,7 +338,7 @@ class TestCategoricalInternals:
     def test_pushout_classes_one_per_touched_account(self):
         from catledger.evolution import _FIXED
 
-        _, to_account, to_slot, _, _ = _FIXED[5]
+        _, to_account, to_slot, *_ = _FIXED[5]
         classes, _, _ = finset_pushout(to_account, to_slot)
         assert len(classes) == 4  # the loan touches four accounts
         ledger = init_ledger()
@@ -343,9 +352,9 @@ class TestCategoricalInternals:
         old, new = list(trace.rows[0].accounts.values()), list(trace.rows[1].accounts.values())
         cat = build_economy_category()
         step, _, _, eta = build_time_step(cat, old, new)
-        res_edge = eta.components[ACCOUNT_INDEX["AccResBank"] + 1]
+        res_edge = eta.components[ACCOUNT_INDEX["AccResBank"]]  # object i + 1 at i
         assert step.weight[res_edge - 1] == pytest.approx(208.0)
-        lab_edge = eta.components[ACCOUNT_INDEX["AccLabBank"] + 1]
+        lab_edge = eta.components[ACCOUNT_INDEX["AccLabBank"]]
         assert step.weight[lab_edge - 1] == 0.0
         verify_time_step(cat, eta, old, new)
 
@@ -354,7 +363,7 @@ class TestCategoricalInternals:
         balances = init_ledger()
         step, _, _, eta = build_time_step(cat, balances, list(balances))
         verify_time_step(cat, eta, balances, list(balances))
-        assert all(step.weight[component - 1] == 0.0 for component in eta.components.values())
+        assert all(step.weight[component - 1] == 0.0 for component in eta.components)
 
     def test_corrupted_component_weight_is_caught(self):
         ledger = init_ledger()
@@ -364,7 +373,7 @@ class TestCategoricalInternals:
         new = ledger[:]
         step, f_t, f_t1, eta = build_time_step(cat, old, new)
         verify_time_step(cat, eta, old, new)  # sane construction passes
-        victim = eta.components[ACCOUNT_INDEX["AccComBank"] + 1]
+        victim = eta.components[ACCOUNT_INDEX["AccComBank"]]
         step.weight[victim - 1] += 1.0  # the weight column, indexed by id - 1
         with pytest.raises(EngineConsistencyError) as err:
             verify_time_step(cat, eta, old, new)
@@ -388,7 +397,7 @@ class TestCategoricalInternals:
         old = init_ledger()
         new = list(old)
         _, _, _, eta = build_time_step(cat, old, new)
-        a, b = ACCOUNT_INDEX["AccLabBank"] + 1, ACCOUNT_INDEX["AccResBank"] + 1
+        a, b = ACCOUNT_INDEX["AccLabBank"], ACCOUNT_INDEX["AccResBank"]
         eta.components[a], eta.components[b] = eta.components[b], eta.components[a]
         with pytest.raises(EngineConsistencyError):
             verify_time_step(cat, eta, old, new)
@@ -416,8 +425,8 @@ def test_the_weight_rule_accepts_exactly_equal_or_both_nan(w, e, opening, closin
     new = [closing, *old[1:]]
     step, f_t, f_t1, eta = build_time_step(flows, old, new)
     verify_time_step(flows, eta, old, new)
-    images = (f_t.morphism_map[1], f_t1.morphism_map[1])
-    component = eta.components[ACCOUNT_INDEX["AccLabBank"] + 1]
+    images = (f_t.morphism_images[0], f_t1.morphism_images[0])
+    component = eta.components[ACCOUNT_INDEX["AccLabBank"]]
     # weight the flow's two images w, then only the account's component
     for weighted, named in ((images, "F_t: morphism 1 "), ((component,), "component weight")):
         for j in (*images, component):
@@ -844,25 +853,37 @@ class TestPeriodLawGuard:
     def test_missing_component_names_the_account(self, monkeypatch):
         flows, eta, old, new = real_period(monkeypatch, Parameters())
         verify_time_step(flows, eta, old, new)
-        del eta.components[ACCOUNT_INDEX["AccComBank"] + 1]
+        eta.components[ACCOUNT_INDEX["AccComBank"]] = None
         with pytest.raises(EngineConsistencyError) as err:
             verify_time_step(flows, eta, old, new)
         assert any(
             "AccComBank" in failure and "component weight" in failure
             for failure in err.value.failures
         )
+        # a list one short: zip would stop before the last account
+        eta.components[ACCOUNT_INDEX["AccComBank"]] = ACCOUNT_INDEX["AccComBank"] + 1
+        del eta.components[-1]
+        with pytest.raises(EngineConsistencyError) as err:
+            verify_time_step(flows, eta, old, new)
+        assert "naturality: object 'AccBankCapBank' has no component" in err.value.failures
+        assert err.value.failures[-1] == (
+            "component weight for AccBankCapBank: no evolution component"
+        )
 
     def test_every_swapped_component_pair_is_caught(self, monkeypatch):
         flows, eta, old, new = real_period(monkeypatch, Parameters())
-        ids = sorted(eta.components)
-        original = dict(eta.components)
-        for i, a in enumerate(ids):
-            for b in ids[i + 1 :]:
-                eta.components[a], eta.components[b] = original[b], original[a]
+        components = eta.components
+        original = list(components)
+        swaps = 0
+        for a in range(len(original)):
+            for b in range(a + 1, len(original)):
+                components[a], components[b] = original[b], original[a]
                 with pytest.raises(EngineConsistencyError):
                     verify_time_step(flows, eta, old, new)
-                eta.components.update(original)
+                components[:] = original
+                swaps += 1
         verify_time_step(flows, eta, old, new)
+        assert swaps == 190
 
     def test_every_redirected_image_is_caught(self, monkeypatch):
         # F_t(m) redirected onto any other generator of the time step, the
@@ -870,17 +891,17 @@ class TestPeriodLawGuard:
         # checks see only endpoints, the label and weight test sees the rest
         flows, eta, old, new = real_period(monkeypatch, Parameters())
         step = eta.F.target
-        images = eta.F.morphism_map
+        images = eta.F.morphism_images
         redirects = 0
-        for mor_id, image in list(images.items()):
+        for position, image in enumerate(list(images)):
             for other in step.morphisms:
                 if other == image:
                     continue
-                images[mor_id] = other
+                images[position] = other
                 with pytest.raises(EngineConsistencyError):
                     verify_time_step(flows, eta, old, new)
                 redirects += 1
-            images[mor_id] = image
+            images[position] = image
         verify_time_step(flows, eta, old, new)
         assert redirects == 1495
 
@@ -891,7 +912,7 @@ class TestPeriodLawGuard:
         balances = init_ledger()
         _, f_t, _, eta = build_time_step(flows, balances, list(balances))
         verify_time_step(flows, eta, balances, list(balances))
-        f_t.morphism_map[1] = f_t.morphism_map[2]
+        f_t.morphism_images[0] = f_t.morphism_images[1]
         with pytest.raises(EngineConsistencyError) as err:
             verify_time_step(flows, eta, balances, list(balances))
         assert err.value.failures == [
@@ -906,14 +927,14 @@ class TestPeriodLawGuard:
         by_label = dict(zip(flows.label, flows.morphisms))
         settled = by_label["b6:dividend settled"]
         declared = by_label["b6:dividend declared"]
-        images = functor.morphism_map
-        true_image = images[settled]
+        images = functor.morphism_images
+        true_image = images[settled - 1]
 
-        images[settled] = images[declared]
+        images[settled - 1] = images[declared - 1]
         with pytest.raises(EngineConsistencyError) as err:
             verify_time_step(flows, eta, old, new)
         assert any(f.startswith(f"{tag}: morphism {settled} ") for f in err.value.failures)
-        images[settled] = true_image
+        images[settled - 1] = true_image
 
         step.weight[true_image - 1] += 1.0
         with pytest.raises(EngineConsistencyError) as err:
