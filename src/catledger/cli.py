@@ -17,7 +17,6 @@ import csv
 import json
 import sys
 from array import array
-from dataclasses import dataclass, field, replace
 from functools import cache
 from operator import itemgetter
 from pathlib import Path
@@ -66,10 +65,13 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
 class RunConfig:
-    params: Parameters = field(default_factory=Parameters)
-    engine: EngineKind = EngineKind.RECURSIVE
+    __slots__ = ("params", "engine")
+
+    def __init__(
+        self, params: Parameters = Parameters(), engine: EngineKind = EngineKind.RECURSIVE
+    ) -> None:
+        self.params, self.engine = params, engine
 
 
 def _parse_value(key: str, raw: str) -> int | float:
@@ -86,7 +88,7 @@ def apply_setting(config: RunConfig, key: str, raw: str) -> None:
         return
     if key not in PARAM_KEYS:
         raise ConfigError(f"unknown configuration key {key!r}")
-    config.params = replace(config.params, **{PARAM_KEYS[key]: _parse_value(key, raw)})
+    config.params = config.params._replace(**{PARAM_KEYS[key]: _parse_value(key, raw)})
 
 
 def load_config(path: str | Path | None, overrides: Sequence[str] = ()) -> RunConfig:

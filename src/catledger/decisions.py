@@ -8,7 +8,6 @@ tests are frozen against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 from typing import NamedTuple, Sequence
 
 _FRACTION_FIELDS = (
@@ -31,8 +30,7 @@ def check_count(name: str, value: object) -> None:
         raise ValueError(f"{name} must be an integer >= 1")
 
 
-@dataclass(frozen=True)
-class Parameters:
+class Parameters(NamedTuple):
     """The 22 behavioral constants plus initial endowments and the horizon."""
 
     tau: int = 10  # payment contracts run for tau periods
@@ -91,14 +89,21 @@ class Parameters:
             if not getattr(self, name) >= -math.inf:
                 raise ValueError(f"{name} must be a number, got nan")
         # an infinity passes the range tests above: refuse it here, by name
-        for field in fields(self):
-            value = getattr(self, field.name)
-            if field.type == "float" and not math.isfinite(value):
-                raise ValueError(f"{field.name} must be finite, got {value}")
+        for name in _FLOAT_FIELDS:
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
 
     @staticmethod
     def field_names() -> tuple[str, ...]:
-        return tuple(f.name for f in fields(Parameters))
+        return Parameters._fields
+
+
+# the fields whose default is a float, in field order; read from the defaults, as a
+# named tuple turns the string annotations of `from __future__` into ForwardRefs
+_FLOAT_FIELDS = tuple(
+    name for name, value in Parameters._field_defaults.items() if type(value) is float
+)
 
 
 def memory_due(wages: Sequence[float], repays: Sequence[float]) -> tuple[float, float]:

@@ -45,7 +45,6 @@ import itertools
 import math
 from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
 from enum import Enum
 from operator import sub
 from types import MappingProxyType
@@ -57,6 +56,7 @@ from .catcore import (
     Functor,
     NaturalTransformation,
     _fit,
+    _marked,
     check_functor_laws,
     check_naturality,
     pullback_positions,
@@ -173,8 +173,7 @@ class TraceRow(NamedTuple):
     invariances: Invariances
 
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(NamedTuple):
     """A run's rows as one array of doubles, `TRACE_COLUMNS` cells per row.
 
     Nothing is stored per period: `column`, `rows` and `flat_values` read
@@ -453,31 +452,35 @@ def verify_time_step(
     dividend channels share their endpoints) would pass.
     """
     failures: list[str] = []
-    for functor, tag in ((eta.F, "F_t"), (eta.G, "F_t+1")):
-        failures.extend(f"{tag}: {msg}" for msg in check_functor_laws(functor).failures)
-        target = functor.target
-        labels, weights, bound = target.label, target.weight, len(target.src)
-        walk = zip(itertools.count(1), flows.label, flows.weight, functor.morphism_images)
-        for mor_id, label, weight, mapped in walk:
-            if mapped is None or not 1 <= mapped <= bound:
-                continue  # reported by the law check, a missing image too
-            image_label, image_weight = labels[mapped - 1], weights[mapped - 1]
-            if image_label != label or (
-                image_weight != weight and not _both_nan(image_weight, weight)
-            ):
+    walk = zip(flows.names, map(sub, new, old), _fit(eta.components, len(old)))
+    try:
+        for functor, tag in ((eta.F, "F_t"), (eta.G, "F_t+1")):
+            failures.extend(f"{tag}: {msg}" for msg in check_functor_laws(functor).failures)
+            target = functor.target
+            labels, weights, bound = target.label, target.weight, len(target.src)
+            images = zip(itertools.count(1), flows.label, flows.weight, functor.morphism_images)
+            for mor_id, label, weight, mapped in images:
+                if mapped is None or not 1 <= mapped <= bound:
+                    continue  # reported by the law check, a missing image too
+                image_label, image_weight = labels[mapped - 1], weights[mapped - 1]
+                if image_label != label or (
+                    image_weight != weight and not _both_nan(image_weight, weight)
+                ):
+                    failures.append(
+                        f"{tag}: morphism {mor_id} ({label}) maps to "
+                        f"{image_label!r} weighted {image_weight}, not {weight}"
+                    )
+        failures.extend(f"naturality: {msg}" for msg in check_naturality(eta).failures)
+        weights, bound = eta.F.target.weight, len(eta.F.target.src)
+        for name, net, comp_id in walk:
+            if comp_id is None or not 1 <= comp_id <= bound:
+                failures.append(f"component weight for {name}: no evolution component")
+            elif weights[comp_id - 1] != net and not _both_nan(weights[comp_id - 1], net):
                 failures.append(
-                    f"{tag}: morphism {mor_id} ({label}) maps to "
-                    f"{image_label!r} weighted {image_weight}, not {weight}"
+                    f"component weight for {name}: {weights[comp_id - 1]} != net flow {net}"
                 )
-    failures.extend(f"naturality: {msg}" for msg in check_naturality(eta).failures)
-    weights, bound = eta.F.target.weight, len(eta.F.target.src)
-    for name, net, comp_id in zip(flows.names, map(sub, new, old), _fit(eta.components, len(old))):
-        if comp_id is None or not 1 <= comp_id <= bound:
-            failures.append(f"component weight for {name}: no evolution component")
-        elif weights[comp_id - 1] != net and not _both_nan(weights[comp_id - 1], net):
-            failures.append(
-                f"component weight for {name}: {weights[comp_id - 1]} != net flow {net}"
-            )
+    except TypeError:  # an image or component that is not an int id: see `catcore._marked`
+        return verify_time_step(flows, _marked(eta), old, new)
     if failures:
         raise EngineConsistencyError("period law check failed", failures)
 
@@ -554,9 +557,9 @@ def run(
     span = params.horizon if horizon is None else horizon
     check_count("horizon", span)
     if span != params.horizon:
-        params = replace(params, horizon=span)
+        params = params._replace(horizon=span)
     state = initial_state(params)
-    cells = array("d")
+    cells: list[float] = []  # one array is built at the end: a list extends at half the cost
     for period in range(span + 1):
         opening = state[:_WAGES_AT]
         checks = invariances(opening)
@@ -572,7 +575,7 @@ def run(
         failure = ValidationFailure(f"column {TRACE_COLUMNS[column]} is not finite")
         failure.period = row
         raise failure
-    return Trace(params, engine, cells)
+    return Trace(params, engine, array("d", cells))
 
 
 # ---------------------------------------------------------------------------
@@ -596,8 +599,7 @@ BOUNDED_LIMIT = 1e9
 DRIFT_WINDOW = 10
 
 
-@dataclass(frozen=True)
-class StabilityReport:
+class StabilityReport(NamedTuple):
     bounded: bool
     drift: dict[str, float]
 

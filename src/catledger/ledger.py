@@ -18,7 +18,6 @@ state is left untouched.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, NamedTuple, Sequence
 
@@ -47,8 +46,7 @@ class Direction(Enum):
     OUTFLOW = "out"
 
 
-@dataclass(frozen=True)
-class AccountSpec:
+class AccountSpec(NamedTuple):
     name: str
     agent: Agent
     kind: AccountKind

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import random
 from typing import Hashable, Mapping, NamedTuple
 
@@ -303,7 +302,7 @@ def two_path_check_functor_laws(functor: DictFunctor) -> LawReport:
         ]:
             firsts, seconds = composable_positions(src_cat)
             if [image_dst[i] for i in firsts] == [image_src[j] for j in seconds]:
-                return LawReport(True)
+                return LawReport(True, [])
 
     failures: list[str] = []
     for obj_id, name in enumerate(src_cat.names, 1):
@@ -339,6 +338,12 @@ def two_path_check_functor_laws(functor: DictFunctor) -> LawReport:
     return LawReport(ok=not failures, failures=failures)
 
 
+def with_images(functor: Functor, which: str, images: list) -> Functor:
+    """A new functor like `functor` but with its `which` list set to `images`."""
+    columns = {"object_images": functor.object_images, "morphism_images": functor.morphism_images}
+    return Functor(functor.source, functor.target, **{**columns, which: images})
+
+
 def single_edits(functor: Functor):
     """Each functor one edit away: an image set to every id or out of range, or to None."""
     objects = (*range(1, len(functor.target.names) + 1), 999, None)
@@ -348,7 +353,7 @@ def single_edits(functor: Functor):
             for new in values:
                 images = list(getattr(functor, which))
                 images[position] = new
-                yield dataclasses.replace(functor, **{which: images})
+                yield with_images(functor, which, images)
 
 
 class TestOneWalkDifferential:
@@ -392,8 +397,8 @@ class TestOneWalkDifferential:
         # still be reported, and the surplus image of a long one is ignored
         for functor in snapshots:
             images = getattr(functor, which)
-            short = dataclasses.replace(functor, **{which: images[:-1]})
-            long = dataclasses.replace(functor, **{which: [*images, images[-1]]})
+            short = with_images(functor, which, images[:-1])
+            long = with_images(functor, which, [*images, images[-1]])
             for variant in (short, long):
                 assert check_functor_laws(variant) == two_path_check_functor_laws(as_dicts(variant))
             last = (
@@ -402,7 +407,7 @@ class TestOneWalkDifferential:
                 else f"morphism {len(images)} ({functor.source.label[-1]}) has no image"
             )
             assert last in check_functor_laws(short).failures
-            assert check_functor_laws(long) == LawReport(True)
+            assert check_functor_laws(long) == LawReport(True, [])
 
 
 def two_snapshot_transformation(weights: dict[str, float]):
@@ -754,6 +759,55 @@ class TestLawChecksReportInsteadOfRaising:
         report = check_naturality(eta)
         assert not report.ok
         assert any(f"morphism {flow}" in failure for failure in report.failures)
+
+
+    @pytest.mark.parametrize("bad", [2.0, 1.5, "b", 1j])
+    def test_a_morphism_image_that_is_not_an_int_id_is_reported_as_missing(self, bad):
+        functor = Functor.identity(triangle())
+        functor.morphism_images[0] = bad
+        report = check_functor_laws(functor)
+        assert report == LawReport(False, [f"morphism 1 maps to missing id {bad!r}"])
+        assert functor.morphism_images[0] is bad  # the check walks a marked copy
+
+    def test_an_object_image_that_is_not_an_int_id_is_reported_as_missing(self):
+        functor = Functor.identity(triangle())
+        functor.object_images[1] = "Y"
+        assert check_functor_laws(functor).failures == [
+            "object 'Y' maps to missing id 'Y'",
+            "morphism 1: image target 2 != F(dst) 'Y'",
+            "morphism 2: image source 2 != F(src) 'Y'",
+        ]
+
+    def test_a_type_error_from_the_category_itself_is_raised(self):
+        cat = triangle()
+        functor = Functor.identity(cat)
+        cat.src[0] = 1.5  # past `extend`, which refuses it: no image is to blame
+        with pytest.raises(TypeError):
+            check_functor_laws(functor)
+        base, step, eta = two_snapshot_transformation({"LabBank": 0.0, "ResBank": 208.0})
+        base.extend((1,), (2,), (0.0,), ("",))
+        eta.F.morphism_images += step.extend((1,), (3,), (0.0,), ("",))
+        eta.G.morphism_images += step.extend((2,), (4,), (0.0,), ("",))
+        assert check_naturality(eta).ok
+        base.src[0] = 1.5
+        with pytest.raises(TypeError):
+            check_naturality(eta)
+
+    @pytest.mark.parametrize("bad", [2.0, "b"])
+    @pytest.mark.parametrize("where", ["component", "square image"])
+    def test_naturality_reports_a_non_int_id_as_a_missing_one(self, where, bad):
+        base, step, eta = two_snapshot_transformation({"LabBank": 0.0, "ResBank": 208.0})
+        base.extend((1,), (2,), (0.0,), ("",))
+        eta.F.morphism_images += step.extend((1,), (3,), (0.0,), ("",))
+        eta.G.morphism_images += step.extend((2,), (4,), (0.0,), ("",))
+        column, at = (eta.components, 1) if where == "component" else (eta.G.morphism_images, 0)
+        column[at] = 99
+        missing = check_naturality(eta)
+        assert not missing.ok
+        column[at] = bad
+        report = check_naturality(eta)
+        assert report.failures == [f.replace("99", repr(bad)) for f in missing.failures]
+        assert column[at] is bad
 
 
 # Verbatim copies of the FinSet constructions before their rewrite onto

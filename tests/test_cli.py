@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import dataclasses
 import hashlib
 import io
 import json
@@ -93,7 +92,7 @@ def hand_built_trace(values: list[float], rows: int = 2) -> Trace:
     """A default trace of `rows` rows whose cells are `values`, repeated to fill them."""
     trace = run(Parameters(), horizon=rows - 1)
     cells = array("d", (values[i % len(values)] for i in range(len(trace.cells))))
-    return dataclasses.replace(trace, cells=cells)
+    return trace._replace(cells=cells)
 
 
 def count_calls(monkeypatch, name: str, function) -> list[tuple]:
@@ -250,7 +249,7 @@ class TestCmdRun:
             cells = array("d", trace.cells)
             checks = Invariances(breach, 0, 0, 0, 0, breach)
             cells[-len(Invariances._fields) :] = array("d", checks)
-            return dataclasses.replace(trace, cells=cells)
+            return trace._replace(cells=cells)
 
         monkeypatch.setattr(cli, "run", tampered)
         assert main(["run", "--horizon", "3"]) == EXIT_INVARIANCE
@@ -291,7 +290,7 @@ class TestCmdCompare:
             if engine is EngineKind.CATEGORICAL:
                 cells = array("d", trace.cells)
                 cells[TRACE_COLUMNS.index("Investment") - len(TRACE_COLUMNS)] += 1.0
-                trace = dataclasses.replace(trace, cells=cells)
+                trace = trace._replace(cells=cells)
             return trace
 
         monkeypatch.setattr(cli, "run", skewed)
@@ -307,7 +306,7 @@ class TestCmdCompare:
         def truncated(params, horizon=None, engine=EngineKind.RECURSIVE):
             trace = real_run(params, horizon=horizon, engine=engine)
             if engine is EngineKind.CATEGORICAL:
-                trace = dataclasses.replace(trace, cells=trace.cells[: -len(TRACE_COLUMNS)])
+                trace = trace._replace(cells=trace.cells[: -len(TRACE_COLUMNS)])
             return trace
 
         monkeypatch.setattr(cli, "run", truncated)
@@ -324,7 +323,7 @@ class TestCmdCompare:
                 cells = array("d", trace.cells)
                 assert cells[-1] == 0.0
                 cells[-1] = -0.0
-                trace = dataclasses.replace(trace, cells=cells)
+                trace = trace._replace(cells=cells)
             return trace
 
         monkeypatch.setattr(cli, "run", signed)
@@ -845,7 +844,7 @@ class TestTraceSerialization:
         trace = run(Parameters(), horizon=3)
         cells = array("d", trace.cells)
         cells[len(TRACE_COLUMNS) + TRACE_COLUMNS.index(column)] = -0.0  # row 1
-        tampered = dataclasses.replace(trace, cells=cells)
+        tampered = trace._replace(cells=cells)
         path = tmp_path / "trace.json"
         write_trace_json(tampered, path)
         assert path.read_bytes() == oracle_json_text(tampered).encode("utf-8")
@@ -866,7 +865,7 @@ class TestTraceSerialization:
         trace = run(Parameters(), horizon=3)
         cells = array("d", trace.cells)
         cells[len(TRACE_COLUMNS) + TRACE_COLUMNS.index(column)] = value  # row 1
-        tampered = dataclasses.replace(trace, cells=cells)
+        tampered = trace._replace(cells=cells)
         path = tmp_path / "trace.json"
         with pytest.raises(ValueError, match="^Out of range float values are not JSON compliant"):
             write_trace_json(tampered, path)

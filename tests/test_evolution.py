@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import gc
 import hashlib
 import math
@@ -515,7 +514,7 @@ class TestStability:
         for i in range(25):
             cells.append(i)
             cells.extend(frozen_row[1:])
-        constant = dataclasses.replace(default_run, cells=cells)
+        constant = default_run._replace(cells=cells)
         report = stability_report(constant)
         assert max(report.drift.values()) == 0.0
 
@@ -530,7 +529,7 @@ class TestStability:
             row[TRACE_COLUMNS.index("AccComBank")] = float(2.0 ** (i + 40))
             row[-len(Invariances._fields) :] = array("d", Invariances(0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
             cells.extend(row)
-        diverging = dataclasses.replace(default_run, cells=cells)
+        diverging = default_run._replace(cells=cells)
         report = stability_report(diverging)
         assert not report.bounded
         assert report.drift["GoodPrice"] > 0.1
@@ -869,6 +868,29 @@ class TestPeriodLawGuard:
         assert err.value.failures[-1] == (
             "component weight for AccBankCapBank: no evolution component"
         )
+
+    @pytest.mark.parametrize("bad", [float, repr])
+    @pytest.mark.parametrize("where", ["component", "image"])
+    def test_an_id_that_is_not_an_int_is_named_as_a_missing_one(self, monkeypatch, where, bad):
+        flows, eta, old, new = real_period(monkeypatch, Parameters())
+        column, at = (
+            (eta.components, ACCOUNT_INDEX["AccComBank"])
+            if where == "component"
+            else (eta.F.morphism_images, 0)
+        )
+        good = column[at]
+        column[at] = 999
+        with pytest.raises(EngineConsistencyError) as missing:
+            verify_time_step(flows, eta, old, new)
+        column[at] = bad(good)
+        with pytest.raises(EngineConsistencyError) as err:
+            verify_time_step(flows, eta, old, new)
+        assert err.value.failures == [
+            f.replace("999", repr(bad(good))) for f in missing.value.failures
+        ]
+        assert any(repr(bad(good)) in f for f in err.value.failures)
+        column[at] = good
+        verify_time_step(flows, eta, old, new)
 
     def test_every_swapped_component_pair_is_caught(self, monkeypatch):
         flows, eta, old, new = real_period(monkeypatch, Parameters())

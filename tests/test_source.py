@@ -1,10 +1,13 @@
 """Source hygiene: every module-level import of the package is read, every private name,
-and every option of the command-line parser."""
+and every option of the command-line parser; importing the CLI loads no code generator."""
 
 from __future__ import annotations
 
 import argparse
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -156,3 +159,19 @@ def test_the_check_finds_an_unread_option():
 def test_every_parser_option_is_read():
     source = (PACKAGE / "cli.py").read_text(encoding="utf-8")
     assert unread_options(build_parser(), source) == sorted(UNREAD_OPTIONS)
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # every `catledger` process pays its import: `dataclasses` pulls in `inspect`,
+    # `ast` and `dis`, and compiles code for each record it decorates
+    code = (
+        "import sys; before = set(sys.modules); import catledger.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+    )
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
