@@ -55,7 +55,7 @@ EXIT_DIVERGENCE = 3
 
 # config-file key -> Parameters field, in field order; `lam` is keyed `lambda`
 PARAM_KEYS: dict[str, str] = {
-    "lambda" if name == "lam" else name: name for name in Parameters.field_names()
+    "lambda" if name == "lam" else name: name for name in Parameters._fields
 }
 
 _INT_FIELDS = {"tau", "horizon"}

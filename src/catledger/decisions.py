@@ -94,10 +94,6 @@ class Parameters(NamedTuple):
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
 
-    @staticmethod
-    def field_names() -> tuple[str, ...]:
-        return Parameters._fields
-
 
 # the fields whose default is a float, in field order; read from the defaults, as a
 # named tuple turns the string annotations of `from __future__` into ForwardRefs
@@ -106,9 +102,20 @@ _FLOAT_FIELDS = tuple(
 )
 
 
+def _total(entries: Sequence[float]) -> float:
+    """The correctly rounded sum of non-negative `entries`: inf where `math.fsum` overflows."""
+    try:
+        return math.fsum(entries)
+    except OverflowError:
+        return math.inf
+
+
 def memory_due(wages: Sequence[float], repays: Sequence[float]) -> tuple[float, float]:
     """Total wage and repayment obligations falling due this period."""
-    return math.fsum(wages), math.fsum(repays)
+    try:
+        return math.fsum(wages), math.fsum(repays)
+    except OverflowError:  # total each apart, so that only the one past the largest double is inf
+        return _total(wages), _total(repays)
 
 
 def memory_push(history: Sequence[float], value: float) -> tuple[float, ...]:

@@ -91,7 +91,7 @@ from .ledger import (
     invariances,
     post_booking,
     post_compiled,
-    refuse_negative,
+    refuse_balance,
     rejection,
 )
 
@@ -219,9 +219,11 @@ def _period_cycle(
 
     Steps 9 and 14 read no balance a booking moves, so they are decided
     first and `period_amounts` gives all eight bookings, posted through
-    `book.post` in order.  A balance the cycle writes in `book.values` is
-    refused if negative.  The next state is the balances `book.close`
-    returns, then the pushed memory and the new declaration.
+    `book.post` in order.  The period refuses a balance it writes in
+    `book.values` unless `0.0 <= v < inf`, then a metric and a closing
+    balance that is not finite: their sum is tested, and scanned only when
+    it is not finite.  The next state is the balances `book.close` returns,
+    then the pushed memory and the new declaration.
     """
     values, post = book.values, book.post
     repays_at, length = _WAGES_AT + p.tau, _WAGES_AT + 2 * p.tau + 1
@@ -238,7 +240,7 @@ def _period_cycle(
     # 2. fresh endowments
     values[_LAB_LAB] += p.nu_l
     values[_RES_RES] += p.nu_r
-    refuse_negative(values, _CARRIED)
+    refuse_balance(values, _CARRIED)
 
     # 3. contractual dues
     wages_due, repays_due = memory_due(wages, repays)
@@ -256,7 +258,7 @@ def _period_cycle(
     output = production(values[_COM_LAB], values[_COM_RES], p.alpha, p.gamma)
     values[_COM_LAB] = values[_COM_RES] = 0.0
     values[_COM_GOOD] += output
-    refuse_negative(values, (_COM_GOOD,))
+    refuse_balance(values, (_COM_GOOD,))
 
     # 7. price formation; the goods sales divide by the price
     price = good_price(plan, output, surplus, p.omega, period, p.p_0)
@@ -279,10 +281,16 @@ def _period_cycle(
         wages_due, repays_due, c_lab, c_res, c_cap, demand, plan, surplus, output, price,
         invest, invest_res, invest_lab, installment, diff, declared, paid,
     )
+    if not math.isfinite(sum(metrics)):
+        bad = _first_non_finite(metrics)
+        if bad is not None:
+            raise ValidationFailure(f"column {METRIC_COLUMNS[bad]} is not finite")
 
     # 8. goods sales; 10. loan creation; 11-14. factor purchases, repayment, dividend
     for booking_id, amounts in period_amounts(metrics, p):
         post(booking_id, amounts)
+    if not math.isfinite(sum(values)):  # a posting of finite amounts can overflow a balance
+        refuse_balance(values, range(_WAGES_AT))
 
     # 15. remember the new obligations after the closing balances
     new_state = book.close()
@@ -434,11 +442,6 @@ def build_time_step(
     return step, f_t, f_t1, NaturalTransformation(f_t, f_t1, _AT_T[:])
 
 
-def _both_nan(weight: float, expected: float) -> bool:
-    """A NaN weight matches a NaN: an account at inf has the net flow inf - inf."""
-    return weight != weight and expected != expected
-
-
 def verify_time_step(
     flows: FiniteCategory, eta: NaturalTransformation, old: Sequence[float], new: Sequence[float]
 ) -> None:
@@ -463,9 +466,7 @@ def verify_time_step(
                 if mapped is None or not 1 <= mapped <= bound:
                     continue  # reported by the law check, a missing image too
                 image_label, image_weight = labels[mapped - 1], weights[mapped - 1]
-                if image_label != label or (
-                    image_weight != weight and not _both_nan(image_weight, weight)
-                ):
+                if image_label != label or image_weight != weight:
                     failures.append(
                         f"{tag}: morphism {mor_id} ({label}) maps to "
                         f"{image_label!r} weighted {image_weight}, not {weight}"
@@ -475,7 +476,7 @@ def verify_time_step(
         for name, net, comp_id in walk:
             if comp_id is None or not 1 <= comp_id <= bound:
                 failures.append(f"component weight for {name}: no evolution component")
-            elif weights[comp_id - 1] != net and not _both_nan(weights[comp_id - 1], net):
+            elif weights[comp_id - 1] != net:
                 failures.append(
                     f"component weight for {name}: {weights[comp_id - 1]} != net flow {net}"
                 )
@@ -545,12 +546,9 @@ def run(
     """Deterministic trace of `horizon` periods (rows 0..horizon inclusive).
 
     `engine` is an `EngineKind` or its value, 'recursive' or 'categorical'.
-    The trace's `params` carry the horizon that ran.  A rejected booking ends
-    the run with a `ValidationFailure` whose `period` names the period it was
-    rejected in.  A run that completes with an inf or nan cell is refused too,
-    once its last period has run: the `ValidationFailure` says `column C is
-    not finite`, with `period` the row of the first such cell and no
-    diagnostics.
+    The trace's `params` carry the horizon that ran.  A period that refuses
+    a booking or a value it makes ends the run with a `ValidationFailure`
+    whose `period` names that period, so every cell of a trace is finite.
     """
     engine = EngineKind(engine)
     params.validate()
@@ -569,12 +567,6 @@ def run(
             exc.period = period
             raise
         cells.extend((period, *metrics, *opening, *checks))
-    bad = _first_non_finite(cells)
-    if bad is not None:
-        row, column = divmod(bad, _WIDTH)
-        failure = ValidationFailure(f"column {TRACE_COLUMNS[column]} is not finite")
-        failure.period = row
-        raise failure
     return Trace(params, engine, array("d", cells))
 
 

@@ -84,6 +84,7 @@ ACCOUNT_INDEX: dict[str, int] = {name: index for index, name in enumerate(ACCOUN
 # the length of a ledger, and the refusal of a list of another length, given that length
 _LEDGER_LENGTH = len(ACCOUNT_NAMES)
 _WRONG_LENGTH = f"a ledger holds {_LEDGER_LENGTH} balances, got %d"
+_INF = math.inf
 
 assert sum(1 for s in ACCOUNT_SPECS if s.kind is AccountKind.ASSET) == 14
 assert sum(1 for s in ACCOUNT_SPECS if s.kind is AccountKind.LIABILITY) == 6
@@ -98,9 +99,6 @@ class ValidationFailure(LedgerError):
 
     `period` is the simulated period the rejection happened in, recorded by
     `evolution.run`; it stays None when the failure arose outside a run.
-    `evolution.run` also raises one, `column C is not finite` with no
-    diagnostics, for a finished trace whose row `period` holds the first
-    inf or nan cell.
     """
 
     def __init__(self, message: str, diagnostics: list[str] | None = None) -> None:
@@ -109,12 +107,13 @@ class ValidationFailure(LedgerError):
         self.period: int | None = None
 
 
-def refuse_negative(values: Sequence[float], positions: Sequence[int]) -> None:
-    """Refuse the first balance of `values` at `positions` that is negative (a NaN passes)."""
+def refuse_balance(values: Sequence[float], positions: Sequence[int]) -> None:
+    """Refuse the first balance of `values` at `positions` that fails `0.0 <= v < inf`."""
     for i in positions:
-        if values[i] < 0.0:
+        if not 0.0 <= values[i] < _INF:
+            problem = "negative" if values[i] < 0.0 else "non-finite"
             raise ValidationFailure(
-                f"balance of {ACCOUNT_NAMES[i]!r} would become negative ({values[i]})"
+                f"balance of {ACCOUNT_NAMES[i]!r} would become {problem} ({values[i]})"
             )
 
 
@@ -303,7 +302,6 @@ def compile_booking_table(table: Mapping[int, BookingEntry]) -> dict[int, tuple]
 
 
 _COMPILED = compile_booking_table(BOOKINGS)
-_INF = math.inf
 
 
 def booking_entry(table: Mapping[int, tuple], booking_id: int) -> tuple:

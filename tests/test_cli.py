@@ -258,15 +258,26 @@ class TestCmdRun:
     @pytest.mark.parametrize("flag", ["--out", "--json"])
     @pytest.mark.parametrize(
         "setting, where",
-        [("nu_l=1e308", "period 2, column AccLabLab"), ("nu_r=1e308", "period 2, column AccResRes")],
+        [
+            ("nu_l=1e308", "period 1, balance of 'AccLabLab'"),
+            ("nu_r=1e308", "period 1, balance of 'AccResRes'"),
+        ],
     )
     def test_non_finite_cell_exits_1_and_writes_nothing(
         self, tmp_path, capsys, flag, setting, where
     ):
         path = tmp_path / "trace.out"
         assert main(["run", "--set", setting, "--horizon", "3", flag, str(path)]) == EXIT_CONFIG
-        assert f"run failed: {where} is not finite" in capsys.readouterr().err
+        assert f"run failed: {where} would become non-finite (inf)" in capsys.readouterr().err
         assert not path.exists()
+
+    def test_an_overflowing_memory_due_is_refused_without_a_traceback(self, capsys):
+        settings = ["sig_a=1e308", "sig_b=7e307", "lambda=1", "tau=4", "p_l=1e300", "nu_l=1e12"]
+        argv = ["run", *(arg for setting in settings for arg in ("--set", setting))]
+        assert main([*argv, "--horizon", "10"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("run failed: period ")
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("engine", ["recursive", "categorical"])
     def test_rejection_names_period_booking_and_legs(self, capsys, engine):
@@ -335,22 +346,33 @@ class TestCmdCompare:
 
     @pytest.mark.parametrize("engine", ["recursive", "categorical"])
     def test_zero_good_price_is_a_rejection(self, capsys, engine):
-        # alpha=1e308 overflows the output to inf, so plan / output is 0.0
-        argv = ["run", "--set", "alpha=1e308", "--horizon", "5", "--engine", engine]
-        assert main(argv) == EXIT_CONFIG
+        # a least-subnormal sig_b prices period 1's goods at 0.0
+        argv = ["--set", "sig_a=0", "--set", "sig_b=5e-324", "--horizon", "5"]
+        assert main(["run", *argv, "--engine", engine]) == EXIT_CONFIG
         lines = [line.strip() for line in capsys.readouterr().err.splitlines()]
         assert lines == [
-            "run failed: period 3, good price is zero: the goods sales cannot be priced",
+            "run failed: period 1, good price is zero: the goods sales cannot be priced",
             "GoodPrice=0.0",
         ]
-        assert main(["compare", "--set", "alpha=1e308", "--horizon", "5"]) == EXIT_CONFIG
-        assert "compare failed: period 3, good price is zero" in capsys.readouterr().err
+        assert main(["compare", *argv]) == EXIT_CONFIG
+        assert "compare failed: period 1, good price is zero" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("engine", ["recursive", "categorical"])
+    def test_an_output_of_inf_is_refused_at_its_write(self, capsys, engine):
+        argv = ["run", "--set", "alpha=1e308", "--horizon", "5", "--engine", engine]
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "run failed: period 0, balance of 'AccComGood' would become non-finite (inf)\n"
+        )
 
     def test_non_finite_cell_exits_1(self, capsys):
-        # both traces hold AccResRes = inf, and abs(inf - inf) is nan
+        # period 1's second endowment would make AccResRes inf on both engines
         assert main(["compare", "--set", "nu_r=1e308", "--horizon", "3"]) == EXIT_CONFIG
         captured = capsys.readouterr()
-        assert "compare failed: period 2, column AccResRes is not finite" in captured.err
+        assert (
+            "compare failed: period 1, balance of 'AccResRes' would become non-finite (inf)"
+            in captured.err
+        )
         assert "max divergence" not in captured.out
 
     def test_rejection_names_period_booking_and_legs(self, capsys):
@@ -419,15 +441,22 @@ class TestCmdSweep:
         lines = capsys.readouterr().out.splitlines()
         assert lines[1].startswith("alpha,0.42,ok,")
         assert lines[2].startswith(
-            "alpha,1e308,error: period 3: good price is zero: the goods sales cannot be "
+            "alpha,1e308,error: period 0: balance of 'AccComGood' would become non-finite (inf),"
+        )
+        argv = ["sweep", "--param", "sig_b", "--values", "480,5e-324", "--horizon", "25"]
+        assert main([*argv, "--set", "sig_a=0"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1].startswith("sig_b,480,ok,")
+        assert lines[2].startswith(
+            "sig_b,5e-324,error: period 1: good price is zero: the goods sales cannot be "
             "priced [GoodPrice=0.0],"
         )
 
     @pytest.mark.parametrize(
         "param, values, where",
         [
-            ("nu_r", "1e308,100", "period 2: column AccResRes"),
-            ("nu_l", "1e308", "period 2: column AccLabLab"),
+            ("nu_r", "1e308,100", "period 1: balance of 'AccResRes'"),
+            ("nu_l", "1e308", "period 1: balance of 'AccLabLab'"),
         ],
     )
     def test_non_finite_cell_marks_its_row_an_error(self, capsys, param, values, where):
@@ -435,7 +464,7 @@ class TestCmdSweep:
         assert main(argv) == EXIT_OK
         rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
         assert [row["value"] for row in rows] == values.split(",")
-        assert rows[0]["status"] == f"error: {where} is not finite"
+        assert rows[0]["status"] == f"error: {where} would become non-finite (inf)"
         assert rows[0]["bounded"] == ""
         assert [row["status"] for row in rows[1:]] == ["ok"] * (len(rows) - 1)
 

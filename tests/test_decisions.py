@@ -149,6 +149,11 @@ class TestMemory:
     def test_due_all_zero(self):
         assert memory_due((0.0,) * 10, (0.0,) * 10) == (0.0, 0.0)
 
+    def test_due_that_overflows_is_inf(self):
+        # math.fsum raises OverflowError here; the entries are non-negative,
+        # so inf is the correctly rounded total
+        assert memory_due([1.7e308, 1.7e308], [0.0]) == (math.inf, 0.0)
+
     def test_push_onto_zeros(self):
         assert memory_push((0.0,) * 10, 52.0) == (52.0,) + (0.0,) * 9
 

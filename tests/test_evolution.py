@@ -10,12 +10,13 @@ from array import array
 from enum import Enum
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from catledger.catcore import FinSetMap, finset_pushout
 
-from catledger.decisions import Parameters, PeriodMetrics
+from catledger.decisions import METRIC_COLUMNS, Parameters, PeriodMetrics
 from catledger.evolution import (
+    INVARIANCE_COLUMNS,
     TRACE_COLUMNS,
     EngineConsistencyError,
     EngineKind,
@@ -199,22 +200,121 @@ class TestEngineArgument:
 
 class TestFiniteTrace:
     @pytest.mark.parametrize("engine", ENGINES)
-    @pytest.mark.parametrize("field, column", [("nu_l", "AccLabLab"), ("nu_r", "AccResRes")])
-    def test_a_non_finite_cell_is_refused_by_its_period_and_column(self, engine, field, column):
-        # period 1 adds a second 1e308 endowment: row 2 opens the stock at inf
+    @pytest.mark.parametrize("horizon", [1, 3])
+    @pytest.mark.parametrize("field, account", [("nu_l", "AccLabLab"), ("nu_r", "AccResRes")])
+    def test_a_non_finite_write_is_refused_by_its_period_and_account(
+        self, engine, horizon, field, account
+    ):
+        # period 1 adds a second 1e308 endowment: the write makes the stock
+        # inf; at horizon 1 that is the last period, whose close is no row
         with pytest.raises(ValidationFailure) as err:
-            run(Parameters(**{field: 1e308}), horizon=3, engine=engine)
-        assert str(err.value) == f"column {column} is not finite"
-        assert err.value.period == 2
+            run(Parameters(**{field: 1e308}), horizon=horizon, engine=engine)
+        assert str(err.value) == f"balance of {account!r} would become non-finite (inf)"
+        assert err.value.period == 1
         assert err.value.diagnostics == []
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_finite_cells_whose_sum_overflows_pass(self, engine):
-        trace = run(Parameters(nu_l=1e308, nu_r=1e308), horizon=1, engine=engine)
-        row = dict(zip(TRACE_COLUMNS, trace.cells[WIDTH:]))
-        assert row["AccLabLab"] == row["AccResRes"] == 1e308
+        trace = run(Parameters(com_lab_0=1e308, com_res_0=1e308), horizon=1, engine=engine)
+        row = dict(zip(TRACE_COLUMNS, trace.cells[:WIDTH]))
+        assert row["AccComLab"] == row["AccComRes"] == 1e308
         assert sum(trace.cells) == math.inf
         assert all(map(math.isfinite, trace.cells))
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_a_posting_that_overflows_a_balance_is_refused_at_the_close(self, engine):
+        # every loan amount is finite, but their running sum on AccComLoan is not
+        params = Parameters(tau=20, sig_a=2e307, sig_b=1.0, lam=0.0, p_r=1e300, nu_r=1e12)
+        with pytest.raises(ValidationFailure) as err:
+            run(params, horizon=20, engine=engine)
+        assert str(err.value) == "balance of 'AccComLoan' would become non-finite (inf)"
+        assert err.value.period == 11
+        assert err.value.diagnostics == []
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_a_refused_run_steps_no_period_past_the_refusal(self, monkeypatch, engine):
+        from catledger import evolution
+
+        steps = []
+        real_step = evolution.period_step
+
+        def counting(state, params, period, engine):
+            steps.append(period)
+            return real_step(state, params, period, engine)
+
+        monkeypatch.setattr(evolution, "period_step", counting)
+        with pytest.raises(ValidationFailure) as err:
+            run(Parameters(nu_l=1e308), horizon=50, engine=engine)
+        assert err.value.period == 1
+        assert steps == [0, 1]
+
+
+# Valid parameters, each field its default or a draw over its whole valid
+# range, whose ends (0, the least subnormal, the largest double) are drawn often.
+_FINITE = {"allow_nan": False, "allow_infinity": False}
+_FRACTION = st.floats(0.0, 1.0)
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, **_FINITE)
+_NON_NEGATIVE = st.floats(min_value=0.0, **_FINITE)
+_DRAWS = {
+    "tau": st.integers(1, 30),
+    **dict.fromkeys(("lam", "rho_r", "rho_l", "rho_c", "delta_c", "delta_b"), _FRACTION),
+    **dict.fromkeys(("gamma", "beta_l", "beta_r", "beta_c"), _FRACTION),
+    **dict.fromkeys(("sig_b", "sig_c", "p_r", "p_l", "p_0", "alpha"), _POSITIVE),
+    **dict.fromkeys(("sig_a", "nu_l", "nu_r", "com_lab_0", "com_res_0"), _NON_NEGATIVE),
+    **dict.fromkeys(("mu", "omega"), st.floats(**_FINITE)),
+    "horizon": st.integers(1, 50),
+}
+VALID_PARAMETERS = (
+    st.fixed_dictionaries(
+        {name: st.one_of(st.just(Parameters._field_defaults[name]), draw)
+         for name, draw in _DRAWS.items()}
+    )
+    .map(lambda fields: Parameters(**fields))
+    .filter(lambda p: math.isfinite(p.sig_a + p.sig_b))
+)
+
+
+def run_outcome(params: Parameters, engine: EngineKind) -> tuple:
+    """("ok", trace) for a run that completes, else the refusal's text, diagnostics and period."""
+    try:
+        return "ok", run(params, engine=engine)
+    except ValidationFailure as exc:
+        return "refused", str(exc), exc.diagnostics, exc.period
+
+
+def names_its_cause(message: str, diagnostics: list[str]) -> bool:
+    """Whether a refusal names an account, a metric column, the good price or a failed check."""
+    return (
+        any(message.startswith(f"balance of {name!r} would become ") for name in ACCOUNT_NAMES)
+        or any(message == f"column {column} is not finite" for column in METRIC_COLUMNS)
+        or message.startswith("good price is zero: ")
+        or (message.startswith("booking ") and len(diagnostics) > 0)
+    )
+
+
+class TestWholeRun:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(VALID_PARAMETERS)
+    @example(Parameters(horizon=50)).via("the defaults complete")
+    @example(Parameters(tau=1, horizon=50)).via("the first loan falls due whole: refused")
+    @example(
+        Parameters(sig_a=1e308, sig_b=7e307, lam=1.0, tau=4, p_l=1e300, nu_l=1e12, horizon=10)
+    ).via("the wage dues overflow math.fsum")
+    def test_a_run_completes_clean_or_is_refused_where_it_fails(self, params):
+        params.validate()
+        outcome = run_outcome(params, EngineKind.RECURSIVE)
+        other = run_outcome(params, EngineKind.CATEGORICAL)
+        if outcome[0] == "refused":
+            assert other == outcome
+            _, message, diagnostics, period = outcome
+            assert period is not None and 0 <= period <= params.horizon
+            assert names_its_cause(message, diagnostics), outcome
+            return
+        trace = outcome[1]
+        assert other[0] == "ok" and other[1].cells.tobytes() == trace.cells.tobytes()
+        assert all(map(math.isfinite, trace.cells))
+        for column in INVARIANCE_COLUMNS:
+            assert all(value == 0.0 for value in trace.column(column))
 
 
 class TestDeterminismAndEquivalence:
@@ -382,14 +482,16 @@ class TestCategoricalInternals:
             verify_time_step(cat, eta, old, new)
         assert any("AccComBank" in f for f in err.value.failures)
 
-    def test_nan_net_flow_passes_the_laws(self):
+    def test_nan_net_flow_fails_the_laws(self):
         # an account at inf in both snapshots has the net flow inf - inf = nan
         cat = build_economy_category()
         old = init_ledger()
         old[ACCOUNT_NAMES.index("AccComGood")] = float("inf")
         new = list(old)
         _, _, _, eta = build_time_step(cat, old, new)
-        verify_time_step(cat, eta, old, new)
+        with pytest.raises(EngineConsistencyError) as err:
+            verify_time_step(cat, eta, old, new)
+        assert err.value.failures == ["component weight for AccComGood: nan != net flow nan"]
 
     def test_mistyped_component_is_caught(self):
         cat = build_economy_category()
@@ -403,7 +505,8 @@ class TestCategoricalInternals:
 
 
 # the weight rule's grid: each weight with an opening and a closing balance
-# whose difference it is; -0.0 equals 0.0, one ulp apart does not match
+# whose difference it is; -0.0 equals 0.0, one ulp apart does not match, and
+# a NaN matches no weight, not even a NaN
 NET_FLOWS = [
     (0.0, 0.0, 0.0),
     (-0.0, 0.0, -0.0),
@@ -416,21 +519,25 @@ NET_FLOWS = [
 
 @pytest.mark.parametrize("w", [weight for weight, _, _ in NET_FLOWS])
 @pytest.mark.parametrize("e, opening, closing", NET_FLOWS)
-def test_the_weight_rule_accepts_exactly_equal_or_both_nan(w, e, opening, closing):
+def test_the_weight_rule_accepts_exactly_equal(w, e, opening, closing):
     assert repr(closing - opening) == repr(e)
     flows = build_economy_category()
     flows.extend((1,), (2,), (e,), ("flow",))
     old = [opening, *init_ledger()[1:]]  # AccLabBank is account 1
     new = [closing, *old[1:]]
     step, f_t, f_t1, eta = build_time_step(flows, old, new)
-    verify_time_step(flows, eta, old, new)
+    if math.isnan(e):
+        with pytest.raises(EngineConsistencyError):
+            verify_time_step(flows, eta, old, new)
+    else:
+        verify_time_step(flows, eta, old, new)
     images = (f_t.morphism_images[0], f_t1.morphism_images[0])
     component = eta.components[ACCOUNT_INDEX["AccLabBank"]]
     # weight the flow's two images w, then only the account's component
     for weighted, named in ((images, "F_t: morphism 1 "), ((component,), "component weight")):
         for j in (*images, component):
             step.weight[j - 1] = w if j in weighted else e
-        if w == e or (math.isnan(w) and math.isnan(e)):
+        if w == e:
             verify_time_step(flows, eta, old, new)
         else:
             with pytest.raises(EngineConsistencyError) as err:
@@ -645,12 +752,27 @@ class TestStateVector:
         assert str(err.value) == f"balance of {account!r} would become negative ({written})"
 
     @pytest.mark.parametrize("engine", ENGINES)
-    def test_a_nan_balance_write_passes(self, engine):
+    def test_a_nan_balance_write_is_refused_by_name(self, engine):
         params = Parameters()
         state = initial_state(params)
         state[ACCOUNT_INDEX["AccLabLab"]] = math.nan
-        closing, _ = period_step(state, params, 0, engine=engine)
-        assert math.isnan(closing[ACCOUNT_INDEX["AccLabLab"]])
+        with pytest.raises(ValidationFailure) as err:
+            period_step(state, params, 0, engine=engine)
+        assert str(err.value) == "balance of 'AccLabLab' would become non-finite (nan)"
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_a_non_finite_balance_no_write_touches_is_refused_before_the_laws(
+        self, engine, value
+    ):
+        # the closing check runs before the categorical law checks, so both
+        # engines refuse it by name, not as a NaN net flow
+        params = Parameters()
+        state = initial_state(params)
+        state[ACCOUNT_INDEX["AccCapDiv"]] = value
+        with pytest.raises(ValidationFailure) as err:
+            period_step(state, params, 0, engine=engine)
+        assert str(err.value) == f"balance of 'AccCapDiv' would become non-finite ({value})"
 
     def test_a_state_of_another_length_is_refused(self):
         params = Parameters(tau=3)

@@ -31,7 +31,7 @@ from catledger.ledger import (
     leg_statuses,
     post_booking,
     post_compiled,
-    refuse_negative,
+    refuse_balance,
     validate_booking,
 )
 
@@ -347,7 +347,7 @@ class TestConservationProperty:
         assert (ok, diagnostics) == oracle_validate_booking(ledger, reference)
 
 
-class TestRefuseNegative:
+class TestRefuseBalance:
     def test_the_first_negative_position_is_named(self):
         values = init_ledger()
         values[ACCOUNT_INDEX["AccLabBank"]] = -5.0
@@ -355,19 +355,26 @@ class TestRefuseNegative:
         opening = list(values)
         positions = [ACCOUNT_INDEX[name] for name in ("AccComGood", "AccLabBank", "AccComBank")]
         with pytest.raises(ValidationFailure) as err:
-            refuse_negative(values, positions)
+            refuse_balance(values, positions)
         assert str(err.value) == "balance of 'AccLabBank' would become negative (-5.0)"
         assert err.value.diagnostics == [] and err.value.period is None
         assert values == opening  # a check only: nothing is written
 
-    def test_zero_and_nan_pass_and_other_positions_are_not_read(self):
+    @pytest.mark.parametrize("value, written", [(math.nan, "nan"), (math.inf, "inf")])
+    def test_zero_passes_nan_and_inf_are_refused_and_other_positions_are_not_read(
+        self, value, written
+    ):
         values = init_ledger()
         values[ACCOUNT_INDEX["AccComBank"]] = 0.1
-        values[ACCOUNT_INDEX["AccComGood"]] = math.nan
+        values[ACCOUNT_INDEX["AccComGood"]] = value
         values[ACCOUNT_INDEX["AccLabBank"]] = -5.0
-        passing = [ACCOUNT_INDEX["AccComBank"], ACCOUNT_INDEX["AccComGood"]]
-        assert refuse_negative(values, passing) is None
-        assert refuse_negative(values, ()) is None
+        passing = [ACCOUNT_INDEX["AccComBank"], ACCOUNT_INDEX["AccLabGood"]]
+        assert refuse_balance(values, passing) is None
+        assert refuse_balance(values, ()) is None
+        with pytest.raises(ValidationFailure) as err:
+            refuse_balance(values, passing + [ACCOUNT_INDEX["AccComGood"]])
+        assert str(err.value) == f"balance of 'AccComGood' would become non-finite ({written})"
+        assert err.value.diagnostics == [] and err.value.period is None
 
 
 # ---------------------------------------------------------------------------
