@@ -15,6 +15,7 @@ universal-property verifiers are exhaustive test-time searches.
 from __future__ import annotations
 
 import itertools
+from operator import countOf
 from types import MappingProxyType
 from typing import Hashable, Iterator, Mapping, Sequence
 
@@ -76,9 +77,10 @@ class FiniteCategory:
             lengths = len(src), len(dst), len(weight), len(label)
             raise CategoryError("unequal columns: src %d, dst %d, weight %d, label %d" % lengths)
         n_objects, ints = len(self.names), type(sum(src) + sum(dst)) is int  # only ints sum to one
-        if src and not (ints and 1 <= min(*src, *dst) <= max(*src, *dst) <= n_objects):
-            ends = itertools.chain(*zip(src, dst))
-            bad = next(e for e in ends if not isinstance(e, int) or not 1 <= e <= n_objects)
+        ends = sorted([*src, *dst]) if ints else ()  # one sort costs less than `min` and `max`
+        if src and not (ints and 1 <= ends[0] and ends[-1] <= n_objects):
+            walk = itertools.chain(*zip(src, dst))
+            bad = next(e for e in walk if not isinstance(e, int) or not 1 <= e <= n_objects)
             raise DanglingEndpointError(f"morphism endpoint {bad} does not exist in {self.name!r}")
         first = len(self.src) + 1
         self.src.extend(src)
@@ -95,6 +97,15 @@ class FiniteCategory:
         return [(f, g) for f, d in enumerate(self.dst, 1) for g in by_src.get(d, ())]
 
 
+def _ids(entries: list[int | None], column: str) -> list[int | None]:
+    """`entries`, unless one is neither None nor of type int: CategoryError names the first."""
+    if countOf(map(type, entries), int) != len(entries):  # a list with a None is walked too
+        for i, e in enumerate(entries, 1):
+            if e is not None and type(e) is not int:
+                raise CategoryError(f"{column}: source id {i} maps to {e!r}, not an int id or None")
+    return entries
+
+
 class Functor:
     """A functor between presented categories, given on generators.
 
@@ -102,6 +113,7 @@ class Functor:
     `morphism_images[j - 1]` that of generator j, None where there is none.
     Identities are preserved automatically (they are implicit), so the
     checkable laws are endpoint coherence and composability of images.
+    CategoryError names an image that is neither None nor of type int.
     """
 
     __slots__ = ("source", "target", "object_images", "morphism_images")
@@ -110,7 +122,8 @@ class Functor:
         self, source: FiniteCategory, target: FiniteCategory, object_images, morphism_images
     ) -> None:
         self.source, self.target = source, target
-        self.object_images, self.morphism_images = object_images, morphism_images
+        self.object_images = _ids(object_images, "object_images")
+        self.morphism_images = _ids(morphism_images, "morphism_images")
 
     @staticmethod
     def identity(cat: FiniteCategory) -> "Functor":
@@ -120,13 +133,14 @@ class Functor:
 class NaturalTransformation:
     """A transformation between parallel functors, one component per source object.
 
-    `components[i - 1]` is the id of a target morphism F(i) -> G(i), or None.
+    `components[i - 1]` is the id of a target morphism F(i) -> G(i), or None;
+    CategoryError names a component of any other type.
     """
 
     __slots__ = ("F", "G", "components")
 
     def __init__(self, F: Functor, G: Functor, components: list[int | None]) -> None:
-        self.F, self.G, self.components = F, G, components
+        self.F, self.G, self.components = F, G, _ids(components, "components")
 
 
 class LawReport:
@@ -158,67 +172,34 @@ def _fit(images: list[int | None], count: int) -> list[int | None]:
     return images if len(images) == count else [*images[:count], *[None] * (count - len(images))]
 
 
-class _NotAnId(str):
-    """The repr of an image that is not an int id: no id range holds it, so a check reports it."""
-
-    def __ge__(self, other: object) -> bool:  # `1 <= image` is False
-        return False
-
-
-def _marked(eta: NaturalTransformation) -> NaturalTransformation:
-    """A copy of `eta` whose components and images that are not int ids are `_NotAnId`s.
-
-    The checks walk int ids without testing types: one that is not raises
-    TypeError, free until then, and the check walks this copy instead.  The
-    error came from elsewhere if nothing needs marking, and is raised again.
-    """
-    F, G = eta.F, eta.G
-    columns = eta.components, F.object_images, F.morphism_images, G.object_images, G.morphism_images
-    marked = [
-        [i if i is None or isinstance(i, (int, _NotAnId)) else _NotAnId(repr(i)) for i in column]
-        for column in columns
-    ]
-    if marked == list(columns):
-        raise  # the TypeError being handled: no image is to blame
-    components, *images = marked
-    F, G = Functor(F.source, F.target, *images[:2]), Functor(G.source, G.target, *images[2:])
-    return NaturalTransformation(F, G, components)
-
-
 def check_functor_laws(functor: Functor) -> LawReport:
-    """Check totality, endpoint coherence and composition preservation in one walk.
-
-    An image that is not an int id is reported as a missing id (see `_marked`).
-    """
+    """Check totality, endpoint coherence and composition preservation in one walk."""
     src_cat, dst_cat = functor.source, functor.target
     objects = _fit(functor.object_images, len(src_cat.names))
     images = _fit(functor.morphism_images, len(src_cat.src))
     starts, ends, n_objects, bound = dst_cat.src, dst_cat.dst, len(dst_cat.names), len(dst_cat.src)
     failures: list[str] = []
     walk = zip(itertools.count(1), src_cat.src, src_cat.dst, src_cat.label, images)
-    try:
-        for name, image in zip(src_cat.names, objects):
-            if image is None:
-                failures.append(f"object {name!r} has no image")
-            elif not 1 <= image <= n_objects:
-                failures.append(f"object {name!r} maps to missing id {image}")
-        for mor_id, s, d, label, mapped in walk:
-            if mapped is None:
-                failures.append(f"morphism {mor_id} ({label or 'unlabeled'}) has no image")
-            elif not 1 <= mapped <= bound:
-                failures.append(f"morphism {mor_id} maps to missing id {mapped}")
-            else:
-                image_src, image_dst = starts[mapped - 1], ends[mapped - 1]
-                if image_src != objects[s - 1]:
-                    failures.append(
-                        f"morphism {mor_id}: image source {image_src} != F(src) {objects[s - 1]}"
-                    )
-                if image_dst != objects[d - 1]:
-                    failures.append(
-                        f"morphism {mor_id}: image target {image_dst} != F(dst) {objects[d - 1]}"
-                    )
-    except TypeError:
-        return check_functor_laws(_marked(NaturalTransformation(functor, functor, [])).F)
+    for name, image in zip(src_cat.names, objects):
+        if image is None:
+            failures.append(f"object {name!r} has no image")
+        elif not 1 <= image <= n_objects:
+            failures.append(f"object {name!r} maps to missing id {image}")
+    for mor_id, s, d, label, mapped in walk:
+        if mapped is None:
+            failures.append(f"morphism {mor_id} ({label or 'unlabeled'}) has no image")
+        elif not 1 <= mapped <= bound:
+            failures.append(f"morphism {mor_id} maps to missing id {mapped}")
+        else:
+            image_src, image_dst = starts[mapped - 1], ends[mapped - 1]
+            if image_src != objects[s - 1]:
+                failures.append(
+                    f"morphism {mor_id}: image source {image_src} != F(src) {objects[s - 1]}"
+                )
+            if image_dst != objects[d - 1]:
+                failures.append(
+                    f"morphism {mor_id}: image target {image_dst} != F(dst) {objects[d - 1]}"
+                )
     # the images of a composable pair whose two generators have coherent
     # endpoints meet at the image of the shared object, so a pair can fail
     # only when something above already has
@@ -238,7 +219,6 @@ def check_naturality(eta: NaturalTransformation) -> LawReport:
 
     The square of f: A -> B commutes when the paths (eta_A ; G(f)) and
     (F(f) ; eta_B) are composable and parallel; one walk over the columns.
-    A component or image that is not an int id is reported as a missing id.
     """
     F, G = eta.F, eta.G
     if F.source is not G.source or F.target is not G.target:
@@ -250,34 +230,31 @@ def check_naturality(eta: NaturalTransformation) -> LawReport:
     walk = zip(names, _fit(eta.components, n), _fit(F.object_images, n), _fit(G.object_images, n))
     f_images, g_images = _fit(F.morphism_images, m), _fit(G.morphism_images, m)
     squares = zip(itertools.count(1), source.src, source.dst, f_images, g_images)
-    try:
-        for name, comp_id, f_obj, g_obj in walk:
-            a = b = None
-            if comp_id is None:
-                failures.append(f"object {name!r} has no component")
-            elif not 1 <= comp_id <= bound:
-                failures.append(f"component at {name!r} is missing id {comp_id}")
-            else:
-                a, b = starts[comp_id - 1], ends[comp_id - 1]
-                if a != f_obj or b != g_obj:
-                    failures.append(
-                        f"component at {name!r} is mistyped: {a}->{b} is not F({name})->G({name})"
-                    )
-            comp_starts.append(a)
-            comp_ends.append(b)
-        for mor_id, a, b, fi, gi in squares:
-            a0, b0 = comp_starts[a], comp_starts[b]
-            if a0 is None or b0 is None or fi is None or gi is None:
-                failures.append(f"square for morphism {mor_id} is incomplete")
-            elif not (1 <= fi <= bound and 1 <= gi <= bound):
-                failures.append(f"square for morphism {mor_id} maps to a missing id")
-            # left path: eta_A then G(f); right path: F(f) then eta_B
-            elif comp_ends[a] != starts[gi - 1] or ends[fi - 1] != b0:
-                failures.append(f"square for morphism {mor_id} does not compose")
-            elif a0 != starts[fi - 1] or ends[gi - 1] != comp_ends[b]:
-                failures.append(f"square for morphism {mor_id} is not parallel")
-    except TypeError:
-        return check_naturality(_marked(eta))
+    for name, comp_id, f_obj, g_obj in walk:
+        a = b = None
+        if comp_id is None:
+            failures.append(f"object {name!r} has no component")
+        elif not 1 <= comp_id <= bound:
+            failures.append(f"component at {name!r} is missing id {comp_id}")
+        else:
+            a, b = starts[comp_id - 1], ends[comp_id - 1]
+            if a != f_obj or b != g_obj:
+                failures.append(
+                    f"component at {name!r} is mistyped: {a}->{b} is not F({name})->G({name})"
+                )
+        comp_starts.append(a)
+        comp_ends.append(b)
+    for mor_id, a, b, fi, gi in squares:
+        a0, b0 = comp_starts[a], comp_starts[b]
+        if a0 is None or b0 is None or fi is None or gi is None:
+            failures.append(f"square for morphism {mor_id} is incomplete")
+        elif not (1 <= fi <= bound and 1 <= gi <= bound):
+            failures.append(f"square for morphism {mor_id} maps to a missing id")
+        # left path: eta_A then G(f); right path: F(f) then eta_B
+        elif comp_ends[a] != starts[gi - 1] or ends[fi - 1] != b0:
+            failures.append(f"square for morphism {mor_id} does not compose")
+        elif a0 != starts[fi - 1] or ends[gi - 1] != comp_ends[b]:
+            failures.append(f"square for morphism {mor_id} is not parallel")
     return LawReport(not failures, failures)
 
 

@@ -56,7 +56,6 @@ from .catcore import (
     Functor,
     NaturalTransformation,
     _fit,
-    _marked,
     check_functor_laws,
     check_naturality,
     pullback_positions,
@@ -128,8 +127,15 @@ _CARRIED = (_LAB_GOOD, _RES_GOOD, _CAP_GOOD, _LAB_LAB, _RES_RES)
 
 
 def initial_state(params: Parameters) -> list[float]:
-    """The opening state: the fresh ledger, no dues, no declared dividend."""
-    return init_ledger(params.com_lab_0, params.com_res_0) + [0.0] * (2 * params.tau + 1)
+    """The opening state: the fresh ledger, no dues, no declared dividend.
+
+    ValueError names `tau` when the state's doubles cannot be allocated.
+    """
+    try:
+        return init_ledger(params.com_lab_0, params.com_res_0) + [0.0] * (2 * params.tau + 1)
+    except (MemoryError, OverflowError):
+        n = _WAGES_AT + 2 * params.tau + 1
+        raise ValueError(f"tau={params.tau}: a state of {n} doubles cannot be allocated") from None
 
 
 def period_amounts(m: PeriodMetrics, p: Parameters) -> tuple[tuple[int, tuple[float, ...]], ...]:
@@ -436,9 +442,8 @@ def build_time_step(
         [*map(sub, new, old), *flows.weight, *flows.weight],
         _EVOLVE + flows.label * 2,
     )
-    images = list(range(_SHIFT + 1, _SHIFT + 2 * m + 1))
-    f_t = Functor(flows, step, _AT_T[:], images[:m])
-    f_t1 = Functor(flows, step, _AT_T1[:], images[m:])
+    f_t = Functor(flows, step, _AT_T[:], list(range(_SHIFT + 1, _SHIFT + m + 1)))
+    f_t1 = Functor(flows, step, _AT_T1[:], list(range(_SHIFT + m + 1, _SHIFT + 2 * m + 1)))
     return step, f_t, f_t1, NaturalTransformation(f_t, f_t1, _AT_T[:])
 
 
@@ -455,33 +460,29 @@ def verify_time_step(
     dividend channels share their endpoints) would pass.
     """
     failures: list[str] = []
-    walk = zip(flows.names, map(sub, new, old), _fit(eta.components, len(old)))
-    try:
-        for functor, tag in ((eta.F, "F_t"), (eta.G, "F_t+1")):
-            failures.extend(f"{tag}: {msg}" for msg in check_functor_laws(functor).failures)
-            target = functor.target
-            labels, weights, bound = target.label, target.weight, len(target.src)
-            images = zip(itertools.count(1), flows.label, flows.weight, functor.morphism_images)
-            for mor_id, label, weight, mapped in images:
-                if mapped is None or not 1 <= mapped <= bound:
-                    continue  # reported by the law check, a missing image too
-                image_label, image_weight = labels[mapped - 1], weights[mapped - 1]
-                if image_label != label or image_weight != weight:
-                    failures.append(
-                        f"{tag}: morphism {mor_id} ({label}) maps to "
-                        f"{image_label!r} weighted {image_weight}, not {weight}"
-                    )
-        failures.extend(f"naturality: {msg}" for msg in check_naturality(eta).failures)
-        weights, bound = eta.F.target.weight, len(eta.F.target.src)
-        for name, net, comp_id in walk:
-            if comp_id is None or not 1 <= comp_id <= bound:
-                failures.append(f"component weight for {name}: no evolution component")
-            elif weights[comp_id - 1] != net:
+    for functor, tag in ((eta.F, "F_t"), (eta.G, "F_t+1")):
+        failures.extend(f"{tag}: {msg}" for msg in check_functor_laws(functor).failures)
+        target = functor.target
+        labels, weights, bound = target.label, target.weight, len(target.src)
+        images = zip(itertools.count(1), flows.label, flows.weight, functor.morphism_images)
+        for mor_id, label, weight, mapped in images:
+            if mapped is None or not 1 <= mapped <= bound:
+                continue  # reported by the law check, a missing image too
+            image_label, image_weight = labels[mapped - 1], weights[mapped - 1]
+            if image_label != label or image_weight != weight:
                 failures.append(
-                    f"component weight for {name}: {weights[comp_id - 1]} != net flow {net}"
+                    f"{tag}: morphism {mor_id} ({label}) maps to "
+                    f"{image_label!r} weighted {image_weight}, not {weight}"
                 )
-    except TypeError:  # an image or component that is not an int id: see `catcore._marked`
-        return verify_time_step(flows, _marked(eta), old, new)
+    failures.extend(f"naturality: {msg}" for msg in check_naturality(eta).failures)
+    weights, bound = eta.F.target.weight, len(eta.F.target.src)
+    for name, net, comp_id in zip(flows.names, map(sub, new, old), _fit(eta.components, len(old))):
+        if comp_id is None or not 1 <= comp_id <= bound:
+            failures.append(f"component weight for {name}: no evolution component")
+        elif weights[comp_id - 1] != net:
+            failures.append(
+                f"component weight for {name}: {weights[comp_id - 1]} != net flow {net}"
+            )
     if failures:
         raise EngineConsistencyError("period law check failed", failures)
 

@@ -762,21 +762,20 @@ class TestLawChecksReportInsteadOfRaising:
 
 
     @pytest.mark.parametrize("bad", [2.0, 1.5, "b", 1j])
-    def test_a_morphism_image_that_is_not_an_int_id_is_reported_as_missing(self, bad):
-        functor = Functor.identity(triangle())
-        functor.morphism_images[0] = bad
-        report = check_functor_laws(functor)
-        assert report == LawReport(False, [f"morphism 1 maps to missing id {bad!r}"])
-        assert functor.morphism_images[0] is bad  # the check walks a marked copy
+    def test_a_morphism_image_that_is_not_an_int_id_is_refused_when_built(self, bad):
+        cat = triangle()
+        images = list(cat.morphisms)
+        images[0] = bad
+        with pytest.raises(CategoryError) as err:
+            Functor(cat, cat, [1, 2, 3], images)
+        assert str(err.value) == (
+            f"morphism_images: source id 1 maps to {bad!r}, not an int id or None"
+        )
 
-    def test_an_object_image_that_is_not_an_int_id_is_reported_as_missing(self):
-        functor = Functor.identity(triangle())
-        functor.object_images[1] = "Y"
-        assert check_functor_laws(functor).failures == [
-            "object 'Y' maps to missing id 'Y'",
-            "morphism 1: image target 2 != F(dst) 'Y'",
-            "morphism 2: image source 2 != F(src) 'Y'",
-        ]
+    def test_an_object_image_that_is_not_an_int_id_is_refused_when_built(self):
+        cat = triangle()
+        with pytest.raises(CategoryError, match="object_images: source id 2 maps to 'Y'"):
+            Functor(cat, cat, [1, "Y", 3], list(cat.morphisms))
 
     def test_a_type_error_from_the_category_itself_is_raised(self):
         cat = triangle()
@@ -795,19 +794,53 @@ class TestLawChecksReportInsteadOfRaising:
 
     @pytest.mark.parametrize("bad", [2.0, "b"])
     @pytest.mark.parametrize("where", ["component", "square image"])
-    def test_naturality_reports_a_non_int_id_as_a_missing_one(self, where, bad):
+    def test_naturality_refuses_a_non_int_id_when_built(self, where, bad):
         base, step, eta = two_snapshot_transformation({"LabBank": 0.0, "ResBank": 208.0})
         base.extend((1,), (2,), (0.0,), ("",))
         eta.F.morphism_images += step.extend((1,), (3,), (0.0,), ("",))
         eta.G.morphism_images += step.extend((2,), (4,), (0.0,), ("",))
         column, at = (eta.components, 1) if where == "component" else (eta.G.morphism_images, 0)
-        column[at] = 99
-        missing = check_naturality(eta)
-        assert not missing.ok
+        column[at] = 99  # an int id, if a missing one, is the law check's to report
+        assert not check_naturality(eta).ok
         column[at] = bad
-        report = check_naturality(eta)
-        assert report.failures == [f.replace("99", repr(bad)) for f in missing.failures]
-        assert column[at] is bad
+        name, source_id = ("components", 2) if where == "component" else ("morphism_images", 1)
+        with pytest.raises(CategoryError, match=f"{name}: source id {source_id} maps to {bad!r}"):
+            if where == "component":
+                NaturalTransformation(eta.F, eta.G, column)
+            else:
+                Functor(eta.G.source, eta.G.target, eta.G.object_images, column)
+
+    @pytest.mark.parametrize("bad", [2.0, 1.5, "b", 1j])
+    @pytest.mark.parametrize("column", ["object_images", "morphism_images", "components"])
+    def test_an_entry_that_is_neither_none_nor_an_int_is_refused_by_name(self, column, bad):
+        # the law checks compare object images and never index by one, so 2.0 would pass as 2
+        cat = triangle()
+        columns = {
+            "object_images": [1, 2, 3],
+            "morphism_images": list(cat.morphisms),
+            "components": [None] * 3,
+        }
+        columns[column][1] = bad
+        with pytest.raises(CategoryError) as err:
+            functor = Functor(cat, cat, columns["object_images"], columns["morphism_images"])
+            NaturalTransformation(functor, functor, columns["components"])
+        assert str(err.value) == f"{column}: source id 2 maps to {bad!r}, not an int id or None"
+
+    def test_none_entries_and_the_identity_are_accepted(self):
+        cat = triangle()
+        identity = Functor.identity(cat)
+        assert check_functor_laws(identity).ok
+        partial = Functor(cat, cat, [1, None, 3], [None, 2, None])
+        assert NaturalTransformation(identity, partial, [None, None, None]).components == [None] * 3
+        assert check_functor_laws(partial).failures[:2] == [
+            "object 'Y' has no image",
+            "morphism 1 (a) has no image",
+        ]
+
+    def test_a_bool_is_not_an_id(self):
+        cat = triangle()
+        with pytest.raises(CategoryError, match="source id 1 maps to True"):
+            Functor(cat, cat, [True, 2, 3], list(cat.morphisms))
 
 
 # Verbatim copies of the FinSet constructions before their rewrite onto

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import io
@@ -12,6 +13,7 @@ import threading
 from array import array
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from catledger import cli
 from catledger.cli import (
@@ -19,6 +21,7 @@ from catledger.cli import (
     EXIT_DIVERGENCE,
     EXIT_INVARIANCE,
     EXIT_OK,
+    PARAM_KEYS,
     TRACE_COLUMNS,
     ConfigError,
     config_echo,
@@ -279,6 +282,13 @@ class TestCmdRun:
         assert err.startswith("run failed: period ")
         assert "Traceback" not in err
 
+    # 2 * tau + 1 exceeds the largest list: refused before anything is allocated
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_a_tau_whose_state_cannot_be_allocated_exits_1_naming_tau(self, capsys, command):
+        assert main([command, "--horizon", "5", "--set", f"tau={2**62}"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"error: tau={2**62}: a state of {2**63 + 21} doubles cannot be allocated\n"
+
     @pytest.mark.parametrize("engine", ["recursive", "categorical"])
     def test_rejection_names_period_booking_and_legs(self, capsys, engine):
         assert main(["run", "--set", "tau=1", "--engine", engine]) == EXIT_CONFIG
@@ -286,6 +296,46 @@ class TestCmdRun:
         assert lines[0].startswith("run failed: period 1, booking 7 ")
         assert "insufficient-balance:AccComBank" in lines
         assert "insufficient-balance:AccBankComBank" in lines
+
+
+# A `--set` value: a number, non-finite or unparsable text; a tau stays at most
+# 50 or reaches 2**62, whose state is refused before anything is allocated.
+_NUMBERS = st.one_of(
+    st.integers(-(10**6), 10**6).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["nan", "-nan", "inf", "-inf", "Infinity"]),
+    st.text(alphabet="xyz,;# ", max_size=4),
+)
+_TAUS = st.one_of(st.integers(max_value=50), st.integers(min_value=2**62)).map(str)
+_ENGINES = st.sampled_from(["recursive", "categorical", "quantum", ""])
+_SETTINGS = st.sampled_from(sorted([*PARAM_KEYS, "engine"])).flatmap(
+    lambda key: st.tuples(
+        st.just(key),
+        _ENGINES if key == "engine" else st.one_of(_TAUS, _NUMBERS) if key == "tau" else _NUMBERS,
+    )
+)
+
+
+class TestSetOnAWholeRun:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(_SETTINGS)
+    @example(("tau", str(2**62))).via("a state too large to allocate")
+    @example(("tau", "1")).via("a rejected booking")
+    @example(("nu_l", "1e308")).via("a balance that overflows")
+    @example(("lambda", "2")).via("a key that is not its field's name")
+    def test_a_setting_completes_or_exits_1_with_a_named_error(self, setting):
+        key, value = setting
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["run", "--horizon", "20", "--set", f"{key}={value}"])
+        err = err.getvalue()
+        assert code in (EXIT_OK, EXIT_CONFIG)
+        assert (code == EXIT_OK) == (err == "")
+        if err.startswith("error: "):
+            # `lambda` sets the field `lam`, which the range check names
+            assert key in err or PARAM_KEYS.get(key, key) in err, err
+        else:
+            assert err == "" or err.startswith("run failed: period "), err
 
 
 class TestCmdCompare:
@@ -434,6 +484,14 @@ class TestCmdSweep:
             "tau,1,error: period 1: booking 7 (Com repays Loan to Bank) rejected "
             "[insufficient-balance:AccComBank insufficient-balance:AccBankComBank],"
         )
+
+    def test_a_tau_whose_state_cannot_be_allocated_marks_only_its_row(self, capsys):
+        argv = ["sweep", "--param", "tau", "--values", f"10,{2**62}", "--horizon", "25"]
+        assert main(argv) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1].startswith("tau,10,ok,")
+        message = f"tau={2**62}: a state of {2**63 + 21} doubles cannot be allocated"
+        assert lines[2] == f"tau,{2**62},error: {message},,,,"
 
     def test_zero_good_price_marks_only_its_row(self, capsys):
         argv = ["sweep", "--param", "alpha", "--values", "0.42,1e308", "--horizon", "25"]

@@ -360,6 +360,13 @@ class TestMemoryBlock:
         assert state[:20] == init_ledger()
         assert all(entry == 0.0 and math.copysign(1.0, entry) == 1.0 for entry in state[20:])
 
+    def test_a_state_too_large_to_allocate_is_a_value_error_naming_tau(self):
+        # 2 * tau + 1 exceeds the largest list, so nothing is allocated
+        with pytest.raises(ValueError) as err:
+            initial_state(Parameters(tau=2**62))
+        assert str(err.value) == f"tau={2**62}: a state of {2**63 + 21} doubles cannot be allocated"
+        assert err.value.__cause__ is None and err.value.__suppress_context__
+
     @pytest.mark.parametrize("tau", [1, 3, 10])
     def test_a_negative_pushed_entry_is_refused(self, tau):
         state = initial_state(Parameters(tau=tau))

@@ -12,7 +12,13 @@ from enum import Enum
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from catledger.catcore import FinSetMap, finset_pushout
+from catledger.catcore import (
+    CategoryError,
+    FinSetMap,
+    Functor,
+    NaturalTransformation,
+    finset_pushout,
+)
 
 from catledger.decisions import METRIC_COLUMNS, Parameters, PeriodMetrics
 from catledger.evolution import (
@@ -993,7 +999,7 @@ class TestPeriodLawGuard:
 
     @pytest.mark.parametrize("bad", [float, repr])
     @pytest.mark.parametrize("where", ["component", "image"])
-    def test_an_id_that_is_not_an_int_is_named_as_a_missing_one(self, monkeypatch, where, bad):
+    def test_an_id_that_is_not_an_int_is_refused_when_built(self, monkeypatch, where, bad):
         flows, eta, old, new = real_period(monkeypatch, Parameters())
         column, at = (
             (eta.components, ACCOUNT_INDEX["AccComBank"])
@@ -1004,13 +1010,17 @@ class TestPeriodLawGuard:
         column[at] = 999
         with pytest.raises(EngineConsistencyError) as missing:
             verify_time_step(flows, eta, old, new)
+        assert any("999" in f for f in missing.value.failures)
         column[at] = bad(good)
-        with pytest.raises(EngineConsistencyError) as err:
-            verify_time_step(flows, eta, old, new)
-        assert err.value.failures == [
-            f.replace("999", repr(bad(good))) for f in missing.value.failures
-        ]
-        assert any(repr(bad(good)) in f for f in err.value.failures)
+        name = "components" if where == "component" else "morphism_images"
+        with pytest.raises(CategoryError) as err:
+            if where == "component":
+                NaturalTransformation(eta.F, eta.G, column)
+            else:
+                Functor(flows, eta.F.target, eta.F.object_images, column)
+        assert str(err.value) == (
+            f"{name}: source id {at + 1} maps to {bad(good)!r}, not an int id or None"
+        )
         column[at] = good
         verify_time_step(flows, eta, old, new)
 
