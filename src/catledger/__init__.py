@@ -9,6 +9,8 @@ transformations, pullback validation and pushout computation -- and both
 keep six cross-system accounting invariances at exactly zero.
 """
 
+from types import ModuleType as _ModuleType
+
 from .catcore import (
     FiniteCategory,
     FinSetMap,
@@ -61,46 +63,8 @@ from .ledger import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ACCOUNT_NAMES",
-    "AccountKind",
-    "Agent",
-    "Direction",
-    "EngineConsistencyError",
-    "EngineKind",
-    "FinSetMap",
-    "FiniteCategory",
-    "Functor",
-    "Invariances",
-    "LawReport",
-    "NaturalTransformation",
-    "Parameters",
-    "PeriodMetrics",
-    "StabilityReport",
-    "Trace",
-    "Unit",
-    "ValidationFailure",
-    "allocate_investment",
-    "check_functor_laws",
-    "check_naturality",
-    "consumption",
-    "demand_plan",
-    "dividend_decision",
-    "finset_pullback",
-    "finset_pushout",
-    "good_price",
-    "init_ledger",
-    "initial_state",
-    "invariances",
-    "investment_sigmoid",
-    "memory_due",
-    "memory_push",
-    "period_step",
-    "post_booking",
-    "production",
-    "run",
-    "stability_report",
-    "validate_booking",
-    "verify_pullback_universal",
-    "verify_pushout_universal",
-]
+# every name imported above, the submodules left out
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

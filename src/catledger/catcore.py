@@ -39,13 +39,22 @@ class FinSetError(ValueError):
 class FiniteCategory:
     """A finitely presented category: named objects plus generator morphisms.
 
-    Built by `from_columns`; `extend` appends generators.  Parallel
-    generators are allowed.  Ids start at 1 and are never reused: object i
-    is `names[i - 1]`, and generator j runs from `src[j - 1]` to `dst[j - 1]`
+    `from_columns` and `extend` check their columns; the constructor and
+    `extend_proved` take columns their caller proved.  Parallel generators
+    are allowed.  Ids start at 1 and are never reused: object i is
+    `names[i - 1]`, and generator j runs from `src[j - 1]` to `dst[j - 1]`
     with `weight[j - 1]` and `label[j - 1]`.
     """
 
     __slots__ = ("name", "names", "src", "dst", "weight", "label")
+
+    def __init__(
+        self, name: str, names: list[str], src: list, dst: list, weight: list, label: list
+    ) -> None:
+        """The category of columns that pass `from_columns`' checks; it keeps the lists given."""
+        self.name, self.names, self.src, self.dst, self.weight, self.label = (
+            name, names, src, dst, weight, label
+        )
 
     @classmethod
     def from_columns(
@@ -55,9 +64,7 @@ class FiniteCategory:
         if len(set(names)) != len(names):
             again = next(obj for i, obj in enumerate(names) if obj in names[:i])
             raise DuplicateObjectError(f"object {again!r} already exists in {name!r}")
-        cat = object.__new__(cls)
-        cat.name, cat.names = name, list(names)
-        cat.src, cat.dst, cat.weight, cat.label = [], [], [], []
+        cat = cls(name, list(names), [], [], [], [])
         cat.extend(src, dst, weight, label)
         return cat
 
@@ -71,17 +78,22 @@ class FiniteCategory:
 
         CategoryError names the four lengths of unequal columns, and
         DanglingEndpointError the first endpoint that is not an object id,
-        an int in 1..len(names); nothing is appended then.
+        of type int and in 1..len(names); nothing is appended then.
         """
         if not len(src) == len(dst) == len(weight) == len(label):
             lengths = len(src), len(dst), len(weight), len(label)
             raise CategoryError("unequal columns: src %d, dst %d, weight %d, label %d" % lengths)
-        n_objects, ints = len(self.names), type(sum(src) + sum(dst)) is int  # only ints sum to one
-        ends = sorted([*src, *dst]) if ints else ()  # one sort costs less than `min` and `max`
-        if src and not (ints and 1 <= ends[0] and ends[-1] <= n_objects):
+        n_objects, ends = len(self.names), [*src, *dst]
+        ints = countOf(map(type, ends), int) == len(ends)  # as `_ids`: a bool is no id
+        if ends and not (ints and 1 <= min(ends) and max(ends) <= n_objects):
             walk = itertools.chain(*zip(src, dst))
-            bad = next(e for e in walk if not isinstance(e, int) or not 1 <= e <= n_objects)
-            raise DanglingEndpointError(f"morphism endpoint {bad} does not exist in {self.name!r}")
+            bad = next(e for e in walk if type(e) is not int or not 1 <= e <= n_objects)
+            problem = f"morphism endpoint {bad!r} does not exist in {self.name!r}"
+            raise DanglingEndpointError(problem)
+        return self.extend_proved(src, dst, weight, label)
+
+    def extend_proved(self, src: Sequence[int], dst: Sequence[int], weight, label) -> range:
+        """Append generators whose columns pass `extend`'s checks, returning their fresh ids."""
         first = len(self.src) + 1
         self.src.extend(src)
         self.dst.extend(dst)

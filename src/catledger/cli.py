@@ -57,6 +57,7 @@ EXIT_DIVERGENCE = 3
 PARAM_KEYS: dict[str, str] = {
     "lambda" if name == "lam" else name: name for name in Parameters._fields
 }
+_KEY_OF = {name: key for key, name in PARAM_KEYS.items()}
 
 _INT_FIELDS = {"tau", "horizon"}
 
@@ -109,7 +110,11 @@ def load_config(path: str | Path | None, overrides: Sequence[str] = ()) -> RunCo
             raise ConfigError(f"--set expects key=value, got {item!r}")
         key, raw = item.split("=", 1)
         apply_setting(config, key, raw)
-    config.params.validate()
+    try:
+        config.params.validate()
+    except ValueError as exc:  # its text starts with a field's name: say the key that sets it
+        name, _, rest = str(exc).partition(" ")
+        raise ConfigError(f"{_KEY_OF.get(name, name)} {rest}") from None
     return config
 
 

@@ -8,13 +8,13 @@ it works through: `values`, the book's own copy of the 20 opening
 balances, which the cycle reads and writes by position; `post`, which
 gates and applies one booking; and `close`, which ends the period and
 returns the balances.  The recursive book posts each booking onto its copy
-directly.  The categorical book gates every booking through a finite-set
-pullback over its per-leg checks, applies it through a finite-set pushout
-that groups its legs onto their accounts, records its flows in a finite
-category of the accounts, and closes each period with functor and
-naturality law checks on the time step just performed.  Both engines run
-the one cycle with identical float operations, so their traces agree bit
-for bit.
+directly.  The categorical book builds on what `prove_booking_table`
+proved of each booking at import: it pulls a failing booking's leg checks
+back against 'ok', applies a booking through its pushout's fold, records
+its flows in a finite category of the accounts, and closes each period
+with functor and naturality law checks on the time step just performed.
+Both engines run the one cycle with identical float operations, so their
+traces agree bit for bit.
 
 Canonical order inside period t:
  1. carried consumer goods decay (Lab/Res/Cap goods stocks scale by beta)
@@ -44,13 +44,14 @@ from __future__ import annotations
 import itertools
 import math
 from array import array
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from enum import Enum
 from operator import sub
 from types import MappingProxyType
 from typing import Iterator, NamedTuple, NoReturn
 
 from .catcore import (
+    CategoryError,
     FiniteCategory,
     FinSetMap,
     Functor,
@@ -81,6 +82,7 @@ from .ledger import (
     ACCOUNT_INDEX,
     ACCOUNT_NAMES,
     BOOKINGS,
+    BookingEntry,
     Direction,
     Invariances,
     ValidationFailure,
@@ -345,33 +347,60 @@ def build_economy_category() -> FiniteCategory:
     return FiniteCategory.from_columns("economy", ACCOUNT_NAMES, (), (), (), ())
 
 
-# Each booking's fixed inputs, built once: its leg tokens; the pushout's
-# read-only maps of the legs onto their accounts and onto themselves; its
-# flows as src, dst, slot and label columns; per leg (is inflow, slot); the
-# ledger positions of its accounts; the gate's images of legs all 'ok'.
-_OK = ("ok",)
-_SPEC_CONE = FinSetMap(("all",), _OK, {"all": "ok"})
+# The gate's cone: the one point 'all', sent to 'ok'.
+_SPEC_CONE = FinSetMap(("all",), ("ok",), {"all": "ok"})
 
 
-def _fixed_inputs(booking_id: int, legs: tuple, channels: tuple) -> tuple:
-    tokens = tuple(range(len(legs)))
-    accounts = tuple(dict.fromkeys(account for account, _, _ in legs))
-    touched = FinSetMap(tokens, accounts, {i: leg[0] for i, leg in zip(tokens, legs)})
-    ids = [ACCOUNT_INDEX[account] + 1 for account, _, _ in legs]
-    flows = [(ids[s], ids[d], legs[s][2], f"b{booking_id}:{label}") for s, d, label in channels]
-    ways = tuple((way is Direction.INFLOW, slot) for _, way, slot in legs)
-    identity = FinSetMap(tokens, tokens, dict(zip(tokens, tokens)))
-    positions = tuple(map(ACCOUNT_INDEX.__getitem__, accounts))
-    return tokens, touched, identity, tuple(zip(*flows)), ways, positions, (0,) * len(legs)
+def prove_booking_table(table: Mapping[int, BookingEntry]) -> dict[int, tuple]:
+    """Each booking's constants, once what a period relies on is proved of them.
+
+    After `compile_booking_table`'s ValueError, EngineConsistencyError names
+    the first booking whose pushout of (leg -> account) against (leg -> leg)
+    glues two accounts or does not commute, whose all-'ok' legs pulled back
+    against `_SPEC_CONE` miss one, or whose flows `extend` refuses.  The
+    constants: leg tokens, the pushout's two maps, the flows' src, dst, slot
+    and label columns, and per leg the fold (ledger position, is inflow, slot).
+    """
+    ledger_module.compile_booking_table(table)
+    flows_of_all, proved = build_economy_category(), {}
+    for booking_id, (_, legs, channels) in table.items():
+        tokens = tuple(range(len(legs)))
+        accounts = tuple(dict.fromkeys(account for account, _, _ in legs))
+        to_account = FinSetMap(tokens, accounts, {i: leg[0] for i, leg in zip(tokens, legs)})
+        to_slot = FinSetMap(tokens, tokens, dict(zip(tokens, tokens)))
+        _, classes = pushout_positions(to_account, to_slot)
+        i_a, i_b = classes[: len(accounts)], classes[len(accounts) :]
+        owners = dict(zip(i_a, map(ACCOUNT_INDEX.__getitem__, accounts)))
+        all_ok = FinSetMap.from_positions(tokens, _SPEC_CONE.codomain, (0,) * len(legs))
+        covered = [leg for leg, _ in pullback_positions(all_ok, _SPEC_CONE)]
+        ids = [ACCOUNT_INDEX[account] + 1 for account, _, _ in legs]
+        flows = [(ids[s], ids[d], legs[s][2], f"b{booking_id}:{name}") for s, d, name in channels]
+        problem = None
+        if len(owners) != len(i_a):
+            problem = f"pushout glued {max(map(i_a.count, i_a))} accounts into one class"
+        elif i_b != list(map(i_a.__getitem__, to_account.images)):
+            problem = "pushout square does not commute: a leg left its account"
+        elif covered != list(tokens):
+            problem = f"the all-ok pullback covers legs {covered} of {len(legs)}"
+        else:
+            try:  # the slots stand in for the weights, which `extend` does not check
+                flows_of_all.extend(*zip(*flows))
+            except CategoryError as exc:
+                problem = str(exc)
+        if problem is not None:
+            raise EngineConsistencyError(f"booking {booking_id}: {problem}")
+        fold = ((owners[c], way is Direction.INFLOW, slot) for c, (_, way, slot) in zip(i_b, legs))
+        proved[booking_id] = (tokens, to_account, to_slot, tuple(zip(*flows)), tuple(fold))
+    return proved
 
 
-_FIXED = MappingProxyType({i: _fixed_inputs(i, legs, ch) for i, (_, legs, ch) in BOOKINGS.items()})
+_FIXED = MappingProxyType(prove_booking_table(BOOKINGS))
 
 
 def booking_to_morphisms(cat: FiniteCategory, booking_id: int, amounts: tuple) -> range:
-    """Record a booking's value channels as weighted morphisms in `cat`; returns their ids."""
+    """Record a booking's proved channels as morphisms of account category `cat`; their ids."""
     src, dst, slots, labels = booking_entry(_FIXED, booking_id)[3]
-    return cat.extend(src, dst, [amounts[slot] for slot in slots], labels)
+    return cat.extend_proved(src, dst, [amounts[slot] for slot in slots], labels)
 
 
 def validate_via_pullback(
@@ -381,19 +410,18 @@ def validate_via_pullback(
 
     `balances` are the 20 opening balances in ACCOUNT_NAMES order.  The
     booking validates when the apex of (leg -> status) against ('all' ->
-    'ok') covers every leg and value is conserved.  Every status is 'ok'
-    when the compiled legs post onto a copy of the balances, else one scan
-    of the legs gives the statuses and the conservation verdict.
+    'ok') covers every leg and value is conserved.  When the compiled legs
+    post onto a copy of the balances every status is 'ok', an apex proved
+    by `prove_booking_table`; else one scan of the legs gives the statuses
+    and the conservation verdict, and the pullback is taken on them.
     """
-    legs, _, _, _, _, _, all_ok = booking_entry(_FIXED, booking_id)
     if post_compiled(balances[:], booking_id, amounts):
-        statuses, verdict, spec_cone = _OK * len(legs), "ok", _SPEC_CONE
-        leg_check = FinSetMap.from_positions(legs, _OK, all_ok)
-    else:
-        statuses, verdict, _ = ledger_module._scan_legs(balances, booking_id, amounts)
-        outcomes = tuple(sorted({*statuses, "ok"}))
-        leg_check = FinSetMap.from_positions(legs, outcomes, map(outcomes.index, statuses))
-        spec_cone = FinSetMap.from_positions(("all",), outcomes, (outcomes.index("ok"),))
+        return True, []
+    legs = booking_entry(_FIXED, booking_id)[0]
+    statuses, verdict, _ = ledger_module._scan_legs(balances, booking_id, amounts)
+    outcomes = tuple(sorted({*statuses, "ok"}))
+    leg_check = FinSetMap.from_positions(legs, outcomes, map(outcomes.index, statuses))
+    spec_cone = FinSetMap.from_positions(("all",), outcomes, (outcomes.index("ok"),))
     if len(pullback_positions(leg_check, spec_cone)) == len(legs) and verdict == "ok":
         return True, []
     return False, booking_diagnostics(statuses, verdict)
@@ -402,22 +430,11 @@ def validate_via_pullback(
 def apply_via_pushout(values: list[float], booking_id: int, amounts: tuple[float, ...]) -> None:
     """Apply a validated booking by folding its legs through the pushout's injections.
 
-    The pushout of (leg -> account) against (leg -> leg) glues each leg onto
-    its account: i_b sends a leg to its class, and the class is the i_a
-    image of exactly one account.  Each leg is added to or subtracted from
-    that account's entry of `values`, in leg order.
+    The pushout of (leg -> account) against (leg -> leg) sends each leg to the
+    class of exactly one account.  `prove_booking_table` stored that account's
+    position per leg; each leg is added there or subtracted, in leg order.
     """
-    _, to_account, to_slot, _, ways, positions, _ = booking_entry(_FIXED, booking_id)
-    _, classes = pushout_positions(to_account, to_slot)
-    i_a, i_b = classes[: len(positions)], classes[len(positions) :]
-    owners = dict(zip(i_a, positions))
-    if len(owners) != len(i_a):
-        glued = max(map(i_a.count, i_a))
-        raise EngineConsistencyError(f"pushout glued {glued} accounts into one class")
-    if i_b != list(map(i_a.__getitem__, to_account.images)):
-        raise EngineConsistencyError("pushout square does not commute: a leg left its account")
-    for cls, (inflow, slot) in zip(i_b, ways):
-        i = owners[cls]
+    for i, inflow, slot in booking_entry(_FIXED, booking_id)[4]:
         values[i] = values[i] + amounts[slot] if inflow else values[i] - amounts[slot]
 
 
@@ -431,12 +448,12 @@ def build_time_step(
     with the period's flows, at the two levels of the target: account i at
     i and at i + 20.  Each component is one account's evolution edge,
     weighted by its net flow.  The target's columns hold the components,
-    then the flows' images at t, then at t+1.
+    then the flows' images at t, then at t+1: well formed by construction.
     """
     src, dst, m = flows.src, flows.dst, len(flows.src)
-    step = FiniteCategory.from_columns(
+    step = FiniteCategory(
         "time-step",
-        _STEP_NAMES,
+        list(_STEP_NAMES),
         _AT_T + src + [i + _SHIFT for i in src],
         _AT_T1 + dst + [i + _SHIFT for i in dst],
         [*map(sub, new, old), *flows.weight, *flows.weight],

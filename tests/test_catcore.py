@@ -120,6 +120,10 @@ class TestFromColumns:
             ("AB", [(1.5, 2, 0.0, "x")], DanglingEndpointError, 1.5),
             ("AB", [(1, 2, 0.0, "a"), (2, 2.0, 0.0, "b"), (1, 0, 0.0, "c")],
              DanglingEndpointError, 2.0),
+            # an endpoint of another type is named, not a TypeError from summing it
+            ("AB", [(1, 2, 0.0, "a"), ("B", 1, 0.0, "b")], DanglingEndpointError, "'B'"),
+            ("AB", [(1, None, 0.0, "a"), (1, 2, 0.0, "b")], DanglingEndpointError, None),
+            ("AB", [(1, 2, 0.0, "a"), (2, True, 0.0, "b")], DanglingEndpointError, True),
         ],
     )
     def test_raises_the_first_error_in_column_order(self, names, morphisms, error, bad):

@@ -151,6 +151,27 @@ class TestConfig:
         with pytest.raises(ValueError):
             load_config(None, ["rho_l=1.5"])
 
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ("lambda=2", "lambda must lie in [0, 1], got 2.0"),
+            ("rho_l=1.5", "rho_l must lie in [0, 1], got 1.5"),
+            ("tau=0", "tau must be an integer >= 1"),
+            ("sig_c=0", "sig_c must be positive"),
+        ],
+    )
+    def test_an_out_of_range_value_is_named_by_its_key(self, tmp_path, capsys, setting, message):
+        # `lambda` sets the field `lam`; the user typed `lambda`, so the error says so
+        path = tmp_path / "scenario.cfg"
+        path.write_text(setting.replace("=", " = ") + "\n")
+        for source, overrides in ((path, ()), (None, [setting])):
+            with pytest.raises(ConfigError) as err:
+                load_config(source, overrides)
+            assert str(err.value) == message
+        for options in (["--config", str(path)], ["--set", setting]):
+            assert main(["run", "--horizon", "20", *options]) == EXIT_CONFIG
+            assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_an_unknown_engine_gets_the_library_message(self, tmp_path, capsys):
         path = tmp_path / "scenario.cfg"
         path.write_text("engine = fast\n")
@@ -332,8 +353,8 @@ class TestSetOnAWholeRun:
         assert code in (EXIT_OK, EXIT_CONFIG)
         assert (code == EXIT_OK) == (err == "")
         if err.startswith("error: "):
-            # `lambda` sets the field `lam`, which the range check names
-            assert key in err or PARAM_KEYS.get(key, key) in err, err
+            # the key the user typed, `lambda` too, which sets the field `lam`
+            assert key in err, err
         else:
             assert err == "" or err.startswith("run failed: period "), err
 

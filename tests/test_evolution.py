@@ -14,6 +14,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from catledger.catcore import (
     CategoryError,
+    FiniteCategory,
     FinSetMap,
     Functor,
     NaturalTransformation,
@@ -852,50 +853,108 @@ def real_period(monkeypatch, params: Parameters, periods: int = 3):
     return captured["flows"], captured["eta"], captured["old"], captured["new"]
 
 
+def counting_calls(monkeypatch, names) -> dict[str, int]:
+    """Each of `names` in `evolution` counted when called; the counts start at 0."""
+    from catledger import evolution
+
+    counts = dict.fromkeys(names, 0)
+
+    def counting(name):
+        original = getattr(evolution, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(evolution, name, counting(name))
+    return counts
+
+
+# a pushout whose first two accounts share one class
+def glued(real_pushout):
+    def pushout(f, g):
+        count, classes = real_pushout(f, g)
+        return count, [0, 0, *classes[2:]]
+
+    return pushout
+
+
+# a pushout whose first leg's class is replaced by another account's class
+def moved(real_pushout):
+    def pushout(f, g):
+        count, classes = real_pushout(f, g)
+        i_a, i_b = classes[: len(f.codomain)], classes[len(f.codomain) :]
+        other = next(c for c in i_a if c != i_b[0])
+        return count, [*i_a, other, *i_b[1:]]
+
+    return pushout
+
+
 class TestPeriodLawGuard:
+    CONSTRUCTIONS = (
+        "check_functor_laws",
+        "check_naturality",
+        "pullback_positions",
+        "pushout_positions",
+        "validate_via_pullback",
+        "apply_via_pushout",
+    )
+
     def test_every_period_runs_each_construction_and_law_check(self, monkeypatch):
-        # no verdict, pullback or pushout may be reused across bookings or periods
-        from catledger import evolution
-
-        counts: dict[str, int] = {}
-
-        def counting(name):
-            original = getattr(evolution, name)
-
-            def wrapper(*args, **kwargs):
-                counts[name] = counts.get(name, 0) + 1
-                return original(*args, **kwargs)
-
-            return wrapper
-
-        names = (
-            "check_functor_laws",
-            "check_naturality",
-            "pullback_positions",
-            "pushout_positions",
-            "validate_via_pullback",
-            "apply_via_pushout",
-        )
-        for name in names:
-            monkeypatch.setattr(evolution, name, counting(name))
+        # each period gates, applies and law-checks afresh; the pushouts and
+        # the all-ok pullbacks are the table's, proved once at import
+        counts = counting_calls(monkeypatch, self.CONSTRUCTIONS)
         params = Parameters()
         state = initial_state(params)
         for period in range(12):
-            counts.clear()
+            counts.update(dict.fromkeys(counts, 0))
             state, metrics = period_step(state, params, period, engine=EngineKind.CATEGORICAL)
             assert len(period_amounts(metrics, params)) == 8
             assert counts == {
                 "check_functor_laws": 2,
                 "check_naturality": 1,
-                "pullback_positions": 8,
-                "pushout_positions": 8,
+                "pullback_positions": 0,
+                "pushout_positions": 0,
                 "validate_via_pullback": 8,
                 "apply_via_pushout": 8,
             }
 
+    def test_a_rejected_booking_takes_its_own_pullback(self, monkeypatch):
+        # a booking whose compiled legs cannot post is scanned, and its leg
+        # statuses are pulled back against 'ok' in the period that gates it
+        counts = counting_calls(monkeypatch, self.CONSTRUCTIONS)
+        params = Parameters(tau=1)
+        state = initial_state(params)
+        with pytest.raises(ValidationFailure) as err:
+            for period in range(6):
+                counts.update(dict.fromkeys(counts, 0))
+                state, _ = period_step(state, params, period, engine=EngineKind.CATEGORICAL)
+        assert str(err.value) == "booking 7 (Com repays Loan to Bank) rejected"
+        # the repayment is the seventh booking: six applied before it, no close
+        assert counts == {
+            "check_functor_laws": 0,
+            "check_naturality": 0,
+            "pullback_positions": 1,
+            "pushout_positions": 0,
+            "validate_via_pullback": 7,
+            "apply_via_pushout": 6,
+        }
+
+    def test_the_table_proof_takes_each_booking_s_pushout_and_pullback_once(self, monkeypatch):
+        from catledger import evolution
+
+        counts = counting_calls(monkeypatch, ("pullback_positions", "pushout_positions"))
+        proved = evolution.prove_booking_table(BOOKINGS)
+        assert counts == {"pullback_positions": len(BOOKINGS), "pushout_positions": len(BOOKINGS)}
+        # the constants a period reads are the ones the proof returns
+        assert dict(evolution._FIXED) == proved
+
     def test_fixed_inputs_equal_maps_built_from_the_booking(self, monkeypatch):
-        # the maps built once from the table are the ones each booking's own
-        # legs give, and no caller can change them
+        # the maps the proof hands to its pullback and pushout are the ones
+        # each booking's own legs give, and no caller can change them
         from catledger import evolution
 
         handed: dict[str, list[tuple[FinSetMap, FinSetMap]]] = {"pullback": [], "pushout": []}
@@ -907,75 +966,116 @@ class TestPeriodLawGuard:
 
             return wrapper
 
-        monkeypatch.setattr(
-            evolution, "pullback_positions", recording("pullback", evolution.pullback_positions)
-        )
-        monkeypatch.setattr(
-            evolution, "pushout_positions", recording("pushout", evolution.pushout_positions)
-        )
-        params = Parameters()
-        state = initial_state(params)
-        for period in range(3):
-            for kind in handed:
-                handed[kind].clear()
-            state, metrics = period_step(state, params, period, engine=EngineKind.CATEGORICAL)
-            posted = period_amounts(metrics, params)
-            assert len(handed["pullback"]) == len(handed["pushout"]) == len(posted)
-            for (booking_id, _), (_, spec_cone), (to_account, to_slot) in zip(
-                posted, handed["pullback"], handed["pushout"]
-            ):
-                legs = BOOKINGS[booking_id][1]
-                tokens = tuple(range(len(legs)))
-                accounts = tuple(dict.fromkeys(account for account, _, _ in legs))
-                assert to_account == FinSetMap(
-                    tokens, accounts, {i: account for i, (account, _, _) in enumerate(legs)}
-                )
-                assert to_slot == FinSetMap(tokens, tokens, dict(zip(tokens, tokens)))
-                assert spec_cone == FinSetMap(("all",), ("ok",), {"all": "ok"})
-                for fixed in (to_account, to_slot, spec_cone):
-                    key = next(iter(fixed.mapping))
-                    with pytest.raises(TypeError):
-                        fixed.mapping[key] = "elsewhere"
+        for kind in handed:
+            name = f"{kind}_positions"
+            monkeypatch.setattr(evolution, name, recording(kind, getattr(evolution, name)))
+        proved = evolution.prove_booking_table(BOOKINGS)
+        assert len(handed["pullback"]) == len(handed["pushout"]) == len(BOOKINGS)
+        for booking_id, (leg_check, spec_cone), (to_account, to_slot) in zip(
+            BOOKINGS, handed["pullback"], handed["pushout"]
+        ):
+            legs = BOOKINGS[booking_id][1]
+            tokens = tuple(range(len(legs)))
+            accounts = tuple(dict.fromkeys(account for account, _, _ in legs))
+            assert to_account == FinSetMap(
+                tokens, accounts, {i: account for i, (account, _, _) in enumerate(legs)}
+            )
+            assert to_slot == FinSetMap(tokens, tokens, dict(zip(tokens, tokens)))
+            assert leg_check == FinSetMap(tokens, ("ok",), dict.fromkeys(tokens, "ok"))
+            assert spec_cone == FinSetMap(("all",), ("ok",), {"all": "ok"})
+            assert proved[booking_id][:3] == (tokens, to_account, to_slot)
+            for fixed in (to_account, to_slot, leg_check, spec_cone):
+                key = next(iter(fixed.mapping))
+                with pytest.raises(TypeError):
+                    fixed.mapping[key] = "elsewhere"
 
-    def test_pushout_gluing_two_accounts_is_caught(self, monkeypatch):
+    def test_the_stored_fold_is_the_compiled_legs(self):
+        # the pushout's classes, folded onto the ledger, are the ledger's own
+        # compiled legs: (position, is inflow, slot) per leg, in leg order
+        from catledger import ledger
+        from catledger.evolution import _FIXED
+
+        assert sorted(_FIXED) == sorted(BOOKINGS)
+        for booking_id in BOOKINGS:
+            assert _FIXED[booking_id][4] == ledger._COMPILED[booking_id][2]
+
+    @staticmethod
+    def refusal(monkeypatch, corruption) -> str:
+        """The proof's refusal of the booking table under a corrupted pushout."""
         from catledger import evolution
 
-        real_pushout = evolution.pushout_positions
-
-        def glued(f, g):
-            # the first two accounts sent to one class
-            count, classes = real_pushout(f, g)
-            return count, [0, 0, *classes[2:]]
-
-        monkeypatch.setattr(evolution, "pushout_positions", glued)
-        params = Parameters()
-        state = initial_state(params)
-        before = array("d", state).tobytes()
+        monkeypatch.setattr(evolution, "pushout_positions", corruption(evolution.pushout_positions))
         with pytest.raises(EngineConsistencyError) as err:
-            period_step(state, params, 0, engine=EngineKind.CATEGORICAL)
-        assert str(err.value) == "pushout glued 2 accounts into one class"
-        assert array("d", state).tobytes() == before
+            evolution.prove_booking_table(BOOKINGS)
+        return str(err.value)
+
+    # the glued class and the moved leg that `apply_via_pushout` refused every
+    # period are refused by the table proof, by booking, before any period runs
+    def test_pushout_gluing_two_accounts_is_caught(self, monkeypatch):
+        assert self.refusal(monkeypatch, glued) == (
+            "booking 1: pushout glued 2 accounts into one class"
+        )
 
     def test_pushout_leg_moved_to_another_account_is_caught(self, monkeypatch):
+        assert self.refusal(monkeypatch, moved) == (
+            "booking 1: pushout square does not commute: a leg left its account"
+        )
+
+    def test_an_all_ok_cone_that_misses_a_leg_is_refused_by_booking(self, monkeypatch):
         from catledger import evolution
 
-        real_pushout = evolution.pushout_positions
+        real_pullback = evolution.pullback_positions
 
-        def moved(f, g):
-            # the first leg's class replaced by another account's class
-            count, classes = real_pushout(f, g)
-            i_a, i_b = classes[: len(f.codomain)], classes[len(f.codomain) :]
-            other = next(c for c in i_a if c != i_b[0])
-            return count, [*i_a, other, *i_b[1:]]
+        def missing(f, g):
+            # the last leg of a four-leg booking dropped from the apex
+            pairs = real_pullback(f, g)
+            return pairs[:-1] if len(f.domain) == 4 else pairs
 
-        monkeypatch.setattr(evolution, "pushout_positions", moved)
-        params = Parameters()
-        state = initial_state(params)
-        before = array("d", state).tobytes()
+        monkeypatch.setattr(evolution, "pullback_positions", missing)
         with pytest.raises(EngineConsistencyError) as err:
-            period_step(state, params, 0, engine=EngineKind.CATEGORICAL)
-        assert str(err.value) == "pushout square does not commute: a leg left its account"
-        assert array("d", state).tobytes() == before
+            evolution.prove_booking_table(BOOKINGS)
+        assert str(err.value) == "booking 5: the all-ok pullback covers legs [0, 1, 2] of 4"
+
+    def test_a_flow_endpoint_out_of_range_is_refused_by_booking(self, monkeypatch):
+        # an account placed past the ledger's 20: only booking 8 delivers to Cap's goods
+        from catledger import evolution
+
+        monkeypatch.setitem(ACCOUNT_INDEX, "AccCapGood", len(ACCOUNT_NAMES))
+        with pytest.raises(EngineConsistencyError) as err:
+            evolution.prove_booking_table(BOOKINGS)
+        assert str(err.value) == "booking 8: morphism endpoint 21 does not exist in 'economy'"
+
+    def test_the_columns_built_unchecked_pass_the_checks(self, monkeypatch):
+        # a period appends the proved flows and builds its time step without
+        # `extend`'s or `from_columns`' checks: both would accept what it built
+        flows, eta, _, _ = real_period(monkeypatch, Parameters(), periods=4)
+        step = eta.F.target
+        assert build_economy_category().extend(flows.src, flows.dst, flows.weight, flows.label) == (
+            flows.morphisms
+        )
+        columns = (step.names, step.src, step.dst, step.weight, step.label)
+        rebuilt = FiniteCategory.from_columns(step.name, *columns)
+        assert (rebuilt.names, rebuilt.src, rebuilt.dst, rebuilt.weight, rebuilt.label) == columns
+
+    @pytest.mark.parametrize(
+        "booking_id, corrupt, message",
+        [
+            (3, lambda legs, ch: (legs, ((0, 1, "payment"), (2, 9, "x"), (4, 5, "y"))),
+             "booking 3: the channels do not join each leg exactly once"),
+            (6, lambda legs, ch: ((("AccNowhere", legs[0][1], 0), *legs[1:]), ch),
+             "booking 6: unknown account 'AccNowhere'"),
+        ],
+    )
+    def test_a_table_the_ledger_cannot_prove_is_refused_by_booking(
+        self, booking_id, corrupt, message
+    ):
+        from catledger import evolution
+
+        description, legs, channels = BOOKINGS[booking_id]
+        table = {**BOOKINGS, booking_id: (description, *corrupt(legs, channels))}
+        with pytest.raises(ValueError) as err:
+            evolution.prove_booking_table(table)
+        assert str(err.value) == message
 
     def test_missing_component_names_the_account(self, monkeypatch):
         flows, eta, old, new = real_period(monkeypatch, Parameters())
