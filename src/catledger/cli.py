@@ -20,7 +20,7 @@ from array import array
 from functools import cache
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, NamedTuple, Sequence, TextIO
 
 from .catcore import (
     FinSetMap,
@@ -66,30 +66,35 @@ class ConfigError(ValueError):
     pass
 
 
-class RunConfig:
-    __slots__ = ("params", "engine")
-
-    def __init__(
-        self, params: Parameters = Parameters(), engine: EngineKind = EngineKind.RECURSIVE
-    ) -> None:
-        self.params, self.engine = params, engine
+class RunConfig(NamedTuple):
+    params: Parameters = Parameters()
+    engine: EngineKind = EngineKind.RECURSIVE
 
 
-def _parse_value(key: str, raw: str) -> int | float:
+def _check_key(key: str) -> str:
+    """`key`, if it is `engine` or a key of PARAM_KEYS; else ConfigError."""
+    if key != "engine" and key not in PARAM_KEYS:
+        raise ConfigError(f"unknown configuration key {key!r}")
+    return key
+
+
+def _keyed(message: str) -> str:
+    """`message` with the field it starts with, if any, said as the key that sets it."""
+    name, space, rest = message.partition(" ")
+    return _KEY_OF.get(name, name) + space + rest
+
+
+def apply_setting(config: RunConfig, key: str, raw: str) -> RunConfig:
+    """`config` with the setting of `key` parsed from `raw`."""
+    key, raw = _check_key(key.strip()), raw.strip()
+    if key == "engine":
+        return config._replace(engine=EngineKind(raw))
+    name = PARAM_KEYS[key]
     try:
-        return int(raw) if PARAM_KEYS[key] in _INT_FIELDS else float(raw)
+        value = int(raw) if name in _INT_FIELDS else float(raw)
     except ValueError:
         raise ConfigError(f"cannot parse value {raw!r} for key {key!r}") from None
-
-
-def apply_setting(config: RunConfig, key: str, raw: str) -> None:
-    key, raw = key.strip(), raw.strip()
-    if key == "engine":
-        config.engine = EngineKind(raw)
-        return
-    if key not in PARAM_KEYS:
-        raise ConfigError(f"unknown configuration key {key!r}")
-    config.params = config.params._replace(**{PARAM_KEYS[key]: _parse_value(key, raw)})
+    return config._replace(params=config.params._replace(**{name: value}))
 
 
 def load_config(path: str | Path | None, overrides: Sequence[str] = ()) -> RunConfig:
@@ -104,17 +109,16 @@ def load_config(path: str | Path | None, overrides: Sequence[str] = ()) -> RunCo
             if "=" not in stripped:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
             key, raw = stripped.split("=", 1)
-            apply_setting(config, key, raw)
+            config = apply_setting(config, key, raw)
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         key, raw = item.split("=", 1)
-        apply_setting(config, key, raw)
+        config = apply_setting(config, key, raw)
     try:
         config.params.validate()
-    except ValueError as exc:  # its text starts with a field's name: say the key that sets it
-        name, _, rest = str(exc).partition(" ")
-        raise ConfigError(f"{_KEY_OF.get(name, name)} {rest}") from None
+    except ValueError as exc:
+        raise ConfigError(_keyed(str(exc))) from None
     return config
 
 
@@ -373,8 +377,7 @@ def cmd_compare(config: RunConfig) -> int:
 def _sweep_one(config: RunConfig, key: str, raw: str) -> dict[str, str]:
     summary = {"param": key, "value": raw}
     try:
-        local = RunConfig(params=config.params, engine=config.engine)
-        apply_setting(local, key, raw)
+        local = apply_setting(config, key, raw)
         trace = run(local.params, engine=local.engine)
         report = stability_report(trace)
         summary.update(
@@ -393,14 +396,15 @@ def _sweep_one(config: RunConfig, key: str, raw: str) -> dict[str, str]:
 def _error_status(exc: Exception) -> str:
     """A failed sweep row's status: the period of a rejection, the message, every diagnostic.
 
-    The period and the diagnostics are joined without a comma, so that a
-    rejection's CSV field needs no quotes.
+    A refused field is named by its key, as in `load_config`.  The period and
+    the diagnostics are joined without a comma, so that a rejection's CSV
+    field needs no quotes.
     """
     period = getattr(exc, "period", None)
     where = "" if period is None else f"period {period}: "
     diagnostics = getattr(exc, "diagnostics", ())
     detail = f" [{' '.join(diagnostics)}]" if diagnostics else ""
-    return f"error: {where}{exc}{detail}"
+    return f"error: {where}{_keyed(str(exc))}{detail}"
 
 
 SWEEP_COLUMNS = (
@@ -409,9 +413,7 @@ SWEEP_COLUMNS = (
 
 
 def cmd_sweep(config: RunConfig, key: str, values: Iterable[str]) -> int:
-    if key != "engine" and key not in PARAM_KEYS:
-        print(f"unknown parameter {key!r}", file=sys.stderr)
-        return EXIT_CONFIG
+    _check_key(key)
     # one run per value, in order; a programming error propagates before any row is written
     summaries = [_sweep_one(config, key, raw) for raw in values]
     writer = csv.DictWriter(sys.stdout, fieldnames=SWEEP_COLUMNS, restval="")

@@ -10,25 +10,6 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Sequence
 
-_FRACTION_FIELDS = (
-    "lam",
-    "rho_r",
-    "rho_l",
-    "rho_c",
-    "delta_c",
-    "delta_b",
-    "gamma",
-    "beta_l",
-    "beta_r",
-    "beta_c",
-)
-
-
-def check_count(name: str, value: object) -> None:
-    """Raise ValueError unless `value` is an int >= 1; a bool is not a count."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1")
-
 
 class Parameters(NamedTuple):
     """The 22 behavioral constants plus initial endowments and the horizon."""
@@ -60,46 +41,44 @@ class Parameters(NamedTuple):
     horizon: int = 100
 
     def validate(self) -> None:
-        """Raise ValueError on the first out-of-range field."""
-        check_count("tau", self.tau)
-        check_count("horizon", self.horizon)
-        for name in _FRACTION_FIELDS:
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {value}")
-        # written as `not value > 0.0` so that NaN, which fails every
-        # comparison, is refused here rather than later as a booking rejection
-        for name in ("sig_b", "sig_c", "p_r", "p_l", "p_0", "alpha"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
-        # sig_a is the investment sigmoid's infimum, so sig_a >= 0 is exactly
-        # the condition for a non-negative loan at every surplus
-        for name in ("sig_a", "nu_l", "nu_r", "com_lab_0", "com_res_0"):
-            if not getattr(self, name) >= 0.0:
-                raise ValueError(f"{name} must be non-negative")
+        """Raise ValueError naming the first field, in field order, that breaks its rule."""
+        for name, value in zip(self._fields, self):
+            rule = _RANGES.get(name)
+            if rule is None:  # tau and horizon: a bool is not a count
+                if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                    raise ValueError(f"{name} must be an integer >= 1")
+            elif not rule[0] <= value <= rule[1]:
+                raise ValueError(f"{name} {rule[2].format(value)}")
+            elif not math.isfinite(value):  # an infinity inside its range, refused by name
+                raise ValueError(f"{name} must be finite, got {value}")
         # sig_a + sig_b is the sigmoid's supremum and rounding is monotone, so
         # a finite sum bounds every investment: no loan of inf is booked
         sup = self.sig_a + self.sig_b
-        for name, value in (("sig_a", self.sig_a), ("sig_b", self.sig_b), ("sig_a + sig_b", sup)):
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        # no range is fixed for these, but NaN is not a value; an infinity
-        # still passes, as every value >= -inf
-        for name in ("mu", "omega"):
-            if not getattr(self, name) >= -math.inf:
-                raise ValueError(f"{name} must be a number, got nan")
-        # an infinity passes the range tests above: refuse it here, by name
-        for name in _FLOAT_FIELDS:
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+        if not math.isfinite(sup):
+            raise ValueError(f"sig_a + sig_b must be finite, got {sup}")
 
 
-# the fields whose default is a float, in field order; read from the defaults, as a
-# named tuple turns the string annotations of `from __future__` into ForwardRefs
-_FLOAT_FIELDS = tuple(
-    name for name, value in Parameters._field_defaults.items() if type(value) is float
-)
+# A rule is (low, high, refusal): a value is refused unless low <= value <= high,
+# so NaN, which fails every comparison, is refused by each rule.
+_FRACTION = (0.0, 1.0, "must lie in [0, 1], got {}")
+_NON_NEGATIVE = (0.0, math.inf, "must be non-negative")
+_POSITIVE = (math.ulp(0.0), math.inf, "must be positive")
+_NUMBER = (-math.inf, math.inf, "must be a number, got {}")
+
+# each float field's one rule, in field order
+_RANGES = {
+    "lam": _FRACTION,
+    "sig_a": _NON_NEGATIVE,  # the sigmoid's infimum: a non-negative loan at every surplus
+    "sig_b": _POSITIVE, "sig_c": _POSITIVE,
+    "rho_r": _FRACTION, "rho_l": _FRACTION, "rho_c": _FRACTION,
+    "mu": _NUMBER, "omega": _NUMBER,  # no range is fixed for these, but NaN is not a value
+    "delta_c": _FRACTION, "delta_b": _FRACTION,
+    "p_r": _POSITIVE, "p_l": _POSITIVE, "p_0": _POSITIVE,
+    "gamma": _FRACTION, "alpha": _POSITIVE,
+    "beta_l": _FRACTION, "beta_r": _FRACTION, "beta_c": _FRACTION,
+    "nu_l": _NON_NEGATIVE, "nu_r": _NON_NEGATIVE,
+    "com_lab_0": _NON_NEGATIVE, "com_res_0": _NON_NEGATIVE,
+}
 
 
 def _total(entries: Sequence[float]) -> float:

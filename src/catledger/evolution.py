@@ -67,7 +67,6 @@ from .decisions import (
     Parameters,
     PeriodMetrics,
     allocate_investment,
-    check_count,
     consumption,
     demand_plan,
     dividend_decision,
@@ -343,8 +342,11 @@ _EVOLVE = [f"evolve:{name}" for name in ACCOUNT_NAMES]
 
 
 def build_economy_category() -> FiniteCategory:
-    """The account category: object i + 1 is account ACCOUNT_NAMES[i], no flows yet."""
-    return FiniteCategory.from_columns("economy", ACCOUNT_NAMES, (), (), (), ())
+    """The account category: object i + 1 is account ACCOUNT_NAMES[i], no flows yet.
+
+    Built unchecked: `prove_booking_table` proved at import that the names are distinct.
+    """
+    return FiniteCategory("economy", list(ACCOUNT_NAMES), [], [], [], [])
 
 
 # The gate's cone: the one point 'all', sent to 'ok'.
@@ -362,7 +364,9 @@ def prove_booking_table(table: Mapping[int, BookingEntry]) -> dict[int, tuple]:
     and label columns, and per leg the fold (ledger position, is inflow, slot).
     """
     ledger_module.compile_booking_table(table)
-    flows_of_all, proved = build_economy_category(), {}
+    # the one check of the account names, which `build_economy_category` relies on
+    flows_of_all = FiniteCategory.from_columns("economy", ACCOUNT_NAMES, (), (), (), ())
+    proved = {}
     for booking_id, (_, legs, channels) in table.items():
         tokens = tuple(range(len(legs)))
         accounts = tuple(dict.fromkeys(account for account, _, _ in legs))
@@ -564,19 +568,18 @@ def run(
     """Deterministic trace of `horizon` periods (rows 0..horizon inclusive).
 
     `engine` is an `EngineKind` or its value, 'recursive' or 'categorical'.
-    The trace's `params` carry the horizon that ran.  A period that refuses
+    A `horizon` given replaces `params.horizon` before the one `validate`,
+    and the trace's `params` carry the horizon that ran.  A period that refuses
     a booking or a value it makes ends the run with a `ValidationFailure`
     whose `period` names that period, so every cell of a trace is finite.
     """
     engine = EngineKind(engine)
+    if horizon is not None:
+        params = params._replace(horizon=horizon)
     params.validate()
-    span = params.horizon if horizon is None else horizon
-    check_count("horizon", span)
-    if span != params.horizon:
-        params = params._replace(horizon=span)
     state = initial_state(params)
     cells: list[float] = []  # one array is built at the end: a list extends at half the cost
-    for period in range(span + 1):
+    for period in range(params.horizon + 1):
         opening = state[:_WAGES_AT]
         checks = invariances(opening)
         try:

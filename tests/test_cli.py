@@ -147,6 +147,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(None, ["speed=9"])
 
+    def test_a_setting_makes_a_new_config(self):
+        base = load_config(None)
+        changed = cli.apply_setting(base, " lambda ", " 0.3 ")
+        assert changed == (base.params._replace(lam=0.3), EngineKind.RECURSIVE)
+        assert base == load_config(None)
+        assert cli.apply_setting(base, "engine", "categorical").engine is EngineKind.CATEGORICAL
+
     def test_fraction_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             load_config(None, ["rho_l=1.5"])
@@ -549,6 +556,14 @@ class TestCmdSweep:
 
     def test_unknown_parameter(self, capsys):
         assert main(["sweep", "--param", "nope", "--values", "1"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: unknown configuration key 'nope'\n")
+
+    def test_a_refused_lambda_row_names_the_key(self, capsys):
+        # `lambda` sets the field `lam`; the row says the key, as `load_config` does
+        assert main(["sweep", "--param", "lambda", "--values", "2", "--horizon", "25"]) == EXIT_OK
+        row = capsys.readouterr().out.splitlines()[1]
+        assert row == 'lambda,2,"error: lambda must lie in [0, 1], got 2.0",,,,'
 
     def test_bad_value_is_isolated(self, capsys):
         assert (

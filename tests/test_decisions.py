@@ -21,7 +21,7 @@ from catledger.decisions import (
     memory_push,
     production,
 )
-from catledger import evolution
+from catledger import decisions, evolution
 from catledger.evolution import initial_state
 from catledger.ledger import init_ledger
 
@@ -136,6 +136,101 @@ class TestParameters:
         # would let it through to the first booking
         with pytest.raises(ValueError, match=f"^{name} must be"):
             Parameters(**{name: math.nan}).validate()
+
+
+# `Parameters.validate` as it was before the rule table: seven loops, kept here
+# as the reference every single-field verdict and message must match
+_REFERENCE_FRACTIONS = (
+    "lam", "rho_r", "rho_l", "rho_c", "delta_c", "delta_b", "gamma", "beta_l", "beta_r", "beta_c"
+)
+_REFERENCE_FLOATS = tuple(
+    name for name, value in Parameters._field_defaults.items() if type(value) is float
+)
+
+
+def _reference_count(name, value):
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1")
+
+
+def reference_validate(p: Parameters) -> None:
+    _reference_count("tau", p.tau)
+    _reference_count("horizon", p.horizon)
+    for name in _REFERENCE_FRACTIONS:
+        value = getattr(p, name)
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"{name} must lie in [0, 1], got {value}")
+    for name in ("sig_b", "sig_c", "p_r", "p_l", "p_0", "alpha"):
+        if not getattr(p, name) > 0.0:
+            raise ValueError(f"{name} must be positive")
+    for name in ("sig_a", "nu_l", "nu_r", "com_lab_0", "com_res_0"):
+        if not getattr(p, name) >= 0.0:
+            raise ValueError(f"{name} must be non-negative")
+    sup = p.sig_a + p.sig_b
+    for name, value in (("sig_a", p.sig_a), ("sig_b", p.sig_b), ("sig_a + sig_b", sup)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    for name in ("mu", "omega"):
+        if not getattr(p, name) >= -math.inf:
+            raise ValueError(f"{name} must be a number, got nan")
+    for name in _REFERENCE_FLOATS:
+        value = getattr(p, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
+def _verdict(validate, params: Parameters) -> str | None:
+    """None if `validate` accepts `params`, else its message."""
+    try:
+        validate(params)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+_PROBES = (math.nan, math.inf, -math.inf, -1.0, -0.0, 0.0, 5e-324, 0.5, 1.0, 2.0, 1e308)
+
+
+class TestValidateAgainstTheReference:
+    @pytest.mark.parametrize("value", _PROBES, ids=repr)
+    @pytest.mark.parametrize("name", _REFERENCE_FLOATS)
+    def test_a_float_field_gets_the_reference_verdict(self, name, value):
+        params = Parameters(**{name: value})
+        assert _verdict(Parameters.validate, params) == _verdict(reference_validate, params)
+
+    @pytest.mark.parametrize("value", [0, 1, True, 2.5, "10"], ids=repr)
+    @pytest.mark.parametrize("name", ["tau", "horizon"])
+    def test_a_count_gets_the_reference_verdict(self, name, value):
+        params = Parameters(**{name: value})
+        assert _verdict(Parameters.validate, params) == _verdict(reference_validate, params)
+
+    def test_an_infinite_investment_bound_gets_the_reference_verdict(self):
+        params = Parameters(sig_a=1e308, sig_b=1e308)
+        message = "sig_a + sig_b must be finite, got inf"
+        assert _verdict(Parameters.validate, params) == _verdict(reference_validate, params)
+        assert _verdict(Parameters.validate, params) == message
+
+    @pytest.mark.parametrize(
+        "override, message, reference",
+        [
+            ({"rho_l": 2.0, "sig_b": math.inf}, "sig_b must be finite, got inf", "rho_l"),
+            ({"lam": 2.0, "horizon": 0}, "lam must lie in [0, 1], got 2.0", "horizon"),
+            ({"sig_a": -1.0, "sig_b": 0.0}, "sig_a must be non-negative", "sig_b"),
+            ({"rho_l": 2.0, "tau": 0}, "tau must be an integer >= 1", "tau"),
+        ],
+    )
+    def test_of_two_bad_fields_the_earlier_in_field_order_is_named(
+        self, override, message, reference
+    ):
+        # the reference named the first rule broken in its own loop order:
+        # the counts, fractions, positives, non-negatives, then finiteness
+        params = Parameters(**override)
+        assert _verdict(Parameters.validate, params) == message
+        assert _verdict(reference_validate, params).startswith(f"{reference} must")
+
+    def test_every_float_field_has_one_rule_in_field_order(self):
+        # a float field added later without a rule would go unchecked
+        assert tuple(decisions._RANGES) == _REFERENCE_FLOATS
 
 
 class TestMemory:

@@ -176,6 +176,20 @@ class TestTraceShape:
             run(Parameters(), horizon=horizon)
         assert str(err.value) == "horizon must be an integer >= 1"
 
+    def test_the_horizon_argument_replaces_the_parameters_horizon(self):
+        # horizon=0 alone is refused, but this run is of 5 periods
+        for engine in ENGINES:
+            trace = run(Parameters(horizon=0), horizon=5, engine=engine)
+            assert len(trace.rows) == 6
+            assert trace.params.horizon == 5
+
+    def test_the_params_that_run_are_validated_once(self, monkeypatch):
+        calls: list[Parameters] = []
+        validate = Parameters.validate
+        monkeypatch.setattr(Parameters, "validate", lambda p: calls.append(p) or validate(p))
+        trace = run(Parameters(horizon=0), horizon=3)
+        assert calls == [trace.params]
+
     @pytest.mark.parametrize("name", ["tau", "horizon"])
     def test_a_bool_count_in_the_parameters_is_refused(self, name):
         # True is an int to isinstance, and would run one period
@@ -429,6 +443,20 @@ class TestCategoricalInternals:
         assert len(cat.names) == 20
         assert cat.names == list(ACCOUNT_NAMES)
         assert _CategoricalBook(init_ledger()).values[ACCOUNT_INDEX["AccComLab"]] == 110.0
+
+    def test_each_period_builds_the_account_category_unchecked(self, monkeypatch):
+        # the names were checked once, when the booking table was proved at import
+        checked = FiniteCategory.from_columns("economy", ACCOUNT_NAMES, (), (), (), ())
+        first, second = build_economy_category(), build_economy_category()
+        for column in ("names", "src", "dst", "weight", "label"):
+            assert getattr(first, column) == getattr(checked, column)
+            assert getattr(first, column) is not getattr(second, column)
+
+        def refuse(*args):
+            raise AssertionError("a period checked the account names again")
+
+        monkeypatch.setattr(FiniteCategory, "from_columns", refuse)
+        assert len(run(Parameters(), horizon=3, engine=EngineKind.CATEGORICAL).rows) == 4
 
     def test_pullback_gate_accepts_funded_loan(self):
         balances = init_ledger()
