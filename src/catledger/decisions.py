@@ -47,6 +47,8 @@ class Parameters(NamedTuple):
             if rule is None:  # tau and horizon: a bool is not a count
                 if isinstance(value, bool) or not isinstance(value, int) or value < 1:
                     raise ValueError(f"{name} must be an integer >= 1")
+            elif isinstance(value, bool) or not isinstance(value, (float, int)):
+                raise ValueError(f"{name} must be a number, got {value!r}")
             elif not rule[0] <= value <= rule[1]:
                 raise ValueError(f"{name} {rule[2].format(value)}")
             elif not math.isfinite(value):  # an infinity inside its range, refused by name

@@ -226,11 +226,11 @@ def _period_cycle(
 
     Steps 9 and 14 read no balance a booking moves, so they are decided
     first and `period_amounts` gives all eight bookings, posted through
-    `book.post` in order.  The period refuses a balance it writes in
-    `book.values` unless `0.0 <= v < inf`, then a metric and a closing
-    balance that is not finite: their sum is tested, and scanned only when
-    it is not finite.  The next state is the balances `book.close` returns,
-    then the pushed memory and the new declaration.
+    `book.post` in order.  The period refuses a balance it writes unless
+    `0.0 <= v < inf`, and a metric that is not finite.  Every account is a
+    leg, and a leg posts only into `[0, inf)`, so no closing balance needs
+    a check.  The next state is the balances `book.close` returns, then
+    the pushed memory and the new declaration.
     """
     values, post = book.values, book.post
     repays_at, length = _WAGES_AT + p.tau, _WAGES_AT + 2 * p.tau + 1
@@ -296,8 +296,6 @@ def _period_cycle(
     # 8. goods sales; 10. loan creation; 11-14. factor purchases, repayment, dividend
     for booking_id, amounts in period_amounts(metrics, p):
         post(booking_id, amounts)
-    if not math.isfinite(sum(values)):  # a posting of finite amounts can overflow a balance
-        refuse_balance(values, range(_WAGES_AT))
 
     # 15. remember the new obligations after the closing balances
     new_state = book.close()
@@ -422,7 +420,7 @@ def validate_via_pullback(
     if post_compiled(balances[:], booking_id, amounts):
         return True, []
     legs = booking_entry(_FIXED, booking_id)[0]
-    statuses, verdict, _ = ledger_module._scan_legs(balances, booking_id, amounts)
+    statuses, verdict = ledger_module._scan_legs(balances, booking_id, amounts)
     outcomes = tuple(sorted({*statuses, "ok"}))
     leg_check = FinSetMap.from_positions(legs, outcomes, map(outcomes.index, statuses))
     spec_cone = FinSetMap.from_positions(("all",), outcomes, (outcomes.index("ok"),))

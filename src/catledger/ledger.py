@@ -11,8 +11,8 @@ account in ACCOUNT_NAMES order.
 
 A macro booking posts the same amount into at least two sectors'
 double-entry systems at once.  Posting rejects rather than clamps: a leg
-that would drive a balance negative is a hard validation error and the
-state is left untouched.
+that would drive a balance negative, or to inf or nan, is a hard
+validation error and the state is left untouched.
 """
 
 from __future__ import annotations
@@ -315,21 +315,21 @@ def booking_entry(table: Mapping[int, tuple], booking_id: int) -> tuple:
 def post_compiled(values: list[float], booking_id: int, amounts: tuple[float, ...]) -> bool:
     """Post the booking's compiled legs onto `values`; False at the first leg that cannot.
 
-    Nothing posts onto a list that is not 20 balances long, or with the
-    wrong number of amounts.  A leg cannot post when its amount `a` fails
-    `0.0 <= a < inf` or it leaves a running balance below 0 (`values` then
-    holds the legs before it).  True means `_scan_legs` passes the booking
-    with the same `+` and `-`, as `compile_booking_table` proved.
+    The one posting rule: a leg posts when its amount is not negative and
+    its running balance stays in `[0, inf)`; at a leg that cannot, `values`
+    holds the legs before it.  Nothing posts onto a list that is not 20
+    balances long, or with the wrong number of amounts.  True means every
+    amount was finite, where `compile_booking_table` proved value conserved.
     """
     _, arity, legs, _ = booking_entry(_COMPILED, booking_id)
     if len(values) != _LEDGER_LENGTH or len(amounts) != arity:
         return False
     for index, inflow, slot in legs:
         amount = amounts[slot]
-        if not 0.0 <= amount < _INF:
+        if amount < 0.0:
             return False
         new = values[index] + amount if inflow else values[index] - amount
-        if not new >= 0.0:
+        if not 0.0 <= new < _INF:
             return False
         values[index] = new
     return True
@@ -337,17 +337,17 @@ def post_compiled(values: list[float], booking_id: int, amounts: tuple[float, ..
 
 def _scan_legs(
     values: Sequence[float], booking_id: int, amounts: tuple[float, ...]
-) -> tuple[list[str], str, list[float]]:
-    """Check every leg of a booking and its conservation in one pass.
+) -> tuple[list[str], str]:
+    """Explain a booking: each leg under `post_compiled`'s rule, and conservation.
 
-    Returns the per-leg statuses ('ok' or the reason the leg fails), the
-    conservation verdict ('ok' or the first imbalance) and a copy of the 20
-    opening balances `values` after each leg that passes.  Legs are checked
-    in order, so a later inflow cannot excuse an earlier overdraft.  EU
-    debits must equal EU credits exactly and every real unit must net out:
-    amounts are copied between legs, never recomputed, so no tolerance is
-    needed.  Raises ValueError for an unknown booking or a list of the
-    wrong length, and TypeError for the wrong number of amounts.
+    Returns the per-leg statuses ('ok' or the reason the leg fails) and
+    the conservation verdict ('ok' or the first imbalance).  Legs are
+    checked in order on a copy of the 20 opening balances `values`, so a
+    later inflow cannot excuse an earlier overdraft.  EU debits must equal
+    EU credits exactly and every real unit must net out: amounts are
+    copied between legs, never recomputed, so no tolerance is needed.
+    Raises ValueError for an unknown booking or a list of the wrong
+    length, and TypeError for the wrong number of amounts.
     """
     _, arity, legs, sides = booking_entry(_COMPILED, booking_id)
     if len(amounts) != arity:
@@ -375,6 +375,9 @@ def _scan_legs(
         if new < 0.0:
             statuses.append(f"insufficient-balance:{account}")
             continue
+        if not new < _INF:
+            statuses.append(f"non-finite-balance:{account}")
+            continue
         scratch[index] = new
         statuses.append("ok")
 
@@ -386,7 +389,7 @@ def _scan_legs(
             if net != 0.0:
                 verdict = f"real-imbalance:{unit}:{net}"
                 break
-    return statuses, verdict, scratch
+    return statuses, verdict
 
 
 # zero opening balances, for a conservation verdict that needs no state
@@ -421,27 +424,19 @@ def validate_booking(
     values: Sequence[float], booking_id: int, amounts: tuple[float, ...]
 ) -> tuple[bool, list[str]]:
     """True plus diagnostics iff every leg fits the balances `values` and value is conserved."""
-    statuses, verdict, _ = _scan_legs(values, booking_id, amounts)
-    diagnostics = booking_diagnostics(statuses, verdict)
+    diagnostics = booking_diagnostics(*_scan_legs(values, booking_id, amounts))
     return not diagnostics, diagnostics
 
 
 def post_booking(values: list[float], booking_id: int, amounts: tuple[float, ...]) -> list[float]:
     """Post booking `booking_id` with `amounts` onto `values` in place; atomic on failure.
 
-    The legs post straight from the compiled table when `post_compiled`
-    can; otherwise the list is restored and `_scan_legs` checks every leg
-    and the conservation.  A rejection names every failed check and leaves
-    the ledger untouched; a booking the scan accepts posts its closing
-    balances.
+    The legs post through `post_compiled`.  When a leg cannot, the list is
+    restored and the `ValidationFailure` names every failed check that
+    `_scan_legs` finds, leaving the ledger untouched.
     """
     opening = values[:]
     if post_compiled(values, booking_id, amounts):
         return values
     values[:] = opening
-    statuses, verdict, closing = _scan_legs(opening, booking_id, amounts)
-    diagnostics = booking_diagnostics(statuses, verdict)
-    if diagnostics:
-        raise rejection(booking_id, diagnostics)
-    values[:] = closing
-    return values
+    raise rejection(booking_id, booking_diagnostics(*_scan_legs(opening, booking_id, amounts)))

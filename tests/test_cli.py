@@ -130,6 +130,14 @@ EDGE_CELLS = [
     (math.nan, "nan"),
 ]
 
+# settings under which every loan is finite, but with `nu_r=1e12` their sum on
+# AccComLoan would overflow in period 11
+OVERFLOWING_LOANS = [
+    arg
+    for setting in ("tau=20", "sig_a=2e307", "sig_b=1", "lambda=0", "p_r=1e300")
+    for arg in ("--set", setting)
+]
+
 
 class TestConfig:
     def test_defaults(self):
@@ -324,6 +332,16 @@ class TestCmdRun:
         assert lines[0].startswith("run failed: period 1, booking 7 ")
         assert "insufficient-balance:AccComBank" in lines
         assert "insufficient-balance:AccBankComBank" in lines
+
+    @pytest.mark.parametrize("engine", ["recursive", "categorical"])
+    def test_a_loan_that_overflows_its_balances_exits_1_naming_booking_5(self, capsys, engine):
+        argv = ["run", "--horizon", "20", "--engine", engine, *OVERFLOWING_LOANS]
+        assert main([*argv, "--set", "nu_r=1e12"]) == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            "run failed: period 11, booking 5 (Com gets Loan from Bank) rejected",
+            "  non-finite-balance:AccComLoan",
+            "  non-finite-balance:AccBankComLoan",
+        ]
 
 
 # A `--set` value: a number, non-finite or unparsable text; a tau stays at most
@@ -553,6 +571,15 @@ class TestCmdSweep:
         assert rows[0]["status"] == f"error: {where} would become non-finite (inf)"
         assert rows[0]["bounded"] == ""
         assert [row["status"] for row in rows[1:]] == ["ok"] * (len(rows) - 1)
+
+    def test_a_loan_that_overflows_its_balances_marks_its_row(self, capsys):
+        argv = ["sweep", "--param", "nu_r", "--values", "1e12", "--horizon", "20"]
+        assert main([*argv, *OVERFLOWING_LOANS]) == EXIT_OK
+        row = capsys.readouterr().out.splitlines()[1]
+        assert row == (
+            "nu_r,1e12,error: period 11: booking 5 (Com gets Loan from Bank) rejected "
+            "[non-finite-balance:AccComLoan non-finite-balance:AccBankComLoan],,,,"
+        )
 
     def test_unknown_parameter(self, capsys):
         assert main(["sweep", "--param", "nope", "--values", "1"]) == EXIT_CONFIG

@@ -137,6 +137,25 @@ class TestParameters:
         with pytest.raises(ValueError, match=f"^{name} must be"):
             Parameters(**{name: math.nan}).validate()
 
+    @pytest.mark.parametrize("value", ["0.2", None, 1 + 0j, True, False, b"1"], ids=repr)
+    def test_a_value_that_is_not_a_number_is_refused_naming_the_field(self, value):
+        # refused before any comparison could raise a bare TypeError; a bool
+        # is not a number here, as it is not a count for tau
+        for name in decisions._RANGES:
+            with pytest.raises(ValueError) as err:
+                Parameters(**{name: value}).validate()
+            assert str(err.value) == f"{name} must be a number, got {value!r}"
+
+    def test_a_run_with_a_string_parameter_is_refused_naming_it(self):
+        with pytest.raises(ValueError) as err:
+            evolution.run(Parameters(lam="0.2"), horizon=3)
+        assert type(err.value) is ValueError
+        assert str(err.value) == "lam must be a number, got '0.2'"
+
+    @pytest.mark.parametrize("name", ["lam", "mu", "p_0", "nu_r"])
+    def test_an_int_is_a_number(self, name):
+        Parameters(**{name: 1}).validate()
+
 
 # `Parameters.validate` as it was before the rule table: seven loops, kept here
 # as the reference every single-field verdict and message must match

@@ -243,14 +243,17 @@ class TestFiniteTrace:
         assert all(map(math.isfinite, trace.cells))
 
     @pytest.mark.parametrize("engine", ENGINES)
-    def test_a_posting_that_overflows_a_balance_is_refused_at_the_close(self, engine):
-        # every loan amount is finite, but their running sum on AccComLoan is not
+    def test_a_posting_that_overflows_a_balance_is_refused_at_its_booking(self, engine):
+        # every loan amount is finite, but their running sum on AccComLoan is
+        # not: the loan's legs that would make it inf name the booking
         params = Parameters(tau=20, sig_a=2e307, sig_b=1.0, lam=0.0, p_r=1e300, nu_r=1e12)
         with pytest.raises(ValidationFailure) as err:
             run(params, horizon=20, engine=engine)
-        assert str(err.value) == "balance of 'AccComLoan' would become non-finite (inf)"
+        assert str(err.value) == "booking 5 (Com gets Loan from Bank) rejected"
         assert err.value.period == 11
-        assert err.value.diagnostics == []
+        assert err.value.diagnostics == [
+            "non-finite-balance:AccComLoan", "non-finite-balance:AccBankComLoan"
+        ]
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_a_refused_run_steps_no_period_past_the_refusal(self, monkeypatch, engine):
@@ -800,14 +803,38 @@ class TestStateVector:
     def test_a_non_finite_balance_no_write_touches_is_refused_before_the_laws(
         self, engine, value
     ):
-        # the closing check runs before the categorical law checks, so both
-        # engines refuse it by name, not as a NaN net flow
+        # the dividend's legs meet the balance before the categorical law
+        # checks, so both engines refuse its booking, not a NaN net flow
         params = Parameters()
         state = initial_state(params)
         state[ACCOUNT_INDEX["AccCapDiv"]] = value
         with pytest.raises(ValidationFailure) as err:
             period_step(state, params, 0, engine=engine)
-        assert str(err.value) == f"balance of 'AccCapDiv' would become non-finite ({value})"
+        assert str(err.value) == "booking 6 (Com pays Div to Cap) rejected"
+        assert err.value.diagnostics == ["non-finite-balance:AccCapDiv"] * 2
+
+    def test_every_account_is_a_leg_of_a_booking_every_period_posts(self):
+        # what lets a period close without scanning its balances: a leg
+        # posts only into [0, inf), and every balance is some leg's
+        accounts = {account for _, legs, _ in BOOKINGS.values() for account, _, _ in legs}
+        assert accounts == set(ACCOUNT_NAMES)
+        metrics = PeriodMetrics(*(1.0,) * len(METRIC_COLUMNS))
+        posted = [booking_id for booking_id, _ in period_amounts(metrics, Parameters())]
+        assert sorted(posted) == sorted(BOOKINGS)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("account", ACCOUNT_NAMES)
+    def test_any_non_finite_opening_balance_is_refused_before_the_laws(
+        self, monkeypatch, engine, value, account
+    ):
+        counts = counting_calls(monkeypatch, ("check_functor_laws", "check_naturality"))
+        params = Parameters()
+        state = initial_state(params)
+        state[ACCOUNT_INDEX[account]] = value
+        with pytest.raises(ValidationFailure):
+            period_step(state, params, 0, engine=engine)
+        assert counts == {"check_functor_laws": 0, "check_naturality": 0}
 
     def test_a_state_of_another_length_is_refused(self):
         params = Parameters(tau=3)

@@ -9,7 +9,7 @@ from functools import partial
 from typing import Mapping, NamedTuple
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from catledger.evolution import _CategoricalBook, validate_via_pullback
 from catledger.ledger import (
@@ -229,8 +229,8 @@ class TestBookingTable:
 class TestPostCompiled:
     @pytest.mark.parametrize("amount", [math.inf, math.nan])
     def test_a_non_finite_amount_is_refused_and_posts_nothing(self, amount):
-        # every leg of the loan is an inflow, so no balance can refuse an inf:
-        # only the bound `0.0 <= a < inf` on the amount does
+        # every leg of the loan is an inflow: the balance an inf or nan
+        # amount would make is refused at the first leg
         values = init_ledger()
         before = [struct.pack("d", value) for value in values]
         assert post_compiled(values, 5, (amount,)) is False
@@ -328,21 +328,33 @@ class TestConservationProperty:
         assert rejected == 300
 
     def test_imbalanced_booking_caught(self):
-        # the table conserves every finite amount; a NaN loan fails nan == nan
+        # the table conserves every finite amount; a NaN loan makes every
+        # balance it posts to nan, and fails nan == nan
         ledger = init_ledger()
         ledger[ACCOUNT_INDEX["AccComBank"]] = 100.0
         ok, diagnostics = validate_booking(ledger, 5, (math.nan,))
         assert not ok
-        assert diagnostics == ["eu-imbalance:nan!=nan"]
+        assert diagnostics == [
+            "non-finite-balance:AccComBank",
+            "non-finite-balance:AccComLoan",
+            "non-finite-balance:AccBankComLoan",
+            "non-finite-balance:AccBankComBank",
+            "eu-imbalance:nan!=nan",
+        ]
         assert (ok, diagnostics) == oracle_validate_booking(ledger, oracle_make_loan(math.nan))
 
     def test_real_leg_imbalance_caught(self):
-        # kilograms of inf delivered net to -inf + inf, which is nan
+        # kilograms of inf delivered net to -inf + inf, which is nan; the
+        # delivery would make the company's stock inf
         ledger = init_ledger()
         ledger[ACCOUNT_INDEX["AccResRes"]] = 5.0
         ok, diagnostics = validate_booking(ledger, 3, (0.0, math.inf))
         assert not ok
-        assert diagnostics == ["insufficient-balance:AccResRes", "real-imbalance:kg:nan"]
+        assert diagnostics == [
+            "insufficient-balance:AccResRes",
+            "non-finite-balance:AccComRes",
+            "real-imbalance:kg:nan",
+        ]
         reference = oracle_make_resource_purchase(0.0, math.inf)
         assert (ok, diagnostics) == oracle_validate_booking(ledger, reference)
 
@@ -378,9 +390,11 @@ class TestRefuseBalance:
 
 
 # ---------------------------------------------------------------------------
-# Reference ledger: the original booking values, leg checks and posting, kept
-# verbatim so the table-driven versions can be held to exactly the same
-# outcomes.
+# Reference ledger: the original booking values, leg checks and posting, so
+# the table-driven versions can be held to exactly the same outcomes.  It is
+# kept as it was but for one branch: a leg whose running balance would be inf
+# or nan is `non-finite-balance`, the rule the table-driven posting follows,
+# under which no accepted booking leaves a non-finite balance.
 # ---------------------------------------------------------------------------
 
 
@@ -431,6 +445,9 @@ def oracle_leg_statuses(balances: Mapping[str, float], booking: Booking) -> list
         new = scratch[leg.account] + delta
         if new < 0.0:
             statuses.append(f"insufficient-balance:{leg.account}")
+            continue
+        if not math.isfinite(new):
+            statuses.append(f"non-finite-balance:{leg.account}")
             continue
         scratch[leg.account] = new
         statuses.append("ok")
@@ -816,6 +833,31 @@ class TestReferenceEquivalence:
         assert err.value.diagnostics == ["insufficient-balance:AccComDiv"]
 
 
+class TestOneVerdict:
+    @settings(max_examples=300, deadline=None)
+    @given(balance_lists, bookings)
+    @example([10.0] * len(ACCOUNT_NAMES), (5, (math.inf,)))
+    @example([10.0] * len(ACCOUNT_NAMES), (6, (1.0, math.inf)))
+    @example([math.nan] * len(ACCOUNT_NAMES), (5, (1.0,)))
+    def test_every_check_gives_the_posting_loop_s_verdict(self, balances, booking):
+        # the scan, the posting loop, the atomic post and the categorical gate
+        # follow one rule, and a booking that posts leaves its accounts finite
+        booking_id, drawn = booking
+        verdict = validate_booking(balances, booking_id, drawn)[0]
+        assert post_compiled(balances[:], booking_id, drawn) is verdict
+        assert validate_via_pullback(balances, booking_id, drawn)[0] is verdict
+        posted = list(balances)
+        try:
+            post_booking(posted, booking_id, drawn)
+        except ValidationFailure:
+            assert not verdict
+            assert balance_bits(posted) == balance_bits(balances)
+        else:
+            assert verdict
+            accounts = {ACCOUNT_INDEX[account] for account, _, _ in BOOKINGS[booking_id][1]}
+            assert all(0.0 <= posted[i] < math.inf for i in accounts)
+
+
 # every way an amount is refused: more than any balance holds, nan, +inf and
 # a negative amount, in every slot of the booking
 REFUSED = {"overdraft": 1e6, "nan": math.nan, "inf": math.inf, "negative": -1.0}
@@ -829,9 +871,9 @@ class TestRejectionMessages:
         drawn = (REFUSED[kind],) * arity(booking_id)
         reference = oracle_booking(booking_id, drawn)
         verdict = oracle_validate_booking(list(balances), reference)
-        # a loan only adds to accounts, and its conservation check passes
-        # inf == inf: only a NaN or negative loan is refused
-        assert verdict[0] is (booking_id == 5 and kind in ("overdraft", "inf"))
+        # a loan only adds to accounts: only an amount that is finite and
+        # not negative posts it, and an inf loan's balances would be inf
+        assert verdict[0] is (booking_id == 5 and kind == "overdraft")
         for post in (post_booking, post_by_the_categorical_book):
             assert_posts_like_the_reference(balances, booking_id, drawn, post)
         assert validate_booking(balances, booking_id, drawn) == verdict

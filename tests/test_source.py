@@ -1,5 +1,6 @@
 """Source hygiene: every module-level import of the package is read, every private name,
-and every option of the command-line parser; importing the CLI loads no code generator."""
+and every option of the command-line parser; importing the CLI loads no code generator;
+every leg status the ledger's scan can emit is documented in the README."""
 
 from __future__ import annotations
 
@@ -175,3 +176,23 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def scan_status_prefixes() -> set[str]:
+    """The prefix before ':' of each leg status and verdict that `_scan_legs` can emit."""
+    tree = ast.parse((PACKAGE / "ledger.py").read_text(encoding="utf-8"))
+    scan = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_scan_legs")
+    prefixes = set()
+    for node in ast.walk(scan):
+        if isinstance(node, ast.JoinedStr) and isinstance(node.values[0], ast.Constant):
+            head, colon, _ = node.values[0].value.partition(":")
+            if colon and head.replace("-", "").isalpha():
+                prefixes.add(head)
+    return prefixes
+
+
+def test_every_status_the_scan_can_emit_is_in_the_readme():
+    prefixes = scan_status_prefixes()
+    assert {"insufficient-balance", "non-finite-balance", "eu-imbalance"} <= prefixes
+    readme = (PACKAGE.parent.parent / "README.md").read_text(encoding="utf-8")
+    assert sorted(prefix for prefix in prefixes if f"`{prefix}:" not in readme) == []
