@@ -161,15 +161,21 @@ def _csv_texts(texts: Iterable[str]) -> list[str]:
 def write_trace_csv(trace: Trace, path: str | Path, texts: list[str] | None = None) -> None:
     """The `#` echo of the trace's settings, the header and one line per row, CRLF-terminated.
 
-    `texts` are the trace's `_cell_texts`, when the caller already holds them.
+    A failed write removes the file.  `texts` are the trace's `_cell_texts`, when the
+    caller already holds them.
     """
     cells, width = _csv_texts(_cell_texts(trace) if texts is None else texts), len(TRACE_COLUMNS)
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        for line in config_echo(trace.params, trace.engine):
-            handle.write(f"# {line}\n")
-        handle.write(",".join(TRACE_COLUMNS) + "\r\n")
-        for start in range(0, len(cells), width):
-            handle.write(",".join(cells[start : start + width]) + "\r\n")
+    handle = open(path, "w", newline="", encoding="utf-8")
+    try:
+        with handle:
+            for line in config_echo(trace.params, trace.engine):
+                handle.write(f"# {line}\n")
+            handle.write(",".join(TRACE_COLUMNS) + "\r\n")
+            for start in range(0, len(cells), width):
+                handle.write(",".join(cells[start : start + width]) + "\r\n")
+    except BaseException:
+        Path(path).unlink(missing_ok=True)
+        raise
 
 
 def read_trace_csv(path: str | Path) -> tuple[dict[str, str], list[dict[str, float]]]:
@@ -336,8 +342,13 @@ def cmd_run(config: RunConfig, out: str | None, json_out: str | None) -> int:
     texts = _cell_texts(trace) if out or json_out else None  # one repr per cell, for both files
     if out:
         write_trace_csv(trace, out, texts)
-    if json_out:
-        write_trace_json(trace, json_out, texts)
+    try:
+        if json_out:
+            write_trace_json(trace, json_out, texts)
+    except BaseException:  # the CSV of a failed run goes with it
+        if out:
+            Path(out).unlink(missing_ok=True)
+        raise
     print(f"rows: {len(trace.column('period'))}")
     peaks = _invariance_peaks(trace)
     for column, peak in zip(INVARIANCE_COLUMNS, peaks):
@@ -510,7 +521,7 @@ def run_law_fixtures() -> list[tuple[str, bool]]:
 
     # the engine's own shapes: the dividend booking's 8 legs onto 6 accounts,
     # two touched twice, and its gate with every leg ok
-    _, to_account, to_slot, *_ = _FIXED[6]
+    to_account, to_slot, *_ = _FIXED[6]
     fixed = (to_account, to_slot, *finset_pushout(to_account, to_slot))
     results.append(("dividend pushout universal property", verify_pushout_universal(*fixed)))
     legs_ok = FinSetMap.from_positions(to_slot.domain, _SPEC_CONE.codomain, (0,) * 8)

@@ -9,10 +9,10 @@ balances, which the cycle reads and writes by position; `post`, which
 gates and applies one booking; and `close`, which ends the period and
 returns the balances.  The recursive book posts each booking onto its copy
 directly.  The categorical book builds on what `prove_booking_table`
-proved of each booking at import: it pulls a failing booking's leg checks
-back against 'ok', applies a booking through its pushout's fold, records
-its flows in a finite category of the accounts, and closes each period
-with functor and naturality law checks on the time step just performed.
+proved of each booking at import: it gates a booking on its all-'ok'
+pullback, applies it through its pushout's fold, records its flows in a
+finite category of the accounts, and closes each period with functor and
+naturality law checks on the time step just performed.
 Both engines run the one cycle with identical float operations, so their
 traces agree bit for bit.
 
@@ -76,7 +76,6 @@ from .decisions import (
     memory_push,
     production,
 )
-from . import ledger as ledger_module
 from .ledger import (
     ACCOUNT_INDEX,
     ACCOUNT_NAMES,
@@ -85,14 +84,15 @@ from .ledger import (
     Direction,
     Invariances,
     ValidationFailure,
-    booking_diagnostics,
     booking_entry,
+    compile_booking_table,
     init_ledger,
     invariances,
     post_booking,
     post_compiled,
     refuse_balance,
     rejection,
+    validate_booking,
 )
 
 
@@ -358,10 +358,10 @@ def prove_booking_table(table: Mapping[int, BookingEntry]) -> dict[int, tuple]:
     the first booking whose pushout of (leg -> account) against (leg -> leg)
     glues two accounts or does not commute, whose all-'ok' legs pulled back
     against `_SPEC_CONE` miss one, or whose flows `extend` refuses.  The
-    constants: leg tokens, the pushout's two maps, the flows' src, dst, slot
-    and label columns, and per leg the fold (ledger position, is inflow, slot).
+    constants: the pushout's two maps, the flows' src, dst, slot and label
+    columns, and per leg the fold (ledger position, is inflow, slot).
     """
-    ledger_module.compile_booking_table(table)
+    compile_booking_table(table)
     # the one check of the account names, which `build_economy_category` relies on
     flows_of_all = FiniteCategory.from_columns("economy", ACCOUNT_NAMES, (), (), (), ())
     proved = {}
@@ -392,7 +392,7 @@ def prove_booking_table(table: Mapping[int, BookingEntry]) -> dict[int, tuple]:
         if problem is not None:
             raise EngineConsistencyError(f"booking {booking_id}: {problem}")
         fold = ((owners[c], way is Direction.INFLOW, slot) for c, (_, way, slot) in zip(i_b, legs))
-        proved[booking_id] = (tokens, to_account, to_slot, tuple(zip(*flows)), tuple(fold))
+        proved[booking_id] = (to_account, to_slot, tuple(zip(*flows)), tuple(fold))
     return proved
 
 
@@ -401,32 +401,24 @@ _FIXED = MappingProxyType(prove_booking_table(BOOKINGS))
 
 def booking_to_morphisms(cat: FiniteCategory, booking_id: int, amounts: tuple) -> range:
     """Record a booking's proved channels as morphisms of account category `cat`; their ids."""
-    src, dst, slots, labels = booking_entry(_FIXED, booking_id)[3]
+    src, dst, slots, labels = booking_entry(_FIXED, booking_id)[2]
     return cat.extend_proved(src, dst, [amounts[slot] for slot in slots], labels)
 
 
 def validate_via_pullback(
     balances: list[float], booking_id: int, amounts: tuple[float, ...]
 ) -> tuple[bool, list[str]]:
-    """Gate a booking by pulling its per-leg checks back against 'all ok'.
+    """Gate a booking against the all-'ok' pullback `prove_booking_table` proved.
 
-    `balances` are the 20 opening balances in ACCOUNT_NAMES order.  The
-    booking validates when the apex of (leg -> status) against ('all' ->
-    'ok') covers every leg and value is conserved.  When the compiled legs
-    post onto a copy of the balances every status is 'ok', an apex proved
-    by `prove_booking_table`; else one scan of the legs gives the statuses
-    and the conservation verdict, and the pullback is taken on them.
+    `balances` are the 20 opening balances in ACCOUNT_NAMES order.  A booking
+    whose compiled legs post onto a copy of them has every leg 'ok', which the
+    proved apex covers.  A leg that cannot post is not 'ok', so no apex covers
+    it: the booking is refused with `validate_booking`'s verdict, as the
+    recursive book's `post_booking` refuses it.
     """
     if post_compiled(balances[:], booking_id, amounts):
         return True, []
-    legs = booking_entry(_FIXED, booking_id)[0]
-    statuses, verdict = ledger_module._scan_legs(balances, booking_id, amounts)
-    outcomes = tuple(sorted({*statuses, "ok"}))
-    leg_check = FinSetMap.from_positions(legs, outcomes, map(outcomes.index, statuses))
-    spec_cone = FinSetMap.from_positions(("all",), outcomes, (outcomes.index("ok"),))
-    if len(pullback_positions(leg_check, spec_cone)) == len(legs) and verdict == "ok":
-        return True, []
-    return False, booking_diagnostics(statuses, verdict)
+    return validate_booking(balances, booking_id, amounts)
 
 
 def apply_via_pushout(values: list[float], booking_id: int, amounts: tuple[float, ...]) -> None:
@@ -436,7 +428,7 @@ def apply_via_pushout(values: list[float], booking_id: int, amounts: tuple[float
     class of exactly one account.  `prove_booking_table` stored that account's
     position per leg; each leg is added there or subtracted, in leg order.
     """
-    for i, inflow, slot in booking_entry(_FIXED, booking_id)[4]:
+    for i, inflow, slot in booking_entry(_FIXED, booking_id)[3]:
         values[i] = values[i] + amounts[slot] if inflow else values[i] - amounts[slot]
 
 
@@ -509,9 +501,9 @@ def verify_time_step(
 class _CategoricalBook(_RecursiveBook):
     """The flat ledger of the recursive book, posted through the categorical constructions.
 
-    Every booking is gated through the pullback, recorded as flows in the
-    account category and applied through the pushout; closing builds the
-    period's time step and checks its laws.
+    Every booking is gated on its proved all-'ok' pullback, recorded as
+    flows in the account category and applied through the pushout; closing
+    builds the period's time step and checks its laws.
     """
 
     __slots__ = ("cat", "opening")

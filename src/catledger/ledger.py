@@ -130,9 +130,9 @@ _IN, _OUT, _EU = Direction.INFLOW, Direction.OUTFLOW, Unit.EU
 
 
 def init_ledger(com_lab_0: float = 110.0, com_res_0: float = 20.0) -> list[float]:
-    """Fresh ledger: everything zero except the company's input stocks."""
-    if com_lab_0 < 0.0 or com_res_0 < 0.0:
-        raise ValueError("endowments must be non-negative")
+    """Fresh ledger: everything zero except the company's input stocks, each in `[0, inf)`."""
+    if not (0.0 <= com_lab_0 < _INF and 0.0 <= com_res_0 < _INF):
+        raise ValueError(f"endowments must lie in [0, inf), got {com_lab_0!r} and {com_res_0!r}")
     values = [0.0] * len(ACCOUNT_NAMES)
     values[ACCOUNT_INDEX["AccComLab"]] = float(com_lab_0)
     values[ACCOUNT_INDEX["AccComRes"]] = float(com_res_0)
@@ -406,14 +406,6 @@ def conservation_status(booking_id: int, amounts: tuple[float, ...]) -> str:
     return _scan_legs(_NO_BALANCES, booking_id, amounts)[1]
 
 
-def booking_diagnostics(statuses: list[str], verdict: str) -> list[str]:
-    """Every failed leg status in leg order, then a failed conservation verdict."""
-    diagnostics = [s for s in statuses if s != "ok"]
-    if verdict != "ok":
-        diagnostics.append(verdict)
-    return diagnostics
-
-
 def rejection(booking_id: int, diagnostics: list[str]) -> ValidationFailure:
     """The failure that rejects booking `booking_id` with these diagnostics."""
     description = BOOKINGS[booking_id][0]
@@ -423,8 +415,11 @@ def rejection(booking_id: int, diagnostics: list[str]) -> ValidationFailure:
 def validate_booking(
     values: Sequence[float], booking_id: int, amounts: tuple[float, ...]
 ) -> tuple[bool, list[str]]:
-    """True plus diagnostics iff every leg fits the balances `values` and value is conserved."""
-    diagnostics = booking_diagnostics(*_scan_legs(values, booking_id, amounts))
+    """(ok, diagnostics): each failed leg status in order, then a failed conservation verdict."""
+    statuses, verdict = _scan_legs(values, booking_id, amounts)
+    diagnostics = [s for s in statuses if s != "ok"]
+    if verdict != "ok":
+        diagnostics.append(verdict)
     return not diagnostics, diagnostics
 
 
@@ -433,10 +428,10 @@ def post_booking(values: list[float], booking_id: int, amounts: tuple[float, ...
 
     The legs post through `post_compiled`.  When a leg cannot, the list is
     restored and the `ValidationFailure` names every failed check that
-    `_scan_legs` finds, leaving the ledger untouched.
+    `validate_booking` finds, leaving the ledger untouched.
     """
     opening = values[:]
     if post_compiled(values, booking_id, amounts):
         return values
     values[:] = opening
-    raise rejection(booking_id, booking_diagnostics(*_scan_legs(opening, booking_id, amounts)))
+    raise rejection(booking_id, validate_booking(opening, booking_id, amounts)[1])

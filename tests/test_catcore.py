@@ -990,7 +990,8 @@ class TestFinSetDifferential:
         from catledger.evolution import _FIXED, _SPEC_CONE
         from catledger.ledger import BOOKINGS
 
-        legs, to_account, to_slot, *_ = _FIXED[booking_id]
+        to_account, to_slot, *_ = _FIXED[booking_id]
+        legs = to_slot.domain
         assert_pushout_positions_match(to_account, to_slot)
         all_ok = FinSetMap.from_positions(legs, _SPEC_CONE.codomain, (0,) * len(legs))
         assert_pullback_positions_match(all_ok, _SPEC_CONE)

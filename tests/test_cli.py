@@ -310,6 +310,24 @@ class TestCmdRun:
         assert f"run failed: {where} would become non-finite (inf)" in capsys.readouterr().err
         assert not path.exists()
 
+    def test_a_failed_json_write_takes_the_csv_with_it(self, tmp_path, capsys):
+        csv_path = tmp_path / "a.csv"
+        json_path = tmp_path / "missing" / "y.json"
+        argv = ["run", "--horizon", "3", "--out", str(csv_path), "--json", str(json_path)]
+        assert main(argv) == EXIT_CONFIG
+        assert "error: [Errno 2]" in capsys.readouterr().err
+        assert not csv_path.exists() and not json_path.exists()
+
+    def test_a_failed_csv_write_removes_the_file(self, tmp_path, monkeypatch):
+        def failing(params, engine):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "config_echo", failing)  # read after the file is opened
+        path = tmp_path / "a.csv"
+        with pytest.raises(OSError, match="disk full"):
+            write_trace_csv(run(Parameters(), horizon=3), path)
+        assert not path.exists()
+
     def test_an_overflowing_memory_due_is_refused_without_a_traceback(self, capsys):
         settings = ["sig_a=1e308", "sig_b=7e307", "lambda=1", "tau=4", "p_l=1e300", "nu_l=1e12"]
         argv = ["run", *(arg for setting in settings for arg in ("--set", setting))]

@@ -475,7 +475,7 @@ class TestCategoricalInternals:
     def test_pushout_classes_one_per_touched_account(self):
         from catledger.evolution import _FIXED
 
-        _, to_account, to_slot, *_ = _FIXED[5]
+        to_account, to_slot, *_ = _FIXED[5]
         classes, _, _ = finset_pushout(to_account, to_slot)
         assert len(classes) == 4  # the loan touches four accounts
         ledger = init_ledger()
@@ -977,22 +977,28 @@ class TestPeriodLawGuard:
                 "apply_via_pushout": 8,
             }
 
-    def test_a_rejected_booking_takes_its_own_pullback(self, monkeypatch):
-        # a booking whose compiled legs cannot post is scanned, and its leg
-        # statuses are pulled back against 'ok' in the period that gates it
+    def test_a_rejected_booking_takes_no_pullback(self, monkeypatch):
+        # a booking whose compiled legs cannot post is refused with the
+        # ledger's own verdict: the recursive engine's message and diagnostics
         counts = counting_calls(monkeypatch, self.CONSTRUCTIONS)
         params = Parameters(tau=1)
         state = initial_state(params)
         with pytest.raises(ValidationFailure) as err:
             for period in range(6):
                 counts.update(dict.fromkeys(counts, 0))
+                opening = state
                 state, _ = period_step(state, params, period, engine=EngineKind.CATEGORICAL)
         assert str(err.value) == "booking 7 (Com repays Loan to Bank) rejected"
+        with pytest.raises(ValidationFailure) as recursive:
+            period_step(opening, params, period, engine=EngineKind.RECURSIVE)
+        assert (str(err.value), err.value.diagnostics) == (
+            str(recursive.value), recursive.value.diagnostics
+        )
         # the repayment is the seventh booking: six applied before it, no close
         assert counts == {
             "check_functor_laws": 0,
             "check_naturality": 0,
-            "pullback_positions": 1,
+            "pullback_positions": 0,
             "pushout_positions": 0,
             "validate_via_pullback": 7,
             "apply_via_pushout": 6,
@@ -1038,7 +1044,7 @@ class TestPeriodLawGuard:
             assert to_slot == FinSetMap(tokens, tokens, dict(zip(tokens, tokens)))
             assert leg_check == FinSetMap(tokens, ("ok",), dict.fromkeys(tokens, "ok"))
             assert spec_cone == FinSetMap(("all",), ("ok",), {"all": "ok"})
-            assert proved[booking_id][:3] == (tokens, to_account, to_slot)
+            assert proved[booking_id][:2] == (to_account, to_slot)
             for fixed in (to_account, to_slot, leg_check, spec_cone):
                 key = next(iter(fixed.mapping))
                 with pytest.raises(TypeError):
@@ -1052,7 +1058,7 @@ class TestPeriodLawGuard:
 
         assert sorted(_FIXED) == sorted(BOOKINGS)
         for booking_id in BOOKINGS:
-            assert _FIXED[booking_id][4] == ledger._COMPILED[booking_id][2]
+            assert _FIXED[booking_id][3] == ledger._COMPILED[booking_id][2]
 
     @staticmethod
     def refusal(monkeypatch, corruption) -> str:

@@ -71,6 +71,14 @@ class TestInitLedger:
         with pytest.raises(ValueError):
             init_ledger(-1.0, 20.0)
 
+    @pytest.mark.parametrize(
+        "endowments, named",
+        [((math.nan,), "nan and 20.0"), ((110.0, math.inf), "110.0 and inf"), ((-0.5,), "-0.5")],
+    )
+    def test_an_endowment_outside_zero_to_inf_is_refused_by_value(self, endowments, named):
+        with pytest.raises(ValueError, match=rf"^endowments must lie in \[0, inf\), got {named}"):
+            init_ledger(*endowments)
+
 
 class TestPostBooking:
     def test_loan_260(self):
