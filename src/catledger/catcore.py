@@ -125,7 +125,7 @@ class Functor:
     `morphism_images[j - 1]` that of generator j, None where there is none.
     Identities are preserved automatically (they are implicit), so the
     checkable laws are endpoint coherence and composability of images.
-    CategoryError names an image that is neither None nor of type int.
+    CategoryError names an image neither None nor of type int; `proved` checks none.
     """
 
     __slots__ = ("source", "target", "object_images", "morphism_images")
@@ -137,6 +137,14 @@ class Functor:
         self.object_images = _ids(object_images, "object_images")
         self.morphism_images = _ids(morphism_images, "morphism_images")
 
+    @classmethod
+    def proved(cls, source, target, object_images, morphism_images) -> "Functor":
+        """The functor of image lists that pass the constructor's check; it keeps the lists."""
+        functor = object.__new__(cls)
+        functor.source, functor.target = source, target
+        functor.object_images, functor.morphism_images = object_images, morphism_images
+        return functor
+
     @staticmethod
     def identity(cat: FiniteCategory) -> "Functor":
         return Functor(cat, cat, list(range(1, len(cat.names) + 1)), list(cat.morphisms))
@@ -146,13 +154,20 @@ class NaturalTransformation:
     """A transformation between parallel functors, one component per source object.
 
     `components[i - 1]` is the id of a target morphism F(i) -> G(i), or None;
-    CategoryError names a component of any other type.
+    CategoryError names a component of any other type; `proved` checks none.
     """
 
     __slots__ = ("F", "G", "components")
 
     def __init__(self, F: Functor, G: Functor, components: list[int | None]) -> None:
         self.F, self.G, self.components = F, G, _ids(components, "components")
+
+    @classmethod
+    def proved(cls, F: Functor, G: Functor, components: list) -> "NaturalTransformation":
+        """The transformation of components that pass the constructor's check; it keeps the list."""
+        eta = object.__new__(cls)
+        eta.F, eta.G, eta.components = F, G, components
+        return eta
 
 
 class LawReport:

@@ -10,9 +10,9 @@ gates and applies one booking; and `close`, which ends the period and
 returns the balances.  The recursive book posts each booking onto its copy
 directly.  The categorical book builds on what `prove_booking_table`
 proved of each booking at import: it gates a booking on its all-'ok'
-pullback, applies it through its pushout's fold, records its flows in a
-finite category of the accounts, and closes each period with functor and
-naturality law checks on the time step just performed.
+pullback and applies it through its pushout's fold; its close records
+the period's flows in a finite category of the accounts, at once, and
+checks the functor and naturality laws of the time step just performed.
 Both engines run the one cycle with identical float operations, so their
 traces agree bit for bit.
 
@@ -41,6 +41,7 @@ each row's cells in `TRACE_COLUMNS` order.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from array import array
@@ -442,7 +443,7 @@ def build_time_step(
     with the period's flows, at the two levels of the target: account i at
     i and at i + 20.  Each component is one account's evolution edge,
     weighted by its net flow.  The target's columns hold the components,
-    then the flows' images at t, then at t+1: well formed by construction.
+    then the flows' images at t, then at t+1: well formed, so the id lists are `proved`.
     """
     src, dst, m = flows.src, flows.dst, len(flows.src)
     step = FiniteCategory(
@@ -453,9 +454,9 @@ def build_time_step(
         [*map(sub, new, old), *flows.weight, *flows.weight],
         _EVOLVE + flows.label * 2,
     )
-    f_t = Functor(flows, step, _AT_T[:], list(range(_SHIFT + 1, _SHIFT + m + 1)))
-    f_t1 = Functor(flows, step, _AT_T1[:], list(range(_SHIFT + m + 1, _SHIFT + 2 * m + 1)))
-    return step, f_t, f_t1, NaturalTransformation(f_t, f_t1, _AT_T[:])
+    f_t = Functor.proved(flows, step, _AT_T[:], list(range(_SHIFT + 1, _SHIFT + m + 1)))
+    f_t1 = Functor.proved(flows, step, _AT_T1[:], list(range(_SHIFT + m + 1, _SHIFT + 2 * m + 1)))
+    return step, f_t, f_t1, NaturalTransformation.proved(f_t, f_t1, _AT_T[:])
 
 
 def verify_time_step(
@@ -498,32 +499,46 @@ def verify_time_step(
         raise EngineConsistencyError("period law check failed", failures)
 
 
+@functools.cache
+def _flows_shape(posted: tuple[int, ...]) -> tuple[str, list, list, list, list, list]:
+    """The columns of bookings `posted`'s flows, weighted by their amounts' positions in turn."""
+    shape, at = build_economy_category(), 0
+    for booking_id in posted:
+        width = 1 + max(booking_entry(_FIXED, booking_id)[2][2])  # every slot is a channel's
+        booking_to_morphisms(shape, booking_id, range(at, at + width))
+        at += width
+    return shape.name, shape.names, shape.src, shape.dst, shape.weight, shape.label
+
+
 class _CategoricalBook(_RecursiveBook):
     """The flat ledger of the recursive book, posted through the categorical constructions.
 
-    Every booking is gated on its proved all-'ok' pullback, recorded as
-    flows in the account category and applied through the pushout; closing
-    builds the period's time step and checks its laws.
+    Every booking is gated on its proved all-'ok' pullback and applied
+    through the pushout; closing weights copies of `_flows_shape`'s columns
+    with the kept amounts, builds the period's time step and checks its laws.
     """
 
-    __slots__ = ("cat", "opening")
+    __slots__ = ("opening", "posted", "amounts")
 
     def __init__(self, state: list[float]) -> None:
         super().__init__(state)
-        self.cat = build_economy_category()
-        self.opening = state[:_SHIFT]
+        self.opening, self.posted, self.amounts = state[:_SHIFT], [], []
 
     def post(self, booking_id: int, amounts: tuple[float, ...]) -> None:
         ok, diagnostics = validate_via_pullback(self.values, booking_id, amounts)
         if not ok:
             raise rejection(booking_id, diagnostics)
-        booking_to_morphisms(self.cat, booking_id, amounts)
         apply_via_pushout(self.values, booking_id, amounts)
+        self.posted.append(booking_id)
+        self.amounts += amounts
 
     def close(self) -> list[float]:
         """The law checks on the realised time step, then the closing ledger."""
-        *_, eta = build_time_step(self.cat, self.opening, self.values)
-        verify_time_step(self.cat, eta, self.opening, self.values)
+        name, names, src, dst, at, label = _flows_shape(tuple(self.posted))
+        weights = list(map(self.amounts.__getitem__, at))
+        flows = FiniteCategory(name, names[:], src[:], dst[:], weights, label[:])
+        *_, eta = build_time_step(flows, self.opening, self.values)
+        verify_time_step(flows, eta, self.opening, self.values)
         return self.values
 
 

@@ -846,6 +846,25 @@ class TestLawChecksReportInsteadOfRaising:
         with pytest.raises(CategoryError, match="source id 1 maps to True"):
             Functor(cat, cat, [True, 2, 3], list(cat.morphisms))
 
+    def test_proved_keeps_the_lists_and_equals_the_checked_build(self):
+        # `proved` is for lists a caller built of int ids: it holds the very
+        # lists, type-tests none, and builds what the constructor would
+        cat = triangle()
+        objects, images, components = [1, 2, 3], list(cat.morphisms), [None] * 3
+        functor = Functor.proved(cat, cat, objects, images)
+        eta = NaturalTransformation.proved(functor, functor, components)
+        assert functor.object_images is objects and functor.morphism_images is images
+        assert eta.F is eta.G is functor and eta.components is components
+        checked = Functor(cat, cat, [1, 2, 3], list(cat.morphisms))
+        assert (functor.source, functor.target, functor.object_images, functor.morphism_images) == (
+            checked.source, checked.target, checked.object_images, checked.morphism_images
+        )
+        assert check_functor_laws(functor) == check_functor_laws(checked)
+        assert check_naturality(eta) == check_naturality(
+            NaturalTransformation(checked, checked, [None] * 3)
+        )
+        assert Functor.proved(cat, cat, [1, "Y", 3], images).object_images == [1, "Y", 3]
+
 
 # Verbatim copies of the FinSet constructions before their rewrite onto
 # positions and direct mapping reads; the rewrite must reproduce them exactly.

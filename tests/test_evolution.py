@@ -422,6 +422,54 @@ class TestInvariancesAndMirrors:
             for agent_side, bank_side in mirrors:
                 assert row.accounts[agent_side] == row.accounts[bank_side]
 
+    def test_the_cycle_s_own_writes_touch_no_bank_side_or_mirror_account(self):
+        # only bookings write the Bank's five accounts and the mirror pairs:
+        # an agent-side account mirrors the bank-side account whose legs it
+        # shares, booking by booking, as (direction, slot)
+        from catledger import evolution
+        from catledger.ledger import ACCOUNT_SPECS, Agent
+
+        def legs_of(account):
+            return [
+                [(way, slot) for name, way, slot in legs if name == account]
+                for _, legs, _ in BOOKINGS.values()
+            ]
+
+        bank_side = {spec.name for spec in ACCOUNT_SPECS if spec.agent is Agent.BANK}
+        agent_side = [spec.name for spec in ACCOUNT_SPECS if spec.agent is not Agent.BANK]
+        mirrors = {
+            name: [other for other in agent_side if legs_of(other) == legs_of(name)]
+            for name in bank_side
+        }
+        assert all(len(mirror) == 1 for mirror in mirrors.values())
+        mirror_accounts = bank_side.union(*mirrors.values())
+        assert len(bank_side) == 5 and len(mirror_accounts) == 10
+
+        class Writes(list):
+            def __setitem__(self, i, value):
+                self.written.add(i)
+                super().__setitem__(i, value)
+
+        class Unposted:  # a book that posts nothing: only the cycle writes
+            def __init__(self, state):
+                self.values = Writes(state[: len(ACCOUNT_NAMES)])
+                self.values.written = set()
+
+            def post(self, booking_id, amounts):
+                pass
+
+            def close(self):
+                return list(self.values)
+
+        params = Parameters()
+        state = initial_state(params)
+        book = Unposted(state)
+        evolution._period_cycle(state, params, 0, book)
+        cycle = (*evolution._CARRIED, evolution._COM_LAB, evolution._COM_RES, evolution._COM_GOOD)
+        assert book.values.written == set(cycle)
+        written = {ACCOUNT_NAMES[i] for i in cycle}
+        assert not written & bank_side and not written & mirror_accounts
+
     def test_balances_stay_non_negative(self, default_run):
         for row in default_run.rows:
             for name in ACCOUNT_NAMES:
@@ -1255,6 +1303,137 @@ class TestPeriodLawGuard:
         with pytest.raises(EngineConsistencyError) as err:
             verify_time_step(flows, eta, old, new)
         assert any(f.startswith(f"{tag}: morphism {settled} ") for f in err.value.failures)
+
+
+def same_functor(built: Functor, checked: Functor) -> bool:
+    return (built.source, built.target, built.object_images, built.morphism_images) == (
+        checked.source, checked.target, checked.object_images, checked.morphism_images
+    )
+
+
+class TestFlowsAtClose:
+    """A categorical period keeps its amounts and records its flows once, at close."""
+
+    COUNTED = (
+        "booking_to_morphisms",
+        "build_economy_category",
+        "validate_via_pullback",
+        "apply_via_pushout",
+        "check_functor_laws",
+        "check_naturality",
+    )
+
+    @staticmethod
+    def counting(monkeypatch) -> dict[str, int]:
+        """`COUNTED` in `evolution` and `catcore._ids`, counted when called."""
+        from catledger import catcore
+
+        counts = counting_calls(monkeypatch, TestFlowsAtClose.COUNTED)
+        counts["_ids"] = 0
+        real_ids = catcore._ids
+
+        def ids(entries, column):
+            counts["_ids"] += 1
+            return real_ids(entries, column)
+
+        monkeypatch.setattr(catcore, "_ids", ids)
+        return counts
+
+    @pytest.mark.parametrize("tau", [5, 10, 17])
+    def test_every_period_s_flows_and_time_step_equal_the_checked_build(self, monkeypatch, tau):
+        # the flows built at close are the ones each booking recorded in turn
+        # used to build, weights bit for bit; the time step's id lists are
+        # the ones the checked constructors accept
+        from catledger import evolution
+
+        built = []
+        original = evolution.build_time_step
+
+        def record(flows, old, new):
+            built.append((flows, original(flows, old, new)))
+            return built[-1][1]
+
+        monkeypatch.setattr(evolution, "build_time_step", record)
+        params = Parameters(tau=tau, horizon=200)
+        state = initial_state(params)
+        for period in range(params.horizon + 1):
+            state, metrics = period_step(state, params, period, engine=EngineKind.CATEGORICAL)
+            [(flows, (step, f_t, f_t1, eta))] = built
+            built.clear()
+            expected = build_economy_category()
+            for booking_id, amounts in period_amounts(metrics, params):
+                booking_to_morphisms(expected, booking_id, amounts)
+            for column in ("name", "names", "src", "dst", "label"):
+                assert getattr(flows, column) == getattr(expected, column)
+            assert bits(flows.weight) == bits(expected.weight)
+            m = len(expected.src)
+            checked_t = Functor(flows, step, list(range(1, 21)), list(range(21, 21 + m)))
+            checked_t1 = Functor(flows, step, list(range(21, 41)), list(range(21 + m, 21 + 2 * m)))
+            assert same_functor(f_t, checked_t) and same_functor(f_t1, checked_t1)
+            checked_eta = NaturalTransformation(f_t, f_t1, list(range(1, 21)))
+            assert (eta.F, eta.G, eta.components) == (f_t, f_t1, checked_eta.components)
+        assert m == 23
+
+    def test_a_period_records_its_flows_without_a_call_per_booking(self, monkeypatch):
+        params = Parameters()
+        state, _ = period_step(initial_state(params), params, 0, engine=EngineKind.CATEGORICAL)
+        counts = self.counting(monkeypatch)  # the shape exists from here on
+        for period in range(1, 12):
+            counts.update(dict.fromkeys(counts, 0))
+            state, _ = period_step(state, params, period, engine=EngineKind.CATEGORICAL)
+            assert counts == {
+                "booking_to_morphisms": 0,
+                "build_economy_category": 0,
+                "validate_via_pullback": 8,
+                "apply_via_pushout": 8,
+                "check_functor_laws": 2,
+                "check_naturality": 1,
+                "_ids": 0,
+            }
+
+    def test_a_rejected_period_records_and_checks_nothing(self, monkeypatch):
+        counts = self.counting(monkeypatch)
+        params = Parameters(tau=1)
+        state = initial_state(params)
+        with pytest.raises(ValidationFailure):
+            for period in range(6):
+                counts.update(dict.fromkeys(counts, 0))
+                state, _ = period_step(state, params, period, engine=EngineKind.CATEGORICAL)
+        assert period == 1
+        assert counts == {
+            "booking_to_morphisms": 0,
+            "build_economy_category": 0,
+            "validate_via_pullback": 7,
+            "apply_via_pushout": 6,
+            "check_functor_laws": 0,
+            "check_naturality": 0,
+            "_ids": 0,
+        }
+
+    def test_a_captured_period_cannot_reach_the_cached_shape(self, monkeypatch):
+        from catledger import evolution
+
+        evolution._flows_shape.cache_clear()
+        params = Parameters()
+        trace = run(params, engine=EngineKind.CATEGORICAL)
+        assert evolution._flows_shape.cache_info().currsize == 1
+        flows, eta, old, new = real_period(monkeypatch, params)
+        columns = [list(getattr(flows, c)) for c in ("names", "src", "dst", "weight", "label")]
+        # corrupt every list the captured period holds, as the redirect and swap tests do
+        flows.names[0], flows.weight[0] = "AccNowhere", -1.0
+        flows.src.reverse()
+        flows.dst[0] = flows.src[0]
+        flows.label[:2] = flows.label[1::-1]
+        eta.components[:2] = eta.components[1::-1]
+        eta.F.morphism_images[0] = eta.F.morphism_images[1]
+        eta.F.object_images[0] = eta.G.object_images[0]
+        with pytest.raises(EngineConsistencyError):
+            verify_time_step(flows, eta, old, new)
+        # the next periods still pass their laws, on the flows the shape gives
+        again, _, _, _ = real_period(monkeypatch, params)
+        assert [getattr(again, c) for c in ("names", "src", "dst", "weight", "label")] == columns
+        assert run(params, engine=EngineKind.CATEGORICAL).cells == trace.cells
+        assert evolution._flows_shape.cache_info().currsize == 1
 
 
 # balances: plausible ones, or among them some that no run reaches
