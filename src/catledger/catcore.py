@@ -39,11 +39,10 @@ class FinSetError(ValueError):
 class FiniteCategory:
     """A finitely presented category: named objects plus generator morphisms.
 
-    `from_columns` and `extend` check their columns; the constructor and
-    `extend_proved` take columns their caller proved.  Parallel generators
-    are allowed.  Ids start at 1 and are never reused: object i is
-    `names[i - 1]`, and generator j runs from `src[j - 1]` to `dst[j - 1]`
-    with `weight[j - 1]` and `label[j - 1]`.
+    `from_columns` and `extend` check their columns; the constructor takes
+    columns its caller proved.  Parallel generators are allowed.  Ids start
+    at 1 and are never reused: object i is `names[i - 1]`, and generator j
+    runs from `src[j - 1]` to `dst[j - 1]` with `weight[j - 1]` and `label[j - 1]`.
     """
 
     __slots__ = ("name", "names", "src", "dst", "weight", "label")
@@ -90,10 +89,6 @@ class FiniteCategory:
             bad = next(e for e in walk if type(e) is not int or not 1 <= e <= n_objects)
             problem = f"morphism endpoint {bad!r} does not exist in {self.name!r}"
             raise DanglingEndpointError(problem)
-        return self.extend_proved(src, dst, weight, label)
-
-    def extend_proved(self, src: Sequence[int], dst: Sequence[int], weight, label) -> range:
-        """Append generators whose columns pass `extend`'s checks, returning their fresh ids."""
         first = len(self.src) + 1
         self.src.extend(src)
         self.dst.extend(dst)

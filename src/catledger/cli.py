@@ -275,7 +275,12 @@ def _period_booking_lines(trace: Trace, texts: list[str]) -> Iterable[str]:
     """Each period's bookings as one JSON array; a metric amount's text is its cell's."""
     cells, width, count = trace.cells, len(TRACE_COLUMNS), len(METRIC_COLUMNS)
     for start in range(1, len(cells), width):
-        bookings = period_amounts(PeriodMetrics._make(cells[start : start + count]), trace.params)
+        metrics = PeriodMetrics._make(cells[start : start + count])
+        try:
+            bookings = period_amounts(metrics, trace.params)
+        except ZeroDivisionError:
+            problem = "period %d: a booking amount divides by a zero price" % cells[start - 1]
+            raise ValueError(problem) from None
         amounts = [amount for _, pair in bookings for amount in pair]
         _refuse_non_finite(amounts)
         yield _PERIOD_TEXT % _PERIOD_SLOTS(
@@ -289,7 +294,8 @@ def write_trace_json(trace: Trace, path: str | Path, texts: list[str] | None = N
     The object holds `config` (the trace's settings), `columns`, `rows` (one list of
     cells per trace row) and `bookings` (one list of bookings per period, each with its
     legs).  It is written piece by piece: the header on the first line, then one row per
-    line, then one period's bookings per line.  A failed write removes the file.
+    line, then one period's bookings per line.  A failed write removes the file.  A
+    ValueError names the first period whose booking amount divides by a zero price.
     `texts` are the trace's `_cell_texts`, when the caller already holds them.
     """
     texts = _cell_texts(trace) if texts is None else texts

@@ -341,11 +341,8 @@ _EVOLVE = [f"evolve:{name}" for name in ACCOUNT_NAMES]
 
 
 def build_economy_category() -> FiniteCategory:
-    """The account category: object i + 1 is account ACCOUNT_NAMES[i], no flows yet.
-
-    Built unchecked: `prove_booking_table` proved at import that the names are distinct.
-    """
-    return FiniteCategory("economy", list(ACCOUNT_NAMES), [], [], [], [])
+    """The account category: object i + 1 is account ACCOUNT_NAMES[i], no flows yet."""
+    return FiniteCategory.from_columns("economy", ACCOUNT_NAMES, (), (), (), ())
 
 
 # The gate's cone: the one point 'all', sent to 'ok'.
@@ -363,8 +360,7 @@ def prove_booking_table(table: Mapping[int, BookingEntry]) -> dict[int, tuple]:
     columns, and per leg the fold (ledger position, is inflow, slot).
     """
     compile_booking_table(table)
-    # the one check of the account names, which `build_economy_category` relies on
-    flows_of_all = FiniteCategory.from_columns("economy", ACCOUNT_NAMES, (), (), (), ())
+    flows_of_all = build_economy_category()
     proved = {}
     for booking_id, (_, legs, channels) in table.items():
         tokens = tuple(range(len(legs)))
@@ -401,9 +397,9 @@ _FIXED = MappingProxyType(prove_booking_table(BOOKINGS))
 
 
 def booking_to_morphisms(cat: FiniteCategory, booking_id: int, amounts: tuple) -> range:
-    """Record a booking's proved channels as morphisms of account category `cat`; their ids."""
+    """Record a booking's proved channels as morphisms of `cat` through `extend`; their ids."""
     src, dst, slots, labels = booking_entry(_FIXED, booking_id)[2]
-    return cat.extend_proved(src, dst, [amounts[slot] for slot in slots], labels)
+    return cat.extend(src, dst, [amounts[slot] for slot in slots], labels)
 
 
 def validate_via_pullback(

@@ -543,6 +543,16 @@ class TestFinSetMaps:
         with pytest.raises(FinSetError):
             FinSetMap(("a",), ("t",), {"a": "x"})
 
+    def test_a_labeled_map_reprs_as_the_call_that_rebuilds_it(self):
+        labeled = FinSetMap(("a", "b"), ("t", "f"), {"b": "t", "a": "f"})
+        assert repr(labeled) == "FinSetMap(('a', 'b'), ('t', 'f'), {'a': 'f', 'b': 't'})"
+        assert eval(repr(labeled), {"FinSetMap": FinSetMap}) == labeled
+
+    def test_a_map_equals_no_other_type(self):
+        labeled = FinSetMap(("a",), ("t",), {"a": "t"})
+        assert labeled.__eq__((("a",), ("t",), {"a": "t"})) is NotImplemented
+        assert labeled != (("a",), ("t",), {"a": "t"}) and labeled != {"a": "t"}
+
 
 class TestPositionalMaps:
     @pytest.mark.parametrize(
@@ -717,6 +727,22 @@ class TestEnumerateMaps:
     def test_counts(self):
         assert len(list(enumerate_maps(("a", "b"), ("x", "y", "z")))) == 9
         assert list(enumerate_maps((), ("x",))) == [{}]
+
+
+class TestLawReport:
+    @pytest.mark.parametrize("ok, failures", [(True, []), (False, ["functors are not parallel"])])
+    def test_a_report_is_true_exactly_when_it_passed(self, ok, failures):
+        report = LawReport(ok, failures)
+        assert bool(report) is report.ok is ok
+
+    def test_a_report_reprs_its_verdict_and_failures(self):
+        assert repr(LawReport(True, [])) == "LawReport(ok=True, failures=[])"
+        assert repr(LawReport(False, ["x"])) == "LawReport(ok=False, failures=['x'])"
+
+    def test_a_report_equals_no_other_type(self):
+        assert LawReport(True, []).__eq__((True, [])) is NotImplemented
+        assert LawReport(True, []) != (True, [])
+        assert LawReport(True, []) == LawReport(True, [])
 
 
 class TestLawChecksReportInsteadOfRaising:

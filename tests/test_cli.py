@@ -1039,6 +1039,23 @@ class TestTraceSerialization:
             write_trace_json(tampered, path)
         assert not path.exists()
 
+    @pytest.mark.parametrize("zero_price, period", [("GoodPrice", 1), ("p_r", 0)])
+    def test_json_refuses_a_zero_price_naming_the_period(self, tmp_path, zero_price, period):
+        trace = run(Parameters(), horizon=3)
+        if zero_price == "p_r":
+            tampered = trace._replace(params=trace.params._replace(p_r=0.0))
+        else:
+            cells = array("d", trace.cells)
+            cells[len(TRACE_COLUMNS) + TRACE_COLUMNS.index(zero_price)] = 0.0  # row 1
+            tampered = trace._replace(cells=cells)
+        write_trace_csv(tampered, tmp_path / "trace.csv")  # the CSV holds no quotient
+        path = tmp_path / "trace.json"
+        with pytest.raises(ValueError) as err:
+            write_trace_json(tampered, path)
+        assert str(err.value) == f"period {period}: a booking amount divides by a zero price"
+        assert err.value.__cause__ is None and err.value.__suppress_context__
+        assert not path.exists()
+
     def test_config_echo_in_header(self, tmp_path):
         path = tmp_path / "echo.csv"
         main(["run", "--horizon", "1", "--set", "mu=0.25", "--out", str(path)])

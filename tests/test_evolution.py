@@ -14,6 +14,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from catledger.catcore import (
     CategoryError,
+    DanglingEndpointError,
     FiniteCategory,
     FinSetMap,
     Functor,
@@ -495,19 +496,39 @@ class TestCategoricalInternals:
         assert cat.names == list(ACCOUNT_NAMES)
         assert _CategoricalBook(init_ledger()).values[ACCOUNT_INDEX["AccComLab"]] == 110.0
 
-    def test_each_period_builds_the_account_category_unchecked(self, monkeypatch):
-        # the names were checked once, when the booking table was proved at import
+    def test_the_flows_shape_checks_the_account_names_once_and_no_period_again(self, monkeypatch):
+        # `build_economy_category` checks the names through `from_columns`;
+        # a run builds the flows shape once, then its periods reuse it
+        from catledger import evolution
+
         checked = FiniteCategory.from_columns("economy", ACCOUNT_NAMES, (), (), (), ())
         first, second = build_economy_category(), build_economy_category()
         for column in ("names", "src", "dst", "weight", "label"):
             assert getattr(first, column) == getattr(checked, column)
             assert getattr(first, column) is not getattr(second, column)
 
+        real_from_columns, names_checked = FiniteCategory.from_columns, []
+
+        def record(name, names, *columns):
+            names_checked.append((name, tuple(names)))
+            return real_from_columns(name, names, *columns)
+
         def refuse(*args):
             raise AssertionError("a period checked the account names again")
 
+        evolution._flows_shape.cache_clear()
+        monkeypatch.setattr(FiniteCategory, "from_columns", record)
+        assert len(run(Parameters(), horizon=3, engine=EngineKind.CATEGORICAL).rows) == 4
+        assert names_checked == [("economy", ACCOUNT_NAMES)]
         monkeypatch.setattr(FiniteCategory, "from_columns", refuse)
         assert len(run(Parameters(), horizon=3, engine=EngineKind.CATEGORICAL).rows) == 4
+
+    def test_booking_to_morphisms_refuses_a_category_without_the_accounts(self):
+        cat = FiniteCategory.from_columns("tiny", ("A", "B"), (), (), (), ())
+        with pytest.raises(DanglingEndpointError) as err:
+            booking_to_morphisms(cat, 1, (3.0, 4.0))
+        assert str(err.value) == "morphism endpoint 10 does not exist in 'tiny'"
+        assert (cat.src, cat.dst, cat.weight, cat.label) == ([], [], [], [])
 
     def test_pullback_gate_accepts_funded_loan(self):
         balances = init_ledger()
@@ -1155,8 +1176,8 @@ class TestPeriodLawGuard:
         assert str(err.value) == "booking 8: morphism endpoint 21 does not exist in 'economy'"
 
     def test_the_columns_built_unchecked_pass_the_checks(self, monkeypatch):
-        # a period appends the proved flows and builds its time step without
-        # `extend`'s or `from_columns`' checks: both would accept what it built
+        # a period copies its flows from the shape `extend` checked once and
+        # builds its time step without `from_columns`' checks: both accept what it built
         flows, eta, _, _ = real_period(monkeypatch, Parameters(), periods=4)
         step = eta.F.target
         assert build_economy_category().extend(flows.src, flows.dst, flows.weight, flows.label) == (
