@@ -3,19 +3,17 @@
 Categories are *presented*: objects and generators are explicit, identities
 implicit, composites generator paths; law checks test structure (endpoints,
 composability) over generators and composable pairs, never weights.  A
-category is held as parallel columns, a functor and a transformation as lists
-of target ids in source-id order, and a FinSet map as positions into its
-codomain, after the attributed C-sets of Patterson, Lynch & Fairbanks
-("Categorical data structures for technical computing", Compositionality 4,
-2022).  `pullback_positions` and `pushout_positions` compute the FinSet
-limits on positions; `finset_pullback` and `finset_pushout` label them.  The
+category is held as parallel columns and a functor and a transformation as
+lists of target ids in source-id order, after the attributed C-sets of
+Patterson, Lynch & Fairbanks ("Categorical data structures for technical
+computing", Compositionality 4, 2022).  A FinSet map holds its labels, and
+`finset_pullback` and `finset_pushout` compute on them.  The
 universal-property verifiers are exhaustive test-time searches.
 """
 
 from __future__ import annotations
 
 import itertools
-from operator import countOf
 from types import MappingProxyType
 from typing import Hashable, Iterator, Mapping, Sequence
 
@@ -82,13 +80,11 @@ class FiniteCategory:
         if not len(src) == len(dst) == len(weight) == len(label):
             lengths = len(src), len(dst), len(weight), len(label)
             raise CategoryError("unequal columns: src %d, dst %d, weight %d, label %d" % lengths)
-        n_objects, ends = len(self.names), [*src, *dst]
-        ints = countOf(map(type, ends), int) == len(ends)  # as `_ids`: a bool is no id
-        if ends and not (ints and 1 <= min(ends) and max(ends) <= n_objects):
-            walk = itertools.chain(*zip(src, dst))
-            bad = next(e for e in walk if type(e) is not int or not 1 <= e <= n_objects)
-            problem = f"morphism endpoint {bad!r} does not exist in {self.name!r}"
-            raise DanglingEndpointError(problem)
+        n_objects = len(self.names)
+        for end in itertools.chain(*zip(src, dst)):
+            if type(end) is not int or not 1 <= end <= n_objects:  # as `_ids`: a bool is no id
+                problem = f"morphism endpoint {end!r} does not exist in {self.name!r}"
+                raise DanglingEndpointError(problem)
         first = len(self.src) + 1
         self.src.extend(src)
         self.dst.extend(dst)
@@ -106,10 +102,9 @@ class FiniteCategory:
 
 def _ids(entries: list[int | None], column: str) -> list[int | None]:
     """`entries`, unless one is neither None nor of type int: CategoryError names the first."""
-    if countOf(map(type, entries), int) != len(entries):  # a list with a None is walked too
-        for i, e in enumerate(entries, 1):
-            if e is not None and type(e) is not int:
-                raise CategoryError(f"{column}: source id {i} maps to {e!r}, not an int id or None")
+    for i, e in enumerate(entries, 1):
+        if e is not None and type(e) is not int:
+            raise CategoryError(f"{column}: source id {i} maps to {e!r}, not an int id or None")
     return entries
 
 
@@ -286,50 +281,29 @@ def check_naturality(eta: NaturalTransformation) -> LawReport:
 
 
 class FinSetMap:
-    """A total function between finite labeled sets, held as positions.
+    """A total function between finite labeled sets.
 
-    `domain[i]` maps to `codomain[images[i]]`.  The constructor validates a
-    labeled map, `from_positions` the positions a construction computed;
-    `mapping` is a read-only view built when read.
+    `mapping` is a read-only view that holds exactly the domain's elements,
+    in domain order, each sent to its label in the codomain.
     """
 
-    __slots__ = ("domain", "codomain", "images", "_mapping")
+    __slots__ = ("domain", "codomain", "mapping")
 
     def __init__(self, domain: tuple, codomain: tuple, mapping: Mapping) -> None:
         dom = set(domain)
         if len(dom) != len(domain):
             raise FinSetError("domain has repeated elements")
-        position = dict(zip(codomain, range(len(codomain))))
-        if len(position) != len(codomain):
+        targets = set(codomain)
+        if len(targets) != len(codomain):
             raise FinSetError("codomain has repeated elements")
         missing = dom.difference(mapping)
         if missing:
             raise FinSetError(f"mapping is not total: missing {sorted(map(str, missing))}")
-        images = tuple(map(position.get, map(mapping.__getitem__, domain)))
-        if None in images:
-            outside = domain[images.index(None)]
-            raise FinSetError(f"image of {outside!r} lies outside the codomain")
-        self.domain, self.codomain, self.images, self._mapping = domain, codomain, images, None
-
-    @classmethod
-    def from_positions(cls, domain: tuple, codomain: tuple, images: Sequence[int]) -> "FinSetMap":
-        """The map of these positions; FinSetError unless each domain element has one, in range."""
-        images = tuple(images)
-        if len(images) != len(domain):
-            raise FinSetError(f"{len(images)} images for a domain of {len(domain)} elements")
-        if images and not 0 <= min(images) <= max(images) < len(codomain):
-            bad = next(i for i in images if not 0 <= i < len(codomain))
-            raise FinSetError(f"image position {bad} is outside a codomain of {len(codomain)}")
-        made = object.__new__(cls)
-        made.domain, made.codomain, made.images, made._mapping = domain, codomain, images, None
-        return made
-
-    @property
-    def mapping(self) -> Mapping[Hashable, Hashable]:
-        if self._mapping is None:
-            labels = map(self.codomain.__getitem__, self.images)
-            self._mapping = MappingProxyType(dict(zip(self.domain, labels)))
-        return self._mapping
+        images = dict(zip(domain, map(mapping.__getitem__, domain)))
+        outside = [x for x, y in images.items() if y not in targets]
+        if outside:
+            raise FinSetError(f"image of {outside[0]!r} lies outside the codomain")
+        self.domain, self.codomain, self.mapping = domain, codomain, MappingProxyType(images)
 
     def __call__(self, x: Hashable) -> Hashable:
         return self.mapping[x]
@@ -337,21 +311,11 @@ class FinSetMap:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FinSetMap):
             return NotImplemented
-        return self.images == other.images and (self.domain, self.codomain) == (
-            other.domain,
-            other.codomain,
-        )
+        same_sets = (self.domain, self.codomain) == (other.domain, other.codomain)
+        return same_sets and self.mapping == other.mapping
 
     def __repr__(self) -> str:
         return f"FinSetMap({self.domain!r}, {self.codomain!r}, {dict(self.mapping)!r})"
-
-
-def pullback_positions(f: FinSetMap, g: FinSetMap) -> list[tuple[int, int]]:
-    """The pullback apex of f: A -> C and g: B -> C as (A-index, B-index) pairs."""
-    if tuple(f.codomain) != tuple(g.codomain):
-        raise FinSetError("pullback requires a shared codomain")
-    b_images = tuple(enumerate(g.images))
-    return [(a, b) for a, x in enumerate(f.images) for b, y in b_images if x == y]
 
 
 def finset_pullback(
@@ -362,42 +326,13 @@ def finset_pullback(
     Returns the apex P = {(a, b) | f(a) = g(b)} ordered lexicographically by
     (A-index, B-index), plus the two projections.
     """
-    pairs = pullback_positions(f, g)
-    apex = tuple([(f.domain[a], g.domain[b]) for a, b in pairs])
-    a_positions, b_positions = tuple(zip(*pairs)) or ((), ())
-    p_a = FinSetMap.from_positions(apex, f.domain, a_positions)
-    p_b = FinSetMap.from_positions(apex, g.domain, b_positions)
+    if tuple(f.codomain) != tuple(g.codomain):
+        raise FinSetError("pullback requires a shared codomain")
+    b_images = tuple(g.mapping.items())
+    apex = tuple([(a, b) for a, x in f.mapping.items() for b, y in b_images if x == y])
+    p_a = FinSetMap(apex, f.domain, {p: p[0] for p in apex})
+    p_b = FinSetMap(apex, g.domain, {p: p[1] for p in apex})
     return apex, p_a, p_b
-
-
-def pushout_positions(f: FinSetMap, g: FinSetMap) -> tuple[int, list[int]]:
-    """The pushout of f: C -> A and g: C -> B as its class count and each position's class.
-
-    The positions are A's, then B's, and the classes are numbered by first
-    occurrence.  Union-find on a list of parents with path halving, each
-    root the least position of its tree, so a parent precedes its child.
-    """
-    if tuple(f.domain) != tuple(g.domain):
-        raise FinSetError("pushout requires a shared domain")
-    offset = len(f.codomain)
-    parent = list(range(offset + len(g.codomain)))
-    for x, y in zip(f.images, g.images):
-        y += offset
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        while parent[y] != y:
-            parent[y] = y = parent[parent[y]]
-        if x < y:
-            parent[y] = x
-        elif y < x:
-            parent[x] = y
-    count = 0
-    for x, up in enumerate(parent):  # each parent, met first, already holds its class
-        if up == x:
-            parent[x], count = count, count + 1
-        else:
-            parent[x] = parent[up]
-    return count, parent
 
 
 def finset_pushout(
@@ -409,15 +344,20 @@ def finset_pushout(
     the relation f(c) ~ g(c), as classes of ("A", a) / ("B", b) pairs
     ordered by first occurrence (A first, then B), plus both injections.
     """
-    count, numbers = pushout_positions(f, g)
-    a_elems, b_elems = f.codomain, g.codomain
-    tagged = [*zip(itertools.repeat("A"), a_elems), *zip(itertools.repeat("B"), b_elems)]
-    groups: list[list[tuple]] = [[] for _ in range(count)]
-    for number, element in zip(numbers, tagged):
-        groups[number].append(element)
-    classes = tuple(map(frozenset, groups))
-    i_a = FinSetMap.from_positions(a_elems, classes, numbers[: len(a_elems)])
-    i_b = FinSetMap.from_positions(b_elems, classes, numbers[len(a_elems) :])
+    if tuple(f.domain) != tuple(g.domain):
+        raise FinSetError("pushout requires a shared domain")
+    tagged = [*(("A", a) for a in f.codomain), *(("B", b) for b in g.codomain)]
+    block = {element: [element] for element in tagged}  # each element's class, merged in place
+    for a, b in zip(f.mapping.values(), g.mapping.values()):
+        kept, gone = block["A", a], block["B", b]
+        if kept is not gone:
+            kept += gone
+            block.update(dict.fromkeys(gone, kept))
+    firsts = {id(block[element]): block[element] for element in tagged}
+    classes = tuple(map(frozenset, firsts.values()))
+    class_of = {element: cls for cls in classes for element in cls}
+    i_a = FinSetMap(f.codomain, classes, {a: class_of["A", a] for a in f.codomain})
+    i_b = FinSetMap(g.codomain, classes, {b: class_of["B", b] for b in g.codomain})
     return classes, i_a, i_b
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from array import array
 from functools import cache
@@ -238,10 +239,11 @@ def _write_json_lines(handle: TextIO, texts: Iterable[str]) -> None:
     handle.write("\n")
 
 
-def _refuse_non_finite(values: Sequence[float]) -> None:
-    """Raise the JSON encoder's own error if `values` hold an inf or nan."""
-    if _first_non_finite(values) is not None:
-        _encode_json(list(values))
+def _not_json(period: float, where: str, value: float) -> ValueError:
+    """The JSON encoder's error for an inf or nan, naming the period and where it lies."""
+    label = "%d" % period if math.isfinite(period) else repr(period)
+    problem = f"period {label}, {where} is {value!r}"
+    return ValueError(f"Out of range float values are not JSON compliant: {problem}")
 
 
 def _period_text() -> tuple[str, itemgetter, list[int | None]]:
@@ -282,7 +284,10 @@ def _period_booking_lines(trace: Trace, texts: list[str]) -> Iterable[str]:
             problem = "period %d: a booking amount divides by a zero price" % cells[start - 1]
             raise ValueError(problem) from None
         amounts = [amount for _, pair in bookings for amount in pair]
-        _refuse_non_finite(amounts)
+        bad = _first_non_finite(amounts)
+        if bad is not None:
+            booking_id = [b for b, pair in bookings for _ in pair][bad]
+            raise _not_json(cells[start - 1], f"an amount of booking {booking_id}", amounts[bad])
         yield _PERIOD_TEXT % _PERIOD_SLOTS(
             [repr(a) if c is None else texts[start + c] for a, c in zip(amounts, _AMOUNT_CELLS)]
         )
@@ -295,7 +300,9 @@ def write_trace_json(trace: Trace, path: str | Path, texts: list[str] | None = N
     cells per trace row) and `bookings` (one list of bookings per period, each with its
     legs).  It is written piece by piece: the header on the first line, then one row per
     line, then one period's bookings per line.  A failed write removes the file.  A
-    ValueError names the first period whose booking amount divides by a zero price.
+    ValueError names the first period whose booking amount divides by a zero price,
+    the first inf or nan cell by period and column, and the first inf or nan booking
+    amount by period and booking.
     `texts` are the trace's `_cell_texts`, when the caller already holds them.
     """
     texts = _cell_texts(trace) if texts is None else texts
@@ -308,7 +315,10 @@ def write_trace_json(trace: Trace, path: str | Path, texts: list[str] | None = N
     handle = open(path, "w", encoding="utf-8")
     try:
         with handle:
-            _refuse_non_finite(cells)
+            bad = _first_non_finite(cells)
+            if bad is not None:
+                column = TRACE_COLUMNS[bad % width]
+                raise _not_json(cells[bad - bad % width], f"column {column}", cells[bad])
             header = f'"config": {_encode_json(echo)}, "columns": {_encode_json(TRACE_COLUMNS)}'
             handle.write(f'{{{header},\n"rows": [')
             _write_json_lines(handle, rows)
@@ -530,7 +540,7 @@ def run_law_fixtures() -> list[tuple[str, bool]]:
     to_account, to_slot, *_ = _FIXED[6]
     fixed = (to_account, to_slot, *finset_pushout(to_account, to_slot))
     results.append(("dividend pushout universal property", verify_pushout_universal(*fixed)))
-    legs_ok = FinSetMap.from_positions(to_slot.domain, _SPEC_CONE.codomain, (0,) * 8)
+    legs_ok = FinSetMap(to_slot.domain, _SPEC_CONE.codomain, dict.fromkeys(to_slot.domain, "ok"))
     gate = (legs_ok, _SPEC_CONE, *finset_pullback(legs_ok, _SPEC_CONE))
     results.append(("dividend gate universal property", verify_pullback_universal(*gate)))
 

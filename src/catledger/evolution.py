@@ -60,8 +60,8 @@ from .catcore import (
     _fit,
     check_functor_laws,
     check_naturality,
-    pullback_positions,
-    pushout_positions,
+    finset_pullback,
+    finset_pushout,
 )
 from .decisions import (
     METRIC_COLUMNS,
@@ -367,17 +367,17 @@ def prove_booking_table(table: Mapping[int, BookingEntry]) -> dict[int, tuple]:
         accounts = tuple(dict.fromkeys(account for account, _, _ in legs))
         to_account = FinSetMap(tokens, accounts, {i: leg[0] for i, leg in zip(tokens, legs)})
         to_slot = FinSetMap(tokens, tokens, dict(zip(tokens, tokens)))
-        _, classes = pushout_positions(to_account, to_slot)
-        i_a, i_b = classes[: len(accounts)], classes[len(accounts) :]
+        _, by_account, by_leg = finset_pushout(to_account, to_slot)
+        i_a, i_b = list(by_account.mapping.values()), list(by_leg.mapping.values())
         owners = dict(zip(i_a, map(ACCOUNT_INDEX.__getitem__, accounts)))
-        all_ok = FinSetMap.from_positions(tokens, _SPEC_CONE.codomain, (0,) * len(legs))
-        covered = [leg for leg, _ in pullback_positions(all_ok, _SPEC_CONE)]
+        all_ok = FinSetMap(tokens, _SPEC_CONE.codomain, dict.fromkeys(tokens, "ok"))
+        covered = [leg for leg, _ in finset_pullback(all_ok, _SPEC_CONE)[0]]
         ids = [ACCOUNT_INDEX[account] + 1 for account, _, _ in legs]
         flows = [(ids[s], ids[d], legs[s][2], f"b{booking_id}:{name}") for s, d, name in channels]
         problem = None
         if len(owners) != len(i_a):
             problem = f"pushout glued {max(map(i_a.count, i_a))} accounts into one class"
-        elif i_b != list(map(i_a.__getitem__, to_account.images)):
+        elif i_b != list(map(by_account, to_account.mapping.values())):
             problem = "pushout square does not commute: a leg left its account"
         elif covered != list(tokens):
             problem = f"the all-ok pullback covers legs {covered} of {len(legs)}"

@@ -22,8 +22,6 @@ from catledger.catcore import (
     enumerate_maps,
     finset_pullback,
     finset_pushout,
-    pullback_positions,
-    pushout_positions,
     verify_pullback_universal,
     verify_pushout_universal,
 )
@@ -548,39 +546,22 @@ class TestFinSetMaps:
         assert repr(labeled) == "FinSetMap(('a', 'b'), ('t', 'f'), {'a': 'f', 'b': 't'})"
         assert eval(repr(labeled), {"FinSetMap": FinSetMap}) == labeled
 
+    def test_maps_of_one_function_agree_whatever_the_dict_order(self):
+        labeled = FinSetMap(("a", "b", "c"), ("t", "f"), {"c": "f", "a": "f", "b": "t"})
+        same = FinSetMap(("a", "b", "c"), ("t", "f"), {"a": "f", "b": "t", "c": "f"})
+        assert labeled == same and same == labeled
+        assert list(labeled.mapping.items()) == list(same.mapping.items())
+        assert dict(labeled.mapping) == {"a": "f", "b": "t", "c": "f"}
+        assert [labeled(x) for x in "abc"] == ["f", "t", "f"]
+        assert labeled != FinSetMap(("a", "b", "c"), ("t", "f"), dict.fromkeys("abc", "f"))
+        assert labeled != FinSetMap(("a", "b", "c"), ("f", "t"), dict(same.mapping))
+        with pytest.raises(TypeError):
+            labeled.mapping["a"] = "t"
+
     def test_a_map_equals_no_other_type(self):
         labeled = FinSetMap(("a",), ("t",), {"a": "t"})
         assert labeled.__eq__((("a",), ("t",), {"a": "t"})) is NotImplemented
         assert labeled != (("a",), ("t",), {"a": "t"}) and labeled != {"a": "t"}
-
-
-class TestPositionalMaps:
-    @pytest.mark.parametrize(
-        "images, message",
-        [
-            ((0, 2), "image position 2 is outside a codomain of 2"),
-            ((-1, 0), "image position -1 is outside a codomain of 2"),
-            ((0,), "1 images for a domain of 2 elements"),
-            ((0, 1, 1), "3 images for a domain of 2 elements"),
-        ],
-    )
-    def test_a_bad_position_or_count_is_named(self, images, message):
-        with pytest.raises(FinSetError) as err:
-            FinSetMap.from_positions(("a", "b"), ("t", "f"), images)
-        assert str(err.value) == message
-
-    def test_positional_and_labeled_maps_of_one_function_agree(self):
-        positional = FinSetMap.from_positions(("a", "b", "c"), ("t", "f"), [1, 0, 1])
-        labeled = FinSetMap(("a", "b", "c"), ("t", "f"), {"c": "f", "a": "f", "b": "t"})
-        assert positional == labeled and labeled == positional
-        assert positional.images == labeled.images == (1, 0, 1)
-        assert list(positional.mapping.items()) == list(labeled.mapping.items())
-        assert dict(positional.mapping) == {"a": "f", "b": "t", "c": "f"}
-        assert [positional(x) for x in "abc"] == ["f", "t", "f"]
-        assert positional != FinSetMap.from_positions(("a", "b", "c"), ("t", "f"), [1, 1, 1])
-        assert positional != FinSetMap.from_positions(("a", "b", "c"), ("f", "t"), [1, 0, 1])
-        with pytest.raises(TypeError):
-            positional.mapping["a"] = "t"
 
 
 PULLBACK_FIXTURE = (
@@ -892,8 +873,8 @@ class TestLawChecksReportInsteadOfRaising:
         assert Functor.proved(cat, cat, [1, "Y", 3], images).object_images == [1, "Y", 3]
 
 
-# Verbatim copies of the FinSet constructions before their rewrite onto
-# positions and direct mapping reads; the rewrite must reproduce them exactly.
+# Verbatim copies of the first FinSet constructions; the labeled constructions
+# must reproduce them exactly.
 def reference_pullback(
     f: FinSetMap, g: FinSetMap
 ) -> tuple[tuple[tuple[Hashable, Hashable], ...], FinSetMap, FinSetMap]:
@@ -959,18 +940,20 @@ def assert_same_map(new: FinSetMap, old: FinSetMap) -> None:
     assert list(new.mapping.items()) == list(old.mapping.items())
 
 
-def assert_pullback_positions_match(f: FinSetMap, g: FinSetMap) -> None:
-    """The core's pairs are exactly the images of the labeled projections."""
-    _, p_a, p_b = finset_pullback(f, g)
-    assert pullback_positions(f, g) == list(zip(p_a.images, p_b.images))
+def assert_same_pullback(f: FinSetMap, g: FinSetMap) -> None:
+    apex, p_a, p_b = finset_pullback(f, g)
+    ref_apex, ref_a, ref_b = reference_pullback(f, g)
+    assert apex == ref_apex
+    assert_same_map(p_a, ref_a)
+    assert_same_map(p_b, ref_b)
 
 
-def assert_pushout_positions_match(f: FinSetMap, g: FinSetMap) -> None:
-    """The core's class count and its classes are exactly the labeled injections'."""
+def assert_same_pushout(f: FinSetMap, g: FinSetMap) -> None:
     classes, i_a, i_b = finset_pushout(f, g)
-    count, numbers = pushout_positions(f, g)
-    assert count == len(classes)
-    assert numbers == [*i_a.images, *i_b.images]
+    ref_classes, ref_a, ref_b = reference_pushout(f, g)
+    assert classes == ref_classes
+    assert_same_map(i_a, ref_a)
+    assert_same_map(i_b, ref_b)
 
 
 class TestFinSetDifferential:
@@ -980,11 +963,7 @@ class TestFinSetDifferential:
             c = random_labels(rng, "c", rng.randint(1, 4))
             f = random_map(rng, random_labels(rng, "a", rng.randint(0, 6)), c)
             g = random_map(rng, random_labels(rng, "b", rng.randint(0, 6)), c)
-            apex, p_a, p_b = finset_pullback(f, g)
-            ref_apex, ref_a, ref_b = reference_pullback(f, g)
-            assert apex == ref_apex
-            assert_same_map(p_a, ref_a)
-            assert_same_map(p_b, ref_b)
+            assert_same_pullback(f, g)
 
     def test_pushout_matches_the_reference(self):
         rng = random.Random(4102)
@@ -992,11 +971,7 @@ class TestFinSetDifferential:
             c = random_labels(rng, "c", rng.randint(0, 6))
             f = random_map(rng, c, random_labels(rng, "a", rng.randint(1, 5)))
             g = random_map(rng, c, random_labels(rng, "b", rng.randint(1, 5)))
-            classes, i_a, i_b = finset_pushout(f, g)
-            ref_classes, ref_a, ref_b = reference_pushout(f, g)
-            assert classes == ref_classes
-            assert_same_map(i_a, ref_a)
-            assert_same_map(i_b, ref_b)
+            assert_same_pushout(f, g)
 
     def test_engine_shaped_pushout_matches_the_reference(self):
         # legs onto the accounts they touch against the identity on legs,
@@ -1006,30 +981,11 @@ class TestFinSetDifferential:
         touched = dict(zip(legs, accounts + ("ComDiv", "CapDiv")))
         to_account = FinSetMap(legs, accounts, touched)
         to_slot = FinSetMap(legs, legs, {i: i for i in legs})
-        classes, i_a, i_b = finset_pushout(to_account, to_slot)
-        ref_classes, ref_a, ref_b = reference_pushout(to_account, to_slot)
-        assert classes == ref_classes and len(classes) == 6
-        assert_same_map(i_a, ref_a)
-        assert_same_map(i_b, ref_b)
-
-    def test_pullback_positions_are_the_projections(self):
-        rng = random.Random(4101)
-        for _ in range(400):
-            c = random_labels(rng, "c", rng.randint(1, 4))
-            f = random_map(rng, random_labels(rng, "a", rng.randint(0, 6)), c)
-            g = random_map(rng, random_labels(rng, "b", rng.randint(0, 6)), c)
-            assert_pullback_positions_match(f, g)
-
-    def test_pushout_positions_are_the_injections(self):
-        rng = random.Random(4102)
-        for _ in range(400):
-            c = random_labels(rng, "c", rng.randint(0, 6))
-            f = random_map(rng, c, random_labels(rng, "a", rng.randint(1, 5)))
-            g = random_map(rng, c, random_labels(rng, "b", rng.randint(1, 5)))
-            assert_pushout_positions_match(f, g)
+        assert_same_pushout(to_account, to_slot)
+        assert len(finset_pushout(to_account, to_slot)[0]) == 6
 
     @pytest.mark.parametrize("booking_id", range(1, 9))
-    def test_the_engine_cores_match_on_every_booking(self, booking_id):
+    def test_the_engine_limits_match_on_every_booking(self, booking_id):
         # each booking's fixed pushout inputs, and its gate when every leg
         # is ok and when its first leg overdraws
         from catledger.evolution import _FIXED, _SPEC_CONE
@@ -1037,22 +993,33 @@ class TestFinSetDifferential:
 
         to_account, to_slot, *_ = _FIXED[booking_id]
         legs = to_slot.domain
-        assert_pushout_positions_match(to_account, to_slot)
-        all_ok = FinSetMap.from_positions(legs, _SPEC_CONE.codomain, (0,) * len(legs))
-        assert_pullback_positions_match(all_ok, _SPEC_CONE)
+        assert_same_pushout(to_account, to_slot)
+        all_ok = FinSetMap(legs, _SPEC_CONE.codomain, dict.fromkeys(legs, "ok"))
+        assert_same_pullback(all_ok, _SPEC_CONE)
         outcomes = (f"insufficient-balance:{BOOKINGS[booking_id][1][0][0]}", "ok")
-        first_fails = FinSetMap.from_positions(legs, outcomes, (0,) + (1,) * (len(legs) - 1))
-        cone = FinSetMap.from_positions(("all",), outcomes, (1,))
-        assert_pullback_positions_match(first_fails, cone)
-        assert len(pullback_positions(first_fails, cone)) == len(legs) - 1
+        first_fails = FinSetMap(legs, outcomes, {**dict.fromkeys(legs, "ok"), 0: outcomes[0]})
+        cone = FinSetMap(("all",), outcomes, {"all": "ok"})
+        assert_same_pullback(first_fails, cone)
+        assert len(finset_pullback(first_fails, cone)[0]) == len(legs) - 1
 
-    def test_the_cores_keep_the_shape_errors(self):
+    @pytest.mark.parametrize("booking_id", range(1, 9))
+    def test_every_booking_s_proof_inputs_are_universal(self, booking_id):
+        # `check-laws` searches booking 6 only; the table proof relies on all eight
+        from catledger.evolution import _FIXED, _SPEC_CONE
+
+        to_account, to_slot, *_ = _FIXED[booking_id]
+        legs = to_slot.domain
+        assert verify_pushout_universal(to_account, to_slot, *finset_pushout(to_account, to_slot))
+        all_ok = FinSetMap(legs, _SPEC_CONE.codomain, dict.fromkeys(legs, "ok"))
+        assert verify_pullback_universal(all_ok, _SPEC_CONE, *finset_pullback(all_ok, _SPEC_CONE))
+
+    def test_the_limits_keep_the_shape_errors(self):
         f = FinSetMap(("a",), ("t",), {"a": "t"})
         g = FinSetMap(("x",), ("u",), {"x": "u"})
         with pytest.raises(FinSetError, match="^pullback requires a shared codomain$"):
-            pullback_positions(f, g)
+            finset_pullback(f, g)
         with pytest.raises(FinSetError, match="^pushout requires a shared domain$"):
-            pushout_positions(f, g)
+            finset_pushout(f, g)
 
     @pytest.mark.parametrize(
         "domain, codomain, mapping, message",

@@ -1039,6 +1039,24 @@ class TestTraceSerialization:
             write_trace_json(tampered, path)
         assert not path.exists()
 
+    @pytest.mark.parametrize(
+        "row, column, value, place",
+        [
+            (2, "AccLabBank", math.inf, "period 2, column AccLabBank is inf"),
+            # booking 2 spends 0 in period 1, so its goods amount stays 0
+            (1, "GoodPrice", 5e-324, "period 1, an amount of booking 4 is inf"),
+        ],
+    )
+    def test_json_names_the_period_and_place_it_refuses(self, tmp_path, row, column, value, place):
+        trace = run(Parameters(), horizon=3)
+        cells = array("d", trace.cells)
+        cells[row * len(TRACE_COLUMNS) + TRACE_COLUMNS.index(column)] = value
+        path = tmp_path / "trace.json"
+        with pytest.raises(ValueError) as err:
+            write_trace_json(trace._replace(cells=cells), path)
+        assert str(err.value) == f"Out of range float values are not JSON compliant: {place}"
+        assert not path.exists()
+
     @pytest.mark.parametrize("zero_price, period", [("GoodPrice", 1), ("p_r", 0)])
     def test_json_refuses_a_zero_price_naming_the_period(self, tmp_path, zero_price, period):
         trace = run(Parameters(), horizon=3)

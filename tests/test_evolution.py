@@ -997,11 +997,12 @@ def counting_calls(monkeypatch, names) -> dict[str, int]:
     return counts
 
 
-# a pushout whose first two accounts share one class
+# a pushout whose second account is sent to the first account's class
 def glued(real_pushout):
     def pushout(f, g):
-        count, classes = real_pushout(f, g)
-        return count, [0, 0, *classes[2:]]
+        classes, i_a, i_b = real_pushout(f, g)
+        first, second, *_ = i_a.domain
+        return classes, FinSetMap(i_a.domain, classes, {**i_a.mapping, second: i_a(first)}), i_b
 
     return pushout
 
@@ -1009,10 +1010,10 @@ def glued(real_pushout):
 # a pushout whose first leg's class is replaced by another account's class
 def moved(real_pushout):
     def pushout(f, g):
-        count, classes = real_pushout(f, g)
-        i_a, i_b = classes[: len(f.codomain)], classes[len(f.codomain) :]
-        other = next(c for c in i_a if c != i_b[0])
-        return count, [*i_a, other, *i_b[1:]]
+        classes, i_a, i_b = real_pushout(f, g)
+        first = i_b.domain[0]
+        other = next(c for c in i_a.mapping.values() if c != i_b(first))
+        return classes, i_a, FinSetMap(i_b.domain, classes, {**i_b.mapping, first: other})
 
     return pushout
 
@@ -1021,8 +1022,8 @@ class TestPeriodLawGuard:
     CONSTRUCTIONS = (
         "check_functor_laws",
         "check_naturality",
-        "pullback_positions",
-        "pushout_positions",
+        "finset_pullback",
+        "finset_pushout",
         "validate_via_pullback",
         "apply_via_pushout",
     )
@@ -1040,8 +1041,8 @@ class TestPeriodLawGuard:
             assert counts == {
                 "check_functor_laws": 2,
                 "check_naturality": 1,
-                "pullback_positions": 0,
-                "pushout_positions": 0,
+                "finset_pullback": 0,
+                "finset_pushout": 0,
                 "validate_via_pullback": 8,
                 "apply_via_pushout": 8,
             }
@@ -1067,8 +1068,8 @@ class TestPeriodLawGuard:
         assert counts == {
             "check_functor_laws": 0,
             "check_naturality": 0,
-            "pullback_positions": 0,
-            "pushout_positions": 0,
+            "finset_pullback": 0,
+            "finset_pushout": 0,
             "validate_via_pullback": 7,
             "apply_via_pushout": 6,
         }
@@ -1076,9 +1077,9 @@ class TestPeriodLawGuard:
     def test_the_table_proof_takes_each_booking_s_pushout_and_pullback_once(self, monkeypatch):
         from catledger import evolution
 
-        counts = counting_calls(monkeypatch, ("pullback_positions", "pushout_positions"))
+        counts = counting_calls(monkeypatch, ("finset_pullback", "finset_pushout"))
         proved = evolution.prove_booking_table(BOOKINGS)
-        assert counts == {"pullback_positions": len(BOOKINGS), "pushout_positions": len(BOOKINGS)}
+        assert counts == {"finset_pullback": len(BOOKINGS), "finset_pushout": len(BOOKINGS)}
         # the constants a period reads are the ones the proof returns
         assert dict(evolution._FIXED) == proved
 
@@ -1097,7 +1098,7 @@ class TestPeriodLawGuard:
             return wrapper
 
         for kind in handed:
-            name = f"{kind}_positions"
+            name = f"finset_{kind}"
             monkeypatch.setattr(evolution, name, recording(kind, getattr(evolution, name)))
         proved = evolution.prove_booking_table(BOOKINGS)
         assert len(handed["pullback"]) == len(handed["pushout"]) == len(BOOKINGS)
@@ -1134,7 +1135,7 @@ class TestPeriodLawGuard:
         """The proof's refusal of the booking table under a corrupted pushout."""
         from catledger import evolution
 
-        monkeypatch.setattr(evolution, "pushout_positions", corruption(evolution.pushout_positions))
+        monkeypatch.setattr(evolution, "finset_pushout", corruption(evolution.finset_pushout))
         with pytest.raises(EngineConsistencyError) as err:
             evolution.prove_booking_table(BOOKINGS)
         return str(err.value)
@@ -1154,14 +1155,18 @@ class TestPeriodLawGuard:
     def test_an_all_ok_cone_that_misses_a_leg_is_refused_by_booking(self, monkeypatch):
         from catledger import evolution
 
-        real_pullback = evolution.pullback_positions
+        real_pullback = evolution.finset_pullback
 
         def missing(f, g):
             # the last leg of a four-leg booking dropped from the apex
-            pairs = real_pullback(f, g)
-            return pairs[:-1] if len(f.domain) == 4 else pairs
+            apex, p_a, p_b = real_pullback(f, g)
+            if len(f.domain) != 4:
+                return apex, p_a, p_b
+            short = apex[:-1]
+            p_a = FinSetMap(short, f.domain, {p: p[0] for p in short})
+            return short, p_a, FinSetMap(short, g.domain, {p: p[1] for p in short})
 
-        monkeypatch.setattr(evolution, "pullback_positions", missing)
+        monkeypatch.setattr(evolution, "finset_pullback", missing)
         with pytest.raises(EngineConsistencyError) as err:
             evolution.prove_booking_table(BOOKINGS)
         assert str(err.value) == "booking 5: the all-ok pullback covers legs [0, 1, 2] of 4"

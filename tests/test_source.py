@@ -1,12 +1,14 @@
 """Source hygiene: every module-level import of the package is read, every private name,
 and every option of the command-line parser; importing the CLI loads no code generator;
-every leg status the ledger's scan can emit is documented in the README."""
+every leg status the ledger's scan can emit is documented in the README, and every
+call the README names exists."""
 
 from __future__ import annotations
 
 import argparse
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -196,3 +198,48 @@ def test_every_status_the_scan_can_emit_is_in_the_readme():
     assert {"insufficient-balance", "non-finite-balance", "eu-imbalance"} <= prefixes
     readme = (PACKAGE.parent.parent / "README.md").read_text(encoding="utf-8")
     assert sorted(prefix for prefix in prefixes if f"`{prefix}:" not in readme) == []
+
+
+def called_names(markdown: str) -> list[str]:
+    """Each snake_case name a backticked span of `markdown` writes as a call, in text order.
+
+    Fenced blocks are skipped and wrapped lines joined; of a dotted call such as
+    `Functor.identity(cat)` the name is its last part.
+    """
+    prose, fenced = [], False
+    for line in markdown.splitlines():
+        if line.lstrip().startswith("```"):
+            fenced = not fenced
+        elif not fenced:
+            prose.append(line.strip())
+    spans = re.findall(r"`([^`]+)`", " ".join(prose))
+    calls = (re.findall(r"([A-Za-z_][A-Za-z0-9_]*)\(", span) for span in spans)
+    return [name for names in calls for name in names if re.fullmatch(r"[a-z_][a-z0-9_]*", name)]
+
+
+def package_names() -> set[str]:
+    """The names a `catledger` module binds, those of the classes it defines, and the builtins."""
+    import builtins
+    import importlib
+
+    names = set(dir(builtins))
+    for module in ("catledger", *(f"catledger.{path[:-3]}" for path in MODULES)):
+        namespace = vars(importlib.import_module(module))
+        names |= namespace.keys()
+        for value in namespace.values():
+            if isinstance(value, type) and value.__module__.startswith("catledger"):
+                names |= set(dir(value))
+    return names
+
+
+def test_the_check_finds_a_call_of_a_name_that_is_gone():
+    text = "Use `FinSetMap.from_positions(domain,\n  codomain)` and `Trace`.\n```\ngone(x)\n```\n"
+    assert called_names(text) == ["from_positions"]
+    assert called_names("`run(Parameters(tau=3), horizon=5)` or `len(x)`") == ["run", "len"]
+    assert "from_positions" not in package_names() and "run" in package_names()
+
+
+def test_every_call_the_readme_names_exists():
+    readme = (PACKAGE.parent.parent / "README.md").read_text(encoding="utf-8")
+    known = package_names()
+    assert [name for name in called_names(readme) if name not in known] == []
