@@ -7,7 +7,7 @@ trace file is reproducible on its own.  JSON output adds the per-booking
 ledger log for audits.
 
 Exit codes: 0 success, 1 configuration or validation error, 2 invariance
-breach, 3 engine divergence.
+breach, 3 engine divergence or a failed law check.
 """
 
 from __future__ import annotations
@@ -335,13 +335,22 @@ def write_trace_json(trace: Trace, path: str | Path, texts: list[str] | None = N
 # ---------------------------------------------------------------------------
 
 
-def _report_rejection(command: str, exc: LedgerError) -> None:
-    """Print a rejected run's message, its period if known, and every diagnostic."""
+def _details(exc: Exception) -> list[str]:
+    """A rejection's diagnostics, or the failures of a law check."""
+    return getattr(exc, "diagnostics", None) or getattr(exc, "failures", [])
+
+
+def _report_failure(command: str, exc: LedgerError | EngineConsistencyError) -> int:
+    """Print a failed run's message, its period if known, and every detail; its exit code.
+
+    A rejected run exits 1, a run whose laws failed exits 3.
+    """
     period = getattr(exc, "period", None)
     where = "" if period is None else f"period {period}, "
     print(f"{command} failed: {where}{exc}", file=sys.stderr)
-    for diagnostic in getattr(exc, "diagnostics", ()):
-        print(f"  {diagnostic}", file=sys.stderr)
+    for detail in _details(exc):
+        print(f"  {detail}", file=sys.stderr)
+    return EXIT_DIVERGENCE if isinstance(exc, EngineConsistencyError) else EXIT_CONFIG
 
 
 def _invariance_peaks(trace: Trace) -> list[float]:
@@ -352,9 +361,8 @@ def _invariance_peaks(trace: Trace) -> list[float]:
 def cmd_run(config: RunConfig, out: str | None, json_out: str | None) -> int:
     try:
         trace = run(config.params, engine=config.engine)
-    except LedgerError as exc:
-        _report_rejection("run", exc)
-        return EXIT_CONFIG
+    except (LedgerError, EngineConsistencyError) as exc:
+        return _report_failure("run", exc)
     texts = _cell_texts(trace) if out or json_out else None  # one repr per cell, for both files
     if out:
         write_trace_csv(trace, out, texts)
@@ -379,9 +387,8 @@ def cmd_compare(config: RunConfig) -> int:
     try:
         recursive = run(config.params, engine=EngineKind.RECURSIVE)
         categorical = run(config.params, engine=EngineKind.CATEGORICAL)
-    except LedgerError as exc:
-        _report_rejection("compare", exc)
-        return EXIT_CONFIG
+    except (LedgerError, EngineConsistencyError) as exc:
+        return _report_failure("compare", exc)
     cells, other = recursive.cells, categorical.cells
     if len(cells) != len(other):
         print(f"cell counts differ: {len(cells)} recursive, {len(other)} categorical")
@@ -421,16 +428,16 @@ def _sweep_one(config: RunConfig, key: str, raw: str) -> dict[str, str]:
 
 
 def _error_status(exc: Exception) -> str:
-    """A failed sweep row's status: the period of a rejection, the message, every diagnostic.
+    """A failed sweep row's status: the failed period, the message, every detail.
 
     A refused field is named by its key, as in `load_config`.  The period and
     the diagnostics are joined without a comma, so that a rejection's CSV
-    field needs no quotes.
+    field needs no quotes; a law check's failures may hold commas.
     """
     period = getattr(exc, "period", None)
     where = "" if period is None else f"period {period}: "
-    diagnostics = getattr(exc, "diagnostics", ())
-    detail = f" [{' '.join(diagnostics)}]" if diagnostics else ""
+    details = _details(exc)
+    detail = f" [{' '.join(details)}]" if details else ""
     return f"error: {where}{_keyed(str(exc))}{detail}"
 
 

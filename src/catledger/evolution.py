@@ -9,10 +9,10 @@ balances, which the cycle reads and writes by position; `post`, which
 gates and applies one booking; and `close`, which ends the period and
 returns the balances.  The recursive book posts each booking onto its copy
 directly.  The categorical book builds on what `prove_booking_table`
-proved of each booking at import: it gates a booking on its all-'ok'
-pullback and applies it through its pushout's fold; its close records
-the period's flows in a finite category of the accounts, at once, and
-checks the functor and naturality laws of the time step just performed.
+proved at import of the ledger's compiled table `_COMPILED`: it gates a
+booking on its all-'ok' pullback and folds the compiled legs the proof
+checked against its pushout; its close records the period's flows in one
+category of the accounts and checks the laws of the period's time step.
 Both engines run the one cycle with identical float operations, so their
 traces agree bit for bit.
 
@@ -80,13 +80,10 @@ from .decisions import (
 from .ledger import (
     ACCOUNT_INDEX,
     ACCOUNT_NAMES,
-    BOOKINGS,
-    BookingEntry,
-    Direction,
+    _COMPILED,
     Invariances,
     ValidationFailure,
     booking_entry,
-    compile_booking_table,
     init_ledger,
     invariances,
     post_booking,
@@ -107,11 +104,16 @@ class EngineKind(Enum):
 
 
 class EngineConsistencyError(RuntimeError):
-    """The categorical engine violated one of its own structural laws."""
+    """The categorical engine violated one of its own structural laws.
+
+    `period` is the simulated period whose laws failed, recorded by `run`;
+    it stays None when the failure arose outside a run.
+    """
 
     def __init__(self, message: str, failures: list[str] | None = None) -> None:
         super().__init__(message)
         self.failures = failures or []
+        self.period: int | None = None
 
 
 # A state's wage dues start after its balances; the positions of the
@@ -349,36 +351,37 @@ def build_economy_category() -> FiniteCategory:
 _SPEC_CONE = FinSetMap(("all",), ("ok",), {"all": "ok"})
 
 
-def prove_booking_table(table: Mapping[int, BookingEntry]) -> dict[int, tuple]:
+def prove_booking_table(compiled: Mapping[int, tuple]) -> dict[int, tuple]:
     """Each booking's constants, once what a period relies on is proved of them.
 
-    After `compile_booking_table`'s ValueError, EngineConsistencyError names
+    `compiled` is `compile_booking_table`'s result.  EngineConsistencyError names
     the first booking whose pushout of (leg -> account) against (leg -> leg)
-    glues two accounts or does not commute, whose all-'ok' legs pulled back
-    against `_SPEC_CONE` miss one, or whose flows `extend` refuses.  The
-    constants: the pushout's two maps, the flows' src, dst, slot and label
-    columns, and per leg the fold (ledger position, is inflow, slot).
+    glues two accounts, does not commute or folds a leg off its compiled
+    position, whose all-'ok' legs pulled back against `_SPEC_CONE` miss one,
+    or whose flows `extend` refuses.  The constants: the pushout's two maps
+    and the flows' src, dst, slot and label columns.
     """
-    compile_booking_table(table)
     flows_of_all = build_economy_category()
     proved = {}
-    for booking_id, (_, legs, channels) in table.items():
+    for booking_id, (_, _, legs, sides, channels) in compiled.items():
         tokens = tuple(range(len(legs)))
-        accounts = tuple(dict.fromkeys(account for account, _, _ in legs))
-        to_account = FinSetMap(tokens, accounts, {i: leg[0] for i, leg in zip(tokens, legs)})
+        accounts = tuple(dict.fromkeys(account for account, _ in sides))
+        to_account = FinSetMap(tokens, accounts, {i: side[0] for i, side in zip(tokens, sides)})
         to_slot = FinSetMap(tokens, tokens, dict(zip(tokens, tokens)))
         _, by_account, by_leg = finset_pushout(to_account, to_slot)
         i_a, i_b = list(by_account.mapping.values()), list(by_leg.mapping.values())
         owners = dict(zip(i_a, map(ACCOUNT_INDEX.__getitem__, accounts)))
         all_ok = FinSetMap(tokens, _SPEC_CONE.codomain, dict.fromkeys(tokens, "ok"))
         covered = [leg for leg, _ in finset_pullback(all_ok, _SPEC_CONE)[0]]
-        ids = [ACCOUNT_INDEX[account] + 1 for account, _, _ in legs]
+        ids = [ACCOUNT_INDEX[account] + 1 for account, _ in sides]
         flows = [(ids[s], ids[d], legs[s][2], f"b{booking_id}:{name}") for s, d, name in channels]
         problem = None
         if len(owners) != len(i_a):
             problem = f"pushout glued {max(map(i_a.count, i_a))} accounts into one class"
         elif i_b != list(map(by_account, to_account.mapping.values())):
             problem = "pushout square does not commute: a leg left its account"
+        elif [owners[c] for c in i_b] != [index for index, _, _ in legs]:
+            problem = "the pushout's fold leaves the compiled legs"
         elif covered != list(tokens):
             problem = f"the all-ok pullback covers legs {covered} of {len(legs)}"
         else:
@@ -388,12 +391,11 @@ def prove_booking_table(table: Mapping[int, BookingEntry]) -> dict[int, tuple]:
                 problem = str(exc)
         if problem is not None:
             raise EngineConsistencyError(f"booking {booking_id}: {problem}")
-        fold = ((owners[c], way is Direction.INFLOW, slot) for c, (_, way, slot) in zip(i_b, legs))
-        proved[booking_id] = (to_account, to_slot, tuple(zip(*flows)), tuple(fold))
+        proved[booking_id] = (to_account, to_slot, tuple(zip(*flows)))
     return proved
 
 
-_FIXED = MappingProxyType(prove_booking_table(BOOKINGS))
+_FIXED = MappingProxyType(prove_booking_table(_COMPILED))
 
 
 def booking_to_morphisms(cat: FiniteCategory, booking_id: int, amounts: tuple) -> range:
@@ -422,10 +424,11 @@ def apply_via_pushout(values: list[float], booking_id: int, amounts: tuple[float
     """Apply a validated booking by folding its legs through the pushout's injections.
 
     The pushout of (leg -> account) against (leg -> leg) sends each leg to the
-    class of exactly one account.  `prove_booking_table` stored that account's
-    position per leg; each leg is added there or subtracted, in leg order.
+    class of exactly one account.  `prove_booking_table` proved that account's
+    position is the compiled leg's, so each of `_COMPILED`'s legs is added
+    there or subtracted, in leg order.
     """
-    for i, inflow, slot in booking_entry(_FIXED, booking_id)[3]:
+    for i, inflow, slot in booking_entry(_COMPILED, booking_id)[2]:
         values[i] = values[i] + amounts[slot] if inflow else values[i] - amounts[slot]
 
 
@@ -500,7 +503,7 @@ def _flows_shape(posted: tuple[int, ...]) -> tuple[str, list, list, list, list, 
     """The columns of bookings `posted`'s flows, weighted by their amounts' positions in turn."""
     shape, at = build_economy_category(), 0
     for booking_id in posted:
-        width = 1 + max(booking_entry(_FIXED, booking_id)[2][2])  # every slot is a channel's
+        width = booking_entry(_COMPILED, booking_id)[1]
         booking_to_morphisms(shape, booking_id, range(at, at + width))
         at += width
     return shape.name, shape.names, shape.src, shape.dst, shape.weight, shape.label
@@ -572,7 +575,8 @@ def run(
     A `horizon` given replaces `params.horizon` before the one `validate`,
     and the trace's `params` carry the horizon that ran.  A period that refuses
     a booking or a value it makes ends the run with a `ValidationFailure`
-    whose `period` names that period, so every cell of a trace is finite.
+    whose `period` names that period, so every cell of a trace is finite; a
+    period whose laws fail ends it with an `EngineConsistencyError` naming it.
     """
     engine = EngineKind(engine)
     if horizon is not None:
@@ -585,7 +589,7 @@ def run(
         checks = invariances(opening)
         try:
             state, metrics = period_step(state, params, period, engine)
-        except ValidationFailure as exc:
+        except (ValidationFailure, EngineConsistencyError) as exc:
             exc.period = period
             raise
         cells.extend((period, *metrics, *opening, *checks))

@@ -285,7 +285,8 @@ def compile_booking_table(table: Mapping[int, BookingEntry]) -> dict[int, tuple]
 
     A booking compiles to its description, its number of slots, per leg the
     list index, whether it is an inflow, and the slot, for `post_compiled`,
-    and per leg the account and its conservation side, for `_scan_legs`.
+    per leg the account and its conservation side, for `_scan_legs`, and its
+    channels, for `evolution.prove_booking_table`.
     """
     compiled = {}
     for booking_id, (description, legs, channels) in table.items():
@@ -297,6 +298,7 @@ def compile_booking_table(table: Mapping[int, BookingEntry]) -> dict[int, tuple]
             1 + max((slot for _, _, slot in legs), default=-1),
             tuple((ACCOUNT_INDEX[account], way is _IN, slot) for account, way, slot in legs),
             tuple((account, _side(account, way)) for account, way, _ in legs),
+            channels,
         )
     return compiled
 
@@ -321,7 +323,7 @@ def post_compiled(values: list[float], booking_id: int, amounts: tuple[float, ..
     balances long, or with the wrong number of amounts.  True means every
     amount was finite, where `compile_booking_table` proved value conserved.
     """
-    _, arity, legs, _ = booking_entry(_COMPILED, booking_id)
+    _, arity, legs, _, _ = booking_entry(_COMPILED, booking_id)
     if len(values) != _LEDGER_LENGTH or len(amounts) != arity:
         return False
     for index, inflow, slot in legs:
@@ -349,7 +351,7 @@ def _scan_legs(
     Raises ValueError for an unknown booking or a list of the wrong
     length, and TypeError for the wrong number of amounts.
     """
-    _, arity, legs, sides = booking_entry(_COMPILED, booking_id)
+    _, arity, legs, sides, _ = booking_entry(_COMPILED, booking_id)
     if len(amounts) != arity:
         raise TypeError(f"booking {booking_id} takes {arity} amounts, got {len(amounts)}")
     scratch = list(values)

@@ -497,6 +497,64 @@ class TestCmdCompare:
         assert "insufficient-balance:AccBankComBank" in lines
 
 
+class TestALawFailure:
+    """A categorical period whose law check fails is reported, never a traceback."""
+
+    @staticmethod
+    def fault_at_period_2(monkeypatch):
+        # the third close of a run checks its laws against a closing AccComBank one higher
+        from catledger import evolution
+        from catledger.ledger import ACCOUNT_INDEX
+
+        real, closes = evolution.verify_time_step, []
+
+        def faulty(flows, eta, old, new):
+            closes.append(None)
+            if len(closes) == 3:
+                new = list(new)
+                new[ACCOUNT_INDEX["AccComBank"]] += 1.0
+            return real(flows, eta, old, new)
+
+        monkeypatch.setattr(evolution, "verify_time_step", faulty)
+        return closes
+
+    def failure(self, monkeypatch, params: Parameters) -> str:
+        """The one failure the fault makes, as `run` reports it."""
+        self.fault_at_period_2(monkeypatch)
+        with pytest.raises(EngineConsistencyError) as err:
+            run(params, engine=EngineKind.CATEGORICAL)
+        assert (str(err.value), err.value.period) == ("period law check failed", 2)
+        [failure] = err.value.failures
+        assert failure.startswith("component weight for AccComBank: ")
+        return failure
+
+    @pytest.mark.parametrize(
+        "argv", [["run", "--engine", "categorical"], ["compare"]], ids=["run", "compare"]
+    )
+    def test_run_and_compare_exit_3_naming_the_period_and_failures(
+        self, monkeypatch, capsys, argv
+    ):
+        failure = self.failure(monkeypatch, Parameters(horizon=5))
+        closes = self.fault_at_period_2(monkeypatch)
+        assert main([*argv, "--horizon", "5"]) == EXIT_DIVERGENCE
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"{argv[0]} failed: period 2, period law check failed",
+            f"  {failure}",
+        ]
+        assert captured.out == "" and len(closes) == 3
+
+    def test_a_sweep_row_names_the_period_and_failures(self, monkeypatch, capsys):
+        failure = self.failure(monkeypatch, Parameters(tau=3, horizon=25))
+        self.fault_at_period_2(monkeypatch)
+        argv = ["sweep", "--engine", "categorical", "--param", "tau", "--values", "3"]
+        assert main([*argv, "--horizon", "25"]) == EXIT_OK
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert [row["status"] for row in rows] == [
+            f"error: period 2: period law check failed [{failure}]"
+        ]
+
+
 class TestCmdSweep:
     def test_three_omega_values(self, capsys):
         assert (

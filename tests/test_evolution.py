@@ -47,6 +47,8 @@ from catledger.ledger import (
     BOOKINGS,
     Invariances,
     ValidationFailure,
+    _COMPILED,
+    compile_booking_table,
     conservation_status,
     init_ledger,
     invariances,
@@ -1078,7 +1080,7 @@ class TestPeriodLawGuard:
         from catledger import evolution
 
         counts = counting_calls(monkeypatch, ("finset_pullback", "finset_pushout"))
-        proved = evolution.prove_booking_table(BOOKINGS)
+        proved = evolution.prove_booking_table(_COMPILED)
         assert counts == {"finset_pullback": len(BOOKINGS), "finset_pushout": len(BOOKINGS)}
         # the constants a period reads are the ones the proof returns
         assert dict(evolution._FIXED) == proved
@@ -1100,7 +1102,7 @@ class TestPeriodLawGuard:
         for kind in handed:
             name = f"finset_{kind}"
             monkeypatch.setattr(evolution, name, recording(kind, getattr(evolution, name)))
-        proved = evolution.prove_booking_table(BOOKINGS)
+        proved = evolution.prove_booking_table(_COMPILED)
         assert len(handed["pullback"]) == len(handed["pushout"]) == len(BOOKINGS)
         for booking_id, (leg_check, spec_cone), (to_account, to_slot) in zip(
             BOOKINGS, handed["pullback"], handed["pushout"]
@@ -1120,15 +1122,20 @@ class TestPeriodLawGuard:
                 with pytest.raises(TypeError):
                     fixed.mapping[key] = "elsewhere"
 
-    def test_the_stored_fold_is_the_compiled_legs(self):
-        # the pushout's classes, folded onto the ledger, are the ledger's own
-        # compiled legs: (position, is inflow, slot) per leg, in leg order
-        from catledger import ledger
-        from catledger.evolution import _FIXED
+    def test_a_compiled_leg_off_its_account_is_refused_by_booking(self):
+        # the fold a period applies is the compiled legs: a leg whose position
+        # is not its account's is refused before any period runs
+        from catledger import evolution
 
-        assert sorted(_FIXED) == sorted(BOOKINGS)
-        for booking_id in BOOKINGS:
-            assert _FIXED[booking_id][3] == ledger._COMPILED[booking_id][2]
+        description, arity, legs, sides, channels = _COMPILED[3]
+        (_, inflow, slot), *rest = legs
+        moved = ((ACCOUNT_INDEX["AccLabBank"], inflow, slot), *rest)
+        table = {**_COMPILED, 3: (description, arity, moved, sides, channels)}
+        with pytest.raises(EngineConsistencyError) as err:
+            evolution.prove_booking_table(table)
+        assert str(err.value) == "booking 3: the pushout's fold leaves the compiled legs"
+        # the table a period folds is the one the proof covered
+        assert evolution._COMPILED is _COMPILED
 
     @staticmethod
     def refusal(monkeypatch, corruption) -> str:
@@ -1137,7 +1144,7 @@ class TestPeriodLawGuard:
 
         monkeypatch.setattr(evolution, "finset_pushout", corruption(evolution.finset_pushout))
         with pytest.raises(EngineConsistencyError) as err:
-            evolution.prove_booking_table(BOOKINGS)
+            evolution.prove_booking_table(_COMPILED)
         return str(err.value)
 
     # the glued class and the moved leg that `apply_via_pushout` refused every
@@ -1168,16 +1175,17 @@ class TestPeriodLawGuard:
 
         monkeypatch.setattr(evolution, "finset_pullback", missing)
         with pytest.raises(EngineConsistencyError) as err:
-            evolution.prove_booking_table(BOOKINGS)
+            evolution.prove_booking_table(_COMPILED)
         assert str(err.value) == "booking 5: the all-ok pullback covers legs [0, 1, 2] of 4"
 
     def test_a_flow_endpoint_out_of_range_is_refused_by_booking(self, monkeypatch):
-        # an account placed past the ledger's 20: only booking 8 delivers to Cap's goods
+        # an account placed past the ledger's 20: only booking 8 delivers to Cap's goods;
+        # the table is compiled under the same placement
         from catledger import evolution
 
         monkeypatch.setitem(ACCOUNT_INDEX, "AccCapGood", len(ACCOUNT_NAMES))
         with pytest.raises(EngineConsistencyError) as err:
-            evolution.prove_booking_table(BOOKINGS)
+            evolution.prove_booking_table(compile_booking_table(BOOKINGS))
         assert str(err.value) == "booking 8: morphism endpoint 21 does not exist in 'economy'"
 
     def test_the_columns_built_unchecked_pass_the_checks(self, monkeypatch):
@@ -1209,7 +1217,7 @@ class TestPeriodLawGuard:
         description, legs, channels = BOOKINGS[booking_id]
         table = {**BOOKINGS, booking_id: (description, *corrupt(legs, channels))}
         with pytest.raises(ValueError) as err:
-            evolution.prove_booking_table(table)
+            evolution.prove_booking_table(compile_booking_table(table))
         assert str(err.value) == message
 
     def test_missing_component_names_the_account(self, monkeypatch):

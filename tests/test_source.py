@@ -1,7 +1,8 @@
 """Source hygiene: every module-level import of the package is read, every private name,
-and every option of the command-line parser; importing the CLI loads no code generator;
-every leg status the ledger's scan can emit is documented in the README, and every
-call the README names exists."""
+and every option of the command-line parser; importing the CLI loads no code generator
+and compiles the booking table once, which `evolution` reads only compiled; every leg
+status the ledger's scan can emit is documented in the README, and every call the
+README names exists."""
 
 from __future__ import annotations
 
@@ -178,6 +179,31 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_a_fresh_import_compiles_the_booking_table_once():
+    # the ledger compiles `BOOKINGS` and the categorical proof reads that compiled table
+    code = (
+        "import sys; calls = []\n"
+        "def profile(frame, event, arg):\n"
+        "    if event == 'call' and frame.f_code.co_name == 'compile_booking_table':\n"
+        "        calls.append(frame.f_code.co_filename)\n"
+        "sys.setprofile(profile); import catledger.cli; sys.setprofile(None)\n"
+        "print(len(calls))"
+    )
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "1\n"
+
+
+def test_evolution_reads_the_bookings_only_compiled():
+    tree = ast.parse((PACKAGE / "evolution.py").read_text(encoding="utf-8"))
+    raw = {"BOOKINGS", "BookingEntry", "Direction", "compile_booking_table"}
+    assert sorted(raw & set(imported_names(tree))) == []
 
 
 def scan_status_prefixes() -> set[str]:
