@@ -431,13 +431,15 @@ def _error_status(exc: Exception) -> str:
     """A failed sweep row's status: the failed period, the message, every detail.
 
     A refused field is named by its key, as in `load_config`.  The period and
-    the diagnostics are joined without a comma, so that a rejection's CSV
-    field needs no quotes; a law check's failures may hold commas.
+    a rejection's diagnostics are joined without a comma, so that its CSV
+    field needs no quotes; a law check's failures hold spaces and may hold
+    commas, so they are joined with '; '.
     """
     period = getattr(exc, "period", None)
     where = "" if period is None else f"period {period}: "
     details = _details(exc)
-    detail = f" [{' '.join(details)}]" if details else ""
+    separator = "; " if isinstance(exc, EngineConsistencyError) else " "
+    detail = f" [{separator.join(details)}]" if details else ""
     return f"error: {where}{_keyed(str(exc))}{detail}"
 
 

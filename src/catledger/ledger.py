@@ -12,14 +12,16 @@ account in ACCOUNT_NAMES order.
 A macro booking posts the same amount into at least two sectors'
 double-entry systems at once.  Posting rejects rather than clamps: a leg
 that would drive a balance negative, or to inf or nan, is a hard
-validation error and the state is left untouched.
+validation error, and a refused booking writes nothing.  Each booking
+posts through a straight-line kernel generated from its compiled legs on
+its first post.
 """
 
 from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 class Agent(Enum):
     LAB = "Lab"
@@ -314,27 +316,62 @@ def booking_entry(table: Mapping[int, tuple], booking_id: int) -> tuple:
         raise ValueError(f"unknown booking {booking_id!r}") from None
 
 
+def _posting_kernel(booking_id: int, entry: tuple) -> Callable[[list[float], tuple], bool]:
+    """The straight-line function that posts a compiled booking `entry`.
+
+    The generated source keeps each leg's running balance in a local, in leg
+    order, with the leg's `+` or `-` (a second leg on an account reads the
+    first leg's local), and writes one final value per account only when
+    every amount a leg reads is `>= 0.0` and every running balance lies in
+    `[0, inf)`.  Only ints (the arity, each leg's index and slot) and bools
+    (inflow) are formatted into it: anything else is refused with a
+    ValueError naming the booking before any source is compiled.
+    """
+    _, arity, legs, _, _ = entry
+    fields = [(arity, int)] + [pair for leg in legs for pair in zip(leg, (int, bool, int))]
+    for value, kind in fields:
+        if type(value) is not kind:
+            raise ValueError(f"booking {booking_id}: cannot compile a kernel from {value!r}")
+    amounts = [f"a{slot}" for slot in range(arity)]
+    latest: dict[int, str] = {}  # account index -> the local holding its running balance
+    lines = [
+        "def post(values, amounts):",
+        f"    if len(values) != {_LEDGER_LENGTH} or len(amounts) != {arity}:",
+        "        return False",
+        f"    [{', '.join(amounts)}] = amounts",
+    ]
+    for n, (index, inflow, slot) in enumerate(legs):
+        before = latest.get(index, f"values[{index}]")
+        lines.append(f"    b{n} = {before} {'+' if inflow else '-'} a{slot}")
+        latest[index] = f"b{n}"
+    checks = [f"a{slot} >= 0.0" for slot in dict.fromkeys(slot for _, _, slot in legs)]
+    checks += [f"0.0 <= b{n} < _INF" for n in range(len(legs))]
+    lines.append(f"    if {' and '.join(checks)}:")
+    lines += [f"        values[{index}] = {local}" for index, local in latest.items()]
+    lines += ["        return True", "    return False"]
+    namespace = {"_INF": _INF}
+    exec(compile("\n".join(lines), f"<booking {booking_id} kernel>", "exec"), namespace)
+    return namespace["post"]
+
+
+# each booking's posting kernel, by booking id, generated on its first post
+_KERNELS: dict[int, Callable[[list[float], tuple], bool]] = {}
+
+
 def post_compiled(values: list[float], booking_id: int, amounts: tuple[float, ...]) -> bool:
-    """Post the booking's compiled legs onto `values`; False at the first leg that cannot.
+    """Post the booking's compiled legs onto `values`; False, writing nothing, when it cannot.
 
     The one posting rule: a leg posts when its amount is not negative and
-    its running balance stays in `[0, inf)`; at a leg that cannot, `values`
-    holds the legs before it.  Nothing posts onto a list that is not 20
+    its running balance stays in `[0, inf)`, in leg order; a booking posts
+    only when every leg does.  Nothing posts onto a list that is not 20
     balances long, or with the wrong number of amounts.  True means every
     amount was finite, where `compile_booking_table` proved value conserved.
     """
-    _, arity, legs, _, _ = booking_entry(_COMPILED, booking_id)
-    if len(values) != _LEDGER_LENGTH or len(amounts) != arity:
-        return False
-    for index, inflow, slot in legs:
-        amount = amounts[slot]
-        if amount < 0.0:
-            return False
-        new = values[index] + amount if inflow else values[index] - amount
-        if not 0.0 <= new < _INF:
-            return False
-        values[index] = new
-    return True
+    kernel = _KERNELS.get(booking_id)
+    if kernel is None:
+        entry = booking_entry(_COMPILED, booking_id)
+        kernel = _KERNELS[booking_id] = _posting_kernel(booking_id, entry)
+    return kernel(values, amounts)
 
 
 def _scan_legs(
@@ -428,12 +465,10 @@ def validate_booking(
 def post_booking(values: list[float], booking_id: int, amounts: tuple[float, ...]) -> list[float]:
     """Post booking `booking_id` with `amounts` onto `values` in place; atomic on failure.
 
-    The legs post through `post_compiled`.  When a leg cannot, the list is
-    restored and the `ValidationFailure` names every failed check that
-    `validate_booking` finds, leaving the ledger untouched.
+    The legs post through `post_compiled`, which writes nothing when a leg
+    cannot; the `ValidationFailure` then names every failed check that
+    `validate_booking` finds.
     """
-    opening = values[:]
     if post_compiled(values, booking_id, amounts):
         return values
-    values[:] = opening
-    raise rejection(booking_id, validate_booking(opening, booking_id, amounts)[1])
+    raise rejection(booking_id, validate_booking(values, booking_id, amounts)[1])

@@ -554,6 +554,39 @@ class TestALawFailure:
             f"error: period 2: period law check failed [{failure}]"
         ]
 
+    @staticmethod
+    def no_component_at_period_2(monkeypatch):
+        # the third time step of a run has no evolution component for AccComBank
+        from catledger import evolution
+        from catledger.ledger import ACCOUNT_INDEX
+
+        real, builds = evolution.build_time_step, []
+
+        def faulty(flows, old, new):
+            step = real(flows, old, new)
+            builds.append(None)
+            if len(builds) == 3:
+                step[3].components[ACCOUNT_INDEX["AccComBank"]] = None
+            return step
+
+        monkeypatch.setattr(evolution, "build_time_step", faulty)
+
+    def test_a_sweep_row_keeps_each_of_several_failures_apart(self, monkeypatch, capsys):
+        self.no_component_at_period_2(monkeypatch)
+        with pytest.raises(EngineConsistencyError) as err:
+            run(Parameters(tau=3, horizon=25), engine=EngineKind.CATEGORICAL)
+        failures = err.value.failures
+        assert err.value.period == 2 and len(failures) > 1
+        assert all(" " in failure for failure in failures)
+        self.no_component_at_period_2(monkeypatch)
+        argv = ["sweep", "--engine", "categorical", "--param", "tau", "--values", "3"]
+        assert main([*argv, "--horizon", "25"]) == EXIT_OK
+        [row] = csv.DictReader(io.StringIO(capsys.readouterr().out))
+        head, bracket, field = row["status"].partition(" [")
+        assert (head, bracket) == ("error: period 2: period law check failed", " [")
+        assert field.endswith("]")
+        assert field[:-1].split("; ") == failures
+
 
 class TestCmdSweep:
     def test_three_omega_values(self, capsys):

@@ -5,14 +5,21 @@ from __future__ import annotations
 import math
 import random
 import struct
+import sys
+import traceback
 from functools import partial
 from typing import Mapping, NamedTuple
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from catledger import ledger as ledger_module
 from catledger.evolution import _CategoricalBook, validate_via_pullback
 from catledger.ledger import (
+    _COMPILED,
+    _INF,
+    _KERNELS,
+    _LEDGER_LENGTH,
     ACCOUNT_INDEX,
     ACCOUNT_NAMES,
     ACCOUNT_SPECS,
@@ -23,6 +30,8 @@ from catledger.ledger import (
     Direction,
     Unit,
     ValidationFailure,
+    _posting_kernel,
+    booking_entry,
     compile_booking_table,
     conservation_status,
     init_ledger,
@@ -32,6 +41,7 @@ from catledger.ledger import (
     post_booking,
     post_compiled,
     refuse_balance,
+    rejection,
     validate_booking,
 )
 
@@ -887,3 +897,154 @@ class TestRejectionMessages:
         assert validate_booking(balances, booking_id, drawn) == verdict
         assert validate_via_pullback(balances, booking_id, drawn) == verdict
         assert balances == [10.0] * len(ACCOUNT_NAMES)
+
+
+# ---------------------------------------------------------------------------
+# The posting kernels against the leg loop they replace.
+# ---------------------------------------------------------------------------
+
+
+def oracle_post_compiled(values: list[float], booking_id: int, amounts: tuple[float, ...]) -> bool:
+    """The leg loop that posted compiled bookings before the kernels: False at the
+    first leg that cannot, with the legs before it posted."""
+    _, arity, legs, _, _ = booking_entry(_COMPILED, booking_id)
+    if len(values) != _LEDGER_LENGTH or len(amounts) != arity:
+        return False
+    for index, inflow, slot in legs:
+        amount = amounts[slot]
+        if amount < 0.0:
+            return False
+        new = values[index] + amount if inflow else values[index] - amount
+        if not 0.0 <= new < _INF:
+            return False
+        values[index] = new
+    return True
+
+
+# the floats at the edges of the posting rule: signed zeros, the smallest
+# subnormal, values near the largest float, the infinities and nan
+EDGE_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, 1.0, 1.7e308, sys.float_info.max, -1.7e308,
+    math.inf, -math.inf, math.nan,
+]
+edge_floats = st.one_of(st.sampled_from(EDGE_FLOATS), plausible, st.floats())
+# what balances and amounts are drawn from: mostly posting, mostly refused,
+# and balances up to the largest float, which plausible amounts still post onto
+KERNEL_DRAWS = [
+    (plausible, plausible),
+    (edge_floats, edge_floats),
+    (st.floats(min_value=1e3, max_value=sys.float_info.max), plausible),
+]
+
+
+class TestKernelDifferential:
+    @pytest.mark.parametrize("booking_id", sorted(BOOKINGS))
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_the_kernel_posts_as_the_leg_loop_did(self, booking_id, data):
+        # on True every balance matches the loop's bit for bit; on False the
+        # loop may have posted some legs, the kernel none
+        balance, amount = data.draw(st.sampled_from(KERNEL_DRAWS))
+        balances = data.draw(st.lists(balance, min_size=20, max_size=20))
+        size = arity(booking_id)
+        drawn = tuple(data.draw(st.lists(amount, min_size=size, max_size=size)))
+        ours, loop = list(balances), list(balances)
+        verdict = oracle_post_compiled(loop, booking_id, drawn)
+        assert post_compiled(ours, booking_id, drawn) is verdict
+        assert balance_bits(ours) == balance_bits(loop if verdict else balances)
+
+    @pytest.mark.parametrize("booking_id", sorted(BOOKINGS))
+    def test_a_list_or_amounts_of_the_wrong_length_post_nothing(self, booking_id):
+        size = arity(booking_id)
+        cases = [([1e3] * 19, (1.0,) * size), ([1e3] * 21, (1.0,) * size)]
+        cases += [([1e3] * 20, (1.0,) * (size - 1)), ([1e3] * 20, (1.0,) * (size + 1))]
+        for balances, drawn in cases:
+            ours = list(balances)
+            assert oracle_post_compiled(list(balances), booking_id, drawn) is False
+            assert post_compiled(ours, booking_id, drawn) is False
+            assert ours == balances
+
+
+def leg_failures() -> list[tuple[int, int, str, list[float], tuple[float, ...], str]]:
+    """Each way found to make a leg the first of its booking that fails: an
+    overdraft, a nan balance, or an overflow to inf.
+
+    Every other amount is 1.0 and every other balance 1e3, or 1e301 where
+    the leg's slot carries 1e300 to overflow it, so that no other leg fails
+    first.  An (id, leg, kind) that still fails elsewhere first is left out:
+    an inflow cannot overdraw, nor an outflow overflow, an account that a
+    leg before it left in range.
+    """
+    found = []
+    for booking_id, (_, legs, _) in sorted(BOOKINGS.items()):
+        for leg, (account, direction, slot) in enumerate(legs):
+            for kind in ("overdraft", "nan", "overflow"):
+                balances = [1e301 if kind == "overflow" else 1e3] * len(ACCOUNT_NAMES)
+                drawn = [1.0] * arity(booking_id)
+                at = ACCOUNT_INDEX[account]
+                if kind == "overdraft":
+                    balances[at] = 0.5 if direction is Direction.OUTFLOW else -2.0
+                elif kind == "nan":
+                    balances[at] = math.nan
+                else:
+                    balances[at], drawn[slot] = sys.float_info.max, 1e300
+                statuses = leg_statuses(balances, booking_id, tuple(drawn))
+                status = ("insufficient" if kind == "overdraft" else "non-finite") + "-balance"
+                if statuses[:leg] == ["ok"] * leg and statuses[leg] == f"{status}:{account}":
+                    found.append((booking_id, leg, kind, balances, tuple(drawn), status))
+    return found
+
+
+LEG_FAILURES = leg_failures()
+
+
+class TestAtomicWithoutACopy:
+    def test_every_leg_of_every_booking_can_fail_first(self):
+        covered = {(booking_id, leg) for booking_id, leg, *_ in LEG_FAILURES}
+        legs = {(b, leg) for b, (_, entry, _) in BOOKINGS.items() for leg in range(len(entry))}
+        assert covered == legs
+        kinds = {kind for _, _, kind, *_ in LEG_FAILURES}
+        assert kinds == {"overdraft", "nan", "overflow"}
+
+    @pytest.mark.parametrize(
+        "case", LEG_FAILURES, ids=[f"b{b}-leg{leg}-{kind}" for b, leg, kind, *_ in LEG_FAILURES]
+    )
+    def test_a_leg_failing_first_raises_as_before_and_writes_nothing(self, case):
+        booking_id, leg, kind, balances, drawn, _ = case
+        ours, untouched = list(balances), balance_bits(balances)
+        expected = rejection(booking_id, validate_booking(balances, booking_id, drawn)[1])
+        with pytest.raises(ValidationFailure) as err:
+            post_booking(ours, booking_id, drawn)
+        assert str(err.value) == str(expected)
+        assert err.value.diagnostics == expected.diagnostics
+        assert err.value.diagnostics[0] == leg_statuses(balances, booking_id, drawn)[leg]
+        assert balance_bits(ours) == untouched
+        # the loop would have posted the legs before the failing one (an
+        # amount of 1.0 leaves a balance of 1e301 as it was)
+        loop = list(balances)
+        assert oracle_post_compiled(loop, booking_id, drawn) is False
+        if kind != "overflow":
+            assert (balance_bits(loop) == untouched) is (leg == 0)
+        assert_posts_like_the_reference(balances, booking_id, drawn)
+
+
+class TestKernelSource:
+    def test_a_leg_of_another_type_is_refused_before_any_source_compiles(self, monkeypatch):
+        compiled = []
+        monkeypatch.setattr(ledger_module, "compile", compiled.append, raising=False)
+        description, size, legs, sides, channels = _COMPILED[1]
+        for leg in [("0); import os #", True, 0), (9, 1, 0), (True, False, 0), (9, False, 0.0)]:
+            entry = (description, size, (leg, *legs[1:]), sides, channels)
+            with pytest.raises(ValueError, match=r"^booking 1: cannot compile a kernel from "):
+                _posting_kernel(1, entry)
+        with pytest.raises(ValueError, match=r"^booking 1: cannot compile a kernel from '2'$"):
+            _posting_kernel(1, (description, "2", legs, sides, channels))
+        assert compiled == []
+
+    def test_a_traceback_names_the_booking_s_kernel(self):
+        values = init_ledger()
+        values[ACCOUNT_INDEX["AccComBank"]] = "not a balance"
+        with pytest.raises(TypeError) as err:
+            post_compiled(values, 5, (1.0,))
+        assert traceback.extract_tb(err.tb)[-1].filename == "<booking 5 kernel>"
+        assert _KERNELS[5].__code__.co_filename == "<booking 5 kernel>"

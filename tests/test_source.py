@@ -200,6 +200,35 @@ def test_a_fresh_import_compiles_the_booking_table_once():
     assert proc.stdout == "1\n"
 
 
+def test_each_posting_kernel_is_built_once_on_its_first_post():
+    # no kernel at import, the 8 bookings' kernels in the first run, none after;
+    # a profile names each kernel's code by its booking
+    code = (
+        "import sys; built, ran = [], set()\n"
+        "def profile(frame, event, arg):\n"
+        "    name = frame.f_code.co_filename\n"
+        "    if event == 'call' and frame.f_code.co_name == '_posting_kernel':\n"
+        "        built.append(frame.f_locals['booking_id'])\n"
+        "    elif event == 'call' and name.endswith(' kernel>'):\n"
+        "        ran.add(name)\n"
+        "sys.setprofile(profile); import catledger.cli; sys.setprofile(None)\n"
+        "print(len(built))\n"
+        "from catledger import Parameters, run\n"
+        "sys.setprofile(profile); run(Parameters()); sys.setprofile(None)\n"
+        "print(sorted(built))\n"
+        "sys.setprofile(profile); run(Parameters()); sys.setprofile(None)\n"
+        "print(len(built)); print(sorted(ran))"
+    )
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    kernels = [f"<booking {booking_id} kernel>" for booking_id in range(1, 9)]
+    assert proc.stdout.splitlines() == ["0", str(list(range(1, 9))), "8", str(kernels)]
+
+
 def test_evolution_reads_the_bookings_only_compiled():
     tree = ast.parse((PACKAGE / "evolution.py").read_text(encoding="utf-8"))
     raw = {"BOOKINGS", "BookingEntry", "Direction", "compile_booking_table"}
