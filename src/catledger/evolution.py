@@ -3,17 +3,18 @@
 The state of a run is one list of 21 + 2 tau doubles: the 20 balances in
 ACCOUNT_NAMES order, the tau wage dues, the tau repayments, and the
 declared dividend.  `period_step` maps it to the next one.
-`_period_cycle` is the only copy of the cycle; an engine supplies the book
-it works through: `values`, the book's own copy of the 20 opening
-balances, which the cycle reads and writes by position; `post`, which
-gates and applies one booking; and `close`, which ends the period and
-returns the balances.  The recursive book posts each booking onto its copy
-directly.  The categorical book builds on what `prove_booking_table`
-proved at import of the ledger's compiled table `_COMPILED`: it gates a
-booking on its all-'ok' pullback and folds the compiled legs the proof
-checked against its pushout; its close records the period's flows in one
-category of the accounts and checks the laws of the period's time step.
-Both engines run the one cycle with identical float operations, so their
+`_period_cycle` is the only copy of the cycle and the only posting path:
+it writes a fresh copy of the 20 opening balances by position and posts
+each of the period's eight bookings onto it through `post_booking`, on
+both engines.  The engines differ only in how a period is closed.  The
+recursive engine has no close.  The categorical close,
+`_close_time_step`, records the period's flows in one category of the
+accounts and checks the laws of the period's time step.  What the
+categorical constructions say of each booking, that its pushout folds
+exactly the compiled legs its kernel posts and that its all-'ok' pullback
+covers it exactly when those legs post, is proved once, at import, of the
+ledger's compiled table `_COMPILED` by `prove_booking_table`.  Both
+engines run the one cycle with identical float operations, so their
 traces agree bit for bit.
 
 Canonical order inside period t:
@@ -45,7 +46,7 @@ import functools
 import itertools
 import math
 from array import array
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from enum import Enum
 from operator import sub
 from types import MappingProxyType
@@ -89,7 +90,6 @@ from .ledger import (
     post_booking,
     post_compiled,
     refuse_balance,
-    rejection,
     validate_booking,
 )
 
@@ -223,19 +223,19 @@ class Trace(NamedTuple):
 
 
 def _period_cycle(
-    state: list[float], p: Parameters, period: int, book: _RecursiveBook
+    state: list[float], values: list[float], p: Parameters, period: int, close: Callable | None
 ) -> tuple[list[float], PeriodMetrics]:
-    """One period in the canonical order of the module docstring.
+    """One period in the canonical order of the module docstring, written onto `values`.
 
-    Steps 9 and 14 read no balance a booking moves, so they are decided
-    first and `period_amounts` gives all eight bookings, posted through
-    `book.post` in order.  The period refuses a balance it writes unless
-    `0.0 <= v < inf`, and a metric that is not finite.  Every account is a
-    leg, and a leg posts only into `[0, inf)`, so no closing balance needs
-    a check.  The next state is the balances `book.close` returns, then
-    the pushed memory and the new declaration.
+    `values` is a copy of `state`'s 20 balances.  Steps 9 and 14 read no
+    balance a booking moves, so they are decided first and `period_amounts`
+    gives all eight bookings, posted onto `values` through `post_booking` in
+    order.  The period refuses a balance it writes unless `0.0 <= v < inf`,
+    and a metric that is not finite.  Every account is a leg, and a leg
+    posts only into `[0, inf)`, so no closing balance needs a check.  A
+    `close` then takes the opening balances, `values` and the bookings.  The
+    next state is `values`, then the pushed memory and the new declaration.
     """
-    values, post = book.values, book.post
     repays_at, length = _WAGES_AT + p.tau, _WAGES_AT + 2 * p.tau + 1
     if len(state) != length:
         raise ValueError(f"a state for tau={p.tau} holds {length} doubles, got {len(state)}")
@@ -297,11 +297,14 @@ def _period_cycle(
             raise ValidationFailure(f"column {METRIC_COLUMNS[bad]} is not finite")
 
     # 8. goods sales; 10. loan creation; 11-14. factor purchases, repayment, dividend
-    for booking_id, amounts in period_amounts(metrics, p):
-        post(booking_id, amounts)
+    bookings = period_amounts(metrics, p)
+    for booking_id, amounts in bookings:
+        post_booking(values, booking_id, amounts)
+    if close is not None:
+        close(state[:_WAGES_AT], values, bookings)
 
     # 15. remember the new obligations after the closing balances
-    new_state = book.close()
+    new_state = values
     new_state += memory_push(wages, invest_lab)
     new_state += memory_push(repays, installment)
     new_state.append(declared)
@@ -309,27 +312,7 @@ def _period_cycle(
 
 
 # ---------------------------------------------------------------------------
-# Recursive engine: the period as plain arithmetic on the flat ledger.
-# ---------------------------------------------------------------------------
-
-
-class _RecursiveBook:
-    """A copy of the opening balances; each booking posts onto it directly."""
-
-    __slots__ = ("values",)
-
-    def __init__(self, state: list[float]) -> None:
-        self.values = state[:_WAGES_AT]
-
-    def post(self, booking_id: int, amounts: tuple[float, ...]) -> None:
-        post_booking(self.values, booking_id, amounts)
-
-    def close(self) -> list[float]:
-        return self.values
-
-
-# ---------------------------------------------------------------------------
-# Categorical engine: pullback gate, pushout apply, law-checked time step.
+# Categorical engine: the proved booking table and the law-checked time step.
 # ---------------------------------------------------------------------------
 
 
@@ -412,8 +395,9 @@ def validate_via_pullback(
     `balances` are the 20 opening balances in ACCOUNT_NAMES order.  A booking
     whose compiled legs post onto a copy of them has every leg 'ok', which the
     proved apex covers.  A leg that cannot post is not 'ok', so no apex covers
-    it: the booking is refused with `validate_booking`'s verdict, as the
-    recursive book's `post_booking` refuses it.
+    it: the booking is refused with `validate_booking`'s verdict, as
+    `post_booking` refuses it.  No period calls it: with `apply_via_pushout`
+    it is the reference gate and fold the tests hold `post_booking` to.
     """
     if post_compiled(balances[:], booking_id, amounts):
         return True, []
@@ -426,7 +410,8 @@ def apply_via_pushout(values: list[float], booking_id: int, amounts: tuple[float
     The pushout of (leg -> account) against (leg -> leg) sends each leg to the
     class of exactly one account.  `prove_booking_table` proved that account's
     position is the compiled leg's, so each of `_COMPILED`'s legs is added
-    there or subtracted, in leg order.
+    there or subtracted, in leg order.  No period calls it: it is the
+    reference fold, written apart from the posting kernels.
     """
     for i, inflow, slot in booking_entry(_COMPILED, booking_id)[2]:
         values[i] = values[i] + amounts[slot] if inflow else values[i] - amounts[slot]
@@ -509,42 +494,23 @@ def _flows_shape(posted: tuple[int, ...]) -> tuple[str, list, list, list, list, 
     return shape.name, shape.names, shape.src, shape.dst, shape.weight, shape.label
 
 
-class _CategoricalBook(_RecursiveBook):
-    """The flat ledger of the recursive book, posted through the categorical constructions.
+def _close_time_step(opening: list[float], closing: list[float], bookings: tuple) -> None:
+    """The categorical close: the law checks on the period's realised time step.
 
-    Every booking is gated on its proved all-'ok' pullback and applied
-    through the pushout; closing weights copies of `_flows_shape`'s columns
-    with the kept amounts, builds the period's time step and checks its laws.
+    Its flows are copies of `_flows_shape`'s columns for the posted
+    `bookings`' ids, weighted by their amounts.
     """
-
-    __slots__ = ("opening", "posted", "amounts")
-
-    def __init__(self, state: list[float]) -> None:
-        super().__init__(state)
-        self.opening, self.posted, self.amounts = state[:_SHIFT], [], []
-
-    def post(self, booking_id: int, amounts: tuple[float, ...]) -> None:
-        ok, diagnostics = validate_via_pullback(self.values, booking_id, amounts)
-        if not ok:
-            raise rejection(booking_id, diagnostics)
-        apply_via_pushout(self.values, booking_id, amounts)
-        self.posted.append(booking_id)
-        self.amounts += amounts
-
-    def close(self) -> list[float]:
-        """The law checks on the realised time step, then the closing ledger."""
-        name, names, src, dst, at, label = _flows_shape(tuple(self.posted))
-        weights = list(map(self.amounts.__getitem__, at))
-        flows = FiniteCategory(name, names[:], src[:], dst[:], weights, label[:])
-        *_, eta = build_time_step(flows, self.opening, self.values)
-        verify_time_step(flows, eta, self.opening, self.values)
-        return self.values
+    posted, pairs = zip(*bookings)
+    name, names, src, dst, at, label = _flows_shape(posted)
+    amounts = [amount for pair in pairs for amount in pair]
+    weights = list(map(amounts.__getitem__, at))
+    flows = FiniteCategory(name, names[:], src[:], dst[:], weights, label[:])
+    *_, eta = build_time_step(flows, opening, closing)
+    verify_time_step(flows, eta, opening, closing)
 
 
-_BOOKS = {
-    EngineKind.RECURSIVE: _RecursiveBook,
-    EngineKind.CATEGORICAL: _CategoricalBook,
-}
+# each engine's close; the recursive engine has none
+_CLOSES = {EngineKind.RECURSIVE: None, EngineKind.CATEGORICAL: _close_time_step}
 
 
 def period_step(
@@ -558,10 +524,9 @@ def period_step(
     Returns a fresh next state and the period's metrics; `period_amounts(metrics,
     params)` gives the bookings it posted.
     """
-    book = _BOOKS.get(engine)
-    if book is None:
-        book = _BOOKS[EngineKind(engine)]
-    return _period_cycle(state, params, period, book(state))
+    if engine not in _CLOSES:
+        engine = EngineKind(engine)
+    return _period_cycle(state, state[:_WAGES_AT], params, period, _CLOSES[engine])
 
 
 def run(

@@ -95,14 +95,17 @@ def test_the_traced_categorical_run_passes_the_law_guard():
     assert len(steps) == 4
     for step in steps:
         children = [span.name for span in tracer.spans if span.parent is step]
-        assert children.count("evolution.validate_via_pullback") == 8
-        assert children.count("evolution.apply_via_pushout") == 8
+        # both engines post through `post_booking`; no period gates or folds apart
+        assert children.count("ledger.post_booking") == 8
+        assert "evolution.validate_via_pullback" not in children
+        assert "evolution.apply_via_pushout" not in children
+    assert spans.layer_metrics(tracer, 1)["ledger.bookings.posted_over_attempted"] == 1.0
     sizes = tracer.summary()["evolution.verify_time_step"]["values"]
     assert sizes == [(66, 40)] * len(steps)
 
 
 def test_the_traced_recursive_run_counts_every_posting():
-    # the recursive book posts through `post_booking`, so the benchmark's
+    # a recursive period posts through `post_booking`, so the benchmark's
     # posting counts see every booking of a recursive run
     importlib.import_module("catledger.cli")
     spans = _spans()

@@ -44,8 +44,10 @@ from catledger.evolution import (
 from catledger.ledger import (
     ACCOUNT_INDEX,
     ACCOUNT_NAMES,
+    ACCOUNT_SPECS,
     BOOKINGS,
     Invariances,
+    Unit,
     ValidationFailure,
     _COMPILED,
     compile_booking_table,
@@ -57,6 +59,7 @@ from catledger.ledger import (
     post_compiled,
     validate_booking,
 )
+from tests.test_ledger import post_by_the_gate_and_fold
 
 ENGINES = [EngineKind.RECURSIVE, EngineKind.CATEGORICAL]
 WIDTH = len(TRACE_COLUMNS)
@@ -425,7 +428,7 @@ class TestInvariancesAndMirrors:
             for agent_side, bank_side in mirrors:
                 assert row.accounts[agent_side] == row.accounts[bank_side]
 
-    def test_the_cycle_s_own_writes_touch_no_bank_side_or_mirror_account(self):
+    def test_the_cycle_s_own_writes_touch_no_bank_side_or_mirror_account(self, monkeypatch):
         # only bookings write the Bank's five accounts and the mirror pairs:
         # an agent-side account mirrors the bank-side account whose legs it
         # shares, booking by booking, as (direction, slot)
@@ -453,23 +456,15 @@ class TestInvariancesAndMirrors:
                 self.written.add(i)
                 super().__setitem__(i, value)
 
-        class Unposted:  # a book that posts nothing: only the cycle writes
-            def __init__(self, state):
-                self.values = Writes(state[: len(ACCOUNT_NAMES)])
-                self.values.written = set()
-
-            def post(self, booking_id, amounts):
-                pass
-
-            def close(self):
-                return list(self.values)
-
         params = Parameters()
         state = initial_state(params)
-        book = Unposted(state)
-        evolution._period_cycle(state, params, 0, book)
+        values = Writes(state[: len(ACCOUNT_NAMES)])
+        values.written = set()
+        # no booking posts: only the cycle writes
+        monkeypatch.setattr(evolution, "post_booking", lambda values, booking_id, amounts: None)
+        evolution._period_cycle(state, values, params, 0, None)
         cycle = (*evolution._CARRIED, evolution._COM_LAB, evolution._COM_RES, evolution._COM_GOOD)
-        assert book.values.written == set(cycle)
+        assert values.written == set(cycle)
         written = {ACCOUNT_NAMES[i] for i in cycle}
         assert not written & bank_side and not written & mirror_accounts
 
@@ -491,12 +486,10 @@ class TestMetricInvariants:
 
 class TestCategoricalInternals:
     def test_economy_category_has_all_accounts(self):
-        from catledger.evolution import _CategoricalBook
-
         cat = build_economy_category()
         assert len(cat.names) == 20
         assert cat.names == list(ACCOUNT_NAMES)
-        assert _CategoricalBook(init_ledger()).values[ACCOUNT_INDEX["AccComLab"]] == 110.0
+        assert init_ledger()[ACCOUNT_INDEX["AccComLab"]] == 110.0
 
     def test_the_flows_shape_checks_the_account_names_once_and_no_period_again(self, monkeypatch):
         # `build_economy_category` checks the names through `from_columns`;
@@ -682,7 +675,7 @@ def test_an_unknown_booking_is_named(function, booking_id):
 def test_a_ledger_is_one_list_of_20_floats_everywhere():
     import catledger
     from catledger import ledger as ledger_module
-    from catledger.evolution import _CategoricalBook, _RecursiveBook
+    from catledger.evolution import _close_time_step
 
     # the package exports no ledger type: only these names come from the ledger module
     assert {name for name in catledger.__all__ if hasattr(ledger_module, name)} == {
@@ -695,13 +688,12 @@ def test_a_ledger_is_one_list_of_20_floats_everywhere():
     assert validate_booking(ledger, 5, (260.0,)) == (True, [])
     assert leg_statuses(ledger, 5, (260.0,)) == ["ok"] * 4
     assert validate_via_pullback(ledger, 5, (260.0,)) == (True, [])
-    for book_type in (_RecursiveBook, _CategoricalBook):
-        book = book_type(ledger)
-        book.post(5, (260.0,))
-        closing = book.close()  # the categorical book checks its laws here
+    for post in (post_booking, post_by_the_gate_and_fold):
+        closing = post(ledger[:], 5, (260.0,))
         assert type(closing) is list and closing is not ledger
         assert closing[ACCOUNT_INDEX["AccComBank"]] == 260.0
-    assert ledger == init_ledger()  # each book posted onto its own copy
+        _close_time_step(ledger, closing, ((5, (260.0,)),))  # the categorical laws hold
+    assert ledger == init_ledger()  # each posted onto its own copy
     assert post_booking(ledger, 5, (260.0,)) is ledger
     assert ledger[ACCOUNT_INDEX["AccComBank"]] == 260.0
     for engine in ENGINES:
@@ -949,8 +941,8 @@ class TestCompiledPostings:
         trace = run(Parameters(), horizon=30, engine=EngineKind.CATEGORICAL)
         assert len(trace.column("period")) == 31
         assert calls == []
-        # the gate's fallback scans the rejected repayment once, for its leg
-        # statuses and its conservation verdict
+        # post_booking's fallback scans the rejected repayment once, for its
+        # leg statuses and its conservation verdict
         with pytest.raises(ValidationFailure) as err:
             run(Parameters(tau=1, horizon=5), engine=EngineKind.CATEGORICAL)
         assert calls == [7]
@@ -999,6 +991,25 @@ def counting_calls(monkeypatch, names) -> dict[str, int]:
     return counts
 
 
+def posting_outcomes(monkeypatch) -> list[bool]:
+    """One entry per `post_booking` call a period makes, True when it posted."""
+    from catledger import evolution
+
+    outcomes, real_post = [], evolution.post_booking
+
+    def post(values, booking_id, amounts):
+        try:
+            posted = real_post(values, booking_id, amounts)
+        except ValidationFailure:
+            outcomes.append(False)
+            raise
+        outcomes.append(True)
+        return posted
+
+    monkeypatch.setattr(evolution, "post_booking", post)
+    return outcomes
+
+
 # a pushout whose second account is sent to the first account's class
 def glued(real_pushout):
     def pushout(f, g):
@@ -1026,13 +1037,12 @@ class TestPeriodLawGuard:
         "check_naturality",
         "finset_pullback",
         "finset_pushout",
-        "validate_via_pullback",
-        "apply_via_pushout",
+        "post_booking",
     )
 
     def test_every_period_runs_each_construction_and_law_check(self, monkeypatch):
-        # each period gates, applies and law-checks afresh; the pushouts and
-        # the all-ok pullbacks are the table's, proved once at import
+        # each period posts through `post_booking` and law-checks afresh; the
+        # pushouts and the all-ok pullbacks are the table's, proved once at import
         counts = counting_calls(monkeypatch, self.CONSTRUCTIONS)
         params = Parameters()
         state = initial_state(params)
@@ -1045,36 +1055,37 @@ class TestPeriodLawGuard:
                 "check_naturality": 1,
                 "finset_pullback": 0,
                 "finset_pushout": 0,
-                "validate_via_pullback": 8,
-                "apply_via_pushout": 8,
+                "post_booking": 8,
             }
 
     def test_a_rejected_booking_takes_no_pullback(self, monkeypatch):
         # a booking whose compiled legs cannot post is refused with the
         # ledger's own verdict: the recursive engine's message and diagnostics
         counts = counting_calls(monkeypatch, self.CONSTRUCTIONS)
+        posted = posting_outcomes(monkeypatch)
         params = Parameters(tau=1)
         state = initial_state(params)
         with pytest.raises(ValidationFailure) as err:
             for period in range(6):
                 counts.update(dict.fromkeys(counts, 0))
+                posted.clear()
                 opening = state
                 state, _ = period_step(state, params, period, engine=EngineKind.CATEGORICAL)
         assert str(err.value) == "booking 7 (Com repays Loan to Bank) rejected"
-        with pytest.raises(ValidationFailure) as recursive:
-            period_step(opening, params, period, engine=EngineKind.RECURSIVE)
-        assert (str(err.value), err.value.diagnostics) == (
-            str(recursive.value), recursive.value.diagnostics
-        )
-        # the repayment is the seventh booking: six applied before it, no close
+        # the repayment is the seventh booking: six posted before it, no close
         assert counts == {
             "check_functor_laws": 0,
             "check_naturality": 0,
             "finset_pullback": 0,
             "finset_pushout": 0,
-            "validate_via_pullback": 7,
-            "apply_via_pushout": 6,
+            "post_booking": 7,
         }
+        assert posted == [True] * 6 + [False]
+        with pytest.raises(ValidationFailure) as recursive:
+            period_step(opening, params, period, engine=EngineKind.RECURSIVE)
+        assert (str(err.value), err.value.diagnostics) == (
+            str(recursive.value), recursive.value.diagnostics
+        )
 
     def test_the_table_proof_takes_each_booking_s_pushout_and_pullback_once(self, monkeypatch):
         from catledger import evolution
@@ -1351,8 +1362,7 @@ class TestFlowsAtClose:
     COUNTED = (
         "booking_to_morphisms",
         "build_economy_category",
-        "validate_via_pullback",
-        "apply_via_pushout",
+        "post_booking",
         "check_functor_laws",
         "check_naturality",
     )
@@ -1418,8 +1428,7 @@ class TestFlowsAtClose:
             assert counts == {
                 "booking_to_morphisms": 0,
                 "build_economy_category": 0,
-                "validate_via_pullback": 8,
-                "apply_via_pushout": 8,
+                "post_booking": 8,
                 "check_functor_laws": 2,
                 "check_naturality": 1,
                 "_ids": 0,
@@ -1427,22 +1436,24 @@ class TestFlowsAtClose:
 
     def test_a_rejected_period_records_and_checks_nothing(self, monkeypatch):
         counts = self.counting(monkeypatch)
+        posted = posting_outcomes(monkeypatch)
         params = Parameters(tau=1)
         state = initial_state(params)
         with pytest.raises(ValidationFailure):
             for period in range(6):
                 counts.update(dict.fromkeys(counts, 0))
+                posted.clear()
                 state, _ = period_step(state, params, period, engine=EngineKind.CATEGORICAL)
         assert period == 1
         assert counts == {
             "booking_to_morphisms": 0,
             "build_economy_category": 0,
-            "validate_via_pullback": 7,
-            "apply_via_pushout": 6,
+            "post_booking": 7,
             "check_functor_laws": 0,
             "check_naturality": 0,
             "_ids": 0,
         }
+        assert posted == [True] * 6 + [False]
 
     def test_a_captured_period_cannot_reach_the_cached_shape(self, monkeypatch):
         from catledger import evolution
@@ -1542,32 +1553,28 @@ class TestCompiledCategoricalPost:
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_rejects_and_posts_like_post_booking(self, booking_id, data):
-        # the categorical book posts from the table and scans the booking
-        # only when a compiled condition fails; the outcome is post_booking's
-        from catledger.evolution import _CategoricalBook
-
+        # the categorical reference gates on the all-ok pullback and folds
+        # through the pushout; the outcome is post_booking's
         balances = data.draw(balances_20)
         amounts = data.draw(near_canonical_amounts(booking_id, balances))
-        reference = list(balances)
-        book = _CategoricalBook(list(balances))
+        reference, folded = list(balances), list(balances)
         try:
             post_booking(reference, booking_id, amounts)
         except ValidationFailure as exc:
             with pytest.raises(ValidationFailure) as err:
-                book.post(booking_id, amounts)
+                post_by_the_gate_and_fold(folded, booking_id, amounts)
             assert str(err.value) == str(exc)
             assert err.value.diagnostics == exc.diagnostics
-            assert bits(book.values) == bits(balances)
+            assert bits(folded) == bits(balances)
         else:
-            book.post(booking_id, amounts)
-            assert bits(book.values) == bits(reference)
+            post_by_the_gate_and_fold(folded, booking_id, amounts)
+            assert bits(folded) == bits(reference)
 
     @pytest.mark.parametrize("booking_id", sorted(BOOKINGS))
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_pushout_fold_equals_the_compiled_post(self, booking_id, data):
-        # the categorical book applies a booking through the pushout and the
-        # recursive book posts its compiled legs, onto one ledger: bit for bit
+        # the pushout fold and the compiled post, onto one ledger: bit for bit
         balances = data.draw(balances_20)
         amounts = data.draw(fitting_amounts(booking_id, balances))
         posted = list(balances)
@@ -1576,3 +1583,70 @@ class TestCompiledCategoricalPost:
         folded = list(balances)
         apply_via_pushout(folded, booking_id, amounts)
         assert bits(folded) == bits(posted)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("tau", [5, 10, 17])
+    def test_every_posting_of_a_run_passes_the_gate_and_folds_alike(self, monkeypatch, engine, tau):
+        # both engines post through `post_booking`, so comparing them no longer
+        # tests the kernel: each posting a run makes is held to the gate and
+        # the pushout fold, written apart from the kernel
+        from catledger import evolution
+
+        postings, real_post = [], evolution.post_booking
+
+        def record(values, booking_id, amounts):
+            opening = values[:]
+            real_post(values, booking_id, amounts)
+            postings.append((opening, booking_id, amounts, values[:]))
+            return values
+
+        monkeypatch.setattr(evolution, "post_booking", record)
+        run(Parameters(tau=tau, horizon=200), engine=engine)
+        assert len(postings) == 8 * 201
+        for opening, booking_id, amounts, posted in postings:
+            assert validate_via_pullback(opening, booking_id, amounts) == (True, [])
+            folded = opening[:]
+            apply_via_pushout(folded, booking_id, amounts)
+            assert bits(folded) == bits(posted)
+
+
+# The EU exponent of every trace column: 1 for an amount of EU or a price in
+# EU per unit, 0 for the period and a quantity of goods, hours or kg.
+EU_EXPONENTS = {
+    "period": 0,
+    "WagesPayment": 1, "RepaysPayment": 1, "ConsumLab": 1, "ConsumRes": 1, "ConsumCap": 1,
+    "Demand": 1, "DemandPlan": 1, "DemandSurplus": 1, "GoodProduction": 0, "GoodPrice": 1,
+    "Investment": 1, "InvestmentRes": 1, "InvestmentLab": 1, "Repayment": 1, "Diff": 1,
+    "DividendDecision": 1, "DividendPayment": 1,
+    **{spec.name: int(spec.unit is Unit.EU) for spec in ACCOUNT_SPECS},
+    **dict.fromkeys(INVARIANCE_COLUMNS, 1),
+}
+# the EU-valued parameters: the three prices in EU per unit, and the
+# investment sigmoid's floor, range and surplus scale in EU
+EU_PARAMETERS = ("p_r", "p_l", "p_0", "sig_a", "sig_b", "sig_c")
+
+
+class TestUnitContract:
+    """The EU is a unit of account: scaling it by a power of two scales
+    every EU cell of a trace by exactly that factor and leaves every other
+    cell bit-identical, since such a factor commutes with every rounding
+    the cycle makes while no cell leaves the normal range."""
+
+    def test_every_column_has_an_eu_exponent(self):
+        assert tuple(EU_EXPONENTS) == TRACE_COLUMNS
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("tau", [5, 10, 17])
+    def test_scaling_the_eu_scales_exactly_the_eu_cells(self, engine, tau):
+        params = Parameters(tau=tau, horizon=1000)
+        cells = run(params, engine=engine).cells
+        scales = [EU_EXPONENTS[name] == 1 for name in TRACE_COLUMNS] * (len(cells) // WIDTH)
+        for k in (2.0**-20, 0.5, 2.0, 2.0**10):
+            scaled = params._replace(**{name: getattr(params, name) * k for name in EU_PARAMETERS})
+            expected = array("d", [c * k if s else c for c, s in zip(cells, scales)])
+            got = run(scaled, engine=engine).cells
+            if got.tobytes() != expected.tobytes():
+                at = next(i for i, (a, b) in enumerate(zip(bits(got), bits(expected))) if a != b)
+                row, column = divmod(at, WIDTH)
+                cell = f"row {row}, {TRACE_COLUMNS[column]}"
+                pytest.fail(f"k={k}: {cell} is {got[at]!r}, not {expected[at]!r}")

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from catledger import ledger as ledger_module
-from catledger.evolution import _CategoricalBook, validate_via_pullback
+from catledger.evolution import apply_via_pushout, validate_via_pullback
 from catledger.ledger import (
     _COMPILED,
     _INF,
@@ -757,13 +757,15 @@ def assert_posts_like_the_reference(
     assert balance_bits(ours) == balance_bits(reference)
 
 
-def post_by_the_categorical_book(
+def post_by_the_gate_and_fold(
     ledger: list[float], booking_id: int, amounts: tuple[float, ...]
 ) -> list[float]:
-    """Post through the book a categorical `period_step` posts through."""
-    book = _CategoricalBook(ledger)
-    book.post(booking_id, amounts)
-    ledger[:] = book.values
+    """Post through the categorical reference: the all-'ok' pullback gate, then
+    the pushout fold, a loop over the compiled legs apart from the kernel."""
+    ok, diagnostics = validate_via_pullback(ledger, booking_id, amounts)
+    if not ok:
+        raise rejection(booking_id, diagnostics)
+    apply_via_pushout(ledger, booking_id, amounts)
     return ledger
 
 
@@ -845,7 +847,7 @@ class TestReferenceEquivalence:
         balances = [1e6] * len(ACCOUNT_NAMES)
         balances[ACCOUNT_NAMES.index("AccComDiv")] = com_div
         assert_posts_like_the_reference(balances, 6, (paid, declared))
-        assert_posts_like_the_reference(balances, 6, (paid, declared), post_by_the_categorical_book)
+        assert_posts_like_the_reference(balances, 6, (paid, declared), post_by_the_gate_and_fold)
         with pytest.raises(ValidationFailure) as err:
             post_booking(list(balances), 6, (paid, declared))
         assert err.value.diagnostics == ["insufficient-balance:AccComDiv"]
@@ -892,7 +894,7 @@ class TestRejectionMessages:
         # a loan only adds to accounts: only an amount that is finite and
         # not negative posts it, and an inf loan's balances would be inf
         assert verdict[0] is (booking_id == 5 and kind == "overdraft")
-        for post in (post_booking, post_by_the_categorical_book):
+        for post in (post_booking, post_by_the_gate_and_fold):
             assert_posts_like_the_reference(balances, booking_id, drawn, post)
         assert validate_booking(balances, booking_id, drawn) == verdict
         assert validate_via_pullback(balances, booking_id, drawn) == verdict
