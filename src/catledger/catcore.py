@@ -189,9 +189,38 @@ def _fit(images: list[int | None], count: int) -> list[int | None]:
     return images if len(images) == count else [*images[:count], *[None] * (count - len(images))]
 
 
+# The keys of the last few functors and transformations whose walk reported
+# nothing: copies of every column the walk reads, and the lengths it reads.
+# A key is copied whole before it is added, so threads that race on the
+# list can only drop a key, never find a key no walk passed.
+_LAWFUL: list[tuple] = []
+_LAWFUL_BOUND = 4
+
+
+def _remember(key: tuple) -> None:
+    """Keep a copy of `key`, whose walk passed, dropping the oldest key past the bound."""
+    _LAWFUL.append(tuple(c if c.__class__ is int else c[:] for c in key))
+    del _LAWFUL[:-_LAWFUL_BOUND]
+
+
 def check_functor_laws(functor: Functor) -> LawReport:
-    """Check totality, endpoint coherence and composition preservation in one walk."""
+    """Check totality, endpoint coherence and composition preservation in one walk.
+
+    A passing walk's key, the image lists and both categories' endpoint
+    columns and object counts, is remembered in `_LAWFUL`, and a functor with
+    an equal key passes without a walk.  Names and labels only word a
+    failure, so a hit returns what the walk would for any ids the
+    constructors accept, int or None.  The one exception is a float equal to
+    an int id written into a list past its constructor: a hit passes it
+    where the walk raises TypeError.  `proved` lists must hold ints.
+    """
     src_cat, dst_cat = functor.source, functor.target
+    key = (
+        "functor", functor.object_images, functor.morphism_images, len(src_cat.names),
+        src_cat.src, src_cat.dst, len(dst_cat.names), dst_cat.src, dst_cat.dst,
+    )
+    if key in _LAWFUL:
+        return LawReport(True, [])
     objects = _fit(functor.object_images, len(src_cat.names))
     images = _fit(functor.morphism_images, len(src_cat.src))
     starts, ends, n_objects, bound = dst_cat.src, dst_cat.dst, len(dst_cat.names), len(dst_cat.src)
@@ -228,6 +257,8 @@ def check_functor_laws(functor: Functor) -> LawReport:
                 failures.append(
                     f"composable pair ({f}, {g}) maps to non-composing pair ({f_img}, {g_img})"
                 )
+    else:
+        _remember(key)
     return LawReport(not failures, failures)
 
 
@@ -236,11 +267,18 @@ def check_naturality(eta: NaturalTransformation) -> LawReport:
 
     The square of f: A -> B commutes when the paths (eta_A ; G(f)) and
     (F(f) ; eta_B) are composable and parallel; one walk over the columns.
+    Its passing columns are remembered as `check_functor_laws`' are.
     """
     F, G = eta.F, eta.G
     if F.source is not G.source or F.target is not G.target:
         return LawReport(False, ["functors are not parallel"])
     source, names, n, m = F.source, F.source.names, len(F.source.names), len(F.source.src)
+    key = (
+        "naturality", eta.components, F.object_images, G.object_images, F.morphism_images,
+        G.morphism_images, n, source.src, source.dst, F.target.src, F.target.dst,
+    )
+    if key in _LAWFUL:
+        return LawReport(True, [])
     starts, ends, bound = F.target.src, F.target.dst, len(F.target.src)
     failures: list[str] = []
     comp_starts, comp_ends = [None], [None]  # eta_A runs comp_starts[A] -> comp_ends[A]
@@ -272,6 +310,8 @@ def check_naturality(eta: NaturalTransformation) -> LawReport:
             failures.append(f"square for morphism {mor_id} does not compose")
         elif a0 != starts[fi - 1] or ends[gi - 1] != comp_ends[b]:
             failures.append(f"square for morphism {mor_id} is not parallel")
+    if not failures:
+        _remember(key)
     return LawReport(not failures, failures)
 
 

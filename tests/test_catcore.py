@@ -7,6 +7,7 @@ from typing import Hashable, Mapping, NamedTuple
 
 import pytest
 
+from catledger import catcore
 from catledger.catcore import (
     CategoryError,
     DanglingEndpointError,
@@ -530,6 +531,152 @@ class TestNaturalityEquivalence:
                 victim, donor = rng.sample(range(1, len(names) + 1), 2)
                 eta.components[victim - 1] = eta.components[donor - 1]
             assert check_naturality(eta).ok == brute_force_naturality(eta)
+
+
+def real_time_step(monkeypatch, periods: int = 3):
+    """The flows, time step, snapshot functors and transformation of a default run's last period."""
+    from catledger import evolution
+    from catledger.decisions import Parameters
+
+    captured = []
+    original = evolution.build_time_step
+
+    def record(flows, old, new):
+        captured.append((flows, *original(flows, old, new)))
+        return captured[-1][1:]
+
+    monkeypatch.setattr(evolution, "build_time_step", record)
+    params = Parameters()
+    state = evolution.initial_state(params)
+    for period in range(periods):
+        state, _ = evolution.period_step(
+            state, params, period, engine=evolution.EngineKind.CATEGORICAL
+        )
+    return captured[-1]
+
+
+def cold_report(check, subject) -> LawReport:
+    """What `check` reports of `subject` with an empty memo; the memo is left as it was."""
+    warm = catcore._LAWFUL
+    catcore._LAWFUL = []
+    try:
+        return check(subject)
+    finally:
+        catcore._LAWFUL = warm
+
+
+def naturality_edits(eta: NaturalTransformation):
+    """Each transformation one edit away from `eta`: a component, or an object or
+    morphism image of either functor, set to None, 0, one past its bound or each other id."""
+    F, G = eta.F, eta.G
+    n_objects, n_morphisms = len(F.target.names), len(F.target.src)
+
+    def values(current, bound):
+        return (None, 0, bound + 1, *(i for i in range(1, bound + 1) if i != current))
+
+    for position, current in enumerate(eta.components):
+        for new in values(current, n_morphisms):
+            components = eta.components[:]
+            components[position] = new
+            yield NaturalTransformation(F, G, components)
+    for side, functor in (("F", F), ("G", G)):
+        for which, bound in (("object_images", n_objects), ("morphism_images", n_morphisms)):
+            for position, current in enumerate(getattr(functor, which)):
+                for new in values(current, bound):
+                    images = getattr(functor, which)[:]
+                    images[position] = new
+                    edited = with_images(functor, which, images)
+                    pair = (edited, G) if side == "F" else (F, edited)
+                    yield NaturalTransformation(*pair, eta.components)
+
+
+class TestLawMemo:
+    """A law check answers from `_LAWFUL` only with what its walk would report."""
+
+    @pytest.fixture
+    def time_step(self, monkeypatch):
+        return real_time_step(monkeypatch)
+
+    def test_every_single_edit_of_a_real_transformation_reports_as_on_an_empty_memo(
+        self, time_step
+    ):
+        # four edits pass: either functor's image of a dividend channel moved
+        # onto the other, which runs between the same two accounts
+        *_, eta = time_step
+        reports = []
+        for variant in naturality_edits(eta):
+            assert check_naturality(eta) == LawReport(True, [])  # the memo holds eta
+            reports.append(check_naturality(variant))
+            assert reports[-1] == cold_report(check_naturality, variant)
+        assert len(reports) == 6168
+        assert sum(report.ok for report in reports) == 4
+
+    def test_functors_that_are_not_parallel_fail_on_a_warm_memo(self, time_step):
+        # G's target swapped for an equal copy: every column the memo keys on
+        # equals the honest transformation's, so only the live test can refuse it
+        _, step, f_t, f_t1, eta = time_step
+        copy = FiniteCategory(step.name, step.names, step.src, step.dst, step.weight, step.label)
+        swapped = NaturalTransformation(
+            f_t, Functor(f_t1.source, copy, f_t1.object_images, f_t1.morphism_images), eta.components
+        )
+        assert check_naturality(eta).ok
+        report = check_naturality(swapped)
+        assert report == LawReport(False, ["functors are not parallel"])
+        assert report == cold_report(check_naturality, swapped)
+
+    def test_every_single_edit_of_a_real_functor_reports_as_on_an_empty_memo(self, time_step):
+        _, _, f_t, f_t1, _ = time_step
+        for functor in (f_t, f_t1):
+            for variant in single_edits(functor):
+                assert check_functor_laws(functor).ok
+                assert check_functor_laws(variant) == cold_report(check_functor_laws, variant)
+
+    def test_a_list_edited_in_place_after_a_pass_is_reported(self, time_step, monkeypatch):
+        # the memo keeps copies: an edit to a passed functor's or transformation's
+        # own lists is a new key, walked and reported; the memo starts empty,
+        # so each first check below remembers the subject's own lists
+        monkeypatch.setattr(catcore, "_LAWFUL", [])
+        flows, step, f_t, f_t1, eta = time_step
+        first_image = f_t1.morphism_images[0] - 1  # the column position of F_t+1's first image
+        checks = (
+            (check_functor_laws, f_t1, f_t1.morphism_images, 0),
+            (check_functor_laws, f_t1, f_t1.object_images, 0),
+            (check_functor_laws, f_t, flows.dst, 0),
+            (check_functor_laws, f_t1, step.src, first_image),
+            (check_naturality, eta, eta.components, 0),
+            (check_naturality, eta, f_t.object_images, 0),
+            (check_naturality, eta, step.dst, first_image),
+        )
+        for check, subject, column, at in checks:
+            assert check(subject).ok
+            kept, column[at] = column[at], 2 if column[at] == 1 else 1
+            report = check(subject)
+            assert not report.ok
+            assert report == cold_report(check, subject)
+            column[at] = kept
+            assert check(subject).ok
+        flows.names.append("Extra")  # an object with no image and no component
+        for check, subject in ((check_functor_laws, f_t), (check_naturality, eta)):
+            report = check(subject)
+            assert not report.ok
+            assert report == cold_report(check, subject)
+        flows.names.pop()
+
+    def test_a_categorical_run_walks_each_law_check_once(self, monkeypatch):
+        # 20 periods check F_t, F_t+1 and eta 20 times each: one walk each
+        # fills the memo, and every later check answers from it
+        from catledger import evolution
+        from catledger.decisions import Parameters
+
+        walked = []
+        remember = catcore._remember
+        monkeypatch.setattr(catcore, "_LAWFUL", [])
+        monkeypatch.setattr(catcore, "_remember", lambda key: [walked.append(key), remember(key)])
+        evolution.run(Parameters(horizon=19), engine=evolution.EngineKind.CATEGORICAL)
+        assert [(key[0], key[1][0]) for key in walked] == [
+            ("functor", 1), ("functor", 21), ("naturality", 1)
+        ]
+        assert len(catcore._LAWFUL) == 3
 
 
 class TestFinSetMaps:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import hashlib
 import math
+import random
 import struct
 from array import array
 from enum import Enum
@@ -1650,3 +1651,105 @@ class TestUnitContract:
                 row, column = divmod(at, WIDTH)
                 cell = f"row {row}, {TRACE_COLUMNS[column]}"
                 pytest.fail(f"k={k}: {cell} is {got[at]!r}, not {expected[at]!r}")
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_a_refused_scenario_is_refused_alike_once_scaled(self, engine):
+        # taus 1-3 are cash-infeasible: each scenario is refused in an early
+        # period, and scaling the EU moves neither the period, the booking nor
+        # a diagnostic, but for the EU amounts an imbalance prints
+        rng = random.Random(3720)
+        refused = set()
+        for _ in range(6):
+            params = Parameters(
+                tau=rng.randint(1, 3), omega=rng.uniform(0.1, 1.0), mu=rng.uniform(0.1, 0.9)
+            )
+            base = refusal(params, engine)
+            refused.add(base[1])
+            for k in (2.0**-20, 2.0, 2.0**10):
+                scaled = params._replace(
+                    **{name: getattr(params, name) * k for name in EU_PARAMETERS}
+                )
+                period, message, diagnostics = refusal(scaled, engine)
+                assert (period, message, [unscaled(d, k) for d in diagnostics]) == base, k
+        assert refused == {
+            "booking 6 (Com pays Div to Cap) rejected",
+            "booking 7 (Com repays Loan to Bank) rejected",
+        }
+
+
+def refusal(params: Parameters, engine: EngineKind) -> tuple[int, str, list[str]]:
+    """The period, message and diagnostics of the failure that refuses `params` within 50 periods."""
+    with pytest.raises(ValidationFailure) as err:
+        run(params, horizon=50, engine=engine)
+    return err.value.period, str(err.value), err.value.diagnostics
+
+
+def unscaled(diagnostic: str, k: float) -> str:
+    """`diagnostic` with the EU amounts an `eu-imbalance` prints divided by `k`."""
+    kind, _, amounts = diagnostic.partition(":")
+    if kind != "eu-imbalance":
+        return diagnostic
+    return f"{kind}:" + "!=".join(repr(float(amount) / k) for amount in amounts.split("!="))
+
+
+def test_unscaled_divides_only_the_amounts_of_an_eu_imbalance():
+    assert unscaled("eu-imbalance:6.0!=2.5", 2.0) == "eu-imbalance:3.0!=1.25"
+    assert unscaled("eu-imbalance:nan!=1.0", 2.0) == "eu-imbalance:nan!=0.5"
+    assert unscaled("real-imbalance:G:nan", 2.0) == "real-imbalance:G:nan"
+    assert unscaled("insufficient-balance:AccComBank", 2.0) == "insufficient-balance:AccComBank"
+
+
+def moved_image(step, f_t, f_t1, eta) -> None:
+    """F_t+1's first flow image moved onto the image of a flow with other endpoints."""
+    images = f_t1.morphism_images
+    ends = list(zip(step.src, step.dst))
+    images[0] = next(j for j in images if ends[j - 1] != ends[images[0] - 1])
+
+
+def component_out_of_range(step, f_t, f_t1, eta) -> None:
+    eta.components[0] = len(step.src) + 1
+
+
+def target_dst_edited(step, f_t, f_t1, eta) -> None:
+    """The target of F_t+1's first flow image moved to the next object."""
+    step.dst[f_t1.morphism_images[0] - 1] += 1
+
+
+class TestAWarmMemoCatchesALaterFault:
+    """Five honest periods fill the law checks' memo; a fault in the sixth is
+    reported as the checks report it on an empty memo."""
+
+    @staticmethod
+    def failures(monkeypatch, fault, cold: bool) -> list[str]:
+        from catledger import catcore, evolution
+
+        real, builds = evolution.build_time_step, []
+
+        def faulty(flows, old, new):
+            built = real(flows, old, new)
+            builds.append(None)
+            if len(builds) == 6:
+                fault(*built)
+                assert len(catcore._LAWFUL) >= 3  # F_t, F_t+1 and eta passed before
+                if cold:
+                    monkeypatch.setattr(catcore, "_LAWFUL", [])
+            return built
+
+        monkeypatch.setattr(evolution, "build_time_step", faulty)
+        with pytest.raises(EngineConsistencyError) as err:
+            run(Parameters(horizon=10), engine=EngineKind.CATEGORICAL)
+        assert (str(err.value), err.value.period) == ("period law check failed", 5)
+        return err.value.failures
+
+    @pytest.mark.parametrize(
+        "fault, first",
+        [
+            (moved_image, "F_t+1: morphism 1: image source"),
+            (component_out_of_range, "naturality: component at 'AccLabBank' is missing id 67"),
+            (target_dst_edited, "F_t+1: morphism 1: image target"),
+        ],
+    )
+    def test_a_fault_in_period_5_is_reported_as_on_an_empty_memo(self, monkeypatch, fault, first):
+        warm = self.failures(monkeypatch, fault, cold=False)
+        assert warm[0].startswith(first)
+        assert warm == self.failures(monkeypatch, fault, cold=True)
