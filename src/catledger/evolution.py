@@ -82,6 +82,7 @@ from .ledger import (
     ACCOUNT_INDEX,
     ACCOUNT_NAMES,
     _COMPILED,
+    _WRONG_LENGTH,
     Invariances,
     ValidationFailure,
     booking_entry,
@@ -417,6 +418,18 @@ def apply_via_pushout(values: list[float], booking_id: int, amounts: tuple[float
         values[i] = values[i] + amounts[slot] if inflow else values[i] - amounts[slot]
 
 
+@functools.lru_cache(maxsize=4)
+def _step_ends(src: tuple, dst: tuple) -> tuple[list, list, list, list]:
+    """The time step's src and dst columns and image runs for flows of endpoints `src`, `dst`."""
+    m = len(src)
+    return (
+        [*_AT_T, *src, *(i + _SHIFT for i in src)],
+        [*_AT_T1, *dst, *(i + _SHIFT for i in dst)],
+        list(range(_SHIFT + 1, _SHIFT + m + 1)),
+        list(range(_SHIFT + m + 1, _SHIFT + 2 * m + 1)),
+    )
+
+
 def build_time_step(
     flows: FiniteCategory, old: Sequence[float], new: Sequence[float]
 ) -> tuple[FiniteCategory, Functor, Functor, NaturalTransformation]:
@@ -428,36 +441,30 @@ def build_time_step(
     i and at i + 20.  Each component is one account's evolution edge,
     weighted by its net flow.  The target's columns hold the components,
     then the flows' images at t, then at t+1: well formed, so the id lists are `proved`.
+    ValueError refuses a snapshot not of 20 balances.  The endpoints and
+    image runs are copies of `_step_ends`' cached lists.
     """
-    src, dst, m = flows.src, flows.dst, len(flows.src)
+    if len(old) != _SHIFT or len(new) != _SHIFT:
+        raise ValueError(_WRONG_LENGTH % (len(new) if len(old) == _SHIFT else len(old)))
+    src, dst, at_t, at_t1 = _step_ends(tuple(flows.src), tuple(flows.dst))
     step = FiniteCategory(
         "time-step",
         list(_STEP_NAMES),
-        _AT_T + src + [i + _SHIFT for i in src],
-        _AT_T1 + dst + [i + _SHIFT for i in dst],
+        src[:],
+        dst[:],
         [*map(sub, new, old), *flows.weight, *flows.weight],
         _EVOLVE + flows.label * 2,
     )
-    f_t = Functor.proved(flows, step, _AT_T[:], list(range(_SHIFT + 1, _SHIFT + m + 1)))
-    f_t1 = Functor.proved(flows, step, _AT_T1[:], list(range(_SHIFT + m + 1, _SHIFT + 2 * m + 1)))
+    f_t = Functor.proved(flows, step, _AT_T[:], at_t[:])
+    f_t1 = Functor.proved(flows, step, _AT_T1[:], at_t1[:])
     return step, f_t, f_t1, NaturalTransformation.proved(f_t, f_t1, _AT_T[:])
 
 
-def verify_time_step(
-    flows: FiniteCategory, eta: NaturalTransformation, old: Sequence[float], new: Sequence[float]
-) -> None:
-    """Raise EngineConsistencyError unless the period's laws all hold.
-
-    Checks the two snapshot functors, that each of them sends every flow
-    to a morphism with the flow's label and weight, the naturality of the
-    evolution transformation, and that every component's weight equals the
-    account's realised net flow.  The functor laws compare endpoints only,
-    so without the label test an image moved onto a parallel flow (the two
-    dividend channels share their endpoints) would pass.
-    """
+def _law_failures(flows: FiniteCategory, eta: NaturalTransformation, nets, reports) -> list[str]:
+    """The law `reports` and each failed label, weight or component test, worded in order."""
     failures: list[str] = []
-    for functor, tag in ((eta.F, "F_t"), (eta.G, "F_t+1")):
-        failures.extend(f"{tag}: {msg}" for msg in check_functor_laws(functor).failures)
+    for functor, tag, report in ((eta.F, "F_t", reports[0]), (eta.G, "F_t+1", reports[1])):
+        failures.extend(f"{tag}: {msg}" for msg in report.failures)
         target = functor.target
         labels, weights, bound = target.label, target.weight, len(target.src)
         images = zip(itertools.count(1), flows.label, flows.weight, functor.morphism_images)
@@ -470,15 +477,56 @@ def verify_time_step(
                     f"{tag}: morphism {mor_id} ({label}) maps to "
                     f"{image_label!r} weighted {image_weight}, not {weight}"
                 )
-    failures.extend(f"naturality: {msg}" for msg in check_naturality(eta).failures)
+    failures.extend(f"naturality: {msg}" for msg in reports[2].failures)
     weights, bound = eta.F.target.weight, len(eta.F.target.src)
-    for name, net, comp_id in zip(flows.names, map(sub, new, old), _fit(eta.components, len(old))):
+    for name, net, comp_id in zip(flows.names, nets, _fit(eta.components, _SHIFT)):
         if comp_id is None or not 1 <= comp_id <= bound:
             failures.append(f"component weight for {name}: no evolution component")
         elif weights[comp_id - 1] != net:
             failures.append(
                 f"component weight for {name}: {weights[comp_id - 1]} != net flow {net}"
             )
+    return failures
+
+
+def verify_time_step(
+    flows: FiniteCategory, eta: NaturalTransformation, old: Sequence[float], new: Sequence[float]
+) -> None:
+    """Raise EngineConsistencyError unless the period's laws all hold.
+
+    Checks the two snapshot functors, that each of them sends every flow
+    to a morphism with the flow's label and weight, the naturality of the
+    evolution transformation, and that every component's weight equals the
+    account's realised net flow.  The functor laws compare endpoints only,
+    so without the label test an image moved onto a parallel flow (the two
+    dividend channels share their endpoints) would pass.  ValueError
+    refuses a snapshot not of 20 balances, before any check.
+
+    The verdict compares whole columns with the id runs `build_time_step`
+    lays out, the flows' labels and weights and the net flows.  List `==`
+    takes a NaN as equal to itself, so only string labels and weights of
+    finite sum are compared; a net flow is a fresh result of `-`.  Only a
+    verdict that does not pass has `_law_failures` walk the cells and word
+    each failure.  A float equal to an int id, written into a list past its
+    constructor, passes where that walk raises TypeError.
+    """
+    if len(old) != _SHIFT or len(new) != _SHIFT:
+        raise ValueError(_WRONG_LENGTH % (len(new) if len(old) == _SHIFT else len(old)))
+    reports = (check_functor_laws(eta.F), check_functor_laws(eta.G), check_naturality(eta))
+    nets, m, images = list(map(sub, new, old)), len(flows.label), eta.F.morphism_images
+    try:
+        "".join(flows.label)
+        comparable = math.isfinite(sum(flows.weight)) and len(flows.weight) == len(images) == m
+    except (TypeError, ArithmeticError):  # a label not a string, a weight that does not sum
+        comparable = False
+    if (
+        comparable and reports[0].ok and reports[1].ok and reports[2].ok and eta.components == _AT_T
+        and [*images, *eta.G.morphism_images] == list(range(_SHIFT + 1, _SHIFT + 2 * m + 1))
+        and eta.F.target.label[_SHIFT:] == flows.label * 2
+        and eta.F.target.weight == [*nets, *flows.weight, *flows.weight]
+    ):
+        return
+    failures = _law_failures(flows, eta, nets, reports)
     if failures:
         raise EngineConsistencyError("period law check failed", failures)
 

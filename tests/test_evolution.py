@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import itertools
 import math
 import random
 import struct
 from array import array
 from enum import Enum
+from operator import sub
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -20,6 +22,9 @@ from catledger.catcore import (
     FinSetMap,
     Functor,
     NaturalTransformation,
+    _fit,
+    check_functor_laws,
+    check_naturality,
     finset_pushout,
 )
 
@@ -60,6 +65,7 @@ from catledger.ledger import (
     post_compiled,
     validate_booking,
 )
+from tests.test_catcore import naturality_edits
 from tests.test_ledger import post_by_the_gate_and_fold
 
 ENGINES = [EngineKind.RECURSIVE, EngineKind.CATEGORICAL]
@@ -634,6 +640,7 @@ def test_the_weight_rule_accepts_exactly_equal(w, e, opening, closing):
             verify_time_step(flows, eta, old, new)
     else:
         verify_time_step(flows, eta, old, new)
+    assert judged_alike(flows, eta, old, new) is not math.isnan(e)  # as the cell loops judge
     images = (f_t.morphism_images[0], f_t1.morphism_images[0])
     component = eta.components[ACCOUNT_INDEX["AccLabBank"]]
     # weight the flow's two images w, then only the account's component
@@ -646,6 +653,7 @@ def test_the_weight_rule_accepts_exactly_equal(w, e, opening, closing):
             with pytest.raises(EngineConsistencyError) as err:
                 verify_time_step(flows, eta, old, new)
             assert any(f.startswith(named) for f in err.value.failures)
+        assert judged_alike(flows, eta, old, new) is (w == e)
 
 
 # each function that takes a booking id, called on a ledger
@@ -962,7 +970,8 @@ def real_period(monkeypatch, params: Parameters, periods: int = 3):
 
     def record(flows, old, new):
         built = original(flows, old, new)
-        captured.update(flows=flows, eta=built[3], old=old, new=new)
+        # copies: the closing balances go on to become the next state, memory and all
+        captured.update(flows=flows, eta=built[3], old=old[:], new=new[:])
         return built
 
     monkeypatch.setattr(evolution, "build_time_step", record)
@@ -1753,3 +1762,281 @@ class TestAWarmMemoCatchesALaterFault:
         warm = self.failures(monkeypatch, fault, cold=False)
         assert warm[0].startswith(first)
         assert warm == self.failures(monkeypatch, fault, cold=True)
+
+
+def loop_failures(flows, eta, old, new) -> list[str]:
+    """The failures of the period's laws as the cell loops word them, every cell walked:
+    the reference `verify_time_step`'s column verdict is held to."""
+    failures: list[str] = []
+    for functor, tag in ((eta.F, "F_t"), (eta.G, "F_t+1")):
+        failures.extend(f"{tag}: {msg}" for msg in check_functor_laws(functor).failures)
+        target = functor.target
+        labels, weights, bound = target.label, target.weight, len(target.src)
+        images = zip(itertools.count(1), flows.label, flows.weight, functor.morphism_images)
+        for mor_id, label, weight, mapped in images:
+            if mapped is None or not 1 <= mapped <= bound:
+                continue
+            image_label, image_weight = labels[mapped - 1], weights[mapped - 1]
+            if image_label != label or image_weight != weight:
+                failures.append(
+                    f"{tag}: morphism {mor_id} ({label}) maps to "
+                    f"{image_label!r} weighted {image_weight}, not {weight}"
+                )
+    failures.extend(f"naturality: {msg}" for msg in check_naturality(eta).failures)
+    weights, bound = eta.F.target.weight, len(eta.F.target.src)
+    for name, net, comp_id in zip(flows.names, map(sub, new, old), _fit(eta.components, len(old))):
+        if comp_id is None or not 1 <= comp_id <= bound:
+            failures.append(f"component weight for {name}: no evolution component")
+        elif weights[comp_id - 1] != net:
+            failures.append(
+                f"component weight for {name}: {weights[comp_id - 1]} != net flow {net}"
+            )
+    return failures
+
+
+def outcome(check, *args):
+    """What `check` makes of `args`: its failures ([] for a pass), or the exception it raises."""
+    try:
+        failures = check(*args)
+    except EngineConsistencyError as err:
+        assert str(err) == "period law check failed" and err.failures
+        return err.failures
+    except Exception as err:  # an exception is an outcome too: both must raise the same
+        return (type(err).__name__, str(err))
+    return failures or []
+
+
+def judged_alike(flows, eta, old, new) -> bool:
+    """Whether `verify_time_step` passes; it must fail exactly as the loops do, or pass with them."""
+    verdict = outcome(verify_time_step, flows, eta, old, new)
+    assert verdict == outcome(loop_failures, flows, eta, old, new)
+    return verdict == []
+
+
+class TestColumnVerdict:
+    """`verify_time_step` judges whole columns and walks the cells only to word a failure."""
+
+    def test_every_label_and_weight_edit_is_judged_as_the_loops_judge_it(self, monkeypatch):
+        # each target cell set to NaN, -0.0, inf, a dividend flow's label, and
+        # an equal copy of a label or a weight one ulp either side or a dividend
+        # flow's: the two dividend flows run between the same two accounts
+        flows, eta, old, new = real_period(monkeypatch, Parameters())
+        step = eta.F.target
+        by_label = dict(zip(flows.label, flows.morphisms))
+        dividends = [by_label["b6:dividend settled"] - 1, by_label["b6:dividend declared"] - 1]
+        assert judged_alike(flows, eta, old, new)
+        verdicts = []
+        for column in (step.label, step.weight):
+            for at, cell in enumerate(list(column)):
+                values = [math.nan, -0.0, math.inf, *(flows.label[d] for d in dividends)]
+                if column is step.label:
+                    values.append("".join(list(cell)))  # equal, not the same object
+                else:
+                    values += [math.nextafter(cell, math.inf), math.nextafter(cell, -math.inf)]
+                    values += [flows.weight[d] for d in dividends]
+                for value in values:
+                    column[at] = value
+                    verdicts.append(judged_alike(flows, eta, old, new))
+                column[at] = cell
+        assert judged_alike(flows, eta, old, new)
+        assert len(verdicts) == 66 * 6 + 66 * 9
+        assert 0 < sum(verdicts) < len(verdicts)
+
+    def test_every_image_and_component_edit_is_judged_as_the_loops_judge_it(self, monkeypatch):
+        # `TestLawMemo`'s 6,168 single edits, each refused: the four that pass
+        # the law checks move a dividend channel's image onto the other's
+        flows, eta, old, new = real_period(monkeypatch, Parameters())
+        verdicts = [judged_alike(flows, variant, old, new) for variant in naturality_edits(eta)]
+        assert len(verdicts) == 6168 and not any(verdicts)
+
+    def test_every_run_and_length_edit_is_judged_as_the_loops_judge_it(self, monkeypatch):
+        # runs moved or cut short and columns one cell short or long: `zip`
+        # stops at the shortest, so the verdict must not stop with it
+        flows, eta, old, new = real_period(monkeypatch, Parameters())
+        step = eta.F.target
+        lists = {
+            "F images": eta.F.morphism_images,
+            "F+1 images": eta.G.morphism_images,
+            "components": eta.components,
+            "flow labels": flows.label,
+            "flow weights": flows.weight,
+            "target labels": step.label,
+            "target weights": step.weight,
+            "target src": step.src,
+        }
+        edits = {
+            "drop the last": lambda cells: cells.pop(),
+            "append the first": lambda cells: cells.append(cells[0]),
+            "shift by one": lambda cells: cells.insert(0, cells.pop()),
+            "each id one on": lambda cells: cells.__setitem__(slice(None), [c + 1 for c in cells]),
+        }
+        passed = []
+        for name, cells in lists.items():
+            for edit_name, edit in edits.items():
+                if edit_name == "each id one on" and not name.endswith(("images", "components")):
+                    continue
+                kept = cells[:]
+                edit(cells)
+                if judged_alike(flows, eta, old, new):
+                    passed.append((name, edit_name))
+                cells[:] = kept
+        eta.G.morphism_images[:] = eta.F.morphism_images  # both snapshots at level t
+        assert not judged_alike(flows, eta, old, new)
+        # a cell past the last flow is read by no test, and the loops stop at
+        # the shorter flow column, as the law checks stop at the flows
+        assert passed == [
+            *((name, "append the first") for name in list(lists)[:3]),
+            ("flow labels", "drop the last"),
+            ("flow labels", "append the first"),
+            ("flow weights", "drop the last"),
+            ("flow weights", "append the first"),
+            *((name, "append the first") for name in list(lists)[5:]),
+        ]
+
+    def test_two_evolution_edges_swapped_with_their_components_are_judged_by_the_loops(
+        self, monkeypatch
+    ):
+        # each component still runs from its account at t to it at t+1, so
+        # the law checks pass; the weights it reads are the other account's
+        flows, eta, old, new = real_period(monkeypatch, Parameters())
+        step, components = eta.F.target, eta.components
+        a, b = ACCOUNT_INDEX["AccComBank"], ACCOUNT_INDEX["AccLabBank"]
+        for column in (step.src, step.dst, components):
+            column[a], column[b] = column[b], column[a]
+        assert check_naturality(eta).ok and check_functor_laws(eta.F).ok
+        assert not judged_alike(flows, eta, old, new)
+        with pytest.raises(EngineConsistencyError) as err:
+            verify_time_step(flows, eta, old, new)
+        assert [f.split(":")[0] for f in err.value.failures] == [
+            "component weight for AccLabBank", "component weight for AccComBank"
+        ]
+
+    @pytest.mark.parametrize("column", ["label", "weight"])
+    @pytest.mark.parametrize("edit", ["append", "pop"])
+    def test_a_step_built_on_a_flow_column_of_another_length_is_judged_by_the_loops(
+        self, monkeypatch, column, edit
+    ):
+        # the step repeats the flows' weights at t and at t+1, so with one
+        # weight too many the weights at t+1 sit one place on from the images
+        flows, _, old, new = real_period(monkeypatch, Parameters())
+        cells = getattr(flows, column)
+        if edit == "append":
+            cells.append("extra" if column == "label" else 1e-3)
+        else:
+            cells.pop()
+        *_, eta = build_time_step(flows, old, new)
+        assert not judged_alike(flows, eta, old, new)
+
+    @pytest.mark.parametrize(
+        "value, passes",
+        [
+            (math.nan, False),  # the loops' `!=` refuses a NaN, the same one too
+            (math.inf, True),
+            ("w", True),  # a weight that does not sum: the loops, no TypeError
+            (None, True),
+            (10**400, True),  # sums, but to no float
+        ],
+    )
+    def test_one_object_in_a_flow_and_both_its_images_is_judged_by_the_loops(
+        self, monkeypatch, value, passes
+    ):
+        flows, eta, old, new = real_period(monkeypatch, Parameters())
+        step = eta.F.target
+        at_t, at_t1 = eta.F.morphism_images[0] - 1, eta.G.morphism_images[0] - 1
+        for column, target in ((flows.weight, step.weight), (flows.label, step.label)):
+            kept = column[0], target[at_t], target[at_t1]
+            column[0] = target[at_t] = target[at_t1] = value
+            assert judged_alike(flows, eta, old, new) is passes
+            column[0], target[at_t], target[at_t1] = kept
+        assert judged_alike(flows, eta, old, new)
+
+    def test_a_float_id_in_a_run_is_the_one_exception(self, monkeypatch):
+        # a float equal to an int id, written past the constructor: the law
+        # memo and the column verdict take it as the id, the cell walk raises
+        flows, eta, old, new = real_period(monkeypatch, Parameters())
+        for ids in (eta.F.morphism_images, eta.components):
+            ids[5] = float(ids[5])
+            verify_time_step(flows, eta, old, new)
+            with pytest.raises(TypeError):
+                loop_failures(flows, eta, old, new)
+            ids[5] = int(ids[5])
+
+    @pytest.mark.parametrize("which", ["old", "new"])
+    @pytest.mark.parametrize("length", [19, 21])
+    def test_verify_refuses_a_snapshot_not_of_20_before_any_walk(self, monkeypatch, which, length):
+        # one balance short, zip used to drop AccBankCapBank's component unchecked
+        flows, eta, old, new = real_period(monkeypatch, Parameters())
+        snapshots = {"old": old, "new": new}
+        snapshots[which] = (snapshots[which] * 2)[:length]
+        counts = counting_calls(monkeypatch, ("check_functor_laws", "check_naturality"))
+        with pytest.raises(ValueError) as err:
+            verify_time_step(flows, eta, snapshots["old"], snapshots["new"])
+        assert str(err.value) == f"a ledger holds 20 balances, got {length}"
+        assert counts == {"check_functor_laws": 0, "check_naturality": 0}
+
+    @pytest.mark.parametrize("which", ["old", "new"])
+    @pytest.mark.parametrize("length", [19, 21])
+    def test_build_refuses_a_snapshot_not_of_20(self, monkeypatch, which, length):
+        # one balance short used to end in a bare IndexError
+        flows, eta, old, new = real_period(monkeypatch, Parameters())
+        snapshots = {"old": old, "new": new}
+        snapshots[which] = (snapshots[which] * 2)[:length]
+        with pytest.raises(ValueError) as err:
+            build_time_step(flows, snapshots["old"], snapshots["new"])
+        assert str(err.value) == f"a ledger holds 20 balances, got {length}"
+
+    def test_a_categorical_run_never_walks_the_cells(self, monkeypatch):
+        # a verdict that always fell back to the loops would pass every
+        # other test; here the loops may not run at all
+        from catledger import evolution
+
+        def refuse(*args):
+            raise AssertionError("a period walked the cells")
+
+        monkeypatch.setattr(evolution, "_law_failures", refuse)
+        trace = run(Parameters(horizon=19), engine=EngineKind.CATEGORICAL)
+        assert trace.cells == run(Parameters(horizon=19), engine=EngineKind.RECURSIVE).cells
+        assert len(trace.rows) == 20
+
+    def test_a_run_builds_the_step_s_structure_once(self):
+        from catledger import evolution
+
+        evolution._step_ends.cache_clear()
+        run(Parameters(horizon=19), engine=EngineKind.CATEGORICAL)
+        info = evolution._step_ends.cache_info()
+        assert (info.misses, info.hits, info.maxsize) == (1, 19, 4)
+        flows = build_economy_category()
+        for n in range(1, 9):  # eight shapes: the cache keeps its bound
+            flows.extend((1,), (2,), (1.0,), (f"f{n}",))
+            build_time_step(flows, init_ledger(), init_ledger())
+        assert evolution._step_ends.cache_info().currsize == 4
+
+    def test_a_build_after_in_place_edits_equals_a_cold_build(self, monkeypatch):
+        from catledger import evolution
+
+        def columns(built):
+            step, f_t, f_t1, eta = built
+            return (
+                step.name, step.names, step.src, step.dst, step.weight, step.label,
+                f_t.object_images, f_t.morphism_images, f_t1.object_images,
+                f_t1.morphism_images, eta.components,
+            )
+
+        def cold(flows):
+            evolution._step_ends.cache_clear()
+            return columns(build_time_step(flows, old, new))
+
+        flows, eta, old, new = real_period(monkeypatch, Parameters())
+        step, f_t, f_t1 = eta.F.target, eta.F, eta.G
+        for cells in (step.names, step.src, step.dst, step.label, step.weight):
+            cells.reverse()
+        for ids in (f_t.object_images, f_t.morphism_images, f_t1.morphism_images, eta.components):
+            ids[0] += 1
+        f_t1.object_images.pop()
+        warm = columns(build_time_step(flows, old, new))
+        assert warm == cold(flows)
+        built = build_time_step(flows, old, new)
+        kept, flows.dst[0] = flows.dst[0], flows.src[0]  # the flows' own column, after a build
+        assert columns(build_time_step(flows, old, new)) == cold(flows)
+        flows.dst[0] = kept
+        verify_time_step(flows, built[3], old, new)  # unchanged by the builds after it
